@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "src/core/policies.h"
+#include "src/sim/realization.h"
+#include "src/sim/tree_simulation.h"
 #include "src/trace/workloads.h"
 
 namespace cedar {
@@ -72,6 +74,35 @@ TEST(LoadedRuntimeTest, VeryLightLoadMatchesIsolatedQuality) {
   LoadedRunResult result = RunLoadedCluster(workload, cedar, config);
   EXPECT_DOUBLE_EQ(result.mean_queue_delay, 0.0);
   EXPECT_GT(result.MeanQuality(), 0.4);
+}
+
+TEST(LoadedRuntimeTest, SingleQueryMatchesTreeSimulation) {
+  // One query with a slot per task never queues, so the loaded engine must
+  // agree exactly with the analytic simulator on the same realization. The
+  // realization is rebuilt from the engine's RNG order: the arrival gap,
+  // then DrawQuery, then Fork for the realization stream.
+  auto workload = MakeFacebookWorkload(10, 8);
+  LoadedRunConfig config = BaseConfig();
+  config.num_queries = 1;
+  config.mean_interarrival = 1e7;
+
+  Rng rng(config.seed);
+  rng.NextOpenDouble();  // arrival gap
+  QueryTruth truth = workload.DrawQuery(rng);
+  truth.sequence = (config.seed << 20) + 1;
+  Rng realization_rng = rng.Fork();
+  TreeSpec tree = workload.OfflineTree();
+  QueryRealization realization = SampleRealization(tree, truth, realization_rng);
+  TreeSimulation sim(tree, config.deadline);
+
+  for (const WaitPolicy* policy : std::initializer_list<const WaitPolicy*>{
+           new FixedWaitPolicy(600.0), new ProportionalSplitPolicy(), new CedarPolicy()}) {
+    QueryResult expected = sim.RunQuery(*policy, realization);
+    LoadedRunResult actual = RunLoadedCluster(workload, *policy, config);
+    ASSERT_EQ(actual.per_query_quality.size(), 1u);
+    EXPECT_EQ(actual.per_query_quality.values()[0], expected.quality) << policy->name();
+    delete policy;
+  }
 }
 
 TEST(LoadedRuntimeTest, ThreeLevelTreeSupported) {
