@@ -57,21 +57,6 @@ void BM_PlanTree(benchmark::State& state) {
 }
 BENCHMARK(BM_PlanTree)->Arg(2)->Arg(3);
 
-void BM_OptimizeWaitParallel(benchmark::State& state) {
-  TreeSpec tree = BenchTree();
-  const double deadline = 1000.0;
-  auto upper = TabulateCdf(*tree.stage(1).duration, deadline, 401);
-  double epsilon = deadline / 4000.0;  // a fine scan, where threads pay off
-  int threads = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    WaitDecision decision =
-        OptimizeWaitParallel(*tree.stage(0).duration, 50, upper, deadline, epsilon, threads);
-    benchmark::DoNotOptimize(decision);
-  }
-  state.SetLabel("threads=" + std::to_string(threads) + " scan_steps=4000");
-}
-BENCHMARK(BM_OptimizeWaitParallel)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
-
 void BM_WaitTableBuild(benchmark::State& state) {
   TreeSpec tree = BenchTree();
   const double deadline = 1000.0;

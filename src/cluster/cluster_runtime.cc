@@ -1,10 +1,11 @@
 #include "src/cluster/cluster_runtime.h"
 
 #include <algorithm>
+#include <functional>
+#include <utility>
 
 #include "src/common/logging.h"
 #include "src/obs/query_trace.h"
-#include "src/sim/aggregator_node.h"
 #include "src/sim/event_queue.h"
 
 namespace cedar {
@@ -37,116 +38,20 @@ double ClusterSpec::SlotSpeedFactor(int slot) const {
 
 ClusterRuntime::ClusterRuntime(ClusterSpec cluster, TreeSpec offline_tree, double deadline,
                                ClusterRunOptions options)
-    : cluster_(cluster),
-      offline_tree_(std::move(offline_tree)),
-      deadline_(deadline),
-      options_(options) {
-  CEDAR_CHECK_GT(deadline, 0.0);
-  CEDAR_CHECK_GE(offline_tree_.num_stages(), 2);
+    : cluster_(cluster), options_(options), model_(std::move(offline_tree), deadline, options) {
   CEDAR_CHECK_GE(cluster_.TotalSlots(), 1);
-  epsilon_ = deadline_ * options_.grid.epsilon_fraction;
-  curve_stack_ = BuildQualityCurveStack(offline_tree_, deadline_, options_.grid);
 }
 
 ClusterQueryResult ClusterRuntime::RunQuery(const WaitPolicy& policy_prototype,
                                             const QueryRealization& realization) const {
-  int n = offline_tree_.num_stages();
-  int tiers = offline_tree_.num_aggregator_tiers();
-  CEDAR_CHECK_EQ(static_cast<int>(realization.stage_durations.size()), n);
-
-  TraceCollector* collector =
-      options_.trace != nullptr ? options_.trace : ActiveTraceCollector();
-  QueryTraceBuilder trace(collector, realization.truth.sequence,
-                          policy_prototype.name(), "cluster");
-  QueryTraceBuilder* trace_ptr = trace.active() ? &trace : nullptr;
-
-  // Quality-curve knowledge, as in TreeSimulation.
-  std::vector<PiecewiseLinear> query_stack;
-  const std::vector<PiecewiseLinear>* stack = &curve_stack_;
-  if (options_.per_query_upper_knowledge) {
-    TreeSpec truth_tree = realization.truth.OverlayOn(offline_tree_);
-    query_stack = BuildQualityCurveStack(truth_tree, deadline_, options_.grid);
-    stack = &query_stack;
-  }
-
-  std::vector<AggregatorContext> contexts(static_cast<size_t>(tiers));
-  {
-    double offset = 0.0;
-    for (int tier = 0; tier < tiers; ++tier) {
-      AggregatorContext& ctx = contexts[static_cast<size_t>(tier)];
-      ctx.tier = tier;
-      ctx.deadline = deadline_;
-      ctx.start_offset = offset;
-      ctx.fanout = offline_tree_.stage(tier).fanout;
-      ctx.offline_tree = &offline_tree_;
-      ctx.upper_quality = &(*stack)[static_cast<size_t>(tier + 1)];
-      ctx.epsilon = epsilon_;
-      ctx.table_store = options_.table_store;
-      if (trace_ptr != nullptr) {
-        trace_ptr->RecordTierPlan(tier, offset);
-      }
-      if (tier + 1 < tiers) {
-        auto scratch = policy_prototype.Clone();
-        scratch->BeginQuery(ctx, &realization.truth);
-        offset = scratch->DecideInitialWait(ctx);
-      }
-    }
-  }
-
-  std::vector<std::vector<AggregatorNode>> nodes(static_cast<size_t>(tiers));
-  for (int tier = 0; tier < tiers; ++tier) {
-    long long count = StageEdgeCount(offline_tree_, tier + 1);
-    nodes[static_cast<size_t>(tier)] = std::vector<AggregatorNode>(static_cast<size_t>(count));
-    for (long long i = 0; i < count; ++i) {
-      auto policy = policy_prototype.Clone();
-      policy->BeginQuery(contexts[static_cast<size_t>(tier)], &realization.truth);
-      nodes[static_cast<size_t>(tier)][static_cast<size_t>(i)].Init(
-          tier, i, std::move(policy), &contexts[static_cast<size_t>(tier)], 0.0, trace_ptr);
-    }
-  }
-
+  QueryTree tree(model_, policy_prototype, realization, "cluster");
   EventQueue queue;
   ClusterQueryResult result;
-  result.total_weight = realization.TotalWeight();
-
-  auto make_send_fn = [&](int tier) {
-    return [&, tier](AggregatorNode& node, double weight) {
-      long long index = node.index();
-      double ship =
-          realization.stage_durations[static_cast<size_t>(tier + 1)][static_cast<size_t>(index)];
-      double arrive_at = queue.now() + ship;
-      if (tier + 1 == tiers) {
-        bool in_time = arrive_at <= deadline_;
-        if (in_time) {
-          result.included_weight += weight;
-          ++result.root_arrivals_in_time;
-        } else {
-          ++result.root_arrivals_late;
-        }
-        if (trace_ptr != nullptr) {
-          trace_ptr->RecordRootArrival(arrive_at, in_time);
-        }
-        return;
-      }
-      long long parent = index / offline_tree_.stage(tier + 1).fanout;
-      AggregatorNode& parent_node =
-          nodes[static_cast<size_t>(tier + 1)][static_cast<size_t>(parent)];
-      queue.Schedule(arrive_at,
-                     [&queue, &parent_node, weight] { parent_node.OnChildOutput(queue, weight); });
-    };
-  };
-
-  for (int tier = 0; tier < tiers; ++tier) {
-    auto send_fn = make_send_fn(tier);
-    for (auto& node : nodes[static_cast<size_t>(tier)]) {
-      node.Start(queue, send_fn);
-    }
-  }
+  tree.Start(queue);
 
   // ---- Slot-scheduled leaf (map) stage ----
   const auto& durations = realization.stage_durations[0];
   auto total_tasks = static_cast<long long>(durations.size());
-  int k0 = offline_tree_.stage(0).fanout;
   int slots = cluster_.TotalSlots();
   result.waves = static_cast<int>((total_tasks + slots - 1) / slots);
 
@@ -223,12 +128,7 @@ ClusterQueryResult ClusterRuntime::RunQuery(const WaitPolicy& policy_prototype,
             t.copies_in_flight = 0;
             t.completion_handles.clear();
             t.copy_slots.clear();
-            // Deliver the output to the owning tier-0 aggregator.
-            double weight = realization.leaf_weights.empty()
-                                ? 1.0
-                                : realization.leaf_weights[static_cast<size_t>(task_index)];
-            AggregatorNode& agg = nodes[0][static_cast<size_t>(task_index / k0)];
-            agg.OnChildOutput(queue, weight);
+            tree.DeliverLeaf(queue, task_index);
           }
           result.makespan = queue.now();
           fill_slots();
@@ -302,10 +202,10 @@ ClusterQueryResult ClusterRuntime::RunQuery(const WaitPolicy& policy_prototype,
   fill_slots();
   queue.Run();
 
-  result.quality = result.total_weight > 0.0 ? result.included_weight / result.total_weight : 0.0;
-  if (trace_ptr != nullptr) {
-    trace_ptr->Finish(
-        std::max(result.makespan, deadline_), result.quality,
+  static_cast<QueryResult&>(result) = tree.Result();
+  if (QueryTraceBuilder* trace = tree.trace()) {
+    trace->Finish(
+        std::max(result.makespan, deadline()), result.quality,
         {TraceArg::Num("waves", result.waves),
          TraceArg::Num("tasks_launched", static_cast<double>(result.tasks_launched)),
          TraceArg::Num("clones_launched", static_cast<double>(result.clones_launched)),

@@ -26,10 +26,9 @@
 #include <vector>
 
 #include "src/core/policy.h"
-#include "src/core/quality.h"
 #include "src/core/tree.h"
+#include "src/sim/query_tree.h"
 #include "src/sim/realization.h"
-#include "src/sim/tree_simulation.h"
 
 namespace cedar {
 
@@ -63,31 +62,14 @@ struct SpeculationOptions {
   int max_clones = 8;
 };
 
-struct ClusterRunOptions {
-  QualityGridOptions grid;
-  // Same knowledge model as TreeSimulationOptions (see there).
-  bool per_query_upper_knowledge = true;
+struct ClusterRunOptions : QueryTreeOptions {
   SpeculationOptions speculation;
   // Seed for runtime-internal randomness (speculative clone durations).
   uint64_t runtime_seed = 1;
-
-  // Query-lifecycle trace sink, with the same fallback-to-global contract
-  // as TreeSimulationOptions::trace.
-  TraceCollector* trace = nullptr;
-
-  // Wait-table store handed to policies via ctx.table_store, with the same
-  // contract as TreeSimulationOptions::table_store.
-  WaitTableStore* table_store = nullptr;
 };
 
-struct ClusterQueryResult {
-  double quality = 0.0;
-  double included_weight = 0.0;
-  double total_weight = 0.0;
-  long long root_arrivals_in_time = 0;
-  long long root_arrivals_late = 0;
-
-  // Engine diagnostics.
+// The shared QueryResult plus slot-scheduler diagnostics.
+struct ClusterQueryResult : QueryResult {
   int waves = 0;               // ceil(tasks / slots) actually observed
   double makespan = 0.0;       // last event time
   long long tasks_launched = 0;  // including speculative clones
@@ -107,17 +89,14 @@ class ClusterRuntime {
   ClusterQueryResult RunQuery(const WaitPolicy& policy_prototype,
                               const QueryRealization& realization) const;
 
-  const TreeSpec& offline_tree() const { return offline_tree_; }
+  const TreeSpec& offline_tree() const { return model_.offline_tree(); }
   const ClusterSpec& cluster() const { return cluster_; }
-  double deadline() const { return deadline_; }
+  double deadline() const { return model_.deadline(); }
 
  private:
   ClusterSpec cluster_;
-  TreeSpec offline_tree_;
-  double deadline_;
   ClusterRunOptions options_;
-  double epsilon_;
-  std::vector<PiecewiseLinear> curve_stack_;
+  QueryTreeModel model_;
 };
 
 }  // namespace cedar

@@ -4,30 +4,29 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <utility>
 
 #include "src/common/logging.h"
 #include "src/obs/query_trace.h"
-#include "src/sim/aggregator_node.h"
 #include "src/sim/event_queue.h"
 #include "src/sim/realization.h"
 
 namespace cedar {
 namespace {
 
-// All the per-query state: its realization, its aggregation tree, and its
-// progress counters. Heap-allocated so addresses stay stable while the
-// deque of jobs grows.
+// One query: its realization and its aggregation tree, timed from its
+// arrival. Heap-allocated so addresses stay stable while the deque of jobs
+// grows.
 struct JobState {
-  double arrival = 0.0;
+  JobState(const QueryTreeModel& model, const WaitPolicy& policy, QueryRealization sampled,
+           double arrival_time)
+      : arrival(arrival_time),
+        realization(std::move(sampled)),
+        tree(model, policy, realization, "loaded", arrival_time) {}
+
+  double arrival;
   QueryRealization realization;
-  std::vector<PiecewiseLinear> curve_stack;  // per-query upper knowledge
-  std::vector<AggregatorContext> contexts;
-  std::vector<std::vector<AggregatorNode>> nodes;
-  double included_weight = 0.0;
-  double total_weight = 0.0;
-  long long tasks_remaining_to_deliver = 0;
-  // Owned per job: events span the job's lifetime, flushed after the run.
-  std::unique_ptr<QueryTraceBuilder> trace;
+  QueryTree tree;
 };
 
 struct PendingTask {
@@ -43,11 +42,11 @@ LoadedRunResult RunLoadedCluster(const Workload& workload, const WaitPolicy& pol
   CEDAR_CHECK_GT(config.mean_interarrival, 0.0);
   CEDAR_CHECK_GT(config.num_queries, 0);
   CEDAR_CHECK_GE(config.cluster.TotalSlots(), 1);
+  CEDAR_CHECK(config.cluster.SlowMachines() == 0 || config.cluster.slow_machine_factor == 1.0)
+      << "RunLoadedCluster does not model machine heterogeneity "
+         "(slow_machine_fraction/slow_machine_factor); use ClusterRuntime";
 
-  TreeSpec offline_tree = workload.OfflineTree();
-  int tiers = offline_tree.num_aggregator_tiers();
-  double epsilon = config.deadline * config.grid.epsilon_fraction;
-  auto offline_stack = BuildQualityCurveStack(offline_tree, config.deadline, config.grid);
+  const QueryTreeModel model(workload.OfflineTree(), config.deadline, config);
 
   EventQueue queue;
   Rng rng(config.seed);
@@ -56,7 +55,6 @@ LoadedRunResult RunLoadedCluster(const Workload& workload, const WaitPolicy& pol
   std::deque<std::unique_ptr<JobState>> jobs;
   std::deque<PendingTask> pending;
   int free_slots = config.cluster.TotalSlots();
-  int k0 = offline_tree.stage(0).fanout;
 
   LoadedRunResult result;
   double queue_delay_sum = 0.0;
@@ -65,100 +63,16 @@ LoadedRunResult RunLoadedCluster(const Workload& workload, const WaitPolicy& pol
 
   std::function<void()> fill_slots;
 
-  // Builds the upstream send chain for one job, mirroring ClusterRuntime.
-  auto make_send_fn = [&](JobState* job, int tier) {
-    return [&, job, tier](AggregatorNode& node, double weight) {
-      long long index = node.index();
-      double ship = job->realization
-                        .stage_durations[static_cast<size_t>(tier + 1)][static_cast<size_t>(index)];
-      double arrive_at = queue.now() + ship;
-      if (tier + 1 == tiers) {
-        bool in_time = arrive_at <= job->arrival + config.deadline;
-        if (in_time) {
-          job->included_weight += weight;
-        }
-        if (job->trace != nullptr && job->trace->active()) {
-          job->trace->RecordRootArrival(arrive_at - job->arrival, in_time);
-        }
-        return;
-      }
-      long long parent = index / offline_tree.stage(tier + 1).fanout;
-      AggregatorNode& parent_node =
-          job->nodes[static_cast<size_t>(tier + 1)][static_cast<size_t>(parent)];
-      queue.Schedule(arrive_at,
-                     [&queue, &parent_node, weight] { parent_node.OnChildOutput(queue, weight); });
-    };
-  };
-
-  TraceCollector* collector =
-      config.trace != nullptr ? config.trace : ActiveTraceCollector();
-
   auto start_job = [&](QueryTruth truth) {
-    auto job = std::make_unique<JobState>();
-    job->arrival = queue.now();
     Rng realization_rng = rng.Fork();
-    job->realization = SampleRealization(offline_tree, truth, realization_rng);
-    job->total_weight = job->realization.TotalWeight();
-    job->tasks_remaining_to_deliver =
-        static_cast<long long>(job->realization.stage_durations[0].size());
-    job->trace = std::make_unique<QueryTraceBuilder>(
-        collector, job->realization.truth.sequence, policy.name(), "loaded", job->arrival);
-    QueryTraceBuilder* trace_ptr = job->trace->active() ? job->trace.get() : nullptr;
-
-    const std::vector<PiecewiseLinear>* stack = &offline_stack;
-    if (config.per_query_upper_knowledge) {
-      TreeSpec truth_tree = job->realization.truth.OverlayOn(offline_tree);
-      job->curve_stack = BuildQualityCurveStack(truth_tree, config.deadline, config.grid);
-      stack = &job->curve_stack;
-    }
-
-    job->contexts.resize(static_cast<size_t>(tiers));
-    double offset = 0.0;
-    for (int tier = 0; tier < tiers; ++tier) {
-      AggregatorContext& ctx = job->contexts[static_cast<size_t>(tier)];
-      ctx.tier = tier;
-      ctx.deadline = config.deadline;
-      ctx.start_offset = offset;
-      ctx.fanout = offline_tree.stage(tier).fanout;
-      ctx.offline_tree = &offline_tree;
-      ctx.upper_quality = &(*stack)[static_cast<size_t>(tier + 1)];
-      ctx.epsilon = epsilon;
-      ctx.table_store = config.table_store;
-      if (trace_ptr != nullptr) {
-        trace_ptr->RecordTierPlan(tier, offset);
-      }
-      if (tier + 1 < tiers) {
-        auto scratch = policy.Clone();
-        scratch->BeginQuery(ctx, &job->realization.truth);
-        offset = scratch->DecideInitialWait(ctx);
-      }
-    }
-
-    job->nodes.resize(static_cast<size_t>(tiers));
-    for (int tier = 0; tier < tiers; ++tier) {
-      long long count = StageEdgeCount(offline_tree, tier + 1);
-      job->nodes[static_cast<size_t>(tier)] =
-          std::vector<AggregatorNode>(static_cast<size_t>(count));
-      for (long long i = 0; i < count; ++i) {
-        auto node_policy = policy.Clone();
-        node_policy->BeginQuery(job->contexts[static_cast<size_t>(tier)],
-                                &job->realization.truth);
-        job->nodes[static_cast<size_t>(tier)][static_cast<size_t>(i)].Init(
-            tier, i, std::move(node_policy), &job->contexts[static_cast<size_t>(tier)],
-            job->arrival, trace_ptr);
-      }
-    }
-    JobState* raw = job.get();
-    for (int tier = 0; tier < tiers; ++tier) {
-      auto send_fn = make_send_fn(raw, tier);
-      for (auto& node : raw->nodes[static_cast<size_t>(tier)]) {
-        node.Start(queue, send_fn);
-      }
-    }
-
+    auto job = std::make_unique<JobState>(
+        model, policy, SampleRealization(model.offline_tree(), truth, realization_rng),
+        queue.now());
+    job->tree.Start(queue);
     // Enqueue all map tasks FIFO behind earlier jobs' tasks.
-    for (long long t = 0; t < raw->tasks_remaining_to_deliver; ++t) {
-      pending.push_back({raw, t});
+    auto tasks = static_cast<long long>(job->realization.stage_durations[0].size());
+    for (long long t = 0; t < tasks; ++t) {
+      pending.push_back({job.get(), t});
     }
     jobs.push_back(std::move(job));
     fill_slots();
@@ -174,15 +88,9 @@ LoadedRunResult RunLoadedCluster(const Workload& workload, const WaitPolicy& pol
       double duration =
           task.job->realization.stage_durations[0][static_cast<size_t>(task.task_index)];
       busy_time += duration;
-      JobState* job = task.job;
-      long long index = task.task_index;
-      queue.Schedule(queue.now() + duration, [&, job, index, duration] {
-        (void)duration;
+      queue.Schedule(queue.now() + duration, [&, task] {
         ++free_slots;
-        double weight = job->realization.leaf_weights.empty()
-                            ? 1.0
-                            : job->realization.leaf_weights[static_cast<size_t>(index)];
-        job->nodes[0][static_cast<size_t>(index / k0)].OnChildOutput(queue, weight);
+        task.job->tree.DeliverLeaf(queue, task.task_index);
         result.makespan = queue.now();
         fill_slots();
       });
@@ -207,12 +115,12 @@ LoadedRunResult RunLoadedCluster(const Workload& workload, const WaitPolicy& pol
   queue.Run();
 
   for (const auto& job : jobs) {
-    double quality =
-        job->total_weight > 0.0 ? job->included_weight / job->total_weight : 0.0;
-    result.per_query_quality.Add(quality);
-    if (job->trace->active()) {
-      job->trace->Finish(config.deadline, quality,
-                         {TraceArg::Num("arrival", job->arrival)});
+    QueryResult query = job->tree.Result();
+    result.per_query_quality.Add(query.quality);
+    result.root_arrivals_in_time += query.root_arrivals_in_time;
+    result.root_arrivals_late += query.root_arrivals_late;
+    if (QueryTraceBuilder* trace = job->tree.trace()) {
+      trace->Finish(config.deadline, query.quality, {TraceArg::Num("arrival", job->arrival)});
     }
   }
   result.mean_queue_delay =

@@ -18,11 +18,16 @@
 
 #include "src/cluster/cluster_runtime.h"
 #include "src/common/sample_set.h"
+#include "src/sim/query_tree.h"
 #include "src/sim/workload.h"
 
 namespace cedar {
 
-struct LoadedRunConfig {
+// The shared QueryTreeOptions apply per query; a loaded trace places each
+// query's span at its arrival time, so it shows the overlapping jobs.
+struct LoadedRunConfig : QueryTreeOptions {
+  // Only the slot count is modelled: a heterogeneous cluster
+  // (slow_machine_fraction/slow_machine_factor) is rejected.
   ClusterSpec cluster;
   // Per-query relative deadline D.
   double deadline = 0.0;
@@ -30,18 +35,6 @@ struct LoadedRunConfig {
   double mean_interarrival = 0.0;
   int num_queries = 50;
   uint64_t seed = 42;
-  QualityGridOptions grid;
-  // Same knowledge model as the single-query runtimes.
-  bool per_query_upper_knowledge = true;
-
-  // Query-lifecycle trace sink, with the same fallback-to-global contract
-  // as TreeSimulationOptions::trace. Spans are placed at each query's
-  // arrival time, so a loaded trace shows the overlapping jobs.
-  TraceCollector* trace = nullptr;
-
-  // Wait-table store handed to policies via ctx.table_store, with the same
-  // contract as TreeSimulationOptions::table_store.
-  WaitTableStore* table_store = nullptr;
 };
 
 struct LoadedRunResult {
@@ -53,6 +46,10 @@ struct LoadedRunResult {
   double utilization = 0.0;
   // Last event time.
   double makespan = 0.0;
+  // Top-tier results that reached their query's root in time / late,
+  // summed over all queries.
+  long long root_arrivals_in_time = 0;
+  long long root_arrivals_late = 0;
 
   double MeanQuality() const { return per_query_quality.empty() ? 0.0 : per_query_quality.Mean(); }
 };

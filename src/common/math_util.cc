@@ -1,5 +1,7 @@
 #include "src/common/math_util.h"
 
+#include <math.h>  // lgamma_r (POSIX, not declared by <cmath>)
+
 #include <algorithm>
 #include <cmath>
 
@@ -11,9 +13,21 @@ double Lerp(double a, double b, double t) { return a + (b - a) * t; }
 
 double Clamp(double v, double lo, double hi) { return std::min(std::max(v, lo), hi); }
 
+namespace {
+
+// std::lgamma writes the global |signgam|, a data race when order-statistic
+// tables fill on several threads; lgamma_r returns the same value and
+// keeps the sign local.
+double LogGamma(double x) {
+  int sign = 0;
+  return lgamma_r(x, &sign);
+}
+
+}  // namespace
+
 double LogBinomial(int n, int k) {
   CEDAR_CHECK(k >= 0 && k <= n) << "LogBinomial(" << n << ", " << k << ")";
-  return std::lgamma(n + 1.0) - std::lgamma(k + 1.0) - std::lgamma(n - k + 1.0);
+  return LogGamma(n + 1.0) - LogGamma(k + 1.0) - LogGamma(n - k + 1.0);
 }
 
 namespace {

@@ -18,7 +18,7 @@ double Lerp(double a, double b, double t);
 double Clamp(double v, double lo, double hi);
 
 // Natural log of the binomial coefficient C(n, k) via lgamma; exact enough
-// for the order-statistic densities (n up to a few thousand).
+// for the order-statistic densities (n up to a few thousand). Thread-safe.
 double LogBinomial(int n, int k);
 
 // Adaptive Simpson quadrature of |f| over [a, b] to absolute tolerance |tol|.

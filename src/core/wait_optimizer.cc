@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <thread>
 #include <vector>
 
 #include "src/common/logging.h"
@@ -35,78 +34,6 @@ WaitDecision OptimizeWait(const Distribution& bottom, int fanout,
       best_q = q;
       best_wait = c2;
     }
-  }
-  decision.wait = best_wait;
-  decision.expected_quality = Clamp(best_q, 0.0, 1.0);
-  return decision;
-}
-
-WaitDecision OptimizeWaitParallel(const Distribution& bottom, int fanout,
-                                  const PiecewiseLinear& upper_quality, double deadline,
-                                  double epsilon, int threads) {
-  CEDAR_CHECK_GE(fanout, 1);
-  CEDAR_CHECK_GT(epsilon, 0.0);
-  if (threads <= 1 || deadline <= 0.0) {
-    return OptimizeWait(bottom, fanout, upper_quality, deadline, epsilon);
-  }
-
-  // Enumerate the scan points exactly as the serial loop does.
-  auto total_steps = static_cast<size_t>(std::ceil(deadline / epsilon));
-  threads = std::min<int>(threads, static_cast<int>(total_steps));
-
-  struct ChunkResult {
-    double sum = 0.0;        // total gain - loss over the chunk
-    double best_prefix = 0.0;  // max over prefixes of the chunk's partial sums
-    double best_wait = 0.0;    // wait (c2) achieving best_prefix
-    bool best_set = false;
-  };
-  std::vector<ChunkResult> chunks(static_cast<size_t>(threads));
-
-  auto worker = [&](int t) {
-    size_t begin = total_steps * static_cast<size_t>(t) / static_cast<size_t>(threads);
-    size_t end = total_steps * static_cast<size_t>(t + 1) / static_cast<size_t>(threads);
-    ChunkResult& chunk = chunks[static_cast<size_t>(t)];
-    for (size_t j = begin; j < end; ++j) {
-      double c = epsilon * static_cast<double>(j);
-      if (c >= deadline) {
-        break;
-      }
-      double c2 = std::min(c + epsilon, deadline);
-      double phi = bottom.Cdf(c);
-      double phi2 = bottom.Cdf(c2);
-      double phik = std::pow(phi, fanout);
-      double gain = (phi2 - phi) * upper_quality(deadline - c2);
-      double loss = (phi - phik) * (upper_quality(deadline - c) - upper_quality(deadline - c2));
-      chunk.sum += gain - loss;
-      // ">=" tie rule: later wait wins, as in the serial scan.
-      if (!chunk.best_set || chunk.sum >= chunk.best_prefix) {
-        chunk.best_prefix = chunk.sum;
-        chunk.best_wait = c2;
-        chunk.best_set = true;
-      }
-    }
-  };
-
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<size_t>(threads));
-  for (int t = 0; t < threads; ++t) {
-    pool.emplace_back(worker, t);
-  }
-  for (auto& thread : pool) {
-    thread.join();
-  }
-
-  // Sequential combine: global prefix max = offset-adjusted chunk maxima.
-  WaitDecision decision;
-  double offset = 0.0;
-  double best_q = 0.0;
-  double best_wait = 0.0;
-  for (const auto& chunk : chunks) {
-    if (chunk.best_set && offset + chunk.best_prefix >= best_q) {
-      best_q = offset + chunk.best_prefix;
-      best_wait = chunk.best_wait;
-    }
-    offset += chunk.sum;
   }
   decision.wait = best_wait;
   decision.expected_quality = Clamp(best_q, 0.0, 1.0);

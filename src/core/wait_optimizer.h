@@ -47,17 +47,6 @@ struct TreePlan {
 // in.
 TreePlan PlanTree(const TreeSpec& tree, double deadline, const QualityGridOptions& options = {});
 
-// Parallel variant of OptimizeWait (§4.3.3: "the exploration is easily
-// parallelizable, i.e., we can perform the calculation for each value of
-// epsilon independently"). The scan range is split into |threads| chunks;
-// each chunk's partial gain/loss sums are computed concurrently, then a
-// sequential prefix pass recovers the global running maximum — equal to the
-// serial scan up to floating-point association (identical tie-breaking).
-// threads <= 1 falls back to OptimizeWait.
-WaitDecision OptimizeWaitParallel(const Distribution& bottom, int fanout,
-                                  const PiecewiseLinear& upper_quality, double deadline,
-                                  double epsilon, int threads);
-
 }  // namespace cedar
 
 #endif  // CEDAR_SRC_CORE_WAIT_OPTIMIZER_H_

@@ -1,7 +1,7 @@
 // AggregatorNode: one aggregator instance executing Pseudocode 1 against an
 // EventQueue — arrival handler, timer re-arming, early send when all
-// children have reported, and the upstream send callback. Shared by the
-// analytic tree simulator and the cluster runtime.
+// children have reported, and the upstream send callback. QueryTree
+// allocates and wires one per aggregator for all three engines.
 
 #ifndef CEDAR_SRC_SIM_AGGREGATOR_NODE_H_
 #define CEDAR_SRC_SIM_AGGREGATOR_NODE_H_

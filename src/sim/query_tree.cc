@@ -1,0 +1,139 @@
+#include "src/sim/query_tree.h"
+
+#include <memory>
+#include <utility>
+
+#include "src/common/logging.h"
+
+namespace cedar {
+
+QueryTreeModel::QueryTreeModel(TreeSpec offline_tree, double deadline,
+                               const QueryTreeOptions& options)
+    : offline_tree_(std::move(offline_tree)), deadline_(deadline), options_(options) {
+  CEDAR_CHECK_GT(deadline, 0.0);
+  CEDAR_CHECK_GE(offline_tree_.num_stages(), 2) << "a query tree needs >= 2 stages";
+  epsilon_ = deadline_ * options_.grid.epsilon_fraction;
+  curve_stack_ = BuildQualityCurveStack(offline_tree_, deadline_, options_.grid);
+}
+
+QueryTree::QueryTree(const QueryTreeModel& model, const WaitPolicy& policy_prototype,
+                     const QueryRealization& realization, const char* engine, double origin)
+    : model_(model),
+      realization_(realization),
+      origin_(origin),
+      trace_(model.options().trace != nullptr ? model.options().trace : ActiveTraceCollector(),
+             realization.truth.sequence, policy_prototype.name(), engine, origin) {
+  const TreeSpec& tree = model_.offline_tree();
+  const int tiers = tree.num_aggregator_tiers();
+  CEDAR_CHECK_EQ(static_cast<int>(realization_.stage_durations.size()), tree.num_stages());
+  QueryTraceBuilder* trace_ptr = trace();
+
+  // Only the curves for stages >= 1 are consulted, so the bottom stage stays
+  // offline/global under either knowledge model.
+  const std::vector<PiecewiseLinear>* stack = &model_.curve_stack();
+  if (model_.options().per_query_upper_knowledge) {
+    query_stack_ = BuildQualityCurveStack(realization_.truth.OverlayOn(tree), model_.deadline(),
+                                          model_.options().grid);
+    stack = &query_stack_;
+  }
+
+  // start_offset of tier i is the *planned* send time of tier i-1, computed
+  // with a scratch policy instance so that each tier's plan is consistent
+  // with the policy's own decisions.
+  contexts_.resize(static_cast<size_t>(tiers));
+  double offset = 0.0;
+  for (int tier = 0; tier < tiers; ++tier) {
+    AggregatorContext& ctx = contexts_[static_cast<size_t>(tier)];
+    ctx.tier = tier;
+    ctx.deadline = model_.deadline();
+    ctx.start_offset = offset;
+    ctx.fanout = tree.stage(tier).fanout;
+    ctx.offline_tree = &tree;
+    ctx.upper_quality = &(*stack)[static_cast<size_t>(tier + 1)];
+    ctx.epsilon = model_.epsilon();
+    ctx.table_store = model_.options().table_store;
+    if (trace_ptr != nullptr) {
+      trace_ptr->RecordTierPlan(tier, offset);
+    }
+    if (tier + 1 < tiers) {
+      auto scratch = policy_prototype.Clone();
+      scratch->BeginQuery(ctx, &realization_.truth);
+      offset = scratch->DecideInitialWait(ctx);
+    }
+  }
+
+  // Tier i has StageEdgeCount(i+1) nodes (= number of stage-(i+1) edges).
+  nodes_.resize(static_cast<size_t>(tiers));
+  for (int tier = 0; tier < tiers; ++tier) {
+    const AggregatorContext& ctx = contexts_[static_cast<size_t>(tier)];
+    auto& row = nodes_[static_cast<size_t>(tier)];
+    row = std::vector<AggregatorNode>(static_cast<size_t>(StageEdgeCount(tree, tier + 1)));
+    for (size_t i = 0; i < row.size(); ++i) {
+      auto policy = policy_prototype.Clone();
+      policy->BeginQuery(ctx, &realization_.truth);
+      row[i].Init(tier, static_cast<long long>(i), std::move(policy), &ctx, origin_, trace_ptr);
+    }
+  }
+}
+
+void QueryTree::Start(EventQueue& queue) {
+  for (auto& row : nodes_) {
+    for (auto& node : row) {
+      node.Start(queue, [this, &queue](AggregatorNode& sender, double weight) {
+        OnSend(queue, sender, weight);
+      });
+    }
+  }
+}
+
+void QueryTree::DeliverLeaf(EventQueue& queue, long long leaf) {
+  double weight = realization_.leaf_weights.empty()
+                      ? 1.0
+                      : realization_.leaf_weights[static_cast<size_t>(leaf)];
+  long long agg = leaf / model_.offline_tree().stage(0).fanout;
+  nodes_[0][static_cast<size_t>(agg)].OnChildOutput(queue, weight);
+}
+
+void QueryTree::OnSend(EventQueue& queue, AggregatorNode& node, double weight) {
+  int tier = node.tier();
+  long long index = node.index();
+  double ship =
+      realization_.stage_durations[static_cast<size_t>(tier + 1)][static_cast<size_t>(index)];
+  double arrive_at = queue.now() + ship;
+  if (tier == 0) {
+    tier0_send_sum_ += queue.now() - origin_;
+    ++tier0_sends_;
+  }
+  if (tier + 1 == static_cast<int>(nodes_.size())) {
+    // Top tier: deliver to the root, subject to the deadline.
+    bool in_time = arrive_at <= origin_ + model_.deadline();
+    if (in_time) {
+      included_weight_ += weight;
+      ++root_in_time_;
+    } else {
+      ++root_late_;
+    }
+    if (trace_.active()) {
+      trace_.RecordRootArrival(arrive_at - origin_, in_time);
+    }
+    return;
+  }
+  long long parent = index / model_.offline_tree().stage(tier + 1).fanout;
+  AggregatorNode& parent_node = nodes_[static_cast<size_t>(tier + 1)][static_cast<size_t>(parent)];
+  queue.Schedule(arrive_at,
+                 [&queue, &parent_node, weight] { parent_node.OnChildOutput(queue, weight); });
+}
+
+QueryResult QueryTree::Result() const {
+  QueryResult result;
+  result.total_weight = realization_.TotalWeight();
+  result.included_weight = included_weight_;
+  result.quality = result.total_weight > 0.0 ? included_weight_ / result.total_weight : 0.0;
+  result.root_arrivals_in_time = root_in_time_;
+  result.root_arrivals_late = root_late_;
+  result.mean_tier0_send_time =
+      tier0_sends_ > 0 ? tier0_send_sum_ / static_cast<double>(tier0_sends_) : 0.0;
+  return result;
+}
+
+}  // namespace cedar

@@ -1,0 +1,148 @@
+// QueryTree: the aggregation tree of one query — Pseudocode 1 wired up at
+// every aggregator — shared by the three execution engines (TreeSimulation,
+// ClusterRuntime, RunLoadedCluster).
+//
+// A QueryTree owns everything about a query that does not depend on how its
+// leaf processes are scheduled:
+//  * the quality-curve stack its policies consult (the engine's offline
+//    stack, or one built from the query's true upper stages when the
+//    knowledge model grants it);
+//  * the per-tier AggregatorContexts, with tier i's start offset planned by
+//    a scratch policy clone as tier i-1's initial wait;
+//  * one AggregatorNode per aggregator, each with its own policy clone;
+//  * the upward send chain: a tier-t node's result ships with the sampled
+//    stage-(t+1) duration of its own edge to parent index / fanout;
+//  * root accounting against origin + deadline, and the tier-0 send mean.
+// The engine supplies only the leaves: it calls Start() once, then
+// DeliverLeaf() at each leaf output's completion time, runs the queue, and
+// reads Result(). All times on the queue are absolute; |origin| is the
+// query's time zero (its arrival, in a loaded run).
+
+#ifndef CEDAR_SRC_SIM_QUERY_TREE_H_
+#define CEDAR_SRC_SIM_QUERY_TREE_H_
+
+#include <vector>
+
+#include "src/core/policy.h"
+#include "src/core/quality.h"
+#include "src/core/tree.h"
+#include "src/obs/query_trace.h"
+#include "src/obs/trace.h"
+#include "src/sim/aggregator_node.h"
+#include "src/sim/event_queue.h"
+#include "src/sim/realization.h"
+
+namespace cedar {
+
+// The options every engine shares (TreeSimulationOptions, ClusterRunOptions
+// and LoadedRunConfig inherit them).
+struct QueryTreeOptions {
+  QualityGridOptions grid;
+
+  // Knowledge model for the upper stages (X2..Xn). Aggregator-side
+  // operations are standard functions whose duration distributions a
+  // production system profiles offline per query class (§4.1 of the paper);
+  // when true, the quality curves handed to optimizing policies
+  // (ctx.upper_quality) are built from the query's true upper-stage
+  // distributions, while the bottom stage X1 remains offline/global and
+  // must be learned online. Proportional-split and the other straw-men
+  // ignore the curves, so they keep using global means either way. Set to
+  // false to model fully-stale upper knowledge.
+  bool per_query_upper_knowledge = true;
+
+  // Query-lifecycle trace sink (borrowed, may be null). When null, each
+  // query falls back to the process-global ActiveTraceCollector(); when that
+  // is also null, tracing is disabled and costs one pointer test per query.
+  TraceCollector* trace = nullptr;
+
+  // Wait-table store handed to policies via ctx.table_store (borrowed, may
+  // be null = policies use their default). Lets a run pin table sharing to
+  // an experiment-scoped store instead of the process Global().
+  WaitTableStore* table_store = nullptr;
+};
+
+// What a query tree reports once its queue has run.
+struct QueryResult {
+  // Fraction of (weighted) process outputs included at the root.
+  double quality = 0.0;
+
+  // Weighted outputs included / total.
+  double included_weight = 0.0;
+  double total_weight = 0.0;
+
+  // Top-tier results that reached the root in time / late.
+  long long root_arrivals_in_time = 0;
+  long long root_arrivals_late = 0;
+
+  // Mean send time of tier-0 aggregators, relative to the query's start
+  // (diagnostic: what wait the policy effectively chose).
+  double mean_tier0_send_time = 0.0;
+};
+
+// The per-(offline tree, deadline) state every query tree of one engine
+// shares: the offline quality curves, the scan step and the options.
+// Construct once, run many queries.
+class QueryTreeModel {
+ public:
+  QueryTreeModel(TreeSpec offline_tree, double deadline, const QueryTreeOptions& options);
+
+  const TreeSpec& offline_tree() const { return offline_tree_; }
+  double deadline() const { return deadline_; }
+  double epsilon() const { return epsilon_; }
+  const QueryTreeOptions& options() const { return options_; }
+  // Offline q-curves; [i] covers stages [i, n).
+  const std::vector<PiecewiseLinear>& curve_stack() const { return curve_stack_; }
+
+ private:
+  TreeSpec offline_tree_;
+  double deadline_;
+  QueryTreeOptions options_;
+  double epsilon_;
+  std::vector<PiecewiseLinear> curve_stack_;
+};
+
+class QueryTree {
+ public:
+  // Plans the tiers and allocates every aggregator of |realization|'s query
+  // under |policy_prototype| (cloned per aggregator). |model| and
+  // |realization| are borrowed and must outlive the tree. |engine| names the
+  // engine in the trace.
+  QueryTree(const QueryTreeModel& model, const WaitPolicy& policy_prototype,
+            const QueryRealization& realization, const char* engine, double origin = 0.0);
+  QueryTree(const QueryTree&) = delete;
+  QueryTree& operator=(const QueryTree&) = delete;
+
+  // Arms every aggregator's initial timer, bottom tier first.
+  void Start(EventQueue& queue);
+
+  // Hands leaf |leaf|'s output, with its weight, to its tier-0 aggregator
+  // at the queue's current time.
+  void DeliverLeaf(EventQueue& queue, long long leaf);
+
+  QueryResult Result() const;
+
+  // The query's trace builder, or null when tracing is off. The engine
+  // calls Finish() on it with its own end time and diagnostics.
+  QueryTraceBuilder* trace() { return trace_.active() ? &trace_ : nullptr; }
+
+ private:
+  void OnSend(EventQueue& queue, AggregatorNode& node, double weight);
+
+  const QueryTreeModel& model_;
+  const QueryRealization& realization_;
+  double origin_;
+  QueryTraceBuilder trace_;
+  std::vector<PiecewiseLinear> query_stack_;  // per-query upper knowledge
+  std::vector<AggregatorContext> contexts_;
+  std::vector<std::vector<AggregatorNode>> nodes_;
+
+  double included_weight_ = 0.0;
+  long long root_in_time_ = 0;
+  long long root_late_ = 0;
+  double tier0_send_sum_ = 0.0;
+  long long tier0_sends_ = 0;
+};
+
+}  // namespace cedar
+
+#endif  // CEDAR_SRC_SIM_QUERY_TREE_H_

@@ -1,161 +1,44 @@
 #include "src/sim/tree_simulation.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "src/common/logging.h"
 #include "src/obs/query_trace.h"
-#include "src/sim/aggregator_node.h"
 #include "src/sim/event_queue.h"
 
 namespace cedar {
 
 TreeSimulation::TreeSimulation(TreeSpec offline_tree, double deadline,
                                TreeSimulationOptions options)
-    : offline_tree_(std::move(offline_tree)), deadline_(deadline), options_(options) {
-  CEDAR_CHECK_GT(deadline, 0.0);
-  CEDAR_CHECK_GE(offline_tree_.num_stages(), 2) << "simulation needs >= 2 stages";
-  epsilon_ = deadline_ * options_.grid.epsilon_fraction;
-  curve_stack_ = BuildQualityCurveStack(offline_tree_, deadline_, options_.grid);
-}
+    : model_(std::move(offline_tree), deadline, options) {}
 
 const PiecewiseLinear& TreeSimulation::UpperQualityCurve(int tier) const {
-  CEDAR_CHECK(tier >= 0 && tier < offline_tree_.num_aggregator_tiers());
-  return curve_stack_[static_cast<size_t>(tier + 1)];
+  CEDAR_CHECK(tier >= 0 && tier < offline_tree().num_aggregator_tiers());
+  return model_.curve_stack()[static_cast<size_t>(tier + 1)];
 }
 
 QueryResult TreeSimulation::RunQuery(const WaitPolicy& policy_prototype,
                                      const QueryRealization& realization) const {
-  int n = offline_tree_.num_stages();
-  int tiers = offline_tree_.num_aggregator_tiers();
-  CEDAR_CHECK_EQ(static_cast<int>(realization.stage_durations.size()), n);
-
-  // Lifecycle tracing: explicit sink wins, else the process-global one.
-  TraceCollector* collector =
-      options_.trace != nullptr ? options_.trace : ActiveTraceCollector();
-  QueryTraceBuilder trace(collector, realization.truth.sequence,
-                          policy_prototype.name(), "sim");
-  QueryTraceBuilder* trace_ptr = trace.active() ? &trace : nullptr;
-
-  // Upper-stage quality curves: per-query when the knowledge model grants
-  // it (see TreeSimulationOptions), otherwise the offline stack. Only the
-  // curves for stages >= 1 are consulted, so the bottom stage stays
-  // offline/global either way.
-  std::vector<PiecewiseLinear> query_stack;
-  const std::vector<PiecewiseLinear>* stack = &curve_stack_;
-  if (options_.per_query_upper_knowledge) {
-    TreeSpec truth_tree = realization.truth.OverlayOn(offline_tree_);
-    query_stack = BuildQualityCurveStack(truth_tree, deadline_, options_.grid);
-    stack = &query_stack;
-  }
-
-  // Build per-tier contexts. start_offset of tier i is the *planned* send
-  // time of tier i-1, computed with a scratch policy instance so that each
-  // tier's plan is consistent with the policy's own decisions.
-  std::vector<AggregatorContext> contexts(static_cast<size_t>(tiers));
-  {
-    double offset = 0.0;
-    for (int tier = 0; tier < tiers; ++tier) {
-      AggregatorContext& ctx = contexts[static_cast<size_t>(tier)];
-      ctx.tier = tier;
-      ctx.deadline = deadline_;
-      ctx.start_offset = offset;
-      ctx.fanout = offline_tree_.stage(tier).fanout;
-      ctx.offline_tree = &offline_tree_;
-      ctx.upper_quality = &(*stack)[static_cast<size_t>(tier + 1)];
-      ctx.epsilon = epsilon_;
-      ctx.table_store = options_.table_store;
-      if (trace_ptr != nullptr) {
-        trace_ptr->RecordTierPlan(tier, offset);
-      }
-      if (tier + 1 < tiers) {
-        auto scratch = policy_prototype.Clone();
-        scratch->BeginQuery(ctx, &realization.truth);
-        offset = scratch->DecideInitialWait(ctx);
-      }
-    }
-  }
-
-  // Allocate aggregator nodes per tier. Tier i has StageEdgeCount(i+1)
-  // nodes (= number of stage-(i+1) edges).
-  std::vector<std::vector<AggregatorNode>> nodes(static_cast<size_t>(tiers));
-  for (int tier = 0; tier < tiers; ++tier) {
-    long long count = StageEdgeCount(offline_tree_, tier + 1);
-    nodes[static_cast<size_t>(tier)] = std::vector<AggregatorNode>(static_cast<size_t>(count));
-    for (long long i = 0; i < count; ++i) {
-      auto policy = policy_prototype.Clone();
-      policy->BeginQuery(contexts[static_cast<size_t>(tier)], &realization.truth);
-      nodes[static_cast<size_t>(tier)][static_cast<size_t>(i)].Init(
-          tier, i, std::move(policy), &contexts[static_cast<size_t>(tier)], 0.0, trace_ptr);
-    }
-  }
-
+  QueryTree tree(model_, policy_prototype, realization, "sim");
   EventQueue queue;
-  QueryResult result;
-  result.total_weight = realization.TotalWeight();
+  tree.Start(queue);
 
-  double tier0_send_sum = 0.0;
-  long long tier0_sends = 0;
-
-  // Upstream delivery: when a tier-|t| node sends, its result ships with the
-  // pre-sampled stage-(t+1) duration of its own edge.
-  auto make_send_fn = [&](int tier) {
-    return [&, tier](AggregatorNode& node, double weight) {
-      long long index = &node - nodes[static_cast<size_t>(tier)].data();
-      double ship =
-          realization.stage_durations[static_cast<size_t>(tier + 1)][static_cast<size_t>(index)];
-      double arrive_at = queue.now() + ship;
-      if (tier == 0) {
-        tier0_send_sum += queue.now();
-        ++tier0_sends;
-      }
-      if (tier + 1 == tiers) {
-        // Top tier: deliver to the root, subject to the deadline.
-        bool in_time = arrive_at <= deadline_;
-        if (in_time) {
-          result.included_weight += weight;
-          ++result.root_arrivals_in_time;
-        } else {
-          ++result.root_arrivals_late;
-        }
-        if (trace_ptr != nullptr) {
-          trace_ptr->RecordRootArrival(arrive_at, in_time);
-        }
-        return;
-      }
-      long long parent = index / offline_tree_.stage(tier + 1).fanout;
-      AggregatorNode& parent_node = nodes[static_cast<size_t>(tier + 1)][static_cast<size_t>(parent)];
-      queue.Schedule(arrive_at, [&queue, &parent_node, weight] {
-        parent_node.OnChildOutput(queue, weight);
-      });
-    };
-  };
-
-  // Start every aggregator (arms initial timers at t >= 0).
-  for (int tier = 0; tier < tiers; ++tier) {
-    auto send_fn = make_send_fn(tier);
-    for (auto& node : nodes[static_cast<size_t>(tier)]) {
-      node.Start(queue, send_fn);
-    }
-  }
-
-  // Schedule leaf process completions.
+  // Every leaf process is dispatched at time 0 and completes at its sampled
+  // duration.
   const auto& leaf_durations = realization.stage_durations[0];
-  int k0 = offline_tree_.stage(0).fanout;
   for (size_t leaf = 0; leaf < leaf_durations.size(); ++leaf) {
-    long long agg = static_cast<long long>(leaf) / k0;
-    double weight = realization.leaf_weights.empty() ? 1.0 : realization.leaf_weights[leaf];
-    AggregatorNode& node = nodes[0][static_cast<size_t>(agg)];
-    queue.Schedule(leaf_durations[leaf],
-                   [&queue, &node, weight] { node.OnChildOutput(queue, weight); });
+    queue.Schedule(leaf_durations[leaf], [&queue, &tree, leaf] {
+      tree.DeliverLeaf(queue, static_cast<long long>(leaf));
+    });
   }
 
   queue.Run();
 
-  result.quality = result.total_weight > 0.0 ? result.included_weight / result.total_weight : 0.0;
-  result.mean_tier0_send_time = tier0_sends > 0 ? tier0_send_sum / tier0_sends : 0.0;
-  if (trace_ptr != nullptr) {
-    trace_ptr->Finish(
-        std::max(queue.now(), deadline_), result.quality,
+  QueryResult result = tree.Result();
+  if (QueryTraceBuilder* trace = tree.trace()) {
+    trace->Finish(
+        std::max(queue.now(), deadline()), result.quality,
         {TraceArg::Num("root_in_time", static_cast<double>(result.root_arrivals_in_time)),
          TraceArg::Num("root_late", static_cast<double>(result.root_arrivals_late)),
          TraceArg::Num("mean_tier0_send_time", result.mean_tier0_send_time)});

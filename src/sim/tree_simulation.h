@@ -18,58 +18,16 @@
 #ifndef CEDAR_SRC_SIM_TREE_SIMULATION_H_
 #define CEDAR_SRC_SIM_TREE_SIMULATION_H_
 
-#include <memory>
-#include <vector>
-
 #include "src/core/policy.h"
 #include "src/core/quality.h"
 #include "src/core/tree.h"
-#include "src/obs/trace.h"
+#include "src/sim/query_tree.h"
 #include "src/sim/realization.h"
 
 namespace cedar {
 
-struct QueryResult {
-  // Fraction of (weighted) process outputs included at the root.
-  double quality = 0.0;
-
-  // Weighted outputs included / total.
-  double included_weight = 0.0;
-  double total_weight = 0.0;
-
-  // Top-tier results that reached the root in time / total top-tier nodes.
-  long long root_arrivals_in_time = 0;
-  long long root_arrivals_late = 0;
-
-  // Mean absolute send time of tier-0 aggregators (diagnostic: what wait the
-  // policy effectively chose).
-  double mean_tier0_send_time = 0.0;
-};
-
-struct TreeSimulationOptions {
-  QualityGridOptions grid;
-
-  // Knowledge model for the upper stages (X2..Xn). Aggregator-side
-  // operations are standard functions whose duration distributions a
-  // production system profiles offline per query class (§4.1 of the paper);
-  // when true, the quality curves handed to optimizing policies
-  // (ctx.upper_quality) are built from the query's true upper-stage
-  // distributions, while the bottom stage X1 remains offline/global and
-  // must be learned online. Proportional-split and the other straw-men
-  // ignore the curves, so they keep using global means either way. Set to
-  // false to model fully-stale upper knowledge.
-  bool per_query_upper_knowledge = true;
-
-  // Query-lifecycle trace sink (borrowed, may be null). When null, RunQuery
-  // falls back to the process-global ActiveTraceCollector(); when that is
-  // also null, tracing is disabled and costs one pointer test per query.
-  TraceCollector* trace = nullptr;
-
-  // Wait-table store handed to policies via ctx.table_store (borrowed, may
-  // be null = policies use their default). Lets a run pin table sharing to
-  // an experiment-scoped store instead of the process Global().
-  WaitTableStore* table_store = nullptr;
-};
+// The analytic engine needs only the shared options.
+struct TreeSimulationOptions : QueryTreeOptions {};
 
 // Shared per-(offline tree, deadline) simulation state: the offline quality
 // curves every policy consults. Construct once, run many queries.
@@ -81,19 +39,14 @@ class TreeSimulation {
   QueryResult RunQuery(const WaitPolicy& policy_prototype,
                        const QueryRealization& realization) const;
 
-  const TreeSpec& offline_tree() const { return offline_tree_; }
-  double deadline() const { return deadline_; }
-  double epsilon() const { return epsilon_; }
+  const TreeSpec& offline_tree() const { return model_.offline_tree(); }
+  double deadline() const { return model_.deadline(); }
 
   // Offline q-curve of stages [tier+1, n) — what ctx.upper_quality points at.
   const PiecewiseLinear& UpperQualityCurve(int tier) const;
 
  private:
-  TreeSpec offline_tree_;
-  double deadline_;
-  TreeSimulationOptions options_;
-  double epsilon_;
-  std::vector<PiecewiseLinear> curve_stack_;
+  QueryTreeModel model_;
 };
 
 }  // namespace cedar

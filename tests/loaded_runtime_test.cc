@@ -101,8 +101,29 @@ TEST(LoadedRuntimeTest, SingleQueryMatchesTreeSimulation) {
     LoadedRunResult actual = RunLoadedCluster(workload, *policy, config);
     ASSERT_EQ(actual.per_query_quality.size(), 1u);
     EXPECT_EQ(actual.per_query_quality.values()[0], expected.quality) << policy->name();
+    EXPECT_EQ(actual.root_arrivals_in_time, expected.root_arrivals_in_time) << policy->name();
+    EXPECT_EQ(actual.root_arrivals_late, expected.root_arrivals_late) << policy->name();
     delete policy;
   }
+}
+
+TEST(LoadedRuntimeTest, RootCountersCoverEveryTopTierResult) {
+  // Every top-tier aggregator of every query reports to the root exactly
+  // once, in time or late; heavy load makes more of them late.
+  auto workload = MakeFacebookWorkload(10, 8);  // 8 top-tier aggregators
+  ProportionalSplitPolicy policy;
+  LoadedRunConfig light = BaseConfig();
+  light.mean_interarrival = 2000.0;
+  LoadedRunConfig heavy = BaseConfig();
+  heavy.mean_interarrival = 50.0;
+
+  LoadedRunResult light_result = RunLoadedCluster(workload, policy, light);
+  LoadedRunResult heavy_result = RunLoadedCluster(workload, policy, heavy);
+  for (const LoadedRunResult* result : {&light_result, &heavy_result}) {
+    EXPECT_EQ(result->root_arrivals_in_time + result->root_arrivals_late, 20 * 8);
+  }
+  EXPECT_GT(light_result.root_arrivals_in_time, 0);
+  EXPECT_GT(heavy_result.root_arrivals_late, light_result.root_arrivals_late);
 }
 
 TEST(LoadedRuntimeTest, ThreeLevelTreeSupported) {
@@ -131,6 +152,17 @@ TEST(LoadedRuntimeDeathTest, RejectsBadConfig) {
   LoadedRunConfig config = BaseConfig();
   config.mean_interarrival = 0.0;
   EXPECT_DEATH(RunLoadedCluster(workload, cedar, config), "interarrival");
+}
+
+TEST(LoadedRuntimeDeathTest, RejectsHeterogeneousCluster) {
+  // The shared slot pool has no slot identities, so slow machines cannot be
+  // honoured; they must not be silently dropped.
+  auto workload = MakeFacebookWorkload(4, 4);
+  CedarPolicy cedar;
+  LoadedRunConfig config = BaseConfig();
+  config.cluster.slow_machine_fraction = 0.1;
+  config.cluster.slow_machine_factor = 4.0;
+  EXPECT_DEATH(RunLoadedCluster(workload, cedar, config), "heterogeneity");
 }
 
 }  // namespace

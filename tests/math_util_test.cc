@@ -1,6 +1,8 @@
 #include "src/common/math_util.h"
 
 #include <cmath>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -36,6 +38,44 @@ TEST(LogBinomialTest, Symmetry) {
     for (int k = 0; k <= n; ++k) {
       EXPECT_NEAR(LogBinomial(n, k), LogBinomial(n, n - k), 1e-9);
     }
+  }
+}
+
+TEST(LogBinomialTest, MatchesLgammaBitForBit) {
+  for (int n = 0; n <= 60; ++n) {
+    for (int k = 0; k <= n; ++k) {
+      double expected = std::lgamma(n + 1.0) - std::lgamma(k + 1.0) - std::lgamma(n - k + 1.0);
+      EXPECT_EQ(LogBinomial(n, k), expected) << n << " choose " << k;
+    }
+  }
+}
+
+TEST(LogBinomialTest, ConcurrentCallsAgreeWithSerial) {
+  // Order-statistic tables are filled on pool workers, so LogBinomial runs
+  // on several threads at once; it must not touch shared state (TSan run).
+  constexpr int kMaxN = 200;
+  std::vector<double> serial;
+  for (int k = 0; k <= kMaxN; ++k) {
+    serial.push_back(LogBinomial(kMaxN, k));
+  }
+  constexpr int kThreads = 4;
+  std::vector<std::vector<double>> results(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&results, t] {
+      for (int round = 0; round < 50; ++round) {
+        results[static_cast<size_t>(t)].clear();
+        for (int k = 0; k <= kMaxN; ++k) {
+          results[static_cast<size_t>(t)].push_back(LogBinomial(kMaxN, k));
+        }
+      }
+    });
+  }
+  for (auto& thread : threads) {
+    thread.join();
+  }
+  for (const auto& values : results) {
+    EXPECT_EQ(values, serial);
   }
 }
 

@@ -119,30 +119,6 @@ TEST(PlanTreeTest, ExpectedQualityMonotoneInDeadline) {
   }
 }
 
-class ParallelOptimizerTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(ParallelOptimizerTest, MatchesSerialScan) {
-  int threads = GetParam();
-  TwoLevelFixture f(3.0, 1.2, 2.5, 0.8, 40, 40, 100.0);
-  WaitDecision serial =
-      OptimizeWait(*f.tree.stage(0).duration, 40, f.upper, f.deadline, f.epsilon);
-  WaitDecision parallel = OptimizeWaitParallel(*f.tree.stage(0).duration, 40, f.upper,
-                                               f.deadline, f.epsilon, threads);
-  EXPECT_NEAR(parallel.wait, serial.wait, 1e-9) << "threads=" << threads;
-  EXPECT_NEAR(parallel.expected_quality, serial.expected_quality, 1e-9)
-      << "threads=" << threads;
-}
-
-INSTANTIATE_TEST_SUITE_P(ThreadCounts, ParallelOptimizerTest,
-                         ::testing::Values(1, 2, 3, 4, 8, 16, 1000));
-
-TEST(ParallelOptimizerTest, ZeroDeadlineFallsBack) {
-  TwoLevelFixture f(2.0, 0.9, 2.0, 0.6, 30, 30, 40.0);
-  WaitDecision d =
-      OptimizeWaitParallel(*f.tree.stage(0).duration, 30, f.upper, 0.0, f.epsilon, 4);
-  EXPECT_DOUBLE_EQ(d.wait, 0.0);
-}
-
 TEST(OptimizeWaitDeathTest, RejectsBadArguments) {
   TwoLevelFixture f(2.0, 0.9, 2.0, 0.6, 30, 30, 40.0);
   EXPECT_DEATH(OptimizeWait(*f.tree.stage(0).duration, 0, f.upper, 10.0, 0.1), "fanout");
