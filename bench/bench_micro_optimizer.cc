@@ -1,9 +1,13 @@
 // Microbenchmarks for the CalculateWait machinery (§5.2 claims Cedar's
 // algorithm completes "within tens of milliseconds even without
-// parallelization"): OptimizeWait at several scan resolutions, quality-curve
+// parallelization"): one-shot OptimizeWait at several scan resolutions, the
+// WaitScan grid build and a re-optimization on a built grid, quality-curve
 // construction, and full tree planning.
 
 #include <benchmark/benchmark.h>
+
+#include <string>
+#include <vector>
 
 #include "src/core/quality.h"
 #include "src/core/wait_optimizer.h"
@@ -36,6 +40,40 @@ void BM_OptimizeWait(benchmark::State& state) {
   state.SetLabel("scan_steps=" + std::to_string(state.range(0)));
 }
 BENCHMARK(BM_OptimizeWait)->Arg(100)->Arg(400)->Arg(1000)->Arg(4000);
+
+void BM_WaitScanBuild(benchmark::State& state) {
+  TreeSpec tree = BenchTree();
+  const double deadline = 1000.0;
+  auto upper = TabulateCdf(*tree.stage(1).duration, deadline, 401);
+  double epsilon = deadline / static_cast<double>(state.range(0));
+  for (auto _ : state) {
+    WaitScan scan(upper, deadline, epsilon);
+    benchmark::DoNotOptimize(scan);
+  }
+  state.SetLabel("scan_steps=" + std::to_string(state.range(0)) + " (once per aggregator)");
+}
+BENCHMARK(BM_WaitScanBuild)->Arg(100)->Arg(400)->Arg(1000)->Arg(4000);
+
+void BM_WaitScanOptimize(benchmark::State& state) {
+  // One build, many optimizations: the per-arrival re-optimization of online
+  // Cedar, whose learner refits (mu, sigma) between calls.
+  TreeSpec tree = BenchTree();
+  const double deadline = 1000.0;
+  auto upper = TabulateCdf(*tree.stage(1).duration, deadline, 401);
+  const WaitScan scan(upper, deadline, deadline / static_cast<double>(state.range(0)));
+  std::vector<LogNormalDistribution> fits;
+  for (int i = 0; i < 16; ++i) {
+    fits.emplace_back(kFacebookMapMu + 0.02 * i, kFacebookMapSigma * (1.0 + 0.01 * i));
+  }
+  size_t next = 0;
+  for (auto _ : state) {
+    WaitDecision decision = scan.Optimize(fits[next], 50);
+    benchmark::DoNotOptimize(decision);
+    next = (next + 1) % fits.size();
+  }
+  state.SetLabel("scan_steps=" + std::to_string(state.range(0)));
+}
+BENCHMARK(BM_WaitScanOptimize)->Arg(100)->Arg(400)->Arg(1000)->Arg(4000);
 
 void BM_BuildQualityCurve(benchmark::State& state) {
   TreeSpec tree = BenchTree(static_cast<int>(state.range(0)));

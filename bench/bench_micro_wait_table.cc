@@ -6,8 +6,9 @@
 // serial build.
 //
 // Part 2 — sweep amortization: a fig08-style multi-deadline sweep of the
-// table-driven Cedar run twice, with per-fork table caches (the historical
-// behaviour, share_wait_tables=false) and through a shared WaitTableStore.
+// table-driven Cedar run twice, with a fresh store per worker fork (every
+// fork builds every table it needs, the un-amortized baseline) and through
+// one WaitTableStore shared by all workers and deadlines.
 // Total table-build work is counted via the wait_table.builds metric; the
 // per-query qualities of both runs are asserted bit-identical, so the
 // reported reduction is pure redundancy removal.
@@ -18,6 +19,8 @@
 #include <cstdint>
 #include <iostream>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -36,6 +39,46 @@
 namespace {
 
 using namespace cedar;
+
+// The un-amortized baseline: Cedar whose every ForkForWorker() replica (the
+// engine forks once per worker chunk) resolves tables through a fresh store
+// of its own. Clones of a fork (one per aggregator node) share its store.
+class PerWorkerStoreCedar final : public WaitPolicy {
+ public:
+  explicit PerWorkerStoreCedar(CedarPolicyOptions options)
+      : PerWorkerStoreCedar(options, std::make_shared<WaitTableStore>()) {}
+  PerWorkerStoreCedar(CedarPolicyOptions options, std::shared_ptr<WaitTableStore> store)
+      : options_(options), store_(std::move(store)) {
+    options.table_store = store_.get();
+    inner_ = std::make_unique<CedarPolicy>(options);
+  }
+
+  std::string name() const override { return inner_->name(); }
+  std::unique_ptr<WaitPolicy> Clone() const override {
+    return std::make_unique<PerWorkerStoreCedar>(options_, store_);
+  }
+  std::unique_ptr<WaitPolicy> ForkForWorker() const override {
+    return std::make_unique<PerWorkerStoreCedar>(options_);
+  }
+  void BeginQuery(const AggregatorContext& ctx, const QueryTruth* truth) override {
+    WaitPolicy::BeginQuery(ctx, truth);
+    inner_->BeginQuery(ctx, truth);
+  }
+
+ protected:
+  double InitialWait(const AggregatorContext& ctx) override {
+    return inner_->DecideInitialWait(ctx);
+  }
+  double OnArrival(const AggregatorContext& ctx, double arrival_time,
+                   const std::vector<double>& arrivals) override {
+    return inner_->DecideOnArrival(ctx, arrival_time, arrivals);
+  }
+
+ private:
+  CedarPolicyOptions options_;
+  std::shared_ptr<WaitTableStore> store_;
+  std::unique_ptr<CedarPolicy> inner_;
+};
 
 double MillisBetween(int64_t begin_ns, int64_t end_ns) {
   return static_cast<double>(end_ns - begin_ns) / 1e6;
@@ -104,7 +147,7 @@ void RunBuildBench(std::ostream& out, const WaitTableSpec& spec, int repeats) {
 
 void RunSweepBench(std::ostream& out, const WaitTableSpec& spec,
                    const std::vector<double>& deadlines, int num_queries, int threads) {
-  PrintBanner(out, "Part 2: deadline sweep, per-fork table caches vs shared store");
+  PrintBanner(out, "Part 2: deadline sweep, a fresh store per worker fork vs one shared store");
   auto workload = MakeFacebookWorkload(20, 20);
   out << "workload=" << workload.name() << " queries=" << num_queries
       << " threads=" << threads << " deadlines=" << deadlines.size() << "\n";
@@ -112,9 +155,7 @@ void RunSweepBench(std::ostream& out, const WaitTableSpec& spec,
   CedarPolicyOptions options;
   options.use_wait_table = true;
   options.table_spec = spec;
-  options.share_wait_tables = false;
-  CedarPolicy fork_cached(options);  // the historical per-fork TableCache path
-  options.share_wait_tables = true;
+  PerWorkerStoreCedar per_worker(options);
   CedarPolicy store_shared(options);
 
   ThreadPool pool(threads);
@@ -131,12 +172,13 @@ void RunSweepBench(std::ostream& out, const WaitTableSpec& spec,
     config.seed = 42;
     config.pool = &pool;
     // Offline upper knowledge: one curve per deadline, as deployed — the
-    // regime where per-fork caches redundantly rebuild the same table.
+    // regime where per-worker stores redundantly rebuild the same table.
     config.sim.per_query_upper_knowledge = false;
 
+    // No run-scoped store here, so every fork resolves its own.
     long long before = builds.Value();
-    ExperimentResult baseline = RunExperiment(workload, {&fork_cached}, config);
-    long long per_fork = builds.Value() - before;
+    ExperimentResult baseline = RunExperiment(workload, {&per_worker}, config);
+    long long per_fork_builds = builds.Value() - before;
 
     config.wait_table_store = &store;
     before = builds.Value();
@@ -153,9 +195,9 @@ void RunSweepBench(std::ostream& out, const WaitTableSpec& spec,
           << "store-enabled quality diverged at deadline " << deadline << ", query " << i;
     }
 
-    baseline_builds += per_fork;
+    baseline_builds += per_fork_builds;
     store_builds += with_store;
-    table.AddRow({TablePrinter::FormatDouble(deadline, 0), std::to_string(per_fork),
+    table.AddRow({TablePrinter::FormatDouble(deadline, 0), std::to_string(per_fork_builds),
                   std::to_string(with_store),
                   TablePrinter::FormatDouble(shared.Outcome("cedar").MeanQuality(), 3)});
   }

@@ -102,43 +102,33 @@ CedarPolicy::CedarPolicy(CedarPolicyOptions options) : options_(options) {
   if (options_.use_wait_table) {
     CEDAR_CHECK(options_.table_spec.family == options_.learner.family)
         << "wait-table family must match the learner family";
-    if (!options_.share_wait_tables) {
-      table_cache_ = std::make_shared<TableCache>();
-    }
   }
 }
 
 std::unique_ptr<WaitPolicy> CedarPolicy::Clone() const {
-  // Clones share options (and the store-off wait-table cache) but never
-  // learner state or the store-table memo.
-  auto clone = std::make_unique<CedarPolicy>(options_);
-  clone->table_cache_ = table_cache_;
-  return clone;
+  // Clones share options but never learner state, the scan grid or the
+  // store-table memo.
+  return std::make_unique<CedarPolicy>(options_);
 }
 
 std::unique_ptr<WaitPolicy> CedarPolicy::ForkForWorker() const {
-  // A fresh instance shares nothing mutable with this one: the store-off
-  // constructor allocates a new TableCache, and the shared-store path keeps
-  // only per-instance memo state. The WaitTableStore itself is safe to share
+  // A fresh instance shares nothing mutable with this one: it keeps only
+  // per-instance memo state. The WaitTableStore itself is safe to share
   // across workers — that sharing is the point of the store.
   return std::make_unique<CedarPolicy>(options_);
 }
 
-WaitTableStore* CedarPolicy::ResolveStore(const AggregatorContext& ctx) const {
-  if (!options_.use_wait_table || !options_.share_wait_tables) {
-    return nullptr;
-  }
+WaitTableStore& CedarPolicy::ResolveStore(const AggregatorContext& ctx) const {
   if (ctx.table_store != nullptr) {
-    return ctx.table_store;
+    return *ctx.table_store;
   }
   if (options_.table_store != nullptr) {
-    return options_.table_store;
+    return *options_.table_store;
   }
-  return &WaitTableStore::Global();
+  return WaitTableStore::Global();
 }
 
-const WaitTable& CedarPolicy::StoreTableFor(WaitTableStore& store,
-                                            const AggregatorContext& ctx) {
+const WaitTable& CedarPolicy::TableFor(const AggregatorContext& ctx) {
   double remaining = std::max(0.0, ctx.deadline - ctx.start_offset);
   if (store_table_ != nullptr && store_key_.deadline == remaining) {
     // Same query as the last validation: the curve behind the memo is still
@@ -153,49 +143,25 @@ const WaitTable& CedarPolicy::StoreTableFor(WaitTableStore& store,
   }
   store_key_ = WaitTableKey::Of(options_.table_spec, ctx.fanout, *ctx.upper_quality,
                                 remaining, ctx.epsilon);
-  store_table_ = store.GetOrBuild(store_key_, *ctx.upper_quality);
+  store_table_ = ResolveStore(ctx).GetOrBuild(store_key_, *ctx.upper_quality);
   store_sequence_ = query_sequence_;
   return *store_table_;
 }
 
-const WaitTable& CedarPolicy::TableFor(const AggregatorContext& ctx) {
-  if (WaitTableStore* store = ResolveStore(ctx); store != nullptr) {
-    return StoreTableFor(*store, ctx);
+const WaitScan& CedarPolicy::ScanFor(const AggregatorContext& ctx) {
+  if (!scan_.has_value()) {
+    CEDAR_CHECK(ctx.upper_quality != nullptr);
+    scan_.emplace(*ctx.upper_quality, std::max(0.0, ctx.deadline - ctx.start_offset),
+                  ctx.epsilon);
   }
-  MutexLock lock(table_cache_->mutex);
-  TableCache& cache = *table_cache_;
-  double remaining = std::max(0.0, ctx.deadline - ctx.start_offset);
-  bool key_match = cache.table != nullptr && cache.curve_key == ctx.upper_quality &&
-                   cache.deadline == remaining;
-  if (key_match) {
-    // Same query as the last validation: the curve behind the pointer is
-    // still alive, the table is trusted. Across queries a recycled
-    // allocation can alias the old address, so re-validate by content (one
-    // vector compare per query; a hit is the stationary-upper-curve case).
-    bool same_query = query_sequence_ != 0 && cache.sequence == query_sequence_;
-    if (same_query ||
-        (cache.curve_min_x == ctx.upper_quality->min_x() &&
-         cache.curve_max_x == ctx.upper_quality->max_x() &&
-         cache.curve_ys == ctx.upper_quality->ys())) {
-      cache.sequence = query_sequence_;
-      return *cache.table;
-    }
-  }
-  cache.table = std::make_unique<WaitTable>(options_.table_spec, ctx.fanout,
-                                            *ctx.upper_quality, remaining, ctx.epsilon);
-  cache.curve_key = ctx.upper_quality;
-  cache.deadline = remaining;
-  cache.curve_ys = ctx.upper_quality->ys();
-  cache.curve_min_x = ctx.upper_quality->min_x();
-  cache.curve_max_x = ctx.upper_quality->max_x();
-  cache.sequence = query_sequence_;
-  return *cache.table;
+  return *scan_;
 }
 
 void CedarPolicy::BeginQuery(const AggregatorContext& ctx, const QueryTruth* truth) {
   WaitPolicy::BeginQuery(ctx, truth);
   query_sequence_ = truth != nullptr ? truth->sequence : 0;
   arrivals_since_reopt_ = 0;
+  scan_.reset();  // the upper curve and budget may differ for this query
   if (LearnsAt(ctx.tier)) {
     // Small fanouts cannot supply the default number of warm-up samples;
     // keep at least two-thirds of the children as usable signal.
@@ -212,7 +178,9 @@ void CedarPolicy::BeginQuery(const AggregatorContext& ctx, const QueryTruth* tru
 double CedarPolicy::InitialWait(const AggregatorContext& ctx) {
   // Before any arrival, Cedar can only use the offline fit; the online
   // estimate takes over as outputs come in.
-  return OfflineOptimalWait(ctx);
+  CEDAR_CHECK(ctx.offline_tree != nullptr);
+  return ctx.start_offset +
+         ScanFor(ctx).Optimize(*ctx.offline_tree->stage(ctx.tier).duration, ctx.fanout).wait;
 }
 
 double CedarPolicy::OnArrival(const AggregatorContext& ctx, double arrival_time,
@@ -243,10 +211,7 @@ double CedarPolicy::OnArrival(const AggregatorContext& ctx, double arrival_time,
     return ctx.start_offset + TableFor(ctx).LookupSpec(*fit);
   }
   auto fitted = MakeDistribution(*fit);
-  double remaining = std::max(0.0, ctx.deadline - ctx.start_offset);
-  WaitDecision decision =
-      OptimizeWait(*fitted, ctx.fanout, *ctx.upper_quality, remaining, ctx.epsilon);
-  return ctx.start_offset + decision.wait;
+  return ctx.start_offset + ScanFor(ctx).Optimize(*fitted, ctx.fanout).wait;
 }
 
 // ------------------------------------------------------------------- Oracle

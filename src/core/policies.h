@@ -22,6 +22,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -112,13 +113,9 @@ struct CedarPolicyOptions {
   bool use_wait_table = false;
   WaitTableSpec table_spec;
 
-  // Resolve tables through the shared fingerprint-keyed WaitTableStore, so
-  // worker forks (and whole sweeps) amortize builds instead of each keeping
-  // a private TableCache. Tables are read-only and content-keyed, so results
-  // are bit-identical either way; disable only to measure the un-amortized
-  // baseline or to isolate a run from the process-wide store.
-  bool share_wait_tables = true;
-  // Store to use when sharing; null resolves ctx.table_store, then Global().
+  // Tables resolve through the fingerprint-keyed WaitTableStore, so worker
+  // forks (and whole sweeps) amortize builds. This store is used unless the
+  // run sets ctx.table_store; null resolves to Global().
   WaitTableStore* table_store = nullptr;
 };
 
@@ -130,10 +127,8 @@ class CedarPolicy final : public WaitPolicy {
     return options_.learner.use_empirical_estimates ? "cedar-empirical" : "cedar";
   }
   std::unique_ptr<WaitPolicy> Clone() const override;
-  // A worker fork shares no mutable policy state: with the shared store
-  // (default) the fork re-resolves tables through the store — which is what
-  // lets N workers amortize one build — and with share_wait_tables=false it
-  // gets its own detached TableCache.
+  // A worker fork shares no mutable policy state: it re-resolves tables
+  // through the store, which is what lets N workers amortize one build.
   std::unique_ptr<WaitPolicy> ForkForWorker() const override;
   void BeginQuery(const AggregatorContext& ctx, const QueryTruth* truth) override;
 
@@ -150,36 +145,19 @@ class CedarPolicy final : public WaitPolicy {
     return options_.learning_tier < 0 || tier == options_.learning_tier;
   }
 
-  // Store-off fallback, shared across clones: the precomputed wait table for
-  // the current upper curve. The cache remembers which query it was last
-  // validated for; when a new query shows up it re-validates by curve
-  // *content*, never by address alone — per-query curve stacks are freed
-  // between queries, so a recycled allocation can otherwise alias a stale
-  // table. Worker threads never share a cache (ForkForWorker() detaches it);
-  // the mutex covers the one-prototype-many-node-clones sharing within a
-  // query. Allocated only when use_wait_table && !share_wait_tables.
-  struct TableCache {
-    Mutex mutex;
-    uint64_t sequence CEDAR_GUARDED_BY(mutex) = 0;  // query last validated for (0 = none)
-    const void* curve_key CEDAR_GUARDED_BY(mutex) = nullptr;
-    double deadline CEDAR_GUARDED_BY(mutex) = 0.0;
-    // Content fingerprint of the curve.
-    std::vector<double> curve_ys CEDAR_GUARDED_BY(mutex);
-    double curve_min_x CEDAR_GUARDED_BY(mutex) = 0.0;
-    double curve_max_x CEDAR_GUARDED_BY(mutex) = 0.0;
-    std::unique_ptr<WaitTable> table CEDAR_GUARDED_BY(mutex);
-  };
-
   const WaitTable& TableFor(const AggregatorContext& ctx);
-  const WaitTable& StoreTableFor(WaitTableStore& store, const AggregatorContext& ctx);
 
-  // The store this instance resolves tables through, or null when the run
-  // (or the options) opted out of sharing.
-  WaitTableStore* ResolveStore(const AggregatorContext& ctx) const;
+  // This aggregator's scan grid for the query in flight, built on first use
+  // from ctx (whose upper curve, deadline and epsilon are fixed for the
+  // query) and reused by every re-optimization until BeginQuery drops it.
+  const WaitScan& ScanFor(const AggregatorContext& ctx);
+
+  // The store this instance resolves tables through.
+  WaitTableStore& ResolveStore(const AggregatorContext& ctx) const;
 
   CedarPolicyOptions options_;
   std::unique_ptr<OnlineLearner> learner_;
-  std::shared_ptr<TableCache> table_cache_;
+  std::optional<WaitScan> scan_;
 
   // Per-instance memo of the last store-resolved table. Instances are owned
   // by exactly one aggregator node (no concurrent callers), so no mutex: the

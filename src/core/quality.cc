@@ -38,12 +38,11 @@ namespace {
 
 // Computes max_{c in [0,d]} of the accumulated (gain - loss) scan for one
 // remaining-deadline value |d|, given tabulated Phi_X1 values at multiples of
-// |eps| and the upper-subtree quality curve. This is the inner loop of both
-// the curve builder and the wait optimizer (Pseudocode 2 without the argmax).
+// |eps| and the upper-subtree quality curve: the GainLossScan kernel fed by
+// the indexed grid c_j = eps * j (Pseudocode 2 without the argmax).
 double ScanBestQuality(const std::vector<double>& cdf_at, const std::vector<double>& cdf_pow_at,
                        double eps, double d, const PiecewiseLinear& upper) {
-  double q = 0.0;
-  double best = 0.0;
+  GainLossScan scan;
   size_t max_j = cdf_at.size() - 1;
   for (size_t j = 0; j < max_j; ++j) {
     double c = eps * static_cast<double>(j);
@@ -51,12 +50,9 @@ double ScanBestQuality(const std::vector<double>& cdf_at, const std::vector<doub
       break;
     }
     double c2 = std::min(c + eps, d);
-    double gain = (cdf_at[j + 1] - cdf_at[j]) * upper(d - c2);
-    double loss = (cdf_at[j] - cdf_pow_at[j]) * (upper(d - c) - upper(d - c2));
-    q += gain - loss;
-    best = std::max(best, q);
+    scan.Step(cdf_at[j], cdf_at[j + 1], cdf_pow_at[j], upper(d - c), upper(d - c2));
   }
-  return Clamp(best, 0.0, 1.0);
+  return Clamp(scan.best_q, 0.0, 1.0);
 }
 
 // Folds one bottom stage (|dist|, |k|) under the already-built |upper|

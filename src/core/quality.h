@@ -36,6 +36,30 @@ struct QualityGridOptions {
   int grid_points = 401;
 };
 
+// The Eqn 3-4 scan kernel: the running partial sum q of gain - loss and its
+// maximum. The quality-curve builder and CalculateWait (WaitScan) feed it
+// from their own grids; this is the only place the accumulation happens.
+struct GainLossScan {
+  double q = 0.0;
+  double best_q = 0.0;
+
+  // Advances the candidate wait from c to c2. |phi| and |phi2| are
+  // Phi_X1(c) and Phi_X1(c2), |phik| is phi^k1, and |upper_c| and
+  // |upper_c2| are q_{n-1}(d - c) and q_{n-1}(d - c2). Returns true when q
+  // ties or beats the best so far: ties pick the later wait, matching the
+  // paper's ">= bestQ" update rule.
+  bool Step(double phi, double phi2, double phik, double upper_c, double upper_c2) {
+    double gain = (phi2 - phi) * upper_c2;               // Eqn 3
+    double loss = (phi - phik) * (upper_c - upper_c2);  // Eqn 4
+    q += gain - loss;
+    if (q >= best_q) {
+      best_q = q;
+      return true;
+    }
+    return false;
+  }
+};
+
 // Expected number of outputs received by time t at an aggregator with fanout
 // k over i.i.d. durations with CDF value phi = Phi_X(t), conditioned on not
 // all k having arrived: k * (phi - phi^k) / (1 - phi^k) (Appendix C).

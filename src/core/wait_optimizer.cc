@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "src/common/logging.h"
@@ -9,35 +10,56 @@
 
 namespace cedar {
 
-WaitDecision OptimizeWait(const Distribution& bottom, int fanout,
-                          const PiecewiseLinear& upper_quality, double deadline, double epsilon) {
+WaitScan::WaitScan(const PiecewiseLinear& upper_quality, double deadline, double epsilon) {
+  CEDAR_PROFILE_SCOPE("wait_optimizer.scan_build");
+  CEDAR_CHECK_GT(epsilon, 0.0);
+  if (!(deadline > 0.0)) {
+    return;  // no budget: send immediately, expect nothing
+  }
+  double steps = std::ceil(deadline / epsilon);
+  CEDAR_CHECK_LE(steps, kMaxSteps) << "scan steps for deadline " << deadline << ", epsilon "
+                                   << epsilon;
+  points_.reserve(static_cast<size_t>(steps) + 2);
+  auto add_point = [&](double c) {
+    double log_c = c > 0.0 ? std::log(c) : -std::numeric_limits<double>::infinity();
+    points_.push_back({c, log_c, upper_quality(deadline - c)});
+  };
+  // The accumulated grid of Pseudocode 2: c2 = min(c + eps, deadline) of one
+  // step is the next step's c, or the deadline on the last step.
+  for (double c = 0.0; c < deadline; c += epsilon) {
+    add_point(c);
+  }
+  add_point(deadline);
+}
+
+WaitDecision WaitScan::Optimize(const Distribution& bottom, int fanout) const {
   CEDAR_PROFILE_SCOPE("wait_optimizer.optimize_wait");
   CEDAR_CHECK_GE(fanout, 1);
-  CEDAR_CHECK_GT(epsilon, 0.0);
   WaitDecision decision;
-  if (deadline <= 0.0) {
-    return decision;  // no budget: send immediately, expect nothing
+  if (points_.empty()) {
+    return decision;
   }
-
-  double q = 0.0;
-  double best_q = 0.0;
+  GainLossScan scan;
   double best_wait = 0.0;
-  for (double c = 0.0; c < deadline; c += epsilon) {
-    double c2 = std::min(c + epsilon, deadline);
-    double phi = bottom.Cdf(c);
-    double phi2 = bottom.Cdf(c2);
-    double phik = std::pow(phi, fanout);
-    double gain = (phi2 - phi) * upper_quality(deadline - c2);                   // Eqn 3
-    double loss = (phi - phik) * (upper_quality(deadline - c) - upper_quality(deadline - c2));
-    q += gain - loss;                                                            // Eqn 4
-    if (q >= best_q) {
-      best_q = q;
-      best_wait = c2;
+  double phi = bottom.CdfWithLog(points_[0].c, points_[0].log_c);
+  double upper_c = points_[0].upper;
+  for (size_t j = 1; j < points_.size(); ++j) {
+    const Point& next = points_[j];
+    double phi2 = bottom.CdfWithLog(next.c, next.log_c);
+    if (scan.Step(phi, phi2, std::pow(phi, fanout), upper_c, next.upper)) {
+      best_wait = next.c;
     }
+    phi = phi2;
+    upper_c = next.upper;
   }
   decision.wait = best_wait;
-  decision.expected_quality = Clamp(best_q, 0.0, 1.0);
+  decision.expected_quality = Clamp(scan.best_q, 0.0, 1.0);
   return decision;
+}
+
+WaitDecision OptimizeWait(const Distribution& bottom, int fanout,
+                          const PiecewiseLinear& upper_quality, double deadline, double epsilon) {
+  return WaitScan(upper_quality, deadline, epsilon).Optimize(bottom, fanout);
 }
 
 TreePlan PlanTree(const TreeSpec& tree, double deadline, const QualityGridOptions& options) {

@@ -1,11 +1,13 @@
 // CalculateWait (Pseudocode 2): picks the wait duration that maximizes the
 // expected quality contribution of one aggregator, by scanning candidate
 // waits in steps of eps and balancing the gain (Eqn 3) against the loss
-// (Eqn 4), given the quality curve q_{n-1} of the subtree above it.
+// (Eqn 4), given the quality curve q_{n-1} of the subtree above it. The
+// scan grid is tabulated once (WaitScan) and reused across optimizations.
 
 #ifndef CEDAR_SRC_CORE_WAIT_OPTIMIZER_H_
 #define CEDAR_SRC_CORE_WAIT_OPTIMIZER_H_
 
+#include <cstddef>
 #include <vector>
 
 #include "src/core/quality.h"
@@ -21,12 +23,50 @@ struct WaitDecision {
   double expected_quality = 0.0;
 };
 
-// Scans c in [0, deadline] in steps of |epsilon| per Pseudocode 2. |bottom|
-// is this aggregator's child-duration distribution (X1 from its viewpoint),
-// |fanout| its child count, |upper_quality| the q-curve of everything above
-// it (for a two-level tree: the tabulated CDF of X2), and |deadline| the
-// remaining time budget. Ties pick the later wait, matching the paper's
-// ">= bestQ" update rule.
+// The Pseudocode 2 scan grid of one aggregator: the candidate waits
+// c_0 = 0, c_1, ... produced by accumulating c += epsilon while c < deadline,
+// then a last point clamped to the deadline, each with the upper quality
+// curve at the remaining budget, q_{n-1}(deadline - c_j), and log c_j.
+// Everything here depends only on (upper curve, remaining deadline,
+// epsilon), so one grid serves every re-optimization of an aggregator within
+// a query (only the fitted bottom distribution changes) and every cell of a
+// WaitTable. Immutable after construction: safe to share across threads.
+class WaitScan {
+ public:
+  // Cap (2^24) on the scan's step count ceil(deadline / epsilon). The
+  // defaults use 400 (QualityGridOptions::epsilon_fraction); the cap keeps
+  // a mis-scaled epsilon from tabulating an unbounded grid.
+  static constexpr double kMaxSteps = 1 << 24;
+
+  // |upper_quality| is the q-curve of everything above the aggregator (for
+  // a two-level tree: the tabulated CDF of X2) and is only read here.
+  // A non-positive or NaN |deadline| gives an empty grid. Fatal if
+  // epsilon <= 0 or the step count exceeds kMaxSteps.
+  WaitScan(const PiecewiseLinear& upper_quality, double deadline, double epsilon);
+
+  // CalculateWait for |bottom|, this aggregator's child-duration
+  // distribution (X1 from its viewpoint), and |fanout| children: walks the
+  // grid through GainLossScan, carrying Phi(c2) and q_{n-1}(deadline - c2)
+  // into the next step (step j's c2 is exactly c_{j+1}), so each step costs
+  // one CDF evaluation and one pow. Ties pick the later wait.
+  WaitDecision Optimize(const Distribution& bottom, int fanout) const;
+
+  // Number of scan steps (grid points minus one; 0 for an empty grid).
+  size_t steps() const { return points_.empty() ? 0 : points_.size() - 1; }
+
+ private:
+  struct Point {
+    double c;
+    double log_c;
+    double upper;  // q_{n-1}(deadline - c)
+  };
+  std::vector<Point> points_;
+};
+
+// One-shot CalculateWait (Pseudocode 2): builds a WaitScan over
+// (|upper_quality|, |deadline|, |epsilon|) and optimizes |bottom| with
+// |fanout| children on it. Callers that re-optimize against the same grid
+// should keep the WaitScan instead.
 WaitDecision OptimizeWait(const Distribution& bottom, int fanout,
                           const PiecewiseLinear& upper_quality, double deadline, double epsilon);
 
@@ -43,8 +83,7 @@ struct TreePlan {
 
 // Plans every tier of |tree| under end-to-end deadline |deadline|, building
 // the quality-curve stack once. This is the "Ideal"/offline computation; the
-// online policies re-run OptimizeWait for the bottom tier as arrivals come
-// in.
+// online policies re-run the bottom tier's WaitScan as arrivals come in.
 TreePlan PlanTree(const TreeSpec& tree, double deadline, const QualityGridOptions& options = {});
 
 }  // namespace cedar

@@ -46,9 +46,11 @@ WaitTable::WaitTable(WaitTableSpec spec, int fanout, const PiecewiseLinear& uppe
     registry.GetCounter("wait_table.grid_points").Increment(static_cast<long long>(total));
   }
 
-  // Each grid point is an independent CalculateWait scan writing its own
-  // slot, so filling chunks concurrently is bit-identical to the serial
-  // double loop for any thread count (and with no pool at all).
+  // Each grid point is an independent CalculateWait scan over one shared,
+  // read-only WaitScan grid, writing its own slot, so filling chunks
+  // concurrently is bit-identical to the serial double loop for any thread
+  // count (and with no pool at all).
+  const WaitScan scan(upper_quality, deadline, epsilon);
   auto fill = [&](long long begin, long long end, int /*chunk*/) {
     for (long long cell = begin; cell < end; ++cell) {
       const int li = static_cast<int>(cell / spec_.scale_points);
@@ -58,7 +60,7 @@ WaitTable::WaitTable(WaitTableSpec spec, int fanout, const PiecewiseLinear& uppe
       double scale = Lerp(spec_.scale_min, spec_.scale_max,
                           static_cast<double>(si) / (spec_.scale_points - 1));
       auto dist = MakeParameterized(spec_.family, location, scale);
-      At(li, si) = OptimizeWait(*dist, fanout, upper_quality, deadline, epsilon).wait;
+      At(li, si) = scan.Optimize(*dist, fanout).wait;
     }
   };
   const int chunks = build_pool != nullptr ? build_pool->num_threads() * 4 : 1;

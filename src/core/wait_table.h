@@ -47,8 +47,9 @@ class WaitTable {
   // scale_points CalculateWait scans, run once offline.
   //
   // |build_pool| (borrowed, may be null) parallelizes the grid fill: every
-  // grid point is an independent OptimizeWait scan written to its own slot,
-  // so the table is bit-identical to the serial build for any thread count.
+  // grid point is an independent scan of one shared, read-only WaitScan,
+  // written to its own slot, so the table is bit-identical to the serial
+  // build for any thread count.
   // The fill uses ParallelForChunksShared, so building from inside a pool
   // task (the wait-table store's single-flight path) cannot deadlock.
   WaitTable(WaitTableSpec spec, int fanout, const PiecewiseLinear& upper_quality,

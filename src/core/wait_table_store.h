@@ -1,14 +1,15 @@
 // Process-wide precompute service for wait tables (§4.3.3 fast path).
 //
-// CedarPolicy historically kept a *per-worker* TableCache, so a sweep with N
-// worker forks rebuilt the same (curve, deadline) table up to N times. The
-// WaitTableStore amortizes that work across every worker in the process:
+// Without sharing, a sweep with N worker forks would rebuild the same
+// (curve, deadline) table up to N times. The WaitTableStore amortizes that
+// work across every worker in the process, and is CedarPolicy's only
+// wait-table path:
 //
 //  * Keys are **content fingerprints** of everything a build consumes — the
 //    upper-quality curve's ys and extent, the remaining deadline, the fanout,
 //    epsilon, and the WaitTableSpec. Never addresses: per-query curve stacks
 //    are freed between queries, so a recycled allocation could alias a stale
-//    table (same hazard TableCache guarded against, solved here by keying).
+//    table.
 //  * Lookups hash the fingerprint to one of a fixed set of shards, each under
 //    its own mutex, so concurrent hits from sweep workers rarely contend.
 //  * Construction is **single-flight**: when K workers miss on the same key,

@@ -63,10 +63,14 @@ LogNormalDistribution::LogNormalDistribution(double mu, double sigma) : mu_(mu),
 }
 
 double LogNormalDistribution::Cdf(double x) const {
+  return x <= 0.0 ? 0.0 : CdfWithLog(x, std::log(x));
+}
+
+double LogNormalDistribution::CdfWithLog(double x, double log_x) const {
   if (x <= 0.0) {
     return 0.0;
   }
-  return NormalCdf((std::log(x) - mu_) / sigma_);
+  return NormalCdf((log_x - mu_) / sigma_);
 }
 
 double LogNormalDistribution::Pdf(double x) const {

@@ -48,6 +48,12 @@ class Distribution {
   // P[X <= x].
   virtual double Cdf(double x) const = 0;
 
+  // Cdf(x), bit for bit, given |log_x| == std::log(x) (any value when
+  // x <= 0). For callers that evaluate one grid of x under many
+  // distributions and tabulate the logs once (WaitScan); families whose Cdf
+  // goes through log x override it to skip the log.
+  virtual double CdfWithLog(double x, double /*log_x*/) const { return Cdf(x); }
+
   // Density at x (finite-difference approximation for empirical).
   virtual double Pdf(double x) const = 0;
 
@@ -74,6 +80,7 @@ class LogNormalDistribution final : public Distribution {
 
   DistributionFamily family() const override { return DistributionFamily::kLogNormal; }
   double Cdf(double x) const override;
+  double CdfWithLog(double x, double log_x) const override;
   double Pdf(double x) const override;
   double Quantile(double p) const override;
   double Sample(Rng& rng) const override;

@@ -97,51 +97,56 @@ TEST(ParallelExperimentTest, ReusedSweepPoolIsBitIdenticalToPerCallPools) {
   EXPECT_GT(shared_pool.GetStats().submitted, 0);
 }
 
-TEST(ParallelExperimentTest, WaitTableCacheIsDetachedAcrossWorkers) {
-  // With share_wait_tables=false, use_wait_table shares a mutable table
-  // cache across Clone()s; worker forks must detach it. Identical results at
-  // 1 and 8 threads prove the detached caches change nothing but wall-clock.
+TEST(ParallelExperimentTest, WaitTableForksAreDetachedAcrossWorkers) {
+  // Worker forks share only the read-only store, never a mutable table
+  // memo: runs at 1 and 8 threads through one shared store are bit-identical
+  // to the serial run through a fresh store.
   auto workload = MakeFacebookWorkload(8, 8);
   CedarPolicyOptions options;
   options.use_wait_table = true;
-  options.share_wait_tables = false;
   CedarPolicy cedar(options);
   std::vector<const WaitPolicy*> policies = {&cedar};
 
-  ExperimentResult serial = RunExperiment(workload, policies, SimConfig(1));
-  ExperimentResult parallel = RunExperiment(workload, policies, SimConfig(8));
-  ExpectSameSamples(parallel.Outcome("cedar").quality, serial.Outcome("cedar").quality);
+  WaitTableStore fresh;
+  ExperimentConfig serial_config = SimConfig(1);
+  serial_config.wait_table_store = &fresh;
+  ExperimentResult serial = RunExperiment(workload, policies, serial_config);
+
+  WaitTableStore shared;
+  for (int threads : {1, 8}) {
+    ExperimentConfig config = SimConfig(threads);
+    config.wait_table_store = &shared;
+    ExperimentResult parallel = RunExperiment(workload, policies, config);
+    ExpectSameSamples(parallel.Outcome("cedar").quality, serial.Outcome("cedar").quality);
+  }
 }
 
-TEST(ParallelExperimentTest, WaitTableStoreIsBitIdenticalToPrivateCaches) {
+TEST(ParallelExperimentTest, WaitTableStoreIsBitIdenticalToFreshStores) {
   // The shared WaitTableStore must be a pure amortization: for every thread
-  // count, sweep results with the store (workers share single-flight-built
-  // tables) are byte-identical to the per-fork private-cache baseline — and
-  // to the serial run of either configuration.
+  // count, sweep results through one store shared by every run (later runs
+  // hit tables earlier runs built) are byte-identical to the serial run
+  // through a fresh store that builds every table itself.
   auto workload = MakeFacebookWorkload(8, 8);
   CedarPolicyOptions options;
   options.use_wait_table = true;
-  options.share_wait_tables = false;
-  CedarPolicy private_caches(options);
-  options.share_wait_tables = true;
-  CedarPolicy shared_store(options);
+  CedarPolicy cedar(options);
 
+  WaitTableStore shared;
   for (double deadline : {400.0, 800.0}) {
-    ExperimentResult baseline =
-        RunExperiment(workload, {&private_caches}, SimConfig(1, 24, deadline));
+    WaitTableStore fresh;
+    ExperimentConfig baseline_config = SimConfig(1, 24, deadline);
+    baseline_config.wait_table_store = &fresh;
+    ExperimentResult baseline = RunExperiment(workload, {&cedar}, baseline_config);
     for (int threads : {1, 4}) {
-      // Experiment-scoped store: exercises the ctx.table_store plumbing and
-      // keeps the test independent of the process-global store's contents.
-      WaitTableStore store;
       ExperimentConfig config = SimConfig(threads, 24, deadline);
-      config.wait_table_store = &store;
-      ExperimentResult stored = RunExperiment(workload, {&shared_store}, config);
+      config.wait_table_store = &shared;
+      ExperimentResult stored = RunExperiment(workload, {&cedar}, config);
       ExpectSameSamples(stored.Outcome("cedar").quality, baseline.Outcome("cedar").quality);
       ExpectSameSamples(stored.Outcome("cedar").tier0_send_time,
                         baseline.Outcome("cedar").tier0_send_time);
-      EXPECT_GT(store.GetStats().Gets(), 0) << "the store was supposed to serve tables";
     }
   }
+  EXPECT_GT(shared.GetStats().hits, 0) << "the shared store was supposed to serve tables";
 }
 
 TEST(ParallelExperimentTest, ClusterResultsIdenticalForAnyThreadCount) {

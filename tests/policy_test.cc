@@ -132,6 +132,50 @@ TEST_F(PolicyTest, CedarReoptimizeEveryNThrottlesUpdates) {
   EXPECT_LE(changes, 2) << "at most every 4th arrival may change the wait";
 }
 
+TEST_F(PolicyTest, CedarScanDoesNotSurviveBeginQuery) {
+  // One instance runs two queries whose upper curves differ but live at the
+  // same address (as a recycled per-query curve stack would); every wait
+  // must equal that of a fresh instance, so no scan grid of the first query
+  // leaks into the second.
+  CedarPolicyOptions options;
+  options.learner.min_samples = 4;
+  PiecewiseLinear curves[] = {upper_,
+                              TabulateCdf(LogNormalDistribution(3.6, 0.9), 100.0, 401)};
+  PiecewiseLinear upper;
+  AggregatorContext ctx = ctx_;
+  ctx.upper_quality = &upper;
+
+  LogNormalDistribution slow(3.0, 0.8);
+  Rng rng(11);
+  std::vector<double> samples(12);
+  for (auto& s : samples) {
+    s = slow.Sample(rng);
+  }
+  std::sort(samples.begin(), samples.end());
+  auto run_query = [&](CedarPolicy& cedar, uint64_t sequence) {
+    QueryTruth truth;
+    truth.sequence = sequence;
+    cedar.BeginQuery(ctx, &truth);
+    std::vector<double> waits = {cedar.DecideInitialWait(ctx)};
+    std::vector<double> so_far;
+    for (double arrival : samples) {
+      so_far.push_back(arrival);
+      waits.push_back(cedar.DecideOnArrival(ctx, arrival, so_far));
+    }
+    return waits;
+  };
+
+  CedarPolicy reused(options);
+  std::vector<std::vector<double>> reused_waits;
+  for (uint64_t q = 0; q < 2; ++q) {
+    upper = curves[q];
+    reused_waits.push_back(run_query(reused, q + 1));
+    CedarPolicy fresh(options);
+    EXPECT_EQ(reused_waits.back(), run_query(fresh, q + 1)) << "query " << q;
+  }
+  EXPECT_NE(reused_waits[0], reused_waits[1]) << "the two upper curves must change the waits";
+}
+
 TEST_F(PolicyTest, CedarUpperTierDoesNotLearn) {
   CedarPolicy cedar;  // learning_tier = 0
   AggregatorContext upper_ctx = ctx_;

@@ -1,11 +1,16 @@
 #include "src/core/quality.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/stats/rng.h"
+#include "tests/test_distributions.h"
 
 namespace cedar {
 namespace {
@@ -98,6 +103,97 @@ TEST(QualityCurveTest, StackMatchesRecursiveBuild) {
     for (double d = 5.0; d <= 200.0; d += 13.0) {
       EXPECT_NEAR(stack[static_cast<size_t>(first)](d), direct(d), 1e-9)
           << "first=" << first << " d=" << d;
+    }
+  }
+}
+
+// The curve builder's scan as it was before it moved onto the GainLossScan
+// kernel, kept verbatim as the bit-identity reference.
+double ReferenceScanBestQuality(const std::vector<double>& cdf_at,
+                                const std::vector<double>& cdf_pow_at, double eps, double d,
+                                const PiecewiseLinear& upper) {
+  double q = 0.0;
+  double best = 0.0;
+  size_t max_j = cdf_at.size() - 1;
+  for (size_t j = 0; j < max_j; ++j) {
+    double c = eps * static_cast<double>(j);
+    if (c >= d) {
+      break;
+    }
+    double c2 = std::min(c + eps, d);
+    double gain = (cdf_at[j + 1] - cdf_at[j]) * upper(d - c2);
+    double loss = (cdf_at[j] - cdf_pow_at[j]) * (upper(d - c) - upper(d - c2));
+    q += gain - loss;
+    best = std::max(best, q);
+  }
+  return Clamp(best, 0.0, 1.0);
+}
+
+// BuildQualityCurveStack on the reference scan (FoldStageUnder verbatim).
+std::vector<PiecewiseLinear> ReferenceStack(const TreeSpec& tree, double max_d,
+                                            const QualityGridOptions& options) {
+  int n = tree.num_stages();
+  std::vector<PiecewiseLinear> stack(static_cast<size_t>(n));
+  stack[static_cast<size_t>(n - 1)] =
+      TabulateCdf(*tree.stage(n - 1).duration, max_d, options.grid_points);
+  for (int i = n - 2; i >= 0; --i) {
+    const Distribution& dist = *tree.stage(i).duration;
+    int k = tree.stage(i).fanout;
+    double eps = max_d * options.epsilon_fraction;
+    auto steps = static_cast<size_t>(std::ceil(max_d / eps)) + 1;
+    std::vector<double> cdf_at(steps + 1);
+    std::vector<double> cdf_pow_at(steps + 1);
+    for (size_t j = 0; j <= steps; ++j) {
+      double phi = dist.Cdf(eps * static_cast<double>(j));
+      cdf_at[j] = phi;
+      cdf_pow_at[j] = std::pow(phi, k);
+    }
+    double h = max_d / static_cast<double>(options.grid_points - 1);
+    std::vector<double> ys(static_cast<size_t>(options.grid_points), 0.0);
+    for (int gi = 1; gi < options.grid_points; ++gi) {
+      double d = h * static_cast<double>(gi);
+      ys[static_cast<size_t>(gi)] = ReferenceScanBestQuality(
+          cdf_at, cdf_pow_at, eps, d, stack[static_cast<size_t>(i + 1)]);
+    }
+    stack[static_cast<size_t>(i)] = PiecewiseLinear::FromUniform(0.0, h, std::move(ys));
+  }
+  return stack;
+}
+
+TEST(QualityCurveTest, StackBitIdenticalToReferenceScan) {
+  // Seeded random trees over every family and fanout, at the default grid
+  // and at an epsilon that does not divide the deadline.
+  Rng rng(20161017);
+  QualityGridOptions odd;
+  odd.epsilon_fraction = 1.0 / 137.3;
+  odd.grid_points = 151;
+  for (const QualityGridOptions& options : {QualityGridOptions{}, odd}) {
+    for (int trial = 0; trial < 2; ++trial) {
+      double deadline = 1.0 + 999.0 * rng.NextDouble();
+      auto bottoms = OneOfEachFamily(rng, deadline);
+      auto uppers = OneOfEachFamily(rng, deadline);
+      for (size_t f = 0; f < bottoms.size(); ++f) {
+        for (int fanout : {1, 2, 50, 1000}) {
+          // Three stages so the middle fold runs on a folded (non-CDF) curve.
+          std::vector<StageSpec> stages;
+          stages.emplace_back(bottoms[f], fanout);
+          stages.emplace_back(uppers[f], 1 + (fanout % 7));
+          stages.emplace_back(uppers[(f + 1) % uppers.size()], 3);
+          TreeSpec tree(std::move(stages));
+          auto got = BuildQualityCurveStack(tree, deadline, options);
+          auto want = ReferenceStack(tree, deadline, options);
+          ASSERT_EQ(got.size(), want.size());
+          for (size_t i = 0; i < got.size(); ++i) {
+            ASSERT_EQ(got[i].ys().size(), want[i].ys().size());
+            for (size_t g = 0; g < got[i].ys().size(); ++g) {
+              ASSERT_EQ(std::bit_cast<uint64_t>(got[i].ys()[g]),
+                        std::bit_cast<uint64_t>(want[i].ys()[g]))
+                  << bottoms[f]->ToString() << " fanout " << fanout << " stage " << i
+                  << " grid point " << g;
+            }
+          }
+        }
+      }
     }
   }
 }

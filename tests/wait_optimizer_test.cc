@@ -1,8 +1,15 @@
 #include "src/core/wait_optimizer.h"
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <string>
 
 #include <gtest/gtest.h>
+
+#include "tests/test_distributions.h"
 
 namespace cedar {
 namespace {
@@ -22,6 +29,114 @@ struct TwoLevelFixture {
   PiecewiseLinear upper;
   double epsilon;
 };
+
+// The CalculateWait loop as it was before WaitScan tabulated its grid, kept
+// verbatim as the bit-identity reference.
+WaitDecision ReferenceOptimizeWait(const Distribution& bottom, int fanout,
+                                   const PiecewiseLinear& upper_quality, double deadline,
+                                   double epsilon) {
+  WaitDecision decision;
+  if (deadline <= 0.0) {
+    return decision;  // no budget: send immediately, expect nothing
+  }
+
+  double q = 0.0;
+  double best_q = 0.0;
+  double best_wait = 0.0;
+  for (double c = 0.0; c < deadline; c += epsilon) {
+    double c2 = std::min(c + epsilon, deadline);
+    double phi = bottom.Cdf(c);
+    double phi2 = bottom.Cdf(c2);
+    double phik = std::pow(phi, fanout);
+    double gain = (phi2 - phi) * upper_quality(deadline - c2);                   // Eqn 3
+    double loss = (phi - phik) * (upper_quality(deadline - c) - upper_quality(deadline - c2));
+    q += gain - loss;                                                            // Eqn 4
+    if (q >= best_q) {
+      best_q = q;
+      best_wait = c2;
+    }
+  }
+  decision.wait = best_wait;
+  decision.expected_quality = Clamp(best_q, 0.0, 1.0);
+  return decision;
+}
+
+void ExpectSameBits(const WaitDecision& got, const WaitDecision& want, const std::string& where) {
+  EXPECT_EQ(std::bit_cast<uint64_t>(got.wait), std::bit_cast<uint64_t>(want.wait))
+      << where << ": wait " << got.wait << " vs " << want.wait;
+  EXPECT_EQ(std::bit_cast<uint64_t>(got.expected_quality),
+            std::bit_cast<uint64_t>(want.expected_quality))
+      << where << ": expected_quality " << got.expected_quality << " vs "
+      << want.expected_quality;
+}
+
+TEST(WaitScanTest, BitIdenticalToReferenceLoop) {
+  // Seeded random (upper curve, deadline, epsilon) grids; on each, one
+  // reused WaitScan and the one-shot OptimizeWait must reproduce the
+  // reference loop bit for bit for every family and fanout.
+  Rng rng(20161017);
+  for (int trial = 0; trial < 24; ++trial) {
+    double deadline = 1.0 + 999.0 * rng.NextDouble();
+    double epsilon = 0.0;
+    switch (trial % 3) {
+      case 0:  // the default grid
+        epsilon = deadline / 400.0;
+        break;
+      case 1:  // epsilon does not divide the deadline
+        epsilon = deadline / (50.0 + 300.0 * rng.NextDouble());
+        break;
+      default:  // deadline < epsilon: a single clamped step
+        epsilon = deadline * (1.0 + rng.NextDouble());
+        break;
+    }
+    // Upper tiers see a curve tabulated past their remaining budget.
+    double curve_max = deadline * (1.0 + rng.NextDouble());
+    double upper_median = deadline * (0.05 + 0.5 * rng.NextDouble());
+    LogNormalDistribution upper_stage(std::log(upper_median), 0.2 + rng.NextDouble());
+    PiecewiseLinear upper = TabulateCdf(upper_stage, curve_max, 401);
+
+    WaitScan scan(upper, deadline, epsilon);
+    if (trial % 3 == 2) {
+      EXPECT_EQ(scan.steps(), 1u);
+    }
+    for (const auto& bottom : OneOfEachFamily(rng, deadline)) {
+      for (int fanout : {1, 2, 50, 1000}) {
+        std::string where = "trial " + std::to_string(trial) + " " + bottom->ToString() +
+                            " fanout " + std::to_string(fanout);
+        WaitDecision want = ReferenceOptimizeWait(*bottom, fanout, upper, deadline, epsilon);
+        ExpectSameBits(scan.Optimize(*bottom, fanout), want, where + " (WaitScan)");
+        ExpectSameBits(OptimizeWait(*bottom, fanout, upper, deadline, epsilon), want,
+                       where + " (OptimizeWait)");
+      }
+    }
+  }
+}
+
+TEST(WaitScanTest, EmptyGridWithoutBudget) {
+  TwoLevelFixture f(2.0, 0.9, 2.0, 0.6, 30, 30, 40.0);
+  for (double deadline : {0.0, -5.0, std::numeric_limits<double>::quiet_NaN()}) {
+    WaitScan scan(f.upper, deadline, f.epsilon);
+    EXPECT_EQ(scan.steps(), 0u);
+    ExpectSameBits(scan.Optimize(*f.tree.stage(0).duration, 30),
+                   ReferenceOptimizeWait(*f.tree.stage(0).duration, 30, f.upper, deadline,
+                                         f.epsilon),
+                   "deadline " + std::to_string(deadline));
+  }
+}
+
+TEST(WaitScanTest, DefaultGridHasFourHundredSteps) {
+  TwoLevelFixture f(2.0, 0.9, 2.0, 0.6, 30, 30, 40.0);
+  EXPECT_EQ(WaitScan(f.upper, f.deadline, f.deadline / 400.0).steps(), 400u);
+}
+
+TEST(WaitScanDeathTest, CapsTheStepCount) {
+  // Before the cap, a deadline this far past epsilon spun until c + eps == c.
+  TwoLevelFixture f(2.0, 0.9, 2.0, 0.6, 30, 30, 40.0);
+  EXPECT_DEATH(WaitScan(f.upper, 1e20, 1.0), "scan steps");
+  EXPECT_DEATH(OptimizeWait(*f.tree.stage(0).duration, 1, f.upper, 1e20, 1.0), "scan steps");
+  EXPECT_DEATH(WaitScan(f.upper, std::numeric_limits<double>::infinity(), 1.0), "scan steps");
+  EXPECT_DEATH(WaitScan(f.upper, 1.0, 1e-300), "scan steps");
+}
 
 TEST(OptimizeWaitTest, WaitWithinBudget) {
   TwoLevelFixture f(2.0, 0.9, 2.0, 0.6, 30, 30, 40.0);
