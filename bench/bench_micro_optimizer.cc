@@ -2,17 +2,22 @@
 // algorithm completes "within tens of milliseconds even without
 // parallelization"): one-shot OptimizeWait at several scan resolutions, the
 // WaitScan grid build and a re-optimization on a built grid, quality-curve
-// construction, and full tree planning.
+// construction, full tree planning, and one query tree's per-query set-up.
 
 #include <benchmark/benchmark.h>
 
 #include <string>
 #include <vector>
 
+#include "src/core/policies.h"
 #include "src/core/quality.h"
 #include "src/core/wait_optimizer.h"
 #include "src/core/wait_table.h"
+#include "src/sim/event_queue.h"
+#include "src/sim/query_tree.h"
+#include "src/sim/realization.h"
 #include "src/trace/calibration.h"
+#include "src/trace/workloads.h"
 
 namespace cedar {
 namespace {
@@ -94,6 +99,31 @@ void BM_PlanTree(benchmark::State& state) {
   state.SetLabel("levels=" + std::to_string(state.range(0)));
 }
 BENCHMARK(BM_PlanTree)->Arg(2)->Arg(3);
+
+void BM_QueryTreeSetUp(benchmark::State& state) {
+  // What every engine pays per query before its first leaf: the per-query
+  // upper curves, the tier plan, one policy clone per aggregator and each
+  // aggregator's initial wait (QueryTree construction plus Start), on one
+  // interactive (Figure 14) query with 50x50 fanout at a 155 ms deadline.
+  MetaLogNormalWorkload workload = MakeInteractiveWorkload();
+  const QueryTreeModel model(workload.OfflineTree(), 155.0, QueryTreeOptions{});
+  Rng rng(1);
+  QueryTruth truth = workload.DrawQuery(rng);
+  truth.sequence = 1;
+  const QueryRealization realization = SampleRealization(model.offline_tree(), truth, rng);
+  ProportionalSplitPolicy prop_split;
+  CedarPolicy cedar;
+  const WaitPolicy& policy =
+      state.range(0) == 0 ? static_cast<const WaitPolicy&>(prop_split) : cedar;
+  for (auto _ : state) {
+    QueryTree tree(model, policy, realization, "bench");
+    EventQueue queue;
+    tree.Start(queue);
+    benchmark::DoNotOptimize(queue);
+  }
+  state.SetLabel(policy.name());
+}
+BENCHMARK(BM_QueryTreeSetUp)->Arg(0)->Arg(1);
 
 void BM_WaitTableBuild(benchmark::State& state) {
   TreeSpec tree = BenchTree();

@@ -73,7 +73,7 @@ AnalyticsService::AnalyticsService(const FactTable* table, TreeSpec latency_tree
       << "latency-tree fanouts must cover every partition";
   CEDAR_CHECK_GT(config_.deadline, 0.0);
   epsilon_ = config_.deadline * config_.grid.epsilon_fraction;
-  offline_stack_ = BuildQualityCurveStack(latency_tree_, config_.deadline, config_.grid);
+  offline_stack_ = BuildUpperQualityCurves(latency_tree_, config_.deadline, config_.grid);
 }
 
 AnalyticsOutcome AnalyticsService::RunQuery(const WaitPolicy& policy,
@@ -86,7 +86,7 @@ AnalyticsOutcome AnalyticsService::RunQuery(const WaitPolicy& policy,
   const std::vector<PiecewiseLinear>* stack = &offline_stack_;
   if (config_.per_query_upper_knowledge) {
     TreeSpec truth_tree = realization.truth.OverlayOn(latency_tree_);
-    query_stack = BuildQualityCurveStack(truth_tree, config_.deadline, config_.grid);
+    query_stack = BuildUpperQualityCurves(truth_tree, config_.deadline, config_.grid);
     stack = &query_stack;
   }
 

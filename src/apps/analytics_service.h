@@ -89,7 +89,7 @@ class AnalyticsService {
   TreeSpec latency_tree_;
   AnalyticsServiceConfig config_;
   double epsilon_;
-  std::vector<PiecewiseLinear> offline_stack_;
+  std::vector<PiecewiseLinear> offline_stack_;  // upper curves; only [1] is read
 };
 
 }  // namespace cedar

@@ -53,7 +53,7 @@ class SearchService {
   TreeSpec latency_tree_;
   SearchServiceConfig config_;
   double epsilon_;
-  std::vector<PiecewiseLinear> offline_stack_;
+  std::vector<PiecewiseLinear> offline_stack_;  // upper curves; only [1] is read
 };
 
 }  // namespace cedar

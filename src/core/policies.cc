@@ -8,14 +8,35 @@
 namespace cedar {
 namespace {
 
-double OfflineOptimalWait(const AggregatorContext& ctx) {
+// The scan grid of |ctx|'s aggregator, built into |scan| on first use. The
+// context's upper curve, deadline and epsilon are fixed for the query, so
+// one grid serves every optimization until the owner drops it.
+const WaitScan& ScanOf(const AggregatorContext& ctx, std::optional<WaitScan>& scan) {
+  if (!scan.has_value()) {
+    CEDAR_CHECK(ctx.upper_quality != nullptr);
+    scan.emplace(*ctx.upper_quality, std::max(0.0, ctx.deadline - ctx.start_offset),
+                 ctx.epsilon);
+  }
+  return *scan;
+}
+
+// The tier's offline-optimal absolute send time: CalculateWait on the
+// offline bottom distribution. Read from ctx.offline_wait once some
+// aggregator of the tier has filled it; otherwise optimized on |scan| and,
+// when the context has a memo, stored there.
+double OfflineOptimalSendTime(const AggregatorContext& ctx, std::optional<WaitScan>& scan) {
+  OfflineWaitMemo* memo = ctx.offline_wait;
+  if (memo != nullptr && memo->filled) {
+    return memo->send_time;
+  }
   CEDAR_CHECK(ctx.offline_tree != nullptr);
-  CEDAR_CHECK(ctx.upper_quality != nullptr);
-  double remaining = std::max(0.0, ctx.deadline - ctx.start_offset);
-  WaitDecision decision =
-      OptimizeWait(*ctx.offline_tree->stage(ctx.tier).duration,
-                   ctx.fanout, *ctx.upper_quality, remaining, ctx.epsilon);
-  return ctx.start_offset + decision.wait;
+  double send_time =
+      ctx.start_offset +
+      ScanOf(ctx, scan).Optimize(*ctx.offline_tree->stage(ctx.tier).duration, ctx.fanout).wait;
+  if (memo != nullptr) {
+    *memo = {true, send_time};
+  }
+  return send_time;
 }
 
 }  // namespace
@@ -92,7 +113,8 @@ std::unique_ptr<WaitPolicy> OfflineOptimalPolicy::Clone() const {
 }
 
 double OfflineOptimalPolicy::InitialWait(const AggregatorContext& ctx) {
-  return OfflineOptimalWait(ctx);
+  std::optional<WaitScan> scan;
+  return OfflineOptimalSendTime(ctx, scan);
 }
 
 // -------------------------------------------------------------------- Cedar
@@ -148,15 +170,6 @@ const WaitTable& CedarPolicy::TableFor(const AggregatorContext& ctx) {
   return *store_table_;
 }
 
-const WaitScan& CedarPolicy::ScanFor(const AggregatorContext& ctx) {
-  if (!scan_.has_value()) {
-    CEDAR_CHECK(ctx.upper_quality != nullptr);
-    scan_.emplace(*ctx.upper_quality, std::max(0.0, ctx.deadline - ctx.start_offset),
-                  ctx.epsilon);
-  }
-  return *scan_;
-}
-
 void CedarPolicy::BeginQuery(const AggregatorContext& ctx, const QueryTruth* truth) {
   WaitPolicy::BeginQuery(ctx, truth);
   query_sequence_ = truth != nullptr ? truth->sequence : 0;
@@ -178,9 +191,7 @@ void CedarPolicy::BeginQuery(const AggregatorContext& ctx, const QueryTruth* tru
 double CedarPolicy::InitialWait(const AggregatorContext& ctx) {
   // Before any arrival, Cedar can only use the offline fit; the online
   // estimate takes over as outputs come in.
-  CEDAR_CHECK(ctx.offline_tree != nullptr);
-  return ctx.start_offset +
-         ScanFor(ctx).Optimize(*ctx.offline_tree->stage(ctx.tier).duration, ctx.fanout).wait;
+  return OfflineOptimalSendTime(ctx, scan_);
 }
 
 double CedarPolicy::OnArrival(const AggregatorContext& ctx, double arrival_time,
@@ -211,7 +222,7 @@ double CedarPolicy::OnArrival(const AggregatorContext& ctx, double arrival_time,
     return ctx.start_offset + TableFor(ctx).LookupSpec(*fit);
   }
   auto fitted = MakeDistribution(*fit);
-  return ctx.start_offset + ScanFor(ctx).Optimize(*fitted, ctx.fanout).wait;
+  return ctx.start_offset + ScanOf(ctx, scan_).Optimize(*fitted, ctx.fanout).wait;
 }
 
 // ------------------------------------------------------------------- Oracle

@@ -147,16 +147,14 @@ class CedarPolicy final : public WaitPolicy {
 
   const WaitTable& TableFor(const AggregatorContext& ctx);
 
-  // This aggregator's scan grid for the query in flight, built on first use
-  // from ctx (whose upper curve, deadline and epsilon are fixed for the
-  // query) and reused by every re-optimization until BeginQuery drops it.
-  const WaitScan& ScanFor(const AggregatorContext& ctx);
-
   // The store this instance resolves tables through.
   WaitTableStore& ResolveStore(const AggregatorContext& ctx) const;
 
   CedarPolicyOptions options_;
   std::unique_ptr<OnlineLearner> learner_;
+  // This aggregator's scan grid for the query in flight, built on first use
+  // from ctx (whose upper curve, deadline and epsilon are fixed for the
+  // query) and reused by every re-optimization until BeginQuery drops it.
   std::optional<WaitScan> scan_;
 
   // Per-instance memo of the last store-resolved table. Instances are owned

@@ -38,6 +38,15 @@ struct QueryTruth {
   TreeSpec OverlayOn(const TreeSpec& base) const;
 };
 
+// One tier's offline-optimal absolute send time within one query:
+// CalculateWait on the offline bottom distribution under the tier's upper
+// curve and budget. Every aggregator of the tier shares those inputs, so the
+// first policy that needs the value fills the memo and the rest read it.
+struct OfflineWaitMemo {
+  bool filled = false;
+  double send_time = 0.0;
+};
+
 // Everything a policy may consult when deciding. The pointers reference
 // simulation-owned storage that outlives the policy call.
 struct AggregatorContext {
@@ -62,6 +71,10 @@ struct AggregatorContext {
   // a specific (usually test- or bench-local) store instead of the process
   // Global(). Null means "policy default".
   WaitTableStore* table_store = nullptr;
+  // This tier's offline-wait memo, owned by the query tree that owns the
+  // context and living exactly as long as it. Null (contexts built outside
+  // a query tree) means "compute the offline wait directly".
+  OfflineWaitMemo* offline_wait = nullptr;
 };
 
 class WaitPolicy {

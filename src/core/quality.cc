@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "src/common/logging.h"
+#include "src/obs/profiler.h"
 
 namespace cedar {
 
@@ -55,55 +56,77 @@ double ScanBestQuality(const std::vector<double>& cdf_at, const std::vector<doub
   return Clamp(scan.best_q, 0.0, 1.0);
 }
 
-// Folds one bottom stage (|dist|, |k|) under the already-built |upper|
-// curve: the q_{j} <- q_{j+1} step, tabulated on the same grid.
+// One bottom stage (|dist|, |k|) folded under the already-built |upper|
+// curve: the q_{j} <- q_{j+1} step, on the grid [0, max_d] with step h.
+// Phi_X1 and Phi_X1^k are tabulated once at the scan points, shared by
+// every grid point.
+class StageFold {
+ public:
+  StageFold(const Distribution& dist, int k, const PiecewiseLinear& upper, double max_d,
+            const QualityGridOptions& options)
+      : upper_(upper),
+        eps_(max_d * options.epsilon_fraction),
+        h_(max_d / static_cast<double>(options.grid_points - 1)),
+        grid_points_(options.grid_points) {
+    CEDAR_CHECK_GT(eps_, 0.0);
+    auto steps = static_cast<size_t>(std::ceil(max_d / eps_)) + 1;
+    cdf_at_.resize(steps + 1);
+    cdf_pow_at_.resize(steps + 1);
+    for (size_t j = 0; j <= steps; ++j) {
+      double phi = dist.Cdf(eps_ * static_cast<double>(j));
+      cdf_at_[j] = phi;
+      cdf_pow_at_[j] = std::pow(phi, k);
+    }
+  }
+
+  // The folded curve's sample at grid point |gi| >= 1 (the sample at 0 is 0).
+  double At(int gi) const {
+    return ScanBestQuality(cdf_at_, cdf_pow_at_, eps_, h_ * static_cast<double>(gi), upper_);
+  }
+
+  // Wraps samples on this fold's grid as a curve.
+  PiecewiseLinear Curve(std::vector<double> ys) const {
+    return PiecewiseLinear::FromUniform(0.0, h_, std::move(ys));
+  }
+
+  int grid_points() const { return grid_points_; }
+  double h() const { return h_; }
+
+ private:
+  const PiecewiseLinear& upper_;
+  double eps_;
+  double h_;
+  int grid_points_;
+  std::vector<double> cdf_at_;
+  std::vector<double> cdf_pow_at_;
+};
+
+// The whole folded curve: every grid point.
 PiecewiseLinear FoldStageUnder(const Distribution& dist, int k, const PiecewiseLinear& upper,
                                double max_d, const QualityGridOptions& options) {
-  double eps = max_d * options.epsilon_fraction;
-  CEDAR_CHECK_GT(eps, 0.0);
-
-  // Pre-tabulate Phi_X1 and Phi_X1^k at scan points (shared across all d).
-  auto steps = static_cast<size_t>(std::ceil(max_d / eps)) + 1;
-  std::vector<double> cdf_at(steps + 1);
-  std::vector<double> cdf_pow_at(steps + 1);
-  for (size_t j = 0; j <= steps; ++j) {
-    double phi = dist.Cdf(eps * static_cast<double>(j));
-    cdf_at[j] = phi;
-    cdf_pow_at[j] = std::pow(phi, k);
+  CEDAR_PROFILE_SCOPE("quality.fold_stage");
+  StageFold fold(dist, k, upper, max_d, options);
+  std::vector<double> ys(static_cast<size_t>(fold.grid_points()), 0.0);
+  for (int gi = 1; gi < fold.grid_points(); ++gi) {
+    ys[static_cast<size_t>(gi)] = fold.At(gi);
   }
-
-  double h = max_d / static_cast<double>(options.grid_points - 1);
-  std::vector<double> ys(static_cast<size_t>(options.grid_points), 0.0);
-  for (int gi = 1; gi < options.grid_points; ++gi) {
-    double d = h * static_cast<double>(gi);
-    ys[static_cast<size_t>(gi)] = ScanBestQuality(cdf_at, cdf_pow_at, eps, d, upper);
-  }
-  return PiecewiseLinear::FromUniform(0.0, h, std::move(ys));
+  return fold.Curve(std::move(ys));
 }
 
-}  // namespace
-
-PiecewiseLinear BuildQualityCurve(const TreeSpec& tree, int first_stage, double max_d,
-                                  const QualityGridOptions& options) {
-  CEDAR_CHECK(first_stage >= 0 && first_stage < tree.num_stages());
+// The curves for stages [i, n) for every i >= first_stage, built top-down so
+// each level folds under the one above; entries below first_stage stay
+// empty. The only fold loop: every stack and curve builder goes through it.
+std::vector<PiecewiseLinear> BuildStackFrom(const TreeSpec& tree, int first_stage, double max_d,
+                                            const QualityGridOptions& options) {
   CEDAR_CHECK_GT(max_d, 0.0);
-  if (first_stage == tree.num_stages() - 1) {
-    // Base case: q_1(d) = Phi_{Xn}(d).
-    return TabulateCdf(*tree.stage(first_stage).duration, max_d, options.grid_points);
-  }
-  PiecewiseLinear upper = BuildQualityCurve(tree, first_stage + 1, max_d, options);
-  return FoldStageUnder(*tree.stage(first_stage).duration, tree.stage(first_stage).fanout,
-                        upper, max_d, options);
-}
-
-std::vector<PiecewiseLinear> BuildQualityCurveStack(const TreeSpec& tree, double max_d,
-                                                    const QualityGridOptions& options) {
-  std::vector<PiecewiseLinear> stack(static_cast<size_t>(tree.num_stages()));
-  // Build top-down so each level reuses the one above instead of recursing.
   int n = tree.num_stages();
+  std::vector<PiecewiseLinear> stack(static_cast<size_t>(n));
+  if (first_stage >= n) {
+    return stack;
+  }
   stack[static_cast<size_t>(n - 1)] =
       TabulateCdf(*tree.stage(n - 1).duration, max_d, options.grid_points);
-  for (int i = n - 2; i >= 0; --i) {
+  for (int i = n - 2; i >= first_stage; --i) {
     stack[static_cast<size_t>(i)] =
         FoldStageUnder(*tree.stage(i).duration, tree.stage(i).fanout,
                        stack[static_cast<size_t>(i + 1)], max_d, options);
@@ -111,10 +134,55 @@ std::vector<PiecewiseLinear> BuildQualityCurveStack(const TreeSpec& tree, double
   return stack;
 }
 
+}  // namespace
+
+PiecewiseLinear BuildQualityCurve(const TreeSpec& tree, int first_stage, double max_d,
+                                  const QualityGridOptions& options) {
+  CEDAR_CHECK(first_stage >= 0 && first_stage < tree.num_stages());
+  return std::move(BuildStackFrom(tree, first_stage, max_d, options)[static_cast<size_t>(
+      first_stage)]);
+}
+
+std::vector<PiecewiseLinear> BuildQualityCurveStack(const TreeSpec& tree, double max_d,
+                                                    const QualityGridOptions& options) {
+  return BuildStackFrom(tree, 0, max_d, options);
+}
+
+std::vector<PiecewiseLinear> BuildUpperQualityCurves(const TreeSpec& tree, double max_d,
+                                                     const QualityGridOptions& options) {
+  return BuildStackFrom(tree, 1, max_d, options);
+}
+
+double FullTreeQualityAt(const TreeSpec& tree, const std::vector<PiecewiseLinear>& upper_curves,
+                         double max_d, double x, const QualityGridOptions& options) {
+  CEDAR_CHECK_EQ(upper_curves.size(), static_cast<size_t>(tree.num_stages()));
+  const StageSpec& bottom = tree.stage(0);
+  if (tree.num_stages() == 1) {
+    return TabulateCdf(*bottom.duration, max_d, options.grid_points)(x);
+  }
+  StageFold fold(*bottom.duration, bottom.fanout, upper_curves[1], max_d, options);
+  // The samples PiecewiseLinear reads at x on the uniform grid starting at
+  // 0: none at or below 0; the last one once floor(x / h) + 1 runs off the
+  // grid; otherwise floor(x / h) and the next. Rounding may put x / h just
+  // below grid_points - 1 at x = max_d, so both neighbours are folded.
+  std::vector<double> ys(static_cast<size_t>(fold.grid_points()), 0.0);
+  if (x > 0.0) {
+    auto idx = static_cast<size_t>(x / fold.h());
+    size_t last = ys.size() - 1;
+    for (size_t gi : {std::min(idx, last), std::min(idx + 1, last)}) {
+      if (gi > 0) {
+        ys[gi] = fold.At(static_cast<int>(gi));
+      }
+    }
+  }
+  return fold.Curve(std::move(ys))(x);
+}
+
 double MaxExpectedQuality(const TreeSpec& tree, double deadline,
                           const QualityGridOptions& options) {
   CEDAR_CHECK_GT(deadline, 0.0);
-  return BuildQualityCurve(tree, 0, deadline, options)(deadline);
+  return FullTreeQualityAt(tree, BuildUpperQualityCurves(tree, deadline, options), deadline,
+                           deadline, options);
 }
 
 }  // namespace cedar

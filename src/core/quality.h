@@ -13,7 +13,8 @@
 //
 // and taking the running maximum of the partial sums. Curves are tabulated
 // on a uniform grid and linearly interpolated, so building the full curve
-// stack for an n-stage tree costs O(n * (D/eps)^2).
+// stack for an n-stage tree costs O(n * (D/eps)^2); each folded stage is
+// one O((D/eps)^2) pass, and a single point of a fold costs O(D/eps).
 
 #ifndef CEDAR_SRC_CORE_QUALITY_H_
 #define CEDAR_SRC_CORE_QUALITY_H_
@@ -77,9 +78,24 @@ PiecewiseLinear BuildQualityCurve(const TreeSpec& tree, int first_stage, double 
 
 // Builds the whole stack: result[i] is the curve for stages [i, n). Index 0
 // is the full tree; index n-1 is the topmost stage's CDF. All curves share
-// the grid [0, max_d].
+// the grid [0, max_d]. Only callers that read every curve need this; the
+// engines and policies read [1, n) and use BuildUpperQualityCurves.
 std::vector<PiecewiseLinear> BuildQualityCurveStack(const TreeSpec& tree, double max_d,
                                                     const QualityGridOptions& options = {});
+
+// The curves an aggregator's wait reads: result[i] for i in [1, n) is the
+// curve for stages [i, n), bitwise equal to BuildQualityCurveStack's, and
+// result[0] stays empty (evaluating it is fatal). Skips the stage-0 fold, so
+// for a two-level tree this is one TabulateCdf.
+std::vector<PiecewiseLinear> BuildUpperQualityCurves(const TreeSpec& tree, double max_d,
+                                                     const QualityGridOptions& options = {});
+
+// q_n(x) of the whole tree for x in [0, max_d], given |upper_curves| from
+// BuildUpperQualityCurves(tree, max_d, options). Bitwise equal to
+// BuildQualityCurveStack(tree, max_d, options)[0](x), but folds stage 0 only
+// at the (at most two) grid points the curve interpolates at x.
+double FullTreeQualityAt(const TreeSpec& tree, const std::vector<PiecewiseLinear>& upper_curves,
+                         double max_d, double x, const QualityGridOptions& options = {});
 
 // One-shot evaluation: maximum expected quality of the whole tree at
 // deadline D (q_n(D)).

@@ -66,8 +66,8 @@ TreePlan PlanTree(const TreeSpec& tree, double deadline, const QualityGridOption
   CEDAR_PROFILE_SCOPE("wait_optimizer.plan_tree");
   CEDAR_CHECK_GT(deadline, 0.0);
   TreePlan plan;
-  auto stack = BuildQualityCurveStack(tree, deadline, options);
-  plan.expected_quality = stack[0](deadline);
+  auto stack = BuildUpperQualityCurves(tree, deadline, options);
+  plan.expected_quality = FullTreeQualityAt(tree, stack, deadline, deadline, options);
 
   double eps = deadline * options.epsilon_fraction;
   double offset = 0.0;

@@ -82,7 +82,7 @@ struct TreePlan {
 };
 
 // Plans every tier of |tree| under end-to-end deadline |deadline|, building
-// the quality-curve stack once. This is the "Ideal"/offline computation; the
+// the upper quality curves once and reading q_n(D) pointwise. This is the "Ideal"/offline computation; the
 // online policies re-run the bottom tier's WaitScan as arrivals come in.
 TreePlan PlanTree(const TreeSpec& tree, double deadline, const QualityGridOptions& options = {});
 

@@ -13,7 +13,7 @@ QueryTreeModel::QueryTreeModel(TreeSpec offline_tree, double deadline,
   CEDAR_CHECK_GT(deadline, 0.0);
   CEDAR_CHECK_GE(offline_tree_.num_stages(), 2) << "a query tree needs >= 2 stages";
   epsilon_ = deadline_ * options_.grid.epsilon_fraction;
-  curve_stack_ = BuildQualityCurveStack(offline_tree_, deadline_, options_.grid);
+  curve_stack_ = BuildUpperQualityCurves(offline_tree_, deadline_, options_.grid);
 }
 
 QueryTree::QueryTree(const QueryTreeModel& model, const WaitPolicy& policy_prototype,
@@ -32,8 +32,8 @@ QueryTree::QueryTree(const QueryTreeModel& model, const WaitPolicy& policy_proto
   // offline/global under either knowledge model.
   const std::vector<PiecewiseLinear>* stack = &model_.curve_stack();
   if (model_.options().per_query_upper_knowledge) {
-    query_stack_ = BuildQualityCurveStack(realization_.truth.OverlayOn(tree), model_.deadline(),
-                                          model_.options().grid);
+    query_stack_ = BuildUpperQualityCurves(realization_.truth.OverlayOn(tree), model_.deadline(),
+                                           model_.options().grid);
     stack = &query_stack_;
   }
 
@@ -41,6 +41,7 @@ QueryTree::QueryTree(const QueryTreeModel& model, const WaitPolicy& policy_proto
   // with a scratch policy instance so that each tier's plan is consistent
   // with the policy's own decisions.
   contexts_.resize(static_cast<size_t>(tiers));
+  offline_waits_.resize(static_cast<size_t>(tiers));
   double offset = 0.0;
   for (int tier = 0; tier < tiers; ++tier) {
     AggregatorContext& ctx = contexts_[static_cast<size_t>(tier)];
@@ -52,6 +53,7 @@ QueryTree::QueryTree(const QueryTreeModel& model, const WaitPolicy& policy_proto
     ctx.upper_quality = &(*stack)[static_cast<size_t>(tier + 1)];
     ctx.epsilon = model_.epsilon();
     ctx.table_store = model_.options().table_store;
+    ctx.offline_wait = &offline_waits_[static_cast<size_t>(tier)];
     if (trace_ptr != nullptr) {
       trace_ptr->RecordTierPlan(tier, offset);
     }

@@ -4,11 +4,13 @@
 //
 // A QueryTree owns everything about a query that does not depend on how its
 // leaf processes are scheduled:
-//  * the quality-curve stack its policies consult (the engine's offline
-//    stack, or one built from the query's true upper stages when the
-//    knowledge model grants it);
+//  * the upper quality curves its policies consult (the engine's offline
+//    curves, or ones built from the query's true upper stages when the
+//    knowledge model grants it); the full-tree curve is never built;
 //  * the per-tier AggregatorContexts, with tier i's start offset planned by
 //    a scratch policy clone as tier i-1's initial wait;
+//  * one offline-wait memo per tier, so the tier's offline-optimal send
+//    time is computed once per query, not once per aggregator;
 //  * one AggregatorNode per aggregator, each with its own policy clone;
 //  * the upward send chain: a tier-t node's result ships with the sampled
 //    stage-(t+1) duration of its own edge to parent index / fanout;
@@ -90,7 +92,8 @@ class QueryTreeModel {
   double deadline() const { return deadline_; }
   double epsilon() const { return epsilon_; }
   const QueryTreeOptions& options() const { return options_; }
-  // Offline q-curves; [i] covers stages [i, n).
+  // Offline q-curves from BuildUpperQualityCurves: [i] covers stages
+  // [i, n) for i >= 1; [0] is empty.
   const std::vector<PiecewiseLinear>& curve_stack() const { return curve_stack_; }
 
  private:
@@ -134,6 +137,7 @@ class QueryTree {
   QueryTraceBuilder trace_;
   std::vector<PiecewiseLinear> query_stack_;  // per-query upper knowledge
   std::vector<AggregatorContext> contexts_;
+  std::vector<OfflineWaitMemo> offline_waits_;  // contexts_[i].offline_wait
   std::vector<std::vector<AggregatorNode>> nodes_;
 
   double included_weight_ = 0.0;

@@ -1,11 +1,20 @@
 #include "src/cluster/loaded_runtime.h"
 
+#include <bit>
+#include <cstdint>
+#include <memory>
+#include <set>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "src/core/policies.h"
+#include "src/core/quality.h"
+#include "src/core/wait_optimizer.h"
 #include "src/sim/realization.h"
 #include "src/sim/tree_simulation.h"
 #include "src/trace/workloads.h"
+#include "tests/memo_checking_policy.h"
 
 namespace cedar {
 namespace {
@@ -144,6 +153,88 @@ TEST(LoadedRuntimeTest, ThreeLevelTreeSupported) {
   LoadedRunResult result = RunLoadedCluster(workload, cedar, config);
   EXPECT_EQ(result.per_query_quality.size(), 20u);
   EXPECT_GT(result.MeanQuality(), 0.0);
+}
+
+TEST(LoadedRuntimeTest, JobsInFlightKeepSeparateOfflineWaitMemos) {
+  // Arrivals 50 apart under a 1000 deadline keep many jobs in flight at
+  // once. Each job's per-query upper curves give it its own offline waits,
+  // so a memo shared between jobs would hand one job another's wait.
+  for (int levels : {2, 3}) {
+    auto workload =
+        levels == 2 ? MakeFacebookWorkload(10, 8) : MakeFacebookThreeLevelWorkload(5, 4, 4);
+    LoadedRunConfig config = BaseConfig();
+    config.mean_interarrival = 50.0;
+    for (int which = 0; which < 2; ++which) {
+      auto log = std::make_shared<std::vector<MemoCheck>>();
+      std::unique_ptr<WaitPolicy> inner;
+      if (which == 0) {
+        inner = std::make_unique<CedarPolicy>();
+      } else {
+        inner = std::make_unique<OfflineOptimalPolicy>();
+      }
+      MemoCheckingPolicy policy(std::move(inner), log);
+      RunLoadedCluster(workload, policy, config);
+      std::set<const OfflineWaitMemo*> memos;
+      std::set<double> tier0_waits;
+      for (const MemoCheck& check : *log) {
+        ASSERT_NE(check.memo, nullptr);
+        ASSERT_EQ(std::bit_cast<uint64_t>(check.got), std::bit_cast<uint64_t>(check.want))
+            << policy.name() << " tier " << check.tier << " levels " << levels;
+        memos.insert(check.memo);
+        if (check.tier == 0) {
+          tier0_waits.insert(check.got);
+        }
+      }
+      // Jobs live until the run ends, so no memo address is reused: one memo
+      // per (job, tier), and the jobs' waits really differ.
+      EXPECT_EQ(memos.size(), static_cast<size_t>(config.num_queries * (levels - 1)));
+      EXPECT_GT(tier0_waits.size(), 1u);
+    }
+  }
+}
+
+TEST(LoadedRuntimeTest, NullMemoContextComputesTheOfflineWaitDirectly) {
+  TreeSpec tree = MakeFacebookWorkload(10, 8).OfflineTree();
+  const double deadline = 1000.0;
+  auto upper = BuildUpperQualityCurves(tree, deadline);
+  AggregatorContext ctx;
+  ctx.deadline = deadline;
+  ctx.fanout = 10;
+  ctx.offline_tree = &tree;
+  ctx.upper_quality = &upper[1];
+  ctx.epsilon = deadline / 400.0;
+  for (double start_offset : {0.0, 200.0}) {
+    ctx.start_offset = start_offset;
+    // The offline wait as computed before the memo existed.
+    double today = start_offset + OptimizeWait(*tree.stage(0).duration, ctx.fanout, upper[1],
+                                               deadline - start_offset, ctx.epsilon)
+                                      .wait;
+    CedarPolicy cedar;
+    OfflineOptimalPolicy offline;
+    for (WaitPolicy* prototype : {static_cast<WaitPolicy*>(&cedar),
+                                  static_cast<WaitPolicy*>(&offline)}) {
+      ctx.offline_wait = nullptr;
+      auto bare = prototype->Clone();
+      bare->BeginQuery(ctx, nullptr);
+      EXPECT_EQ(std::bit_cast<uint64_t>(bare->DecideInitialWait(ctx)),
+                std::bit_cast<uint64_t>(today))
+          << prototype->name();
+
+      // With a memo, the first decision fills it and later ones read it.
+      OfflineWaitMemo memo;
+      ctx.offline_wait = &memo;
+      auto first = prototype->Clone();
+      first->BeginQuery(ctx, nullptr);
+      EXPECT_EQ(std::bit_cast<uint64_t>(first->DecideInitialWait(ctx)),
+                std::bit_cast<uint64_t>(today));
+      EXPECT_TRUE(memo.filled);
+      EXPECT_EQ(std::bit_cast<uint64_t>(memo.send_time), std::bit_cast<uint64_t>(today));
+      memo.send_time = 123.0;
+      auto second = prototype->Clone();
+      second->BeginQuery(ctx, nullptr);
+      EXPECT_EQ(second->DecideInitialWait(ctx), 123.0) << prototype->name();
+    }
+  }
 }
 
 TEST(LoadedRuntimeDeathTest, RejectsBadConfig) {

@@ -1,0 +1,140 @@
+// QueryTree set-up work: which curves a query folds, how many offline scans
+// its tiers run, and that the per-tier offline-wait memo changes no wait.
+
+#include "src/sim/query_tree.h"
+
+#include <bit>
+#include <cstdint>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "src/core/policies.h"
+#include "src/obs/profiler.h"
+#include "src/sim/realization.h"
+#include "src/sim/tree_simulation.h"
+#include "src/trace/workloads.h"
+#include "tests/memo_checking_policy.h"
+
+namespace cedar {
+namespace {
+
+constexpr double kDeadline = 1000.0;
+
+int64_t ProfileCalls(const std::string& name) {
+  for (const ProfileSample& sample : CollectProfileSamples()) {
+    if (sample.name == name) {
+      return sample.calls;
+    }
+  }
+  return 0;
+}
+
+MetaLogNormalWorkload WorkloadWithLevels(int levels) {
+  return levels == 2 ? MakeFacebookWorkload(6, 5) : MakeFacebookThreeLevelWorkload(4, 3, 3);
+}
+
+QueryRealization DrawRealization(const Workload& workload, uint64_t sequence) {
+  Rng rng(sequence);
+  QueryTruth truth = workload.DrawQuery(rng);
+  truth.sequence = sequence;
+  return SampleRealization(workload.OfflineTree(), truth, rng);
+}
+
+// Profiling is process-global: every test starts and ends with it off and
+// zeroed.
+class QueryTreeTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    SetProfilingEnabled(false);
+    ResetProfile();
+  }
+  void TearDown() override {
+    SetProfilingEnabled(false);
+    ResetProfile();
+  }
+};
+
+TEST_F(QueryTreeTest, FoldsOnlyTheStagesAboveTierZero) {
+  // The engine's offline curves and each query's per-query curves skip the
+  // stage-0 fold: a 2-level tree folds nothing, a 3-level tree folds stage 1.
+  for (int levels : {2, 3}) {
+    auto workload = WorkloadWithLevels(levels);
+    QueryRealization realization = DrawRealization(workload, 11);
+    ProportionalSplitPolicy policy;
+
+    TreeSimulationOptions options;
+    options.per_query_upper_knowledge = true;
+    SetProfilingEnabled(true);
+    TreeSimulation sim(workload.OfflineTree(), kDeadline, options);
+    EXPECT_EQ(ProfileCalls("quality.fold_stage"), levels - 2) << "offline, levels " << levels;
+
+    ResetProfile();
+    sim.RunQuery(policy, realization);
+    EXPECT_EQ(ProfileCalls("quality.fold_stage"), levels - 2) << "per query, levels " << levels;
+    SetProfilingEnabled(false);
+    ResetProfile();
+  }
+}
+
+TEST_F(QueryTreeTest, OneOfflineScanPerTierBeforeAnyLeaf) {
+  for (int levels : {2, 3}) {
+    auto workload = WorkloadWithLevels(levels);
+    QueryTreeModel model(workload.OfflineTree(), kDeadline, QueryTreeOptions{});
+    QueryRealization realization = DrawRealization(workload, 12);
+    CedarPolicy cedar;
+    OfflineOptimalPolicy offline;
+    for (const WaitPolicy* policy : {static_cast<const WaitPolicy*>(&cedar),
+                                     static_cast<const WaitPolicy*>(&offline)}) {
+      SetProfilingEnabled(true);
+      QueryTree tree(model, *policy, realization, "sim");
+      EventQueue queue;
+      tree.Start(queue);
+      EXPECT_EQ(ProfileCalls("wait_optimizer.optimize_wait"), levels - 1)
+          << policy->name() << ", levels " << levels;
+      SetProfilingEnabled(false);
+      ResetProfile();
+    }
+  }
+}
+
+TEST_F(QueryTreeTest, EveryNodeInitialWaitMatchesMemolessInstance) {
+  for (int levels : {2, 3}) {
+    auto workload = WorkloadWithLevels(levels);
+    const TreeSpec& tree = workload.OfflineTree();
+    long long nodes = 0;
+    for (int tier = 0; tier < tree.num_aggregator_tiers(); ++tier) {
+      nodes += StageEdgeCount(tree, tier + 1);
+    }
+    for (bool per_query : {true, false}) {
+      TreeSimulationOptions options;
+      options.per_query_upper_knowledge = per_query;
+      TreeSimulation sim(tree, kDeadline, options);
+      for (int which = 0; which < 2; ++which) {
+        auto log = std::make_shared<std::vector<MemoCheck>>();
+        std::unique_ptr<WaitPolicy> inner;
+        if (which == 0) {
+          inner = std::make_unique<CedarPolicy>();
+        } else {
+          inner = std::make_unique<OfflineOptimalPolicy>();
+        }
+        MemoCheckingPolicy policy(std::move(inner), log);
+        for (uint64_t q = 1; q <= 3; ++q) {
+          sim.RunQuery(policy, DrawRealization(workload, 100 + q));
+        }
+        // Every node, plus the scratch plan of each tier below the top.
+        ASSERT_EQ(log->size(), 3u * static_cast<size_t>(nodes + levels - 2));
+        for (const MemoCheck& check : *log) {
+          ASSERT_NE(check.memo, nullptr);
+          ASSERT_EQ(std::bit_cast<uint64_t>(check.got), std::bit_cast<uint64_t>(check.want))
+              << policy.name() << " tier " << check.tier << " levels " << levels;
+        }
+      }
+    }
+  }
+}
+
+}  // namespace
+}  // namespace cedar
