@@ -1,7 +1,8 @@
 // Microbenchmarks for the CalculateWait machinery (§5.2 claims Cedar's
 // algorithm completes "within tens of milliseconds even without
 // parallelization"): one-shot OptimizeWait at several scan resolutions, the
-// WaitScan grid build and a re-optimization on a built grid, quality-curve
+// WaitScan grid build and a re-optimization on a built grid (also on the
+// Figure 14 shape, with the steps the early exit runs), quality-curve
 // construction, full tree planning, and one query tree's per-query set-up.
 
 #include <benchmark/benchmark.h>
@@ -13,6 +14,7 @@
 #include "src/core/quality.h"
 #include "src/core/wait_optimizer.h"
 #include "src/core/wait_table.h"
+#include "src/obs/metrics.h"
 #include "src/sim/event_queue.h"
 #include "src/sim/query_tree.h"
 #include "src/sim/realization.h"
@@ -79,6 +81,39 @@ void BM_WaitScanOptimize(benchmark::State& state) {
   state.SetLabel("scan_steps=" + std::to_string(state.range(0)));
 }
 BENCHMARK(BM_WaitScanOptimize)->Arg(100)->Arg(400)->Arg(1000)->Arg(4000);
+
+void BM_WaitScanOptimizeInteractive(benchmark::State& state) {
+  // The same re-optimization on the Figure 14 shape: a Facebook-ms bottom
+  // (and fits around it) under a Google top, k = 50, D = 155 ms. Here the
+  // best wait is proven final well before the end of the grid, so the early
+  // exit skips a share of the steps; steps_run and steps count them per
+  // call, measured once outside the timed loop.
+  const double deadline = 155.0;
+  auto upper = TabulateCdf(LogNormalDistribution(kGoogleMu, kGoogleSigma), deadline, 401);
+  const WaitScan scan(upper, deadline, deadline / 400.0);
+  std::vector<LogNormalDistribution> fits;
+  for (int i = 0; i < 16; ++i) {
+    fits.emplace_back(kFacebookMapMu + 0.02 * i, kFacebookMapSigma * (1.0 + 0.01 * i));
+  }
+  MetricsRegistry& registry = MetricsRegistry::Global();
+  const long long run_before = registry.GetCounter("wait_optimizer.scan_steps_run").Value();
+  SetMetricsEnabled(true);
+  for (const auto& fit : fits) {
+    benchmark::DoNotOptimize(scan.Optimize(fit, 50));
+  }
+  SetMetricsEnabled(false);
+  const long long run = registry.GetCounter("wait_optimizer.scan_steps_run").Value() - run_before;
+  size_t next = 0;
+  for (auto _ : state) {
+    WaitDecision decision = scan.Optimize(fits[next], 50);
+    benchmark::DoNotOptimize(decision);
+    next = (next + 1) % fits.size();
+  }
+  state.counters["steps_run"] = static_cast<double>(run) / static_cast<double>(fits.size());
+  state.counters["steps"] = static_cast<double>(scan.steps());
+  state.SetLabel("k=50, D=155");
+}
+BENCHMARK(BM_WaitScanOptimizeInteractive);
 
 void BM_BuildQualityCurve(benchmark::State& state) {
   TreeSpec tree = BenchTree(static_cast<int>(state.range(0)));

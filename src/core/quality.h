@@ -59,6 +59,16 @@ struct GainLossScan {
     }
     return false;
   }
+
+  // True when no later step can make q tie or beat best_q, so a scan may
+  // stop without changing its answer. |phi| is Phi_X1 at the point just
+  // reached, |upper_next| is q_{n-1} one point further on, and |headroom|
+  // is twice the curve's rises from the point just reached onwards plus a
+  // bound on q's accumulated rounding (WaitScan derives both; DESIGN.md §4
+  // has the proof). Strictly below best_q keeps the later-wait tie rule.
+  bool Settled(double phi, double upper_next, double headroom) const {
+    return q + (1.0 - phi) * upper_next + headroom < best_q;
+  }
 };
 
 // Expected number of outputs received by time t at an aggregator with fanout

@@ -1,11 +1,13 @@
 #include "src/core/wait_optimizer.h"
 
 #include <algorithm>
+#include <cfloat>
 #include <cmath>
 #include <limits>
 #include <vector>
 
 #include "src/common/logging.h"
+#include "src/obs/metrics.h"
 #include "src/obs/profiler.h"
 
 namespace cedar {
@@ -22,7 +24,10 @@ WaitScan::WaitScan(const PiecewiseLinear& upper_quality, double deadline, double
   points_.reserve(static_cast<size_t>(steps) + 2);
   auto add_point = [&](double c) {
     double log_c = c > 0.0 ? std::log(c) : -std::numeric_limits<double>::infinity();
-    points_.push_back({c, log_c, upper_quality(deadline - c)});
+    double upper = upper_quality(deadline - c);
+    CEDAR_CHECK(!(upper < 0.0 || upper > 1.0))
+        << "upper quality " << upper << " at " << deadline - c << " is outside [0, 1]";
+    points_.push_back({c, log_c, upper, 0.0});
   };
   // The accumulated grid of Pseudocode 2: c2 = min(c + eps, deadline) of one
   // step is the next step's c, or the deadline on the last step.
@@ -30,6 +35,28 @@ WaitScan::WaitScan(const PiecewiseLinear& upper_quality, double deadline, double
     add_point(c);
   }
   add_point(deadline);
+
+  // Settled's headroom. With u_i = points_[i].upper, R_j is the sum over
+  // i >= j of max(0, u_{i+1} - u_i), the curve's rises from point j on (all
+  // zero for a monotone curve); point j + 1 carries 2 R_j, since Optimize
+  // reads it before step j + 1.
+  double rises = 0.0;
+  for (size_t j = points_.size() - 1; j > 0; --j) {
+    rises += std::max(0.0, points_[j].upper - points_[j - 1].upper);
+    points_[j].headroom = 2.0 * rises;
+  }
+  // Rounding slack, so the bound holds for the computed q and not only the
+  // exact sum. With 0 <= Phi^k <= Phi <= 1 and 0 <= u <= 1, |q| stays below
+  // 2 + 2 R_0, so one step's five rounded differences and products and its
+  // rounded sum drift q by under (4.5 + R_0) DBL_EPSILON. Summing R_j in
+  // floating point can understate 2 R_j by 2 R_0 steps DBL_EPSILON, and the
+  // bound's own four operations add under (6 + 8 R_0) DBL_EPSILON. For
+  // steps >= 2 (with one step there is nothing later to skip) all of it is
+  // below 8 (1 + R_0) steps DBL_EPSILON.
+  double slack = 8.0 * (1.0 + rises) * static_cast<double>(points_.size() - 1) * DBL_EPSILON;
+  for (Point& point : points_) {
+    point.headroom += slack;
+  }
 }
 
 WaitDecision WaitScan::Optimize(const Distribution& bottom, int fanout) const {
@@ -39,18 +66,40 @@ WaitDecision WaitScan::Optimize(const Distribution& bottom, int fanout) const {
   if (points_.empty()) {
     return decision;
   }
+  // Phi^k only enters the loss as Phi - Phi^k. For k >= 2 and
+  // Phi < 2^(-56/(k-1)), Phi^k < Phi 2^-56, a quarter of the half-ulp
+  // Phi 2^-54 below Phi, so fl(Phi - pow(Phi, k)) == Phi even with pow's
+  // own error and the threshold's rounding: pass 0 and skip the pow. For
+  // k == 1, pow(Phi, 1) == Phi.
+  const double pow_floor = fanout > 1 ? std::exp2(-56.0 / (fanout - 1)) : 0.0;
+  auto phi_pow = [fanout, pow_floor](double phi) {
+    if (fanout == 1) {
+      return phi;
+    }
+    return phi < pow_floor ? 0.0 : std::pow(phi, fanout);
+  };
   GainLossScan scan;
   double best_wait = 0.0;
   double phi = bottom.CdfWithLog(points_[0].c, points_[0].log_c);
   double upper_c = points_[0].upper;
-  for (size_t j = 1; j < points_.size(); ++j) {
+  size_t j = 1;
+  for (; j < points_.size(); ++j) {
     const Point& next = points_[j];
+    if (scan.Settled(phi, next.upper, next.headroom)) {
+      break;  // no step from here on can tie best_q
+    }
     double phi2 = bottom.CdfWithLog(next.c, next.log_c);
-    if (scan.Step(phi, phi2, std::pow(phi, fanout), upper_c, next.upper)) {
+    if (scan.Step(phi, phi2, phi_pow(phi), upper_c, next.upper)) {
       best_wait = next.c;
     }
     phi = phi2;
     upper_c = next.upper;
+  }
+  if (MetricsEnabled()) {
+    static Counter& total = MetricsRegistry::Global().GetCounter("wait_optimizer.scan_steps");
+    static Counter& run = MetricsRegistry::Global().GetCounter("wait_optimizer.scan_steps_run");
+    total.Increment(static_cast<long long>(steps()));
+    run.Increment(static_cast<long long>(j - 1));
   }
   decision.wait = best_wait;
   decision.expected_quality = Clamp(scan.best_q, 0.0, 1.0);

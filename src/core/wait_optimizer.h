@@ -39,16 +39,23 @@ class WaitScan {
   static constexpr double kMaxSteps = 1 << 24;
 
   // |upper_quality| is the q-curve of everything above the aggregator (for
-  // a two-level tree: the tabulated CDF of X2) and is only read here.
-  // A non-positive or NaN |deadline| gives an empty grid. Fatal if
-  // epsilon <= 0 or the step count exceeds kMaxSteps.
+  // a two-level tree: the tabulated CDF of X2) and is only read here; its
+  // values must lie in [0, 1], as every q-curve's do. A non-positive or NaN
+  // |deadline| gives an empty grid. Fatal if epsilon <= 0, the step count
+  // exceeds kMaxSteps or a grid point's curve value is outside [0, 1].
   WaitScan(const PiecewiseLinear& upper_quality, double deadline, double epsilon);
 
   // CalculateWait for |bottom|, this aggregator's child-duration
   // distribution (X1 from its viewpoint), and |fanout| children: walks the
   // grid through GainLossScan, carrying Phi(c2) and q_{n-1}(deadline - c2)
   // into the next step (step j's c2 is exactly c_{j+1}), so each step costs
-  // one CDF evaluation and one pow. Ties pick the later wait.
+  // at most one CDF evaluation and one pow. Ties pick the later wait. The
+  // walk skips only work that provably cannot change the answer, which is
+  // bitwise that of the full scan: it stops once GainLossScan::Settled
+  // proves no later wait can tie the best, and it skips pow where
+  // Phi^fanout is too small to change Phi - Phi^fanout (DESIGN.md §4).
+  // With metrics on, adds the grid's steps to wait_optimizer.scan_steps and
+  // the steps it ran to wait_optimizer.scan_steps_run.
   WaitDecision Optimize(const Distribution& bottom, int fanout) const;
 
   // Number of scan steps (grid points minus one; 0 for an empty grid).
@@ -59,6 +66,9 @@ class WaitScan {
     double c;
     double log_c;
     double upper;  // q_{n-1}(deadline - c)
+    // Settled's headroom once the scan has reached the point before this
+    // one: twice the curve's rises from there on, plus the rounding slack.
+    double headroom;
   };
   std::vector<Point> points_;
 };

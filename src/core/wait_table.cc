@@ -95,6 +95,9 @@ double WaitTable::LookupSpec(const DistributionSpec& fitted) const {
   CEDAR_CHECK(fitted.family == spec_.family)
       << "wait table family mismatch: " << DistributionFamilyName(fitted.family) << " vs "
       << DistributionFamilyName(spec_.family);
+  // Lookup casts the grid position to int, which is undefined for NaN.
+  CEDAR_CHECK(std::isfinite(fitted.p1) && std::isfinite(fitted.p2))
+      << "non-finite fit (" << fitted.p1 << ", " << fitted.p2 << ") for a wait table lookup";
   return Lookup(fitted.p1, fitted.p2);
 }
 

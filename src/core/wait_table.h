@@ -59,7 +59,8 @@ class WaitTable {
   // parameters. Out-of-grid values clamp to the edge.
   double Lookup(double location, double scale) const;
 
-  // Like Lookup but takes a fitted spec (family must match).
+  // Like Lookup but takes a fitted spec. Fatal if the family does not match
+  // or a parameter is not finite.
   double LookupSpec(const DistributionSpec& fitted) const;
 
   // Number of Lookup calls that clamped at least one axis (atomic: lookups

@@ -157,7 +157,9 @@ constexpr double kMinScale = 1e-9;
 
 std::optional<DistributionSpec> ToSpec(DistributionFamily family,
                                        const std::optional<LocationScaleEstimate>& est) {
-  if (!est.has_value()) {
+  // A non-finite fit is no fit: a NaN scale would pass the floor below
+  // (std::max(NaN, kMinScale) is NaN) and reach the policies.
+  if (!est.has_value() || !std::isfinite(est->location) || !std::isfinite(est->scale)) {
     return std::nullopt;
   }
   DistributionSpec spec;

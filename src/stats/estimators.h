@@ -61,7 +61,8 @@ std::optional<LocationScaleEstimate> EstimateNormalEmpirical(const std::vector<d
 // Convenience dispatcher used by the online learner: order-statistics fit of
 // |family| (kLogNormal, kNormal, or kExponential). Other families fall back
 // to log-normal, matching the paper's observation that log-normal fits all
-// production traces.
+// production traces. Both dispatchers return nullopt for a fit with a
+// non-finite location or scale.
 std::optional<DistributionSpec> FitSpecFromOrderStats(
     DistributionFamily family, const std::vector<double>& times, int k,
     OrderScoreMethod method = OrderScoreMethod::kExact);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <tuple>
 #include <vector>
 
@@ -154,6 +155,27 @@ TEST(EstimatorEdgeCasesTest, IdenticalTimesGiveZeroScale) {
   ASSERT_TRUE(est.has_value());
   EXPECT_DOUBLE_EQ(est->scale, 0.0);
   EXPECT_NEAR(est->location, std::log(2.0), 0.5);
+}
+
+TEST(FitSpecTest, NonFiniteFitsAreNoFit) {
+  // A NaN or infinite arrival makes the location or scale non-finite; the
+  // dispatchers must return nullopt rather than a spec the policies would
+  // scan (a NaN scale used to pass the kMinScale floor).
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (auto family : {DistributionFamily::kLogNormal, DistributionFamily::kNormal}) {
+    EXPECT_FALSE(FitSpecFromOrderStats(family, {1.0, 2.0, inf}, 10).has_value());
+    EXPECT_FALSE(FitSpecFromOrderStats(family, {1.0, 2.0, nan}, 10).has_value());
+    EXPECT_FALSE(FitSpecEmpirical(family, {1.0, nan}).has_value());
+    EXPECT_FALSE(FitSpecEmpirical(family, {1.0, inf}).has_value());
+  }
+  EXPECT_FALSE(FitSpecEmpirical(DistributionFamily::kExponential, {1.0, nan}).has_value());
+  EXPECT_FALSE(FitSpecFromOrderStats(DistributionFamily::kExponential, {1.0, inf}, 10)
+                   .has_value());
+  // Finite fits are unaffected.
+  EXPECT_TRUE(FitSpecFromOrderStats(DistributionFamily::kLogNormal, {1.0, 2.0, 3.0}, 10)
+                  .has_value());
+  EXPECT_TRUE(FitSpecEmpirical(DistributionFamily::kNormal, {1.0, 2.0}).has_value());
 }
 
 TEST(EstimatorDeathTest, UnsortedArrivalsDie) {

@@ -6,9 +6,12 @@
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/obs/metrics.h"
+#include "src/trace/calibration.h"
 #include "tests/test_distributions.h"
 
 namespace cedar {
@@ -112,6 +115,199 @@ TEST(WaitScanTest, BitIdenticalToReferenceLoop) {
   }
 }
 
+// Steps a WaitScan::Optimize call runs and its grid's step count, read from
+// the wait_optimizer.scan_steps{,_run} counters.
+struct StepCount {
+  long long run = 0;
+  long long total = 0;
+};
+
+StepCount CountSteps(const WaitScan& scan, const Distribution& bottom, int fanout) {
+  MetricsRegistry& registry = MetricsRegistry::Global();
+  Counter& total = registry.GetCounter("wait_optimizer.scan_steps");
+  Counter& run = registry.GetCounter("wait_optimizer.scan_steps_run");
+  const long long total_before = total.Value();
+  const long long run_before = run.Value();
+  SetMetricsEnabled(true);
+  scan.Optimize(bottom, fanout);
+  SetMetricsEnabled(false);
+  return {run.Value() - run_before, total.Value() - total_before};
+}
+
+// Checks the pruned scan against the reference loop for every family and
+// the fanouts the pow floor treats differently (k == 1 passes Phi itself;
+// for k = 2^20 the floor is ~0.99996), on |upper| over the budget |deadline|.
+void ExpectPrunedMatchesReference(const PiecewiseLinear& upper, double deadline,
+                                  double epsilon, Rng& rng, const std::string& where) {
+  const WaitScan scan(upper, deadline, epsilon);
+  for (const auto& bottom : OneOfEachFamily(rng, deadline)) {
+    for (int fanout : {1, 2, 50, 1000, 1 << 20}) {
+      ExpectSameBits(scan.Optimize(*bottom, fanout),
+                     ReferenceOptimizeWait(*bottom, fanout, upper, deadline, epsilon),
+                     where + " " + bottom->ToString() + " fanout " + std::to_string(fanout));
+    }
+  }
+}
+
+bool HasFallingSample(const PiecewiseLinear& curve) {
+  const std::vector<double>& ys = curve.ys();
+  for (size_t i = 1; i < ys.size(); ++i) {
+    if (ys[i] < ys[i - 1]) {
+      return true;
+    }
+  }
+  return false;
+}
+
+TEST(WaitScanTest, PrunedScanExactOnNonMonotoneFolds) {
+  // A folded curve can fall by an ulp or two from one sample to the next
+  // (each sample is its own rounded scan), so the scan's u_j can rise as c
+  // grows and Settled must count the rises. Such
+  // folds come from narrow stages; this draws random 3-level trees until
+  // several folds with a falling sample turn up, and scans each at the full
+  // and at a partial budget.
+  Rng rng(20161018);
+  int non_monotone = 0;
+  for (int trial = 0; trial < 1500 && non_monotone < 4; ++trial) {
+    const double deadline = 50.0 + 950.0 * rng.NextDouble();
+    std::vector<StageSpec> stages;
+    for (int stage = 0; stage < 3; ++stage) {
+      const double median = deadline * (0.01 + 0.5 * rng.NextDouble());
+      const double sigma = 0.01 + 0.3 * rng.NextDouble();
+      const int fanout = 1 + static_cast<int>(200.0 * rng.NextDouble());
+      stages.emplace_back(std::make_shared<LogNormalDistribution>(std::log(median), sigma),
+                          fanout);
+    }
+    const TreeSpec tree(std::move(stages));
+    const PiecewiseLinear upper = BuildUpperQualityCurves(tree, deadline)[1];
+    if (!HasFallingSample(upper)) {
+      continue;
+    }
+    ++non_monotone;
+    const std::string where = "trial " + std::to_string(trial);
+    ExpectPrunedMatchesReference(upper, deadline, deadline / 400.0, rng, where);
+    const double remaining = deadline * (0.2 + 0.7 * rng.NextDouble());
+    ExpectPrunedMatchesReference(upper, remaining, deadline / 400.0, rng,
+                                 where + " remaining " + std::to_string(remaining));
+  }
+  EXPECT_GE(non_monotone, 4) << "too few non-monotone folds to exercise the rise term";
+}
+
+TEST(WaitScanTest, PrunedScanExactOnCurvesThatReachZero) {
+  // Upper stages with a minimum duration: q_{n-1}(d) is 0 for small d, so
+  // the curve reaches 0 before the deadline and the bound's u_{j+1} term
+  // vanishes there.
+  Rng rng(7);
+  for (int trial = 0; trial < 8; ++trial) {
+    const double deadline = 10.0 + 990.0 * rng.NextDouble();
+    const double low = deadline * (0.1 + 0.5 * rng.NextDouble());
+    const std::string where = "trial " + std::to_string(trial);
+    ExpectPrunedMatchesReference(
+        TabulateCdf(UniformDistribution(low, low + 0.3 * deadline), deadline, 401), deadline,
+        deadline / 400.0, rng, where + " uniform upper");
+    ExpectPrunedMatchesReference(
+        TabulateCdf(ParetoDistribution(low, 1.5 + rng.NextDouble()), deadline, 401), deadline,
+        deadline / 400.0, rng, where + " pareto upper");
+  }
+}
+
+TEST(WaitScanTest, PrunedScanCountsTheCurvesRises) {
+  // Hand-made 4-step grid (deadline 4, epsilon 1) whose curve dips to 0 and
+  // comes back: u = q_{n-1}(4 - c) reads 1, 0.5, 0, 1, 1 at c = 0..4. With
+  // Normal(0, 4) and k = 2 the partial sum is -0.08 and -0.20 after steps 1
+  // and 2, then +0.10 and +0.17 after steps 3 and 4. Without the rise term
+  // the bound would stop after step 1 and answer wait 0.
+  const PiecewiseLinear bump({0.0, 1.0, 2.0, 3.0, 4.0}, {1.0, 1.0, 0.0, 0.5, 1.0});
+  const NormalDistribution bottom(0.0, 4.0);
+  const WaitScan scan(bump, 4.0, 1.0);
+  const WaitDecision want = ReferenceOptimizeWait(bottom, 2, bump, 4.0, 1.0);
+  EXPECT_EQ(want.wait, 4.0);
+  EXPECT_GT(want.expected_quality, 0.16);
+  ExpectSameBits(scan.Optimize(bottom, 2), want, "bump");
+}
+
+TEST(WaitScanTest, PrunedScanStopsWhenTheBoundProvesTheBest) {
+  // The same grid with a cliff: u reads 1, 0.5, 0, 0, 0. After step 1 the
+  // partial sum is -0.08 and every later gain is (Phi2 - Phi) * 0, so the
+  // bound q_1 + (1 - Phi_1) u_2 proves the best (0, at wait 0) final and
+  // the scan runs one step. A bound that read u_1 = 0.5 instead would run
+  // two.
+  const PiecewiseLinear cliff({0.0, 1.0, 2.0, 3.0, 4.0}, {0.0, 0.0, 0.0, 0.5, 1.0});
+  const NormalDistribution bottom(0.0, 4.0);
+  const WaitScan scan(cliff, 4.0, 1.0);
+  ExpectSameBits(scan.Optimize(bottom, 2), ReferenceOptimizeWait(bottom, 2, cliff, 4.0, 1.0),
+                 "cliff");
+  const StepCount count = CountSteps(scan, bottom, 2);
+  EXPECT_EQ(count.total, 4);
+  EXPECT_EQ(count.run, 1);
+}
+
+TEST(WaitScanTest, PrunedScanKeepsTheLaterWaitOnTies) {
+  // Once every child has arrived (Phi == 1) each later step adds exactly 0,
+  // so q ties the best to the end of the grid and ">= bestQ" picks the
+  // deadline. A tie is never settled: Settled needs the bound strictly
+  // below best_q, and the rounding slack keeps the bound above it.
+  const double deadline = 100.0;
+  const PiecewiseLinear upper = TabulateCdf(UniformDistribution(0.0, 10.0), deadline, 401);
+  const UniformDistribution bottom(0.0, 50.0);
+  const WaitScan scan(upper, deadline, deadline / 400.0);
+  for (int fanout : {1, 2, 50}) {
+    const WaitDecision want =
+        ReferenceOptimizeWait(bottom, fanout, upper, deadline, deadline / 400.0);
+    EXPECT_EQ(want.wait, deadline);
+    ExpectSameBits(scan.Optimize(bottom, fanout), want, "fanout " + std::to_string(fanout));
+    const StepCount count = CountSteps(scan, bottom, fanout);
+    EXPECT_EQ(count.run, count.total) << "fanout " << fanout;
+  }
+}
+
+TEST(WaitScanTest, PrunedScanExactForNaNBottoms) {
+  // A NaN fit makes q NaN from the first step on: nothing is ever settled,
+  // the whole grid runs, and the answer is the reference's (wait 0).
+  TwoLevelFixture f(2.0, 0.9, 2.0, 0.6, 30, 30, 40.0);
+  const WaitScan scan(f.upper, f.deadline, f.epsilon);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const LogNormalDistribution log_normal(nan, 0.5);
+  const NormalDistribution normal(nan, 1.0);
+  for (const Distribution* bottom : {static_cast<const Distribution*>(&log_normal),
+                                     static_cast<const Distribution*>(&normal)}) {
+    for (int fanout : {1, 2, 50, 1000, 1 << 20}) {
+      const std::string where = bottom->ToString() + " fanout " + std::to_string(fanout);
+      ExpectSameBits(scan.Optimize(*bottom, fanout),
+                     ReferenceOptimizeWait(*bottom, fanout, f.upper, f.deadline, f.epsilon),
+                     where);
+      const StepCount count = CountSteps(scan, *bottom, fanout);
+      EXPECT_EQ(count.run, count.total) << where;
+    }
+  }
+}
+
+TEST(WaitScanTest, PrunedScanSkipsStepsOnTheInteractiveShape) {
+  // The Figure 14 shape: a Facebook-ms bottom (and fits around it) under a
+  // Google top, k = 50, D = 155 ms. The scan must stay exact and skip a
+  // real share of the grid; a silent fall-back to full scans fails here.
+  const double deadline = 155.0;
+  const PiecewiseLinear upper =
+      TabulateCdf(LogNormalDistribution(kGoogleMu, kGoogleSigma), deadline, 401);
+  const WaitScan scan(upper, deadline, deadline / 400.0);
+  long long run = 0;
+  long long total = 0;
+  for (int i = 0; i < 16; ++i) {
+    const LogNormalDistribution fit(kFacebookMapMu + 0.02 * i,
+                                    kFacebookMapSigma * (1.0 + 0.01 * i));
+    ExpectSameBits(scan.Optimize(fit, 50),
+                   ReferenceOptimizeWait(fit, 50, upper, deadline, deadline / 400.0),
+                   "fit " + std::to_string(i));
+    const StepCount count = CountSteps(scan, fit, 50);
+    run += count.run;
+    total += count.total;
+  }
+  ASSERT_EQ(total, 16 * static_cast<long long>(scan.steps()));
+  const double share = static_cast<double>(run) / static_cast<double>(total);
+  EXPECT_GT(share, 0.0);
+  EXPECT_LE(share, 0.85);
+}
+
 TEST(WaitScanTest, EmptyGridWithoutBudget) {
   TwoLevelFixture f(2.0, 0.9, 2.0, 0.6, 30, 30, 40.0);
   for (double deadline : {0.0, -5.0, std::numeric_limits<double>::quiet_NaN()}) {
@@ -127,6 +323,14 @@ TEST(WaitScanTest, EmptyGridWithoutBudget) {
 TEST(WaitScanTest, DefaultGridHasFourHundredSteps) {
   TwoLevelFixture f(2.0, 0.9, 2.0, 0.6, 30, 30, 40.0);
   EXPECT_EQ(WaitScan(f.upper, f.deadline, f.deadline / 400.0).steps(), 400u);
+}
+
+TEST(WaitScanDeathTest, RejectsCurvesOutsideTheUnitInterval) {
+  // The early exit's bound assumes 0 <= q_{n-1} <= 1, as every q-curve is.
+  const PiecewiseLinear above({0.0, 10.0}, {0.0, 1.5});
+  EXPECT_DEATH(WaitScan(above, 10.0, 1.0), "outside \\[0, 1\\]");
+  const PiecewiseLinear below({0.0, 10.0}, {-0.5, 1.0});
+  EXPECT_DEATH(WaitScan(below, 10.0, 1.0), "outside \\[0, 1\\]");
 }
 
 TEST(WaitScanDeathTest, CapsTheStepCount) {

@@ -3,6 +3,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -137,6 +138,20 @@ TEST(WaitTableTest, CedarWithTableMatchesScanQuality) {
   auto table_result = RunExperiment(workload, {&table_cedar}, config);
   EXPECT_NEAR(table_result.Outcome("cedar").MeanQuality(),
               scan_result.Outcome("cedar").MeanQuality(), 0.02);
+}
+
+TEST(WaitTableDeathTest, RejectsNonFiniteFits) {
+  // Lookup casts the grid position to int: a NaN fit must die, not index.
+  TableFixture fixture;
+  WaitTable table(fixture.DefaultSpec(), 50, fixture.upper, 1000.0, fixture.epsilon);
+  DistributionSpec fitted;
+  fitted.family = DistributionFamily::kLogNormal;
+  fitted.p1 = 3.0;
+  fitted.p2 = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_DEATH(table.LookupSpec(fitted), "non-finite fit");
+  fitted.p1 = std::numeric_limits<double>::infinity();
+  fitted.p2 = 0.8;
+  EXPECT_DEATH(table.LookupSpec(fitted), "non-finite fit");
 }
 
 TEST(WaitTableDeathTest, RejectsBadSpecs) {
