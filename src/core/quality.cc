@@ -8,20 +8,9 @@
 
 namespace cedar {
 
-double ExpectedOutputsGivenNotAll(double phi, int k) {
+FanoutPower::FanoutPower(int k)
+    : k_(static_cast<unsigned>(k)), floor_(k > 1 ? std::exp2(-56.0 / (k - 1)) : 0.0) {
   CEDAR_CHECK_GE(k, 1);
-  CEDAR_CHECK(phi >= 0.0 && phi <= 1.0) << "phi out of [0,1]: " << phi;
-  if (phi <= 0.0) {
-    return 0.0;
-  }
-  double phik = std::pow(phi, k);
-  double denom = 1.0 - phik;
-  if (denom <= 0.0) {
-    // phi == 1: conditioning event has probability zero; the limit of the
-    // expression as phi -> 1 is k - 1 (all but the last have arrived).
-    return static_cast<double>(k - 1);
-  }
-  return static_cast<double>(k) * (phi - phik) / denom;
 }
 
 PiecewiseLinear TabulateCdf(const Distribution& dist, double max_d, int grid_points) {
@@ -72,10 +61,11 @@ class StageFold {
     auto steps = static_cast<size_t>(std::ceil(max_d / eps_)) + 1;
     cdf_at_.resize(steps + 1);
     cdf_pow_at_.resize(steps + 1);
+    const FanoutPower power(k);
     for (size_t j = 0; j <= steps; ++j) {
       double phi = dist.Cdf(eps_ * static_cast<double>(j));
       cdf_at_[j] = phi;
-      cdf_pow_at_[j] = std::pow(phi, k);
+      cdf_pow_at_[j] = power(phi);
     }
   }
 

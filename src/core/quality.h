@@ -71,10 +71,40 @@ struct GainLossScan {
   }
 };
 
-// Expected number of outputs received by time t at an aggregator with fanout
-// k over i.i.d. durations with CDF value phi = Phi_X(t), conditioned on not
-// all k having arrived: k * (phi - phi^k) / (1 - phi^k) (Appendix C).
-double ExpectedOutputsGivenNotAll(double phi, int k);
+// The Phi^k1 that GainLossScan::Step's loss term reads, for one fanout k1:
+// built once from k1 and called as power(phi). Both feeders of the kernel
+// use it. For k1 >= 2 it squares and multiplies along the bits of k1, a
+// product of k1 copies of phi with relative error at most
+// gamma_{k1-1} = (k1-1)u / (1 - (k1-1)u), u = 2^-53. Below
+// 2^(-56/(k1-1)) it returns 0: there phi^k1 < phi 2^-56, so
+// fl(phi - phi^k1) == phi and the loss is unchanged, and above it every
+// intermediate power stays >= phi^k1 >= phi 2^-56, clear of subnormals
+// (DESIGN.md §4). For k1 == 1 it returns phi.
+class FanoutPower {
+ public:
+  explicit FanoutPower(int k);
+
+  double operator()(double phi) const {
+    if (k_ == 1) {
+      return phi;
+    }
+    if (phi < floor_) {
+      return 0.0;
+    }
+    double result = (k_ & 1u) ? phi : 1.0;
+    for (unsigned bits = k_ >> 1; bits != 0; bits >>= 1) {
+      phi *= phi;
+      if (bits & 1u) {
+        result *= phi;
+      }
+    }
+    return result;
+  }
+
+ private:
+  unsigned k_;
+  double floor_;
+};
 
 // Tabulates the CDF of |dist| on a uniform grid over [0, max_d]:
 // the base-case curve q_1.

@@ -66,18 +66,7 @@ WaitDecision WaitScan::Optimize(const Distribution& bottom, int fanout) const {
   if (points_.empty()) {
     return decision;
   }
-  // Phi^k only enters the loss as Phi - Phi^k. For k >= 2 and
-  // Phi < 2^(-56/(k-1)), Phi^k < Phi 2^-56, a quarter of the half-ulp
-  // Phi 2^-54 below Phi, so fl(Phi - pow(Phi, k)) == Phi even with pow's
-  // own error and the threshold's rounding: pass 0 and skip the pow. For
-  // k == 1, pow(Phi, 1) == Phi.
-  const double pow_floor = fanout > 1 ? std::exp2(-56.0 / (fanout - 1)) : 0.0;
-  auto phi_pow = [fanout, pow_floor](double phi) {
-    if (fanout == 1) {
-      return phi;
-    }
-    return phi < pow_floor ? 0.0 : std::pow(phi, fanout);
-  };
+  const FanoutPower power(fanout);
   GainLossScan scan;
   double best_wait = 0.0;
   double phi = bottom.CdfWithLog(points_[0].c, points_[0].log_c);
@@ -89,7 +78,7 @@ WaitDecision WaitScan::Optimize(const Distribution& bottom, int fanout) const {
       break;  // no step from here on can tie best_q
     }
     double phi2 = bottom.CdfWithLog(next.c, next.log_c);
-    if (scan.Step(phi, phi2, phi_pow(phi), upper_c, next.upper)) {
+    if (scan.Step(phi, phi2, power(phi), upper_c, next.upper)) {
       best_wait = next.c;
     }
     phi = phi2;

@@ -49,11 +49,10 @@ class WaitScan {
   // distribution (X1 from its viewpoint), and |fanout| children: walks the
   // grid through GainLossScan, carrying Phi(c2) and q_{n-1}(deadline - c2)
   // into the next step (step j's c2 is exactly c_{j+1}), so each step costs
-  // at most one CDF evaluation and one pow. Ties pick the later wait. The
-  // walk skips only work that provably cannot change the answer, which is
-  // bitwise that of the full scan: it stops once GainLossScan::Settled
-  // proves no later wait can tie the best, and it skips pow where
-  // Phi^fanout is too small to change Phi - Phi^fanout (DESIGN.md §4).
+  // one CDF evaluation and one FanoutPower call. Ties pick the later wait.
+  // The walk skips only steps that provably cannot change the answer, which
+  // is bitwise that of the full scan: it stops once GainLossScan::Settled
+  // proves no later wait can tie the best (DESIGN.md §4).
   // With metrics on, adds the grid's steps to wait_optimizer.scan_steps and
   // the steps it ran to wait_optimizer.scan_steps_run.
   WaitDecision Optimize(const Distribution& bottom, int fanout) const;

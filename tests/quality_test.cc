@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <cfloat>
+#include <climits>
 #include <cmath>
 #include <cstdint>
 #include <string>
@@ -20,44 +22,77 @@ TreeSpec GoogleTwoLevel(int k1 = 50, int k2 = 50) {
                             std::make_shared<LogNormalDistribution>(2.94, 0.55), k2);
 }
 
-TEST(ExpectedOutputsTest, Limits) {
-  EXPECT_DOUBLE_EQ(ExpectedOutputsGivenNotAll(0.0, 50), 0.0);
-  // phi -> 1 limit is k - 1.
-  EXPECT_DOUBLE_EQ(ExpectedOutputsGivenNotAll(1.0, 50), 49.0);
-  EXPECT_NEAR(ExpectedOutputsGivenNotAll(1.0 - 1e-13, 50), 49.0, 1e-3);
+// INT_MAX has 31 one-bits: the most squarings and products any fanout takes.
+constexpr int kFanouts[] = {1, 2, 3, 7, 50, 1000, 1 << 20, INT_MAX};
+
+// FanoutPower's documented floor: 2^(-56/(k-1)) for k >= 2, none for k == 1.
+double PowerFloor(int k) { return k > 1 ? std::exp2(-56.0 / (k - 1)) : 0.0; }
+
+// gamma_{k-1} = (k-1)u / (1 - (k-1)u) with u = 2^-53: the relative error
+// bound of a product of k rounded copies of one factor.
+long double Gamma(int k) {
+  const long double ku = static_cast<long double>(k - 1) * std::ldexp(1.0L, -53);
+  return ku / (1.0L - ku);
 }
 
-TEST(ExpectedOutputsTest, MonotoneInPhi) {
-  double prev = 0.0;
-  for (double phi = 0.0; phi <= 1.0; phi += 0.01) {
-    double v = ExpectedOutputsGivenNotAll(phi, 20);
-    EXPECT_GE(v, prev - 1e-12);
-    EXPECT_LE(v, 19.0 + 1e-9);
-    prev = v;
+TEST(FanoutPowerTest, WithinGammaOfTheExactPower) {
+  Rng rng(13);
+  for (int k : kFanouts) {
+    const FanoutPower power(k);
+    const double floor = PowerFloor(k);
+    std::vector<double> phis = {floor, std::nextafter(1.0, 0.0), 1.0};
+    for (int i = 0; i < 2000; ++i) {
+      phis.push_back(floor + (1.0 - floor) * rng.NextDouble());
+    }
+    for (double phi : phis) {
+      const double got = power(phi);
+      const long double exact = powl(static_cast<long double>(phi), k);
+      // powl's own error, a few long-double ulps, is far below 2^-60.
+      const long double bound = (Gamma(k) + std::ldexp(1.0L, -60)) * exact;
+      EXPECT_LE(fabsl(static_cast<long double>(got) - exact), bound)
+          << "k " << k << " phi " << phi;
+      EXPECT_TRUE(got == 0.0 || got >= DBL_MIN) << "k " << k << " phi " << phi << ": " << got;
+    }
+  }
+}
+
+TEST(FanoutPowerTest, FanoutOneReturnsPhi) {
+  Rng rng(14);
+  const FanoutPower power(1);
+  for (int i = 0; i < 1000; ++i) {
+    const double phi = rng.NextDouble();
+    EXPECT_EQ(std::bit_cast<uint64_t>(power(phi)), std::bit_cast<uint64_t>(phi)) << phi;
   }
 }
 
-TEST(ExpectedOutputsTest, MatchesMonteCarlo) {
-  // Condition on "not all arrived" with k=5, phi=0.7 (Appendix C formula).
-  const int k = 5;
-  const double phi = 0.7;
-  Rng rng(3);
-  long long trials = 0;
-  long long arrived_sum = 0;
-  for (int t = 0; t < 200000; ++t) {
-    int arrived = 0;
-    for (int i = 0; i < k; ++i) {
-      if (rng.NextDouble() < phi) {
-        ++arrived;
-      }
+TEST(FanoutPowerTest, EndpointsAreExact) {
+  for (int k : kFanouts) {
+    const FanoutPower power(k);
+    EXPECT_EQ(power(1.0), 1.0) << "k " << k;
+    EXPECT_EQ(power(0.0), 0.0) << "k " << k;
+  }
+}
+
+TEST(FanoutPowerTest, FloorCannotChangeTheLoss) {
+  // Below the floor the helper returns 0. The loss reads Phi - Phi^k, and
+  // there the rounded difference with the real power is Phi itself.
+  Rng rng(15);
+  for (int k : kFanouts) {
+    if (k == 1) {
+      continue;
     }
-    if (arrived < k) {
-      ++trials;
-      arrived_sum += arrived;
+    const FanoutPower power(k);
+    const double floor = PowerFloor(k);
+    std::vector<double> phis = {std::nextafter(floor, 0.0), floor * (1.0 - 1e-9)};
+    for (int i = 0; i < 2000; ++i) {
+      phis.push_back(floor * rng.NextDouble());
+    }
+    for (double phi : phis) {
+      EXPECT_EQ(power(phi), 0.0) << "k " << k << " phi " << phi;
+      EXPECT_EQ(std::bit_cast<uint64_t>(phi - std::pow(phi, k)), std::bit_cast<uint64_t>(phi))
+          << "k " << k << " phi " << phi;
     }
   }
-  double mc = static_cast<double>(arrived_sum) / static_cast<double>(trials);
-  EXPECT_NEAR(ExpectedOutputsGivenNotAll(phi, k), mc, 0.02);
 }
 
 TEST(TabulateCdfTest, MatchesDistribution) {
@@ -129,7 +164,8 @@ double ReferenceScanBestQuality(const std::vector<double>& cdf_at,
   return Clamp(best, 0.0, 1.0);
 }
 
-// BuildQualityCurveStack on the reference scan (FoldStageUnder verbatim).
+// BuildQualityCurveStack on the reference scan (FoldStageUnder verbatim,
+// with Phi^k from the kernel's FanoutPower).
 std::vector<PiecewiseLinear> ReferenceStack(const TreeSpec& tree, double max_d,
                                             const QualityGridOptions& options) {
   int n = tree.num_stages();
@@ -146,7 +182,7 @@ std::vector<PiecewiseLinear> ReferenceStack(const TreeSpec& tree, double max_d,
     for (size_t j = 0; j <= steps; ++j) {
       double phi = dist.Cdf(eps * static_cast<double>(j));
       cdf_at[j] = phi;
-      cdf_pow_at[j] = std::pow(phi, k);
+      cdf_pow_at[j] = FanoutPower(k)(phi);
     }
     double h = max_d / static_cast<double>(options.grid_points - 1);
     std::vector<double> ys(static_cast<size_t>(options.grid_points), 0.0);

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -34,10 +35,11 @@ struct TwoLevelFixture {
 };
 
 // The CalculateWait loop as it was before WaitScan tabulated its grid, kept
-// verbatim as the bit-identity reference.
-WaitDecision ReferenceOptimizeWait(const Distribution& bottom, int fanout,
-                                   const PiecewiseLinear& upper_quality, double deadline,
-                                   double epsilon) {
+// verbatim with its Phi^k as a parameter: |power| maps phi to phi^fanout.
+template <typename Power>
+WaitDecision ReferenceLoop(const Distribution& bottom, Power power,
+                           const PiecewiseLinear& upper_quality, double deadline,
+                           double epsilon) {
   WaitDecision decision;
   if (deadline <= 0.0) {
     return decision;  // no budget: send immediately, expect nothing
@@ -50,7 +52,7 @@ WaitDecision ReferenceOptimizeWait(const Distribution& bottom, int fanout,
     double c2 = std::min(c + epsilon, deadline);
     double phi = bottom.Cdf(c);
     double phi2 = bottom.Cdf(c2);
-    double phik = std::pow(phi, fanout);
+    double phik = power(phi);
     double gain = (phi2 - phi) * upper_quality(deadline - c2);                   // Eqn 3
     double loss = (phi - phik) * (upper_quality(deadline - c) - upper_quality(deadline - c2));
     q += gain - loss;                                                            // Eqn 4
@@ -64,20 +66,36 @@ WaitDecision ReferenceOptimizeWait(const Distribution& bottom, int fanout,
   return decision;
 }
 
-void ExpectSameBits(const WaitDecision& got, const WaitDecision& want, const std::string& where) {
-  EXPECT_EQ(std::bit_cast<uint64_t>(got.wait), std::bit_cast<uint64_t>(want.wait))
-      << where << ": wait " << got.wait << " vs " << want.wait;
-  EXPECT_EQ(std::bit_cast<uint64_t>(got.expected_quality),
-            std::bit_cast<uint64_t>(want.expected_quality))
-      << where << ": expected_quality " << got.expected_quality << " vs "
-      << want.expected_quality;
+// The bit-identity reference: the loop on the kernel's FanoutPower, so it
+// pins WaitScan's grid, carry and pruning bit for bit.
+WaitDecision ReferenceOptimizeWait(const Distribution& bottom, int fanout,
+                                   const PiecewiseLinear& upper_quality, double deadline,
+                                   double epsilon) {
+  return ReferenceLoop(bottom, FanoutPower(fanout), upper_quality, deadline, epsilon);
 }
 
-TEST(WaitScanTest, BitIdenticalToReferenceLoop) {
-  // Seeded random (upper curve, deadline, epsilon) grids; on each, one
-  // reused WaitScan and the one-shot OptimizeWait must reproduce the
-  // reference loop bit for bit for every family and fanout.
+// The loop on std::pow, as it computed Phi^k before FanoutPower.
+WaitDecision StdPowOptimizeWait(const Distribution& bottom, int fanout,
+                                const PiecewiseLinear& upper_quality, double deadline,
+                                double epsilon) {
+  auto power = [fanout](double phi) { return std::pow(phi, fanout); };
+  return ReferenceLoop(bottom, power, upper_quality, deadline, epsilon);
+}
+
+// A scan grid (upper curve, deadline, epsilon) and the bottoms to optimize
+// on it.
+struct ScanFixture {
+  std::string name;
+  PiecewiseLinear upper;
+  double deadline;
+  double epsilon;
+  std::vector<std::shared_ptr<const Distribution>> bottoms;
+};
+
+// Seeded random grids, one family of each bottom on each.
+std::vector<ScanFixture> RandomGrids() {
   Rng rng(20161017);
+  std::vector<ScanFixture> fixtures;
   for (int trial = 0; trial < 24; ++trial) {
     double deadline = 1.0 + 999.0 * rng.NextDouble();
     double epsilon = 0.0;
@@ -97,19 +115,93 @@ TEST(WaitScanTest, BitIdenticalToReferenceLoop) {
     double upper_median = deadline * (0.05 + 0.5 * rng.NextDouble());
     LogNormalDistribution upper_stage(std::log(upper_median), 0.2 + rng.NextDouble());
     PiecewiseLinear upper = TabulateCdf(upper_stage, curve_max, 401);
+    fixtures.push_back({"trial " + std::to_string(trial), std::move(upper), deadline, epsilon,
+                        OneOfEachFamily(rng, deadline)});
+  }
+  return fixtures;
+}
 
-    WaitScan scan(upper, deadline, epsilon);
-    if (trial % 3 == 2) {
+// Upper stages with a minimum duration: q_{n-1}(d) is 0 for small d, so
+// the curve reaches 0 before the deadline.
+std::vector<ScanFixture> CurvesThatReachZero() {
+  Rng rng(7);
+  std::vector<ScanFixture> fixtures;
+  for (int trial = 0; trial < 8; ++trial) {
+    const double deadline = 10.0 + 990.0 * rng.NextDouble();
+    const double low = deadline * (0.1 + 0.5 * rng.NextDouble());
+    const std::string where = "trial " + std::to_string(trial);
+    fixtures.push_back(
+        {where + " uniform upper",
+         TabulateCdf(UniformDistribution(low, low + 0.3 * deadline), deadline, 401), deadline,
+         deadline / 400.0, OneOfEachFamily(rng, deadline)});
+    const double shape = 1.5 + rng.NextDouble();
+    fixtures.push_back({where + " pareto upper",
+                        TabulateCdf(ParetoDistribution(low, shape), deadline, 401), deadline,
+                        deadline / 400.0, OneOfEachFamily(rng, deadline)});
+  }
+  return fixtures;
+}
+
+void ExpectSameBits(const WaitDecision& got, const WaitDecision& want, const std::string& where) {
+  EXPECT_EQ(std::bit_cast<uint64_t>(got.wait), std::bit_cast<uint64_t>(want.wait))
+      << where << ": wait " << got.wait << " vs " << want.wait;
+  EXPECT_EQ(std::bit_cast<uint64_t>(got.expected_quality),
+            std::bit_cast<uint64_t>(want.expected_quality))
+      << where << ": expected_quality " << got.expected_quality << " vs "
+      << want.expected_quality;
+}
+
+TEST(WaitScanTest, BitIdenticalToReferenceLoop) {
+  // On each random grid, one reused WaitScan and the one-shot OptimizeWait
+  // must reproduce the reference loop bit for bit for every family and
+  // fanout.
+  for (const ScanFixture& f : RandomGrids()) {
+    WaitScan scan(f.upper, f.deadline, f.epsilon);
+    if (f.epsilon >= f.deadline) {
       EXPECT_EQ(scan.steps(), 1u);
     }
-    for (const auto& bottom : OneOfEachFamily(rng, deadline)) {
+    for (const auto& bottom : f.bottoms) {
       for (int fanout : {1, 2, 50, 1000}) {
-        std::string where = "trial " + std::to_string(trial) + " " + bottom->ToString() +
-                            " fanout " + std::to_string(fanout);
-        WaitDecision want = ReferenceOptimizeWait(*bottom, fanout, upper, deadline, epsilon);
+        std::string where = f.name + " " + bottom->ToString() + " fanout " +
+                            std::to_string(fanout);
+        WaitDecision want =
+            ReferenceOptimizeWait(*bottom, fanout, f.upper, f.deadline, f.epsilon);
         ExpectSameBits(scan.Optimize(*bottom, fanout), want, where + " (WaitScan)");
-        ExpectSameBits(OptimizeWait(*bottom, fanout, upper, deadline, epsilon), want,
+        ExpectSameBits(OptimizeWait(*bottom, fanout, f.upper, f.deadline, f.epsilon), want,
                        where + " (OptimizeWait)");
+      }
+    }
+  }
+}
+
+// Distance in ulps between two finite doubles of the same sign.
+uint64_t UlpDistance(double a, double b) {
+  const auto ia = std::bit_cast<int64_t>(a);
+  const auto ib = std::bit_cast<int64_t>(b);
+  return ia > ib ? static_cast<uint64_t>(ia - ib) : static_cast<uint64_t>(ib - ia);
+}
+
+TEST(WaitScanTest, WaitsMatchStdPowReference) {
+  // FanoutPower moves Phi^k by a few ulps against std::pow, so
+  // expected_quality may move in its last bits, but no wait may change.
+  std::vector<ScanFixture> fixtures = RandomGrids();
+  for (ScanFixture& f : CurvesThatReachZero()) {
+    fixtures.push_back(std::move(f));
+  }
+  for (const ScanFixture& f : fixtures) {
+    const WaitScan scan(f.upper, f.deadline, f.epsilon);
+    for (const auto& bottom : f.bottoms) {
+      for (int fanout : {1, 2, 50, 1000, 1 << 20}) {
+        const std::string where =
+            f.name + " " + bottom->ToString() + " fanout " + std::to_string(fanout);
+        const WaitDecision got = scan.Optimize(*bottom, fanout);
+        const WaitDecision want =
+            StdPowOptimizeWait(*bottom, fanout, f.upper, f.deadline, f.epsilon);
+        EXPECT_EQ(std::bit_cast<uint64_t>(got.wait), std::bit_cast<uint64_t>(want.wait))
+            << where << ": wait " << got.wait << " vs " << want.wait;
+        EXPECT_LE(UlpDistance(got.expected_quality, want.expected_quality), 8u)
+            << where << ": expected_quality " << got.expected_quality << " vs "
+            << want.expected_quality;
       }
     }
   }
@@ -134,17 +226,16 @@ StepCount CountSteps(const WaitScan& scan, const Distribution& bottom, int fanou
   return {run.Value() - run_before, total.Value() - total_before};
 }
 
-// Checks the pruned scan against the reference loop for every family and
-// the fanouts the pow floor treats differently (k == 1 passes Phi itself;
-// for k = 2^20 the floor is ~0.99996), on |upper| over the budget |deadline|.
-void ExpectPrunedMatchesReference(const PiecewiseLinear& upper, double deadline,
-                                  double epsilon, Rng& rng, const std::string& where) {
-  const WaitScan scan(upper, deadline, epsilon);
-  for (const auto& bottom : OneOfEachFamily(rng, deadline)) {
+// Checks the pruned scan on |f| against the reference loop for every
+// bottom and the fanouts FanoutPower treats differently (k == 1 passes Phi
+// itself; for k = 2^20 the floor is ~0.99996).
+void ExpectPrunedMatchesReference(const ScanFixture& f) {
+  const WaitScan scan(f.upper, f.deadline, f.epsilon);
+  for (const auto& bottom : f.bottoms) {
     for (int fanout : {1, 2, 50, 1000, 1 << 20}) {
       ExpectSameBits(scan.Optimize(*bottom, fanout),
-                     ReferenceOptimizeWait(*bottom, fanout, upper, deadline, epsilon),
-                     where + " " + bottom->ToString() + " fanout " + std::to_string(fanout));
+                     ReferenceOptimizeWait(*bottom, fanout, f.upper, f.deadline, f.epsilon),
+                     f.name + " " + bottom->ToString() + " fanout " + std::to_string(fanout));
     }
   }
 }
@@ -185,29 +276,20 @@ TEST(WaitScanTest, PrunedScanExactOnNonMonotoneFolds) {
     }
     ++non_monotone;
     const std::string where = "trial " + std::to_string(trial);
-    ExpectPrunedMatchesReference(upper, deadline, deadline / 400.0, rng, where);
+    ExpectPrunedMatchesReference(
+        {where, upper, deadline, deadline / 400.0, OneOfEachFamily(rng, deadline)});
     const double remaining = deadline * (0.2 + 0.7 * rng.NextDouble());
-    ExpectPrunedMatchesReference(upper, remaining, deadline / 400.0, rng,
-                                 where + " remaining " + std::to_string(remaining));
+    ExpectPrunedMatchesReference({where + " remaining " + std::to_string(remaining), upper,
+                                  remaining, deadline / 400.0, OneOfEachFamily(rng, remaining)});
   }
   EXPECT_GE(non_monotone, 4) << "too few non-monotone folds to exercise the rise term";
 }
 
 TEST(WaitScanTest, PrunedScanExactOnCurvesThatReachZero) {
-  // Upper stages with a minimum duration: q_{n-1}(d) is 0 for small d, so
-  // the curve reaches 0 before the deadline and the bound's u_{j+1} term
+  // The curve reaches 0 before the deadline, so the bound's u_{j+1} term
   // vanishes there.
-  Rng rng(7);
-  for (int trial = 0; trial < 8; ++trial) {
-    const double deadline = 10.0 + 990.0 * rng.NextDouble();
-    const double low = deadline * (0.1 + 0.5 * rng.NextDouble());
-    const std::string where = "trial " + std::to_string(trial);
-    ExpectPrunedMatchesReference(
-        TabulateCdf(UniformDistribution(low, low + 0.3 * deadline), deadline, 401), deadline,
-        deadline / 400.0, rng, where + " uniform upper");
-    ExpectPrunedMatchesReference(
-        TabulateCdf(ParetoDistribution(low, 1.5 + rng.NextDouble()), deadline, 401), deadline,
-        deadline / 400.0, rng, where + " pareto upper");
+  for (const ScanFixture& f : CurvesThatReachZero()) {
+    ExpectPrunedMatchesReference(f);
   }
 }
 

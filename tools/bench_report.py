@@ -1,0 +1,131 @@
+#!/usr/bin/env python3
+"""Times the figure, extension and app benches and fingerprints their output.
+
+    python3 tools/bench_report.py --build-dir build [--only fig04_bing_rtt,...]
+                                  [--out report.json] [--against old.json]
+
+Runs each bench (build/bench/bench_<name>) with its defaults, one after
+another, and records per bench: wall time, user + system CPU of the child
+(the RUSAGE_CHILDREN delta) and the SHA-256 of its stdout. The JSON report
+goes to --out, or to stdout without it.
+
+With --against, prints each bench's wall and CPU change against an earlier
+report and exits 1 if any bench's stdout hash differs from it or is missing
+there: a refactor that must keep the printed figures byte-identical can be
+checked by running this before and after. Exits 1 as well if a bench fails.
+"""
+
+import argparse
+import hashlib
+import json
+import os
+import resource
+import subprocess
+import sys
+import time
+
+BENCHES = [
+    "fig04_bing_rtt",
+    "fig06_ideal_gap",
+    "fig07_quality",
+    "fig08_improvement_cdf",
+    "fig09_estimation_error",
+    "fig10_empirical",
+    "fig11_online_learning",
+    "fig12_fanout",
+    "fig13_multilevel",
+    "fig14_interactive",
+    "fig15_cosmos",
+    "fig16_sigma_sweep",
+    "fig17_gaussian",
+    "ablation",
+    "ext_cluster",
+    "ext_robustness",
+    "app_quality",
+]
+
+
+def child_cpu_s():
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
+def run_bench(build_dir, name):
+    binary = os.path.join(build_dir, "bench", "bench_" + name)
+    cpu_before = child_cpu_s()
+    start = time.perf_counter()
+    result = subprocess.run([binary], stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+    wall_s = time.perf_counter() - start
+    return {
+        "wall_s": round(wall_s, 3),
+        "cpu_s": round(child_cpu_s() - cpu_before, 3),
+        "stdout_sha256": hashlib.sha256(result.stdout).hexdigest(),
+        "exit_code": result.returncode,
+    }
+
+
+def compare(report, old, out):
+    """Prints per-bench deltas against |old| to |out|; False on a hash mismatch."""
+    identical = True
+    print(f"{'bench':<24} {'wall_s old -> new':>22} {'cpu_s old -> new':>22}  stdout", file=out)
+    for name, new in report["benches"].items():
+        before = old["benches"].get(name)
+        if before is None:
+            print(f"{name:<24} {'':>22} {'':>22}  missing from the old report", file=out)
+            identical = False
+            continue
+        same = before["stdout_sha256"] == new["stdout_sha256"]
+        identical = identical and same
+        wall = f"{before['wall_s']:.2f} -> {new['wall_s']:.2f}"
+        cpu = f"{before['cpu_s']:.2f} -> {new['cpu_s']:.2f}"
+        print(f"{name:<24} {wall:>22} {cpu:>22}  {'identical' if same else 'DIFFERS'}",
+              file=out)
+    return identical
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--build-dir", required=True, help="CMake build tree holding bench/")
+    parser.add_argument("--only", help="comma-separated bench names (default: all 17)")
+    parser.add_argument("--out", help="write the JSON report here (default: stdout)")
+    parser.add_argument("--against", help="earlier report to compare against")
+    args = parser.parse_args()
+
+    names = BENCHES
+    if args.only:
+        names = args.only.split(",")
+        unknown = [name for name in names if name not in BENCHES]
+        if unknown:
+            parser.error("unknown bench: " + ", ".join(unknown))
+
+    report = {"build_dir": args.build_dir, "benches": {}}
+    for name in names:
+        report["benches"][name] = run_bench(args.build_dir, name)
+    benches = report["benches"].values()
+    report["total"] = {
+        "wall_s": round(sum(b["wall_s"] for b in benches), 3),
+        "cpu_s": round(sum(b["cpu_s"] for b in benches), 3),
+    }
+
+    text = json.dumps(report, indent=2) + "\n"
+    if args.out:
+        with open(args.out, "w") as out:
+            out.write(text)
+    else:
+        sys.stdout.write(text)
+
+    ok = True
+    for name, bench in report["benches"].items():
+        if bench["exit_code"] != 0:
+            print(f"bench_report: {name} exited with {bench['exit_code']}", file=sys.stderr)
+            ok = False
+    if args.against:
+        with open(args.against) as f:
+            old = json.load(f)
+        # With the report on stdout, the comparison goes to stderr.
+        ok = compare(report, old, sys.stdout if args.out else sys.stderr) and ok
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
