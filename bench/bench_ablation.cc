@@ -1,5 +1,6 @@
 // Ablations of Cedar's design choices (DESIGN.md §5):
-//  * scan step epsilon — discretization error of CalculateWait;
+//  * grid step epsilon — discretization error of CalculateWait and of the
+//    quality curves (epsilon is both the scan step and the curve spacing);
 //  * minimum samples before trusting the online fit;
 //  * re-optimization frequency (every arrival vs every n-th);
 //  * exact integrated order-statistic scores vs Blom's approximation.
@@ -19,13 +20,13 @@ namespace {
 using namespace cedar;
 
 double CedarQuality(const Workload& workload, const CedarPolicyOptions& cedar_options,
-                    double deadline, int queries, uint64_t seed, double epsilon_fraction) {
+                    double deadline, int queries, uint64_t seed, int steps) {
   CedarPolicy cedar(cedar_options);
   ExperimentConfig config;
   config.deadline = deadline;
   config.num_queries = queries;
   config.seed = seed;
-  config.sim.grid.epsilon_fraction = epsilon_fraction;
+  config.sim.grid.steps = steps;
   auto result = RunExperiment(workload, {&cedar}, config);
   return result.Outcome(cedar.name()).MeanQuality();
 }
@@ -48,8 +49,8 @@ int main(int argc, char** argv) {
   {
     PrintBanner(std::cout, "Ablation: CalculateWait scan step epsilon (fraction of deadline)");
     TablePrinter table({"epsilon_fraction", "q(cedar)"});
-    for (double fraction : {1.0 / 50, 1.0 / 100, 1.0 / 200, 1.0 / 400, 1.0 / 800}) {
-      table.AddNumericRow({fraction, CedarQuality(workload, {}, *deadline, n, s, fraction)}, 4);
+    for (int steps : {50, 100, 200, 400, 800}) {
+      table.AddNumericRow({1.0 / steps, CedarQuality(workload, {}, *deadline, n, s, steps)}, 4);
     }
     table.Print(std::cout);
   }
@@ -62,7 +63,7 @@ int main(int argc, char** argv) {
       options.learner.min_samples = min_samples;
       table.AddNumericRow(
           {static_cast<double>(min_samples),
-           CedarQuality(workload, options, *deadline, n, s, 1.0 / 400)},
+           CedarQuality(workload, options, *deadline, n, s, 400)},
           4);
     }
     table.Print(std::cout);
@@ -75,7 +76,7 @@ int main(int argc, char** argv) {
       CedarPolicyOptions options;
       options.reoptimize_every = every;
       table.AddNumericRow({static_cast<double>(every),
-                           CedarQuality(workload, options, *deadline, n, s, 1.0 / 400)},
+                           CedarQuality(workload, options, *deadline, n, s, 400)},
                           4);
     }
     table.Print(std::cout);
@@ -89,7 +90,7 @@ int main(int argc, char** argv) {
       options.learner.score_method = method;
       table.AddRow({method == OrderScoreMethod::kExact ? "exact" : "blom",
                     TablePrinter::FormatDouble(
-                        CedarQuality(workload, options, *deadline, n, s, 1.0 / 400), 4)});
+                        CedarQuality(workload, options, *deadline, n, s, 400), 4)});
     }
     table.Print(std::cout);
   }

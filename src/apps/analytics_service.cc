@@ -72,7 +72,7 @@ AnalyticsService::AnalyticsService(const FactTable* table, TreeSpec latency_tree
   CEDAR_CHECK_EQ(latency_tree_.TotalProcesses(), table_->num_partitions())
       << "latency-tree fanouts must cover every partition";
   CEDAR_CHECK_GT(config_.deadline, 0.0);
-  epsilon_ = config_.deadline * config_.grid.epsilon_fraction;
+  epsilon_ = config_.grid.Epsilon(config_.deadline);
   offline_stack_ = BuildUpperQualityCurves(latency_tree_, config_.deadline, config_.grid);
 }
 

@@ -15,7 +15,7 @@ SearchService::SearchService(const SearchIndex* index, TreeSpec latency_tree,
   CEDAR_CHECK_EQ(latency_tree_.TotalProcesses(), index_->num_shards())
       << "latency-tree fanouts must cover every index shard";
   CEDAR_CHECK_GT(config_.deadline, 0.0);
-  epsilon_ = config_.deadline * config_.grid.epsilon_fraction;
+  epsilon_ = config_.grid.Epsilon(config_.deadline);
   offline_stack_ = BuildUpperQualityCurves(latency_tree_, config_.deadline, config_.grid);
 }
 

@@ -251,9 +251,11 @@ double OraclePolicy::InitialWait(const AggregatorContext& ctx) {
   if (sequence == 0 || cache_->sequence != sequence || cache_->deadline != ctx.deadline) {
     TreeSpec tree =
         truth_ != nullptr ? truth_->OverlayOn(*ctx.offline_tree) : *ctx.offline_tree;
+    // Plan on the query tree's grid: its epsilon is deadline / steps, so
+    // the nearest integer to deadline / epsilon recovers steps exactly.
     QualityGridOptions options;
     if (ctx.deadline > 0.0 && ctx.epsilon > 0.0) {
-      options.epsilon_fraction = ctx.epsilon / ctx.deadline;
+      options.steps = static_cast<int>(std::max(1L, std::lround(ctx.deadline / ctx.epsilon)));
     }
     cache_->plan = PlanTree(tree, ctx.deadline, options);
     cache_->sequence = sequence;

@@ -26,52 +26,41 @@ PiecewiseLinear TabulateCdf(const Distribution& dist, double max_d, int grid_poi
 
 namespace {
 
-// Computes max_{c in [0,d]} of the accumulated (gain - loss) scan for one
-// remaining-deadline value |d|, given tabulated Phi_X1 values at multiples of
-// |eps| and the upper-subtree quality curve: the GainLossScan kernel fed by
-// the indexed grid c_j = eps * j (Pseudocode 2 without the argmax).
-double ScanBestQuality(const std::vector<double>& cdf_at, const std::vector<double>& cdf_pow_at,
-                       double eps, double d, const PiecewiseLinear& upper) {
-  GainLossScan scan;
-  size_t max_j = cdf_at.size() - 1;
-  for (size_t j = 0; j < max_j; ++j) {
-    double c = eps * static_cast<double>(j);
-    if (c >= d) {
-      break;
-    }
-    double c2 = std::min(c + eps, d);
-    scan.Step(cdf_at[j], cdf_at[j + 1], cdf_pow_at[j], upper(d - c), upper(d - c2));
-  }
-  return Clamp(scan.best_q, 0.0, 1.0);
-}
-
 // One bottom stage (|dist|, |k|) folded under the already-built |upper|
 // curve: the q_{j} <- q_{j+1} step, on the grid [0, max_d] with step h.
-// Phi_X1 and Phi_X1^k are tabulated once at the scan points, shared by
-// every grid point.
+// Phi_X1, Phi_X1^k and the prefix sums of the upper curve's falls are
+// tabulated once at the grid points, shared by every sample.
 class StageFold {
  public:
   StageFold(const Distribution& dist, int k, const PiecewiseLinear& upper, double max_d,
             const QualityGridOptions& options)
-      : upper_(upper),
-        eps_(max_d * options.epsilon_fraction),
-        h_(max_d / static_cast<double>(options.grid_points - 1)),
-        grid_points_(options.grid_points) {
-    CEDAR_CHECK_GT(eps_, 0.0);
-    auto steps = static_cast<size_t>(std::ceil(max_d / eps_)) + 1;
-    cdf_at_.resize(steps + 1);
-    cdf_pow_at_.resize(steps + 1);
+      : upper_(upper.ys()), h_(options.Epsilon(max_d)) {
+    CEDAR_CHECK_GT(h_, 0.0);
+    CEDAR_CHECK_EQ(upper_.size(), static_cast<size_t>(options.steps) + 1)
+        << "upper curve is not on the fold's grid";
+    phi_.resize(upper_.size());
+    phik_.resize(upper_.size());
+    falls_.resize(upper_.size());
     const FanoutPower power(k);
-    for (size_t j = 0; j <= steps; ++j) {
-      double phi = dist.Cdf(eps_ * static_cast<double>(j));
-      cdf_at_[j] = phi;
-      cdf_pow_at_[j] = power(phi);
+    for (size_t j = 0; j < upper_.size(); ++j) {
+      phi_[j] = dist.Cdf(h_ * static_cast<double>(j));
+      phik_[j] = power(phi_[j]);
+      if (j > 0) {
+        falls_[j] = falls_[j - 1] + std::max(0.0, upper_[j - 1] - upper_[j]);
+      }
     }
   }
 
-  // The folded curve's sample at grid point |gi| >= 1 (the sample at 0 is 0).
-  double At(int gi) const {
-    return ScanBestQuality(cdf_at_, cdf_pow_at_, eps_, h_ * static_cast<double>(gi), upper_);
+  // The folded curve's sample at grid point |g| >= 1 (the sample at 0 is
+  // 0): the scan over c_j = h j, j <= g, reading u_j as the upper sample
+  // g - j, so the rises of u from point j on are falls_[g - j].
+  double At(size_t g) const {
+    GainLossScan scan;
+    scan.Walk(
+        g, [this](size_t j) { return phi_[j]; }, [this](size_t j, double) { return phik_[j]; },
+        [this, g](size_t j) { return upper_[g - j]; },
+        [this, g](size_t j) { return falls_[g + 1 - j]; });
+    return Clamp(scan.best_q, 0.0, 1.0);
   }
 
   // Wraps samples on this fold's grid as a curve.
@@ -79,16 +68,15 @@ class StageFold {
     return PiecewiseLinear::FromUniform(0.0, h_, std::move(ys));
   }
 
-  int grid_points() const { return grid_points_; }
+  size_t samples() const { return upper_.size(); }
   double h() const { return h_; }
 
  private:
-  const PiecewiseLinear& upper_;
-  double eps_;
+  const std::vector<double>& upper_;
   double h_;
-  int grid_points_;
-  std::vector<double> cdf_at_;
-  std::vector<double> cdf_pow_at_;
+  std::vector<double> phi_;
+  std::vector<double> phik_;
+  std::vector<double> falls_;  // sum over m < t of max(0, ys[m] - ys[m + 1])
 };
 
 // The whole folded curve: every grid point.
@@ -96,9 +84,9 @@ PiecewiseLinear FoldStageUnder(const Distribution& dist, int k, const PiecewiseL
                                double max_d, const QualityGridOptions& options) {
   CEDAR_PROFILE_SCOPE("quality.fold_stage");
   StageFold fold(dist, k, upper, max_d, options);
-  std::vector<double> ys(static_cast<size_t>(fold.grid_points()), 0.0);
-  for (int gi = 1; gi < fold.grid_points(); ++gi) {
-    ys[static_cast<size_t>(gi)] = fold.At(gi);
+  std::vector<double> ys(fold.samples(), 0.0);
+  for (size_t g = 1; g < ys.size(); ++g) {
+    ys[g] = fold.At(g);
   }
   return fold.Curve(std::move(ys));
 }
@@ -115,7 +103,7 @@ std::vector<PiecewiseLinear> BuildStackFrom(const TreeSpec& tree, int first_stag
     return stack;
   }
   stack[static_cast<size_t>(n - 1)] =
-      TabulateCdf(*tree.stage(n - 1).duration, max_d, options.grid_points);
+      TabulateCdf(*tree.stage(n - 1).duration, max_d, options.steps + 1);
   for (int i = n - 2; i >= first_stage; --i) {
     stack[static_cast<size_t>(i)] =
         FoldStageUnder(*tree.stage(i).duration, tree.stage(i).fanout,
@@ -148,20 +136,20 @@ double FullTreeQualityAt(const TreeSpec& tree, const std::vector<PiecewiseLinear
   CEDAR_CHECK_EQ(upper_curves.size(), static_cast<size_t>(tree.num_stages()));
   const StageSpec& bottom = tree.stage(0);
   if (tree.num_stages() == 1) {
-    return TabulateCdf(*bottom.duration, max_d, options.grid_points)(x);
+    return TabulateCdf(*bottom.duration, max_d, options.steps + 1)(x);
   }
   StageFold fold(*bottom.duration, bottom.fanout, upper_curves[1], max_d, options);
   // The samples PiecewiseLinear reads at x on the uniform grid starting at
   // 0: none at or below 0; the last one once floor(x / h) + 1 runs off the
   // grid; otherwise floor(x / h) and the next. Rounding may put x / h just
-  // below grid_points - 1 at x = max_d, so both neighbours are folded.
-  std::vector<double> ys(static_cast<size_t>(fold.grid_points()), 0.0);
+  // below steps at x = max_d, so both neighbours are folded.
+  std::vector<double> ys(fold.samples(), 0.0);
   if (x > 0.0) {
     auto idx = static_cast<size_t>(x / fold.h());
     size_t last = ys.size() - 1;
     for (size_t gi : {std::min(idx, last), std::min(idx + 1, last)}) {
       if (gi > 0) {
-        ys[gi] = fold.At(static_cast<int>(gi));
+        ys[gi] = fold.At(gi);
       }
     }
   }

@@ -11,14 +11,16 @@
 //   loss(c) = (Phi_X1(c) - Phi_X1(c)^k1)
 //             * (q_{n-1}(D - c) - q_{n-1}(D - (c+eps)))               (Eqn 4)
 //
-// and taking the running maximum of the partial sums. Curves are tabulated
-// on a uniform grid and linearly interpolated, so building the full curve
-// stack for an n-stage tree costs O(n * (D/eps)^2); each folded stage is
-// one O((D/eps)^2) pass, and a single point of a fold costs O(D/eps).
+// and taking the running maximum of the partial sums. Curves and scans share
+// one grid of step eps, so the fold's sample at d = eps * g reads
+// q_{n-1}(d - c_j) as the upper curve's own sample g - j. A full curve stack
+// costs at most O(n * (D/eps)^2) and a single point of a fold O(D/eps).
 
 #ifndef CEDAR_SRC_CORE_QUALITY_H_
 #define CEDAR_SRC_CORE_QUALITY_H_
 
+#include <cfloat>
+#include <cstddef>
 #include <vector>
 
 #include "src/common/math_util.h"
@@ -26,23 +28,26 @@
 
 namespace cedar {
 
-// Tuning for the quality/wait computations.
+// Tuning for the quality/wait computations: the one grid of deadline D.
 struct QualityGridOptions {
-  // Scan step eps, as a fraction of the deadline. The paper notes eps just
-  // controls discretization error; 1/400 keeps curves smooth while staying
-  // well inside the "tens of milliseconds" compute budget reported in §5.2.
-  double epsilon_fraction = 1.0 / 400.0;
+  // Steps over [0, D]. The scan step eps and the curve spacing are both
+  // Epsilon(D) = D / steps. The paper notes eps just controls
+  // discretization error; 400 keeps curves smooth while staying well inside
+  // the "tens of milliseconds" compute budget reported in §5.2.
+  int steps = 400;
 
-  // Number of points in each tabulated curve (grid covers [0, D]).
-  int grid_points = 401;
+  double Epsilon(double max_d) const { return max_d / static_cast<double>(steps); }
 };
 
-// The Eqn 3-4 scan kernel: the running partial sum q of gain - loss and its
-// maximum. The quality-curve builder and CalculateWait (WaitScan) feed it
-// from their own grids; this is the only place the accumulation happens.
+// The Eqn 3-4 scan kernel: the running partial sum q of gain - loss, its
+// maximum, and the one loop that walks a grid through it. CalculateWait
+// (WaitScan) and the quality-curve fold both call Walk; they differ only in
+// where Phi_X1 comes from (a lazy CDF or a per-stage table).
 struct GainLossScan {
   double q = 0.0;
   double best_q = 0.0;
+  // The grid point the best wait ends at (0 until a step ties or beats 0).
+  size_t best_point = 0;
 
   // Advances the candidate wait from c to c2. |phi| and |phi2| are
   // Phi_X1(c) and Phi_X1(c2), |phik| is phi^k1, and |upper_c| and
@@ -64,10 +69,40 @@ struct GainLossScan {
   // stop without changing its answer. |phi| is Phi_X1 at the point just
   // reached, |upper_next| is q_{n-1} one point further on, and |headroom|
   // is twice the curve's rises from the point just reached onwards plus a
-  // bound on q's accumulated rounding (WaitScan derives both; DESIGN.md §4
-  // has the proof). Strictly below best_q keeps the later-wait tie rule.
+  // bound on q's accumulated rounding (Walk derives both; DESIGN.md §4 has
+  // the proof). Strictly below best_q keeps the later-wait tie rule.
   bool Settled(double phi, double upper_next, double headroom) const {
     return q + (1.0 - phi) * upper_next + headroom < best_q;
+  }
+
+  // The one scan loop: walks grid points 0..|last| (last >= 1). Step j runs
+  // from point j - 1 to point j, whose Phi_X1 and q_{n-1} carry into step
+  // j + 1. For point j, |phi_at(j)| is Phi_X1(c_j), |pow_at(j, phi)| that
+  // phi's Phi_X1^k1, |upper_at(j)| u_j = q_{n-1}(d - c_j) in [0, 1], and
+  // |rises_at(j)| R_{j-1} = sum over i >= j - 1 of max(0, u_{i+1} - u_i).
+  // Before step j, Settled's headroom is 2 R_{j-1} plus the rounding slack
+  // 8 (1 + R_0) last DBL_EPSILON (DESIGN.md §4 derives it), so best_q and
+  // best_point are bitwise the full scan's. Returns the steps run.
+  template <typename PhiAt, typename PowAt, typename UpperAt, typename RisesAt>
+  size_t Walk(size_t last, const PhiAt& phi_at, const PowAt& pow_at, const UpperAt& upper_at,
+              const RisesAt& rises_at) {
+    const double slack = 8.0 * (1.0 + rises_at(1)) * static_cast<double>(last) * DBL_EPSILON;
+    double phi = phi_at(0);
+    double upper_c = upper_at(0);
+    size_t j = 1;
+    for (; j <= last; ++j) {
+      double upper_c2 = upper_at(j);
+      if (Settled(phi, upper_c2, 2.0 * rises_at(j) + slack)) {
+        break;  // no step from here on can tie best_q
+      }
+      double phi2 = phi_at(j);
+      if (Step(phi, phi2, pow_at(j - 1, phi), upper_c, upper_c2)) {
+        best_point = j;
+      }
+      phi = phi2;
+      upper_c = upper_c2;
+    }
+    return j - 1;
   }
 };
 
@@ -107,7 +142,7 @@ class FanoutPower {
 };
 
 // Tabulates the CDF of |dist| on a uniform grid over [0, max_d]:
-// the base-case curve q_1.
+// the base-case curve q_1 (steps + 1 grid points).
 PiecewiseLinear TabulateCdf(const Distribution& dist, double max_d, int grid_points);
 
 // Builds q for the subtree formed by stages [first_stage, n) of |tree| under

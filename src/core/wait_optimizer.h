@@ -24,18 +24,18 @@ struct WaitDecision {
 };
 
 // The Pseudocode 2 scan grid of one aggregator: the candidate waits
-// c_0 = 0, c_1, ... produced by accumulating c += epsilon while c < deadline,
-// then a last point clamped to the deadline, each with the upper quality
-// curve at the remaining budget, q_{n-1}(deadline - c_j), and log c_j.
-// Everything here depends only on (upper curve, remaining deadline,
-// epsilon), so one grid serves every re-optimization of an aggregator within
-// a query (only the fitted bottom distribution changes) and every cell of a
-// WaitTable. Immutable after construction: safe to share across threads.
+// c_j = epsilon * j below the deadline, then the deadline itself (the
+// curve fold's grid), each with the upper quality curve at the remaining
+// budget, q_{n-1}(deadline - c_j), and log c_j. Everything here depends
+// only on (upper curve, remaining deadline, epsilon), so one grid serves
+// every re-optimization of an aggregator within a query (only the fitted
+// bottom distribution changes) and every cell of a WaitTable. Immutable
+// after construction: safe to share across threads.
 class WaitScan {
  public:
   // Cap (2^24) on the scan's step count ceil(deadline / epsilon). The
-  // defaults use 400 (QualityGridOptions::epsilon_fraction); the cap keeps
-  // a mis-scaled epsilon from tabulating an unbounded grid.
+  // defaults use 400 (QualityGridOptions::steps); the cap keeps a
+  // mis-scaled epsilon from tabulating an unbounded grid.
   static constexpr double kMaxSteps = 1 << 24;
 
   // |upper_quality| is the q-curve of everything above the aggregator (for
@@ -47,12 +47,10 @@ class WaitScan {
 
   // CalculateWait for |bottom|, this aggregator's child-duration
   // distribution (X1 from its viewpoint), and |fanout| children: walks the
-  // grid through GainLossScan, carrying Phi(c2) and q_{n-1}(deadline - c2)
-  // into the next step (step j's c2 is exactly c_{j+1}), so each step costs
-  // one CDF evaluation and one FanoutPower call. Ties pick the later wait.
-  // The walk skips only steps that provably cannot change the answer, which
-  // is bitwise that of the full scan: it stops once GainLossScan::Settled
-  // proves no later wait can tie the best (DESIGN.md §4).
+  // grid through GainLossScan::Walk, evaluating Phi and its FanoutPower once
+  // per point reached. Ties pick the later wait. The walk skips only steps
+  // that provably cannot change the answer, which is bitwise that of the
+  // full scan (DESIGN.md §4).
   // With metrics on, adds the grid's steps to wait_optimizer.scan_steps and
   // the steps it ran to wait_optimizer.scan_steps_run.
   WaitDecision Optimize(const Distribution& bottom, int fanout) const;
@@ -65,9 +63,7 @@ class WaitScan {
     double c;
     double log_c;
     double upper;  // q_{n-1}(deadline - c)
-    // Settled's headroom once the scan has reached the point before this
-    // one: twice the curve's rises from there on, plus the rounding slack.
-    double headroom;
+    double rises;  // GainLossScan::Walk's R_{j-1} at this point j
   };
   std::vector<Point> points_;
 };

@@ -12,7 +12,7 @@ QueryTreeModel::QueryTreeModel(TreeSpec offline_tree, double deadline,
     : offline_tree_(std::move(offline_tree)), deadline_(deadline), options_(options) {
   CEDAR_CHECK_GT(deadline, 0.0);
   CEDAR_CHECK_GE(offline_tree_.num_stages(), 2) << "a query tree needs >= 2 stages";
-  epsilon_ = deadline_ * options_.grid.epsilon_fraction;
+  epsilon_ = options_.grid.Epsilon(deadline_);
   curve_stack_ = BuildUpperQualityCurves(offline_tree_, deadline_, options_.grid);
 }
 

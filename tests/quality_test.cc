@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "src/stats/rng.h"
+#include "tests/reference_scan.h"
 #include "tests/test_distributions.h"
 
 namespace cedar {
@@ -142,67 +143,12 @@ TEST(QualityCurveTest, StackMatchesRecursiveBuild) {
   }
 }
 
-// The curve builder's scan as it was before it moved onto the GainLossScan
-// kernel, kept verbatim as the bit-identity reference.
-double ReferenceScanBestQuality(const std::vector<double>& cdf_at,
-                                const std::vector<double>& cdf_pow_at, double eps, double d,
-                                const PiecewiseLinear& upper) {
-  double q = 0.0;
-  double best = 0.0;
-  size_t max_j = cdf_at.size() - 1;
-  for (size_t j = 0; j < max_j; ++j) {
-    double c = eps * static_cast<double>(j);
-    if (c >= d) {
-      break;
-    }
-    double c2 = std::min(c + eps, d);
-    double gain = (cdf_at[j + 1] - cdf_at[j]) * upper(d - c2);
-    double loss = (cdf_at[j] - cdf_pow_at[j]) * (upper(d - c) - upper(d - c2));
-    q += gain - loss;
-    best = std::max(best, q);
-  }
-  return Clamp(best, 0.0, 1.0);
-}
-
-// BuildQualityCurveStack on the reference scan (FoldStageUnder verbatim,
-// with Phi^k from the kernel's FanoutPower).
-std::vector<PiecewiseLinear> ReferenceStack(const TreeSpec& tree, double max_d,
-                                            const QualityGridOptions& options) {
-  int n = tree.num_stages();
-  std::vector<PiecewiseLinear> stack(static_cast<size_t>(n));
-  stack[static_cast<size_t>(n - 1)] =
-      TabulateCdf(*tree.stage(n - 1).duration, max_d, options.grid_points);
-  for (int i = n - 2; i >= 0; --i) {
-    const Distribution& dist = *tree.stage(i).duration;
-    int k = tree.stage(i).fanout;
-    double eps = max_d * options.epsilon_fraction;
-    auto steps = static_cast<size_t>(std::ceil(max_d / eps)) + 1;
-    std::vector<double> cdf_at(steps + 1);
-    std::vector<double> cdf_pow_at(steps + 1);
-    for (size_t j = 0; j <= steps; ++j) {
-      double phi = dist.Cdf(eps * static_cast<double>(j));
-      cdf_at[j] = phi;
-      cdf_pow_at[j] = FanoutPower(k)(phi);
-    }
-    double h = max_d / static_cast<double>(options.grid_points - 1);
-    std::vector<double> ys(static_cast<size_t>(options.grid_points), 0.0);
-    for (int gi = 1; gi < options.grid_points; ++gi) {
-      double d = h * static_cast<double>(gi);
-      ys[static_cast<size_t>(gi)] = ReferenceScanBestQuality(
-          cdf_at, cdf_pow_at, eps, d, stack[static_cast<size_t>(i + 1)]);
-    }
-    stack[static_cast<size_t>(i)] = PiecewiseLinear::FromUniform(0.0, h, std::move(ys));
-  }
-  return stack;
-}
-
 TEST(QualityCurveTest, StackBitIdenticalToReferenceScan) {
   // Seeded random trees over every family and fanout, at the default grid
-  // and at an epsilon that does not divide the deadline.
+  // and at an odd step count.
   Rng rng(20161017);
   QualityGridOptions odd;
-  odd.epsilon_fraction = 1.0 / 137.3;
-  odd.grid_points = 151;
+  odd.steps = 137;
   for (const QualityGridOptions& options : {QualityGridOptions{}, odd}) {
     for (int trial = 0; trial < 2; ++trial) {
       double deadline = 1.0 + 999.0 * rng.NextDouble();
@@ -367,11 +313,9 @@ TEST(QualityCurveTest, GridResolutionConverges) {
   TreeSpec tree = TreeSpec::TwoLevel(std::make_shared<LogNormalDistribution>(2.0, 0.9), 25,
                                      std::make_shared<LogNormalDistribution>(2.2, 0.7), 25);
   QualityGridOptions coarse;
-  coarse.epsilon_fraction = 1.0 / 50.0;
-  coarse.grid_points = 51;
+  coarse.steps = 50;
   QualityGridOptions fine;
-  fine.epsilon_fraction = 1.0 / 800.0;
-  fine.grid_points = 801;
+  fine.steps = 800;
   for (double d : {20.0, 40.0, 60.0}) {
     double q_coarse = BuildQualityCurve(tree, 0, 60.0, coarse)(d);
     double q_fine = BuildQualityCurve(tree, 0, 60.0, fine)(d);

@@ -34,16 +34,15 @@ TreeSpec MakeTree(int levels, const std::shared_ptr<const Distribution>& bottom,
 }
 
 // True when PiecewiseLinear reads two samples at x = D on the grid [0, D]:
-// D / h rounds below grid_points - 1.
-bool DeadlineSplitsGridCell(double deadline, int grid_points) {
-  double h = deadline / static_cast<double>(grid_points - 1);
-  return static_cast<size_t>(deadline / h) + 1 < static_cast<size_t>(grid_points);
+// D / h rounds below steps.
+bool DeadlineSplitsGridCell(double deadline, const QualityGridOptions& options) {
+  return static_cast<size_t>(deadline / options.Epsilon(deadline)) <
+         static_cast<size_t>(options.steps);
 }
 
 QualityGridOptions OddGrid() {
   QualityGridOptions odd;
-  odd.epsilon_fraction = 1.0 / 137.3;
-  odd.grid_points = 151;
+  odd.steps = 150;
   return odd;
 }
 
@@ -97,7 +96,7 @@ TEST(FullTreeQualityAtTest, MatchesFullCurveBitwise) {
     QualityGridOptions options;
     std::vector<double> deadlines;
   };
-  // Per grid, deadlines where D / h rounds below grid_points - 1 and where
+  // Per grid, deadlines where D / h rounds below steps and where
   // it does not.
   const std::vector<Case> cases = {{QualityGridOptions{}, {137.0, 1000.0, 55.5}},
                                    {OddGrid(), {77.5, 100.0, 649.0}}};
@@ -108,7 +107,7 @@ TEST(FullTreeQualityAtTest, MatchesFullCurveBitwise) {
     const QualityGridOptions& options = c.options;
     for (int trial = 0; trial < static_cast<int>(c.deadlines.size()); ++trial) {
       double deadline = c.deadlines[static_cast<size_t>(trial)];
-      if (DeadlineSplitsGridCell(deadline, options.grid_points)) {
+      if (DeadlineSplitsGridCell(deadline, options)) {
         ++split_cells;
       } else {
         ++exact_cells;

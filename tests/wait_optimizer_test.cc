@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cfloat>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -13,6 +14,7 @@
 
 #include "src/obs/metrics.h"
 #include "src/trace/calibration.h"
+#include "tests/reference_scan.h"
 #include "tests/test_distributions.h"
 
 namespace cedar {
@@ -34,62 +36,25 @@ struct TwoLevelFixture {
   double epsilon;
 };
 
-// The CalculateWait loop as it was before WaitScan tabulated its grid, kept
-// verbatim with its Phi^k as a parameter: |power| maps phi to phi^fanout.
-template <typename Power>
-WaitDecision ReferenceLoop(const Distribution& bottom, Power power,
-                           const PiecewiseLinear& upper_quality, double deadline,
-                           double epsilon) {
-  WaitDecision decision;
-  if (deadline <= 0.0) {
-    return decision;  // no budget: send immediately, expect nothing
-  }
-
-  double q = 0.0;
-  double best_q = 0.0;
-  double best_wait = 0.0;
-  for (double c = 0.0; c < deadline; c += epsilon) {
-    double c2 = std::min(c + epsilon, deadline);
-    double phi = bottom.Cdf(c);
-    double phi2 = bottom.Cdf(c2);
-    double phik = power(phi);
-    double gain = (phi2 - phi) * upper_quality(deadline - c2);                   // Eqn 3
-    double loss = (phi - phik) * (upper_quality(deadline - c) - upper_quality(deadline - c2));
-    q += gain - loss;                                                            // Eqn 4
-    if (q >= best_q) {
-      best_q = q;
-      best_wait = c2;
-    }
-  }
-  decision.wait = best_wait;
-  decision.expected_quality = Clamp(best_q, 0.0, 1.0);
-  return decision;
-}
-
-// The bit-identity reference: the loop on the kernel's FanoutPower, so it
-// pins WaitScan's grid, carry and pruning bit for bit.
-WaitDecision ReferenceOptimizeWait(const Distribution& bottom, int fanout,
-                                   const PiecewiseLinear& upper_quality, double deadline,
-                                   double epsilon) {
-  return ReferenceLoop(bottom, FanoutPower(fanout), upper_quality, deadline, epsilon);
-}
-
-// The loop on std::pow, as it computed Phi^k before FanoutPower.
+// The reference scan on std::pow, as Phi^k was computed before FanoutPower.
 WaitDecision StdPowOptimizeWait(const Distribution& bottom, int fanout,
                                 const PiecewiseLinear& upper_quality, double deadline,
                                 double epsilon) {
-  auto power = [fanout](double phi) { return std::pow(phi, fanout); };
-  return ReferenceLoop(bottom, power, upper_quality, deadline, epsilon);
+  return ReferenceScan(
+      bottom, [fanout](double phi) { return std::pow(phi, fanout); }, deadline, epsilon,
+      [&](size_t, double c) { return upper_quality(deadline - c); });
 }
 
 // A scan grid (upper curve, deadline, epsilon) and the bottoms to optimize
-// on it.
+// on it. |upper_stage| is the distribution the curve tabulates, where one
+// does (the fold tests build trees from it).
 struct ScanFixture {
   std::string name;
   PiecewiseLinear upper;
   double deadline;
   double epsilon;
   std::vector<std::shared_ptr<const Distribution>> bottoms;
+  std::shared_ptr<const Distribution> upper_stage = nullptr;
 };
 
 // Seeded random grids, one family of each bottom on each.
@@ -130,14 +95,12 @@ std::vector<ScanFixture> CurvesThatReachZero() {
     const double deadline = 10.0 + 990.0 * rng.NextDouble();
     const double low = deadline * (0.1 + 0.5 * rng.NextDouble());
     const std::string where = "trial " + std::to_string(trial);
-    fixtures.push_back(
-        {where + " uniform upper",
-         TabulateCdf(UniformDistribution(low, low + 0.3 * deadline), deadline, 401), deadline,
-         deadline / 400.0, OneOfEachFamily(rng, deadline)});
-    const double shape = 1.5 + rng.NextDouble();
-    fixtures.push_back({where + " pareto upper",
-                        TabulateCdf(ParetoDistribution(low, shape), deadline, 401), deadline,
-                        deadline / 400.0, OneOfEachFamily(rng, deadline)});
+    auto uniform = std::make_shared<UniformDistribution>(low, low + 0.3 * deadline);
+    fixtures.push_back({where + " uniform upper", TabulateCdf(*uniform, deadline, 401), deadline,
+                        deadline / 400.0, OneOfEachFamily(rng, deadline), uniform});
+    auto pareto = std::make_shared<ParetoDistribution>(low, 1.5 + rng.NextDouble());
+    fixtures.push_back({where + " pareto upper", TabulateCdf(*pareto, deadline, 401), deadline,
+                        deadline / 400.0, OneOfEachFamily(rng, deadline), pareto});
   }
   return fixtures;
 }
@@ -250,16 +213,20 @@ bool HasFallingSample(const PiecewiseLinear& curve) {
   return false;
 }
 
-TEST(WaitScanTest, PrunedScanExactOnNonMonotoneFolds) {
-  // A folded curve can fall by an ulp or two from one sample to the next
-  // (each sample is its own rounded scan), so the scan's u_j can rise as c
-  // grows and Settled must count the rises. Such
-  // folds come from narrow stages; this draws random 3-level trees until
-  // several folds with a falling sample turn up, and scans each at the full
-  // and at a partial budget.
+// Random 3-level trees of narrow log-normal stages whose stage-1 fold has a
+// falling sample. A folded curve can fall by an ulp or two from one sample
+// to the next (each sample is its own rounded scan), so a scan's u_j can
+// rise as c grows and Settled must count the rises.
+struct NonMonotoneFold {
+  TreeSpec tree;
+  double deadline;
+  std::string name;
+};
+
+std::vector<NonMonotoneFold> NonMonotoneFolds() {
   Rng rng(20161018);
-  int non_monotone = 0;
-  for (int trial = 0; trial < 1500 && non_monotone < 4; ++trial) {
+  std::vector<NonMonotoneFold> folds;
+  for (int trial = 0; trial < 1500 && folds.size() < 4; ++trial) {
     const double deadline = 50.0 + 950.0 * rng.NextDouble();
     std::vector<StageSpec> stages;
     for (int stage = 0; stage < 3; ++stage) {
@@ -269,20 +236,28 @@ TEST(WaitScanTest, PrunedScanExactOnNonMonotoneFolds) {
       stages.emplace_back(std::make_shared<LogNormalDistribution>(std::log(median), sigma),
                           fanout);
     }
-    const TreeSpec tree(std::move(stages));
-    const PiecewiseLinear upper = BuildUpperQualityCurves(tree, deadline)[1];
-    if (!HasFallingSample(upper)) {
-      continue;
+    TreeSpec tree(std::move(stages));
+    if (HasFallingSample(BuildUpperQualityCurves(tree, deadline)[1])) {
+      folds.push_back({std::move(tree), deadline, "trial " + std::to_string(trial)});
     }
-    ++non_monotone;
-    const std::string where = "trial " + std::to_string(trial);
-    ExpectPrunedMatchesReference(
-        {where, upper, deadline, deadline / 400.0, OneOfEachFamily(rng, deadline)});
-    const double remaining = deadline * (0.2 + 0.7 * rng.NextDouble());
-    ExpectPrunedMatchesReference({where + " remaining " + std::to_string(remaining), upper,
-                                  remaining, deadline / 400.0, OneOfEachFamily(rng, remaining)});
   }
-  EXPECT_GE(non_monotone, 4) << "too few non-monotone folds to exercise the rise term";
+  return folds;
+}
+
+TEST(WaitScanTest, PrunedScanExactOnNonMonotoneFolds) {
+  // Scans each non-monotone fold at the full and at a partial budget.
+  Rng rng(20161020);
+  const std::vector<NonMonotoneFold> folds = NonMonotoneFolds();
+  EXPECT_GE(folds.size(), 4u) << "too few non-monotone folds to exercise the rise term";
+  for (const NonMonotoneFold& fold : folds) {
+    const PiecewiseLinear upper = BuildUpperQualityCurves(fold.tree, fold.deadline)[1];
+    const double epsilon = fold.deadline / 400.0;
+    ExpectPrunedMatchesReference(
+        {fold.name, upper, fold.deadline, epsilon, OneOfEachFamily(rng, fold.deadline)});
+    const double remaining = fold.deadline * (0.2 + 0.7 * rng.NextDouble());
+    ExpectPrunedMatchesReference({fold.name + " remaining " + std::to_string(remaining), upper,
+                                  remaining, epsilon, OneOfEachFamily(rng, remaining)});
+  }
 }
 
 TEST(WaitScanTest, PrunedScanExactOnCurvesThatReachZero) {
@@ -290,6 +265,104 @@ TEST(WaitScanTest, PrunedScanExactOnCurvesThatReachZero) {
   // vanishes there.
   for (const ScanFixture& f : CurvesThatReachZero()) {
     ExpectPrunedMatchesReference(f);
+  }
+}
+
+TEST(OneGridTest, WaitScanWalksTheFoldsGrid) {
+  // With the curve spacing h as epsilon, the scan at remaining budget h g
+  // walks the points of the fold's sample g. It reads the upper curve
+  // interpolated at h g - c_j where the fold reads the sample g - j, so
+  // the two agree to a few ulps of 1, the scale of q's terms. (Near 0,
+  // where q is a cancelling sum, its own ulps are far finer than that.)
+  Rng rng(20161021);
+  const QualityGridOptions grid;
+  for (int levels : {2, 3}) {
+    const double deadline = 10.0 + 990.0 * rng.NextDouble();
+    const double h = grid.Epsilon(deadline);
+    const auto bottoms = OneOfEachFamily(rng, deadline);
+    const auto uppers = OneOfEachFamily(rng, deadline);
+    for (size_t f = 0; f < bottoms.size(); ++f) {
+      for (int fanout : {2, 50}) {
+        std::vector<StageSpec> stages;
+        stages.emplace_back(bottoms[f], fanout);
+        for (int i = 1; i < levels; ++i) {
+          stages.emplace_back(uppers[(f + static_cast<size_t>(i)) % uppers.size()], 1 + 3 * i);
+        }
+        const TreeSpec tree(std::move(stages));
+        const auto stack = BuildQualityCurveStack(tree, deadline, grid);
+        const std::vector<double>& fold = stack[0].ys();
+        for (size_t g = 1; g < fold.size(); ++g) {
+          const WaitScan scan(stack[1], h * static_cast<double>(g), h);
+          ASSERT_EQ(scan.steps(), g);
+          const double got = scan.Optimize(*bottoms[f], fanout).expected_quality;
+          EXPECT_LE(std::fabs(got - fold[g]), 8.0 * DBL_EPSILON)
+              << bottoms[f]->ToString() << " levels " << levels << " fanout " << fanout
+              << " sample " << g << ": " << got << " vs " << fold[g];
+        }
+      }
+    }
+  }
+}
+
+TEST(OneGridTest, StepCountIsThePointsBelowTheDeadline) {
+  // An aggregator's remaining budget is rarely on the grid; its scan still
+  // has one step per indexed point epsilon * j below it.
+  Rng rng(20161022);
+  const QualityGridOptions grid;
+  const PiecewiseLinear upper = TabulateCdf(ExponentialDistribution(0.01), 1000.0, 401);
+  for (int pair = 0; pair < 5000; ++pair) {
+    const double deadline = 1.0 + 999.0 * rng.NextDouble();
+    const double remaining = deadline * rng.NextDouble();
+    const double epsilon = grid.Epsilon(deadline);
+    size_t below = 0;
+    while (epsilon * static_cast<double>(below) < remaining) {
+      ++below;
+    }
+    ASSERT_EQ(WaitScan(upper, remaining, epsilon).steps(), below)
+        << "deadline " << deadline << " remaining " << remaining;
+  }
+}
+
+// Every sample of every curve in |got| bitwise equal to |want|'s.
+void ExpectSameCurves(const std::vector<PiecewiseLinear>& got,
+                      const std::vector<PiecewiseLinear>& want, const std::string& where) {
+  ASSERT_EQ(got.size(), want.size()) << where;
+  for (size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i].ys().size(), want[i].ys().size()) << where;
+    for (size_t g = 0; g < got[i].ys().size(); ++g) {
+      ASSERT_EQ(std::bit_cast<uint64_t>(got[i].ys()[g]), std::bit_cast<uint64_t>(want[i].ys()[g]))
+          << where << " stage " << i << " sample " << g;
+    }
+  }
+}
+
+TEST(OneGridTest, PrunedFoldExactOnNonMonotoneCurves) {
+  // Each family folded under a non-monotone stage-1 curve, whose falls are
+  // the fold's rises.
+  Rng rng(20161023);
+  for (const NonMonotoneFold& fold : NonMonotoneFolds()) {
+    for (const auto& bottom : OneOfEachFamily(rng, fold.deadline)) {
+      for (int fanout : {1, 50}) {
+        const TreeSpec tree = fold.tree.WithStage(0, StageSpec(bottom, fanout));
+        ExpectSameCurves(BuildQualityCurveStack(tree, fold.deadline),
+                         ReferenceStack(tree, fold.deadline),
+                         fold.name + " " + bottom->ToString() + " fanout " +
+                             std::to_string(fanout));
+      }
+    }
+  }
+}
+
+TEST(OneGridTest, PrunedFoldExactOnCurvesThatReachZero) {
+  for (const ScanFixture& f : CurvesThatReachZero()) {
+    for (const auto& bottom : f.bottoms) {
+      for (int fanout : {1, 50}) {
+        const TreeSpec tree = TreeSpec::TwoLevel(bottom, fanout, f.upper_stage, 10);
+        ExpectSameCurves(BuildQualityCurveStack(tree, f.deadline),
+                         ReferenceStack(tree, f.deadline),
+                         f.name + " " + bottom->ToString() + " fanout " + std::to_string(fanout));
+      }
+    }
   }
 }
 
@@ -372,6 +445,7 @@ TEST(WaitScanTest, PrunedScanSkipsStepsOnTheInteractiveShape) {
   const PiecewiseLinear upper =
       TabulateCdf(LogNormalDistribution(kGoogleMu, kGoogleSigma), deadline, 401);
   const WaitScan scan(upper, deadline, deadline / 400.0);
+  ASSERT_EQ(scan.steps(), 400u);
   long long run = 0;
   long long total = 0;
   for (int i = 0; i < 16; ++i) {

@@ -2,12 +2,17 @@
 """Times the figure, extension and app benches and fingerprints their output.
 
     python3 tools/bench_report.py --build-dir build [--only fig04_bing_rtt,...]
-                                  [--out report.json] [--against old.json]
+                                  [--quick] [--out report.json] [--against old.json]
 
 Runs each bench (build/bench/bench_<name>) with its defaults, one after
 another, and records per bench: wall time, user + system CPU of the child
 (the RUSAGE_CHILDREN delta) and the SHA-256 of its stdout. The JSON report
 goes to --out, or to stdout without it.
+
+--quick passes --queries=4 to every bench that takes it (all but fig04 and
+fig09, which run at their defaults): each bench binary runs end to end in a
+few seconds in total. A quick report is marked as such, and --against
+refuses to compare a quick report with a full one.
 
 With --against, prints each bench's wall and CPU change against an earlier
 report and exits 1 if any bench's stdout hash differs from it or is missing
@@ -44,17 +49,23 @@ BENCHES = [
     "app_quality",
 ]
 
+# Benches without a --queries flag; --quick runs them at their defaults.
+NO_QUERIES_FLAG = {"fig04_bing_rtt", "fig09_estimation_error"}
+QUICK_QUERIES = 4
+
 
 def child_cpu_s():
     usage = resource.getrusage(resource.RUSAGE_CHILDREN)
     return usage.ru_utime + usage.ru_stime
 
 
-def run_bench(build_dir, name):
-    binary = os.path.join(build_dir, "bench", "bench_" + name)
+def run_bench(build_dir, name, quick):
+    command = [os.path.join(build_dir, "bench", "bench_" + name)]
+    if quick and name not in NO_QUERIES_FLAG:
+        command.append(f"--queries={QUICK_QUERIES}")
     cpu_before = child_cpu_s()
     start = time.perf_counter()
-    result = subprocess.run([binary], stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+    result = subprocess.run(command, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
     wall_s = time.perf_counter() - start
     return {
         "wall_s": round(wall_s, 3),
@@ -87,6 +98,8 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--build-dir", required=True, help="CMake build tree holding bench/")
     parser.add_argument("--only", help="comma-separated bench names (default: all 17)")
+    parser.add_argument("--quick", action="store_true",
+                        help=f"run with --queries={QUICK_QUERIES} where a bench takes it")
     parser.add_argument("--out", help="write the JSON report here (default: stdout)")
     parser.add_argument("--against", help="earlier report to compare against")
     args = parser.parse_args()
@@ -98,9 +111,9 @@ def main():
         if unknown:
             parser.error("unknown bench: " + ", ".join(unknown))
 
-    report = {"build_dir": args.build_dir, "benches": {}}
+    report = {"build_dir": args.build_dir, "quick": args.quick, "benches": {}}
     for name in names:
-        report["benches"][name] = run_bench(args.build_dir, name)
+        report["benches"][name] = run_bench(args.build_dir, name, args.quick)
     benches = report["benches"].values()
     report["total"] = {
         "wall_s": round(sum(b["wall_s"] for b in benches), 3),
@@ -122,6 +135,11 @@ def main():
     if args.against:
         with open(args.against) as f:
             old = json.load(f)
+        # Reports from before --quick existed are full runs.
+        if old.get("quick", False) != args.quick:
+            print("bench_report: cannot compare a quick report with a full one",
+                  file=sys.stderr)
+            return 1
         # With the report on stdout, the comparison goes to stderr.
         ok = compare(report, old, sys.stdout if args.out else sys.stderr) and ok
     return 0 if ok else 1
