@@ -128,6 +128,19 @@ TEST(EngineGoldenTest, TreeSimulationTrace) {
 
 // ---- ClusterRuntime ----
 
+void AddClusterResult(const ClusterQueryResult& r, Digest& digest) {
+  digest.Add(r.quality);
+  digest.Add(r.included_weight);
+  digest.Add(r.total_weight);
+  digest.Add(r.root_arrivals_in_time);
+  digest.Add(r.root_arrivals_late);
+  digest.Add(static_cast<long long>(r.waves));
+  digest.Add(r.makespan);
+  digest.Add(r.tasks_launched);
+  digest.Add(r.clones_launched);
+  digest.Add(r.clones_won);
+}
+
 void AddClusterRuns(const Workload& workload, double deadline, bool per_query_upper_knowledge,
                     TraceCollector* trace, Digest& digest) {
   // Fewer slots than tasks (waves), one slow machine in three, speculation.
@@ -145,17 +158,7 @@ void AddClusterRuns(const Workload& workload, double deadline, bool per_query_up
   ClusterRuntime runtime(cluster, workload.OfflineTree(), deadline, options);
   for (const auto& realization : Realizations(workload, 6, 13)) {
     for (const auto& policy : Policies()) {
-      ClusterQueryResult r = runtime.RunQuery(*policy, realization);
-      digest.Add(r.quality);
-      digest.Add(r.included_weight);
-      digest.Add(r.total_weight);
-      digest.Add(r.root_arrivals_in_time);
-      digest.Add(r.root_arrivals_late);
-      digest.Add(static_cast<long long>(r.waves));
-      digest.Add(r.makespan);
-      digest.Add(r.tasks_launched);
-      digest.Add(r.clones_launched);
-      digest.Add(r.clones_won);
+      AddClusterResult(runtime.RunQuery(*policy, realization), digest);
     }
   }
 }
@@ -166,6 +169,47 @@ TEST(EngineGoldenTest, ClusterRuntime) {
   AddClusterRuns(MakeFacebookWorkload(6, 4), 1500.0, false, nullptr, digest);
   AddClusterRuns(MakeFacebookThreeLevelWorkload(3, 3, 3), 2000.0, true, nullptr, digest);
   EXPECT_EQ(digest.Hex(), "96bde9cf741a6c7d");
+}
+
+// table-hotspot's shape: 20 x 16 fanout on 100 x 4 slots whose first 10% of
+// machines run 4x slow, with speculation. Hundreds of originals launch
+// together at t = 0, so the speculation picker sees long runs of equal
+// elapsed times; |machines| below 80 runs the job in waves. A |max_clones|
+// of 32 binds in every query; 1000 never does, so those runs clone until
+// no running task is left to clone.
+void AddClusterRunsAtScale(int machines, double deadline, bool per_query_upper_knowledge,
+                           int max_clones, Digest& digest) {
+  ClusterSpec cluster;
+  cluster.machines = machines;
+  cluster.slots_per_machine = 4;
+  cluster.slow_machine_fraction = 0.1;
+  cluster.slow_machine_factor = 4.0;
+  ClusterRunOptions options;
+  options.per_query_upper_knowledge = per_query_upper_knowledge;
+  options.speculation.enabled = true;
+  options.speculation.max_clones = max_clones;
+  options.runtime_seed = 7;
+  const MetaLogNormalWorkload workload = MakeFacebookWorkload(20, 16);
+  ClusterRuntime runtime(cluster, workload.OfflineTree(), deadline, options);
+  for (const auto& realization : Realizations(workload, 8, 19)) {
+    for (const auto& policy : Policies()) {
+      AddClusterResult(runtime.RunQuery(*policy, realization), digest);
+    }
+  }
+}
+
+TEST(EngineGoldenTest, ClusterRuntimeAtScale) {
+  Digest digest;
+  AddClusterRunsAtScale(100, 800.0, false, 32, digest);
+  AddClusterRunsAtScale(100, 1200.0, true, 1000, digest);
+  EXPECT_EQ(digest.Hex(), "95d7ddbbfca75aa2");
+}
+
+TEST(EngineGoldenTest, ClusterRuntimeAtScaleWaves) {
+  Digest digest;
+  AddClusterRunsAtScale(30, 2000.0, false, 32, digest);
+  AddClusterRunsAtScale(30, 3000.0, true, 1000, digest);
+  EXPECT_EQ(digest.Hex(), "b51284cc8b68e249");
 }
 
 TEST(EngineGoldenTest, ClusterRuntimeTrace) {
