@@ -4,12 +4,16 @@
 // WaitScan grid build and a re-optimization on a built grid (also on the
 // Figure 14 shape, with the steps the early exit runs), quality-curve
 // construction, full tree planning, and one query tree's per-query set-up.
+// Two DES microbenches time the engine around the algorithm: an event-queue
+// schedule/cancel/run mix and one table-hotspot-shaped ClusterRuntime
+// replay, each with an events/s counter.
 
 #include <benchmark/benchmark.h>
 
 #include <string>
 #include <vector>
 
+#include "src/cluster/cluster_runtime.h"
 #include "src/core/policies.h"
 #include "src/core/quality.h"
 #include "src/core/wait_optimizer.h"
@@ -199,6 +203,92 @@ void BM_WaitTableLookup(benchmark::State& state) {
   state.SetLabel("the online fast path vs a full scan");
 }
 BENCHMARK(BM_WaitTableLookup);
+
+// Each fired event schedules a successor a random delay later until the
+// budget runs out, and every fourth one also arms a timeout that the next
+// event cancels (a timer racing a completion). |range(0)| chains run at once,
+// so that many events are in flight.
+struct ChurnSim {
+  EventQueue queue;
+  Rng rng{1};
+  long long budget = 0;
+  long long scheduled = 0;
+  uint64_t timeout = 0;
+
+  uint64_t ScheduleIn(double delay) {
+    ++scheduled;
+    return queue.Schedule(queue.now() + delay, [this] { Fire(); });
+  }
+  void Fire() {
+    queue.Cancel(timeout);
+    if (budget <= 0) {
+      return;
+    }
+    --budget;
+    ScheduleIn(rng.NextDouble());
+    if (budget % 4 == 0) {
+      timeout = ScheduleIn(2.0);
+    }
+  }
+};
+
+void BM_EventQueueChurn(benchmark::State& state) {
+  const auto in_flight = static_cast<int>(state.range(0));
+  long long events = 0;
+  for (auto _ : state) {
+    ChurnSim sim;
+    sim.budget = 16LL * in_flight;
+    for (int i = 0; i < in_flight; ++i) {
+      sim.ScheduleIn(sim.rng.NextDouble());
+    }
+    sim.queue.Run();
+    events += sim.scheduled;
+  }
+  state.counters["events/s"] =
+      benchmark::Counter(static_cast<double>(events), benchmark::Counter::kIsRate);
+  state.SetLabel(std::to_string(in_flight) + " in flight");
+}
+BENCHMARK(BM_EventQueueChurn)->Arg(16)->Arg(320);
+
+void BM_ClusterRunQuery(benchmark::State& state) {
+  // One replay per iteration on perfbench's table-hotspot shape: 20 x 16
+  // fanout, 100 x 4 slots with the first 10% of machines 4x slow,
+  // speculation up to 32 clones, offline upper curves, D = 1000 s.
+  // Prop-split keeps policy decisions negligible, so this times the slot
+  // scheduler and the event queue.
+  MetaLogNormalWorkload workload = MakeFacebookWorkload(20, 16);
+  ClusterSpec cluster;
+  cluster.machines = 100;
+  cluster.slots_per_machine = 4;
+  cluster.slow_machine_fraction = 0.1;
+  cluster.slow_machine_factor = 4.0;
+  ClusterRunOptions options;
+  options.per_query_upper_knowledge = false;
+  options.speculation.enabled = true;
+  options.speculation.max_clones = 32;
+  const ClusterRuntime runtime(cluster, workload.OfflineTree(), 1000.0, options);
+  Rng rng(1);
+  std::vector<QueryRealization> realizations;
+  for (int q = 0; q < 16; ++q) {
+    QueryTruth truth = workload.DrawQuery(rng);
+    truth.sequence = static_cast<uint64_t>(q + 1);
+    realizations.push_back(SampleRealization(runtime.offline_tree(), truth, rng));
+  }
+  ProportionalSplitPolicy policy;
+  long long events = 0;
+  size_t next = 0;
+  for (auto _ : state) {
+    ClusterQueryResult result = runtime.RunQuery(policy, realizations[next]);
+    events += result.events;
+    next = (next + 1) % realizations.size();
+  }
+  state.counters["events/replay"] =
+      static_cast<double>(events) / static_cast<double>(state.iterations());
+  state.counters["events/s"] =
+      benchmark::Counter(static_cast<double>(events), benchmark::Counter::kIsRate);
+  state.SetLabel("table-hotspot shape, prop-split");
+}
+BENCHMARK(BM_ClusterRunQuery);
 
 }  // namespace
 }  // namespace cedar

@@ -74,9 +74,12 @@ ClusterQueryResult ClusterRuntime::RunQuery(const WaitPolicy& policy_prototype,
       std::swap(free_slot_ids[i - 1], free_slot_ids[j]);
     }
   }
+  // Sorted ascending, so the median is the middle element.
   std::vector<double> completed_durations;
   completed_durations.reserve(static_cast<size_t>(total_tasks));
   long long clones_total = 0;
+  // Lowest task index that may still be cloned (see try_speculate).
+  long long oldest = 0;
 
   // Clone durations are runtime randomness (a speculative copy re-executes
   // the work), seeded per query for reproducibility.
@@ -117,7 +120,9 @@ ClusterQueryResult ClusterRuntime::RunQuery(const WaitPolicy& policy_prototype,
             if (is_clone) {
               ++result.clones_won;
             }
-            completed_durations.push_back(duration);
+            completed_durations.insert(std::upper_bound(completed_durations.begin(),
+                                                        completed_durations.end(), duration),
+                                       duration);
             // Kill the losing copies: cancel their completions, free slots.
             for (uint64_t h : t.completion_handles) {
               queue.Cancel(h);
@@ -146,24 +151,23 @@ ClusterQueryResult ClusterRuntime::RunQuery(const WaitPolicy& policy_prototype,
     if (clones_total >= options_.speculation.max_clones || completed_durations.empty()) {
       return false;
     }
-    std::vector<double> sorted = completed_durations;
-    std::nth_element(sorted.begin(), sorted.begin() + static_cast<long>(sorted.size() / 2),
-                     sorted.end());
-    double median = sorted[sorted.size() / 2];
+    double median = completed_durations[completed_durations.size() / 2];
     // Longest-running un-cloned task exceeding the slowdown threshold.
-    long long candidate = -1;
-    double longest = 0.0;
-    for (long long i = 0; i < total_tasks; ++i) {
-      const TaskState& t = tasks[static_cast<size_t>(i)];
-      if (t.launched && !t.completed && t.copies_in_flight == 1) {
-        double elapsed = queue.now() - t.first_launch_time;
-        if (elapsed > longest) {
-          longest = elapsed;
-          candidate = i;
-        }
-      }
+    // Originals launch in index order at non-decreasing times, and a task
+    // that is cloned or completes never becomes a candidate again. So the
+    // lowest running, un-cloned index has the earliest launch, hence the
+    // longest elapsed time (first among equals), and |oldest| only moves
+    // forward.
+    while (oldest < next_pending && (tasks[static_cast<size_t>(oldest)].completed ||
+                                     tasks[static_cast<size_t>(oldest)].copies_in_flight != 1)) {
+      ++oldest;
     }
-    if (candidate < 0) {
+    if (oldest == next_pending) {
+      return false;
+    }
+    const double launched_at = tasks[static_cast<size_t>(oldest)].first_launch_time;
+    const double longest = queue.now() - launched_at;
+    if (longest <= 0.0) {
       return false;
     }
     double threshold = options_.speculation.slowdown_threshold * median;
@@ -173,9 +177,7 @@ ClusterQueryResult ClusterRuntime::RunQuery(const WaitPolicy& policy_prototype,
       // longest-runner would qualify.
       if (!spec_check_scheduled) {
         spec_check_scheduled = true;
-        double check_at = std::max(queue.now() + 1e-9,
-                                   tasks[static_cast<size_t>(candidate)].first_launch_time +
-                                       threshold);
+        double check_at = std::max(queue.now() + 1e-9, launched_at + threshold);
         queue.Schedule(check_at, [&] {
           spec_check_scheduled = false;
           fill_slots();
@@ -186,7 +188,7 @@ ClusterQueryResult ClusterRuntime::RunQuery(const WaitPolicy& policy_prototype,
     ++clones_total;
     ++result.clones_launched;
     double clone_duration = realization.truth.stage_durations[0]->Sample(clone_rng);
-    launch_copy(candidate, clone_duration);
+    launch_copy(oldest, clone_duration);
     return true;
   };
 
@@ -201,6 +203,7 @@ ClusterQueryResult ClusterRuntime::RunQuery(const WaitPolicy& policy_prototype,
 
   fill_slots();
   queue.Run();
+  result.events = static_cast<long long>(queue.scheduled());
 
   static_cast<QueryResult&>(result) = tree.Result();
   if (QueryTraceBuilder* trace = tree.trace()) {

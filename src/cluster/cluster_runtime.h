@@ -58,7 +58,8 @@ struct SpeculationOptions {
   // and the task has run at least |slowdown_threshold| times the median
   // completed duration of its stage.
   double slowdown_threshold = 2.0;
-  // At most this many clones in flight per stage.
+  // At most this many clones launched per query, counting clones that
+  // lose or are killed.
   int max_clones = 8;
 };
 
@@ -75,6 +76,7 @@ struct ClusterQueryResult : QueryResult {
   long long tasks_launched = 0;  // including speculative clones
   long long clones_launched = 0;
   long long clones_won = 0;  // clones that finished before the original
+  long long events = 0;      // DES events scheduled, fired or cancelled
 };
 
 class ClusterRuntime {

@@ -1,5 +1,7 @@
 #include "src/sim/event_queue.h"
 
+#include <algorithm>
+
 #include "src/common/logging.h"
 
 namespace cedar {
@@ -7,32 +9,30 @@ namespace cedar {
 uint64_t EventQueue::Schedule(SimTime time, EventCallback callback) {
   CEDAR_CHECK(time >= now_) << "scheduling into the past: " << time << " < " << now_;
   CEDAR_CHECK(IsFiniteTime(time)) << "scheduling at non-finite time";
-  Entry entry;
-  entry.time = time;
-  entry.seq = next_seq_++;
-  entry.handle = next_handle_++;
-  entry.callback = std::move(callback);
-  uint64_t handle = entry.handle;
-  heap_.push(std::move(entry));
-  return handle;
+  const uint64_t seq = state_.size();
+  state_.push_back(State::kQueued);
+  heap_.push_back(Entry{time, seq, std::move(callback)});
+  std::push_heap(heap_.begin(), heap_.end(), EntryLater());
+  return seq + 1;
 }
 
 void EventQueue::Cancel(uint64_t handle) {
-  if (handle != 0) {
-    cancelled_.insert(handle);
+  if (handle == 0 || handle > state_.size() || state_[handle - 1] != State::kQueued) {
+    return;
   }
+  state_[handle - 1] = State::kCancelled;
+  ++cancelled_queued_;
 }
 
 bool EventQueue::RunOne() {
   while (!heap_.empty()) {
-    // priority_queue::top returns const&; move via const_cast is the
-    // standard idiom-free workaround — copy the small fields and move the
-    // callback out via a pop-after-copy of the shared_ptr-free closure.
-    Entry entry = heap_.top();
-    heap_.pop();
-    auto it = cancelled_.find(entry.handle);
-    if (it != cancelled_.end()) {
-      cancelled_.erase(it);
+    std::pop_heap(heap_.begin(), heap_.end(), EntryLater());
+    Entry entry = std::move(heap_.back());
+    heap_.pop_back();
+    const bool cancelled = state_[entry.seq] == State::kCancelled;
+    state_[entry.seq] = State::kDone;
+    if (cancelled) {
+      --cancelled_queued_;
       continue;
     }
     now_ = entry.time;

@@ -1,14 +1,17 @@
 // Discrete-event simulation core: a time-ordered event queue with stable
-// FIFO ordering for simultaneous events and O(log n) lazy cancellation.
-// Shared by the aggregation-tree simulator and the cluster runtime.
+// FIFO ordering for simultaneous events. Shared by the aggregation-tree
+// simulator and the cluster runtime.
+//
+// The heap is a vector under push_heap/pop_heap, and RunOne moves each
+// callback out of it, so a callback is never copied. A handle indexes one
+// state byte per scheduled event (queued, cancelled or done): Cancel is O(1),
+// and a cancelled event is dropped when it reaches the top of the heap.
 
 #ifndef CEDAR_SRC_SIM_EVENT_QUEUE_H_
 #define CEDAR_SRC_SIM_EVENT_QUEUE_H_
 
 #include <cstdint>
 #include <functional>
-#include <queue>
-#include <unordered_set>
 #include <vector>
 
 #include "src/common/time_types.h"
@@ -28,8 +31,8 @@ class EventQueue {
   // scheduling order.
   uint64_t Schedule(SimTime time, EventCallback callback);
 
-  // Cancels a pending event. Cancelling an already-fired or unknown handle
-  // is a no-op (timers race with completions by design).
+  // Cancels a pending event. Cancelling an already-fired, already-cancelled
+  // or unknown handle is a no-op (timers race with completions by design).
   void Cancel(uint64_t handle);
 
   // Runs events until the queue is empty.
@@ -42,15 +45,18 @@ class EventQueue {
   SimTime now() const { return now_; }
 
   // Number of pending (non-cancelled) events.
-  size_t pending() const { return heap_.size() - cancelled_.size(); }
+  size_t pending() const { return heap_.size() - cancelled_queued_; }
 
   bool empty() const { return pending() == 0; }
 
+  // Number of events ever scheduled, fired or cancelled.
+  uint64_t scheduled() const { return state_.size(); }
+
  private:
+  enum class State : uint8_t { kQueued, kCancelled, kDone };
   struct Entry {
     SimTime time;
-    uint64_t seq;
-    uint64_t handle;
+    uint64_t seq;  // the event's handle is seq + 1
     EventCallback callback;
   };
   struct EntryLater {
@@ -62,11 +68,10 @@ class EventQueue {
     }
   };
 
-  std::priority_queue<Entry, std::vector<Entry>, EntryLater> heap_;
-  std::unordered_set<uint64_t> cancelled_;
+  std::vector<Entry> heap_;
+  std::vector<State> state_;  // indexed by seq
+  size_t cancelled_queued_ = 0;
   SimTime now_ = 0.0;
-  uint64_t next_seq_ = 0;
-  uint64_t next_handle_ = 1;
 };
 
 }  // namespace cedar

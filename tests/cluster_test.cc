@@ -110,6 +110,9 @@ TEST(ClusterRuntimeTest, SpeculationLaunchesAndAccountsClones) {
   EXPECT_EQ(result.clones_won, 1);
   EXPECT_LT(result.makespan, 500.0);
   EXPECT_DOUBLE_EQ(result.quality, 1.0);
+  // Each launched copy schedules its completion (the loser's is cancelled),
+  // and the speculation poll and the aggregator schedule more.
+  EXPECT_GT(result.events, result.tasks_launched);
 }
 
 TEST(ClusterRuntimeTest, SpeculationDisabledLaunchesNoClones) {

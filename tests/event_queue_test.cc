@@ -46,8 +46,63 @@ TEST(EventQueueTest, CancelUnknownOrFiredIsNoop) {
   queue.Cancel(handle);  // already fired
   queue.Cancel(9999);    // never existed
   queue.Schedule(2.0, [&] { ++count; });
+  EXPECT_EQ(queue.pending(), 1u);
+  EXPECT_FALSE(queue.empty());
   queue.Run();
   EXPECT_EQ(count, 2);
+}
+
+TEST(EventQueueTest, DoubleCancelCountsOnce) {
+  EventQueue queue;
+  bool fired = false;
+  uint64_t a = queue.Schedule(1.0, [&] { fired = true; });
+  queue.Schedule(2.0, [] {});
+  queue.Cancel(a);
+  queue.Cancel(a);
+  EXPECT_EQ(queue.pending(), 1u);
+  queue.Run();
+  EXPECT_FALSE(fired);
+  EXPECT_TRUE(queue.empty());
+}
+
+TEST(EventQueueTest, CancelFromSameTimeCallbackSuppressesLaterEvent) {
+  EventQueue queue;
+  std::vector<int> order;
+  uint64_t later = 0;
+  queue.Schedule(1.0, [&] {
+    order.push_back(0);
+    queue.Cancel(later);
+  });
+  later = queue.Schedule(1.0, [&] { order.push_back(1); });
+  queue.Schedule(1.0, [&] { order.push_back(2); });
+  queue.Run();
+  EXPECT_EQ(order, (std::vector<int>{0, 2}));
+  EXPECT_EQ(queue.pending(), 0u);
+}
+
+// A callable that counts how often it is copied (moves are free).
+struct CopyCounter {
+  int* copies;
+  int* calls;
+  CopyCounter(int* copies_in, int* calls_in) : copies(copies_in), calls(calls_in) {}
+  CopyCounter(const CopyCounter& other) : copies(other.copies), calls(other.calls) { ++*copies; }
+  CopyCounter(CopyCounter&&) = default;
+  CopyCounter& operator=(const CopyCounter&) = delete;
+  CopyCounter& operator=(CopyCounter&&) = default;
+  void operator()() const { ++*calls; }
+};
+
+TEST(EventQueueTest, CallbacksAreNeverCopied) {
+  EventQueue queue;
+  int copies = 0;
+  int calls = 0;
+  // Enough events to regrow the heap's storage several times.
+  for (int i = 0; i < 100; ++i) {
+    queue.Schedule(static_cast<double>(100 - i), CopyCounter(&copies, &calls));
+  }
+  queue.Run();
+  EXPECT_EQ(calls, 100);
+  EXPECT_EQ(copies, 0);
 }
 
 TEST(EventQueueTest, EventsScheduleMoreEvents) {
