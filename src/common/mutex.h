@@ -15,7 +15,7 @@
 //     cv_.Wait(lock);
 //   }
 //
-// — which the analysis (and the lockgraph pass) reads naturally.
+// — which the analysis reads naturally.
 
 #ifndef CEDAR_SRC_COMMON_MUTEX_H_
 #define CEDAR_SRC_COMMON_MUTEX_H_

@@ -7,9 +7,9 @@
 // CEDAR_THREAD_SAFETY CMake option the compiler verifies the discipline at
 // compile time; under every other compiler the macros expand to nothing.
 //
-// The homegrown cross-TU `lockgraph` pass (tools/lint/lockgraph.h) reads
-// CEDAR_REQUIRES annotations *lexically*, so they inform both analyzers:
-// clang checks each TU precisely, lockgraph checks lock ordering globally.
+// Where clang is absent, the ThreadSanitizer tier (`ctest -L tier1_tsan`)
+// checks the same discipline at run time: data races and lock-order
+// inversions on the paths the tests drive.
 //
 // Annotate with the cedar::Mutex / cedar::MutexLock / cedar::CondVar wrappers
 // from src/common/mutex.h — std::mutex itself carries no capability

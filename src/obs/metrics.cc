@@ -261,7 +261,7 @@ void MetricsSnapshot::WriteCsv(const std::string& path) const {
 
 MetricsRegistry& MetricsRegistry::Global() {
   // Intentionally leaked process singleton (no destruction-order hazards).
-  static MetricsRegistry* registry = new MetricsRegistry();  // cedar-lint: allow(raw-new)
+  static MetricsRegistry* registry = new MetricsRegistry();
   return *registry;
 }
 

@@ -21,7 +21,7 @@ struct SiteRegistry {
 
 SiteRegistry& Registry() {
   // Intentionally leaked process singleton (no destruction-order hazards).
-  static SiteRegistry* registry = new SiteRegistry();  // cedar-lint: allow(raw-new)
+  static SiteRegistry* registry = new SiteRegistry();
   return *registry;
 }
 

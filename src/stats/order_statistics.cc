@@ -75,8 +75,7 @@ namespace {
 std::mutex g_table_mutex;
 std::map<std::pair<int, int>, std::unique_ptr<std::vector<double>>>& TableCache() {
   // Intentionally leaked process-lifetime cache (see g_table_mutex).
-  static auto* cache =  // cedar-lint: allow(raw-new)
-      new std::map<std::pair<int, int>, std::unique_ptr<std::vector<double>>>();
+  static auto* cache = new std::map<std::pair<int, int>, std::unique_ptr<std::vector<double>>>();
   return *cache;
 }
 

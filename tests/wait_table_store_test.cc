@@ -1,8 +1,8 @@
 // WaitTableStore contract: content-fingerprint keying (collisions resolved
 // by full key compare), single-flight construction, LRU-bounded capacity,
 // clamped-lookup propagation across eviction, and bit-identical parallel
-// builds. Carries the tier1_tsan label: the single-flight and shared-build
-// paths are meant to run under -DCEDAR_SANITIZE=thread.
+// builds. Carries the tier1_tsan label: the single-flight, shared-build and
+// evict-under-metrics paths are meant to run under -DCEDAR_SANITIZE=thread.
 
 #include "src/core/wait_table_store.h"
 
@@ -15,6 +15,7 @@
 #include "src/common/math_util.h"
 #include "src/common/thread_pool.h"
 #include "src/core/quality.h"
+#include "src/obs/metrics.h"
 #include "src/stats/distribution.h"
 
 namespace cedar {
@@ -194,6 +195,45 @@ TEST(WaitTableStoreTest, ClampedLookupsSurviveEviction) {
   EXPECT_EQ(store.GetStats().evictions, 1);
   EXPECT_EQ(store.GetStats().clamped_lookups, 1)
       << "the evicted table's clamp count is retired into the store stats";
+}
+
+// The tree's one nested lock acquisition: with metrics on, EnforceCapacity
+// runs under a shard mutex and takes the MetricsRegistry mutex to find the
+// evictions counter. Threads share a capacity-1 store (one entry per shard),
+// so the shards keep evicting and the tier1_tsan run sees that lock order.
+TEST(WaitTableStoreTest, ConcurrentEvictionsCountedInMetrics) {
+  StoreFixture fixture;
+  WaitTableStoreOptions options;
+  options.capacity = 1;
+  WaitTableStore store(options);
+  Counter& evictions = MetricsRegistry::Global().GetCounter("wait_table_store.evictions");
+  const long long evictions_before = evictions.Value();
+  const bool metrics_were_enabled = MetricsEnabled();
+  SetMetricsEnabled(true);
+
+  constexpr int kThreads = 4;
+  constexpr int kLookupsPerThread = 6;
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kLookupsPerThread; ++i) {
+        const double deadline = 100.0 + 10.0 * (t * kLookupsPerThread + i);  // distinct keys
+        store.GetOrBuild(fixture.KeyAt(deadline), fixture.upper);
+      }
+    });
+  }
+  for (auto& thread : threads) {
+    thread.join();
+  }
+  SetMetricsEnabled(metrics_were_enabled);
+
+  const WaitTableStoreStats stats = store.GetStats();
+  EXPECT_EQ(stats.misses, kThreads * kLookupsPerThread);
+  EXPECT_EQ(stats.evictions, stats.misses - static_cast<long long>(store.size()))
+      << "every built table is either resident or evicted";
+  EXPECT_GT(stats.evictions, 0);
+  EXPECT_EQ(evictions.Value() - evictions_before, stats.evictions);
 }
 
 TEST(WaitTableStoreTest, ParallelBuildIsBitIdenticalToSerial) {

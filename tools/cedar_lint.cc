@@ -1,27 +1,24 @@
 // cedar_lint: scans the tree for violations of Cedar's determinism and
 // engineering invariants (see tools/lint/lint.h for the rule table and
-// DESIGN.md §10 for the policy) and, via the lockgraph pass, for lock
-// discipline violations (tools/lint/lockgraph.h, DESIGN.md §12). Registered
-// with ctest as the `cedar_lint` and `cedar_lockgraph` tests under the
-// tier1_lint / tier1_lockgraph labels, so every `ctest` run machine-checks
-// the invariants the paper figures depend on.
+// DESIGN.md §10 for the policy). Registered with ctest as the `cedar_lint`
+// test under the tier1_lint label, so every `ctest` run machine-checks the
+// invariants the paper figures depend on.
 //
 //   cedar_lint --root=/path/to/repo            # lint src/ bench/ tools/ tests/
-//   cedar_lint --root=. --pass=lockgraph       # lock-discipline analysis only
 //   cedar_lint --root=. --rule=wallclock       # run a single rule
-//   cedar_lint --root=. --rule=lockgraph-cycle # rules route to their pass
 //   cedar_lint --list-rules
 //
 // Exit status: 0 when clean, 1 when any unsuppressed violation was found,
-// 2 on usage errors. Deliberately free of cedar library dependencies: the
-// linter must stay buildable even when the code it lints is not.
+// 2 on usage errors (including a --rule that is not in --list-rules).
+// Deliberately free of cedar library dependencies: the linter must stay
+// buildable even when the code it lints is not.
 
+#include <algorithm>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "tools/lint/lint.h"
-#include "tools/lint/lockgraph.h"
 
 namespace {
 
@@ -34,16 +31,11 @@ bool ConsumeFlag(const std::string& arg, const std::string& name, std::string* v
   return true;
 }
 
-bool IsLockgraphRule(const std::string& rule) {
-  return rule.rfind("lockgraph-", 0) == 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   std::string root = ".";
   std::string rule;
-  std::string pass = "all";
   std::string dirs_flag = "src,bench,tools,tests";
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -51,31 +43,20 @@ int main(int argc, char** argv) {
       for (const std::string& name : cedar::lint::AllRules()) {
         std::cout << name << "\n";
       }
-      for (const std::string& name : cedar::lint::LockgraphRules()) {
-        std::cout << name << "\n";
-      }
       return 0;
     }
     if (ConsumeFlag(arg, "root", &root) || ConsumeFlag(arg, "rule", &rule) ||
-        ConsumeFlag(arg, "pass", &pass) || ConsumeFlag(arg, "dirs", &dirs_flag)) {
+        ConsumeFlag(arg, "dirs", &dirs_flag)) {
       continue;
     }
     std::cerr << "cedar_lint: unknown argument '" << arg
-              << "' (want --root=PATH [--pass=lint|lockgraph|all] [--rule=RULE] "
-                 "[--dirs=a,b] [--list-rules])\n";
+              << "' (want --root=PATH [--rule=RULE] [--dirs=a,b] [--list-rules])\n";
     return 2;
   }
-  if (pass != "lint" && pass != "lockgraph" && pass != "all") {
-    std::cerr << "cedar_lint: unknown --pass='" << pass << "' (want lint|lockgraph|all)\n";
-    return 2;
-  }
-  // A --rule belongs to exactly one pass; narrow to it so the other pass does
-  // not report "0 violations" for a rule it never runs.
-  if (!rule.empty() && pass == "all") {
-    pass = IsLockgraphRule(rule) ? "lockgraph" : "lint";
-  }
-  if (!rule.empty() && IsLockgraphRule(rule) != (pass == "lockgraph")) {
-    std::cerr << "cedar_lint: --rule=" << rule << " is not part of --pass=" << pass << "\n";
+  const std::vector<std::string>& rules = cedar::lint::AllRules();
+  if (!rule.empty() && std::find(rules.begin(), rules.end(), rule) == rules.end()) {
+    // An unknown slug would filter out every rule and report a clean tree.
+    std::cerr << "cedar_lint: unknown --rule='" << rule << "' (see --list-rules)\n";
     return 2;
   }
 
@@ -93,19 +74,8 @@ int main(int argc, char** argv) {
   }
 
   int files_scanned = 0;
-  std::vector<cedar::lint::Diagnostic> diagnostics;
-  if (pass == "lint" || pass == "all") {
-    diagnostics = cedar::lint::LintTree(root, dirs, rule, &files_scanned);
-  }
-  if (pass == "lockgraph" || pass == "all") {
-    int lockgraph_scanned = 0;
-    std::vector<cedar::lint::Diagnostic> lock_diags =
-        cedar::lint::LockgraphTree(root, dirs, rule, &lockgraph_scanned);
-    diagnostics.insert(diagnostics.end(), lock_diags.begin(), lock_diags.end());
-    if (lockgraph_scanned > files_scanned) {
-      files_scanned = lockgraph_scanned;
-    }
-  }
+  std::vector<cedar::lint::Diagnostic> diagnostics =
+      cedar::lint::LintTree(root, dirs, rule, &files_scanned);
   for (const cedar::lint::Diagnostic& diagnostic : diagnostics) {
     std::cout << diagnostic.ToString() << "\n";
   }

@@ -6,7 +6,6 @@
 #   build    default build, warnings-as-errors (-DCEDAR_WERROR=ON)
 #   test     the full ctest suite in build/
 #   lint     ctest -L tier1_lint (cedar_lint tree scan + rule fixture suite)
-#   lockgraph ctest -L tier1_lockgraph (lock-discipline tree scan + fixtures)
 #   store    ctest -L tier1_store (wait-table store suite + microbench smoke run)
 #   asan     AddressSanitizer build in build-asan/, ctest -L tier1_asan
 #   ubsan    UndefinedBehaviorSanitizer build in build-ubsan/, ctest -L tier1_ubsan
@@ -17,7 +16,11 @@
 # Stages whose external tool is not installed (clang-format, clang-tidy) are
 # reported SKIP rather than failing: the container bakes in only the gcc
 # toolchain, and a skipped optional gate must not mask the mandatory ones.
-# Exit status: 0 when every non-skipped stage passed, 1 on the first failure.
+# Lock discipline is checked by the tsan stage and, where clang exists, the
+# tsafety stage (DESIGN.md §12).
+#
+# Exit status: 0 when every non-skipped stage passed, 1 on the first failure,
+# 2 on a usage error (an unknown argument or --only stage name).
 #
 # Usage: tools/check.sh [--jobs=N] [--only=stage[,stage...]]
 
@@ -37,6 +40,17 @@ for arg in "$@"; do
       exit 2
       ;;
   esac
+done
+
+# Every stage, in run order. --only names outside this list are a usage
+# error: a typo would otherwise skip every stage and report success.
+ALL_STAGES=(format build test lint store asan ubsan tsan tidy tsafety)
+IFS=',' read -r -a only_stages <<< "$ONLY"
+for stage in "${only_stages[@]}"; do
+  if [[ " ${ALL_STAGES[*]} " != *" $stage "* ]]; then
+    echo "check.sh: unknown stage '$stage' in --only (want: ${ALL_STAGES[*]})" >&2
+    exit 2
+  fi
 done
 
 STAGE_NAMES=()
@@ -113,9 +127,6 @@ run_stage test test_stage
 
 lint_stage() { ctest --test-dir "$ROOT/build" -L tier1_lint --output-on-failure; }
 run_stage lint lint_stage
-
-lockgraph_stage() { ctest --test-dir "$ROOT/build" -L tier1_lockgraph --output-on-failure; }
-run_stage lockgraph lockgraph_stage
 
 store_stage() { ctest --test-dir "$ROOT/build" -L tier1_store --output-on-failure; }
 run_stage store store_stage

@@ -1,7 +1,6 @@
 #include "tools/lint/lint.h"
 
 #include <algorithm>
-#include <cctype>
 #include <regex>
 #include <sstream>
 #include <utility>
@@ -43,17 +42,6 @@ bool RngExempt(const std::string& path) {
 
 bool IsEngineCode(const std::string& path) { return StartsWith(path, "src/"); }
 
-std::string CanonicalGuard(const std::string& path) {
-  std::string guard = "CEDAR_";
-  for (char c : path) {
-    guard.push_back(std::isalnum(static_cast<unsigned char>(c))
-                        ? static_cast<char>(std::toupper(static_cast<unsigned char>(c)))
-                        : '_');
-  }
-  guard.push_back('_');
-  return guard;
-}
-
 // ---------------------------------------------------------------------------
 // Pattern-rule table.
 
@@ -84,10 +72,6 @@ const std::vector<PatternRule>& PatternRules() {
        "pointer-address fingerprint/hash; addresses are recycled between queries — key by "
        "content or sequence id",
        nullptr, false},
-      {"raw-new",
-       std::regex("\\bnew\\b|(^|[^=!<>+*/%&|^-])\\s\\bdelete\\b"),
-       "raw new/delete in engine code; use std::make_unique / containers",
-       nullptr, true},
       {"stdout",
        std::regex("\\bstd::cout\\b|\\bprintf\\s*\\(|\\bfprintf\\s*\\(\\s*stdout\\b|"
                   "\\bputs\\s*\\("),
@@ -107,8 +91,7 @@ std::string Diagnostic::ToString() const {
 
 const std::vector<std::string>& AllRules() {
   static const std::vector<std::string>* rules = new std::vector<std::string>{
-      "wallclock", "rng",           "ptr-hash",      "unordered-iter", "raw-new",
-      "stdout",    "fork-override", "include-guard", "self-contained",
+      "wallclock", "rng", "ptr-hash", "unordered-iter", "stdout", "fork-override", "self-contained",
   };
   return *rules;
 }
@@ -116,12 +99,7 @@ const std::vector<std::string>& AllRules() {
 void LintRun::SetRuleFilter(const std::string& rule) { rule_filter_ = rule; }
 
 void LintRun::AddFile(const std::string& path, const std::string& content) {
-  StrippedSource stripped = StripSource(content);
-  FileState state;
-  state.path = path;
-  state.lines = std::move(stripped.lines);
-  state.line_allows = std::move(stripped.line_allows);
-  state.file_allows = std::move(stripped.file_allows);
+  FileState state{StripSource(content), path, {}};
   // Include paths must come from the raw text: the stripper blanks string
   // literals, which erases the path inside #include "...".
   static const std::regex kInclude("^\\s*#\\s*include\\s*[<\"]([^>\"]+)[>\"]");
@@ -140,22 +118,9 @@ bool LintRun::RuleEnabled(const std::string& rule) const {
   return rule_filter_.empty() || rule_filter_ == rule;
 }
 
-bool LintRun::Suppressed(const FileState& file, int line, const std::string& rule) const {
-  if (file.file_allows.count(rule) != 0) {
-    return true;
-  }
-  for (int candidate : {line, line - 1}) {
-    auto it = file.line_allows.find(candidate);
-    if (it != file.line_allows.end() && it->second.count(rule) != 0) {
-      return true;
-    }
-  }
-  return false;
-}
-
 void LintRun::Report(const FileState& file, int line, const std::string& rule,
                      const std::string& message) {
-  if (!RuleEnabled(rule) || Suppressed(file, line, rule)) {
+  if (!RuleEnabled(rule) || IsAllowed(file, line, rule)) {
     return;
   }
   diagnostics_.push_back(Diagnostic{file.path, line, rule, message});
@@ -221,44 +186,6 @@ void LintRun::CheckUnorderedIteration(const FileState& file) {
                  "'; order is implementation-defined — iterate a sorted copy or switch to an "
                  "ordered container before this feeds any output");
     }
-  }
-}
-
-void LintRun::CheckIncludeGuard(const FileState& file) {
-  if (!IsHeader(file.path)) {
-    return;
-  }
-  static const std::regex kDirective("^\\s*#\\s*(\\w+)\\s*(\\S*)");
-  std::vector<std::pair<int, std::smatch>> directives;
-  for (size_t i = 0; i < file.lines.size() && directives.size() < 2; ++i) {
-    std::smatch match;
-    if (std::regex_search(file.lines[i], match, kDirective)) {
-      directives.emplace_back(static_cast<int>(i) + 1, match);
-    }
-  }
-  const std::string guard = CanonicalGuard(file.path);
-  if (directives.empty()) {
-    Report(file, 1, "include-guard", "header has no include guard; want #ifndef " + guard);
-    return;
-  }
-  if (directives[0].second[1].str() == "pragma") {
-    if (directives[0].second[2].str() != "once") {
-      Report(file, directives[0].first, "include-guard",
-             "header's first directive is a #pragma other than 'once'; want #pragma once or "
-             "#ifndef " +
-                 guard);
-    }
-    return;
-  }
-  if (directives[0].second[1].str() != "ifndef" || directives[0].second[2].str() != guard) {
-    Report(file, directives[0].first, "include-guard",
-           "first directive must be the canonical include guard #ifndef " + guard);
-    return;
-  }
-  if (directives.size() < 2 || directives[1].second[1].str() != "define" ||
-      directives[1].second[2].str() != guard) {
-    Report(file, directives[0].first, "include-guard",
-           "#ifndef " + guard + " must be followed by #define " + guard);
   }
 }
 
@@ -430,7 +357,6 @@ std::vector<Diagnostic> LintRun::Run() {
   for (const FileState& file : files_) {
     CheckPatternRules(file);
     CheckUnorderedIteration(file);
-    CheckIncludeGuard(file);
     CheckSelfContained(file);
   }
   CheckForkOverride();

@@ -18,15 +18,11 @@
 //   unordered-iter   — no iteration over unordered containers: iteration
 //                      order is implementation-defined and silently leaks
 //                      nondeterminism into CSV/trace/report output paths.
-//   raw-new          — no raw new/delete in engine code (src/): ownership is
-//                      expressed with unique_ptr/containers.
 //   stdout           — no std::cout/printf writing from src/: libraries take
 //                      a std::ostream& or use CEDAR_LOG so tools own stdout.
 //   fork-override    — every WaitPolicy subclass (transitively) either
 //                      overrides ForkForWorker or carries an explicit allow:
 //                      forgetting it reintroduces cross-worker shared state.
-//   include-guard    — every header has the canonical CEDAR_<PATH>_H_
-//                      include guard (or #pragma once).
 //   self-contained   — a header that names a common std:: type directly
 //                      includes the std header that provides it (curated
 //                      symbol table, not full IWYU).
@@ -43,6 +39,8 @@
 #include <set>
 #include <string>
 #include <vector>
+
+#include "tools/lint/stripped_source.h"
 
 namespace cedar {
 namespace lint {
@@ -71,7 +69,7 @@ class LintRun {
   void SetRuleFilter(const std::string& rule);
 
   // Registers |content| under repo-relative |path| ("src/core/policy.h").
-  // Path decides which rules apply and the canonical include-guard name.
+  // Path decides which rules apply.
   void AddFile(const std::string& path, const std::string& content);
 
   // Runs every applicable rule over the added files and returns the
@@ -79,25 +77,19 @@ class LintRun {
   std::vector<Diagnostic> Run();
 
  private:
-  struct FileState {
+  // The stripped code (rule regexes never match inside prose or literals)
+  // and its allow markers, plus what the cross-file rules need.
+  struct FileState : StrippedSource {
     std::string path;
-    // Code with comments and string/char literals blanked to spaces, one
-    // entry per line: rule regexes never match inside prose or literals.
-    std::vector<std::string> lines;
-    // line (1-based) -> rules allowed on that line.
-    std::map<int, std::set<std::string>> line_allows;
-    std::set<std::string> file_allows;
     std::set<std::string> includes;  // direct #include targets
   };
 
   bool RuleEnabled(const std::string& rule) const;
-  bool Suppressed(const FileState& file, int line, const std::string& rule) const;
   void Report(const FileState& file, int line, const std::string& rule,
               const std::string& message);
 
   void CheckPatternRules(const FileState& file);
   void CheckUnorderedIteration(const FileState& file);
-  void CheckIncludeGuard(const FileState& file);
   void CheckSelfContained(const FileState& file);
   void CheckForkOverride();
 

@@ -1,7 +1,7 @@
-// Shared lexing layer for the cedar_lint passes (lint.cc and lockgraph.cc):
-// blanks comments and string/char literals out of C++ source so rule logic
-// only ever sees code, harvests `cedar-lint: allow(...)` markers from the
-// comment text while doing so, and lists the tree's lintable files.
+// Lexing layer of cedar_lint (lint.cc): blanks comments and string/char
+// literals out of C++ source so rule logic only ever sees code, harvests
+// `cedar-lint: allow(...)` markers from the comment text while doing so, and
+// lists the tree's lintable files.
 
 #ifndef CEDAR_TOOLS_LINT_STRIPPED_SOURCE_H_
 #define CEDAR_TOOLS_LINT_STRIPPED_SOURCE_H_
