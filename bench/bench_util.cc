@@ -36,29 +36,6 @@ std::vector<std::string> SweepColumns(const std::vector<const WaitPolicy*>& poli
   return columns;
 }
 
-// The store a sweep's policies actually resolve to: the explicitly scoped
-// one, else the process Global() (the CedarPolicy default).
-WaitTableStore& SweepStore(WaitTableStore* configured) {
-  return configured != nullptr ? *configured : WaitTableStore::Global();
-}
-
-// Printed after a sweep's table when the run touched the wait-table store:
-// the hit rate is the sweep's table-build amortization at a glance.
-void PrintStoreDelta(std::ostream& out, const WaitTableStoreStats& before,
-                     const WaitTableStoreStats& after) {
-  WaitTableStoreStats delta;
-  delta.hits = after.hits - before.hits;
-  delta.misses = after.misses - before.misses;
-  delta.build_waits = after.build_waits - before.build_waits;
-  delta.evictions = after.evictions - before.evictions;
-  if (delta.Gets() <= 0) {
-    return;
-  }
-  out << "wait-table store: gets=" << delta.Gets() << " builds=" << delta.misses
-      << " hit_rate=" << TablePrinter::FormatDouble(100.0 * delta.HitRate(), 1)
-      << "% build_waits=" << delta.build_waits << " evictions=" << delta.evictions << "\n";
-}
-
 std::vector<std::string> SweepRow(double deadline,
                                   const std::vector<const WaitPolicy*>& policies,
                                   const std::string& baseline,
@@ -98,8 +75,6 @@ void RunDeadlineSweep(std::ostream& out, const std::string& title, const Workloa
       << " queries=" << options.num_queries << " seed=" << options.seed << "\n";
 
   std::unique_ptr<ThreadPool> pool = MakeSweepPool(options.threads, options.num_queries);
-  WaitTableStore& store = SweepStore(options.wait_table_store);
-  const WaitTableStoreStats store_before = store.GetStats();
   TablePrinter table(SweepColumns(policies, baseline, workload.time_unit()));
   for (double deadline : deadlines) {
     ExperimentConfig config;
@@ -109,14 +84,12 @@ void RunDeadlineSweep(std::ostream& out, const std::string& title, const Workloa
     config.threads = options.threads;
     config.pool = pool.get();
     config.sim = options.sim;
-    config.wait_table_store = options.wait_table_store;
     ExperimentResult result = RunExperiment(workload, policies, config);
     table.AddRow(SweepRow(deadline, policies, baseline, [&](const std::string& name) {
       return result.Outcome(name).MeanQuality();
     }));
   }
   table.Print(out);
-  PrintStoreDelta(out, store_before, store.GetStats());
 }
 
 void RunClusterDeadlineSweep(std::ostream& out, const std::string& title,
@@ -133,8 +106,6 @@ void RunClusterDeadlineSweep(std::ostream& out, const std::string& title,
       << " slots, queries=" << options.num_queries << " seed=" << options.seed << "\n";
 
   std::unique_ptr<ThreadPool> pool = MakeSweepPool(options.threads, options.num_queries);
-  WaitTableStore& store = SweepStore(options.wait_table_store);
-  const WaitTableStoreStats store_before = store.GetStats();
   TablePrinter table(SweepColumns(policies, baseline, workload.time_unit()));
   for (double deadline : deadlines) {
     ClusterExperimentConfig config;
@@ -145,14 +116,12 @@ void RunClusterDeadlineSweep(std::ostream& out, const std::string& title,
     config.threads = options.threads;
     config.pool = pool.get();
     config.run = options.run;
-    config.wait_table_store = options.wait_table_store;
     ClusterExperimentResult result = RunClusterExperiment(workload, policies, config);
     table.AddRow(SweepRow(deadline, policies, baseline, [&](const std::string& name) {
       return result.Outcome(name).MeanQuality();
     }));
   }
   table.Print(out);
-  PrintStoreDelta(out, store_before, store.GetStats());
 }
 
 void RunDeadlineSweep(std::ostream& out, const std::string& title, const Workload& workload,

@@ -15,7 +15,6 @@
 
 #include "src/cluster/experiment.h"
 #include "src/core/policy.h"
-#include "src/core/wait_table_store.h"
 #include "src/obs/obs_flags.h"
 #include "src/sim/experiment.h"
 #include "src/sim/workload.h"
@@ -58,11 +57,6 @@ struct SweepOptions {
   // Name of the policy used as the improvement baseline ("" = first).
   std::string baseline;
   TreeSimulationOptions sim;
-  // Sweep-scoped wait-table store (borrowed, may be null = policies use the
-  // process Global()). When set, the engine also lends the sweep's worker
-  // pool to it so single-flight builds fill their grids in parallel. Results
-  // are bit-identical with any store; only the amortization scope changes.
-  WaitTableStore* wait_table_store = nullptr;
 };
 
 // Runs |workload| under |policies| for every deadline and prints one row per
@@ -91,8 +85,6 @@ struct ClusterSweepOptions {
   int threads = 0;
   std::string baseline;
   ClusterRunOptions run;
-  // Same contract as SweepOptions::wait_table_store.
-  WaitTableStore* wait_table_store = nullptr;
 };
 
 // Same, on the slot-scheduled cluster engine (the deployment substitute).

@@ -129,52 +129,32 @@ CedarPolicy::CedarPolicy(CedarPolicyOptions options) : options_(options) {
 
 std::unique_ptr<WaitPolicy> CedarPolicy::Clone() const {
   // Clones share options but never learner state, the scan grid or the
-  // store-table memo.
+  // wait table.
   return std::make_unique<CedarPolicy>(options_);
 }
 
 std::unique_ptr<WaitPolicy> CedarPolicy::ForkForWorker() const {
-  // A fresh instance shares nothing mutable with this one: it keeps only
-  // per-instance memo state. The WaitTableStore itself is safe to share
-  // across workers — that sharing is the point of the store.
+  // A fresh instance shares nothing mutable with this one. The
+  // WaitTableStore itself is safe to share across workers — that sharing is
+  // the point of the store.
   return std::make_unique<CedarPolicy>(options_);
 }
 
-WaitTableStore& CedarPolicy::ResolveStore(const AggregatorContext& ctx) const {
-  if (ctx.table_store != nullptr) {
-    return *ctx.table_store;
-  }
-  if (options_.table_store != nullptr) {
-    return *options_.table_store;
-  }
-  return WaitTableStore::Global();
-}
-
 const WaitTable& CedarPolicy::TableFor(const AggregatorContext& ctx) {
-  double remaining = std::max(0.0, ctx.deadline - ctx.start_offset);
-  if (store_table_ != nullptr && store_key_.deadline == remaining) {
-    // Same query as the last validation: the curve behind the memo is still
-    // the one in flight. Across queries, re-validate by curve *content* (the
-    // store's keying discipline — a hit is the stationary-upper-curve case).
-    bool same_query = query_sequence_ != 0 && store_sequence_ == query_sequence_;
-    if (same_query || MatchesKey(store_key_, options_.table_spec, ctx.fanout,
-                                 *ctx.upper_quality, remaining, ctx.epsilon)) {
-      store_sequence_ = query_sequence_;
-      return *store_table_;
-    }
+  if (table_ == nullptr) {
+    WaitTableStore& store =
+        ctx.table_store != nullptr ? *ctx.table_store : WaitTableStore::Global();
+    table_ = store.GetOrBuild(options_.table_spec, ctx.fanout, *ctx.upper_quality,
+                              std::max(0.0, ctx.deadline - ctx.start_offset), ctx.epsilon);
   }
-  store_key_ = WaitTableKey::Of(options_.table_spec, ctx.fanout, *ctx.upper_quality,
-                                remaining, ctx.epsilon);
-  store_table_ = ResolveStore(ctx).GetOrBuild(store_key_, *ctx.upper_quality);
-  store_sequence_ = query_sequence_;
-  return *store_table_;
+  return *table_;
 }
 
 void CedarPolicy::BeginQuery(const AggregatorContext& ctx, const QueryTruth* truth) {
   WaitPolicy::BeginQuery(ctx, truth);
-  query_sequence_ = truth != nullptr ? truth->sequence : 0;
   arrivals_since_reopt_ = 0;
   scan_.reset();  // the upper curve and budget may differ for this query
+  table_.reset();
   if (LearnsAt(ctx.tier)) {
     // Small fanouts cannot supply the default number of warm-up samples;
     // keep at least two-thirds of the children as usable signal.

@@ -109,14 +109,10 @@ struct CedarPolicyOptions {
   // bilinear lookup in a precomputed wait table over the learner's fitted
   // (location, scale) grid. The table is built once per upper-quality curve
   // and shared across all cloned aggregators; out-of-grid fits clamp to the
-  // table edge. table_spec.family must match learner.family.
+  // table edge. table_spec.family must match learner.family. Tables resolve
+  // through ctx.table_store, else WaitTableStore::Global().
   bool use_wait_table = false;
   WaitTableSpec table_spec;
-
-  // Tables resolve through the fingerprint-keyed WaitTableStore, so worker
-  // forks (and whole sweeps) amortize builds. This store is used unless the
-  // run sets ctx.table_store; null resolves to Global().
-  WaitTableStore* table_store = nullptr;
 };
 
 class CedarPolicy final : public WaitPolicy {
@@ -147,9 +143,6 @@ class CedarPolicy final : public WaitPolicy {
 
   const WaitTable& TableFor(const AggregatorContext& ctx);
 
-  // The store this instance resolves tables through.
-  WaitTableStore& ResolveStore(const AggregatorContext& ctx) const;
-
   CedarPolicyOptions options_;
   std::unique_ptr<OnlineLearner> learner_;
   // This aggregator's scan grid for the query in flight, built on first use
@@ -157,15 +150,9 @@ class CedarPolicy final : public WaitPolicy {
   // query) and reused by every re-optimization until BeginQuery drops it.
   std::optional<WaitScan> scan_;
 
-  // Per-instance memo of the last store-resolved table. Instances are owned
-  // by exactly one aggregator node (no concurrent callers), so no mutex: the
-  // memo just keeps the common per-arrival path at one deadline compare and
-  // one sequence compare instead of a store lookup.
-  WaitTableStore::TablePtr store_table_;
-  WaitTableKey store_key_;
-  uint64_t store_sequence_ = 0;  // query the memo was last validated for
-
-  uint64_t query_sequence_ = 0;
+  // This aggregator's wait table for the query in flight, resolved from the
+  // store on first use under the same fixed-ctx rule as scan_.
+  WaitTableStore::TablePtr table_;
   int effective_min_samples_ = 2;
   int arrivals_since_reopt_ = 0;
 };

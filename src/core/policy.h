@@ -69,7 +69,7 @@ struct AggregatorContext {
   double epsilon = 0.0;
   // Experiment-scoped wait-table store, set by the driver when the run wants
   // a specific (usually test- or bench-local) store instead of the process
-  // Global(). Null means "policy default".
+  // Global(). Null means Global().
   WaitTableStore* table_store = nullptr;
   // This tier's offline-wait memo, owned by the query tree that owns the
   // context and living exactly as long as it. Null (contexts built outside

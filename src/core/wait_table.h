@@ -37,6 +37,8 @@ struct WaitTableSpec {
   double scale_min = 0.1;
   double scale_max = 2.0;
   int scale_points = 17;
+
+  friend bool operator==(const WaitTableSpec&, const WaitTableSpec&) = default;
 };
 
 class WaitTable {

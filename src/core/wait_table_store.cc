@@ -1,245 +1,112 @@
 #include "src/core/wait_table_store.h"
 
 #include <algorithm>
-#include <bit>
-#include <utility>
 
-#include "src/common/logging.h"
 #include "src/obs/metrics.h"
 #include "src/obs/profiler.h"
 
 namespace cedar {
 namespace {
 
-// splitmix64 finalizer: a cheap, well-mixed 64-bit permutation.
-uint64_t Mix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-uint64_t HashCombine(uint64_t seed, uint64_t value) {
-  return Mix64(seed ^ Mix64(value));
-}
-
-uint64_t DoubleBits(double value) { return std::bit_cast<uint64_t>(value); }
-
-bool SpecEquals(const WaitTableSpec& a, const WaitTableSpec& b) {
-  return a.family == b.family && a.location_min == b.location_min &&
-         a.location_max == b.location_max && a.location_points == b.location_points &&
-         a.scale_min == b.scale_min && a.scale_max == b.scale_max &&
-         a.scale_points == b.scale_points;
+// Called with no store lock held, so the registry's mutex never nests inside
+// the store's.
+void BumpMetric(const char* name, long long by = 1) {
+  if (by > 0 && MetricsEnabled()) {
+    MetricsRegistry::Global().GetCounter(name).Increment(by);
+  }
 }
 
 }  // namespace
-
-WaitTableKey WaitTableKey::Of(const WaitTableSpec& spec, int fanout,
-                              const PiecewiseLinear& upper_quality, double deadline,
-                              double epsilon) {
-  WaitTableKey key;
-  key.spec = spec;
-  key.fanout = fanout;
-  key.deadline = deadline;
-  key.epsilon = epsilon;
-  key.curve_min_x = upper_quality.min_x();
-  key.curve_max_x = upper_quality.max_x();
-  key.curve_ys = upper_quality.ys();
-  return key;
-}
-
-bool WaitTableKey::operator==(const WaitTableKey& other) const {
-  return SpecEquals(spec, other.spec) && fanout == other.fanout &&
-         deadline == other.deadline && epsilon == other.epsilon &&
-         curve_min_x == other.curve_min_x && curve_max_x == other.curve_max_x &&
-         curve_ys == other.curve_ys;
-}
-
-uint64_t WaitTableKey::Fingerprint() const {
-  uint64_t h = 0x5a8f2d13c0de7ab1ull;
-  h = HashCombine(h, static_cast<uint64_t>(spec.family));
-  h = HashCombine(h, DoubleBits(spec.location_min));
-  h = HashCombine(h, DoubleBits(spec.location_max));
-  h = HashCombine(h, static_cast<uint64_t>(spec.location_points));
-  h = HashCombine(h, DoubleBits(spec.scale_min));
-  h = HashCombine(h, DoubleBits(spec.scale_max));
-  h = HashCombine(h, static_cast<uint64_t>(spec.scale_points));
-  h = HashCombine(h, static_cast<uint64_t>(fanout));
-  h = HashCombine(h, DoubleBits(deadline));
-  h = HashCombine(h, DoubleBits(epsilon));
-  h = HashCombine(h, DoubleBits(curve_min_x));
-  h = HashCombine(h, DoubleBits(curve_max_x));
-  h = HashCombine(h, curve_ys.size());
-  for (double y : curve_ys) {
-    h = HashCombine(h, DoubleBits(y));
-  }
-  return h;
-}
-
-bool MatchesKey(const WaitTableKey& key, const WaitTableSpec& spec, int fanout,
-                const PiecewiseLinear& upper_quality, double deadline, double epsilon) {
-  return SpecEquals(key.spec, spec) && key.fanout == fanout && key.deadline == deadline &&
-         key.epsilon == epsilon && key.curve_min_x == upper_quality.min_x() &&
-         key.curve_max_x == upper_quality.max_x() && key.curve_ys == upper_quality.ys();
-}
-
-WaitTableStore::WaitTableStore(WaitTableStoreOptions options)
-    : options_(options), build_pool_(options.build_pool) {
-  CEDAR_CHECK_GE(options_.capacity, static_cast<size_t>(1));
-  CEDAR_CHECK_GE(options_.num_shards, 1);
-  per_shard_capacity_ =
-      std::max<size_t>(1, (options_.capacity + static_cast<size_t>(options_.num_shards) - 1) /
-                              static_cast<size_t>(options_.num_shards));
-  shards_ = std::vector<Shard>(static_cast<size_t>(options_.num_shards));
-}
 
 WaitTableStore& WaitTableStore::Global() {
   static WaitTableStore store;
   return store;
 }
 
-WaitTableStore::TablePtr WaitTableStore::GetOrBuild(const WaitTableKey& key,
-                                                    const PiecewiseLinear& upper_quality) {
-  CEDAR_PROFILE_SCOPE("wait_table_store.get");
-  const uint64_t fingerprint = key.Fingerprint() & options_.fingerprint_mask;
-  Shard& shard = ShardFor(fingerprint);
-
-  std::shared_future<TablePtr> future;
-  std::promise<TablePtr> promise;
-  std::shared_ptr<Entry> building;
-  bool wait_for_other = false;
-  {
-    MutexLock lock(shard.mutex);
-    for (auto& entry : shard.entries) {
-      // Fingerprint first (cheap reject), full content compare to resolve
-      // hash collisions — distinct keys sharing a fingerprint chain here.
-      if (entry->fingerprint == fingerprint && entry->key == key) {
-        entry->lru_tick = ++shard.tick;
-        if (entry->ready) {
-          ++shard.hits;
-        } else {
-          ++shard.build_waits;
-          wait_for_other = true;
-        }
-        future = entry->future;
-        break;
-      }
-    }
-    if (!future.valid()) {
-      ++shard.misses;
-      building = std::make_shared<Entry>();
-      building->key = key;
-      building->fingerprint = fingerprint;
-      building->future = promise.get_future().share();
-      building->lru_tick = ++shard.tick;
-      shard.entries.push_back(building);
-      future = building->future;
-    }
-  }
-
-  if (building != nullptr) {
-    // Build outside the shard lock — hits on other keys in this shard
-    // proceed while we build; same-key lookups block on the future
-    // (single-flight). The build reads the caller's live curve, not a
-    // reconstruction from the key, so the table is bit-for-bit what a
-    // store-less WaitTable build from the same inputs produces.
-    auto table = std::make_shared<const WaitTable>(
-        key.spec, key.fanout, upper_quality, key.deadline, key.epsilon,
-        build_pool_.load(std::memory_order_acquire));
-    promise.set_value(table);
-    {
-      MutexLock lock(shard.mutex);
-      building->ready = true;
-      EnforceCapacity(shard);
-    }
-    if (MetricsEnabled()) {
-      MetricsRegistry::Global().GetCounter("wait_table_store.misses").Increment();
-    }
-    return table;
-  }
-
-  if (MetricsEnabled()) {
-    MetricsRegistry& registry = MetricsRegistry::Global();
-    registry.GetCounter(wait_for_other ? "wait_table_store.build_waits"
-                                       : "wait_table_store.hits")
-        .Increment();
-  }
-  return future.get();
-}
-
 WaitTableStore::TablePtr WaitTableStore::GetOrBuild(const WaitTableSpec& spec, int fanout,
                                                     const PiecewiseLinear& upper_quality,
                                                     double deadline, double epsilon) {
-  return GetOrBuild(WaitTableKey::Of(spec, fanout, upper_quality, deadline, epsilon),
-                    upper_quality);
-}
-
-void WaitTableStore::EnforceCapacity(Shard& shard) CEDAR_REQUIRES(shard.mutex) {
-  while (shard.entries.size() > per_shard_capacity_) {
-    // Evict the least-recently-used *ready* entry; in-flight builds are
-    // pinned (waiters hold their futures, and the builder will mark them
-    // ready momentarily).
-    size_t victim = shard.entries.size();
-    for (size_t i = 0; i < shard.entries.size(); ++i) {
-      if (!shard.entries[i]->ready) {
-        continue;
-      }
-      if (victim == shard.entries.size() ||
-          shard.entries[i]->lru_tick < shard.entries[victim]->lru_tick) {
-        victim = i;
+  CEDAR_PROFILE_SCOPE("wait_table_store.get");
+  const double min_x = upper_quality.min_x();
+  const double max_x = upper_quality.max_x();
+  std::shared_future<TablePtr> table;
+  std::promise<TablePtr> promise;
+  Entry* building = nullptr;
+  bool waited = false;
+  {
+    MutexLock lock(mutex_);
+    for (const auto& entry : entries_) {
+      // Scalars first: the ys compare runs only for a likely hit.
+      if (entry->spec == spec && entry->fanout == fanout && entry->deadline == deadline &&
+          entry->epsilon == epsilon && entry->curve_min_x == min_x &&
+          entry->curve_max_x == max_x && entry->curve_ys == upper_quality.ys()) {
+        table = entry->table;
+        waited = !entry->ready;
+        ++(waited ? stats_.build_waits : stats_.hits);
+        break;
       }
     }
-    if (victim == shard.entries.size()) {
-      return;  // everything in flight; retry on the next insert
-    }
-    TablePtr table = shard.entries[victim]->future.get();
-    shard.retired_clamped += table->clamped_lookups();
-    ++shard.evictions;
-    shard.entries.erase(shard.entries.begin() + static_cast<long>(victim));
-    if (MetricsEnabled()) {
-      MetricsRegistry::Global().GetCounter("wait_table_store.evictions").Increment();
+    if (!table.valid()) {
+      ++stats_.misses;
+      table = promise.get_future().share();
+      entries_.push_back(std::make_unique<Entry>(Entry{.spec = spec,
+                                                       .fanout = fanout,
+                                                       .deadline = deadline,
+                                                       .epsilon = epsilon,
+                                                       .curve_min_x = min_x,
+                                                       .curve_max_x = max_x,
+                                                       .curve_ys = upper_quality.ys(),
+                                                       .table = table}));
+      building = entries_.back().get();
     }
   }
+
+  if (building == nullptr) {
+    BumpMetric(waited ? "wait_table_store.build_waits" : "wait_table_store.hits");
+    return table.get();
+  }
+
+  // Build outside the lock: gets of other keys proceed meanwhile, and gets
+  // of this key block on the future (single-flight). The build reads the
+  // caller's live curve, so the table is bit-for-bit what a store-less
+  // WaitTable build from the same inputs produces.
+  auto built = std::make_shared<const WaitTable>(spec, fanout, upper_quality, deadline, epsilon,
+                                                 build_pool_.load(std::memory_order_acquire));
+  promise.set_value(built);
+  long long evicted = 0;
+  {
+    MutexLock lock(mutex_);
+    building->ready = true;
+    // In-flight entries are pinned (their waiters hold the future); the one
+    // just marked ready guarantees a victim exists.
+    while (entries_.size() > kCapacity) {
+      auto oldest = std::find_if(entries_.begin(), entries_.end(),
+                                 [](const auto& entry) { return entry->ready; });
+      stats_.clamped_lookups += (*oldest)->table.get()->clamped_lookups();
+      entries_.erase(oldest);
+      ++evicted;
+    }
+    stats_.evictions += evicted;
+  }
+  BumpMetric("wait_table_store.misses");
+  BumpMetric("wait_table_store.evictions", evicted);
+  return built;
 }
 
 WaitTableStoreStats WaitTableStore::GetStats() const {
-  WaitTableStoreStats stats;
-  for (const Shard& shard : shards_) {
-    MutexLock lock(shard.mutex);
-    stats.hits += shard.hits;
-    stats.misses += shard.misses;
-    stats.build_waits += shard.build_waits;
-    stats.evictions += shard.evictions;
-    stats.clamped_lookups += shard.retired_clamped;
-    for (const auto& entry : shard.entries) {
-      if (entry->ready) {
-        stats.clamped_lookups += entry->future.get()->clamped_lookups();
-      }
+  MutexLock lock(mutex_);
+  WaitTableStoreStats stats = stats_;
+  for (const auto& entry : entries_) {
+    if (entry->ready) {
+      stats.clamped_lookups += entry->table.get()->clamped_lookups();
     }
   }
   return stats;
 }
 
 size_t WaitTableStore::size() const {
-  size_t total = 0;
-  for (const Shard& shard : shards_) {
-    MutexLock lock(shard.mutex);
-    total += shard.entries.size();
-  }
-  return total;
-}
-
-void WaitTableStore::Clear() {
-  for (Shard& shard : shards_) {
-    MutexLock lock(shard.mutex);
-    shard.entries.clear();
-    shard.tick = 0;
-    shard.hits = 0;
-    shard.misses = 0;
-    shard.build_waits = 0;
-    shard.evictions = 0;
-    shard.retired_clamped = 0;
-  }
+  MutexLock lock(mutex_);
+  return entries_.size();
 }
 
 }  // namespace cedar

@@ -43,9 +43,9 @@ struct ExperimentDriverConfig {
   ThreadPool* pool = nullptr;
   // Optional experiment-scoped wait-table store, forwarded to policies via
   // ctx.table_store (see AggregatorContext). Borrowed; null means policies
-  // resolve their default (the process-wide WaitTableStore::Global() when
-  // sharing is on). Tables are content-keyed and read-only, so results are
-  // bit-identical with any store — this knob only scopes the *amortization*.
+  // resolve the process-wide WaitTableStore::Global(). Tables are
+  // content-keyed and read-only, so results are bit-identical with any
+  // store — this knob only scopes the *amortization*.
   WaitTableStore* wait_table_store = nullptr;
 };
 

@@ -58,7 +58,7 @@ struct QueryTreeOptions {
   TraceCollector* trace = nullptr;
 
   // Wait-table store handed to policies via ctx.table_store (borrowed, may
-  // be null = policies use their default). Lets a run pin table sharing to
+  // be null = policies use WaitTableStore::Global()). Lets a run pin table sharing to
   // an experiment-scoped store instead of the process Global().
   WaitTableStore* table_store = nullptr;
 };

@@ -176,6 +176,44 @@ TEST_F(PolicyTest, CedarScanDoesNotSurviveBeginQuery) {
   EXPECT_NE(reused_waits[0], reused_waits[1]) << "the two upper curves must change the waits";
 }
 
+TEST_F(PolicyTest, CedarResolvesItsWaitTableOncePerQuery) {
+  CedarPolicyOptions options;
+  options.learner.min_samples = 4;
+  options.use_wait_table = true;
+  options.table_spec.location_min = 1.0;
+  options.table_spec.location_max = 4.0;
+  options.table_spec.location_points = 5;
+  options.table_spec.scale_min = 0.3;
+  options.table_spec.scale_max = 1.2;
+  options.table_spec.scale_points = 4;
+  CedarPolicy cedar(options);
+
+  WaitTableStore store;
+  const PiecewiseLinear other_upper = TabulateCdf(LogNormalDistribution(3.6, 0.9), 100.0, 401);
+  AggregatorContext ctx = ctx_;
+  ctx.table_store = &store;
+  auto run_query = [&](const PiecewiseLinear& upper) {
+    ctx.upper_quality = &upper;
+    cedar.BeginQuery(ctx, nullptr);
+    cedar.DecideInitialWait(ctx);
+    std::vector<double> so_far;
+    for (int i = 1; i <= 12; ++i) {
+      so_far.push_back(2.0 * i);
+      cedar.DecideOnArrival(ctx, so_far.back(), so_far);
+    }
+  };
+
+  // Arrivals 4..12 each re-optimize through the table; one get serves them.
+  run_query(upper_);
+  EXPECT_EQ(store.GetStats().Gets(), 1);
+  EXPECT_EQ(store.GetStats().misses, 1);
+
+  run_query(other_upper);
+  EXPECT_EQ(store.GetStats().Gets(), 2);
+  EXPECT_EQ(store.GetStats().misses, 2) << "a new upper curve resolves a new table";
+  EXPECT_EQ(store.size(), 2u);
+}
+
 TEST_F(PolicyTest, CedarUpperTierDoesNotLearn) {
   CedarPolicy cedar;  // learning_tier = 0
   AggregatorContext upper_ctx = ctx_;

@@ -1,14 +1,16 @@
-// WaitTableStore contract: content-fingerprint keying (collisions resolved
-// by full key compare), single-flight construction, LRU-bounded capacity,
-// clamped-lookup propagation across eviction, and bit-identical parallel
-// builds. Carries the tier1_tsan label: the single-flight, shared-build and
-// evict-under-metrics paths are meant to run under -DCEDAR_SANITIZE=thread.
+// WaitTableStore contract: content keying (every build input is part of the
+// key, and equal content hits whatever object carries it), single-flight
+// construction, the oldest-ready eviction at kCapacity with clamped-lookup
+// retirement, and bit-identical pool-lent builds. Carries the tier1_tsan
+// label: the single-flight, shared-build and evict-under-metrics paths are
+// meant to run under -DCEDAR_SANITIZE=thread.
 
 #include "src/core/wait_table_store.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <thread>
 #include <vector>
 
@@ -35,97 +37,99 @@ struct StoreFixture {
     spec.scale_points = 7;
   }
 
-  WaitTableKey KeyAt(double deadline) const {
-    return WaitTableKey::Of(spec, 8, upper, deadline, epsilon);
+  WaitTableStore::TablePtr Get(WaitTableStore& store, double deadline) const {
+    return store.GetOrBuild(spec, kFanout, upper, deadline, epsilon);
   }
 
+  static constexpr int kFanout = 8;
   WaitTableSpec spec;
   PiecewiseLinear upper;
   double epsilon;
 };
 
-TEST(WaitTableKeyTest, FingerprintDistinguishesEveryKeyField) {
-  StoreFixture fixture;
-  const WaitTableKey base = fixture.KeyAt(400.0);
-  EXPECT_EQ(base.Fingerprint(), fixture.KeyAt(400.0).Fingerprint());
-  EXPECT_TRUE(base == fixture.KeyAt(400.0));
-
-  auto expect_differs = [&](WaitTableKey mutated, const char* field) {
-    EXPECT_FALSE(base == mutated) << field;
-    EXPECT_NE(base.Fingerprint(), mutated.Fingerprint()) << field;
-  };
-  WaitTableKey k = base;
-  k.deadline = 401.0;
-  expect_differs(k, "deadline");
-  k = base;
-  k.fanout = 9;
-  expect_differs(k, "fanout");
-  k = base;
-  k.epsilon *= 2.0;
-  expect_differs(k, "epsilon");
-  k = base;
-  k.spec.scale_points = 8;
-  expect_differs(k, "spec.scale_points");
-  k = base;
-  k.spec.family = DistributionFamily::kNormal;
-  expect_differs(k, "spec.family");
-  k = base;
-  k.curve_max_x *= 2.0;
-  expect_differs(k, "curve_max_x");
-  k = base;
-  k.curve_ys[1] += 1e-9;
-  expect_differs(k, "curve_ys content");
+// The smallest grid: capacity tests build well over kCapacity tables.
+WaitTableSpec TinySpec() {
+  WaitTableSpec spec;
+  spec.location_min = 1.0;
+  spec.location_max = 5.0;
+  spec.location_points = 2;
+  spec.scale_min = 0.2;
+  spec.scale_max = 1.4;
+  spec.scale_points = 2;
+  return spec;
 }
 
-TEST(WaitTableStoreTest, HitsMissesAndReuseByContent) {
+TEST(WaitTableStoreTest, ChangingAnyKeyFieldIsAMiss) {
   StoreFixture fixture;
   WaitTableStore store;
-  auto a = store.GetOrBuild(fixture.KeyAt(300.0), fixture.upper);
-  auto b = store.GetOrBuild(fixture.KeyAt(400.0), fixture.upper);
+  const auto base = fixture.Get(store, 400.0);
+
+  struct Inputs {
+    WaitTableSpec spec;
+    int fanout;
+    PiecewiseLinear upper;
+    double deadline;
+    double epsilon;
+  };
+  const Inputs base_inputs{fixture.spec, StoreFixture::kFanout, fixture.upper, 400.0,
+                           fixture.epsilon};
+  const std::vector<std::pair<const char*, std::function<void(Inputs&)>>> mutations = {
+      {"spec.family", [](Inputs& in) { in.spec.family = DistributionFamily::kNormal; }},
+      {"spec.location_min", [](Inputs& in) { in.spec.location_min = 1.5; }},
+      {"spec.location_max", [](Inputs& in) { in.spec.location_max = 5.5; }},
+      {"spec.location_points", [](Inputs& in) { in.spec.location_points = 8; }},
+      {"spec.scale_min", [](Inputs& in) { in.spec.scale_min = 0.3; }},
+      {"spec.scale_max", [](Inputs& in) { in.spec.scale_max = 1.5; }},
+      {"spec.scale_points", [](Inputs& in) { in.spec.scale_points = 8; }},
+      {"fanout", [](Inputs& in) { in.fanout = 9; }},
+      {"deadline", [](Inputs& in) { in.deadline = 401.0; }},
+      {"epsilon", [](Inputs& in) { in.epsilon *= 2.0; }},
+      {"curve extent",
+       [](Inputs& in) { in.upper = PiecewiseLinear::FromUniform(0.0, 10.0, in.upper.ys()); }},
+      {"one curve y",
+       [](Inputs& in) {
+         std::vector<double> ys = in.upper.ys();
+         ys[1] += 1e-9;
+         in.upper = PiecewiseLinear::FromUniform(0.0, 5.0, ys);
+       }},
+  };
+  long long misses = store.GetStats().misses;
+  for (const auto& [field, mutate] : mutations) {
+    Inputs in = base_inputs;
+    mutate(in);
+    const auto table = store.GetOrBuild(in.spec, in.fanout, in.upper, in.deadline, in.epsilon);
+    EXPECT_NE(table, base) << field;
+    EXPECT_EQ(store.GetStats().misses, ++misses) << field;
+  }
+  EXPECT_EQ(store.GetStats().hits, 0);
+  EXPECT_EQ(store.size(), mutations.size() + 1);
+}
+
+TEST(WaitTableStoreTest, EqualContentFromAnotherCurveObjectHits) {
+  StoreFixture fixture;
+  WaitTableStore store;
+  const auto a = fixture.Get(store, 300.0);
+  const auto b = fixture.Get(store, 400.0);
   ASSERT_NE(a, nullptr);
   ASSERT_NE(b, nullptr);
   EXPECT_NE(a, b);
 
-  // Content-equal keys hit regardless of which objects they were built from.
-  auto a_again = store.GetOrBuild(fixture.spec, 8, fixture.upper, 300.0, fixture.epsilon);
-  EXPECT_EQ(a_again, a);
+  // A separately built curve with the same content is the same key.
+  const PiecewiseLinear twin = TabulateCdf(LogNormalDistribution(3.25, 0.95), 400.0, 81);
+  ASSERT_NE(&twin.ys(), &fixture.upper.ys());
+  EXPECT_EQ(store.GetOrBuild(fixture.spec, StoreFixture::kFanout, twin, 300.0, fixture.epsilon),
+            a);
 
-  WaitTableStoreStats stats = store.GetStats();
+  const WaitTableStoreStats stats = store.GetStats();
   EXPECT_EQ(stats.misses, 2);
   EXPECT_EQ(stats.hits, 1);
   EXPECT_EQ(stats.Gets(), 3);
   EXPECT_EQ(store.size(), 2u);
-
-  store.Clear();
-  EXPECT_EQ(store.size(), 0u);
-  EXPECT_EQ(store.GetStats().Gets(), 0);
-}
-
-TEST(WaitTableStoreTest, FingerprintCollisionsResolveByFullKeyCompare) {
-  // fingerprint_mask=0 collapses every fingerprint to 0: all keys share one
-  // chain, so correctness rests purely on the chained content compare.
-  StoreFixture fixture;
-  WaitTableStoreOptions options;
-  options.fingerprint_mask = 0;
-  WaitTableStore store(options);
-
-  auto a = store.GetOrBuild(fixture.KeyAt(300.0), fixture.upper);
-  auto b = store.GetOrBuild(fixture.KeyAt(400.0), fixture.upper);
-  EXPECT_NE(a, b) << "colliding keys must still resolve to distinct tables";
-  EXPECT_EQ(a->deadline(), 300.0);
-  EXPECT_EQ(b->deadline(), 400.0);
-
-  EXPECT_EQ(store.GetOrBuild(fixture.KeyAt(300.0), fixture.upper), a);
-  EXPECT_EQ(store.GetOrBuild(fixture.KeyAt(400.0), fixture.upper), b);
-  WaitTableStoreStats stats = store.GetStats();
-  EXPECT_EQ(stats.misses, 2);
-  EXPECT_EQ(stats.hits, 2);
 }
 
 TEST(WaitTableStoreTest, SingleFlightBuildsExactlyOnce) {
   StoreFixture fixture;
   WaitTableStore store;
-  const WaitTableKey key = fixture.KeyAt(400.0);
 
   constexpr int kThreads = 8;
   std::vector<WaitTableStore::TablePtr> tables(kThreads);
@@ -138,7 +142,7 @@ TEST(WaitTableStoreTest, SingleFlightBuildsExactlyOnce) {
       ready.fetch_add(1);
       while (ready.load() < kThreads) {
       }
-      tables[static_cast<size_t>(t)] = store.GetOrBuild(key, fixture.upper);
+      tables[static_cast<size_t>(t)] = fixture.Get(store, 400.0);
     });
   }
   for (auto& thread : threads) {
@@ -148,78 +152,71 @@ TEST(WaitTableStoreTest, SingleFlightBuildsExactlyOnce) {
   for (int t = 1; t < kThreads; ++t) {
     EXPECT_EQ(tables[static_cast<size_t>(t)], tables[0]) << "thread " << t;
   }
-  WaitTableStoreStats stats = store.GetStats();
+  const WaitTableStoreStats stats = store.GetStats();
   EXPECT_EQ(stats.misses, 1) << "exactly one thread builds";
   EXPECT_EQ(stats.hits + stats.build_waits, kThreads - 1)
       << "the rest hit or block on the in-flight build";
   EXPECT_EQ(store.size(), 1u);
 }
 
-TEST(WaitTableStoreTest, LruEvictsLeastRecentlyUsedWithinCapacity) {
+TEST(WaitTableStoreTest, EvictsOldestReadyEntryAtCapacity) {
   StoreFixture fixture;
-  WaitTableStoreOptions options;
-  options.capacity = 2;
-  options.num_shards = 1;  // one shard so the capacity bound is exact
-  WaitTableStore store(options);
+  fixture.spec = TinySpec();
+  WaitTableStore store;
+  constexpr int kCapacity = static_cast<int>(WaitTableStore::kCapacity);
+  auto deadline_of = [](int i) { return 100.0 + i; };
 
-  auto a = store.GetOrBuild(fixture.KeyAt(100.0), fixture.upper);
-  auto b = store.GetOrBuild(fixture.KeyAt(200.0), fixture.upper);
-  EXPECT_EQ(store.GetOrBuild(fixture.KeyAt(100.0), fixture.upper), a);  // touch A
-  auto c = store.GetOrBuild(fixture.KeyAt(300.0), fixture.upper);      // evicts B
-  ASSERT_NE(c, nullptr);
-  EXPECT_EQ(store.size(), 2u);
-  EXPECT_EQ(store.GetStats().evictions, 1);
+  std::vector<WaitTableStore::TablePtr> tables;
+  for (int i = 0; i < kCapacity; ++i) {
+    tables.push_back(fixture.Get(store, deadline_of(i)));
+  }
+  EXPECT_EQ(store.size(), WaitTableStore::kCapacity);
+  EXPECT_EQ(store.GetStats().evictions, 0);
 
-  // A stayed resident (it was touched); B was evicted and must rebuild.
-  long long misses_before = store.GetStats().misses;
-  EXPECT_EQ(store.GetOrBuild(fixture.KeyAt(100.0), fixture.upper), a);
-  EXPECT_EQ(store.GetStats().misses, misses_before);
-  auto b_rebuilt = store.GetOrBuild(fixture.KeyAt(200.0), fixture.upper);
-  EXPECT_NE(b_rebuilt, b);
-  EXPECT_EQ(store.GetStats().misses, misses_before + 1);
-}
+  tables[0]->Lookup(fixture.spec.location_max + 10.0, fixture.spec.scale_max + 10.0);  // clamps
+  tables[0]->Lookup(fixture.spec.location_min, fixture.spec.scale_min);  // in grid
+  EXPECT_EQ(store.GetStats().clamped_lookups, 1) << "a resident table's counter is visible";
+  // A hit does not refresh an entry: eviction follows insertion order.
+  EXPECT_EQ(fixture.Get(store, deadline_of(0)), tables[0]);
 
-TEST(WaitTableStoreTest, ClampedLookupsSurviveEviction) {
-  StoreFixture fixture;
-  WaitTableStoreOptions options;
-  options.capacity = 1;
-  options.num_shards = 1;
-  WaitTableStore store(options);
-
-  auto a = store.GetOrBuild(fixture.KeyAt(100.0), fixture.upper);
-  a->Lookup(fixture.spec.location_max + 10.0, fixture.spec.scale_max + 10.0);  // clamps
-  a->Lookup(fixture.spec.location_min, fixture.spec.scale_min);                // in grid
-  EXPECT_EQ(store.GetStats().clamped_lookups, 1) << "resident table's counter is visible";
-
-  store.GetOrBuild(fixture.KeyAt(200.0), fixture.upper);  // evicts A (capacity 1)
+  fixture.Get(store, deadline_of(kCapacity));  // evicts table 0, the oldest
+  EXPECT_EQ(store.size(), WaitTableStore::kCapacity);
   EXPECT_EQ(store.GetStats().evictions, 1);
   EXPECT_EQ(store.GetStats().clamped_lookups, 1)
       << "the evicted table's clamp count is retired into the store stats";
+
+  const long long misses = store.GetStats().misses;
+  EXPECT_EQ(fixture.Get(store, deadline_of(2)), tables[2]) << "table 2 is still resident";
+  EXPECT_EQ(store.GetStats().misses, misses);
+  EXPECT_NE(fixture.Get(store, deadline_of(0)), tables[0]) << "table 0 was rebuilt";
+  EXPECT_EQ(store.GetStats().misses, misses + 1);
+  EXPECT_EQ(store.GetStats().evictions, 2) << "the rebuild evicted table 1";
+  EXPECT_NE(fixture.Get(store, deadline_of(1)), tables[1]);
+  EXPECT_EQ(store.GetStats().misses, misses + 2);
 }
 
-// The tree's one nested lock acquisition: with metrics on, EnforceCapacity
-// runs under a shard mutex and takes the MetricsRegistry mutex to find the
-// evictions counter. Threads share a capacity-1 store (one entry per shard),
-// so the shards keep evicting and the tier1_tsan run sees that lock order.
+// With metrics on, every get bumps a registry counter. The store bumps them
+// only after releasing its own mutex, so threads that keep evicting give the
+// tier1_tsan run a chance to flag any nesting of the two locks.
 TEST(WaitTableStoreTest, ConcurrentEvictionsCountedInMetrics) {
   StoreFixture fixture;
-  WaitTableStoreOptions options;
-  options.capacity = 1;
-  WaitTableStore store(options);
+  fixture.spec = TinySpec();
+  WaitTableStore store;
   Counter& evictions = MetricsRegistry::Global().GetCounter("wait_table_store.evictions");
+  Counter& misses = MetricsRegistry::Global().GetCounter("wait_table_store.misses");
   const long long evictions_before = evictions.Value();
+  const long long misses_before = misses.Value();
   const bool metrics_were_enabled = MetricsEnabled();
   SetMetricsEnabled(true);
 
   constexpr int kThreads = 4;
-  constexpr int kLookupsPerThread = 6;
+  constexpr int kLookupsPerThread = 40;  // 160 distinct keys, past kCapacity
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < kLookupsPerThread; ++i) {
-        const double deadline = 100.0 + 10.0 * (t * kLookupsPerThread + i);  // distinct keys
-        store.GetOrBuild(fixture.KeyAt(deadline), fixture.upper);
+        fixture.Get(store, 100.0 + t * kLookupsPerThread + i);
       }
     });
   }
@@ -230,21 +227,22 @@ TEST(WaitTableStoreTest, ConcurrentEvictionsCountedInMetrics) {
 
   const WaitTableStoreStats stats = store.GetStats();
   EXPECT_EQ(stats.misses, kThreads * kLookupsPerThread);
-  EXPECT_EQ(stats.evictions, stats.misses - static_cast<long long>(store.size()))
+  EXPECT_EQ(store.size(), WaitTableStore::kCapacity);
+  EXPECT_EQ(stats.evictions, stats.misses - static_cast<long long>(WaitTableStore::kCapacity))
       << "every built table is either resident or evicted";
-  EXPECT_GT(stats.evictions, 0);
   EXPECT_EQ(evictions.Value() - evictions_before, stats.evictions);
+  EXPECT_EQ(misses.Value() - misses_before, stats.misses);
 }
 
 TEST(WaitTableStoreTest, ParallelBuildIsBitIdenticalToSerial) {
   StoreFixture fixture;
   ThreadPool pool(4);
-  WaitTableStoreOptions options;
-  options.build_pool = &pool;
-  WaitTableStore store(options);
+  WaitTableStore store;
+  store.SetBuildPool(&pool);
 
-  auto parallel = store.GetOrBuild(fixture.KeyAt(400.0), fixture.upper);
-  WaitTable serial(fixture.spec, 8, fixture.upper, 400.0, fixture.epsilon);
+  auto parallel = fixture.Get(store, 400.0);
+  store.SetBuildPool(nullptr);
+  WaitTable serial(fixture.spec, StoreFixture::kFanout, fixture.upper, 400.0, fixture.epsilon);
 
   for (int li = 0; li < fixture.spec.location_points; ++li) {
     double location = Lerp(fixture.spec.location_min, fixture.spec.location_max,

@@ -177,12 +177,16 @@ void LintRun::CheckUnorderedIteration(const FileState& file) {
   for (const std::string& name : names) {
     alternation += (alternation.empty() ? "" : "|") + name;
   }
-  const std::regex range_for("\\bfor\\s*\\([^();]*:[^();]*\\b(" + alternation + ")\\b");
+  // A range-for loop, or an iterator range (begin()/cbegin()) that copies
+  // the container out in its hash order.
+  const std::regex iteration("\\bfor\\s*\\([^();]*:[^();]*\\b(" + alternation +
+                             ")\\b|\\b(" + alternation + ")\\s*(?:\\.|->)\\s*c?begin\\s*\\(");
   for (size_t i = 0; i < file.lines.size(); ++i) {
     std::smatch match;
-    if (std::regex_search(file.lines[i], match, range_for)) {
+    if (std::regex_search(file.lines[i], match, iteration)) {
       Report(file, static_cast<int>(i) + 1, "unordered-iter",
-             "iteration over unordered container '" + match[1].str() +
+             "iteration over unordered container '" +
+                 (match[1].matched ? match[1] : match[2]).str() +
                  "'; order is implementation-defined — iterate a sorted copy or switch to an "
                  "ordered container before this feeds any output");
     }

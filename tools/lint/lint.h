@@ -15,7 +15,8 @@
 //                      (reinterpret_cast to integer, std::hash of a pointer):
 //                      addresses are recycled between queries, the exact
 //                      aliasing bug class fixed in CedarPolicy's table cache.
-//   unordered-iter   — no iteration over unordered containers: iteration
+//   unordered-iter   — no iteration over unordered containers (range-for
+//                      loops, begin()/cbegin() iterator ranges): iteration
 //                      order is implementation-defined and silently leaks
 //                      nondeterminism into CSV/trace/report output paths.
 //   stdout           — no std::cout/printf writing from src/: libraries take
