@@ -1,12 +1,15 @@
-// Golden digests of the three execution engines' reported output.
+// Golden digests of the three execution engines' and the two apps' reported
+// output.
 //
 // Each test replays a small seeded batch through one engine (TreeSimulation,
-// ClusterRuntime, RunLoadedCluster) under Proportional-split and online
-// Cedar, and folds every result field the engine reports — plus its
-// Perfetto JSON trace export — into an FNV-1a digest of the values' bit
-// patterns. The pinned digests make any numeric drift in the engines (or in
-// the order of their equal-time event ties) fail loudly, so a refactor of
-// the engines must reproduce their output bit for bit.
+// ClusterRuntime, RunLoadedCluster) or app (SearchService,
+// AnalyticsService) under Proportional-split and online Cedar — plus Ideal
+// for the apps, and Ideal and offline Cedar in one simulator batch — and
+// folds every result field it reports, plus the engines' Perfetto JSON
+// trace export, into an FNV-1a digest of the values' bit patterns. The
+// pinned digests make any numeric drift (or a change in the order of
+// equal-time event ties) fail loudly, so a refactor must reproduce the
+// output bit for bit.
 
 #include <cstdint>
 #include <cstdio>
@@ -18,6 +21,8 @@
 
 #include <gtest/gtest.h>
 
+#include "src/apps/analytics_service.h"
+#include "src/apps/search_service.h"
 #include "src/cluster/cluster_runtime.h"
 #include "src/cluster/loaded_runtime.h"
 #include "src/core/policies.h"
@@ -90,13 +95,14 @@ std::string ChromeJson(const TraceCollector& collector) {
 // ---- TreeSimulation ----
 
 void AddSimRuns(const Workload& workload, double deadline, bool per_query_upper_knowledge,
-                TraceCollector* trace, Digest& digest) {
+                TraceCollector* trace, Digest& digest,
+                const std::vector<std::unique_ptr<WaitPolicy>>& policies = Policies()) {
   TreeSimulationOptions options;
   options.per_query_upper_knowledge = per_query_upper_knowledge;
   options.trace = trace;
   TreeSimulation sim(workload.OfflineTree(), deadline, options);
   for (const auto& realization : Realizations(workload, 6, 11)) {
-    for (const auto& policy : Policies()) {
+    for (const auto& policy : policies) {
       QueryResult r = sim.RunQuery(*policy, realization);
       digest.Add(r.quality);
       digest.Add(r.included_weight);
@@ -114,6 +120,18 @@ TEST(EngineGoldenTest, TreeSimulation) {
   AddSimRuns(MakeFacebookWorkload(6, 4), 700.0, false, nullptr, digest);
   AddSimRuns(MakeFacebookThreeLevelWorkload(3, 3, 3), 900.0, true, nullptr, digest);
   EXPECT_EQ(digest.Hex(), "4dd8672d1e0100ea");
+}
+
+// The two policies whose per-query state is the whole query's (Ideal's
+// plan) or one tier's (offline Cedar's send time), on a 3-level tree.
+TEST(EngineGoldenTest, TreeSimulationIdealAndOffline) {
+  std::vector<std::unique_ptr<WaitPolicy>> policies;
+  policies.push_back(std::make_unique<OraclePolicy>());
+  policies.push_back(std::make_unique<OfflineOptimalPolicy>());
+  Digest digest;
+  AddSimRuns(MakeFacebookThreeLevelWorkload(3, 3, 3), 900.0, true, nullptr, digest, policies);
+  AddSimRuns(MakeFacebookThreeLevelWorkload(3, 3, 3), 900.0, false, nullptr, digest, policies);
+  EXPECT_EQ(digest.Hex(), "7b90173c8cf95fa3");
 }
 
 TEST(EngineGoldenTest, TreeSimulationTrace) {
@@ -264,6 +282,73 @@ TEST(EngineGoldenTest, LoadedClusterTrace) {
   Digest digest;
   digest.Add(ChromeJson(collector));
   EXPECT_EQ(digest.Hex(), "b378c21dd804fa38");
+}
+
+// ---- SearchService and AnalyticsService ----
+
+std::vector<std::unique_ptr<WaitPolicy>> AppPolicies() {
+  std::vector<std::unique_ptr<WaitPolicy>> policies = Policies();
+  policies.push_back(std::make_unique<OraclePolicy>());
+  return policies;
+}
+
+TEST(EngineGoldenTest, SearchService) {
+  const MetaLogNormalWorkload workload = MakeFacebookWorkload(6, 4);
+  CorpusSpec corpus;
+  corpus.num_documents = 3000;
+  corpus.vocabulary_size = 400;
+  corpus.seed = 3;
+  const SearchIndex index(corpus, 24);
+  Digest digest;
+  for (double deadline : {500.0, 900.0}) {
+    for (bool per_query_upper_knowledge : {true, false}) {
+      SearchServiceConfig config;
+      config.deadline = deadline;
+      config.per_query_upper_knowledge = per_query_upper_knowledge;
+      SearchService service(&index, workload.OfflineTree(), config);
+      Rng query_rng(23);
+      for (const auto& realization : Realizations(workload, 6, 29)) {
+        std::vector<int> query = index.SampleQuery(3, query_rng);
+        for (const auto& policy : AppPolicies()) {
+          SearchQueryOutcome r = service.RunQuery(*policy, query, realization);
+          digest.Add(r.recall);
+          digest.Add(r.fraction_quality);
+          digest.Add(static_cast<long long>(r.shards_included));
+          digest.Add(static_cast<long long>(r.total_shards));
+        }
+      }
+    }
+  }
+  EXPECT_EQ(digest.Hex(), "a71a3ecb5d40d69e");
+}
+
+TEST(EngineGoldenTest, AnalyticsService) {
+  const MetaLogNormalWorkload workload = MakeFacebookWorkload(6, 4);
+  FactTableSpec spec;
+  spec.rows = 20000;
+  spec.num_groups = 8;
+  spec.num_partitions = 24;
+  spec.seed = 31;
+  const FactTable table(spec);
+  Digest digest;
+  for (double deadline : {500.0, 900.0}) {
+    for (bool per_query_upper_knowledge : {true, false}) {
+      AnalyticsServiceConfig config;
+      config.deadline = deadline;
+      config.per_query_upper_knowledge = per_query_upper_knowledge;
+      AnalyticsService service(&table, workload.OfflineTree(), config);
+      for (const auto& realization : Realizations(workload, 6, 37)) {
+        for (const auto& policy : AppPolicies()) {
+          AnalyticsOutcome r = service.RunQuery(*policy, realization);
+          digest.Add(r.fraction_quality);
+          digest.Add(r.mean_relative_error);
+          digest.Add(static_cast<long long>(r.partitions_included));
+          digest.Add(static_cast<long long>(r.groups_answered));
+        }
+      }
+    }
+  }
+  EXPECT_EQ(digest.Hex(), "e9c9b723d4d6d6cb");
 }
 
 }  // namespace
