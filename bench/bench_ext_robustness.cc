@@ -12,6 +12,7 @@
 #include "src/common/table.h"
 #include "src/core/policies.h"
 #include "src/sim/experiment.h"
+#include "src/sim/experiment_engine.h"
 #include "src/sim/realization.h"
 #include "src/trace/workloads.h"
 
@@ -35,10 +36,9 @@ void RunWeighted(std::ostream& out, const Workload& workload, double deadline, i
 
   std::vector<SampleSet> qualities(policies.size());
   Rng rng(seed);
-  uint64_t sequence = (seed << 20) + 1;
   for (int q = 0; q < queries; ++q) {
     QueryTruth truth = workload.DrawQuery(rng);
-    truth.sequence = sequence++;
+    truth.sequence = DriverQuerySequence(seed, q);
     Rng realization_rng = rng.Fork();
     QueryRealization realization =
         SampleWeightedRealization(offline_tree, truth, weight_dist, realization_rng);

@@ -1,10 +1,12 @@
 #include "src/apps/analytics_service.h"
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "src/common/logging.h"
 #include "src/obs/metrics.h"
-#include "src/sim/aggregator_node.h"
+#include "src/obs/query_trace.h"
 #include "src/sim/event_queue.h"
 #include "src/stats/distribution.h"
 
@@ -66,88 +68,51 @@ const GroupPartial& FactTable::PartitionPartial(int partition) const {
 
 AnalyticsService::AnalyticsService(const FactTable* table, TreeSpec latency_tree,
                                    AnalyticsServiceConfig config)
-    : table_(table), latency_tree_(std::move(latency_tree)), config_(config) {
+    : table_(table),
+      model_(std::move(latency_tree), config.deadline,
+             {.grid = config.grid, .per_query_upper_knowledge = config.per_query_upper_knowledge}) {
   CEDAR_CHECK(table_ != nullptr);
-  CEDAR_CHECK_EQ(latency_tree_.num_stages(), 2);
-  CEDAR_CHECK_EQ(latency_tree_.TotalProcesses(), table_->num_partitions())
+  const TreeSpec& tree = model_.offline_tree();
+  CEDAR_CHECK_EQ(tree.num_stages(), 2);
+  CEDAR_CHECK_EQ(tree.TotalProcesses(), table_->num_partitions())
       << "latency-tree fanouts must cover every partition";
-  CEDAR_CHECK_GT(config_.deadline, 0.0);
-  epsilon_ = config_.grid.Epsilon(config_.deadline);
-  offline_stack_ = BuildUpperQualityCurves(latency_tree_, config_.deadline, config_.grid);
 }
 
 AnalyticsOutcome AnalyticsService::RunQuery(const WaitPolicy& policy,
                                             const QueryRealization& realization) const {
-  int k1 = latency_tree_.stage(0).fanout;
-  int k2 = latency_tree_.stage(1).fanout;
-  CEDAR_CHECK_EQ(static_cast<int>(realization.stage_durations[0].size()), k1 * k2);
+  const int k1 = model_.offline_tree().stage(0).fanout;
+  const int partitions = table_->num_partitions();
+  CEDAR_CHECK_EQ(static_cast<int>(realization.stage_durations[0].size()), partitions);
+  CEDAR_CHECK(realization.leaf_weights.empty()) << "analytics counts partitions, not weights";
 
-  std::vector<PiecewiseLinear> query_stack;
-  const std::vector<PiecewiseLinear>* stack = &offline_stack_;
-  if (config_.per_query_upper_knowledge) {
-    TreeSpec truth_tree = realization.truth.OverlayOn(latency_tree_);
-    query_stack = BuildUpperQualityCurves(truth_tree, config_.deadline, config_.grid);
-    stack = &query_stack;
-  }
-
-  AggregatorContext ctx;
-  ctx.tier = 0;
-  ctx.deadline = config_.deadline;
-  ctx.fanout = k1;
-  ctx.offline_tree = &latency_tree_;
-  ctx.upper_quality = &(*stack)[1];
-  ctx.epsilon = epsilon_;
-
+  QueryTree tree(model_, policy, realization, "analytics");
   EventQueue queue;
-  std::vector<AggregatorNode> nodes(static_cast<size_t>(k2));
-  auto empty_partial = [&] {
-    GroupPartial partial;
-    partial.sums.assign(static_cast<size_t>(table_->num_groups()), 0.0);
-    partial.counts.assign(static_cast<size_t>(table_->num_groups()), 0);
-    return partial;
-  };
-  std::vector<GroupPartial> collected(static_cast<size_t>(k2));
-  for (auto& partial : collected) {
-    partial = empty_partial();
-  }
+  tree.Start(queue);
 
-  AnalyticsOutcome outcome;
-  GroupPartial root = empty_partial();
-
-  int aggregator_misses = 0;
-  auto send_fn = [&](AggregatorNode& node, double weight) {
-    auto agg = static_cast<size_t>(node.index());
-    double ship = realization.stage_durations[1][agg];
-    if (queue.now() + ship <= config_.deadline) {
-      root.Accumulate(collected[agg]);
-      outcome.partitions_included += static_cast<int>(weight);
-    } else {
-      ++aggregator_misses;
-    }
-  };
-
-  for (int a = 0; a < k2; ++a) {
-    auto node_policy = policy.Clone();
-    node_policy->BeginQuery(ctx, &realization.truth);
-    nodes[static_cast<size_t>(a)].Init(0, a, std::move(node_policy), &ctx);
-    nodes[static_cast<size_t>(a)].Start(queue, send_fn);
-  }
-
-  for (int p = 0; p < k1 * k2; ++p) {
-    auto agg = static_cast<size_t>(p / k1);
-    double latency = realization.stage_durations[0][static_cast<size_t>(p)];
-    queue.Schedule(latency, [&, p, agg] {
-      AggregatorNode& node = nodes[agg];
-      if (node.closed()) {
-        return;
+  // Partition p (owned by aggregator p / k1) delivers its partial at its
+  // sampled latency; collected[a] sums aggregator a's included partials.
+  GroupPartial empty;
+  empty.sums.assign(static_cast<size_t>(table_->num_groups()), 0.0);
+  empty.counts.assign(static_cast<size_t>(table_->num_groups()), 0);
+  std::vector<GroupPartial> collected(static_cast<size_t>(partitions / k1), empty);
+  for (int p = 0; p < partitions; ++p) {
+    queue.Schedule(realization.stage_durations[0][static_cast<size_t>(p)], [&, p] {
+      if (tree.DeliverLeaf(queue, p)) {
+        collected[static_cast<size_t>(p / k1)].Accumulate(table_->PartitionPartial(p));
       }
-      collected[agg].Accumulate(table_->PartitionPartial(p));
-      node.OnChildOutput(queue, 1.0);
     });
   }
 
   queue.Run();
+  QueryResult result = tree.Result();
 
+  GroupPartial root = empty;
+  for (long long agg : tree.root_senders()) {
+    root.Accumulate(collected[static_cast<size_t>(agg)]);
+  }
+
+  AnalyticsOutcome outcome;
+  outcome.partitions_included = static_cast<int>(result.included_weight);
   const auto& exact = table_->ExactGroupMeans();
   double error_sum = 0.0;
   for (size_t g = 0; g < exact.size(); ++g) {
@@ -161,12 +126,16 @@ AnalyticsOutcome AnalyticsService::RunQuery(const WaitPolicy& policy,
   }
   outcome.mean_relative_error = error_sum / static_cast<double>(exact.size());
   outcome.fraction_quality =
-      static_cast<double>(outcome.partitions_included) / static_cast<double>(k1 * k2);
+      static_cast<double>(outcome.partitions_included) / static_cast<double>(partitions);
 
+  if (QueryTraceBuilder* trace = tree.trace()) {
+    trace->Finish(std::max(queue.now(), model_.deadline()), result.quality,
+                  {TraceArg::Num("mean_relative_error", outcome.mean_relative_error)});
+  }
   if (MetricsEnabled()) {
     MetricsRegistry& registry = MetricsRegistry::Global();
     registry.GetCounter("analytics.queries").Increment();
-    registry.GetCounter("analytics.deadline_misses").Increment(aggregator_misses);
+    registry.GetCounter("analytics.deadline_misses").Increment(result.root_arrivals_late);
     registry.GetHistogram("analytics.mean_relative_error", {1e-6, 10.0, 50})
         .Observe(outcome.mean_relative_error);
     registry.GetHistogram("analytics.fraction_quality", {1e-4, 1.0, 40})

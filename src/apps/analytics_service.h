@@ -13,6 +13,7 @@
 
 #include "src/core/policy.h"
 #include "src/core/quality.h"
+#include "src/sim/query_tree.h"
 #include "src/sim/realization.h"
 #include "src/stats/rng.h"
 
@@ -82,14 +83,14 @@ class AnalyticsService {
   AnalyticsService(const FactTable* table, TreeSpec latency_tree,
                    AnalyticsServiceConfig config);
 
+  // Runs the query with per-partition/ship latencies from |realization|
+  // (unweighted) under |policy|, on a QueryTree traced as engine
+  // "analytics".
   AnalyticsOutcome RunQuery(const WaitPolicy& policy, const QueryRealization& realization) const;
 
  private:
   const FactTable* table_;
-  TreeSpec latency_tree_;
-  AnalyticsServiceConfig config_;
-  double epsilon_;
-  std::vector<PiecewiseLinear> offline_stack_;  // upper curves; only [1] is read
+  QueryTreeModel model_;
 };
 
 }  // namespace cedar

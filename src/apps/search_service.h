@@ -13,6 +13,7 @@
 #include "src/apps/search_index.h"
 #include "src/core/policy.h"
 #include "src/core/quality.h"
+#include "src/sim/query_tree.h"
 #include "src/sim/realization.h"
 
 namespace cedar {
@@ -42,18 +43,17 @@ class SearchService {
   SearchService(const SearchIndex* index, TreeSpec latency_tree, SearchServiceConfig config);
 
   // Executes |query| with per-shard/ship latencies from |realization|
-  // (sampled on the latency tree's shape) under |policy|.
+  // (sampled on the latency tree's shape, unweighted) under |policy|, on a
+  // QueryTree traced as engine "search".
   SearchQueryOutcome RunQuery(const WaitPolicy& policy, const std::vector<int>& query,
                               const QueryRealization& realization) const;
 
-  const TreeSpec& latency_tree() const { return latency_tree_; }
+  const TreeSpec& latency_tree() const { return model_.offline_tree(); }
 
  private:
   const SearchIndex* index_;
-  TreeSpec latency_tree_;
   SearchServiceConfig config_;
-  double epsilon_;
-  std::vector<PiecewiseLinear> offline_stack_;  // upper curves; only [1] is read
+  QueryTreeModel model_;
 };
 
 }  // namespace cedar

@@ -9,6 +9,7 @@
 #include "src/common/logging.h"
 #include "src/obs/query_trace.h"
 #include "src/sim/event_queue.h"
+#include "src/sim/experiment_engine.h"
 #include "src/sim/realization.h"
 
 namespace cedar {
@@ -50,7 +51,7 @@ LoadedRunResult RunLoadedCluster(const Workload& workload, const WaitPolicy& pol
 
   EventQueue queue;
   Rng rng(config.seed);
-  uint64_t next_sequence = (config.seed << 20) + 1;
+  long long arrivals = 0;
 
   std::deque<std::unique_ptr<JobState>> jobs;
   std::deque<PendingTask> pending;
@@ -105,7 +106,7 @@ LoadedRunResult RunLoadedCluster(const Workload& workload, const WaitPolicy& pol
     double gap = -std::log(rng.NextOpenDouble()) * config.mean_interarrival;
     queue.Schedule(queue.now() + gap, [&, remaining] {
       QueryTruth truth = workload.DrawQuery(rng);
-      truth.sequence = next_sequence++;
+      truth.sequence = DriverQuerySequence(config.seed, arrivals++);
       start_job(std::move(truth));
       schedule_arrival(remaining - 1);
     });

@@ -2,16 +2,25 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
+#include <optional>
 
 #include "src/common/logging.h"
 
 namespace cedar {
 namespace {
 
-// The scan grid of |ctx|'s aggregator, built into |scan| on first use. The
-// context's upper curve, deadline and epsilon are fixed for the query, so
-// one grid serves every optimization until the owner drops it.
-const WaitScan& ScanOf(const AggregatorContext& ctx, std::optional<WaitScan>& scan) {
+QueryMemo& MemoOf(const AggregatorContext& ctx) {
+  CEDAR_CHECK(ctx.memo != nullptr) << "every AggregatorContext carries its query's memo";
+  return *ctx.memo;
+}
+
+QueryMemo::Tier& TierMemo(const AggregatorContext& ctx) { return MemoOf(ctx).tier(ctx.tier); }
+
+// The tier's scan grid, built on first use from ctx, whose upper curve,
+// deadline and epsilon every aggregator of the tier shares.
+const WaitScan& ScanOf(const AggregatorContext& ctx) {
+  std::optional<WaitScan>& scan = TierMemo(ctx).scan;
   if (!scan.has_value()) {
     CEDAR_CHECK(ctx.upper_quality != nullptr);
     scan.emplace(*ctx.upper_quality, std::max(0.0, ctx.deadline - ctx.start_offset),
@@ -21,22 +30,27 @@ const WaitScan& ScanOf(const AggregatorContext& ctx, std::optional<WaitScan>& sc
 }
 
 // The tier's offline-optimal absolute send time: CalculateWait on the
-// offline bottom distribution. Read from ctx.offline_wait once some
-// aggregator of the tier has filled it; otherwise optimized on |scan| and,
-// when the context has a memo, stored there.
-double OfflineOptimalSendTime(const AggregatorContext& ctx, std::optional<WaitScan>& scan) {
-  OfflineWaitMemo* memo = ctx.offline_wait;
-  if (memo != nullptr && memo->filled) {
-    return memo->send_time;
+// offline bottom distribution, computed by the first aggregator that asks.
+double OfflineOptimalSendTime(const AggregatorContext& ctx) {
+  std::optional<double>& send_time = TierMemo(ctx).offline_send_time;
+  if (!send_time.has_value()) {
+    CEDAR_CHECK(ctx.offline_tree != nullptr);
+    send_time = ctx.start_offset +
+                ScanOf(ctx).Optimize(*ctx.offline_tree->stage(ctx.tier).duration, ctx.fanout).wait;
   }
-  CEDAR_CHECK(ctx.offline_tree != nullptr);
-  double send_time =
-      ctx.start_offset +
-      ScanOf(ctx, scan).Optimize(*ctx.offline_tree->stage(ctx.tier).duration, ctx.fanout).wait;
-  if (memo != nullptr) {
-    *memo = {true, send_time};
+  return *send_time;
+}
+
+// The tier's wait table, resolved from the store on first use.
+const WaitTable& TableOf(const AggregatorContext& ctx, const WaitTableSpec& spec) {
+  std::shared_ptr<const WaitTable>& table = TierMemo(ctx).table;
+  if (table == nullptr) {
+    WaitTableStore& store =
+        ctx.table_store != nullptr ? *ctx.table_store : WaitTableStore::Global();
+    table = store.GetOrBuild(spec, ctx.fanout, *ctx.upper_quality,
+                             std::max(0.0, ctx.deadline - ctx.start_offset), ctx.epsilon);
   }
-  return send_time;
+  return *table;
 }
 
 }  // namespace
@@ -113,8 +127,7 @@ std::unique_ptr<WaitPolicy> OfflineOptimalPolicy::Clone() const {
 }
 
 double OfflineOptimalPolicy::InitialWait(const AggregatorContext& ctx) {
-  std::optional<WaitScan> scan;
-  return OfflineOptimalSendTime(ctx, scan);
+  return OfflineOptimalSendTime(ctx);
 }
 
 // -------------------------------------------------------------------- Cedar
@@ -128,33 +141,13 @@ CedarPolicy::CedarPolicy(CedarPolicyOptions options) : options_(options) {
 }
 
 std::unique_ptr<WaitPolicy> CedarPolicy::Clone() const {
-  // Clones share options but never learner state, the scan grid or the
-  // wait table.
+  // Clones share options but never learner state.
   return std::make_unique<CedarPolicy>(options_);
-}
-
-std::unique_ptr<WaitPolicy> CedarPolicy::ForkForWorker() const {
-  // A fresh instance shares nothing mutable with this one. The
-  // WaitTableStore itself is safe to share across workers — that sharing is
-  // the point of the store.
-  return std::make_unique<CedarPolicy>(options_);
-}
-
-const WaitTable& CedarPolicy::TableFor(const AggregatorContext& ctx) {
-  if (table_ == nullptr) {
-    WaitTableStore& store =
-        ctx.table_store != nullptr ? *ctx.table_store : WaitTableStore::Global();
-    table_ = store.GetOrBuild(options_.table_spec, ctx.fanout, *ctx.upper_quality,
-                              std::max(0.0, ctx.deadline - ctx.start_offset), ctx.epsilon);
-  }
-  return *table_;
 }
 
 void CedarPolicy::BeginQuery(const AggregatorContext& ctx, const QueryTruth* truth) {
   WaitPolicy::BeginQuery(ctx, truth);
   arrivals_since_reopt_ = 0;
-  scan_.reset();  // the upper curve and budget may differ for this query
-  table_.reset();
   if (LearnsAt(ctx.tier)) {
     // Small fanouts cannot supply the default number of warm-up samples;
     // keep at least two-thirds of the children as usable signal.
@@ -171,7 +164,7 @@ void CedarPolicy::BeginQuery(const AggregatorContext& ctx, const QueryTruth* tru
 double CedarPolicy::InitialWait(const AggregatorContext& ctx) {
   // Before any arrival, Cedar can only use the offline fit; the online
   // estimate takes over as outputs come in.
-  return OfflineOptimalSendTime(ctx, scan_);
+  return OfflineOptimalSendTime(ctx);
 }
 
 double CedarPolicy::OnArrival(const AggregatorContext& ctx, double arrival_time,
@@ -199,24 +192,16 @@ double CedarPolicy::OnArrival(const AggregatorContext& ctx, double arrival_time,
     return current_wait_;
   }
   if (options_.use_wait_table) {
-    return ctx.start_offset + TableFor(ctx).LookupSpec(*fit);
+    return ctx.start_offset + TableOf(ctx, options_.table_spec).LookupSpec(*fit);
   }
   auto fitted = MakeDistribution(*fit);
-  return ctx.start_offset + ScanOf(ctx, scan_).Optimize(*fitted, ctx.fanout).wait;
+  return ctx.start_offset + ScanOf(ctx).Optimize(*fitted, ctx.fanout).wait;
 }
 
 // ------------------------------------------------------------------- Oracle
 
-OraclePolicy::OraclePolicy() : cache_(std::make_shared<PlanCache>()) {}
-
 std::unique_ptr<WaitPolicy> OraclePolicy::Clone() const {
-  auto clone = std::make_unique<OraclePolicy>();
-  clone->cache_ = cache_;  // share the per-query plan across all nodes
-  return clone;
-}
-
-std::unique_ptr<WaitPolicy> OraclePolicy::ForkForWorker() const {
-  return std::make_unique<OraclePolicy>();  // fresh plan cache
+  return std::make_unique<OraclePolicy>();
 }
 
 void OraclePolicy::BeginQuery(const AggregatorContext& ctx, const QueryTruth* truth) {
@@ -226,9 +211,8 @@ void OraclePolicy::BeginQuery(const AggregatorContext& ctx, const QueryTruth* tr
 
 double OraclePolicy::InitialWait(const AggregatorContext& ctx) {
   CEDAR_CHECK(ctx.offline_tree != nullptr);
-  MutexLock lock(cache_->mutex);
-  uint64_t sequence = truth_ != nullptr ? truth_->sequence : 0;
-  if (sequence == 0 || cache_->sequence != sequence || cache_->deadline != ctx.deadline) {
+  std::optional<TreePlan>& plan = MemoOf(ctx).plan();
+  if (!plan.has_value()) {
     TreeSpec tree =
         truth_ != nullptr ? truth_->OverlayOn(*ctx.offline_tree) : *ctx.offline_tree;
     // Plan on the query tree's grid: its epsilon is deadline / steps, so
@@ -237,12 +221,10 @@ double OraclePolicy::InitialWait(const AggregatorContext& ctx) {
     if (ctx.deadline > 0.0 && ctx.epsilon > 0.0) {
       options.steps = static_cast<int>(std::max(1L, std::lround(ctx.deadline / ctx.epsilon)));
     }
-    cache_->plan = PlanTree(tree, ctx.deadline, options);
-    cache_->sequence = sequence;
-    cache_->deadline = ctx.deadline;
+    plan = PlanTree(tree, ctx.deadline, options);
   }
-  CEDAR_CHECK_LT(static_cast<size_t>(ctx.tier), cache_->plan.absolute_waits.size());
-  return cache_->plan.absolute_waits[static_cast<size_t>(ctx.tier)];
+  CEDAR_CHECK_LT(static_cast<size_t>(ctx.tier), plan->absolute_waits.size());
+  return plan->absolute_waits[static_cast<size_t>(ctx.tier)];
 }
 
 }  // namespace cedar

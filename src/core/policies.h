@@ -20,14 +20,9 @@
 #ifndef CEDAR_SRC_CORE_POLICIES_H_
 #define CEDAR_SRC_CORE_POLICIES_H_
 
-#include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
-
-#include "src/common/mutex.h"
-#include "src/common/thread_annotations.h"
 
 #include "src/core/online_learner.h"
 #include "src/core/policy.h"
@@ -108,14 +103,16 @@ struct CedarPolicyOptions {
   // §4.3.3 fast path: replace the per-arrival CalculateWait scan with a
   // bilinear lookup in a precomputed wait table over the learner's fitted
   // (location, scale) grid. The table is built once per upper-quality curve
-  // and shared across all cloned aggregators; out-of-grid fits clamp to the
-  // table edge. table_spec.family must match learner.family. Tables resolve
-  // through ctx.table_store, else WaitTableStore::Global().
+  // and resolved once per (query, tier) into ctx.memo; out-of-grid fits
+  // clamp to the table edge. table_spec.family must match learner.family.
+  // Tables resolve through ctx.table_store, else WaitTableStore::Global().
   bool use_wait_table = false;
   WaitTableSpec table_spec;
 };
 
-class CedarPolicy final : public WaitPolicy {
+// Per-query state is the learner's; the shared scan grid, offline send time
+// and wait table live in ctx.memo, so the default fork is detached.
+class CedarPolicy final : public WaitPolicy {  // cedar-lint: allow(fork-override)
  public:
   explicit CedarPolicy(CedarPolicyOptions options = {});
 
@@ -123,9 +120,6 @@ class CedarPolicy final : public WaitPolicy {
     return options_.learner.use_empirical_estimates ? "cedar-empirical" : "cedar";
   }
   std::unique_ptr<WaitPolicy> Clone() const override;
-  // A worker fork shares no mutable policy state: it re-resolves tables
-  // through the store, which is what lets N workers amortize one build.
-  std::unique_ptr<WaitPolicy> ForkForWorker() const override;
   void BeginQuery(const AggregatorContext& ctx, const QueryTruth* truth) override;
 
   // Exposes the learner's current fit (tests and diagnostics).
@@ -141,48 +135,25 @@ class CedarPolicy final : public WaitPolicy {
     return options_.learning_tier < 0 || tier == options_.learning_tier;
   }
 
-  const WaitTable& TableFor(const AggregatorContext& ctx);
-
   CedarPolicyOptions options_;
   std::unique_ptr<OnlineLearner> learner_;
-  // This aggregator's scan grid for the query in flight, built on first use
-  // from ctx (whose upper curve, deadline and epsilon are fixed for the
-  // query) and reused by every re-optimization until BeginQuery drops it.
-  std::optional<WaitScan> scan_;
-
-  // This aggregator's wait table for the query in flight, resolved from the
-  // store on first use under the same fixed-ctx rule as scan_.
-  WaitTableStore::TablePtr table_;
   int effective_min_samples_ = 2;
   int arrivals_since_reopt_ = 0;
 };
 
-// The Ideal scheme. All clones share a per-query plan cache so the plan for
-// one query's truth is computed once even though every aggregator node owns
-// its own policy instance.
-class OraclePolicy final : public WaitPolicy {
+// The Ideal scheme. The plan for the query's truth is computed once per
+// query, into ctx.memo, and read by every aggregator; the default fork is
+// detached.
+class OraclePolicy final : public WaitPolicy {  // cedar-lint: allow(fork-override)
  public:
-  OraclePolicy();
-
   std::string name() const override { return "ideal"; }
   std::unique_ptr<WaitPolicy> Clone() const override;
-  // A worker fork gets its own plan cache: the cache is keyed by the query
-  // sequence in flight, which differs across concurrent workers.
-  std::unique_ptr<WaitPolicy> ForkForWorker() const override;
   void BeginQuery(const AggregatorContext& ctx, const QueryTruth* truth) override;
 
  protected:
   double InitialWait(const AggregatorContext& ctx) override;
 
  private:
-  struct PlanCache {
-    Mutex mutex;
-    uint64_t sequence CEDAR_GUARDED_BY(mutex) = 0;  // 0 = empty/never reuse
-    double deadline CEDAR_GUARDED_BY(mutex) = 0.0;
-    TreePlan plan CEDAR_GUARDED_BY(mutex);
-  };
-
-  std::shared_ptr<PlanCache> cache_;
   const QueryTruth* truth_ = nullptr;
 };
 

@@ -16,6 +16,14 @@ TreeSpec QueryTruth::OverlayOn(const TreeSpec& base) const {
   return TreeSpec(std::move(stages));
 }
 
+QueryMemo::Tier& QueryMemo::tier(int index) {
+  CEDAR_CHECK_GE(index, 0);
+  if (static_cast<size_t>(index) >= tiers_.size()) {
+    tiers_.resize(static_cast<size_t>(index) + 1);
+  }
+  return tiers_[static_cast<size_t>(index)];
+}
+
 void WaitPolicy::BeginQuery(const AggregatorContext& ctx, const QueryTruth* truth) {
   (void)ctx;
   (void)truth;

@@ -1,7 +1,8 @@
 // WaitPolicy: the decision interface every aggregator consults (Pseudocode 1
 // hooks). A policy instance is owned by exactly one aggregator node; fresh
 // instances are made with Clone() and per-query state is reset by
-// BeginQuery().
+// BeginQuery(). State that all aggregators of a query share lives in the
+// context's QueryMemo, never in the policy.
 //
 // Decisions are expressed as an *absolute send time* measured from query
 // start, which keeps multi-tier trees consistent: a tier-i aggregator's
@@ -12,15 +13,19 @@
 #define CEDAR_SRC_CORE_POLICY_H_
 
 #include <cstdint>
+#include <deque>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "src/common/math_util.h"
 #include "src/core/tree.h"
+#include "src/core/wait_optimizer.h"
 
 namespace cedar {
 
+class WaitTable;
 class WaitTableStore;
 
 // True per-query stage distributions, available only to the Oracle/Ideal
@@ -28,23 +33,50 @@ class WaitTableStore;
 struct QueryTruth {
   std::vector<std::shared_ptr<const Distribution>> stage_durations;
 
-  // Monotone per-query identifier assigned by the experiment driver; lets
-  // per-query caches (OraclePolicy's plan cache) distinguish queries whose
-  // QueryTruth objects happen to reuse the same address. 0 means "unknown":
-  // caches must then recompute every time.
+  // Monotone per-query identifier assigned by the experiment driver
+  // (DriverQuerySequence). It keys the query's trace track, ClusterRuntime's
+  // slot-placement and clone RNG streams, and DecisionRecorder's per-query
+  // grouping. 0 means "unassigned".
   uint64_t sequence = 0;
 
   // Materializes a TreeSpec with these distributions and |base|'s fanouts.
   TreeSpec OverlayOn(const TreeSpec& base) const;
 };
 
-// One tier's offline-optimal absolute send time within one query:
-// CalculateWait on the offline bottom distribution under the tier's upper
-// curve and budget. Every aggregator of the tier shares those inputs, so the
-// first policy that needs the value fills the memo and the rest read it.
-struct OfflineWaitMemo {
-  bool filled = false;
-  double send_time = 0.0;
+// The state one query's aggregators share. Pseudocode 2 reads the upper
+// curve q_{n-1}, the remaining budget and epsilon, which are the same for
+// every aggregator of a tier; only the learned X1 differs. So, per tier, the
+// first aggregator that needs one of these fills it and the rest read it:
+//  * scan: the tier's WaitScan grid (one grid build per tier, not one per
+//    aggregator);
+//  * offline_send_time: CalculateWait on the offline bottom distribution
+//    (one offline scan per tier);
+//  * table: the tier's WaitTable (one store get per tier; a get compares
+//    the whole upper curve under the store's lock).
+// For the whole query it holds the Ideal policy's TreePlan (one PlanTree
+// per query).
+//
+// A memo serves one query of one policy prototype's clones: whoever owns the
+// query's contexts owns it (QueryTree, RealtimeAggregator, a test) and
+// drops it with them; a new query needs a fresh memo. Not thread-safe: a
+// query's aggregators decide on one thread.
+class QueryMemo {
+ public:
+  struct Tier {
+    std::optional<WaitScan> scan;
+    std::optional<double> offline_send_time;
+    std::shared_ptr<const WaitTable> table;
+  };
+
+  // The entry of aggregator tier |index|, added empty on first use. Adding
+  // an entry leaves references to the others valid.
+  Tier& tier(int index);
+
+  std::optional<TreePlan>& plan() { return plan_; }
+
+ private:
+  std::deque<Tier> tiers_;
+  std::optional<TreePlan> plan_;
 };
 
 // Everything a policy may consult when deciding. The pointers reference
@@ -71,10 +103,10 @@ struct AggregatorContext {
   // a specific (usually test- or bench-local) store instead of the process
   // Global(). Null means Global().
   WaitTableStore* table_store = nullptr;
-  // This tier's offline-wait memo, owned by the query tree that owns the
-  // context and living exactly as long as it. Null (contexts built outside
-  // a query tree) means "compute the offline wait directly".
-  OfflineWaitMemo* offline_wait = nullptr;
+  // The query's memo, owned by whoever owns this context. Every context
+  // carries one: the policies that optimize (offline Cedar, Cedar, Ideal)
+  // CHECK-fail without it.
+  QueryMemo* memo = nullptr;
 };
 
 class WaitPolicy {
@@ -84,14 +116,16 @@ class WaitPolicy {
   // Stable identifier used in tables ("cedar", "prop-split", ...).
   virtual std::string name() const = 0;
 
+  // A fresh instance with the same configuration. Clones share no mutable
+  // state: what one query's aggregators share is in ctx.memo.
   virtual std::unique_ptr<WaitPolicy> Clone() const = 0;
 
-  // Creates an independent replica for a concurrent experiment shard. Unlike
-  // Clone() — whose instances may *share* mutable per-query caches so that
-  // all aggregator nodes of one query reuse one plan — a forked replica must
-  // share no mutable state with the source, so two worker threads can run
-  // different queries through their forks without synchronizing. Policies
-  // whose clones are already state-free inherit this default.
+  // Creates the replica a concurrent experiment shard runs its queries
+  // through. It must share no mutable state with the source, so two worker
+  // threads can run different queries through their forks without
+  // synchronizing. Every policy's clone already qualifies, so this is
+  // Clone(); it stays virtual as the hook through which decorators
+  // (TracingPolicy, perfbench's TimedPolicy) fork their inner policy.
   virtual std::unique_ptr<WaitPolicy> ForkForWorker() const { return Clone(); }
 
   // Called once per query before any arrival. |truth| carries the current

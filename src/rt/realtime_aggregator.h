@@ -12,7 +12,8 @@
 // on the timer thread with no locks held; the WaitPolicy is only ever
 // invoked under the internal mutex (policies are not thread-safe
 // themselves). The referenced AggregatorContext pointers (offline tree,
-// upper curve) must outlive the aggregator.
+// upper curve) must outlive the aggregator. The aggregator runs one query and
+// owns that query's QueryMemo: its context copy points there.
 
 #ifndef CEDAR_SRC_RT_REALTIME_AGGREGATOR_H_
 #define CEDAR_SRC_RT_REALTIME_AGGREGATOR_H_
@@ -44,14 +45,16 @@ class RealtimeAggregator {
     std::vector<double> arrival_times;
   };
 
-  // |ctx| must describe this aggregator (fanout, deadline, curves); |policy|
-  // is owned. |on_send| is invoked exactly once, on the timer thread.
+  // |ctx| must describe this aggregator (fanout, deadline, curves); its memo
+  // is replaced by the aggregator's own. |policy| is owned. |on_send| is
+  // invoked exactly once, on the timer thread.
   RealtimeAggregator(std::unique_ptr<WaitPolicy> policy, const AggregatorContext& ctx,
                      std::function<void(Result)> on_send)
       : policy_(std::move(policy)), ctx_(ctx), on_send_(std::move(on_send)) {
     CEDAR_CHECK(policy_ != nullptr);
     CEDAR_CHECK(on_send_ != nullptr);
     CEDAR_CHECK_GE(ctx_.fanout, 1);
+    ctx_.memo = &memo_;
   }
 
   ~RealtimeAggregator() { Join(); }
@@ -150,6 +153,7 @@ class RealtimeAggregator {
   }
 
   std::unique_ptr<WaitPolicy> policy_;
+  QueryMemo memo_;
   AggregatorContext ctx_;
   std::function<void(Result)> on_send_;
 

@@ -11,15 +11,17 @@
 //     and realization, so results are bit-identical for every thread count.
 //  2. Detached per-worker policies. Each worker chunk forks the prototypes
 //     with WaitPolicy::ForkForWorker(), which must share no mutable state
-//     with the source (Clone()-shared per-query caches stay intra-query).
+//     with the source. What one query's aggregators share lives in that
+//     query's QueryMemo, owned by its QueryTree on the worker running it.
 //  3. Merge in query order. Every (query, policy) cell is written to its own
 //     pre-sized slot of the result grid; the caller folds the grid back in
 //     ascending query order, keeping paired samples aligned across policies
 //     and the accumulation order — hence floating-point sums — fixed.
 //
 // Query sequence ids are always assigned, monotone in the query index and
-// never 0 (the QueryTruth "unknown" sentinel), so OraclePolicy's plan cache
-// keys stay valid no matter which worker runs which query.
+// never 0 (the QueryTruth "unassigned" sentinel), whichever worker runs the
+// query. They key the trace tracks, ClusterRuntime's slot-placement and
+// clone RNG streams, and DecisionRecorder's per-query grouping.
 
 #ifndef CEDAR_SRC_SIM_EXPERIMENT_ENGINE_H_
 #define CEDAR_SRC_SIM_EXPERIMENT_ENGINE_H_
@@ -35,6 +37,7 @@
 #include "src/common/thread_pool.h"
 #include "src/core/wait_table_store.h"
 #include "src/obs/metrics.h"
+#include "src/sim/experiment.h"
 #include "src/sim/realization.h"
 #include "src/sim/workload.h"
 #include "src/stats/rng.h"

@@ -41,7 +41,6 @@ QueryTree::QueryTree(const QueryTreeModel& model, const WaitPolicy& policy_proto
   // with a scratch policy instance so that each tier's plan is consistent
   // with the policy's own decisions.
   contexts_.resize(static_cast<size_t>(tiers));
-  offline_waits_.resize(static_cast<size_t>(tiers));
   double offset = 0.0;
   for (int tier = 0; tier < tiers; ++tier) {
     AggregatorContext& ctx = contexts_[static_cast<size_t>(tier)];
@@ -53,7 +52,7 @@ QueryTree::QueryTree(const QueryTreeModel& model, const WaitPolicy& policy_proto
     ctx.upper_quality = &(*stack)[static_cast<size_t>(tier + 1)];
     ctx.epsilon = model_.epsilon();
     ctx.table_store = model_.options().table_store;
-    ctx.offline_wait = &offline_waits_[static_cast<size_t>(tier)];
+    ctx.memo = &memo_;
     if (trace_ptr != nullptr) {
       trace_ptr->RecordTierPlan(tier, offset);
     }
@@ -88,12 +87,17 @@ void QueryTree::Start(EventQueue& queue) {
   }
 }
 
-void QueryTree::DeliverLeaf(EventQueue& queue, long long leaf) {
+bool QueryTree::DeliverLeaf(EventQueue& queue, long long leaf) {
   double weight = realization_.leaf_weights.empty()
                       ? 1.0
                       : realization_.leaf_weights[static_cast<size_t>(leaf)];
   long long agg = leaf / model_.offline_tree().stage(0).fanout;
-  nodes_[0][static_cast<size_t>(agg)].OnChildOutput(queue, weight);
+  AggregatorNode& node = nodes_[0][static_cast<size_t>(agg)];
+  if (node.closed()) {
+    return false;
+  }
+  node.OnChildOutput(queue, weight);
+  return true;
 }
 
 void QueryTree::OnSend(EventQueue& queue, AggregatorNode& node, double weight) {
@@ -111,7 +115,7 @@ void QueryTree::OnSend(EventQueue& queue, AggregatorNode& node, double weight) {
     bool in_time = arrive_at <= origin_ + model_.deadline();
     if (in_time) {
       included_weight_ += weight;
-      ++root_in_time_;
+      root_senders_.push_back(index);
     } else {
       ++root_late_;
     }
@@ -131,7 +135,7 @@ QueryResult QueryTree::Result() const {
   result.total_weight = realization_.TotalWeight();
   result.included_weight = included_weight_;
   result.quality = result.total_weight > 0.0 ? included_weight_ / result.total_weight : 0.0;
-  result.root_arrivals_in_time = root_in_time_;
+  result.root_arrivals_in_time = static_cast<long long>(root_senders_.size());
   result.root_arrivals_late = root_late_;
   result.mean_tier0_send_time =
       tier0_sends_ > 0 ? tier0_send_sum_ / static_cast<double>(tier0_sends_) : 0.0;

@@ -1,6 +1,7 @@
 // QueryTree: the aggregation tree of one query — Pseudocode 1 wired up at
 // every aggregator — shared by the three execution engines (TreeSimulation,
-// ClusterRuntime, RunLoadedCluster).
+// ClusterRuntime, RunLoadedCluster) and the two apps (SearchService,
+// AnalyticsService).
 //
 // A QueryTree owns everything about a query that does not depend on how its
 // leaf processes are scheduled:
@@ -9,16 +10,20 @@
 //    knowledge model grants it); the full-tree curve is never built;
 //  * the per-tier AggregatorContexts, with tier i's start offset planned by
 //    a scratch policy clone as tier i-1's initial wait;
-//  * one offline-wait memo per tier, so the tier's offline-optimal send
-//    time is computed once per query, not once per aggregator;
+//  * the QueryMemo every context points at, so each tier's scan grid,
+//    offline-optimal send time and wait table, and the Ideal plan, are
+//    computed once per query, not once per aggregator;
 //  * one AggregatorNode per aggregator, each with its own policy clone;
 //  * the upward send chain: a tier-t node's result ships with the sampled
 //    stage-(t+1) duration of its own edge to parent index / fanout;
-//  * root accounting against origin + deadline, and the tier-0 send mean.
+//  * root accounting against origin + deadline: the top-tier senders that
+//    reached the root in time, in send order, and the tier-0 send mean.
 // The engine supplies only the leaves: it calls Start() once, then
 // DeliverLeaf() at each leaf output's completion time, runs the queue, and
 // reads Result(). All times on the queue are absolute; |origin| is the
-// query's time zero (its arrival, in a loaded run).
+// query's time zero (its arrival, in a loaded run). An app also carries
+// each leaf's payload: it keeps the outputs DeliverLeaf() accepted per
+// tier-0 aggregator and merges those of root_senders() at the end.
 
 #ifndef CEDAR_SRC_SIM_QUERY_TREE_H_
 #define CEDAR_SRC_SIM_QUERY_TREE_H_
@@ -119,10 +124,15 @@ class QueryTree {
   void Start(EventQueue& queue);
 
   // Hands leaf |leaf|'s output, with its weight, to its tier-0 aggregator
-  // at the queue's current time.
-  void DeliverLeaf(EventQueue& queue, long long leaf);
+  // at the queue's current time. Returns whether that aggregator was still
+  // open, i.e. whether the output is part of its send.
+  bool DeliverLeaf(EventQueue& queue, long long leaf);
 
   QueryResult Result() const;
+
+  // Indices of the top-tier aggregators whose results reached the root in
+  // time, in send order.
+  const std::vector<long long>& root_senders() const { return root_senders_; }
 
   // The query's trace builder, or null when tracing is off. The engine
   // calls Finish() on it with its own end time and diagnostics.
@@ -136,12 +146,12 @@ class QueryTree {
   double origin_;
   QueryTraceBuilder trace_;
   std::vector<PiecewiseLinear> query_stack_;  // per-query upper knowledge
+  QueryMemo memo_;  // every contexts_[i].memo
   std::vector<AggregatorContext> contexts_;
-  std::vector<OfflineWaitMemo> offline_waits_;  // contexts_[i].offline_wait
   std::vector<std::vector<AggregatorNode>> nodes_;
 
   double included_weight_ = 0.0;
-  long long root_in_time_ = 0;
+  std::vector<long long> root_senders_;
   long long root_late_ = 0;
   double tier0_send_sum_ = 0.0;
   long long tier0_sends_ = 0;

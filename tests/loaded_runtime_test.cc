@@ -3,7 +3,9 @@
 #include <bit>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -11,6 +13,7 @@
 #include "src/core/policies.h"
 #include "src/core/quality.h"
 #include "src/core/wait_optimizer.h"
+#include "src/sim/experiment_engine.h"
 #include "src/sim/realization.h"
 #include "src/sim/tree_simulation.h"
 #include "src/trace/workloads.h"
@@ -98,7 +101,7 @@ TEST(LoadedRuntimeTest, SingleQueryMatchesTreeSimulation) {
   Rng rng(config.seed);
   rng.NextOpenDouble();  // arrival gap
   QueryTruth truth = workload.DrawQuery(rng);
-  truth.sequence = (config.seed << 20) + 1;
+  truth.sequence = DriverQuerySequence(config.seed, 0);
   Rng realization_rng = rng.Fork();
   TreeSpec tree = workload.OfflineTree();
   QueryRealization realization = SampleRealization(tree, truth, realization_rng);
@@ -155,7 +158,7 @@ TEST(LoadedRuntimeTest, ThreeLevelTreeSupported) {
   EXPECT_GT(result.MeanQuality(), 0.0);
 }
 
-TEST(LoadedRuntimeTest, JobsInFlightKeepSeparateOfflineWaitMemos) {
+TEST(LoadedRuntimeTest, JobsInFlightKeepSeparateQueryMemos) {
   // Arrivals 50 apart under a 1000 deadline keep many jobs in flight at
   // once. Each job's per-query upper curves give it its own offline waits,
   // so a memo shared between jobs would hand one job another's wait.
@@ -174,26 +177,26 @@ TEST(LoadedRuntimeTest, JobsInFlightKeepSeparateOfflineWaitMemos) {
       }
       MemoCheckingPolicy policy(std::move(inner), log);
       RunLoadedCluster(workload, policy, config);
-      std::set<const OfflineWaitMemo*> memos;
+      std::set<std::pair<const QueryMemo*, int>> memo_tiers;
       std::set<double> tier0_waits;
       for (const MemoCheck& check : *log) {
         ASSERT_NE(check.memo, nullptr);
         ASSERT_EQ(std::bit_cast<uint64_t>(check.got), std::bit_cast<uint64_t>(check.want))
             << policy.name() << " tier " << check.tier << " levels " << levels;
-        memos.insert(check.memo);
+        memo_tiers.insert({check.memo, check.tier});
         if (check.tier == 0) {
           tier0_waits.insert(check.got);
         }
       }
-      // Jobs live until the run ends, so no memo address is reused: one memo
-      // per (job, tier), and the jobs' waits really differ.
-      EXPECT_EQ(memos.size(), static_cast<size_t>(config.num_queries * (levels - 1)));
+      // Jobs live until the run ends, so no memo address is reused: one
+      // memo tier per (job, tier), and the jobs' waits really differ.
+      EXPECT_EQ(memo_tiers.size(), static_cast<size_t>(config.num_queries * (levels - 1)));
       EXPECT_GT(tier0_waits.size(), 1u);
     }
   }
 }
 
-TEST(LoadedRuntimeTest, NullMemoContextComputesTheOfflineWaitDirectly) {
+TEST(LoadedRuntimeTest, FreshMemoGivesTheDirectOfflineWait) {
   TreeSpec tree = MakeFacebookWorkload(10, 8).OfflineTree();
   const double deadline = 1000.0;
   auto upper = BuildUpperQualityCurves(tree, deadline);
@@ -213,23 +216,19 @@ TEST(LoadedRuntimeTest, NullMemoContextComputesTheOfflineWaitDirectly) {
     OfflineOptimalPolicy offline;
     for (WaitPolicy* prototype : {static_cast<WaitPolicy*>(&cedar),
                                   static_cast<WaitPolicy*>(&offline)}) {
-      ctx.offline_wait = nullptr;
-      auto bare = prototype->Clone();
-      bare->BeginQuery(ctx, nullptr);
-      EXPECT_EQ(std::bit_cast<uint64_t>(bare->DecideInitialWait(ctx)),
-                std::bit_cast<uint64_t>(today))
-          << prototype->name();
-
-      // With a memo, the first decision fills it and later ones read it.
-      OfflineWaitMemo memo;
-      ctx.offline_wait = &memo;
+      // The first decision on a fresh memo computes the wait and fills the
+      // memo; later ones read it.
+      QueryMemo memo;
+      ctx.memo = &memo;
       auto first = prototype->Clone();
       first->BeginQuery(ctx, nullptr);
       EXPECT_EQ(std::bit_cast<uint64_t>(first->DecideInitialWait(ctx)),
-                std::bit_cast<uint64_t>(today));
-      EXPECT_TRUE(memo.filled);
-      EXPECT_EQ(std::bit_cast<uint64_t>(memo.send_time), std::bit_cast<uint64_t>(today));
-      memo.send_time = 123.0;
+                std::bit_cast<uint64_t>(today))
+          << prototype->name();
+      std::optional<double>& memo_wait = memo.tier(0).offline_send_time;
+      ASSERT_TRUE(memo_wait.has_value());
+      EXPECT_EQ(std::bit_cast<uint64_t>(*memo_wait), std::bit_cast<uint64_t>(today));
+      memo_wait = 123.0;
       auto second = prototype->Clone();
       second->BeginQuery(ctx, nullptr);
       EXPECT_EQ(second->DecideInitialWait(ctx), 123.0) << prototype->name();

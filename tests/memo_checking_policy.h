@@ -1,6 +1,6 @@
 // Test helper: a policy decorator that checks every initial wait its inner
-// policy returns under the context's offline-wait memo against a fresh,
-// memo-less instance deciding on a copy of the context without the memo.
+// policy returns under the context's query memo against a fresh instance
+// deciding on a copy of the context with a fresh memo.
 
 #ifndef CEDAR_TESTS_MEMO_CHECKING_POLICY_H_
 #define CEDAR_TESTS_MEMO_CHECKING_POLICY_H_
@@ -16,10 +16,10 @@
 namespace cedar {
 
 struct MemoCheck {
-  const OfflineWaitMemo* memo = nullptr;  // ctx.offline_wait of the decision
+  const QueryMemo* memo = nullptr;  // ctx.memo of the decision
   int tier = 0;
-  double got = 0.0;   // the inner policy's wait, with the memo
-  double want = 0.0;  // a fresh memo-less clone's wait
+  double got = 0.0;   // the inner policy's wait, with the query's memo
+  double want = 0.0;  // a fresh clone's wait, with a fresh memo
 };
 
 class MemoCheckingPolicy final : public WaitPolicy {
@@ -47,11 +47,12 @@ class MemoCheckingPolicy final : public WaitPolicy {
  protected:
   double InitialWait(const AggregatorContext& ctx) override {
     double got = inner_->DecideInitialWait(ctx);
+    QueryMemo fresh;
     AggregatorContext bare = ctx;
-    bare.offline_wait = nullptr;
+    bare.memo = &fresh;
     auto twin = inner_->Clone();
     twin->BeginQuery(bare, truth_);
-    log_->push_back({ctx.offline_wait, ctx.tier, got, twin->DecideInitialWait(bare)});
+    log_->push_back({ctx.memo, ctx.tier, got, twin->DecideInitialWait(bare)});
     return got;
   }
   double OnArrival(const AggregatorContext& ctx, double arrival_time,

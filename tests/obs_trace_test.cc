@@ -17,12 +17,15 @@
 
 #include <gtest/gtest.h>
 
+#include "src/apps/analytics_service.h"
+#include "src/apps/search_service.h"
 #include "src/cluster/experiment.h"
 #include "src/common/csv.h"
 #include "src/core/policies.h"
 #include "src/obs/query_trace.h"
 #include "src/sim/experiment.h"
 #include "src/sim/experiment_engine.h"
+#include "src/sim/realization.h"
 #include "src/sim/workload.h"
 
 namespace cedar {
@@ -636,6 +639,71 @@ TEST(ObsTraceIntegrationTest, ClusterEngineEmitsSpans) {
     EXPECT_TRUE(args.Has("waves"));
   }
   EXPECT_EQ(spans, 2);
+}
+
+TEST(ObsTraceIntegrationTest, AppsTraceLikeTheEngines) {
+  // A 6 x 4 latency tree over 24 shards / partitions; the search query runs
+  // as sequence 1, the analytics query as sequence 2.
+  TreeSpec tree = TreeSpec::TwoLevel(std::make_shared<LogNormalDistribution>(2.5, 0.8), 6,
+                                     std::make_shared<LogNormalDistribution>(2.0, 0.6), 4);
+  auto realization = [&](uint64_t sequence) {
+    QueryTruth truth;
+    truth.sequence = sequence;
+    truth.stage_durations = {tree.stage(0).duration, tree.stage(1).duration};
+    Rng rng(sequence);
+    return SampleRealization(tree, truth, rng);
+  };
+  CorpusSpec corpus;
+  corpus.num_documents = 1000;
+  corpus.vocabulary_size = 200;
+  SearchIndex index(corpus, 24);
+  SearchServiceConfig search_config;
+  search_config.deadline = 40.0;
+  SearchService search(&index, tree, search_config);
+  FactTableSpec table_spec;
+  table_spec.rows = 4800;
+  table_spec.num_groups = 4;
+  table_spec.num_partitions = 24;
+  FactTable table(table_spec);
+  AnalyticsServiceConfig analytics_config;
+  analytics_config.deadline = 40.0;
+  AnalyticsService analytics(&table, tree, analytics_config);
+
+  TraceCollector collector;
+  SetActiveTraceCollector(&collector);
+  CedarPolicy cedar;
+  Rng query_rng(5);
+  search.RunQuery(cedar, index.SampleQuery(3, query_rng), realization(1));
+  analytics.RunQuery(cedar, realization(2));
+  SetActiveTraceCollector(nullptr);
+
+  std::map<uint64_t, std::multiset<std::string>> names_by_track;
+  for (const TraceEvent& event : collector.Snapshot()) {
+    names_by_track[event.track].insert(event.name);
+  }
+  ASSERT_EQ(names_by_track.size(), 2u);
+  for (uint64_t track : {1u, 2u}) {
+    const std::multiset<std::string>& names = names_by_track[track];
+    EXPECT_EQ(names.count("query"), 1u) << "track " << track;
+    EXPECT_EQ(names.count("hold_send") + names.count("fold_send"), 4u) << "track " << track;
+  }
+
+  JsonValue events = ValidatedTraceEvents(collector);
+  std::map<std::string, std::string> engine_extra = {{"search", "recall"},
+                                                     {"analytics", "mean_relative_error"}};
+  std::set<std::string> engines;
+  for (const JsonValue& event : events.array) {
+    if (event.At("name").string != "query") {
+      continue;
+    }
+    const JsonValue& args = event.At("args");
+    const std::string& engine = args.At("engine").string;
+    engines.insert(engine);
+    EXPECT_EQ(args.At("policy").string, "cedar");
+    ASSERT_TRUE(engine_extra.count(engine)) << engine;
+    EXPECT_TRUE(args.Has(engine_extra[engine])) << engine;
+  }
+  EXPECT_EQ(engines, (std::set<std::string>{"search", "analytics"}));
 }
 
 }  // namespace

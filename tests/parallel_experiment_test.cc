@@ -45,7 +45,7 @@ TEST(ParallelExperimentTest, SimResultsIdenticalForAnyThreadCount) {
   auto workload = MakeFacebookWorkload(8, 8);
   ProportionalSplitPolicy baseline;
   CedarPolicy cedar;    // online learner state per node
-  OraclePolicy ideal;   // shared per-query plan cache
+  OraclePolicy ideal;   // one plan per query, in the query's memo
   std::vector<const WaitPolicy*> policies = {&baseline, &cedar, &ideal};
 
   ExperimentResult serial = RunExperiment(workload, policies, SimConfig(1));
@@ -265,8 +265,9 @@ TEST(ParallelExperimentTest, PairedSamplesStayAlignedAcrossPolicies) {
 
 TEST(ParallelExperimentTest, SequenceIdsAreMonotoneAndNeverZero) {
   // The driver must stamp every query with a non-zero sequence id that is
-  // monotone in the query index (OraclePolicy's plan cache treats 0 as
-  // "unknown" and would silently recompute every time).
+  // monotone in the query index: it keys the query's trace track,
+  // ClusterRuntime's placement and clone RNG streams, and the
+  // DecisionRecorder grouping read here (0 means "unassigned").
   auto workload = MakeFacebookWorkload(6, 6);
   DecisionRecorder recorder;
   TracingPolicy traced(MakePolicyByName("prop-split"), &recorder);

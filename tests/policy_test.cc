@@ -10,7 +10,7 @@
 namespace cedar {
 namespace {
 
-// A reusable two-level context with deadline 100.
+// A reusable two-level context with deadline 100, carrying one query's memo.
 class PolicyTest : public ::testing::Test {
  protected:
   PolicyTest()
@@ -24,10 +24,12 @@ class PolicyTest : public ::testing::Test {
     ctx_.offline_tree = &tree_;
     ctx_.upper_quality = &upper_;
     ctx_.epsilon = 0.25;
+    ctx_.memo = &memo_;
   }
 
   TreeSpec tree_;
   PiecewiseLinear upper_;
+  QueryMemo memo_;
   AggregatorContext ctx_;
 };
 
@@ -81,9 +83,12 @@ TEST_F(PolicyTest, OfflineOptimalWithinBudgetAndStable) {
 TEST_F(PolicyTest, CedarStartsAtOfflineOptimal) {
   OfflineOptimalPolicy offline;
   CedarPolicy cedar;
+  QueryMemo cedar_memo;  // so Cedar computes the wait rather than reading it
+  AggregatorContext cedar_ctx = ctx_;
+  cedar_ctx.memo = &cedar_memo;
   offline.BeginQuery(ctx_, nullptr);
-  cedar.BeginQuery(ctx_, nullptr);
-  EXPECT_DOUBLE_EQ(cedar.DecideInitialWait(ctx_), offline.DecideInitialWait(ctx_));
+  cedar.BeginQuery(cedar_ctx, nullptr);
+  EXPECT_DOUBLE_EQ(cedar.DecideInitialWait(cedar_ctx), offline.DecideInitialWait(ctx_));
 }
 
 TEST_F(PolicyTest, CedarAdaptsToSlowArrivals) {
@@ -132,11 +137,11 @@ TEST_F(PolicyTest, CedarReoptimizeEveryNThrottlesUpdates) {
   EXPECT_LE(changes, 2) << "at most every 4th arrival may change the wait";
 }
 
-TEST_F(PolicyTest, CedarScanDoesNotSurviveBeginQuery) {
-  // One instance runs two queries whose upper curves differ but live at the
-  // same address (as a recycled per-query curve stack would); every wait
-  // must equal that of a fresh instance, so no scan grid of the first query
-  // leaks into the second.
+TEST_F(PolicyTest, CedarCarriesNoStateAcrossQueries) {
+  // One instance runs two queries, each on a fresh memo, whose upper curves
+  // differ but live at the same address (as a recycled per-query curve stack
+  // would); every wait must equal that of a fresh instance, so nothing of
+  // the first query leaks into the second through the policy.
   CedarPolicyOptions options;
   options.learner.min_samples = 4;
   PiecewiseLinear curves[] = {upper_,
@@ -155,6 +160,8 @@ TEST_F(PolicyTest, CedarScanDoesNotSurviveBeginQuery) {
   auto run_query = [&](CedarPolicy& cedar, uint64_t sequence) {
     QueryTruth truth;
     truth.sequence = sequence;
+    QueryMemo memo;
+    ctx.memo = &memo;
     cedar.BeginQuery(ctx, &truth);
     std::vector<double> waits = {cedar.DecideInitialWait(ctx)};
     std::vector<double> so_far;
@@ -174,44 +181,6 @@ TEST_F(PolicyTest, CedarScanDoesNotSurviveBeginQuery) {
     EXPECT_EQ(reused_waits.back(), run_query(fresh, q + 1)) << "query " << q;
   }
   EXPECT_NE(reused_waits[0], reused_waits[1]) << "the two upper curves must change the waits";
-}
-
-TEST_F(PolicyTest, CedarResolvesItsWaitTableOncePerQuery) {
-  CedarPolicyOptions options;
-  options.learner.min_samples = 4;
-  options.use_wait_table = true;
-  options.table_spec.location_min = 1.0;
-  options.table_spec.location_max = 4.0;
-  options.table_spec.location_points = 5;
-  options.table_spec.scale_min = 0.3;
-  options.table_spec.scale_max = 1.2;
-  options.table_spec.scale_points = 4;
-  CedarPolicy cedar(options);
-
-  WaitTableStore store;
-  const PiecewiseLinear other_upper = TabulateCdf(LogNormalDistribution(3.6, 0.9), 100.0, 401);
-  AggregatorContext ctx = ctx_;
-  ctx.table_store = &store;
-  auto run_query = [&](const PiecewiseLinear& upper) {
-    ctx.upper_quality = &upper;
-    cedar.BeginQuery(ctx, nullptr);
-    cedar.DecideInitialWait(ctx);
-    std::vector<double> so_far;
-    for (int i = 1; i <= 12; ++i) {
-      so_far.push_back(2.0 * i);
-      cedar.DecideOnArrival(ctx, so_far.back(), so_far);
-    }
-  };
-
-  // Arrivals 4..12 each re-optimize through the table; one get serves them.
-  run_query(upper_);
-  EXPECT_EQ(store.GetStats().Gets(), 1);
-  EXPECT_EQ(store.GetStats().misses, 1);
-
-  run_query(other_upper);
-  EXPECT_EQ(store.GetStats().Gets(), 2);
-  EXPECT_EQ(store.GetStats().misses, 2) << "a new upper curve resolves a new table";
-  EXPECT_EQ(store.size(), 2u);
 }
 
 TEST_F(PolicyTest, CedarUpperTierDoesNotLearn) {
@@ -243,10 +212,8 @@ TEST_F(PolicyTest, CloneIsIndependent) {
   EXPECT_EQ(cedar.learner(), nullptr);
 }
 
-TEST_F(PolicyTest, OracleUsesTruthAndCachesBySequence) {
+TEST_F(PolicyTest, OracleUsesTheQuerysTruth) {
   OraclePolicy prototype;
-  auto a = prototype.Clone();
-  auto b = prototype.Clone();
 
   QueryTruth slow;
   slow.sequence = 1;
@@ -258,16 +225,16 @@ TEST_F(PolicyTest, OracleUsesTruthAndCachesBySequence) {
   fast.stage_durations.push_back(std::make_shared<LogNormalDistribution>(1.0, 0.8));
   fast.stage_durations.push_back(tree_.stage(1).duration);
 
-  a->BeginQuery(ctx_, &slow);
-  double slow_wait = a->DecideInitialWait(ctx_);
-  b->BeginQuery(ctx_, &fast);
-  double fast_wait = b->DecideInitialWait(ctx_);
-  EXPECT_GT(slow_wait, fast_wait) << "oracle must adapt its wait to the query's truth";
-
-  // Same sequence again: cached plan must give the identical wait.
-  auto c = prototype.Clone();
-  c->BeginQuery(ctx_, &fast);
-  EXPECT_DOUBLE_EQ(c->DecideInitialWait(ctx_), fast_wait);
+  // Each query has its own memo, so each plans on its own truth.
+  auto wait_for = [&](const QueryTruth& truth) {
+    QueryMemo memo;
+    AggregatorContext ctx = ctx_;
+    ctx.memo = &memo;
+    auto oracle = prototype.Clone();
+    oracle->BeginQuery(ctx, &truth);
+    return oracle->DecideInitialWait(ctx);
+  };
+  EXPECT_GT(wait_for(slow), wait_for(fast)) << "oracle must adapt its wait to the query's truth";
 }
 
 TEST_F(PolicyTest, OracleWithoutTruthFallsBackToOffline) {

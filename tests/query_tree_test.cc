@@ -1,5 +1,6 @@
-// QueryTree set-up work: which curves a query folds, how many offline scans
-// its tiers run, and that the per-tier offline-wait memo changes no wait.
+// QueryTree's per-query work: which curves a query folds, and what its
+// QueryMemo computes once — one scan grid, offline scan and wait-table get
+// per tier, one Ideal plan per query — without changing any wait.
 
 #include "src/sim/query_tree.h"
 
@@ -12,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "src/core/policies.h"
+#include "src/core/wait_table_store.h"
 #include "src/obs/profiler.h"
 #include "src/sim/realization.h"
 #include "src/sim/tree_simulation.h"
@@ -100,7 +102,68 @@ TEST_F(QueryTreeTest, OneOfflineScanPerTierBeforeAnyLeaf) {
   }
 }
 
-TEST_F(QueryTreeTest, EveryNodeInitialWaitMatchesMemolessInstance) {
+TEST_F(QueryTreeTest, CedarBuildsOneScanGridPerTier) {
+  // Every tier-0 aggregator re-optimizes on its arrivals, and every tier's
+  // aggregators share the tier's grid.
+  for (int levels : {2, 3}) {
+    auto workload = WorkloadWithLevels(levels);
+    TreeSimulation sim(workload.OfflineTree(), kDeadline);
+    CedarPolicy cedar;
+    SetProfilingEnabled(true);
+    sim.RunQuery(cedar, DrawRealization(workload, 13));
+    EXPECT_EQ(ProfileCalls("wait_optimizer.scan_build"), levels - 1) << "levels " << levels;
+    EXPECT_GT(ProfileCalls("wait_optimizer.optimize_wait"), 2 * (levels - 1))
+        << "levels " << levels << ": tier-0 aggregators must re-optimize";
+    SetProfilingEnabled(false);
+    ResetProfile();
+  }
+}
+
+TEST_F(QueryTreeTest, WaitTableIsFetchedOncePerLearningTier) {
+  for (int levels : {2, 3}) {
+    auto workload = WorkloadWithLevels(levels);
+    for (int learning_tier : {0, -1}) {
+      CedarPolicyOptions options;
+      options.learning_tier = learning_tier;
+      options.use_wait_table = true;
+      options.table_spec.location_min = 3.0;
+      options.table_spec.location_max = 7.0;
+      options.table_spec.location_points = 5;
+      options.table_spec.scale_min = 0.3;
+      options.table_spec.scale_max = 1.5;
+      options.table_spec.scale_points = 4;
+      CedarPolicy cedar(options);
+      WaitTableStore store;
+      TreeSimulationOptions sim_options;
+      sim_options.table_store = &store;
+      TreeSimulation sim(workload.OfflineTree(), 10 * kDeadline, sim_options);
+      const long long learning_tiers = learning_tier < 0 ? levels - 1 : 1;
+      for (long long q = 1; q <= 3; ++q) {
+        sim.RunQuery(cedar, DrawRealization(workload, 20 + static_cast<uint64_t>(q)));
+        EXPECT_EQ(store.GetStats().Gets(), q * learning_tiers)
+            << "levels " << levels << ", learning tier " << learning_tier << ", query " << q;
+      }
+    }
+  }
+}
+
+TEST_F(QueryTreeTest, IdealPlansOncePerQueryWhateverItsSequence) {
+  // Sequence 0 ("unassigned") and a repeated sequence plan like any other.
+  auto workload = WorkloadWithLevels(3);
+  TreeSimulation sim(workload.OfflineTree(), kDeadline);
+  OraclePolicy ideal;
+  for (uint64_t sequence : {0, 7, 7}) {
+    QueryRealization realization = DrawRealization(workload, 14);
+    realization.truth.sequence = sequence;
+    SetProfilingEnabled(true);
+    sim.RunQuery(ideal, realization);
+    EXPECT_EQ(ProfileCalls("wait_optimizer.plan_tree"), 1) << "sequence " << sequence;
+    SetProfilingEnabled(false);
+    ResetProfile();
+  }
+}
+
+TEST_F(QueryTreeTest, EveryNodeInitialWaitMatchesFreshMemoInstance) {
   for (int levels : {2, 3}) {
     auto workload = WorkloadWithLevels(levels);
     const TreeSpec& tree = workload.OfflineTree();
