@@ -136,10 +136,8 @@ AnalyticsOutcome AnalyticsService::RunQuery(const WaitPolicy& policy,
     MetricsRegistry& registry = MetricsRegistry::Global();
     registry.GetCounter("analytics.queries").Increment();
     registry.GetCounter("analytics.deadline_misses").Increment(result.root_arrivals_late);
-    registry.GetHistogram("analytics.mean_relative_error", {1e-6, 10.0, 50})
-        .Observe(outcome.mean_relative_error);
-    registry.GetHistogram("analytics.fraction_quality", {1e-4, 1.0, 40})
-        .Observe(outcome.fraction_quality);
+    registry.GetHistogram("analytics.mean_relative_error").Observe(outcome.mean_relative_error);
+    registry.GetHistogram("analytics.fraction_quality").Observe(outcome.fraction_quality);
   }
   return outcome;
 }

@@ -76,9 +76,8 @@ SearchQueryOutcome SearchService::RunQuery(const WaitPolicy& policy,
     MetricsRegistry& registry = MetricsRegistry::Global();
     registry.GetCounter("search.queries").Increment();
     registry.GetCounter("search.deadline_misses").Increment(result.root_arrivals_late);
-    registry.GetHistogram("search.recall", {1e-4, 1.0, 40}).Observe(outcome.recall);
-    registry.GetHistogram("search.fraction_quality", {1e-4, 1.0, 40})
-        .Observe(outcome.fraction_quality);
+    registry.GetHistogram("search.recall").Observe(outcome.recall);
+    registry.GetHistogram("search.fraction_quality").Observe(outcome.fraction_quality);
   }
   return outcome;
 }

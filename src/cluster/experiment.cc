@@ -55,10 +55,8 @@ ClusterExperimentResult RunClusterExperiment(const Workload& workload,
     registry.GetCounter(labeled("cluster.queries")).Increment(config.num_queries);
     registry.GetCounter("cluster.clones_launched").Increment(result.total_clones_launched);
     registry.GetCounter("cluster.clones_won").Increment(result.total_clones_won);
-    Histogram& quality =
-        registry.GetHistogram("cluster.query_quality", {1e-4, 1.0, 40});
-    Histogram& quality_labeled =
-        registry.GetHistogram(labeled("cluster.query_quality"), {1e-4, 1.0, 40});
+    Histogram& quality = registry.GetHistogram("cluster.query_quality");
+    Histogram& quality_labeled = registry.GetHistogram(labeled("cluster.query_quality"));
     Counter& late = registry.GetCounter("cluster.root_arrivals_late");
     Counter& late_labeled = registry.GetCounter(labeled("cluster.root_arrivals_late"));
     for (const auto& outcome : result.outcomes) {

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "src/common/logging.h"
+#include "src/common/parse.h"
 
 namespace cedar {
 namespace {
@@ -63,23 +64,13 @@ std::string* FlagSet::AddString(const std::string& name, const std::string& defa
 }
 
 void FlagSet::SetFlagValue(const std::string& name, Flag& flag, const std::string& value) {
-  errno = 0;
-  char* end = nullptr;
   switch (flag.type) {
-    case Type::kDouble: {
-      double v = std::strtod(value.c_str(), &end);
-      CEDAR_CHECK(end != value.c_str() && *end == '\0' && errno == 0)
-          << "bad double for --" << name << ": " << value;
-      *flag.double_value = v;
+    case Type::kDouble:
+      *flag.double_value = ParseDouble(value, "double for --" + name);
       break;
-    }
-    case Type::kInt: {
-      long long v = std::strtoll(value.c_str(), &end, 10);
-      CEDAR_CHECK(end != value.c_str() && *end == '\0' && errno == 0)
-          << "bad int for --" << name << ": " << value;
-      *flag.int_value = static_cast<int64_t>(v);
+    case Type::kInt:
+      *flag.int_value = ParseInt(value, "int for --" + name);
       break;
-    }
     case Type::kBool: {
       if (value == "true" || value == "1") {
         *flag.bool_value = true;

@@ -34,9 +34,9 @@ struct QueryTruth {
   std::vector<std::shared_ptr<const Distribution>> stage_durations;
 
   // Monotone per-query identifier assigned by the experiment driver
-  // (DriverQuerySequence). It keys the query's trace track, ClusterRuntime's
-  // slot-placement and clone RNG streams, and DecisionRecorder's per-query
-  // grouping. 0 means "unassigned".
+  // (DriverQuerySequence). It keys the query's trace track and
+  // ClusterRuntime's slot-placement and clone RNG streams. 0 means
+  // "unassigned".
   uint64_t sequence = 0;
 
   // Materializes a TreeSpec with these distributions and |base|'s fanouts.
@@ -124,8 +124,8 @@ class WaitPolicy {
   // through. It must share no mutable state with the source, so two worker
   // threads can run different queries through their forks without
   // synchronizing. Every policy's clone already qualifies, so this is
-  // Clone(); it stays virtual as the hook through which decorators
-  // (TracingPolicy, perfbench's TimedPolicy) fork their inner policy.
+  // Clone(); it stays virtual as the hook through which a decorator (such
+  // as perfbench's TimedPolicy) forks its inner policy.
   virtual std::unique_ptr<WaitPolicy> ForkForWorker() const { return Clone(); }
 
   // Called once per query before any arrival. |truth| carries the current

@@ -1,9 +1,9 @@
 #include "src/core/policy_registry.h"
 
-#include <cstdlib>
 #include <sstream>
 
 #include "src/common/logging.h"
+#include "src/common/parse.h"
 #include "src/core/policies.h"
 
 namespace cedar {
@@ -40,10 +40,8 @@ std::unique_ptr<WaitPolicy> MakePolicyByName(const std::string& name) {
   constexpr char kFixedPrefix[] = "fixed:";
   if (name.rfind(kFixedPrefix, 0) == 0) {
     const std::string value = name.substr(sizeof(kFixedPrefix) - 1);
-    char* end = nullptr;
-    double wait = std::strtod(value.c_str(), &end);
-    CEDAR_CHECK(end != value.c_str() && *end == '\0' && wait >= 0.0)
-        << "bad fixed policy wait: '" << value << "'";
+    const double wait = ParseDouble(value, "fixed policy wait");
+    CEDAR_CHECK(wait >= 0.0) << "bad fixed policy wait: '" << value << "'";
     return std::make_unique<FixedWaitPolicy>(wait);
   }
 

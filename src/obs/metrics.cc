@@ -75,38 +75,32 @@ void Gauge::Add(double delta) {
 
 // ---- Histogram ----
 
-Histogram::Histogram(HistogramOptions options) : options_(options) {
-  CEDAR_CHECK_GT(options_.min_value, 0.0);
-  CEDAR_CHECK_GT(options_.max_value, options_.min_value);
-  CEDAR_CHECK_GE(options_.num_buckets, 2);
-  log_min_ = std::log(options_.min_value);
-  log_step_ = (std::log(options_.max_value) - log_min_) /
-              static_cast<double>(options_.num_buckets - 1);
-  shards_ = std::vector<Shard>(static_cast<size_t>(obs_internal::kMetricShards));
+Histogram::Histogram() : shards_(static_cast<size_t>(obs_internal::kMetricShards)) {
   for (Shard& shard : shards_) {
     shard.min.store(std::numeric_limits<double>::infinity(), std::memory_order_relaxed);
     shard.max.store(-std::numeric_limits<double>::infinity(), std::memory_order_relaxed);
-    shard.buckets = std::vector<std::atomic<long long>>(
-        static_cast<size_t>(options_.num_buckets));
   }
 }
 
-int Histogram::BucketIndex(double value) const {
-  if (!(value > options_.min_value)) {
+int Histogram::BucketIndex(double value) {
+  if (!(value >= std::ldexp(1.0, kMinExponent))) {
     return 0;  // also catches NaN and non-positive values
   }
-  if (value >= options_.max_value) {
-    return options_.num_buckets - 1;
+  if (value >= std::ldexp(1.0, kMaxExponent)) {
+    return kNumBuckets - 1;
   }
-  int index = static_cast<int>((std::log(value) - log_min_) / log_step_) + 1;
-  return std::clamp(index, 1, options_.num_buckets - 1);
+  int exponent = 0;
+  // value = mantissa * 2^exponent with mantissa in [0.5, 1): the octave is
+  // exponent - 1 and the sub-bucket the mantissa's next 4 bits.
+  const double mantissa = std::frexp(value, &exponent);
+  const int sub = static_cast<int>(mantissa * (2 * kSubBuckets)) - kSubBuckets;
+  return 1 + (exponent - 1 - kMinExponent) * kSubBuckets + sub;
 }
 
-double Histogram::BucketUpperBound(int index) const {
-  if (index <= 0) {
-    return options_.min_value;
-  }
-  return std::exp(log_min_ + log_step_ * static_cast<double>(index));
+double Histogram::BucketMidpoint(int index) {
+  const int octave = (index - 1) / kSubBuckets + kMinExponent;
+  const int sub = (index - 1) % kSubBuckets;
+  return std::ldexp(1.0 + (sub + 0.5) / kSubBuckets, octave);
 }
 
 void Histogram::Observe(double value) {
@@ -157,29 +151,26 @@ double Histogram::Max() const {
   return result;
 }
 
-std::vector<long long> Histogram::MergedBuckets() const {
-  std::vector<long long> merged(static_cast<size_t>(options_.num_buckets), 0);
-  for (const Shard& shard : shards_) {
-    for (size_t b = 0; b < merged.size(); ++b) {
-      merged[b] += shard.buckets[b].load(std::memory_order_relaxed);
-    }
-  }
-  return merged;
-}
-
 double Histogram::Quantile(double q) const {
   CEDAR_CHECK(q >= 0.0 && q <= 1.0);
   long long count = Count();
   if (count == 0) {
     return 0.0;
   }
-  std::vector<long long> buckets = MergedBuckets();
   auto rank = static_cast<long long>(q * static_cast<double>(count - 1));
   long long seen = 0;
-  for (int b = 0; b < options_.num_buckets; ++b) {
-    seen += buckets[static_cast<size_t>(b)];
+  for (int b = 0; b < kNumBuckets; ++b) {
+    for (const Shard& shard : shards_) {
+      seen += shard.buckets[static_cast<size_t>(b)].load(std::memory_order_relaxed);
+    }
     if (seen > rank) {
-      return std::clamp(BucketUpperBound(b), Min(), Max());
+      if (b == 0) {
+        return Min();
+      }
+      if (b == kNumBuckets - 1) {
+        return Max();
+      }
+      return std::clamp(BucketMidpoint(b), Min(), Max());
     }
   }
   return Max();
@@ -283,11 +274,11 @@ Gauge& MetricsRegistry::GetGauge(const std::string& name) {
   return *slot;
 }
 
-Histogram& MetricsRegistry::GetHistogram(const std::string& name, HistogramOptions options) {
+Histogram& MetricsRegistry::GetHistogram(const std::string& name) {
   MutexLock lock(mutex_);
   auto& slot = histograms_[name];
   if (slot == nullptr) {
-    slot = std::make_unique<Histogram>(options);
+    slot = std::make_unique<Histogram>();
   }
   return *slot;
 }

@@ -20,6 +20,7 @@
 #ifndef CEDAR_SRC_OBS_METRICS_H_
 #define CEDAR_SRC_OBS_METRICS_H_
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <map>
@@ -91,21 +92,25 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
-struct HistogramOptions {
-  // Geometric bucket boundaries spanning [min_value, max_value]; values at
-  // or below min_value land in bucket 0, values at or above max_value in
-  // the last bucket. Exact count/sum/min/max are tracked besides buckets,
-  // so only the quantile estimates depend on the grid.
-  double min_value = 1e-6;
-  double max_value = 1e6;
-  int num_buckets = 60;
-};
-
-// A distribution metric: exact count/sum/min/max plus geometric buckets for
-// quantile estimation. Same sharded write path as Counter.
+// A distribution metric: exact count/sum/min/max plus fixed log-linear
+// buckets for quantile estimation. Same sharded write path as Counter.
+//
+// Buckets: kSubBuckets linear sub-buckets per power of two over
+// [2^kMinExponent, 2^kMaxExponent) = [2^-20, 2^20), plus one bucket below
+// that range (zeros, negatives, NaN) and one at or above it. Quantile(q)
+// takes the observation of rank floor(q * (Count() - 1)) and reports the
+// midpoint of its bucket, clamped to [Min(), Max()]. A bucket in
+// [2^e, 2^(e+1)) is 2^e / kSubBuckets wide, so for an observation v in range
+// the estimate is within kRelativeError * v of v (relative error <= 1/32). A
+// rank below the range reports Min(), one above it Max().
 class Histogram {
  public:
-  explicit Histogram(HistogramOptions options = {});
+  static constexpr int kSubBuckets = 16;
+  static constexpr int kMinExponent = -20;
+  static constexpr int kMaxExponent = 20;
+  static constexpr double kRelativeError = 0.5 / kSubBuckets;
+
+  Histogram();
   Histogram(const Histogram&) = delete;
   Histogram& operator=(const Histogram&) = delete;
 
@@ -116,30 +121,26 @@ class Histogram {
   double Min() const;  // +inf when empty
   double Max() const;  // -inf when empty
 
-  // Estimated quantile (q in [0, 1]) from the merged buckets, clamped to
-  // the exact [Min, Max] envelope. Returns 0 when empty.
+  // Estimated quantile (q in [0, 1]) within the bound above. Returns 0 when
+  // empty.
   double Quantile(double q) const;
 
   void Reset();
 
-  const HistogramOptions& options() const { return options_; }
-
  private:
-  int BucketIndex(double value) const;
-  // Upper bound of bucket |index| in value space.
-  double BucketUpperBound(int index) const;
-  std::vector<long long> MergedBuckets() const;
+  // Below-range bucket, the log-linear buckets, the above-range bucket.
+  static constexpr int kNumBuckets = (kMaxExponent - kMinExponent) * kSubBuckets + 2;
 
-  HistogramOptions options_;
-  double log_min_;
-  double log_step_;
+  static int BucketIndex(double value);
+  // Midpoint of in-range bucket |index| in value space.
+  static double BucketMidpoint(int index);
 
   struct alignas(64) Shard {
     std::atomic<long long> count{0};
     std::atomic<double> sum{0.0};
     std::atomic<double> min{0.0};  // seeded to +/-inf by the constructor
     std::atomic<double> max{0.0};
-    std::vector<std::atomic<long long>> buckets;
+    std::array<std::atomic<long long>, kNumBuckets> buckets{};
   };
   std::vector<Shard> shards_;
 };
@@ -197,8 +198,7 @@ class MetricsRegistry {
 
   Counter& GetCounter(const std::string& name);
   Gauge& GetGauge(const std::string& name);
-  // |options| only apply when the histogram is first created.
-  Histogram& GetHistogram(const std::string& name, HistogramOptions options = {});
+  Histogram& GetHistogram(const std::string& name);
 
   MetricsSnapshot Snapshot() const;
 

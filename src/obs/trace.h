@@ -83,10 +83,10 @@ class TraceCollector {
   std::vector<TraceEvent> events_ CEDAR_GUARDED_BY(mutex_);
 };
 
-// Process-global collector used when an engine's options carry none: tools
-// and benches install one for --trace-out. Borrowed, never owned; null
-// (the default) disables global tracing. Relaxed atomic pointer — engines
-// load it once per query.
+// The one trace sink of the engines and apps: tools and benches install a
+// collector here for --trace-out, tests install their own and clear it
+// afterwards. Borrowed, never owned; null (the default) disables tracing.
+// Relaxed atomic pointer — engines load it once per query.
 TraceCollector* ActiveTraceCollector();
 void SetActiveTraceCollector(TraceCollector* collector);
 

@@ -103,10 +103,8 @@ ExperimentResult RunExperiment(const Workload& workload,
     registry.GetCounter("sim.experiments").Increment();
     registry.GetCounter("sim.queries").Increment(config.num_queries);
     registry.GetCounter(labeled("sim.queries")).Increment(config.num_queries);
-    Histogram& quality =
-        registry.GetHistogram("sim.query_quality", {1e-4, 1.0, 40});
-    Histogram& quality_labeled =
-        registry.GetHistogram(labeled("sim.query_quality"), {1e-4, 1.0, 40});
+    Histogram& quality = registry.GetHistogram("sim.query_quality");
+    Histogram& quality_labeled = registry.GetHistogram(labeled("sim.query_quality"));
     Counter& late = registry.GetCounter("sim.root_arrivals_late");
     Counter& late_labeled = registry.GetCounter(labeled("sim.root_arrivals_late"));
     for (const PolicyOutcome& outcome : result.outcomes) {

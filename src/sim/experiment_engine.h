@@ -20,8 +20,8 @@
 //
 // Query sequence ids are always assigned, monotone in the query index and
 // never 0 (the QueryTruth "unassigned" sentinel), whichever worker runs the
-// query. They key the trace tracks, ClusterRuntime's slot-placement and
-// clone RNG streams, and DecisionRecorder's per-query grouping.
+// query. They key the trace tracks and ClusterRuntime's slot-placement and
+// clone RNG streams.
 
 #ifndef CEDAR_SRC_SIM_EXPERIMENT_ENGINE_H_
 #define CEDAR_SRC_SIM_EXPERIMENT_ENGINE_H_

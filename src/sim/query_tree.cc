@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "src/common/logging.h"
+#include "src/obs/trace.h"
 
 namespace cedar {
 
@@ -21,8 +22,8 @@ QueryTree::QueryTree(const QueryTreeModel& model, const WaitPolicy& policy_proto
     : model_(model),
       realization_(realization),
       origin_(origin),
-      trace_(model.options().trace != nullptr ? model.options().trace : ActiveTraceCollector(),
-             realization.truth.sequence, policy_prototype.name(), engine, origin) {
+      trace_(ActiveTraceCollector(), realization.truth.sequence, policy_prototype.name(), engine,
+             origin) {
   const TreeSpec& tree = model_.offline_tree();
   const int tiers = tree.num_aggregator_tiers();
   CEDAR_CHECK_EQ(static_cast<int>(realization_.stage_durations.size()), tree.num_stages());

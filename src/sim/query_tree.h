@@ -34,7 +34,6 @@
 #include "src/core/quality.h"
 #include "src/core/tree.h"
 #include "src/obs/query_trace.h"
-#include "src/obs/trace.h"
 #include "src/sim/aggregator_node.h"
 #include "src/sim/event_queue.h"
 #include "src/sim/realization.h"
@@ -56,11 +55,6 @@ struct QueryTreeOptions {
   // ignore the curves, so they keep using global means either way. Set to
   // false to model fully-stale upper knowledge.
   bool per_query_upper_knowledge = true;
-
-  // Query-lifecycle trace sink (borrowed, may be null). When null, each
-  // query falls back to the process-global ActiveTraceCollector(); when that
-  // is also null, tracing is disabled and costs one pointer test per query.
-  TraceCollector* trace = nullptr;
 
   // Wait-table store handed to policies via ctx.table_store (borrowed, may
   // be null = policies use WaitTableStore::Global()). Lets a run pin table sharing to
@@ -113,8 +107,9 @@ class QueryTree {
  public:
   // Plans the tiers and allocates every aggregator of |realization|'s query
   // under |policy_prototype| (cloned per aggregator). |model| and
-  // |realization| are borrowed and must outlive the tree. |engine| names the
-  // engine in the trace.
+  // |realization| are borrowed and must outlive the tree. The query traces
+  // into ActiveTraceCollector() (not at all when it is null), and |engine|
+  // names the engine in the trace.
   QueryTree(const QueryTreeModel& model, const WaitPolicy& policy_prototype,
             const QueryRealization& realization, const char* engine, double origin = 0.0);
   QueryTree(const QueryTree&) = delete;

@@ -1,10 +1,12 @@
 #include "src/trace/trace_io.h"
 
+#include <climits>
 #include <cmath>
 #include <sstream>
 
 #include "src/common/csv.h"
 #include "src/common/logging.h"
+#include "src/common/parse.h"
 
 namespace cedar {
 
@@ -100,12 +102,19 @@ QueryTrace LoadQueryTrace(const std::string& path) {
     std::string token;
     std::istringstream in(field);
     while (std::getline(in, token, '|')) {
-      trace.fanouts.push_back(std::stoi(token));
+      trace.fanouts.push_back(
+          static_cast<int>(ParseInt(token, "fanout in " + path, 1, INT_MAX)));
     }
   }
+  // Every (query, stage) takes one row, so a query index is below the row
+  // count and a stage index below the stage count.
+  const auto rows = static_cast<int64_t>(doc.rows.size());
+  const auto stages = static_cast<int64_t>(trace.fanouts.size());
   for (const auto& row : doc.rows) {
-    auto q = static_cast<size_t>(std::stoul(row[static_cast<size_t>(query_col)]));
-    auto s = static_cast<size_t>(std::stoul(row[static_cast<size_t>(stage_col)]));
+    auto q = static_cast<size_t>(
+        ParseInt(row[static_cast<size_t>(query_col)], "query index in " + path, 0, rows - 1));
+    auto s = static_cast<size_t>(
+        ParseInt(row[static_cast<size_t>(stage_col)], "stage index in " + path, 0, stages - 1));
     if (trace.queries.size() <= q) {
       trace.queries.resize(q + 1);
     }
@@ -115,8 +124,8 @@ QueryTrace LoadQueryTrace(const std::string& path) {
     }
     DistributionSpec spec;
     spec.family = DistributionFamilyFromName(row[static_cast<size_t>(family_col)]);
-    spec.p1 = std::stod(row[static_cast<size_t>(p1_col)]);
-    spec.p2 = std::stod(row[static_cast<size_t>(p2_col)]);
+    spec.p1 = ParseDouble(row[static_cast<size_t>(p1_col)], "p1 in " + path);
+    spec.p2 = ParseDouble(row[static_cast<size_t>(p2_col)], "p2 in " + path);
     record.stages[s] = spec;
   }
   for (const auto& record : trace.queries) {

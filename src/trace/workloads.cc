@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 
 #include "src/common/logging.h"
+#include "src/common/parse.h"
 #include "src/stats/mixture.h"
 #include "src/trace/calibration.h"
 
@@ -282,11 +282,9 @@ std::unique_ptr<Workload> MakeWorkloadByName(const std::string& name, int k1, in
     return std::make_unique<StragglerWorkload>(options);
   }
   auto parse_param = [&](const char* prefix) -> double {
-    std::string value = name.substr(std::string(prefix).size());
-    char* end = nullptr;
-    double sigma1 = std::strtod(value.c_str(), &end);
-    CEDAR_CHECK(end != value.c_str() && *end == '\0' && sigma1 > 0.0)
-        << "bad sigma parameter in workload name: " << name;
+    const double sigma1 =
+        ParseDouble(name.substr(std::string(prefix).size()), "sigma parameter in " + name);
+    CEDAR_CHECK(sigma1 > 0.0) << "bad sigma parameter in " << name;
     return sigma1;
   };
   if (name.rfind("bing-sigma:", 0) == 0) {

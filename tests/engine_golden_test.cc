@@ -99,8 +99,8 @@ void AddSimRuns(const Workload& workload, double deadline, bool per_query_upper_
                 const std::vector<std::unique_ptr<WaitPolicy>>& policies = Policies()) {
   TreeSimulationOptions options;
   options.per_query_upper_knowledge = per_query_upper_knowledge;
-  options.trace = trace;
   TreeSimulation sim(workload.OfflineTree(), deadline, options);
+  SetActiveTraceCollector(trace);
   for (const auto& realization : Realizations(workload, 6, 11)) {
     for (const auto& policy : policies) {
       QueryResult r = sim.RunQuery(*policy, realization);
@@ -112,6 +112,7 @@ void AddSimRuns(const Workload& workload, double deadline, bool per_query_upper_
       digest.Add(r.mean_tier0_send_time);
     }
   }
+  SetActiveTraceCollector(nullptr);
 }
 
 TEST(EngineGoldenTest, TreeSimulation) {
@@ -172,13 +173,14 @@ void AddClusterRuns(const Workload& workload, double deadline, bool per_query_up
   options.speculation.enabled = true;
   options.speculation.max_clones = 4;
   options.runtime_seed = 5;
-  options.trace = trace;
   ClusterRuntime runtime(cluster, workload.OfflineTree(), deadline, options);
+  SetActiveTraceCollector(trace);
   for (const auto& realization : Realizations(workload, 6, 13)) {
     for (const auto& policy : Policies()) {
       AddClusterResult(runtime.RunQuery(*policy, realization), digest);
     }
   }
+  SetActiveTraceCollector(nullptr);
 }
 
 TEST(EngineGoldenTest, ClusterRuntime) {
@@ -254,7 +256,7 @@ void AddLoadedRuns(const Workload& workload, double deadline, bool per_query_upp
   config.num_queries = 8;
   config.seed = 17;
   config.per_query_upper_knowledge = per_query_upper_knowledge;
-  config.trace = trace;
+  SetActiveTraceCollector(trace);
   for (const auto& policy : Policies()) {
     LoadedRunResult r = RunLoadedCluster(workload, *policy, config);
     for (double quality : r.per_query_quality.values()) {
@@ -264,6 +266,7 @@ void AddLoadedRuns(const Workload& workload, double deadline, bool per_query_upp
     digest.Add(r.mean_queue_delay);
     digest.Add(r.makespan);
   }
+  SetActiveTraceCollector(nullptr);
 }
 
 TEST(EngineGoldenTest, LoadedCluster) {

@@ -1,5 +1,6 @@
 #include "src/obs/metrics.h"
 
+#include <cmath>
 #include <cstdio>
 #include <sstream>
 #include <thread>
@@ -8,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include "src/common/csv.h"
+#include "src/common/sample_set.h"
+#include "src/stats/rng.h"
 
 namespace cedar {
 namespace {
@@ -52,7 +55,7 @@ TEST(GaugeTest, SetAddReset) {
 }
 
 TEST(HistogramTest, ExactStats) {
-  Histogram histogram({0.001, 1000.0, 40});
+  Histogram histogram;
   EXPECT_EQ(histogram.Count(), 0);
   for (double value : {1.0, 2.0, 3.0, 4.0}) {
     histogram.Observe(value);
@@ -64,36 +67,85 @@ TEST(HistogramTest, ExactStats) {
 }
 
 TEST(HistogramTest, QuantilesWithinEnvelope) {
-  Histogram histogram({0.01, 100.0, 60});
+  Histogram histogram;
   for (int i = 1; i <= 1000; ++i) {
     histogram.Observe(static_cast<double>(i) * 0.05);  // 0.05 .. 50
   }
   double p50 = histogram.Quantile(0.5);
   double p99 = histogram.Quantile(0.99);
-  // Geometric buckets estimate; exact envelope bounds always hold.
   EXPECT_GE(p50, histogram.Min());
   EXPECT_LE(p50, histogram.Max());
   EXPECT_LE(p50, p99);
-  // p50 of uniform 0.05..50 is ~25; the 60-bucket log grid is coarse but
-  // should land the estimate within a bucket's relative width.
-  EXPECT_NEAR(p50, 25.0, 25.0 * 0.25);
+  // Rank floor(0.5 * 999) holds 25.0.
+  EXPECT_NEAR(p50, 25.0, 25.0 * Histogram::kRelativeError);
   EXPECT_GT(p99, 40.0);
 }
 
-TEST(HistogramTest, OutOfRangeValuesClampToEdgeBuckets) {
-  Histogram histogram({1.0, 10.0, 5});
-  histogram.Observe(0.001);   // below min
-  histogram.Observe(1000.0);  // above max
-  EXPECT_EQ(histogram.Count(), 2);
-  EXPECT_DOUBLE_EQ(histogram.Min(), 0.001);
-  EXPECT_DOUBLE_EQ(histogram.Max(), 1000.0);
-  // Quantiles stay inside the exact envelope even for clamped values.
-  EXPECT_GE(histogram.Quantile(0.0), histogram.Min());
-  EXPECT_LE(histogram.Quantile(1.0), histogram.Max());
+TEST(HistogramTest, OutOfRangeRanksReportMinAndMax) {
+  Histogram histogram;
+  histogram.Observe(1e-9);  // below 2^-20
+  histogram.Observe(0.5);
+  histogram.Observe(1e9);  // at or above 2^20
+  EXPECT_EQ(histogram.Count(), 3);
+  EXPECT_DOUBLE_EQ(histogram.Quantile(0.0), 1e-9);
+  EXPECT_NEAR(histogram.Quantile(0.5), 0.5, 0.5 * Histogram::kRelativeError);
+  EXPECT_DOUBLE_EQ(histogram.Quantile(1.0), 1e9);
+}
+
+// Every quantile of 4097 observations in [0, 1] against the exact one: with
+// n - 1 = 4096, q = k / 4096 is exactly rank k for both estimators.
+void ExpectQuantilesWithinBound(const std::vector<double>& values) {
+  ASSERT_EQ(values.size(), 4097u);
+  Histogram histogram;
+  for (double value : values) {
+    histogram.Observe(value);
+  }
+  const SampleSet exact_set(values);
+  for (int k = 0; k <= 4096; ++k) {
+    const double q = k / 4096.0;
+    const double estimate = histogram.Quantile(q);
+    const double exact = exact_set.Quantile(q);
+    if (exact >= std::ldexp(1.0, Histogram::kMinExponent)) {
+      EXPECT_LE(std::abs(estimate - exact), Histogram::kRelativeError * exact)
+          << "q = " << q << ", exact " << exact << ", estimate " << estimate;
+    } else {
+      EXPECT_EQ(estimate, exact_set.Min()) << "q = " << q;
+    }
+  }
+}
+
+TEST(HistogramTest, QuantilesWithinBoundOnUniformData) {
+  Rng rng(11);
+  std::vector<double> values;
+  for (int i = 0; i < 4097; ++i) {
+    values.push_back(rng.NextDouble());
+  }
+  ExpectQuantilesWithinBound(values);
+}
+
+TEST(HistogramTest, QuantilesWithinBoundOnQualityLikeData) {
+  // Per-query qualities: point masses at 0 (nothing in time) and 1 (every
+  // output in time) around a continuous middle.
+  Rng rng(12);
+  std::vector<double> values;
+  for (int i = 0; i < 4097; ++i) {
+    const double r = rng.NextDouble();
+    values.push_back(r < 0.15 ? 0.0 : r < 0.5 ? 1.0 : rng.NextDouble());
+  }
+  ExpectQuantilesWithinBound(values);
+}
+
+TEST(HistogramTest, QuantilesWithinBoundAcrossDecades) {
+  Rng rng(13);
+  std::vector<double> values;
+  for (int i = 0; i < 4097; ++i) {
+    values.push_back(std::pow(10.0, -6.0 * rng.NextDouble()));  // [1e-6, 1]
+  }
+  ExpectQuantilesWithinBound(values);
 }
 
 TEST(HistogramTest, ShardedObserveAcrossThreads) {
-  Histogram histogram({1e-3, 1e3, 50});
+  Histogram histogram;
   constexpr int kThreads = 8;
   constexpr int kPerThread = 5000;
   std::vector<std::thread> threads;

@@ -13,6 +13,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -506,8 +507,9 @@ TEST(ObsTraceIntegrationTest, SimExperimentEmitsOneSpanPerQueryRun) {
   config.num_queries = 4;
   config.seed = 13;
   config.threads = 1;
-  config.sim.trace = &collector;
+  SetActiveTraceCollector(&collector);
   RunExperiment(workload, {&prop_split, &cedar}, config);
+  SetActiveTraceCollector(nullptr);
 
   JsonValue events = ValidatedTraceEvents(collector);
   ASSERT_FALSE(events.array.empty());
@@ -550,8 +552,9 @@ TEST(ObsTraceIntegrationTest, LifecycleEventsAccompanyEachSpan) {
   config.num_queries = 2;
   config.seed = 3;
   config.threads = 1;
-  config.sim.trace = &collector;
+  SetActiveTraceCollector(&collector);
   RunExperiment(workload, {&cedar}, config);
+  SetActiveTraceCollector(nullptr);
 
   std::map<uint64_t, std::set<std::string>> names_by_track;
   for (const TraceEvent& event : collector.Snapshot()) {
@@ -569,7 +572,62 @@ TEST(ObsTraceIntegrationTest, LifecycleEventsAccompanyEachSpan) {
   }
 }
 
-TEST(ObsTraceIntegrationTest, GlobalCollectorFallback) {
+TEST(ObsTraceIntegrationTest, DecisionEventsCoverEveryAggregator) {
+  // The trace is the decision record: one initial wait per aggregator per
+  // query, and each re-arm next to the arrival that triggered it.
+  TraceCollector collector;
+  StationaryWorkload workload = SmallWorkload();
+  CedarPolicy cedar;
+  ExperimentConfig config;
+  config.deadline = 60.0;
+  config.num_queries = 3;
+  config.seed = 5;
+  config.threads = 1;
+  SetActiveTraceCollector(&collector);
+  RunExperiment(workload, {&cedar}, config);
+  SetActiveTraceCollector(nullptr);
+
+  auto arg = [](const TraceEvent& event, const std::string& key) {
+    for (const TraceArg& a : event.args) {
+      if (a.key == key) {
+        return a.value;
+      }
+    }
+    ADD_FAILURE() << event.name << " has no arg " << key;
+    return std::string();
+  };
+  using Aggregator = std::tuple<uint64_t, std::string, std::string>;  // track, tier, index
+  std::map<Aggregator, int> initial_waits;
+  std::map<Aggregator, const TraceEvent*> last_event;
+  std::vector<TraceEvent> events = collector.Snapshot();
+  int updates = 0;
+  for (const TraceEvent& event : events) {
+    if (event.name != "initial_wait" && event.name != "arrival" && event.name != "wait_update") {
+      continue;
+    }
+    const Aggregator aggregator{event.track, arg(event, "tier"), arg(event, "aggregator")};
+    if (event.name == "initial_wait") {
+      ++initial_waits[aggregator];
+      EXPECT_EQ(arg(event, "tier"), "0");
+      EXPECT_GE(std::stod(arg(event, "wait")), 0.0);
+    } else if (event.name == "wait_update") {
+      ++updates;
+      const TraceEvent* previous = last_event[aggregator];
+      ASSERT_NE(previous, nullptr) << "wait_update before any event at track " << event.track;
+      EXPECT_EQ(previous->name, "arrival") << "track " << event.track;
+      EXPECT_EQ(previous->ts, event.ts) << "track " << event.track;
+    }
+    last_event[aggregator] = &event;
+  }
+  // 3 queries x 4 tier-0 aggregators, one initial wait each.
+  EXPECT_EQ(initial_waits.size(), 12u);
+  for (const auto& [aggregator, count] : initial_waits) {
+    EXPECT_EQ(count, 1) << "track " << std::get<0>(aggregator);
+  }
+  EXPECT_GT(updates, 0) << "Cedar never re-armed a timer";
+}
+
+TEST(ObsTraceIntegrationTest, TracesOnlyWhileCollectorInstalled) {
   TraceCollector collector;
   SetActiveTraceCollector(&collector);
   StationaryWorkload workload = SmallWorkload();
@@ -599,8 +657,9 @@ TEST(ObsTraceIntegrationTest, ThreadedRunProducesIdenticalCanonicalTrace) {
     config.num_queries = 8;
     config.seed = 29;
     config.threads = threads;
-    config.sim.trace = &collector;
+    SetActiveTraceCollector(&collector);
     RunExperiment(workload, {&cedar}, config);
+    SetActiveTraceCollector(nullptr);
     return ChromeJsonString(collector);
   };
   std::string serial = run(1);
@@ -622,8 +681,9 @@ TEST(ObsTraceIntegrationTest, ClusterEngineEmitsSpans) {
   config.threads = 1;
   config.cluster.machines = 4;
   config.cluster.slots_per_machine = 2;
-  config.run.trace = &collector;
+  SetActiveTraceCollector(&collector);
   RunClusterExperiment(workload, {&cedar}, config);
+  SetActiveTraceCollector(nullptr);
 
   JsonValue events = ValidatedTraceEvents(collector);
   int spans = 0;

@@ -13,7 +13,6 @@
 #include "src/cluster/experiment.h"
 #include "src/core/policies.h"
 #include "src/core/policy_registry.h"
-#include "src/core/tracing_policy.h"
 #include "src/obs/metrics.h"
 #include "src/obs/profiler.h"
 #include "src/obs/trace.h"
@@ -196,9 +195,9 @@ TEST(ParallelExperimentTest, SimResultsIdenticalWithInstrumentationEnabled) {
   SetProfilingEnabled(true);
   for (int threads : {1, 2, 8}) {
     TraceCollector collector;
-    ExperimentConfig config = SimConfig(threads);
-    config.sim.trace = &collector;
-    ExperimentResult instrumented = RunExperiment(workload, policies, config);
+    SetActiveTraceCollector(&collector);
+    ExperimentResult instrumented = RunExperiment(workload, policies, SimConfig(threads));
+    SetActiveTraceCollector(nullptr);
     for (size_t p = 0; p < plain.outcomes.size(); ++p) {
       ExpectSameSamples(instrumented.outcomes[p].quality, plain.outcomes[p].quality);
       ExpectSameSamples(instrumented.outcomes[p].tier0_send_time,
@@ -233,14 +232,14 @@ TEST(ParallelExperimentTest, ClusterResultsIdenticalWithInstrumentationEnabled) 
   for (int threads : {1, 2, 8}) {
     TraceCollector collector;
     config.threads = threads;
-    config.run.trace = &collector;
+    SetActiveTraceCollector(&collector);
     ClusterExperimentResult instrumented = RunClusterExperiment(workload, policies, config);
+    SetActiveTraceCollector(nullptr);
     ExpectSameSamples(instrumented.Outcome("cedar").quality, plain.Outcome("cedar").quality);
     EXPECT_EQ(instrumented.total_clones_launched, plain.total_clones_launched);
     EXPECT_EQ(instrumented.total_clones_won, plain.total_clones_won);
     EXPECT_GT(collector.size(), 0u);
   }
-  config.run.trace = nullptr;
   SetMetricsEnabled(false);
   SetProfilingEnabled(false);
 }
@@ -265,20 +264,24 @@ TEST(ParallelExperimentTest, PairedSamplesStayAlignedAcrossPolicies) {
 
 TEST(ParallelExperimentTest, SequenceIdsAreMonotoneAndNeverZero) {
   // The driver must stamp every query with a non-zero sequence id that is
-  // monotone in the query index: it keys the query's trace track,
-  // ClusterRuntime's placement and clone RNG streams, and the
-  // DecisionRecorder grouping read here (0 means "unassigned").
+  // monotone in the query index: it keys the query's trace track (read
+  // here) and ClusterRuntime's placement and clone RNG streams (0 means
+  // "unassigned").
   auto workload = MakeFacebookWorkload(6, 6);
-  DecisionRecorder recorder;
-  TracingPolicy traced(MakePolicyByName("prop-split"), &recorder);
+  ProportionalSplitPolicy baseline;
+  TraceCollector collector;
 
   ExperimentConfig config = SimConfig(8, 20);
-  RunExperiment(workload, {&traced}, config);
+  SetActiveTraceCollector(&collector);
+  RunExperiment(workload, {&baseline}, config);
+  SetActiveTraceCollector(nullptr);
 
   std::set<uint64_t> sequences;
-  for (const auto& record : recorder.Snapshot()) {
-    EXPECT_NE(record.query_sequence, 0u);
-    sequences.insert(record.query_sequence);
+  for (const TraceEvent& event : collector.Snapshot()) {
+    if (event.name == "query") {
+      EXPECT_NE(event.track, 0u);
+      sequences.insert(event.track);
+    }
   }
   ASSERT_EQ(sequences.size(), 20u) << "one distinct sequence per query";
   // DriverQuerySequence(seed, q) for q in [0, 20): contiguous and ordered.

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -282,6 +283,23 @@ TEST(TraceIoDeathTest, EmptyTraceRejected) {
     out << "name,unit,fanouts,query,stage,family,p1,p2\n";
   }
   EXPECT_DEATH(LoadQueryTrace(path), "empty trace");
+  std::remove(path.c_str());
+}
+
+TEST(TraceIoDeathTest, BadQueryIndexRejected) {
+  // A query index must parse and fall below the row count; unchecked, -1
+  // wraps to SIZE_MAX and a huge index resizes the trace to that size.
+  std::string path = ::testing::TempDir() + "/cedar_bad_index_trace.csv";
+  for (const char* query : {"-1", "x", "4000000000"}) {
+    {
+      std::ofstream out(path);
+      out << "name,unit,fanouts,query,stage,family,p1,p2\n";
+      out << "x,s,2,0,0,lognormal,1,1\n";
+      out << "x,s,2," << query << ",0,lognormal,1,1\n";
+    }
+    EXPECT_DEATH(LoadQueryTrace(path), std::string("bad query index in .*'") + query + "'")
+        << query;
+  }
   std::remove(path.c_str());
 }
 

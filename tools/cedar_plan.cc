@@ -10,11 +10,13 @@
 // optimal waits, the expected quality, a q_n(d) curve, and (optionally) the
 // dual-problem answer for --target_quality.
 
+#include <climits>
 #include <iostream>
 #include <sstream>
 
 #include "src/common/flags.h"
 #include "src/common/logging.h"
+#include "src/common/parse.h"
 #include "src/common/table.h"
 #include "src/core/dual.h"
 #include "src/core/wait_optimizer.h"
@@ -38,10 +40,11 @@ cedar::TreeSpec ParseStages(const std::string& text) {
         << "bad stage spec '" << token << "' (want family:p1:p2:fanout)";
     DistributionSpec spec;
     spec.family = DistributionFamilyFromName(family);
-    spec.p1 = std::stod(p1);
-    spec.p2 = std::stod(p2);
-    stages.emplace_back(std::shared_ptr<const Distribution>(MakeDistribution(spec)),
-                        std::stoi(fanout));
+    spec.p1 = ParseDouble(p1, "p1 in stage '" + token + "'");
+    spec.p2 = ParseDouble(p2, "p2 in stage '" + token + "'");
+    stages.emplace_back(
+        std::shared_ptr<const Distribution>(MakeDistribution(spec)),
+        static_cast<int>(ParseInt(fanout, "fanout in stage '" + token + "'", 1, INT_MAX)));
   }
   return TreeSpec(std::move(stages));
 }

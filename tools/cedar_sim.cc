@@ -18,6 +18,7 @@
 #include "src/common/csv.h"
 #include "src/common/flags.h"
 #include "src/common/logging.h"
+#include "src/common/parse.h"
 #include "src/common/table.h"
 #include "src/core/policy_registry.h"
 #include "src/obs/obs_flags.h"
@@ -32,9 +33,10 @@ std::vector<double> ParseDoubleList(const std::string& text) {
   std::string token;
   while (std::getline(in, token, ',')) {
     if (!token.empty()) {
-      values.push_back(std::stod(token));
+      values.push_back(cedar::ParseDouble(token, "deadline in --deadlines"));
     }
   }
+  CEDAR_CHECK(!values.empty()) << "bad --deadlines: '" << text << "' lists no deadline";
   return values;
 }
 

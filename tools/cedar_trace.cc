@@ -7,12 +7,14 @@
 // "fit" runs the §4.2.1 offline type-fitting step on samples drawn from the
 // workload's bottom stage and prints the ranked candidate families.
 
-#include <algorithm>
 #include <iostream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "src/common/flags.h"
 #include "src/common/logging.h"
-#include "src/common/histogram.h"
+#include "src/common/sample_set.h"
 #include "src/common/table.h"
 #include "src/obs/obs_flags.h"
 #include "src/stats/fitting.h"
@@ -39,19 +41,20 @@ void Inspect(const std::string& in) {
                              " jobs, unit " + trace.unit + ")");
   std::cout << "global offline fit: " << replay.OfflineTree().ToString() << "\n";
 
+  PrintBanner(std::cout, "per-job stage means");
+  TablePrinter table({"stage", "min", "p10", "p25", "p50", "p75", "p90", "p99", "max"});
   for (size_t stage = 0; stage < trace.fanouts.size(); ++stage) {
-    PrintBanner(std::cout, "stage " + std::to_string(stage) + " per-job stage means (log bins)");
-    std::vector<double> means;
-    means.reserve(trace.queries.size());
+    SampleSet means;
     for (const auto& record : trace.queries) {
-      means.push_back(MakeDistribution(record.stages[stage])->Mean());
+      means.Add(MakeDistribution(record.stages[stage])->Mean());
     }
-    double lo = *std::min_element(means.begin(), means.end());
-    double hi = *std::max_element(means.begin(), means.end()) * 1.001;
-    Histogram histogram = Histogram::Logarithmic(std::max(lo, 1e-9), hi, 12);
-    histogram.AddAll(means);
-    histogram.Print(std::cout);
+    std::vector<std::string> row = {std::to_string(stage)};
+    for (double q : {0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0}) {
+      row.push_back(TablePrinter::FormatDouble(means.Quantile(q), 4));
+    }
+    table.AddRow(std::move(row));
   }
+  table.Print(std::cout);
 }
 
 void Fit(const std::string& workload_name, int k1, int k2, int samples, uint64_t seed) {
