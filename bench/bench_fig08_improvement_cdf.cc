@@ -4,6 +4,7 @@
 // improving by over 50%, and the bottom fifth seeing little gain.
 
 #include <iostream>
+#include <limits>
 
 #include "bench/bench_util.h"
 #include "src/common/flags.h"
@@ -16,11 +17,12 @@
 int main(int argc, char** argv) {
   using namespace cedar;
   FlagSet flags("Figure 8: per-query improvement CDF at D=1000s.");
-  int64_t* queries = flags.AddInt("queries", 300, "number of queries");
+  constexpr int64_t kIntMax = std::numeric_limits<int>::max();
+  int64_t* queries = flags.AddInt("queries", 300, "number of queries", 1, kIntMax);
   double* deadline = flags.AddDouble("deadline", 1000.0, "deadline (seconds)");
   int64_t* seed = flags.AddInt("seed", 42, "workload seed");
   int64_t* threads = flags.AddInt(
-      "threads", 0, "experiment worker threads (0 = one per hardware thread)");
+      "threads", 0, "experiment worker threads (0 = one per hardware thread)", 0, kIntMax);
   BenchObservability obs(flags);
   flags.Parse(argc, argv);
   obs.Init();

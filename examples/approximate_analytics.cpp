@@ -72,7 +72,6 @@ int main(int argc, char** argv) {
 
   // 3. Same replay with speculative execution enabled.
   config.run.speculation.enabled = true;
-  config.run.speculation.slowdown_threshold = 2.0;
   run("with speculative execution (straggler mitigation coexists with Cedar)");
   return 0;
 }

@@ -1,27 +1,231 @@
 #include "src/cluster/cluster_runtime.h"
 
 #include <algorithm>
+#include <cmath>
+#include <deque>
 #include <functional>
+#include <limits>
+#include <numeric>
 #include <utility>
 
+#include "src/cluster/loaded_runtime.h"
 #include "src/common/logging.h"
 #include "src/obs/query_trace.h"
 #include "src/sim/event_queue.h"
+#include "src/sim/experiment_engine.h"
+#include "src/sim/realization.h"
 
 namespace cedar {
 namespace {
 
-// Bookkeeping for one logical map task, which may have several racing
-// copies (original + speculative clones).
+// A task is cloned once it has run this many times the median completed
+// duration of its job's leaf stage.
+constexpr double kSlowdownThreshold = 2.0;
+
+// Speculation's bookkeeping for one leaf task. A task has at most two racing
+// copies, [0] the original and [1] its clone: the picker clones only a task
+// with exactly one copy in flight, and its cursor never comes back to a task.
 struct TaskState {
   double first_launch_time = 0.0;
-  bool launched = false;
   bool completed = false;
   int copies_in_flight = 0;
-  // Parallel arrays: the pending completion event and occupied slot of each
-  // in-flight copy.
-  std::vector<uint64_t> completion_handles;
-  std::vector<int> copy_slots;
+  // Each copy's pending completion event, slot-scaled duration and slot.
+  uint64_t handles[2] = {};
+  double durations[2] = {};
+  int slots[2] = {};
+};
+
+// The cluster's one leaf scheduler. Slots have identities and are handed
+// out from a stack shuffled once at construction: the scheduler does not
+// know which machines are slow, so hot spots are hit in proportion to
+// their share of the cluster. Each submitted job is one query's leaf
+// stage; its tasks start in index order, after every earlier job's tasks
+// have started. With speculation on, slots left idle then clone each job's
+// longest-running straggler, and the first copy to finish wins. Events
+// capture pointers to the scheduler and its jobs.
+class SlotScheduler {
+ public:
+  struct Stats {
+    long long tasks_launched = 0;  // including clones
+    long long clones_launched = 0;
+    long long clones_won = 0;
+    double makespan = 0.0;         // last task completion
+    double queue_delay_sum = 0.0;  // slot waits of the original copies
+    double busy_time = 0.0;        // slot-scaled durations of launched copies
+  };
+
+  SlotScheduler(const ClusterSpec& cluster, uint64_t placement_seed,
+                SpeculationOptions speculation)
+      : cluster_(cluster), speculation_(speculation), idle_slots_(cluster.TotalSlots()) {
+    std::iota(idle_slots_.begin(), idle_slots_.end(), 0);
+    Rng placement_rng(placement_seed);
+    for (size_t i = idle_slots_.size(); i > 1; --i) {
+      size_t j = static_cast<size_t>(placement_rng.NextBounded(i));
+      std::swap(idle_slots_[i - 1], idle_slots_[j]);
+    }
+  }
+  SlotScheduler(const SlotScheduler&) = delete;
+  SlotScheduler& operator=(const SlotScheduler&) = delete;
+
+  EventQueue& queue() { return queue_; }
+  const Stats& stats() const { return stats_; }
+
+  // Starts |tree| at the queue's current time and queues its leaf tasks,
+  // stage 0 of |realization|, behind every earlier job's. Both are borrowed
+  // and must outlive the queue's run. Clone durations draw from |clone_rng|.
+  void Submit(QueryTree& tree, const QueryRealization& realization, Rng clone_rng) {
+    const size_t tasks = realization.stage_durations[0].size();
+    CEDAR_CHECK(tasks >= 1 && tasks <= static_cast<size_t>(std::numeric_limits<int>::max()));
+    Job& job = jobs_.emplace_back(this, tree, realization, queue_.now(), clone_rng,
+                                  static_cast<int>(tasks));
+    if (speculation_.enabled) {
+      job.task_states.resize(tasks);
+      job.completed_durations.reserve(tasks);
+    }
+    tree.Start(queue_);
+    waiting_.push_back(&job);
+    Fill();
+  }
+
+ private:
+  struct Job {
+    SlotScheduler* scheduler;
+    QueryTree& tree;
+    const QueryRealization& realization;
+    double submit_time;
+    Rng clone_rng;
+    int tasks;
+    int next_pending = 0;  // lowest task not yet launched
+    // Speculation state, kept only with speculation on: a loaded run holds
+    // every job until it ends, so per-task records would add up.
+    std::vector<TaskState> task_states;
+    int oldest = 0;  // lowest task that may still be cloned
+    int clones = 0;
+    bool poll_scheduled = false;
+    // Durations of the completed tasks, sorted ascending; the threshold is
+    // their median.
+    std::vector<double> completed_durations;
+  };
+
+  // Launches waiting tasks on idle slots in FIFO order, then clones
+  // stragglers while slots stay idle.
+  void Fill() {
+    while (!idle_slots_.empty() && !waiting_.empty()) {
+      Job& job = *waiting_.front();
+      const int task = job.next_pending++;
+      if (job.next_pending == job.tasks) {
+        waiting_.pop_front();
+      }
+      stats_.queue_delay_sum += queue_.now() - job.submit_time;
+      Launch(job, task, job.realization.stage_durations[0][static_cast<size_t>(task)]);
+    }
+    if (speculation_.enabled) {
+      for (Job& job : jobs_) {
+        while (TrySpeculate(job)) {
+        }
+      }
+    }
+  }
+
+  void Launch(Job& job, int task_index, double service_duration) {
+    const int slot = idle_slots_.back();
+    idle_slots_.pop_back();
+    const double duration = service_duration * cluster_.SlotSpeedFactor(slot);
+    ++stats_.tasks_launched;
+    stats_.busy_time += duration;
+    const uint64_t handle =
+        queue_.Schedule(queue_.now() + duration, [job = &job, task_index, slot] {
+          job->scheduler->Complete(*job, task_index, slot);
+        });
+    if (speculation_.enabled) {
+      TaskState& task = job.task_states[static_cast<size_t>(task_index)];
+      if (task.copies_in_flight == 0) {
+        task.first_launch_time = queue_.now();
+      }
+      const int copy = task.copies_in_flight++;
+      task.handles[copy] = handle;
+      task.durations[copy] = duration;
+      task.slots[copy] = slot;
+    }
+  }
+
+  // The first copy of a task to finish wins, and the other one is killed.
+  void Complete(Job& job, int task_index, int slot) {
+    idle_slots_.push_back(slot);
+    if (speculation_.enabled) {
+      TaskState& task = job.task_states[static_cast<size_t>(task_index)];
+      CEDAR_CHECK(!task.completed);  // a killed copy's completion never fires
+      task.completed = true;
+      // Two copies in flight sit on two different slots.
+      const int copy = task.slots[0] == slot ? 0 : 1;
+      stats_.clones_won += copy;
+      auto& sorted = job.completed_durations;
+      sorted.insert(std::upper_bound(sorted.begin(), sorted.end(), task.durations[copy]),
+                    task.durations[copy]);
+      if (task.copies_in_flight == 2) {
+        queue_.Cancel(task.handles[1 - copy]);
+        idle_slots_.push_back(task.slots[1 - copy]);
+      }
+      task.copies_in_flight = 0;
+    }
+    job.tree.DeliverLeaf(queue_, task_index);
+    stats_.makespan = queue_.now();
+    Fill();
+  }
+
+  // Clones |job|'s longest-running un-cloned task onto an idle slot once it
+  // has run kSlowdownThreshold times the median completed duration.
+  bool TrySpeculate(Job& job) {
+    if (idle_slots_.empty() || job.clones >= speculation_.max_clones ||
+        job.completed_durations.empty()) {
+      return false;
+    }
+    const double median = job.completed_durations[job.completed_durations.size() / 2];
+    // Originals launch in index order at non-decreasing times, and a task
+    // that is cloned or completes never becomes a candidate again. So the
+    // lowest running, un-cloned index has the earliest launch, hence the
+    // longest elapsed time (first among equals), and |oldest| only moves
+    // forward.
+    while (job.oldest < job.next_pending &&
+           (job.task_states[static_cast<size_t>(job.oldest)].completed ||
+            job.task_states[static_cast<size_t>(job.oldest)].copies_in_flight != 1)) {
+      ++job.oldest;
+    }
+    if (job.oldest == job.next_pending) {
+      return false;
+    }
+    const double launched_at = job.task_states[static_cast<size_t>(job.oldest)].first_launch_time;
+    const double longest = queue_.now() - launched_at;
+    if (longest <= 0.0) {
+      return false;
+    }
+    const double threshold = kSlowdownThreshold * median;
+    if (longest < threshold) {
+      // Not slow enough yet. A straggler crosses the threshold without any
+      // completion event firing, so poll again when the current
+      // longest-runner would qualify.
+      if (!job.poll_scheduled) {
+        job.poll_scheduled = true;
+        queue_.Schedule(std::max(queue_.now() + 1e-9, launched_at + threshold), [job = &job] {
+          job->poll_scheduled = false;
+          job->scheduler->Fill();
+        });
+      }
+      return false;
+    }
+    ++job.clones;
+    ++stats_.clones_launched;
+    Launch(job, job.oldest, job.realization.truth.stage_durations[0]->Sample(job.clone_rng));
+    return true;
+  }
+
+  const ClusterSpec cluster_;
+  const SpeculationOptions speculation_;
+  EventQueue queue_;
+  std::vector<int> idle_slots_;  // a stack: the back is used next
+  std::deque<Job> jobs_;
+  std::deque<Job*> waiting_;  // jobs with unlaunched tasks, in submission order
+  Stats stats_;
 };
 
 }  // namespace
@@ -45,167 +249,26 @@ ClusterRuntime::ClusterRuntime(ClusterSpec cluster, TreeSpec offline_tree, doubl
 ClusterQueryResult ClusterRuntime::RunQuery(const WaitPolicy& policy_prototype,
                                             const QueryRealization& realization) const {
   QueryTree tree(model_, policy_prototype, realization, "cluster");
-  EventQueue queue;
+  // Slot placement and clone durations are runtime randomness, seeded per
+  // query for reproducibility.
+  const uint64_t seed =
+      options_.runtime_seed ^ (realization.truth.sequence * 0x9E3779B97F4A7C15ull);
+  SlotScheduler scheduler(cluster_, seed ^ 0xBEEF, options_.speculation);
+  scheduler.Submit(tree, realization, Rng(seed ^ 0xC0FFEE));
+  scheduler.queue().Run();
+
   ClusterQueryResult result;
-  tree.Start(queue);
-
-  // ---- Slot-scheduled leaf (map) stage ----
-  const auto& durations = realization.stage_durations[0];
-  auto total_tasks = static_cast<long long>(durations.size());
-  int slots = cluster_.TotalSlots();
-  result.waves = static_cast<int>((total_tasks + slots - 1) / slots);
-
-  std::vector<TaskState> tasks(static_cast<size_t>(total_tasks));
-  long long next_pending = 0;
-  // Explicit slot identities so heterogeneity can scale task durations by
-  // placement.
-  std::vector<int> free_slot_ids(static_cast<size_t>(slots));
-  for (int s = 0; s < slots; ++s) {
-    free_slot_ids[static_cast<size_t>(s)] = s;
-  }
-  // The scheduler does not know which machines are slow; shuffle the
-  // placement order (deterministically per query) so hot spots are hit in
-  // proportion to their share of the cluster.
-  {
-    Rng placement_rng(options_.runtime_seed ^
-                      (realization.truth.sequence * 0x9E3779B97F4A7C15ull) ^ 0xBEEF);
-    for (size_t i = free_slot_ids.size(); i > 1; --i) {
-      size_t j = static_cast<size_t>(placement_rng.NextBounded(i));
-      std::swap(free_slot_ids[i - 1], free_slot_ids[j]);
-    }
-  }
-  // Sorted ascending, so the median is the middle element.
-  std::vector<double> completed_durations;
-  completed_durations.reserve(static_cast<size_t>(total_tasks));
-  long long clones_total = 0;
-  // Lowest task index that may still be cloned (see try_speculate).
-  long long oldest = 0;
-
-  // Clone durations are runtime randomness (a speculative copy re-executes
-  // the work), seeded per query for reproducibility.
-  Rng clone_rng(options_.runtime_seed ^ (realization.truth.sequence * 0x9E3779B97F4A7C15ull) ^
-                0xC0FFEE);
-
-  // Forward declarations via std::function so the completion handler can
-  // start follow-up work.
-  std::function<void()> fill_slots;
-
-  auto launch_copy = [&](long long task_index, double service_duration) {
-    TaskState& task = tasks[static_cast<size_t>(task_index)];
-    CEDAR_CHECK(!free_slot_ids.empty());
-    int slot = free_slot_ids.back();
-    free_slot_ids.pop_back();
-    double duration = service_duration * cluster_.SlotSpeedFactor(slot);
-    ++result.tasks_launched;
-    ++task.copies_in_flight;
-    if (!task.launched) {
-      task.launched = true;
-      task.first_launch_time = queue.now();
-    }
-    bool is_clone = task.copies_in_flight > 1;
-    uint64_t handle =
-        queue.Schedule(queue.now() + duration, [&, task_index, duration, is_clone, slot] {
-          TaskState& t = tasks[static_cast<size_t>(task_index)];
-          --t.copies_in_flight;
-          free_slot_ids.push_back(slot);
-          for (size_t ci = 0; ci < t.copy_slots.size(); ++ci) {
-            if (t.copy_slots[ci] == slot) {
-              t.copy_slots.erase(t.copy_slots.begin() + static_cast<long>(ci));
-              t.completion_handles.erase(t.completion_handles.begin() + static_cast<long>(ci));
-              break;
-            }
-          }
-          if (!t.completed) {
-            t.completed = true;
-            if (is_clone) {
-              ++result.clones_won;
-            }
-            completed_durations.insert(std::upper_bound(completed_durations.begin(),
-                                                        completed_durations.end(), duration),
-                                       duration);
-            // Kill the losing copies: cancel their completions, free slots.
-            for (uint64_t h : t.completion_handles) {
-              queue.Cancel(h);
-            }
-            for (int losing_slot : t.copy_slots) {
-              free_slot_ids.push_back(losing_slot);
-            }
-            t.copies_in_flight = 0;
-            t.completion_handles.clear();
-            t.copy_slots.clear();
-            tree.DeliverLeaf(queue, task_index);
-          }
-          result.makespan = queue.now();
-          fill_slots();
-        });
-    task.completion_handles.push_back(handle);
-    task.copy_slots.push_back(slot);
-  };
-
-  bool spec_check_scheduled = false;
-
-  auto try_speculate = [&]() -> bool {
-    if (!options_.speculation.enabled || free_slot_ids.empty()) {
-      return false;
-    }
-    if (clones_total >= options_.speculation.max_clones || completed_durations.empty()) {
-      return false;
-    }
-    double median = completed_durations[completed_durations.size() / 2];
-    // Longest-running un-cloned task exceeding the slowdown threshold.
-    // Originals launch in index order at non-decreasing times, and a task
-    // that is cloned or completes never becomes a candidate again. So the
-    // lowest running, un-cloned index has the earliest launch, hence the
-    // longest elapsed time (first among equals), and |oldest| only moves
-    // forward.
-    while (oldest < next_pending && (tasks[static_cast<size_t>(oldest)].completed ||
-                                     tasks[static_cast<size_t>(oldest)].copies_in_flight != 1)) {
-      ++oldest;
-    }
-    if (oldest == next_pending) {
-      return false;
-    }
-    const double launched_at = tasks[static_cast<size_t>(oldest)].first_launch_time;
-    const double longest = queue.now() - launched_at;
-    if (longest <= 0.0) {
-      return false;
-    }
-    double threshold = options_.speculation.slowdown_threshold * median;
-    if (longest < threshold) {
-      // Not slow enough yet. A straggler crosses the threshold without any
-      // completion event firing, so poll again when the current
-      // longest-runner would qualify.
-      if (!spec_check_scheduled) {
-        spec_check_scheduled = true;
-        double check_at = std::max(queue.now() + 1e-9, launched_at + threshold);
-        queue.Schedule(check_at, [&] {
-          spec_check_scheduled = false;
-          fill_slots();
-        });
-      }
-      return false;
-    }
-    ++clones_total;
-    ++result.clones_launched;
-    double clone_duration = realization.truth.stage_durations[0]->Sample(clone_rng);
-    launch_copy(oldest, clone_duration);
-    return true;
-  };
-
-  fill_slots = [&]() {
-    while (!free_slot_ids.empty() && next_pending < total_tasks) {
-      long long task_index = next_pending++;
-      launch_copy(task_index, durations[static_cast<size_t>(task_index)]);
-    }
-    while (try_speculate()) {
-    }
-  };
-
-  fill_slots();
-  queue.Run();
-  result.events = static_cast<long long>(queue.scheduled());
-
   static_cast<QueryResult&>(result) = tree.Result();
+  const auto total_tasks = static_cast<long long>(realization.stage_durations[0].size());
+  const int slots = cluster_.TotalSlots();
+  result.waves = static_cast<int>((total_tasks + slots - 1) / slots);
+  const SlotScheduler::Stats& stats = scheduler.stats();
+  result.makespan = stats.makespan;
+  result.tasks_launched = stats.tasks_launched;
+  result.clones_launched = stats.clones_launched;
+  result.clones_won = stats.clones_won;
+  result.events = static_cast<long long>(scheduler.queue().scheduled());
+
   if (QueryTraceBuilder* trace = tree.trace()) {
     trace->Finish(
         std::max(result.makespan, deadline()), result.quality,
@@ -215,6 +278,66 @@ ClusterQueryResult ClusterRuntime::RunQuery(const WaitPolicy& policy_prototype,
          TraceArg::Num("clones_won", static_cast<double>(result.clones_won)),
          TraceArg::Num("root_late", static_cast<double>(result.root_arrivals_late))});
   }
+  return result;
+}
+
+LoadedRunResult RunLoadedCluster(const Workload& workload, const WaitPolicy& policy,
+                                 const LoadedRunConfig& config) {
+  CEDAR_CHECK_GT(config.deadline, 0.0);
+  CEDAR_CHECK_GT(config.mean_interarrival, 0.0);
+  CEDAR_CHECK_GT(config.num_queries, 0);
+  CEDAR_CHECK_GE(config.cluster.TotalSlots(), 1);
+
+  const QueryTreeModel model(workload.OfflineTree(), config.deadline, config);
+  // Placement draws from a stream of its own, so the arrival stream below
+  // is the same on every cluster.
+  SlotScheduler scheduler(config.cluster, DeriveStreamSeed(config.seed, 0xBEEF),
+                          SpeculationOptions{});
+  EventQueue& queue = scheduler.queue();
+  Rng rng(config.seed);
+  long long arrivals = 0;
+  // Deques keep each query's realization and tree at a stable address.
+  std::deque<QueryRealization> realizations;
+  std::deque<QueryTree> trees;
+
+  // Poisson arrivals.
+  std::function<void(int)> schedule_arrival = [&](int remaining) {
+    if (remaining <= 0) {
+      return;
+    }
+    double gap = -std::log(rng.NextOpenDouble()) * config.mean_interarrival;
+    queue.Schedule(queue.now() + gap, [&, remaining] {
+      QueryTruth truth = workload.DrawQuery(rng);
+      truth.sequence = DriverQuerySequence(config.seed, arrivals++);
+      Rng realization_rng = rng.Fork();
+      const QueryRealization& realization = realizations.emplace_back(
+          SampleRealization(model.offline_tree(), truth, realization_rng));
+      QueryTree& tree = trees.emplace_back(model, policy, realization, "loaded", queue.now());
+      scheduler.Submit(tree, realization, realization_rng);
+      schedule_arrival(remaining - 1);
+    });
+  };
+  schedule_arrival(config.num_queries);
+  queue.Run();
+
+  LoadedRunResult result;
+  for (QueryTree& tree : trees) {
+    QueryResult query = tree.Result();
+    result.per_query_quality.Add(query.quality);
+    result.root_arrivals_in_time += query.root_arrivals_in_time;
+    result.root_arrivals_late += query.root_arrivals_late;
+    if (QueryTraceBuilder* trace = tree.trace()) {
+      trace->Finish(config.deadline, query.quality, {TraceArg::Num("arrival", tree.origin())});
+    }
+  }
+  const SlotScheduler::Stats& stats = scheduler.stats();
+  const auto originals = static_cast<double>(stats.tasks_launched);  // speculation is off
+  result.makespan = stats.makespan;
+  result.mean_queue_delay = originals > 0.0 ? stats.queue_delay_sum / originals : 0.0;
+  result.utilization =
+      result.makespan > 0.0
+          ? stats.busy_time / (result.makespan * static_cast<double>(config.cluster.TotalSlots()))
+          : 0.0;
   return result;
 }
 

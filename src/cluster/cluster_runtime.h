@@ -13,6 +13,9 @@
 //    a freshly drawn duration; the earlier copy wins and the other is
 //    killed, as in the production clusters the traces come from (§2.2).
 //
+// RunQuery and RunLoadedCluster (loaded_runtime.h) run their leaves on one
+// slot scheduler, private to cluster_runtime.cc.
+//
 // Aggregators run the same WaitPolicy machinery (Pseudocode 1 via
 // AggregatorNode); they are modelled as long-running reducers that do not
 // consume process slots, matching the paper's 320-slots-for-320-processes
@@ -53,11 +56,10 @@ struct ClusterSpec {
 };
 
 struct SpeculationOptions {
-  bool enabled = false;
   // A clone is launched for the longest-running task once slots are idle
-  // and the task has run at least |slowdown_threshold| times the median
-  // completed duration of its stage.
-  double slowdown_threshold = 2.0;
+  // and the task has run at least twice the median completed duration of
+  // its stage.
+  bool enabled = false;
   // At most this many clones launched per query, counting clones that
   // lose or are killed.
   int max_clones = 8;

@@ -1,7 +1,8 @@
 // LoadedClusterRuntime: many concurrent queries sharing one slot pool.
 //
-// Queries arrive as a Poisson process and contend for the cluster's slots;
-// tasks are started FIFO across queries. Each query gets its own
+// Queries arrive as a Poisson process and contend for the cluster's slots.
+// Tasks run on ClusterRuntime's slot scheduler, FIFO across queries, with
+// slow machines honoured and speculation off. Each query gets its own
 // aggregation tree (with its arrival time as its time origin) and its own
 // relative deadline. This extends the paper's one-query-at-a-time
 // deployment to the loaded regime: as utilization rises, queueing delays
@@ -26,8 +27,8 @@ namespace cedar {
 // The shared QueryTreeOptions apply per query; a loaded trace places each
 // query's span at its arrival time, so it shows the overlapping jobs.
 struct LoadedRunConfig : QueryTreeOptions {
-  // Only the slot count is modelled: a heterogeneous cluster
-  // (slow_machine_fraction/slow_machine_factor) is rejected.
+  // Slot placement is shuffled once per run, from a stream of |seed| that
+  // the arrival process does not share.
   ClusterSpec cluster;
   // Per-query relative deadline D.
   double deadline = 0.0;

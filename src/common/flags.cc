@@ -29,13 +29,16 @@ double* FlagSet::AddDouble(const std::string& name, double default_value, const 
   return flag.double_value;
 }
 
-int64_t* FlagSet::AddInt(const std::string& name, int64_t default_value, const std::string& help) {
+int64_t* FlagSet::AddInt(const std::string& name, int64_t default_value, const std::string& help,
+                         int64_t min, int64_t max) {
   int_storage_.push_back(std::make_unique<int64_t>(default_value));
   Flag flag;
   flag.type = Type::kInt;
   flag.help = help;
   flag.default_text = std::to_string(default_value);
   flag.int_value = int_storage_.back().get();
+  flag.int_min = min;
+  flag.int_max = max;
   flags_[name] = flag;
   return flag.int_value;
 }
@@ -69,7 +72,7 @@ void FlagSet::SetFlagValue(const std::string& name, Flag& flag, const std::strin
       *flag.double_value = ParseDouble(value, "double for --" + name);
       break;
     case Type::kInt:
-      *flag.int_value = ParseInt(value, "int for --" + name);
+      *flag.int_value = ParseInt(value, "int for --" + name, flag.int_min, flag.int_max);
       break;
     case Type::kBool: {
       if (value == "true" || value == "1") {

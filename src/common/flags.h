@@ -9,6 +9,7 @@
 #define CEDAR_SRC_COMMON_FLAGS_H_
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -22,9 +23,11 @@ class FlagSet {
   explicit FlagSet(std::string program_doc);
 
   // Registration. The returned pointer stays valid for the FlagSet lifetime
-  // and is updated by Parse().
+  // and is updated by Parse(), which dies on an int outside [min, max].
   double* AddDouble(const std::string& name, double default_value, const std::string& help);
-  int64_t* AddInt(const std::string& name, int64_t default_value, const std::string& help);
+  int64_t* AddInt(const std::string& name, int64_t default_value, const std::string& help,
+                  int64_t min = std::numeric_limits<int64_t>::min(),
+                  int64_t max = std::numeric_limits<int64_t>::max());
   bool* AddBool(const std::string& name, bool default_value, const std::string& help);
   std::string* AddString(const std::string& name, const std::string& default_value,
                          const std::string& help);
@@ -45,6 +48,8 @@ class FlagSet {
     std::string default_text;
     double* double_value = nullptr;
     int64_t* int_value = nullptr;
+    int64_t int_min = 0;
+    int64_t int_max = 0;
     bool* bool_value = nullptr;
     std::string* string_value = nullptr;
   };

@@ -124,6 +124,7 @@ class QueryTree {
   bool DeliverLeaf(EventQueue& queue, long long leaf);
 
   QueryResult Result() const;
+  double origin() const { return origin_; }
 
   // Indices of the top-tier aggregators whose results reached the root in
   // time, in send order.

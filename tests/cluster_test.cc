@@ -100,7 +100,6 @@ TEST(ClusterRuntimeTest, SpeculationLaunchesAndAccountsClones) {
 
   ClusterRunOptions options;
   options.speculation.enabled = true;
-  options.speculation.slowdown_threshold = 2.0;
   ClusterRuntime cluster(TinyCluster(6, 1), tree, 1000.0, options);
   FixedWaitPolicy policy(900.0);
   ClusterQueryResult result = cluster.RunQuery(policy, realization);

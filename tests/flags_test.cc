@@ -94,6 +94,34 @@ TEST(FlagsDeathTest, MalformedValueDies) {
   EXPECT_DEATH(flags.Parse(static_cast<int>(argv.size()), argv.data()), "bad int");
 }
 
+TEST(FlagsTest, IntWithinBoundsAccepted) {
+  FlagSet flags("test");
+  int64_t* n = flags.AddInt("count", 1, "count", 0, 10);
+  std::vector<std::string> args = {"prog", "--count=10"};
+  auto argv = MakeArgv(args);
+  flags.Parse(static_cast<int>(argv.size()), argv.data());
+  EXPECT_EQ(*n, 10);
+}
+
+TEST(FlagsDeathTest, IntBelowMinDies) {
+  FlagSet flags("test");
+  flags.AddInt("threads", 0, "threads", 0, 2147483647);
+  std::vector<std::string> args = {"prog", "--threads=-1"};
+  auto argv = MakeArgv(args);
+  EXPECT_DEATH(flags.Parse(static_cast<int>(argv.size()), argv.data()),
+               "bad int for --threads: '-1' \\(want an integer in \\[0, 2147483647\\]\\)");
+}
+
+TEST(FlagsDeathTest, IntAboveMaxDies) {
+  // 2^32 + 2 would wrap to 2 in an int.
+  FlagSet flags("test");
+  flags.AddInt("queries", 1, "queries", 1, 2147483647);
+  std::vector<std::string> args = {"prog", "--queries=4294967298"};
+  auto argv = MakeArgv(args);
+  EXPECT_DEATH(flags.Parse(static_cast<int>(argv.size()), argv.data()),
+               "bad int for --queries: '4294967298'");
+}
+
 TEST(FlagsTest, UsageMentionsFlagsAndDefaults) {
   FlagSet flags("my tool doc");
   flags.AddInt("count", 5, "how many");

@@ -11,6 +11,7 @@
 //   cedar_sim --workload=google-sigma:1.7 --csv=/tmp/results.csv
 
 #include <iostream>
+#include <limits>
 #include <sstream>
 
 #include "src/cluster/experiment.h"
@@ -55,23 +56,29 @@ int main(int argc, char** argv) {
   std::string* deadlines_text =
       flags.AddString("deadlines", "500,1000,2000,3000", "comma-separated deadlines");
   std::string* engine = flags.AddString("engine", "sim", "sim | cluster | loaded");
-  int64_t* queries = flags.AddInt("queries", 100, "queries per deadline");
-  int64_t* k1 = flags.AddInt("k1", 50, "bottom fanout");
-  int64_t* k2 = flags.AddInt("k2", 50, "upper fanout");
-  int64_t* machines = flags.AddInt("machines", 80, "cluster machines (cluster/loaded engines)");
-  int64_t* slots = flags.AddInt("slots", 4, "slots per machine");
-  double* slow_fraction =
-      flags.AddDouble("slow_fraction", 0.0, "fraction of slow machines (cluster engine)");
-  double* slow_factor = flags.AddDouble("slow_factor", 1.0, "slowdown of slow machines");
+  constexpr int64_t kIntMax = std::numeric_limits<int>::max();
+  int64_t* queries = flags.AddInt("queries", 100, "queries per deadline", 1, kIntMax);
+  int64_t* k1 = flags.AddInt("k1", 50, "bottom fanout", 1, kIntMax);
+  int64_t* k2 = flags.AddInt("k2", 50, "upper fanout", 1, kIntMax);
+  int64_t* machines =
+      flags.AddInt("machines", 80, "cluster machines (cluster/loaded engines)", 1, kIntMax);
+  int64_t* slots = flags.AddInt("slots", 4, "slots per machine", 1, kIntMax);
+  double* slow_fraction = flags.AddDouble(
+      "slow_fraction", 0.0, "fraction of slow machines (cluster/loaded engines)");
+  double* slow_factor =
+      flags.AddDouble("slow_factor", 1.0, "slowdown of slow machines (cluster/loaded engines)");
   bool* speculation = flags.AddBool("speculation", false, "enable task speculation (cluster)");
   double* interarrival =
       flags.AddDouble("interarrival", 100.0, "mean query inter-arrival time (loaded engine)");
   int64_t* seed = flags.AddInt("seed", 42, "rng seed");
   int64_t* threads = flags.AddInt(
-      "threads", 0, "experiment worker threads (0 = one per hardware thread)");
+      "threads", 0, "experiment worker threads (0 = one per hardware thread)", 0, kIntMax);
   std::string* csv_path = flags.AddString("csv", "", "also write results to this CSV file");
   ObservabilityFlags obs = AddObservabilityFlags(flags);
   flags.Parse(argc, argv);
+  CEDAR_CHECK_LE(*machines * *slots, kIntMax)
+      << "bad --machines x --slots: " << *machines << " x " << *slots
+      << " (the slot count must fit an int)";
   ObservabilityScope obs_scope = InitObservability(obs);
 
   auto workload =
@@ -129,6 +136,8 @@ int main(int argc, char** argv) {
       LoadedRunConfig config;
       config.cluster.machines = static_cast<int>(*machines);
       config.cluster.slots_per_machine = static_cast<int>(*slots);
+      config.cluster.slow_machine_fraction = *slow_fraction;
+      config.cluster.slow_machine_factor = *slow_factor;
       config.deadline = deadline;
       config.mean_interarrival = *interarrival;
       config.num_queries = static_cast<int>(*queries);
