@@ -124,18 +124,4 @@ void RunClusterDeadlineSweep(std::ostream& out, const std::string& title,
   table.Print(out);
 }
 
-void RunDeadlineSweep(std::ostream& out, const std::string& title, const Workload& workload,
-                      const std::vector<std::unique_ptr<WaitPolicy>>& policies,
-                      const std::vector<double>& deadlines, const SweepOptions& options) {
-  RunDeadlineSweep(out, title, workload, PolicyPointers(policies), deadlines, options);
-}
-
-void RunClusterDeadlineSweep(std::ostream& out, const std::string& title,
-                             const Workload& workload,
-                             const std::vector<std::unique_ptr<WaitPolicy>>& policies,
-                             const std::vector<double>& deadlines,
-                             const ClusterSweepOptions& options) {
-  RunClusterDeadlineSweep(out, title, workload, PolicyPointers(policies), deadlines, options);
-}
-
 }  // namespace cedar

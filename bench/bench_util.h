@@ -7,9 +7,7 @@
 #define CEDAR_BENCH_BENCH_UTIL_H_
 
 #include <cstdint>
-#include <initializer_list>
 #include <iosfwd>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -66,16 +64,6 @@ struct SweepOptions {
 void RunDeadlineSweep(std::ostream& out, const std::string& title, const Workload& workload,
                       const std::vector<const WaitPolicy*>& policies,
                       const std::vector<double>& deadlines, const SweepOptions& options);
-void RunDeadlineSweep(std::ostream& out, const std::string& title, const Workload& workload,
-                      const std::vector<std::unique_ptr<WaitPolicy>>& policies,
-                      const std::vector<double>& deadlines, const SweepOptions& options);
-inline void RunDeadlineSweep(std::ostream& out, const std::string& title,
-                             const Workload& workload,
-                             std::initializer_list<const WaitPolicy*> policies,
-                             const std::vector<double>& deadlines, const SweepOptions& options) {
-  RunDeadlineSweep(out, title, workload, std::vector<const WaitPolicy*>(policies), deadlines,
-                   options);
-}
 
 struct ClusterSweepOptions {
   ClusterSpec cluster;
@@ -93,19 +81,6 @@ void RunClusterDeadlineSweep(std::ostream& out, const std::string& title,
                              const std::vector<const WaitPolicy*>& policies,
                              const std::vector<double>& deadlines,
                              const ClusterSweepOptions& options);
-void RunClusterDeadlineSweep(std::ostream& out, const std::string& title,
-                             const Workload& workload,
-                             const std::vector<std::unique_ptr<WaitPolicy>>& policies,
-                             const std::vector<double>& deadlines,
-                             const ClusterSweepOptions& options);
-inline void RunClusterDeadlineSweep(std::ostream& out, const std::string& title,
-                                    const Workload& workload,
-                                    std::initializer_list<const WaitPolicy*> policies,
-                                    const std::vector<double>& deadlines,
-                                    const ClusterSweepOptions& options) {
-  RunClusterDeadlineSweep(out, title, workload, std::vector<const WaitPolicy*>(policies),
-                          deadlines, options);
-}
 
 }  // namespace cedar
 

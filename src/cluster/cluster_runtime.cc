@@ -56,7 +56,20 @@ class SlotScheduler {
 
   SlotScheduler(const ClusterSpec& cluster, uint64_t placement_seed,
                 SpeculationOptions speculation)
-      : cluster_(cluster), speculation_(speculation), idle_slots_(cluster.TotalSlots()) {
+      : cluster_(cluster), speculation_(speculation) {
+    // Both engines build their cluster here, so this is where a spec from
+    // outside input is checked. NaN fails every comparison.
+    CEDAR_CHECK(cluster.machines >= 1 && cluster.slots_per_machine >= 1 &&
+                cluster.machines <= std::numeric_limits<int>::max() / cluster.slots_per_machine)
+        << "ClusterSpec::machines and ::slots_per_machine must be >= 1 and their product "
+        << "must fit an int, got " << cluster.machines << " x " << cluster.slots_per_machine;
+    CEDAR_CHECK(cluster.slow_machine_fraction >= 0.0 && cluster.slow_machine_fraction <= 1.0)
+        << "ClusterSpec::slow_machine_fraction must be in [0, 1], got "
+        << cluster.slow_machine_fraction;
+    CEDAR_CHECK(std::isfinite(cluster.slow_machine_factor) && cluster.slow_machine_factor > 0.0)
+        << "ClusterSpec::slow_machine_factor must be finite and > 0, got "
+        << cluster.slow_machine_factor;
+    idle_slots_.resize(static_cast<size_t>(cluster.TotalSlots()));
     std::iota(idle_slots_.begin(), idle_slots_.end(), 0);
     Rng placement_rng(placement_seed);
     for (size_t i = idle_slots_.size(); i > 1; --i) {
@@ -242,9 +255,7 @@ double ClusterSpec::SlotSpeedFactor(int slot) const {
 
 ClusterRuntime::ClusterRuntime(ClusterSpec cluster, TreeSpec offline_tree, double deadline,
                                ClusterRunOptions options)
-    : cluster_(cluster), options_(options), model_(std::move(offline_tree), deadline, options) {
-  CEDAR_CHECK_GE(cluster_.TotalSlots(), 1);
-}
+    : cluster_(cluster), options_(options), model_(std::move(offline_tree), deadline, options) {}
 
 ClusterQueryResult ClusterRuntime::RunQuery(const WaitPolicy& policy_prototype,
                                             const QueryRealization& realization) const {
@@ -286,7 +297,6 @@ LoadedRunResult RunLoadedCluster(const Workload& workload, const WaitPolicy& pol
   CEDAR_CHECK_GT(config.deadline, 0.0);
   CEDAR_CHECK_GT(config.mean_interarrival, 0.0);
   CEDAR_CHECK_GT(config.num_queries, 0);
-  CEDAR_CHECK_GE(config.cluster.TotalSlots(), 1);
 
   const QueryTreeModel model(workload.OfflineTree(), config.deadline, config);
   // Placement draws from a stream of its own, so the arrival stream below

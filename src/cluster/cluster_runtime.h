@@ -42,7 +42,9 @@ struct ClusterSpec {
   // Heterogeneity / hot spots (§2.2: contention makes some machines slow).
   // The first floor(machines * slow_machine_fraction) machines run every
   // task slow_machine_factor times longer. Speculative clones can land on
-  // healthy machines, which is where speculation actually pays off.
+  // healthy machines, which is where speculation actually pays off. Both
+  // engines reject a fraction outside [0, 1] and a factor that is not
+  // finite and > 0.
   double slow_machine_fraction = 0.0;
   double slow_machine_factor = 1.0;
 

@@ -71,10 +71,4 @@ ClusterExperimentResult RunClusterExperiment(const Workload& workload,
   return result;
 }
 
-ClusterExperimentResult RunClusterExperiment(
-    const Workload& workload, const std::vector<std::unique_ptr<WaitPolicy>>& policies,
-    const ClusterExperimentConfig& config) {
-  return RunClusterExperiment(workload, PolicyPointers(policies), config);
-}
-
 }  // namespace cedar

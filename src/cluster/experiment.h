@@ -6,8 +6,6 @@
 #ifndef CEDAR_SRC_CLUSTER_EXPERIMENT_H_
 #define CEDAR_SRC_CLUSTER_EXPERIMENT_H_
 
-#include <initializer_list>
-#include <memory>
 #include <vector>
 
 #include "src/cluster/cluster_runtime.h"
@@ -36,17 +34,6 @@ struct ClusterExperimentResult : ExperimentResult {
 ClusterExperimentResult RunClusterExperiment(const Workload& workload,
                                              const std::vector<const WaitPolicy*>& policies,
                                              const ClusterExperimentConfig& config);
-
-ClusterExperimentResult RunClusterExperiment(
-    const Workload& workload, const std::vector<std::unique_ptr<WaitPolicy>>& policies,
-    const ClusterExperimentConfig& config);
-
-// Exact match for brace-list call sites (see RunExperiment).
-inline ClusterExperimentResult RunClusterExperiment(
-    const Workload& workload, std::initializer_list<const WaitPolicy*> policies,
-    const ClusterExperimentConfig& config) {
-  return RunClusterExperiment(workload, std::vector<const WaitPolicy*>(policies), config);
-}
 
 }  // namespace cedar
 

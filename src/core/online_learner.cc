@@ -40,14 +40,6 @@ std::optional<DistributionSpec> OnlineLearner::CurrentFit() const {
   return cached_fit_;
 }
 
-std::unique_ptr<Distribution> OnlineLearner::CurrentDistribution() const {
-  auto fit = CurrentFit();
-  if (!fit.has_value()) {
-    return nullptr;
-  }
-  return MakeDistribution(*fit);
-}
-
 void OnlineLearner::Reset() {
   arrivals_.clear();
   fit_valid_ = false;

@@ -12,7 +12,6 @@
 #ifndef CEDAR_SRC_CORE_ONLINE_LEARNER_H_
 #define CEDAR_SRC_CORE_ONLINE_LEARNER_H_
 
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -57,9 +56,6 @@ class OnlineLearner {
   // (or the estimator degenerated). Recomputed lazily per call after new
   // observations.
   std::optional<DistributionSpec> CurrentFit() const;
-
-  // Like CurrentFit() but materialized as a Distribution.
-  std::unique_ptr<Distribution> CurrentDistribution() const;
 
   const std::vector<double>& arrivals() const { return arrivals_; }
   int fanout() const { return fanout_; }

@@ -148,7 +148,7 @@ std::unique_ptr<WaitPolicy> CedarPolicy::Clone() const {
 void CedarPolicy::BeginQuery(const AggregatorContext& ctx, const QueryTruth* truth) {
   WaitPolicy::BeginQuery(ctx, truth);
   arrivals_since_reopt_ = 0;
-  if (LearnsAt(ctx.tier)) {
+  if (ctx.tier == kLearningTier) {
     // Small fanouts cannot supply the default number of warm-up samples;
     // keep at least two-thirds of the children as usable signal.
     OnlineLearnerOptions learner_options = options_.learner;

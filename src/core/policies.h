@@ -11,7 +11,7 @@
 //                             Figure 11, and the Cosmos regime of Figure 15)
 //  * CedarPolicy            — the full system: offline plan + per-query
 //                             online order-statistics learning at the
-//                             learning tiers, re-optimizing on arrivals
+//                             bottom tier, re-optimizing on arrivals
 //  * OraclePolicy           — the "Ideal" scheme: knows the query's true
 //                             distributions a priori, plans optimally
 //
@@ -32,9 +32,9 @@
 
 namespace cedar {
 
-// Stateless between queries: Clone() shares nothing mutable, so the default
-// ForkForWorker (= Clone) is already detached.
-class FixedWaitPolicy final : public WaitPolicy {  // cedar-lint: allow(fork-override)
+// Stateless between queries: Clone() shares nothing mutable, so a worker's
+// fork is detached.
+class FixedWaitPolicy final : public WaitPolicy {
  public:
   explicit FixedWaitPolicy(double absolute_wait);
 
@@ -48,8 +48,8 @@ class FixedWaitPolicy final : public WaitPolicy {  // cedar-lint: allow(fork-ove
   double absolute_wait_;
 };
 
-// Stateless; default fork is detached (see FixedWaitPolicy).
-class EqualSplitPolicy final : public WaitPolicy {  // cedar-lint: allow(fork-override)
+// Stateless; a fork is detached (see FixedWaitPolicy).
+class EqualSplitPolicy final : public WaitPolicy {
  public:
   std::string name() const override { return "equal-split"; }
   std::unique_ptr<WaitPolicy> Clone() const override;
@@ -58,8 +58,8 @@ class EqualSplitPolicy final : public WaitPolicy {  // cedar-lint: allow(fork-ov
   double InitialWait(const AggregatorContext& ctx) override;
 };
 
-// Stateless; default fork is detached (see FixedWaitPolicy).
-class ProportionalSplitPolicy final : public WaitPolicy {  // cedar-lint: allow(fork-override)
+// Stateless; a fork is detached (see FixedWaitPolicy).
+class ProportionalSplitPolicy final : public WaitPolicy {
  public:
   std::string name() const override { return "prop-split"; }
   std::unique_ptr<WaitPolicy> Clone() const override;
@@ -68,8 +68,8 @@ class ProportionalSplitPolicy final : public WaitPolicy {  // cedar-lint: allow(
   double InitialWait(const AggregatorContext& ctx) override;
 };
 
-// Stateless; default fork is detached (see FixedWaitPolicy).
-class MeanSubtractPolicy final : public WaitPolicy {  // cedar-lint: allow(fork-override)
+// Stateless; a fork is detached (see FixedWaitPolicy).
+class MeanSubtractPolicy final : public WaitPolicy {
  public:
   std::string name() const override { return "mean-subtract"; }
   std::unique_ptr<WaitPolicy> Clone() const override;
@@ -78,8 +78,8 @@ class MeanSubtractPolicy final : public WaitPolicy {  // cedar-lint: allow(fork-
   double InitialWait(const AggregatorContext& ctx) override;
 };
 
-// Stateless; default fork is detached (see FixedWaitPolicy).
-class OfflineOptimalPolicy final : public WaitPolicy {  // cedar-lint: allow(fork-override)
+// Stateless; a fork is detached (see FixedWaitPolicy).
+class OfflineOptimalPolicy final : public WaitPolicy {
  public:
   std::string name() const override { return "cedar-offline"; }
   std::unique_ptr<WaitPolicy> Clone() const override;
@@ -95,11 +95,6 @@ struct CedarPolicyOptions {
   // (1 = every arrival, as in Pseudocode 1).
   int reoptimize_every = 1;
 
-  // Only this tier learns online; upper tiers use the offline optimum. The
-  // paper learns the bottom stage per query and fits upper stages offline
-  // (§4.1). Set to -1 to learn at every tier.
-  int learning_tier = 0;
-
   // §4.3.3 fast path: replace the per-arrival CalculateWait scan with a
   // bilinear lookup in a precomputed wait table over the learner's fitted
   // (location, scale) grid. The table is built once per upper-quality curve
@@ -111,8 +106,8 @@ struct CedarPolicyOptions {
 };
 
 // Per-query state is the learner's; the shared scan grid, offline send time
-// and wait table live in ctx.memo, so the default fork is detached.
-class CedarPolicy final : public WaitPolicy {  // cedar-lint: allow(fork-override)
+// and wait table live in ctx.memo, so a fork is detached.
+class CedarPolicy final : public WaitPolicy {
  public:
   explicit CedarPolicy(CedarPolicyOptions options = {});
 
@@ -131,9 +126,10 @@ class CedarPolicy final : public WaitPolicy {  // cedar-lint: allow(fork-overrid
                    const std::vector<double>& arrivals) override;
 
  private:
-  bool LearnsAt(int tier) const {
-    return options_.learning_tier < 0 || tier == options_.learning_tier;
-  }
+  // Only this tier learns online; upper tiers use the offline optimum. The
+  // paper learns the bottom stage per query and fits upper stages offline
+  // (§4.1).
+  static constexpr int kLearningTier = 0;
 
   CedarPolicyOptions options_;
   std::unique_ptr<OnlineLearner> learner_;
@@ -142,9 +138,8 @@ class CedarPolicy final : public WaitPolicy {  // cedar-lint: allow(fork-overrid
 };
 
 // The Ideal scheme. The plan for the query's truth is computed once per
-// query, into ctx.memo, and read by every aggregator; the default fork is
-// detached.
-class OraclePolicy final : public WaitPolicy {  // cedar-lint: allow(fork-override)
+// query, into ctx.memo, and read by every aggregator; a fork is detached.
+class OraclePolicy final : public WaitPolicy {
  public:
   std::string name() const override { return "ideal"; }
   std::unique_ptr<WaitPolicy> Clone() const override;

@@ -123,9 +123,10 @@ class WaitPolicy {
   // Creates the replica a concurrent experiment shard runs its queries
   // through. It must share no mutable state with the source, so two worker
   // threads can run different queries through their forks without
-  // synchronizing. Every policy's clone already qualifies, so this is
-  // Clone(); it stays virtual as the hook through which a decorator (such
-  // as perfbench's TimedPolicy) forks its inner policy.
+  // synchronizing. Every policy's clone qualifies, so this is Clone(). It
+  // is virtual only because perfbench's TimedPolicy decorator overrides it
+  // to fork its inner policy; it goes when that decorator wraps
+  // inner->Clone() instead, with the next change to perfbench.
   virtual std::unique_ptr<WaitPolicy> ForkForWorker() const { return Clone(); }
 
   // Called once per query before any arrival. |truth| carries the current

@@ -6,7 +6,6 @@
 #include <limits>
 #include <thread>
 
-#include "src/common/csv.h"
 #include "src/common/logging.h"
 #include "src/common/table.h"
 
@@ -62,14 +61,6 @@ long long Counter::Value() const {
 void Counter::Reset() {
   for (Shard& shard : shards_) {
     shard.value.store(0, std::memory_order_relaxed);
-  }
-}
-
-// ---- Gauge ----
-
-void Gauge::Add(double delta) {
-  double current = value_.load(std::memory_order_relaxed);
-  while (!value_.compare_exchange_weak(current, current + delta, std::memory_order_relaxed)) {
   }
 }
 
@@ -203,13 +194,6 @@ void MetricsSnapshot::WriteReport(std::ostream& out) const {
     }
     table.Print(out);
   }
-  if (!gauges.empty()) {
-    TablePrinter table({"gauge", "value"});
-    for (const auto& sample : gauges) {
-      table.AddRow({sample.name, TablePrinter::FormatDouble(sample.value, 4)});
-    }
-    table.Print(out);
-  }
   if (!histograms.empty()) {
     TablePrinter table({"histogram", "count", "mean", "min", "p50", "p90", "p99", "max"});
     for (const auto& sample : histograms) {
@@ -222,29 +206,6 @@ void MetricsSnapshot::WriteReport(std::ostream& out) const {
                     TablePrinter::FormatDouble(sample.max, 4)});
     }
     table.Print(out);
-  }
-}
-
-void MetricsSnapshot::WriteCsv(const std::string& path) const {
-  CsvWriter writer(path);
-  writer.Header({"name", "kind", "count", "sum", "mean", "min", "max", "p50", "p90", "p99"});
-  for (const auto& sample : counters) {
-    writer.Row({sample.name, "counter", std::to_string(sample.value),
-                std::to_string(sample.value), "", "", "", "", "", ""});
-  }
-  for (const auto& sample : gauges) {
-    writer.Row({sample.name, "gauge", "", TablePrinter::FormatDouble(sample.value, 6), "", "",
-                "", "", "", ""});
-  }
-  for (const auto& sample : histograms) {
-    writer.Row({sample.name, "histogram", std::to_string(sample.count),
-                TablePrinter::FormatDouble(sample.sum, 6),
-                TablePrinter::FormatDouble(sample.Mean(), 6),
-                TablePrinter::FormatDouble(sample.min, 6),
-                TablePrinter::FormatDouble(sample.max, 6),
-                TablePrinter::FormatDouble(sample.p50, 6),
-                TablePrinter::FormatDouble(sample.p90, 6),
-                TablePrinter::FormatDouble(sample.p99, 6)});
   }
 }
 
@@ -265,15 +226,6 @@ Counter& MetricsRegistry::GetCounter(const std::string& name) {
   return *slot;
 }
 
-Gauge& MetricsRegistry::GetGauge(const std::string& name) {
-  MutexLock lock(mutex_);
-  auto& slot = gauges_[name];
-  if (slot == nullptr) {
-    slot = std::make_unique<Gauge>();
-  }
-  return *slot;
-}
-
 Histogram& MetricsRegistry::GetHistogram(const std::string& name) {
   MutexLock lock(mutex_);
   auto& slot = histograms_[name];
@@ -289,10 +241,6 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
   snapshot.counters.reserve(counters_.size());
   for (const auto& [name, counter] : counters_) {
     snapshot.counters.push_back({name, counter->Value()});
-  }
-  snapshot.gauges.reserve(gauges_.size());
-  for (const auto& [name, gauge] : gauges_) {
-    snapshot.gauges.push_back({name, gauge->Value()});
   }
   snapshot.histograms.reserve(histograms_.size());
   for (const auto& [name, histogram] : histograms_) {
@@ -316,9 +264,6 @@ void MetricsRegistry::Reset() {
   MutexLock lock(mutex_);
   for (auto& [name, counter] : counters_) {
     counter->Reset();
-  }
-  for (auto& [name, gauge] : gauges_) {
-    gauge->Reset();
   }
   for (auto& [name, histogram] : histograms_) {
     histogram->Reset();

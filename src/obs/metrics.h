@@ -1,4 +1,4 @@
-// Thread-safe metrics registry: counters, gauges, and histograms.
+// Thread-safe metrics registry: counters and histograms.
 //
 // Design constraints (see DESIGN.md §9):
 //  * Write paths are per-thread sharded — an Increment/Observe touches one
@@ -76,22 +76,6 @@ class Counter {
   Shard shards_[obs_internal::kMetricShards];
 };
 
-// A last-write-wins double metric (plus Add for accumulators).
-class Gauge {
- public:
-  Gauge() = default;
-  Gauge(const Gauge&) = delete;
-  Gauge& operator=(const Gauge&) = delete;
-
-  void Set(double value) { value_.store(value, std::memory_order_relaxed); }
-  void Add(double delta);
-  double Value() const { return value_.load(std::memory_order_relaxed); }
-  void Reset() { value_.store(0.0, std::memory_order_relaxed); }
-
- private:
-  std::atomic<double> value_{0.0};
-};
-
 // A distribution metric: exact count/sum/min/max plus fixed log-linear
 // buckets for quantile estimation. Same sharded write path as Counter.
 //
@@ -145,15 +129,10 @@ class Histogram {
   std::vector<Shard> shards_;
 };
 
-// One merged sample of each metric kind, for reports and CSV export.
+// One merged sample of each metric kind, for reports.
 struct CounterSample {
   std::string name;
   long long value = 0;
-};
-
-struct GaugeSample {
-  std::string name;
-  double value = 0.0;
 };
 
 struct HistogramSample {
@@ -172,16 +151,12 @@ struct HistogramSample {
 // Point-in-time merged view of a registry, sorted by metric name.
 struct MetricsSnapshot {
   std::vector<CounterSample> counters;
-  std::vector<GaugeSample> gauges;
   std::vector<HistogramSample> histograms;
 
-  bool empty() const { return counters.empty() && gauges.empty() && histograms.empty(); }
+  bool empty() const { return counters.empty() && histograms.empty(); }
 
   // Aligned text tables (the --metrics-report output).
   void WriteReport(std::ostream& out) const;
-
-  // CSV with columns: name,kind,count,sum,mean,min,max,p50,p90,p99.
-  void WriteCsv(const std::string& path) const;
 };
 
 // Owns metrics by name. Get* registers on first use and returns a stable
@@ -197,7 +172,6 @@ class MetricsRegistry {
   static MetricsRegistry& Global();
 
   Counter& GetCounter(const std::string& name);
-  Gauge& GetGauge(const std::string& name);
   Histogram& GetHistogram(const std::string& name);
 
   MetricsSnapshot Snapshot() const;
@@ -209,7 +183,6 @@ class MetricsRegistry {
   mutable Mutex mutex_;
   // std::map: snapshots iterate in name order, keeping reports deterministic.
   std::map<std::string, std::unique_ptr<Counter>> counters_ CEDAR_GUARDED_BY(mutex_);
-  std::map<std::string, std::unique_ptr<Gauge>> gauges_ CEDAR_GUARDED_BY(mutex_);
   std::map<std::string, std::unique_ptr<Histogram>> histograms_ CEDAR_GUARDED_BY(mutex_);
 };
 

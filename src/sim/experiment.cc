@@ -119,10 +119,4 @@ ExperimentResult RunExperiment(const Workload& workload,
   return result;
 }
 
-ExperimentResult RunExperiment(const Workload& workload,
-                               const std::vector<std::unique_ptr<WaitPolicy>>& policies,
-                               const ExperimentConfig& config) {
-  return RunExperiment(workload, PolicyPointers(policies), config);
-}
-
 }  // namespace cedar

@@ -10,7 +10,6 @@
 #define CEDAR_SRC_SIM_EXPERIMENT_H_
 
 #include <cstdint>
-#include <initializer_list>
 #include <memory>
 #include <string>
 #include <vector>
@@ -88,33 +87,19 @@ struct ExperimentResult {
 // |policies| (all policies see identical realizations). Policies are
 // identified by WaitPolicy::name(); names must be unique within the run.
 //
-// Ownership rule (both overloads): the driver only *reads* the prototypes
+// Ownership rule: the driver only *reads* the prototypes
 // for the duration of the call — each worker forks detached replicas via
 // WaitPolicy::ForkForWorker() — so the caller keeps ownership and may reuse
-// or destroy them afterwards.
+// or destroy them afterwards. Callers holding owning prototypes (e.g. from
+// MakePolicyList) pass PolicyPointers(list).
 ExperimentResult RunExperiment(const Workload& workload,
                                const std::vector<const WaitPolicy*>& policies,
                                const ExperimentConfig& config);
 
-// Convenience overload for callers that hold owning prototypes (e.g. from
-// MakePolicyList); equivalent to passing the raw pointers.
-ExperimentResult RunExperiment(const Workload& workload,
-                               const std::vector<std::unique_ptr<WaitPolicy>>& policies,
-                               const ExperimentConfig& config);
-
-// Exact match for brace-list call sites ({&baseline, &cedar}), which would
-// otherwise be ambiguous between the two vector overloads.
-inline ExperimentResult RunExperiment(const Workload& workload,
-                                      std::initializer_list<const WaitPolicy*> policies,
-                                      const ExperimentConfig& config) {
-  return RunExperiment(workload, std::vector<const WaitPolicy*>(policies), config);
-}
-
 // Convenience percentage helper used across benches.
 double PercentImprovement(double baseline, double treatment);
 
-// Borrows the raw prototype pointers from an owning policy list (shared by
-// the unique_ptr driver overloads and the CLI tools).
+// Borrows the raw prototype pointers from an owning policy list.
 std::vector<const WaitPolicy*> PolicyPointers(
     const std::vector<std::unique_ptr<WaitPolicy>>& policies);
 

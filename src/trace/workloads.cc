@@ -11,15 +11,9 @@
 namespace cedar {
 
 MetaLogNormalWorkload::MetaLogNormalWorkload(std::string name, std::string unit,
-                                             std::vector<MetaLogNormalStage> stages,
-                                             SharedScaleSpec shared_scale)
-    : name_(std::move(name)),
-      unit_(std::move(unit)),
-      stages_(std::move(stages)),
-      shared_scale_(shared_scale) {
+                                             std::vector<MetaLogNormalStage> stages)
+    : name_(std::move(name)), unit_(std::move(unit)), stages_(std::move(stages)) {
   CEDAR_CHECK_GE(stages_.size(), 2u);
-  CEDAR_CHECK(shared_scale_.tail_rate == 0.0 || shared_scale_.tail_rate > 1.0)
-      << "shared-scale tail rate must be > 1 for a finite marginal mean";
   for (const auto& stage : stages_) {
     CEDAR_CHECK_GT(stage.sigma, 0.0);
     CEDAR_CHECK_GE(stage.fanout, 1);
@@ -29,18 +23,7 @@ MetaLogNormalWorkload::MetaLogNormalWorkload(std::string name, std::string unit,
 TreeSpec MetaLogNormalWorkload::OfflineTree() const {
   std::vector<StageSpec> specs;
   specs.reserve(stages_.size());
-  for (const auto& stage_in : stages_) {
-    // Fold the shared scale into the per-stage meta-parameters: the
-    // marginal of a stage is the same whether the location spread/tail is
-    // stage-local or shared.
-    MetaLogNormalStage stage = stage_in;
-    stage.mu_spread = std::sqrt(stage.mu_spread * stage.mu_spread +
-                                shared_scale_.spread * shared_scale_.spread);
-    if (shared_scale_.tail_rate > 1.0) {
-      CEDAR_CHECK(stage.mu_tail_rate == 0.0)
-          << "combining per-stage and shared exponential tails is not supported";
-      stage.mu_tail_rate = shared_scale_.tail_rate;
-    }
+  for (const auto& stage : stages_) {
     double marginal_sigma =
         EffectiveMarginalSigma(stage.sigma, stage.mu_spread, stage.sigma_spread);
     double marginal_mu = stage.mu;
@@ -66,12 +49,13 @@ TreeSpec MetaLogNormalWorkload::OfflineTree() const {
 QueryTruth MetaLogNormalWorkload::DrawQuery(Rng& rng) const {
   QueryTruth truth;
   truth.stage_durations.reserve(stages_.size());
-  double shared_shift = shared_scale_.spread * rng.NextGaussian();
-  if (shared_scale_.tail_rate > 1.0) {
-    shared_shift += -std::log(rng.NextOpenDouble()) / shared_scale_.tail_rate;
-  }
+  // This Gaussian's value is unused, but the draw stays: the stage draws
+  // below start where it leaves the stream (Rng caches the spare
+  // Box-Muller value), and every MetaLogNormalWorkload query, figure and
+  // golden digest is pinned to that stream.
+  (void)rng.NextGaussian();
   for (const auto& stage : stages_) {
-    double mu_q = stage.mu + shared_shift + stage.mu_spread * rng.NextGaussian();
+    double mu_q = stage.mu + stage.mu_spread * rng.NextGaussian();
     if (stage.mu_tail_rate > 1.0) {
       mu_q += -std::log(rng.NextOpenDouble()) / stage.mu_tail_rate;
     }

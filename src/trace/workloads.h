@@ -34,25 +34,12 @@ struct MetaLogNormalStage {
   int fanout = 50;
 };
 
-// A per-query scale factor shared by ALL stages: one job is uniformly
-// bigger or smaller than another (maps and reduces scale together, as in
-// real analytics jobs). The shift s_q ~ N(0, spread^2) + Exp(tail_rate) is
-// added to every stage's mu_q. This is what defeats fixed-fraction
-// baselines: Proportional-split's fraction stays roughly right, but its
-// absolute reserve for the upper stages is scaled for the *global* job mix,
-// not for this query's scale.
-struct SharedScaleSpec {
-  double spread = 0.0;
-  double tail_rate = 0.0;  // 0 disables the exponential tail; else must be > 1
-};
-
 // General per-query-varying log-normal workload; all the production
 // workloads below are instances of it.
 class MetaLogNormalWorkload : public Workload {
  public:
   MetaLogNormalWorkload(std::string name, std::string unit,
-                        std::vector<MetaLogNormalStage> stages,
-                        SharedScaleSpec shared_scale = {});
+                        std::vector<MetaLogNormalStage> stages);
 
   std::string name() const override { return name_; }
   std::string time_unit() const override { return unit_; }
@@ -61,13 +48,10 @@ class MetaLogNormalWorkload : public Workload {
 
   const std::vector<MetaLogNormalStage>& stages() const { return stages_; }
 
-  const SharedScaleSpec& shared_scale() const { return shared_scale_; }
-
  private:
   std::string name_;
   std::string unit_;
   std::vector<MetaLogNormalStage> stages_;
-  SharedScaleSpec shared_scale_;
 };
 
 // Facebook Hadoop replay: map stage (X1) + reduce stage (X2), seconds,

@@ -9,8 +9,8 @@ namespace {
 
 // A policy whose decisions are scripted: initial wait w0, and on the r-th
 // arrival the wait becomes script[r-1] (absolute, query-relative).
-// Test-local and stateless across queries; default fork is detached.
-class ScriptedPolicy final : public WaitPolicy {  // cedar-lint: allow(fork-override)
+// Test-local and stateless across queries.
+class ScriptedPolicy final : public WaitPolicy {
  public:
   ScriptedPolicy(double initial, std::vector<double> script)
       : initial_(initial), script_(std::move(script)) {}

@@ -1,5 +1,7 @@
 #include "src/cluster/cluster_runtime.h"
 
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "src/cluster/experiment.h"
@@ -208,6 +210,35 @@ TEST(ClusterExperimentDeathTest, DuplicateNamesDie) {
   config.deadline = 100.0;
   config.num_queries = 1;
   EXPECT_DEATH(RunClusterExperiment(workload, {&a, &b}, config), "duplicate");
+}
+
+// The slot scheduler checks the spec before it schedules anything, and its
+// message names the field. Unchecked, a negative factor schedules task
+// completions into the past and a zero factor runs zero-length tasks.
+TEST(ClusterRuntimeDeathTest, RejectsBadClusterSpec) {
+  TreeSpec tree = SmallTree();
+  Rng rng(3);
+  auto realization = SampleRealization(tree, TruthOf(tree), rng);
+  FixedWaitPolicy policy(20.0);
+  auto run = [&](double fraction, double factor) {
+    ClusterSpec cluster = TinyCluster(4, 3);
+    cluster.slow_machine_fraction = fraction;
+    cluster.slow_machine_factor = factor;
+    ClusterRuntime(cluster, tree, 60.0).RunQuery(policy, realization);
+  };
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_DEATH(run(0.5, -1.0), "slow_machine_factor");
+  EXPECT_DEATH(run(0.5, 0.0), "slow_machine_factor");
+  EXPECT_DEATH(run(0.5, nan), "slow_machine_factor");
+  EXPECT_DEATH(run(0.5, std::numeric_limits<double>::infinity()), "slow_machine_factor");
+  EXPECT_DEATH(run(-0.1, 4.0), "slow_machine_fraction");
+  EXPECT_DEATH(run(1.5, 4.0), "slow_machine_fraction");
+  EXPECT_DEATH(run(nan, 4.0), "slow_machine_fraction");
+  for (ClusterSpec cluster :
+       {TinyCluster(0, 3), TinyCluster(4, -1), TinyCluster(std::numeric_limits<int>::max(), 2)}) {
+    EXPECT_DEATH(ClusterRuntime(cluster, tree, 60.0).RunQuery(policy, realization),
+                 "slots_per_machine must be >= 1 and their product must fit an int");
+  }
 }
 
 }  // namespace

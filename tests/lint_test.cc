@@ -126,10 +126,6 @@ TEST(LintRules, StdoutOnlyAppliesToEngineCode) {
   EXPECT_TRUE(run.Run().empty());
 }
 
-TEST(LintRules, ForkOverrideFiresAndSuppresses) {
-  CheckRule("fork_override.cc", "src/core/fork_fixture.cc", "fork-override");
-}
-
 TEST(LintRules, SelfContainedFiresOnMissingDirectInclude) {
   CheckRule("self_contained.h", "src/core/self_contained_fixture.h", "self-contained");
 }
@@ -163,9 +159,9 @@ TEST(LintRules, StrippingIgnoresCommentsAndStrings) {
 
 TEST(LintRules, AllRulesHaveKnownSlugs) {
   const std::vector<std::string>& rules = AllRules();
-  EXPECT_EQ(rules.size(), 7u);
-  for (const char* rule : {"wallclock", "rng", "ptr-hash", "unordered-iter", "stdout",
-                           "fork-override", "self-contained"}) {
+  EXPECT_EQ(rules.size(), 6u);
+  for (const char* rule :
+       {"wallclock", "rng", "ptr-hash", "unordered-iter", "stdout", "self-contained"}) {
     EXPECT_NE(std::find(rules.begin(), rules.end(), rule), rules.end()) << rule;
   }
 }

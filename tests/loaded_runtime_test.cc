@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <set>
@@ -281,6 +282,28 @@ TEST(LoadedRuntimeDeathTest, RejectsBadConfig) {
   LoadedRunConfig config = BaseConfig();
   config.mean_interarrival = 0.0;
   EXPECT_DEATH(RunLoadedCluster(workload, cedar, config), "interarrival");
+}
+
+// The loaded engine shares the slot scheduler's spec check, so a zero
+// factor dies naming the field instead of running zero-length tasks.
+TEST(LoadedRuntimeDeathTest, RejectsBadClusterSpec) {
+  auto workload = MakeFacebookWorkload(4, 4);
+  ProportionalSplitPolicy policy;
+  auto run = [&](double fraction, double factor) {
+    LoadedRunConfig config = BaseConfig();
+    config.cluster.slow_machine_fraction = fraction;
+    config.cluster.slow_machine_factor = factor;
+    RunLoadedCluster(workload, policy, config);
+  };
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_DEATH(run(0.5, 0.0), "slow_machine_factor");
+  EXPECT_DEATH(run(0.5, -1.0), "slow_machine_factor");
+  EXPECT_DEATH(run(0.5, nan), "slow_machine_factor");
+  EXPECT_DEATH(run(2.0, 4.0), "slow_machine_fraction");
+  EXPECT_DEATH(run(nan, 4.0), "slow_machine_fraction");
+  LoadedRunConfig no_slots = BaseConfig();
+  no_slots.cluster.slots_per_machine = 0;
+  EXPECT_DEATH(RunLoadedCluster(workload, policy, no_slots), "slots_per_machine must be >= 1");
 }
 
 TEST(LoadedRuntimeTest, SlowMachinesLengthenTheRun) {

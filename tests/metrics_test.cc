@@ -1,14 +1,12 @@
 #include "src/obs/metrics.h"
 
 #include <cmath>
-#include <cstdio>
 #include <sstream>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "src/common/csv.h"
 #include "src/common/sample_set.h"
 #include "src/stats/rng.h"
 
@@ -42,16 +40,6 @@ TEST(CounterTest, ShardedAcrossThreads) {
     thread.join();
   }
   EXPECT_EQ(counter.Value(), static_cast<long long>(kThreads) * kIncrementsPerThread);
-}
-
-TEST(GaugeTest, SetAddReset) {
-  Gauge gauge;
-  gauge.Set(2.5);
-  EXPECT_DOUBLE_EQ(gauge.Value(), 2.5);
-  gauge.Add(1.5);
-  EXPECT_DOUBLE_EQ(gauge.Value(), 4.0);
-  gauge.Reset();
-  EXPECT_DOUBLE_EQ(gauge.Value(), 0.0);
 }
 
 TEST(HistogramTest, ExactStats) {
@@ -172,8 +160,6 @@ TEST(MetricsRegistryTest, GetReturnsStableReferences) {
   a.Increment(3);
   EXPECT_EQ(registry.GetCounter("a").Value(), 3);
 
-  Gauge& g = registry.GetGauge("g");
-  g.Set(1.25);
   Histogram& h = registry.GetHistogram("h");
   h.Observe(2.0);
 
@@ -181,8 +167,6 @@ TEST(MetricsRegistryTest, GetReturnsStableReferences) {
   ASSERT_EQ(snapshot.counters.size(), 1u);
   EXPECT_EQ(snapshot.counters[0].name, "a");
   EXPECT_EQ(snapshot.counters[0].value, 3);
-  ASSERT_EQ(snapshot.gauges.size(), 1u);
-  EXPECT_DOUBLE_EQ(snapshot.gauges[0].value, 1.25);
   ASSERT_EQ(snapshot.histograms.size(), 1u);
   EXPECT_EQ(snapshot.histograms[0].count, 1);
   EXPECT_DOUBLE_EQ(snapshot.histograms[0].Mean(), 2.0);
@@ -234,13 +218,11 @@ TEST(MetricsRegistryTest, ConcurrentGetAndWrite) {
 TEST(MetricsSnapshotTest, ReportListsEveryMetric) {
   MetricsRegistry registry;
   registry.GetCounter("my.counter").Increment(5);
-  registry.GetGauge("my.gauge").Set(0.5);
   registry.GetHistogram("my.histogram").Observe(3.0);
   std::ostringstream out;
   registry.Snapshot().WriteReport(out);
   std::string report = out.str();
   EXPECT_NE(report.find("my.counter"), std::string::npos);
-  EXPECT_NE(report.find("my.gauge"), std::string::npos);
   EXPECT_NE(report.find("my.histogram"), std::string::npos);
 }
 
@@ -249,21 +231,6 @@ TEST(MetricsSnapshotTest, EmptyReportSaysSo) {
   std::ostringstream out;
   registry.Snapshot().WriteReport(out);
   EXPECT_NE(out.str().find("no metrics recorded"), std::string::npos);
-}
-
-TEST(MetricsSnapshotTest, CsvExport) {
-  MetricsRegistry registry;
-  registry.GetCounter("c").Increment(2);
-  registry.GetHistogram("h").Observe(4.0);
-  std::string path = ::testing::TempDir() + "/cedar_metrics.csv";
-  registry.Snapshot().WriteCsv(path);
-  CsvDocument doc = ReadCsvFile(path);
-  std::remove(path.c_str());
-  ASSERT_EQ(doc.rows.size(), 2u);
-  EXPECT_EQ(doc.rows[0][static_cast<size_t>(doc.ColumnIndex("name"))], "c");
-  EXPECT_EQ(doc.rows[0][static_cast<size_t>(doc.ColumnIndex("kind"))], "counter");
-  EXPECT_EQ(doc.rows[1][static_cast<size_t>(doc.ColumnIndex("kind"))], "histogram");
-  EXPECT_EQ(doc.rows[1][static_cast<size_t>(doc.ColumnIndex("count"))], "1");
 }
 
 TEST(LabeledMetricNameTest, FormatsKeyValueSuffix) {

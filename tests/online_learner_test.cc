@@ -101,16 +101,6 @@ TEST(OnlineLearnerTest, ResetClearsState) {
   EXPECT_TRUE(learner.CurrentFit().has_value());
 }
 
-TEST(OnlineLearnerTest, CurrentDistributionMaterializesFit) {
-  OnlineLearner learner(10, TestOptions());
-  EXPECT_EQ(learner.CurrentDistribution(), nullptr);
-  learner.Observe(2.0);
-  learner.Observe(4.0);
-  auto dist = learner.CurrentDistribution();
-  ASSERT_NE(dist, nullptr);
-  EXPECT_EQ(dist->family(), DistributionFamily::kLogNormal);
-}
-
 TEST(OnlineLearnerTest, NormalFamilySupported) {
   OnlineLearnerOptions options = TestOptions();
   options.family = DistributionFamily::kNormal;

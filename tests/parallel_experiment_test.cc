@@ -12,7 +12,6 @@
 
 #include "src/cluster/experiment.h"
 #include "src/core/policies.h"
-#include "src/core/policy_registry.h"
 #include "src/obs/metrics.h"
 #include "src/obs/profiler.h"
 #include "src/obs/trace.h"
@@ -290,18 +289,6 @@ TEST(ParallelExperimentTest, SequenceIdsAreMonotoneAndNeverZero) {
     EXPECT_EQ(sequence, expected);
     ++expected;
   }
-}
-
-TEST(ParallelExperimentTest, OwningOverloadMatchesRawPointerOverload) {
-  auto workload = MakeFacebookWorkload(6, 6);
-  auto owned = MakePolicyList("prop-split,cedar");
-  ExperimentResult from_owned = RunExperiment(workload, owned, SimConfig(4, 12));
-  ExperimentResult from_raw = RunExperiment(workload, PolicyPointers(owned), SimConfig(4, 12));
-  for (size_t p = 0; p < from_owned.outcomes.size(); ++p) {
-    ExpectSameSamples(from_owned.outcomes[p].quality, from_raw.outcomes[p].quality);
-  }
-  // Prototypes are borrowed, not consumed: still usable afterwards.
-  EXPECT_EQ(owned.front()->name(), "prop-split");
 }
 
 TEST(ParallelExperimentTest, ThreadCountCappedByQueries) {

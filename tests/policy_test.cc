@@ -184,7 +184,7 @@ TEST_F(PolicyTest, CedarCarriesNoStateAcrossQueries) {
 }
 
 TEST_F(PolicyTest, CedarUpperTierDoesNotLearn) {
-  CedarPolicy cedar;  // learning_tier = 0
+  CedarPolicy cedar;  // only tier 0 learns
   AggregatorContext upper_ctx = ctx_;
   upper_ctx.tier = 1;
   upper_ctx.fanout = 10;

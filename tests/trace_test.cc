@@ -143,61 +143,6 @@ TEST(StragglerWorkloadTest, OfflineTreeIsMixture) {
   EXPECT_EQ(tree.num_stages(), 2);
 }
 
-TEST(SharedScaleTest, CorrelatesStagesAcrossQueries) {
-  MetaLogNormalStage bottom;
-  bottom.mu = 3.0;
-  bottom.sigma = 0.5;
-  bottom.fanout = 10;
-  MetaLogNormalStage top = bottom;
-  SharedScaleSpec shared;
-  shared.spread = 1.0;
-  MetaLogNormalWorkload workload("corr", "s", {bottom, top}, shared);
-
-  Rng rng(4);
-  double sum_xy = 0.0;
-  double sum_x = 0.0;
-  double sum_y = 0.0;
-  double sum_xx = 0.0;
-  double sum_yy = 0.0;
-  const int kQueries = 300;
-  for (int i = 0; i < kQueries; ++i) {
-    auto truth = workload.DrawQuery(rng);
-    double x = std::log(truth.stage_durations[0]->Median());
-    double y = std::log(truth.stage_durations[1]->Median());
-    sum_x += x;
-    sum_y += y;
-    sum_xx += x * x;
-    sum_yy += y * y;
-    sum_xy += x * y;
-  }
-  double n = kQueries;
-  double cov = sum_xy / n - (sum_x / n) * (sum_y / n);
-  double var_x = sum_xx / n - (sum_x / n) * (sum_x / n);
-  double var_y = sum_yy / n - (sum_y / n) * (sum_y / n);
-  double corr = cov / std::sqrt(var_x * var_y);
-  // shared spread 1.0 vs no per-stage spread: correlation ~ 1.
-  EXPECT_GT(corr, 0.95);
-}
-
-TEST(SharedScaleTest, OfflineMarginalFoldsSharedSpread) {
-  MetaLogNormalStage stage;
-  stage.mu = 3.0;
-  stage.sigma = 0.5;
-  stage.fanout = 10;
-  SharedScaleSpec shared;
-  shared.spread = 1.2;
-  MetaLogNormalWorkload with("w", "s", {stage, stage}, shared);
-  MetaLogNormalWorkload without("wo", "s", {stage, stage});
-  TreeSpec with_tree = with.OfflineTree();
-  TreeSpec without_tree = without.OfflineTree();
-  const auto* with_fit =
-      static_cast<const LogNormalDistribution*>(with_tree.stage(0).duration.get());
-  const auto* without_fit =
-      static_cast<const LogNormalDistribution*>(without_tree.stage(0).duration.get());
-  EXPECT_NEAR(with_fit->sigma(), std::sqrt(0.5 * 0.5 + 1.2 * 1.2), 1e-9);
-  EXPECT_DOUBLE_EQ(without_fit->sigma(), 0.5);
-}
-
 TEST(WorkloadFactoryTest, KnownNamesConstruct) {
   for (const char* name :
        {"facebook", "facebook-3level", "interactive", "cosmos", "gaussian", "straggler"}) {

@@ -64,9 +64,9 @@ int main(int argc, char** argv) {
       flags.AddInt("machines", 80, "cluster machines (cluster/loaded engines)", 1, kIntMax);
   int64_t* slots = flags.AddInt("slots", 4, "slots per machine", 1, kIntMax);
   double* slow_fraction = flags.AddDouble(
-      "slow_fraction", 0.0, "fraction of slow machines (cluster/loaded engines)");
-  double* slow_factor =
-      flags.AddDouble("slow_factor", 1.0, "slowdown of slow machines (cluster/loaded engines)");
+      "slow_fraction", 0.0, "fraction of slow machines, in [0, 1] (cluster/loaded engines)");
+  double* slow_factor = flags.AddDouble(
+      "slow_factor", 1.0, "slowdown of slow machines, finite and > 0 (cluster/loaded engines)");
   bool* speculation = flags.AddBool("speculation", false, "enable task speculation (cluster)");
   double* interarrival =
       flags.AddDouble("interarrival", 100.0, "mean query inter-arrival time (loaded engine)");
@@ -113,7 +113,7 @@ int main(int argc, char** argv) {
       config.num_queries = static_cast<int>(*queries);
       config.seed = static_cast<uint64_t>(*seed);
       config.threads = static_cast<int>(*threads);
-      auto result = RunExperiment(*workload, policies, config);
+      auto result = RunExperiment(*workload, policy_ptrs, config);
       for (const auto* policy : policy_ptrs) {
         row.push_back(TablePrinter::FormatDouble(result.Outcome(policy->name()).MeanQuality(), 4));
       }
@@ -128,7 +128,7 @@ int main(int argc, char** argv) {
       config.seed = static_cast<uint64_t>(*seed);
       config.threads = static_cast<int>(*threads);
       config.run.speculation.enabled = *speculation;
-      auto result = RunClusterExperiment(*workload, policies, config);
+      auto result = RunClusterExperiment(*workload, policy_ptrs, config);
       for (const auto* policy : policy_ptrs) {
         row.push_back(TablePrinter::FormatDouble(result.Outcome(policy->name()).MeanQuality(), 4));
       }

@@ -91,7 +91,7 @@ std::string Diagnostic::ToString() const {
 
 const std::vector<std::string>& AllRules() {
   static const std::vector<std::string>* rules = new std::vector<std::string>{
-      "wallclock", "rng", "ptr-hash", "unordered-iter", "stdout", "fork-override", "self-contained",
+      "wallclock", "rng", "ptr-hash", "unordered-iter", "stdout", "self-contained",
   };
   return *rules;
 }
@@ -266,92 +266,6 @@ void LintRun::CheckSelfContained(const FileState& file) {
   }
 }
 
-void LintRun::CheckForkOverride() {
-  if (!RuleEnabled("fork-override")) {
-    return;
-  }
-  struct ClassDecl {
-    std::string name;
-    std::string base;
-    const FileState* file;
-    int line;
-    size_t line_index;
-    size_t column;
-  };
-  static const std::regex kClass(
-      "\\b(?:class|struct)\\s+(\\w+)\\s*(?:final\\s*)?:\\s*(?:public|protected|private)?\\s*"
-      "(?:cedar::)?(\\w+)");
-  std::vector<ClassDecl> decls;
-  for (const FileState& file : files_) {
-    for (size_t i = 0; i < file.lines.size(); ++i) {
-      const std::string& line = file.lines[i];
-      for (auto it = std::sregex_iterator(line.begin(), line.end(), kClass);
-           it != std::sregex_iterator(); ++it) {
-        decls.push_back(ClassDecl{(*it)[1].str(), (*it)[2].str(), &file,
-                                  static_cast<int>(i) + 1, i,
-                                  static_cast<size_t>(it->position())});
-      }
-    }
-  }
-  std::map<std::string, std::string> parent;
-  for (const ClassDecl& decl : decls) {
-    parent.emplace(decl.name, decl.base);
-  }
-  auto derives_from_wait_policy = [&](const std::string& name) {
-    std::string current = name;
-    for (int depth = 0; depth < 16; ++depth) {  // cycle guard
-      auto it = parent.find(current);
-      if (it == parent.end()) {
-        return false;
-      }
-      if (it->second == "WaitPolicy") {
-        return true;
-      }
-      current = it->second;
-    }
-    return false;
-  };
-  for (const ClassDecl& decl : decls) {
-    if (!derives_from_wait_policy(decl.name)) {
-      continue;
-    }
-    // Extract the class body (brace matching on stripped text) and look for
-    // a ForkForWorker declaration anywhere inside it.
-    const FileState& file = *decl.file;
-    bool overrides = false;
-    int depth = 0;
-    bool in_body = false;
-    bool body_done = false;
-    for (size_t i = decl.line_index; i < file.lines.size() && !body_done; ++i) {
-      const std::string& line = file.lines[i];
-      const bool line_in_body = in_body;
-      for (size_t j = i == decl.line_index ? decl.column : 0; j < line.size(); ++j) {
-        if (line[j] == '{') {
-          ++depth;
-          in_body = true;
-        } else if (line[j] == '}') {
-          --depth;
-          if (in_body && depth == 0) {
-            body_done = true;
-            break;
-          }
-        }
-      }
-      if ((line_in_body || in_body) && line.find("ForkForWorker") != std::string::npos) {
-        overrides = true;
-        break;
-      }
-    }
-    if (!overrides) {
-      Report(file, decl.line, "fork-override",
-             "WaitPolicy subclass '" + decl.name +
-                 "' does not override ForkForWorker; forked workers would share its Clone() "
-                 "state — override it, or allow(fork-override) with a justification that the "
-                 "default (Clone) is detached");
-    }
-  }
-}
-
 std::vector<Diagnostic> LintRun::Run() {
   diagnostics_.clear();
   by_path_.clear();
@@ -363,7 +277,6 @@ std::vector<Diagnostic> LintRun::Run() {
     CheckUnorderedIteration(file);
     CheckSelfContained(file);
   }
-  CheckForkOverride();
   std::sort(diagnostics_.begin(), diagnostics_.end(),
             [](const Diagnostic& a, const Diagnostic& b) {
               return std::tie(a.file, a.line, a.rule) < std::tie(b.file, b.line, b.rule);

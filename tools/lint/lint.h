@@ -21,9 +21,6 @@
 //                      nondeterminism into CSV/trace/report output paths.
 //   stdout           — no std::cout/printf writing from src/: libraries take
 //                      a std::ostream& or use CEDAR_LOG so tools own stdout.
-//   fork-override    — every WaitPolicy subclass (transitively) either
-//                      overrides ForkForWorker or carries an explicit allow:
-//                      forgetting it reintroduces cross-worker shared state.
 //   self-contained   — a header that names a common std:: type directly
 //                      includes the std header that provides it (curated
 //                      symbol table, not full IWYU).
@@ -59,9 +56,9 @@ struct Diagnostic {
 // All known rule slugs, in reporting order.
 const std::vector<std::string>& AllRules();
 
-// A linting pass over a set of files. Cross-file rules (fork-override, the
-// <name>.cc / <name>.h pairing used by unordered-iter) see every file added
-// before Run(), so add the whole tree first.
+// A linting pass over a set of files. The cross-file rule (unordered-iter,
+// which pairs <name>.cc with <name>.h) sees every file added before Run(),
+// so add the whole tree first.
 class LintRun {
  public:
   LintRun() = default;
@@ -92,7 +89,6 @@ class LintRun {
   void CheckPatternRules(const FileState& file);
   void CheckUnorderedIteration(const FileState& file);
   void CheckSelfContained(const FileState& file);
-  void CheckForkOverride();
 
   std::vector<FileState> files_;
   std::map<std::string, const FileState*> by_path_;
