@@ -36,7 +36,7 @@ double CedarQuality(const Workload& workload, const CedarPolicyOptions& cedar_op
 int main(int argc, char** argv) {
   FlagSet flags("Ablation benches for Cedar's design choices.");
   int64_t* queries = flags.AddInt("queries", 60, "queries per configuration");
-  double* deadline = flags.AddDouble("deadline", 1000.0, "deadline (seconds)");
+  double* deadline = flags.AddPositiveDouble("deadline", 1000.0, "deadline (seconds)");
   int64_t* seed = flags.AddInt("seed", 42, "workload seed");
   BenchObservability obs(flags);
   flags.Parse(argc, argv);

@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
   using namespace cedar;
   FlagSet flags("Cluster-engine extension benches: hot spots and load.");
   int64_t* queries = flags.AddInt("queries", 60, "queries per configuration");
-  double* deadline = flags.AddDouble("deadline", 1000.0, "per-query deadline (seconds)");
+  double* deadline = flags.AddPositiveDouble("deadline", 1000.0, "per-query deadline (seconds)");
   int64_t* seed = flags.AddInt("seed", 42, "rng seed");
   BenchObservability obs(flags);
   flags.Parse(argc, argv);

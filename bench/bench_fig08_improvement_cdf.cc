@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
   FlagSet flags("Figure 8: per-query improvement CDF at D=1000s.");
   constexpr int64_t kIntMax = std::numeric_limits<int>::max();
   int64_t* queries = flags.AddInt("queries", 300, "number of queries", 1, kIntMax);
-  double* deadline = flags.AddDouble("deadline", 1000.0, "deadline (seconds)");
+  double* deadline = flags.AddPositiveDouble("deadline", 1000.0, "deadline (seconds)");
   int64_t* seed = flags.AddInt("seed", 42, "workload seed");
   int64_t* threads = flags.AddInt(
       "threads", 0, "experiment worker threads (0 = one per hardware thread)", 0, kIntMax);

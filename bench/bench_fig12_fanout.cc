@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
   using namespace cedar;
   FlagSet flags("Figure 12: effect of fanout on Cedar's gains (D=1000s).");
   int64_t* queries = flags.AddInt("queries", 100, "queries per configuration");
-  double* deadline = flags.AddDouble("deadline", 1000.0, "deadline (seconds)");
+  double* deadline = flags.AddPositiveDouble("deadline", 1000.0, "deadline (seconds)");
   int64_t* seed = flags.AddInt("seed", 42, "workload seed");
   BenchObservability obs(flags);
   flags.Parse(argc, argv);

@@ -2,11 +2,12 @@
 // algorithm completes "within tens of milliseconds even without
 // parallelization"): one-shot OptimizeWait at several scan resolutions, the
 // WaitScan grid build and a re-optimization on a built grid (also on the
-// Figure 14 shape, with the steps the early exit runs), quality-curve
+// Figure 14 shape, with the CDF evaluations the search makes), quality-curve
 // construction, full tree planning, and one query tree's per-query set-up.
-// Two DES microbenches time the engine around the algorithm: an event-queue
-// schedule/cancel/run mix and one table-hotspot-shaped ClusterRuntime
-// replay, each with an events/s counter.
+// Three DES microbenches time the engines around the algorithm: an
+// event-queue schedule/cancel/run mix, one online-interactive-shaped
+// TreeSimulation replay and one table-hotspot-shaped ClusterRuntime replay,
+// each with an events/s counter.
 
 #include <benchmark/benchmark.h>
 
@@ -22,6 +23,7 @@
 #include "src/sim/event_queue.h"
 #include "src/sim/query_tree.h"
 #include "src/sim/realization.h"
+#include "src/sim/tree_simulation.h"
 #include "src/trace/calibration.h"
 #include "src/trace/workloads.h"
 
@@ -44,9 +46,7 @@ void BM_OptimizeWait(benchmark::State& state) {
   auto upper = TabulateCdf(*tree.stage(1).duration, deadline, 401);
   double epsilon = deadline / static_cast<double>(state.range(0));
   for (auto _ : state) {
-    WaitDecision decision =
-        OptimizeWait(*tree.stage(0).duration, 50, upper, deadline, epsilon);
-    benchmark::DoNotOptimize(decision);
+    benchmark::DoNotOptimize(OptimizeWait(*tree.stage(0).duration, 50, upper, deadline, epsilon));
   }
   state.SetLabel("scan_steps=" + std::to_string(state.range(0)));
 }
@@ -78,8 +78,7 @@ void BM_WaitScanOptimize(benchmark::State& state) {
   }
   size_t next = 0;
   for (auto _ : state) {
-    WaitDecision decision = scan.Optimize(fits[next], 50);
-    benchmark::DoNotOptimize(decision);
+    benchmark::DoNotOptimize(scan.Optimize(fits[next], 50));
     next = (next + 1) % fits.size();
   }
   state.SetLabel("scan_steps=" + std::to_string(state.range(0)));
@@ -88,10 +87,11 @@ BENCHMARK(BM_WaitScanOptimize)->Arg(100)->Arg(400)->Arg(1000)->Arg(4000);
 
 void BM_WaitScanOptimizeInteractive(benchmark::State& state) {
   // The same re-optimization on the Figure 14 shape: a Facebook-ms bottom
-  // (and fits around it) under a Google top, k = 50, D = 155 ms. Here the
-  // best wait is proven final well before the end of the grid, so the early
-  // exit skips a share of the steps; steps_run and steps count them per
-  // call, measured once outside the timed loop.
+  // (and fits around it) under a Google top, k = 50, D = 155 ms. The
+  // bracketed search proves the best wait from Phi at a few dozen of the
+  // grid's points; cdf_evals and fallbacks count the CDF evaluations and
+  // dense-Walk fallbacks per call, and steps the grid's steps, measured
+  // once outside the timed loop.
   const double deadline = 155.0;
   auto upper = TabulateCdf(LogNormalDistribution(kGoogleMu, kGoogleSigma), deadline, 401);
   const WaitScan scan(upper, deadline, deadline / 400.0);
@@ -99,21 +99,25 @@ void BM_WaitScanOptimizeInteractive(benchmark::State& state) {
   for (int i = 0; i < 16; ++i) {
     fits.emplace_back(kFacebookMapMu + 0.02 * i, kFacebookMapSigma * (1.0 + 0.01 * i));
   }
-  MetricsRegistry& registry = MetricsRegistry::Global();
-  const long long run_before = registry.GetCounter("wait_optimizer.scan_steps_run").Value();
+  Counter& evals = MetricsRegistry::Global().GetCounter("wait_optimizer.cdf_evals");
+  Counter& fallbacks = MetricsRegistry::Global().GetCounter("wait_optimizer.dense_fallbacks");
+  const long long evals_before = evals.Value();
+  const long long fallbacks_before = fallbacks.Value();
   SetMetricsEnabled(true);
   for (const auto& fit : fits) {
     benchmark::DoNotOptimize(scan.Optimize(fit, 50));
   }
   SetMetricsEnabled(false);
-  const long long run = registry.GetCounter("wait_optimizer.scan_steps_run").Value() - run_before;
+  const auto per_call = [&](long long count) {
+    return static_cast<double>(count) / static_cast<double>(fits.size());
+  };
   size_t next = 0;
   for (auto _ : state) {
-    WaitDecision decision = scan.Optimize(fits[next], 50);
-    benchmark::DoNotOptimize(decision);
+    benchmark::DoNotOptimize(scan.Optimize(fits[next], 50));
     next = (next + 1) % fits.size();
   }
-  state.counters["steps_run"] = static_cast<double>(run) / static_cast<double>(fits.size());
+  state.counters["cdf_evals"] = per_call(evals.Value() - evals_before);
+  state.counters["fallbacks"] = per_call(fallbacks.Value() - fallbacks_before);
   state.counters["steps"] = static_cast<double>(scan.steps());
   state.SetLabel("k=50, D=155");
 }
@@ -249,6 +253,39 @@ void BM_EventQueueChurn(benchmark::State& state) {
   state.SetLabel(std::to_string(in_flight) + " in flight");
 }
 BENCHMARK(BM_EventQueueChurn)->Arg(16)->Arg(320);
+
+void BM_TreeSimulationRunQuery(benchmark::State& state) {
+  // One replay per iteration on perfbench's online-interactive shape: 50 x
+  // 50 fanout, D = 155 ms, per-query upper knowledge. Prop-split
+  // (range(0) == 0) times the analytic engine and its event queue; online
+  // Cedar (range(0) == 1) adds a wait search on every arrival.
+  MetaLogNormalWorkload workload = MakeInteractiveWorkload(50, 50);
+  const TreeSimulation simulation(workload.OfflineTree(), 155.0);
+  Rng rng(1);
+  std::vector<QueryRealization> realizations;
+  for (int q = 0; q < 16; ++q) {
+    QueryTruth truth = workload.DrawQuery(rng);
+    truth.sequence = static_cast<uint64_t>(q + 1);
+    realizations.push_back(SampleRealization(simulation.offline_tree(), truth, rng));
+  }
+  ProportionalSplitPolicy prop_split;
+  CedarPolicy cedar;
+  const WaitPolicy& policy =
+      state.range(0) == 0 ? static_cast<const WaitPolicy&>(prop_split) : cedar;
+  long long events = 0;
+  size_t next = 0;
+  for (auto _ : state) {
+    QueryResult result = simulation.RunQuery(policy, realizations[next]);
+    events += result.events;
+    next = (next + 1) % realizations.size();
+  }
+  state.counters["events/replay"] =
+      static_cast<double>(events) / static_cast<double>(state.iterations());
+  state.counters["events/s"] =
+      benchmark::Counter(static_cast<double>(events), benchmark::Counter::kIsRate);
+  state.SetLabel("online-interactive shape, " + policy.name());
+}
+BENCHMARK(BM_TreeSimulationRunQuery)->Arg(0)->Arg(1);
 
 void BM_ClusterRunQuery(benchmark::State& state) {
   // One replay per iteration on perfbench's table-hotspot shape: 20 x 16

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <iostream>
+#include <memory>
 #include <vector>
 
 #include "src/common/flags.h"
@@ -19,7 +20,7 @@
 int main(int argc, char** argv) {
   cedar::FlagSet flags("Single-aggregator walkthrough of Cedar's online loop.");
   int64_t* fanout = flags.AddInt("fanout", 50, "number of child processes (k1)");
-  double* deadline = flags.AddDouble("deadline", 1000.0, "end-to-end deadline");
+  double* deadline = flags.AddPositiveDouble("deadline", 1000.0, "end-to-end deadline");
   double* true_mu = flags.AddDouble("true_mu", 4.0, "this query's true lognormal mu");
   double* true_sigma = flags.AddDouble("true_sigma", 0.84, "this query's true lognormal sigma");
   int64_t* seed = flags.AddInt("seed", 7, "rng seed");
@@ -29,25 +30,28 @@ int main(int argc, char** argv) {
 
   // What the system believes offline (global fit across past queries) vs
   // what this query actually is.
-  cedar::LogNormalDistribution offline_x1(5.0, 1.5);
+  auto offline_x1 = std::make_shared<cedar::LogNormalDistribution>(5.0, 1.5);
   cedar::LogNormalDistribution true_x1(*true_mu, *true_sigma);
-  cedar::LogNormalDistribution x2(4.3, 1.0);  // upper stage, known offline
+  auto x2 = std::make_shared<cedar::LogNormalDistribution>(4.3, 1.0);  // upper stage, known offline
 
   // q_1 curve for the subtree above this aggregator: the CDF of X2.
-  cedar::PiecewiseLinear upper = cedar::TabulateCdf(x2, *deadline, 401);
+  cedar::PiecewiseLinear upper = cedar::TabulateCdf(*x2, *deadline, 401);
   double epsilon = *deadline / 400.0;
 
-  std::cout << "Offline belief: " << offline_x1.ToString() << "\n"
+  std::cout << "Offline belief: " << offline_x1->ToString() << "\n"
             << "This query:     " << true_x1.ToString() << "\n"
-            << "Upper stage:    " << x2.ToString() << ", deadline " << *deadline << "\n\n";
+            << "Upper stage:    " << x2->ToString() << ", deadline " << *deadline << "\n\n";
 
-  cedar::WaitDecision initial =
-      cedar::OptimizeWait(offline_x1, k, upper, *deadline, epsilon);
-  std::cout << "Initial wait from offline belief: " << initial.wait
+  const double initial = cedar::OptimizeWait(*offline_x1, k, upper, *deadline, epsilon);
+  // q_2(D) of the believed two-level tree: the quality its optimal waits
+  // expect (the upper stage's fanout does not enter q_2).
+  const cedar::TreeSpec belief = cedar::TreeSpec::TwoLevel(offline_x1, k, x2, 1);
+  std::cout << "Initial wait from offline belief: " << initial
             << " (expected quality under that belief: "
-            << cedar::TablePrinter::FormatDouble(initial.expected_quality, 3) << ")\n";
-  cedar::WaitDecision oracle = cedar::OptimizeWait(true_x1, k, upper, *deadline, epsilon);
-  std::cout << "Wait an oracle would pick:        " << oracle.wait << "\n\n";
+            << cedar::TablePrinter::FormatDouble(cedar::MaxExpectedQuality(belief, *deadline), 3)
+            << ")\n";
+  const double oracle = cedar::OptimizeWait(true_x1, k, upper, *deadline, epsilon);
+  std::cout << "Wait an oracle would pick:        " << oracle << "\n\n";
 
   // Sample this query's process durations — the arrivals the aggregator
   // will observe in order.
@@ -64,7 +68,7 @@ int main(int argc, char** argv) {
 
   cedar::TablePrinter table(
       {"arrival#", "time", "fitted_mu", "fitted_sigma", "recomputed_wait"});
-  double wait = initial.wait;
+  double wait = initial;
   int sent_at = -1;
   for (int i = 0; i < k; ++i) {
     double now = arrivals[static_cast<size_t>(i)];
@@ -77,7 +81,7 @@ int main(int argc, char** argv) {
     std::string sigma_text = "-";
     if (fit.has_value()) {
       auto fitted = cedar::MakeDistribution(*fit);
-      wait = cedar::OptimizeWait(*fitted, k, upper, *deadline, epsilon).wait;
+      wait = cedar::OptimizeWait(*fitted, k, upper, *deadline, epsilon);
       mu_text = cedar::TablePrinter::FormatDouble(fit->p1, 3);
       sigma_text = cedar::TablePrinter::FormatDouble(fit->p2, 3);
     }
@@ -93,7 +97,7 @@ int main(int argc, char** argv) {
             << " sigma=" << cedar::TablePrinter::FormatDouble(learner.CurrentFit()->p2, 3)
             << " (truth: mu=" << *true_mu << " sigma=" << *true_sigma << ")\n"
             << "Final wait " << cedar::TablePrinter::FormatDouble(wait, 1)
-            << " vs oracle wait " << cedar::TablePrinter::FormatDouble(oracle.wait, 1) << "\n";
+            << " vs oracle wait " << cedar::TablePrinter::FormatDouble(oracle, 1) << "\n";
   if (sent_at >= 0) {
     std::cout << "(With the offline-only wait the timer would have fired after arrival "
               << sent_at << " of " << k << ".)\n";

@@ -21,7 +21,7 @@
 
 int main(int argc, char** argv) {
   cedar::FlagSet flags("Approximate analytics on a slot-scheduled cluster engine.");
-  double* deadline = flags.AddDouble("deadline", 1000.0, "query deadline (seconds)");
+  double* deadline = flags.AddPositiveDouble("deadline", 1000.0, "query deadline (seconds)");
   int64_t* jobs = flags.AddInt("jobs", 60, "number of jobs in the trace");
   std::string* trace_path =
       flags.AddString("trace", "/tmp/cedar_jobs.csv", "where to write the job trace");

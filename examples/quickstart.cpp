@@ -16,7 +16,7 @@
 int main(int argc, char** argv) {
   cedar::FlagSet flags(
       "Cedar quickstart: compare wait policies on the Facebook-like workload.");
-  double* deadline = flags.AddDouble("deadline", 1000.0, "end-to-end deadline (seconds)");
+  double* deadline = flags.AddPositiveDouble("deadline", 1000.0, "end-to-end deadline (seconds)");
   int64_t* queries = flags.AddInt("queries", 50, "number of queries to replay");
   int64_t* fanout = flags.AddInt("fanout", 50, "fanout at both tree levels");
   int64_t* seed = flags.AddInt("seed", 7, "workload RNG seed");

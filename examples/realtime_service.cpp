@@ -24,7 +24,7 @@
 int main(int argc, char** argv) {
   cedar::FlagSet flags("Real-time partial aggregation with Cedar on wall-clock timers.");
   int64_t* fanout = flags.AddInt("fanout", 16, "number of worker threads");
-  double* deadline_ms = flags.AddDouble("deadline_ms", 250.0, "end-to-end deadline (ms)");
+  double* deadline_ms = flags.AddPositiveDouble("deadline_ms", 250.0, "end-to-end deadline (ms)");
   double* true_mu_ms = flags.AddDouble("true_mu_ms", 40.0,
                                        "median worker latency in ms (this query's truth)");
   int64_t* seed = flags.AddInt("seed", 11, "rng seed");

@@ -18,7 +18,7 @@
 
 int main(int argc, char** argv) {
   cedar::FlagSet flags("Web-search aggregation under millisecond deadlines.");
-  double* deadline = flags.AddDouble("deadline_ms", 150.0, "end-to-end deadline (ms)");
+  double* deadline = flags.AddPositiveDouble("deadline_ms", 150.0, "end-to-end deadline (ms)");
   int64_t* queries = flags.AddInt("queries", 200, "number of search queries");
   double* target = flags.AddDouble("target_quality", 0.95, "dual-problem quality target");
   int64_t* seed = flags.AddInt("seed", 17, "workload seed");

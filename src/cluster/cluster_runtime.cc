@@ -294,7 +294,8 @@ ClusterQueryResult ClusterRuntime::RunQuery(const WaitPolicy& policy_prototype,
 
 LoadedRunResult RunLoadedCluster(const Workload& workload, const WaitPolicy& policy,
                                  const LoadedRunConfig& config) {
-  CEDAR_CHECK_GT(config.deadline, 0.0);
+  CEDAR_CHECK(std::isfinite(config.deadline) && config.deadline > 0.0)
+      << "deadline " << config.deadline << " must be finite and > 0";
   CEDAR_CHECK_GT(config.mean_interarrival, 0.0);
   CEDAR_CHECK_GT(config.num_queries, 0);
 

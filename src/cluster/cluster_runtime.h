@@ -80,7 +80,6 @@ struct ClusterQueryResult : QueryResult {
   long long tasks_launched = 0;  // including speculative clones
   long long clones_launched = 0;
   long long clones_won = 0;  // clones that finished before the original
-  long long events = 0;      // DES events scheduled, fired or cancelled
 };
 
 class ClusterRuntime {

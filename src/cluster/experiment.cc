@@ -1,5 +1,7 @@
 #include "src/cluster/experiment.h"
 
+#include <cmath>
+
 #include "src/common/logging.h"
 #include "src/obs/metrics.h"
 #include "src/sim/experiment_engine.h"
@@ -11,7 +13,8 @@ ClusterExperimentResult RunClusterExperiment(const Workload& workload,
                                              const ClusterExperimentConfig& config) {
   CEDAR_CHECK(!policies.empty());
   CEDAR_CHECK_GT(config.num_queries, 0);
-  CEDAR_CHECK_GT(config.deadline, 0.0);
+  CEDAR_CHECK(std::isfinite(config.deadline) && config.deadline > 0.0)
+      << "deadline " << config.deadline << " must be finite and > 0";
 
   ClusterExperimentResult result;
   result.outcomes.resize(policies.size());

@@ -29,6 +29,13 @@ double* FlagSet::AddDouble(const std::string& name, double default_value, const 
   return flag.double_value;
 }
 
+double* FlagSet::AddPositiveDouble(const std::string& name, double default_value,
+                                   const std::string& help) {
+  double* value = AddDouble(name, default_value, help);
+  flags_[name].double_positive = true;
+  return value;
+}
+
 int64_t* FlagSet::AddInt(const std::string& name, int64_t default_value, const std::string& help,
                          int64_t min, int64_t max) {
   int_storage_.push_back(std::make_unique<int64_t>(default_value));
@@ -69,7 +76,9 @@ std::string* FlagSet::AddString(const std::string& name, const std::string& defa
 void FlagSet::SetFlagValue(const std::string& name, Flag& flag, const std::string& value) {
   switch (flag.type) {
     case Type::kDouble:
-      *flag.double_value = ParseDouble(value, "double for --" + name);
+      *flag.double_value = flag.double_positive
+                               ? ParsePositiveDouble(value, "double for --" + name)
+                               : ParseDouble(value, "double for --" + name);
       break;
     case Type::kInt:
       *flag.int_value = ParseInt(value, "int for --" + name, flag.int_min, flag.int_max);

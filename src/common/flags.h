@@ -25,6 +25,9 @@ class FlagSet {
   // Registration. The returned pointer stays valid for the FlagSet lifetime
   // and is updated by Parse(), which dies on an int outside [min, max].
   double* AddDouble(const std::string& name, double default_value, const std::string& help);
+  // A double flag whose value must be finite and > 0 (a deadline).
+  double* AddPositiveDouble(const std::string& name, double default_value,
+                            const std::string& help);
   int64_t* AddInt(const std::string& name, int64_t default_value, const std::string& help,
                   int64_t min = std::numeric_limits<int64_t>::min(),
                   int64_t max = std::numeric_limits<int64_t>::max());
@@ -47,6 +50,7 @@ class FlagSet {
     std::string help;
     std::string default_text;
     double* double_value = nullptr;
+    bool double_positive = false;
     int64_t* int_value = nullptr;
     int64_t int_min = 0;
     int64_t int_max = 0;

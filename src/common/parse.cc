@@ -1,6 +1,7 @@
 #include "src/common/parse.h"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 
 #include "src/common/logging.h"
@@ -13,6 +14,13 @@ double ParseDouble(const std::string& text, const std::string& what) {
   const double value = std::strtod(text.c_str(), &end);
   CEDAR_CHECK(end != text.c_str() && *end == '\0' && errno == 0)
       << "bad " << what << ": '" << text << "'";
+  return value;
+}
+
+double ParsePositiveDouble(const std::string& text, const std::string& what) {
+  const double value = ParseDouble(text, what);
+  CEDAR_CHECK(std::isfinite(value) && value > 0.0)
+      << "bad " << what << ": '" << text << "' (want a finite number > 0)";
   return value;
 }
 

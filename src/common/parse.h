@@ -15,6 +15,10 @@ namespace cedar {
 
 double ParseDouble(const std::string& text, const std::string& what);
 
+// ParseDouble for a value that must be finite and > 0, such as a deadline;
+// anything else dies with "bad <what>: '<text>' (want a finite number > 0)".
+double ParsePositiveDouble(const std::string& text, const std::string& what);
+
 int64_t ParseInt(const std::string& text, const std::string& what,
                  int64_t min = std::numeric_limits<int64_t>::min(),
                  int64_t max = std::numeric_limits<int64_t>::max());

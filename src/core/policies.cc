@@ -36,7 +36,7 @@ double OfflineOptimalSendTime(const AggregatorContext& ctx) {
   if (!send_time.has_value()) {
     CEDAR_CHECK(ctx.offline_tree != nullptr);
     send_time = ctx.start_offset +
-                ScanOf(ctx).Optimize(*ctx.offline_tree->stage(ctx.tier).duration, ctx.fanout).wait;
+                ScanOf(ctx).Optimize(*ctx.offline_tree->stage(ctx.tier).duration, ctx.fanout);
   }
   return *send_time;
 }
@@ -195,7 +195,7 @@ double CedarPolicy::OnArrival(const AggregatorContext& ctx, double arrival_time,
     return ctx.start_offset + TableOf(ctx, options_.table_spec).LookupSpec(*fit);
   }
   auto fitted = MakeDistribution(*fit);
-  return ctx.start_offset + ScanOf(ctx).Optimize(*fitted, ctx.fanout).wait;
+  return ctx.start_offset + ScanOf(ctx).Optimize(*fitted, ctx.fanout);
 }
 
 // ------------------------------------------------------------------- Oracle

@@ -15,14 +15,6 @@
 
 namespace cedar {
 
-struct WaitDecision {
-  // Chosen wait duration, relative to this aggregator's start.
-  double wait = 0.0;
-  // Expected quality contribution at that wait (the running max of the
-  // gain/loss scan).
-  double expected_quality = 0.0;
-};
-
 // The Pseudocode 2 scan grid of one aggregator: the candidate waits
 // c_j = epsilon * j below the deadline, then the deadline itself (the
 // curve fold's grid), each with the upper quality curve at the remaining
@@ -46,14 +38,17 @@ class WaitScan {
   WaitScan(const PiecewiseLinear& upper_quality, double deadline, double epsilon);
 
   // CalculateWait for |bottom|, this aggregator's child-duration
-  // distribution (X1 from its viewpoint), and |fanout| children: walks the
-  // grid through GainLossScan::Walk, evaluating Phi and its FanoutPower once
-  // per point reached. Ties pick the later wait. The walk skips only steps
-  // that provably cannot change the answer, which is bitwise that of the
-  // full scan (DESIGN.md §4).
-  // With metrics on, adds the grid's steps to wait_optimizer.scan_steps and
-  // the steps it ran to wait_optimizer.scan_steps_run.
-  WaitDecision Optimize(const Distribution& bottom, int fanout) const;
+  // distribution (X1 from its viewpoint), and |fanout| children: the wait
+  // (relative to the aggregator's start) at which the Eqn 3-4 partial sum
+  // peaks, ties picking the later wait. A bracketed search on the
+  // telescoped sum proves the peak from Phi at a few dozen grid points; where
+  // it cannot prove its answer beyond rounding (ties, Phi == 0 throughout,
+  // NaN fits) it runs GainLossScan::Walk instead. Either way the wait is
+  // bitwise the full scan's (DESIGN.md §4, "Bracketed wait search"). With
+  // metrics on, adds the grid's steps to wait_optimizer.scan_steps, the CDF
+  // evaluations to wait_optimizer.cdf_evals and each Walk fallback to
+  // wait_optimizer.dense_fallbacks.
+  double Optimize(const Distribution& bottom, int fanout) const;
 
   // Number of scan steps (grid points minus one; 0 for an empty grid).
   size_t steps() const { return points_.empty() ? 0 : points_.size() - 1; }
@@ -65,6 +60,10 @@ class WaitScan {
     double upper;  // q_{n-1}(deadline - c)
     double rises;  // GainLossScan::Walk's R_{j-1} at this point j
   };
+
+  // One Optimize call's coarse-to-fine search over this grid.
+  class BracketedSearch;
+
   std::vector<Point> points_;
 };
 
@@ -72,8 +71,8 @@ class WaitScan {
 // (|upper_quality|, |deadline|, |epsilon|) and optimizes |bottom| with
 // |fanout| children on it. Callers that re-optimize against the same grid
 // should keep the WaitScan instead.
-WaitDecision OptimizeWait(const Distribution& bottom, int fanout,
-                          const PiecewiseLinear& upper_quality, double deadline, double epsilon);
+double OptimizeWait(const Distribution& bottom, int fanout, const PiecewiseLinear& upper_quality,
+                    double deadline, double epsilon);
 
 // A full static plan for a tree: the absolute send time of every aggregator
 // tier, assuming tier i's children were dispatched at the planned send time
@@ -86,8 +85,9 @@ struct TreePlan {
   double expected_quality = 0.0;
 };
 
-// Plans every tier of |tree| under end-to-end deadline |deadline|, building
-// the upper quality curves once and reading q_n(D) pointwise. This is the "Ideal"/offline computation; the
+// Plans every tier of |tree| under end-to-end deadline |deadline| (fatal
+// unless finite and > 0), building the upper quality curves once and
+// reading q_n(D) pointwise. This is the "Ideal"/offline computation; the
 // online policies re-run the bottom tier's WaitScan as arrivals come in.
 TreePlan PlanTree(const TreeSpec& tree, double deadline, const QualityGridOptions& options = {});
 

@@ -60,7 +60,7 @@ WaitTable::WaitTable(WaitTableSpec spec, int fanout, const PiecewiseLinear& uppe
       double scale = Lerp(spec_.scale_min, spec_.scale_max,
                           static_cast<double>(si) / (spec_.scale_points - 1));
       auto dist = MakeParameterized(spec_.family, location, scale);
-      At(li, si) = scan.Optimize(*dist, fanout).wait;
+      At(li, si) = scan.Optimize(*dist, fanout);
     }
   };
   const int chunks = build_pool != nullptr ? build_pool->num_threads() * 4 : 1;

@@ -1,5 +1,7 @@
 #include "src/sim/experiment.h"
 
+#include <cmath>
+
 #include "src/common/logging.h"
 #include "src/obs/metrics.h"
 #include "src/sim/experiment_engine.h"
@@ -59,7 +61,8 @@ ExperimentResult RunExperiment(const Workload& workload,
                                const ExperimentConfig& config) {
   CEDAR_CHECK(!policies.empty());
   CEDAR_CHECK_GT(config.num_queries, 0);
-  CEDAR_CHECK_GT(config.deadline, 0.0);
+  CEDAR_CHECK(std::isfinite(config.deadline) && config.deadline > 0.0)
+      << "deadline " << config.deadline << " must be finite and > 0";
 
   ExperimentResult result;
   result.outcomes.resize(policies.size());

@@ -78,6 +78,9 @@ struct QueryResult {
   // Mean send time of tier-0 aggregators, relative to the query's start
   // (diagnostic: what wait the policy effectively chose).
   double mean_tier0_send_time = 0.0;
+
+  // DES events the engine scheduled, fired or cancelled for this query.
+  long long events = 0;
 };
 
 // The per-(offline tree, deadline) state every query tree of one engine

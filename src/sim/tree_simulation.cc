@@ -36,6 +36,7 @@ QueryResult TreeSimulation::RunQuery(const WaitPolicy& policy_prototype,
   queue.Run();
 
   QueryResult result = tree.Result();
+  result.events = static_cast<long long>(queue.scheduled());
   if (QueryTraceBuilder* trace = tree.trace()) {
     trace->Finish(
         std::max(queue.now(), deadline()), result.quality,

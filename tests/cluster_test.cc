@@ -212,6 +212,19 @@ TEST(ClusterExperimentDeathTest, DuplicateNamesDie) {
   EXPECT_DEATH(RunClusterExperiment(workload, {&a, &b}, config), "duplicate");
 }
 
+TEST(ClusterExperimentDeathTest, NonFiniteDeadlineDies) {
+  auto workload = MakeFacebookWorkload(4, 4);
+  CedarPolicy cedar;
+  ClusterExperimentConfig config;
+  config.num_queries = 1;
+  for (double deadline : {std::numeric_limits<double>::infinity(),
+                          std::numeric_limits<double>::quiet_NaN(), -1.0}) {
+    config.deadline = deadline;
+    EXPECT_DEATH(RunClusterExperiment(workload, {&cedar}, config), "must be finite and > 0")
+        << deadline;
+  }
+}
+
 // The slot scheduler checks the spec before it schedules anything, and its
 // message names the field. Unchecked, a negative factor schedules task
 // completions into the past and a zero factor runs zero-length tasks.

@@ -1,5 +1,7 @@
 #include "src/sim/experiment.h"
 
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "src/core/policies.h"
@@ -57,6 +59,18 @@ TEST(ExperimentDeathTest, DuplicatePolicyNamesDie) {
   FixedWaitPolicy a(1.0);
   FixedWaitPolicy b(2.0);
   EXPECT_DEATH(RunExperiment(workload, {&a, &b}, SmallConfig()), "duplicate policy name");
+}
+
+TEST(ExperimentDeathTest, NonFiniteDeadlineDies) {
+  StationaryWorkload workload = SmallWorkload();
+  FixedWaitPolicy policy(1.0);
+  for (double deadline : {std::numeric_limits<double>::infinity(),
+                          std::numeric_limits<double>::quiet_NaN(), 0.0}) {
+    ExperimentConfig config = SmallConfig();
+    config.deadline = deadline;
+    EXPECT_DEATH(RunExperiment(workload, {&policy}, config), "must be finite and > 0")
+        << deadline;
+  }
 }
 
 TEST(ExperimentTest, OutcomeLookupAndImprovement) {

@@ -122,6 +122,29 @@ TEST(FlagsDeathTest, IntAboveMaxDies) {
                "bad int for --queries: '4294967298'");
 }
 
+TEST(FlagsTest, PositiveDoubleAccepted) {
+  FlagSet flags("test");
+  double* deadline = flags.AddPositiveDouble("deadline", 1000.0, "deadline");
+  std::vector<std::string> args = {"prog", "--deadline=1e-3"};
+  auto argv = MakeArgv(args);
+  flags.Parse(static_cast<int>(argv.size()), argv.data());
+  EXPECT_EQ(*deadline, 1e-3);
+}
+
+TEST(FlagsDeathTest, PositiveDoubleRejectsNonFiniteAndNonPositive) {
+  // An infinite deadline used to reach the engines and die far from the
+  // flag (the wait scan's step count, the event queue's clock).
+  for (const std::string value : {"inf", "-inf", "nan", "0", "-5"}) {
+    FlagSet flags("test");
+    flags.AddPositiveDouble("deadline", 1000.0, "deadline");
+    std::vector<std::string> args = {"prog", "--deadline=" + value};
+    auto argv = MakeArgv(args);
+    EXPECT_DEATH(flags.Parse(static_cast<int>(argv.size()), argv.data()),
+                 "bad double for --deadline: '" + value + "' \\(want a finite number > 0\\)")
+        << value;
+  }
+}
+
 TEST(FlagsTest, UsageMentionsFlagsAndDefaults) {
   FlagSet flags("my tool doc");
   flags.AddInt("count", 5, "how many");

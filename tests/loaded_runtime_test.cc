@@ -250,8 +250,7 @@ TEST(LoadedRuntimeTest, FreshMemoGivesTheDirectOfflineWait) {
     ctx.start_offset = start_offset;
     // The offline wait as computed before the memo existed.
     double today = start_offset + OptimizeWait(*tree.stage(0).duration, ctx.fanout, upper[1],
-                                               deadline - start_offset, ctx.epsilon)
-                                      .wait;
+                                               deadline - start_offset, ctx.epsilon);
     CedarPolicy cedar;
     OfflineOptimalPolicy offline;
     for (WaitPolicy* prototype : {static_cast<WaitPolicy*>(&cedar),
@@ -282,6 +281,13 @@ TEST(LoadedRuntimeDeathTest, RejectsBadConfig) {
   LoadedRunConfig config = BaseConfig();
   config.mean_interarrival = 0.0;
   EXPECT_DEATH(RunLoadedCluster(workload, cedar, config), "interarrival");
+  for (double deadline : {std::numeric_limits<double>::infinity(),
+                          std::numeric_limits<double>::quiet_NaN(), 0.0}) {
+    config = BaseConfig();
+    config.deadline = deadline;
+    EXPECT_DEATH(RunLoadedCluster(workload, cedar, config), "must be finite and > 0")
+        << deadline;
+  }
 }
 
 // The loaded engine shares the slot scheduler's spec check, so a zero

@@ -29,14 +29,10 @@ TEST_P(CornerCaseTest, OptimizerStaysFiniteAndBounded) {
   LogNormalDistribution x1(corner.mu1, corner.sigma1);
   LogNormalDistribution x2(corner.mu2, corner.sigma2);
   auto upper = TabulateCdf(x2, corner.deadline, 201);
-  WaitDecision decision =
-      OptimizeWait(x1, corner.k1, upper, corner.deadline, corner.deadline / 200.0);
-  EXPECT_TRUE(std::isfinite(decision.wait));
-  EXPECT_GE(decision.wait, 0.0);
-  EXPECT_LE(decision.wait, corner.deadline);
-  EXPECT_TRUE(std::isfinite(decision.expected_quality));
-  EXPECT_GE(decision.expected_quality, 0.0);
-  EXPECT_LE(decision.expected_quality, 1.0);
+  const double wait = OptimizeWait(x1, corner.k1, upper, corner.deadline, corner.deadline / 200.0);
+  EXPECT_TRUE(std::isfinite(wait));
+  EXPECT_GE(wait, 0.0);
+  EXPECT_LE(wait, corner.deadline);
 }
 
 TEST_P(CornerCaseTest, QualityCurveBounded) {

@@ -17,17 +17,23 @@
 #include "src/common/math_util.h"
 #include "src/core/quality.h"
 #include "src/core/tree.h"
-#include "src/core/wait_optimizer.h"
 #include "src/stats/distribution.h"
 
 namespace cedar {
 
+// The reference's answer: the chosen wait and the scan's running maximum,
+// clamped to [0, 1] as a folded curve's samples are.
+struct ReferenceDecision {
+  double wait = 0.0;
+  double best_q = 0.0;
+};
+
 // Pseudocode 2 on the indexed grid. |power| maps phi to phi^fanout, and
 // |upper_at(j, c_j)| returns q_{n-1}(deadline - c_j).
 template <typename Power, typename UpperAt>
-WaitDecision ReferenceScan(const Distribution& bottom, const Power& power, double deadline,
-                           double epsilon, const UpperAt& upper_at) {
-  WaitDecision decision;
+ReferenceDecision ReferenceScan(const Distribution& bottom, const Power& power, double deadline,
+                                double epsilon, const UpperAt& upper_at) {
+  ReferenceDecision decision;
   double q = 0.0;
   double best_q = 0.0;
   for (size_t j = 0; epsilon * static_cast<double>(j) < deadline; ++j) {
@@ -43,15 +49,15 @@ WaitDecision ReferenceScan(const Distribution& bottom, const Power& power, doubl
       decision.wait = c2;
     }
   }
-  decision.expected_quality = Clamp(best_q, 0.0, 1.0);
+  decision.best_q = Clamp(best_q, 0.0, 1.0);
   return decision;
 }
 
 // The wait scan's form: CalculateWait against |upper_quality| at the
 // remaining |deadline|, with Phi^k from the kernel's FanoutPower.
-inline WaitDecision ReferenceOptimizeWait(const Distribution& bottom, int fanout,
-                                          const PiecewiseLinear& upper_quality, double deadline,
-                                          double epsilon) {
+inline ReferenceDecision ReferenceOptimizeWait(const Distribution& bottom, int fanout,
+                                               const PiecewiseLinear& upper_quality,
+                                               double deadline, double epsilon) {
   return ReferenceScan(bottom, FanoutPower(fanout), deadline, epsilon,
                        [&](size_t, double c) { return upper_quality(deadline - c); });
 }
@@ -73,7 +79,7 @@ inline std::vector<PiecewiseLinear> ReferenceStack(const TreeSpec& tree, double 
     for (size_t g = 1; g < ys.size(); ++g) {
       ys[g] = ReferenceScan(*tree.stage(i).duration, power, h * static_cast<double>(g), h,
                             [&](size_t j, double) { return upper[g - j]; })
-                  .expected_quality;
+                  .best_q;
     }
     stack[static_cast<size_t>(i)] = PiecewiseLinear::FromUniform(0.0, h, std::move(ys));
   }

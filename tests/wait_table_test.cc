@@ -44,7 +44,7 @@ TEST(WaitTableTest, GridPointsMatchDirectOptimization) {
   for (double mu : {1.0, 2.5, 4.0, 7.0}) {       // on the location grid (step 0.125)
     for (double sigma : {0.2, 0.6, 1.0, 2.0}) {  // on the scale grid (step 0.1)
       LogNormalDistribution dist(mu, sigma);
-      double direct = OptimizeWait(dist, 50, fixture.upper, 1000.0, fixture.epsilon).wait;
+      double direct = OptimizeWait(dist, 50, fixture.upper, 1000.0, fixture.epsilon);
       EXPECT_NEAR(table.Lookup(mu, sigma), direct, 1e-9) << "mu=" << mu << " sigma=" << sigma;
     }
   }
@@ -82,7 +82,7 @@ TEST(WaitTableTest, InterpolationCloseToDirect) {
   for (double mu : {2.17, 3.33, 5.91}) {
     for (double sigma : {0.47, 0.83, 1.46}) {
       LogNormalDistribution dist(mu, sigma);
-      double direct = OptimizeWait(dist, 50, fixture.upper, 1000.0, fixture.epsilon).wait;
+      double direct = OptimizeWait(dist, 50, fixture.upper, 1000.0, fixture.epsilon);
       EXPECT_NEAR(table.Lookup(mu, sigma), direct, 60.0) << "mu=" << mu << " sigma=" << sigma;
     }
   }

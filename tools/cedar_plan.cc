@@ -57,7 +57,7 @@ int main(int argc, char** argv) {
   std::string* stages_text = flags.AddString(
       "stages", "lognormal:2.77:0.84:50,lognormal:3.25:0.95:50",
       "comma-separated stages, bottom first, each family:p1:p2:fanout");
-  double* deadline = flags.AddDouble("deadline", 1000.0, "end-to-end deadline");
+  double* deadline = flags.AddPositiveDouble("deadline", 1000.0, "end-to-end deadline");
   double* target = flags.AddDouble("target_quality", 0.0,
                                    "if > 0, also solve min deadline for this quality");
   int64_t* curve_points = flags.AddInt("curve_points", 12, "points of q_n(d) to print");

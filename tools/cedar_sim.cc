@@ -34,7 +34,7 @@ std::vector<double> ParseDoubleList(const std::string& text) {
   std::string token;
   while (std::getline(in, token, ',')) {
     if (!token.empty()) {
-      values.push_back(cedar::ParseDouble(token, "deadline in --deadlines"));
+      values.push_back(cedar::ParsePositiveDouble(token, "deadline in --deadlines"));
     }
   }
   CEDAR_CHECK(!values.empty()) << "bad --deadlines: '" << text << "' lists no deadline";
