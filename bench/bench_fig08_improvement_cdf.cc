@@ -10,6 +10,7 @@
 #include "src/common/flags.h"
 #include "src/common/sample_set.h"
 #include "src/common/table.h"
+#include "src/common/thread_pool.h"
 #include "src/core/policies.h"
 #include "src/sim/experiment.h"
 #include "src/trace/workloads.h"
@@ -21,8 +22,9 @@ int main(int argc, char** argv) {
   int64_t* queries = flags.AddInt("queries", 300, "number of queries", 1, kIntMax);
   double* deadline = flags.AddPositiveDouble("deadline", 1000.0, "deadline (seconds)");
   int64_t* seed = flags.AddInt("seed", 42, "workload seed");
-  int64_t* threads = flags.AddInt(
-      "threads", 0, "experiment worker threads (0 = one per hardware thread)", 0, kIntMax);
+  int64_t* threads =
+      flags.AddInt("threads", 0, "experiment worker threads (0 = one per hardware thread)", 0,
+                   ThreadPool::kMaxThreads);
   BenchObservability obs(flags);
   flags.Parse(argc, argv);
   obs.Init();

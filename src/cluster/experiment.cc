@@ -46,30 +46,11 @@ ClusterExperimentResult RunClusterExperiment(const Workload& workload,
   }
 
   // Folded after the deterministic merge, same contract as the sim driver.
+  RecordDriverMetrics("cluster", config, result.outcomes);
   if (MetricsEnabled()) {
-    // Per-deadline labeled series alongside the unlabeled totals, mirroring
-    // the sim driver (ROADMAP: metric labels).
     MetricsRegistry& registry = MetricsRegistry::Global();
-    const auto labeled = [&](const char* name) {
-      return LabeledMetricName(name, "deadline_ms", config.deadline);
-    };
-    registry.GetCounter("cluster.experiments").Increment();
-    registry.GetCounter("cluster.queries").Increment(config.num_queries);
-    registry.GetCounter(labeled("cluster.queries")).Increment(config.num_queries);
     registry.GetCounter("cluster.clones_launched").Increment(result.total_clones_launched);
     registry.GetCounter("cluster.clones_won").Increment(result.total_clones_won);
-    Histogram& quality = registry.GetHistogram("cluster.query_quality");
-    Histogram& quality_labeled = registry.GetHistogram(labeled("cluster.query_quality"));
-    Counter& late = registry.GetCounter("cluster.root_arrivals_late");
-    Counter& late_labeled = registry.GetCounter(labeled("cluster.root_arrivals_late"));
-    for (const auto& outcome : result.outcomes) {
-      for (double value : outcome.quality.values()) {
-        quality.Observe(value);
-        quality_labeled.Observe(value);
-      }
-      late.Increment(outcome.root_arrivals_late);
-      late_labeled.Increment(outcome.root_arrivals_late);
-    }
   }
   return result;
 }

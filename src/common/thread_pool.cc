@@ -1,28 +1,62 @@
 #include "src/common/thread_pool.h"
 
 #include <algorithm>
+#include <atomic>
+#include <latch>
+#include <memory>
 #include <utility>
 
 #include "src/common/logging.h"
 
 namespace cedar {
+namespace {
 
-ThreadPool::ThreadPool(int num_threads) {
-  CEDAR_CHECK_GE(num_threads, 1);
-  workers_.reserve(static_cast<size_t>(num_threads));
-  for (int i = 0; i < num_threads; ++i) {
-    workers_.push_back(std::make_unique<Worker>());
+// The pool whose worker runs on this thread, if any: ParallelFor's test
+// for a nested call.
+thread_local const ThreadPool* current_pool = nullptr;
+
+// One ParallelFor call's chunk claims. Runners may start after the loop
+// has finished (a busy pool runs them arbitrarily late), so the state is
+// refcounted, and a late runner sees next >= n_chunks and returns without
+// touching |body|, which lives on the caller's stack.
+struct Loop {
+  Loop(const std::function<void(long long, long long, int)>& body, long long total, int chunks)
+      : body(body),
+        n_chunks(std::min<long long>(chunks, total)),
+        base(total / n_chunks),
+        remainder(total % n_chunks),
+        done(n_chunks) {}
+
+  void RunChunks() {
+    for (long long c = next.fetch_add(1); c < n_chunks; c = next.fetch_add(1)) {
+      const long long begin = c * base + std::min(c, remainder);
+      body(begin, begin + base + (c < remainder ? 1 : 0), static_cast<int>(c));
+      done.count_down();
+    }
   }
+
+  const std::function<void(long long, long long, int)>& body;
+  const long long n_chunks;
+  const long long base;
+  const long long remainder;
+  std::atomic<long long> next{0};
+  std::latch done;  // counts chunks not yet finished
+};
+
+}  // namespace
+
+ThreadPool::ThreadPool(int num_threads) : num_threads_(num_threads) {
+  CEDAR_CHECK(num_threads >= 1 && num_threads <= kMaxThreads)
+      << "thread pool size " << num_threads << " outside [1, " << kMaxThreads << "]";
   threads_.reserve(static_cast<size_t>(num_threads));
   for (int i = 0; i < num_threads; ++i) {
-    threads_.emplace_back([this, i] { WorkerLoop(static_cast<size_t>(i)); });
+    threads_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
 ThreadPool::~ThreadPool() {
-  Wait();
   {
-    MutexLock lock(state_mutex_);
+    MutexLock lock(mutex_);
     stopping_ = true;
   }
   work_cv_.NotifyAll();
@@ -32,197 +66,65 @@ ThreadPool::~ThreadPool() {
 }
 
 int ThreadPool::HardwareThreads() {
-  unsigned n = std::thread::hardware_concurrency();
-  return n == 0 ? 1 : static_cast<int>(n);
+  return static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
 }
 
-void ThreadPool::Submit(std::function<void()> task) {
-  CEDAR_CHECK(task != nullptr);
-  size_t target;
+void ThreadPool::Post(long long copies, const std::function<void()>& task) {
   {
-    MutexLock lock(state_mutex_);
-    CEDAR_CHECK(!stopping_) << "Submit after shutdown began";
-    target = next_submit_;
-    next_submit_ = (next_submit_ + 1) % workers_.size();
+    MutexLock lock(mutex_);
+    tasks_.insert(tasks_.end(), static_cast<size_t>(copies), task);
   }
-  {
-    MutexLock lock(workers_[target]->mutex);
-    workers_[target]->tasks.push_back(std::move(task));
-  }
-  // The task must be findable in a deque *before* pending_ rises: a worker
-  // whose wait predicate sees pending_ > 0 will go looking for it.
-  {
-    MutexLock lock(state_mutex_);
-    ++outstanding_;
-    pending_.fetch_add(1, std::memory_order_relaxed);
-  }
-  stat_submitted_.fetch_add(1, std::memory_order_relaxed);
-  work_cv_.NotifyOne();
+  work_cv_.NotifyAll();
 }
 
-ThreadPool::Stats ThreadPool::GetStats() const {
-  Stats stats;
-  stats.submitted = stat_submitted_.load(std::memory_order_relaxed);
-  stats.executed_local = stat_executed_local_.load(std::memory_order_relaxed);
-  stats.stolen = stat_stolen_.load(std::memory_order_relaxed);
-  stats.idle_waits = stat_idle_waits_.load(std::memory_order_relaxed);
-  return stats;
-}
-
-void ThreadPool::Wait() {
-  MutexLock lock(state_mutex_);
-  while (outstanding_ != 0) {
-    idle_cv_.Wait(lock);
-  }
-}
-
-std::function<void()> ThreadPool::TakeTask(size_t worker_index) {
-  // Own deque first: LIFO for locality.
-  {
-    Worker& self = *workers_[worker_index];
-    MutexLock lock(self.mutex);
-    if (!self.tasks.empty()) {
-      auto task = std::move(self.tasks.back());
-      self.tasks.pop_back();
-      pending_.fetch_sub(1, std::memory_order_relaxed);
-      stat_executed_local_.fetch_add(1, std::memory_order_relaxed);
-      return task;
-    }
-  }
-  // Steal the oldest task of the first non-empty victim, scanning from the
-  // next worker so contention spreads.
-  for (size_t step = 1; step < workers_.size(); ++step) {
-    Worker& victim = *workers_[(worker_index + step) % workers_.size()];
-    MutexLock lock(victim.mutex);
-    if (!victim.tasks.empty()) {
-      auto task = std::move(victim.tasks.front());
-      victim.tasks.pop_front();
-      pending_.fetch_sub(1, std::memory_order_relaxed);
-      stat_stolen_.fetch_add(1, std::memory_order_relaxed);
-      return task;
-    }
-  }
-  return nullptr;
-}
-
-void ThreadPool::WorkerLoop(size_t worker_index) {
+void ThreadPool::WorkerLoop() {
+  current_pool = this;
   for (;;) {
-    std::function<void()> task = TakeTask(worker_index);
-    if (task == nullptr) {
-      stat_idle_waits_.fetch_add(1, std::memory_order_relaxed);
-      MutexLock lock(state_mutex_);
-      // No lost wakeups: any submitted-but-untaken task keeps pending_ > 0,
-      // and pending_ only rises under state_mutex_, so a worker cannot slip
-      // into Wait() between the push and the notify without seeing it.
-      while (!stopping_ && pending_.load(std::memory_order_relaxed) <= 0) {
+    std::function<void()> task;
+    {
+      MutexLock lock(mutex_);
+      while (!stopping_ && tasks_.empty()) {
         work_cv_.Wait(lock);
       }
-      if (stopping_) {
-        return;
+      if (tasks_.empty()) {
+        return;  // stopping, and nothing left to run
       }
-      continue;
+      // Newest first: a nested loop's helpers run before outer runners that
+      // have not started yet (see the header).
+      task = std::move(tasks_.back());
+      tasks_.pop_back();
     }
     task();
-    {
-      MutexLock lock(state_mutex_);
-      --outstanding_;
-      if (outstanding_ == 0) {
-        idle_cv_.NotifyAll();
-      }
-    }
   }
 }
 
 int ResolveThreadCount(int requested) {
-  return requested >= 1 ? requested : ThreadPool::HardwareThreads();
+  return std::min(requested >= 1 ? requested : ThreadPool::HardwareThreads(),
+                  ThreadPool::kMaxThreads);
 }
 
-void ParallelForChunks(ThreadPool& pool, long long total, int chunks,
-                       const std::function<void(long long, long long, int)>& body) {
+void ParallelFor(ThreadPool* pool, long long total, int chunks,
+                 const std::function<void(long long, long long, int)>& body) {
   CEDAR_CHECK_GE(total, 0);
   CEDAR_CHECK_GE(chunks, 1);
   if (total == 0) {
     return;
   }
-  long long n_chunks = std::min<long long>(chunks, total);
-  long long base = total / n_chunks;
-  long long remainder = total % n_chunks;
-  long long begin = 0;
-  for (long long c = 0; c < n_chunks; ++c) {
-    long long size = base + (c < remainder ? 1 : 0);
-    long long end = begin + size;
-    pool.Submit([&body, begin, end, c] { body(begin, end, static_cast<int>(c)); });
-    begin = end;
-  }
-  pool.Wait();
-}
-
-void ParallelForChunksShared(ThreadPool* pool, long long total, int chunks,
-                             const std::function<void(long long, long long, int)>& body) {
-  CEDAR_CHECK_GE(total, 0);
-  CEDAR_CHECK_GE(chunks, 1);
-  if (total == 0) {
+  auto loop = std::make_shared<Loop>(body, total, chunks);
+  if (pool == nullptr) {
+    loop->RunChunks();
     return;
   }
-  const long long n_chunks = std::min<long long>(chunks, total);
-  const long long base = total / n_chunks;
-  const long long remainder = total % n_chunks;
-  if (pool == nullptr || pool->num_threads() <= 1 || n_chunks <= 1) {
-    long long begin = 0;
-    for (long long c = 0; c < n_chunks; ++c) {
-      long long end = begin + base + (c < remainder ? 1 : 0);
-      body(begin, end, static_cast<int>(c));
-      begin = end;
-    }
-    return;
+  // A worker caller is itself one of the loop's threads: n - 1 helpers at
+  // most, and never a helper without a chunk to claim.
+  const long long self = current_pool == pool ? 1 : 0;
+  const long long runners =
+      std::min<long long>(pool->num_threads() - self, loop->n_chunks - self);
+  pool->Post(runners, [loop] { loop->RunChunks(); });
+  if (self == 1) {
+    loop->RunChunks();
   }
-
-  // Helpers may be scheduled after the caller has already finished every
-  // chunk (a busy pool runs them arbitrarily late), so the shared state is
-  // refcounted and late helpers see next >= n_chunks and return untouched.
-  struct State {
-    std::function<void(long long, long long, int)> body;
-    long long n_chunks = 0;
-    long long base = 0;
-    long long remainder = 0;
-    std::atomic<long long> next{0};
-    Mutex mutex;
-    CondVar done_cv;
-    long long done CEDAR_GUARDED_BY(mutex) = 0;  // chunks fully executed
-  };
-  auto state = std::make_shared<State>();
-  state->body = body;
-  state->n_chunks = n_chunks;
-  state->base = base;
-  state->remainder = remainder;
-
-  auto run_chunks = [](State& s) {
-    for (;;) {
-      const long long c = s.next.fetch_add(1, std::memory_order_relaxed);
-      if (c >= s.n_chunks) {
-        return;
-      }
-      const long long begin = c * s.base + std::min(c, s.remainder);
-      const long long end = begin + s.base + (c < s.remainder ? 1 : 0);
-      s.body(begin, end, static_cast<int>(c));
-      MutexLock lock(s.mutex);
-      if (++s.done == s.n_chunks) {
-        s.done_cv.NotifyAll();
-      }
-    }
-  };
-
-  // n_chunks - 1 helpers at most: the caller is itself a full participant.
-  const int helpers =
-      static_cast<int>(std::min<long long>(pool->num_threads(), n_chunks - 1));
-  for (int i = 0; i < helpers; ++i) {
-    pool->Submit([state, run_chunks] { run_chunks(*state); });
-  }
-  run_chunks(*state);
-  MutexLock lock(state->mutex);
-  while (state->done != state->n_chunks) {
-    state->done_cv.Wait(lock);
-  }
+  loop->done.wait();
 }
 
 }  // namespace cedar

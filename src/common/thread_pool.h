@@ -1,27 +1,25 @@
-// A small work-stealing thread pool: the concurrency substrate for the
-// parallel experiment engine (src/sim/experiment_engine.h) and any future
-// sharded workload / async runtime work.
+// A fixed-size thread pool and the one chunked parallel loop that runs on
+// it, ParallelFor: the concurrency substrate of the experiment engine
+// (src/sim/experiment_engine.h) and of lent wait-table builds
+// (src/core/wait_table.cc).
 //
-// Each worker owns a deque of tasks; it pops from the back of its own deque
-// (LIFO, cache-friendly) and steals from the front of a victim's deque
-// (FIFO, takes the oldest — largest — pieces of work). Submission is
-// round-robin across workers so a burst of tasks spreads without a single
-// hot queue. The pool is intentionally simple — mutex-per-deque, no lock-free
-// cleverness — because experiment tasks are milliseconds long and the pool
-// must stay obviously correct under ThreadSanitizer.
+// ParallelFor posts runner tasks that claim chunks from a shared counter,
+// so skewed chunks balance without per-worker deques or stealing. The
+// pool's one queue hands out the newest task first (LIFO): a wait-table
+// build inside an experiment chunk posts its helpers after the
+// experiment's runners, and a free worker joins the build before it starts
+// another runner (DESIGN.md §8). One mutex, no lock-free cleverness:
+// chunks are milliseconds long and the pool must stay obviously correct
+// under ThreadSanitizer.
 //
-// Determinism contract: the pool never introduces randomness. Any caller
-// that wants thread-count-independent results must make its tasks
-// independent (per-task seeding, disjoint output slots); see
-// experiment_engine.h for the scheme the drivers use.
+// Determinism contract: the pool never introduces randomness. Callers that
+// want thread-count-independent results make their chunks independent
+// (per-index seeding, disjoint output slots; see experiment_engine.h).
 
 #ifndef CEDAR_SRC_COMMON_THREAD_POOL_H_
 #define CEDAR_SRC_COMMON_THREAD_POOL_H_
 
-#include <atomic>
-#include <deque>
 #include <functional>
-#include <memory>
 #include <thread>
 #include <vector>
 
@@ -32,92 +30,60 @@ namespace cedar {
 
 class ThreadPool {
  public:
-  // Spawns |num_threads| workers (must be >= 1).
+  // The most workers one pool may have: thread counts come from user flags,
+  // and a typo must not ask the OS for 100k threads.
+  static constexpr int kMaxThreads = 256;
+
+  // Spawns |num_threads| workers, in [1, kMaxThreads].
   explicit ThreadPool(int num_threads);
 
-  // Waits for all submitted tasks, then joins the workers.
+  // Joins the workers once the queue is empty. What may remain queued is
+  // runners of finished loops, which return at once.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  // Enqueues |task| for execution on some worker. Thread-safe; tasks may
-  // themselves Submit follow-up work.
-  void Submit(std::function<void()> task);
-
-  // Blocks until every task submitted so far (including tasks spawned by
-  // tasks) has finished. The pool is reusable afterwards.
-  void Wait();
-
-  int num_threads() const { return static_cast<int>(workers_.size()); }
-
-  // Scheduling counters since construction. Maintained with relaxed atomics
-  // on paths that already hold a deque lock, so the overhead is noise; the
-  // experiment engine exports them to the metrics registry after a run.
-  struct Stats {
-    long long submitted = 0;       // tasks accepted by Submit
-    long long executed_local = 0;  // tasks a worker popped from its own deque
-    long long stolen = 0;          // tasks taken from another worker's deque
-    long long idle_waits = 0;      // times a worker blocked on the work cv
-  };
-  Stats GetStats() const;
+  int num_threads() const { return num_threads_; }
 
   // std::thread::hardware_concurrency() clamped to >= 1.
   static int HardwareThreads();
 
  private:
-  struct Worker {
-    Mutex mutex;
-    std::deque<std::function<void()>> tasks CEDAR_GUARDED_BY(mutex);
-  };
+  friend void ParallelFor(ThreadPool* pool, long long total, int chunks,
+                          const std::function<void(long long, long long, int)>& body);
 
-  void WorkerLoop(size_t worker_index);
+  // Queues |copies| copies of |task| and wakes the workers.
+  void Post(long long copies, const std::function<void()>& task);
+  void WorkerLoop();
 
-  // Pops from the back of worker |i|'s own deque, or steals from the front
-  // of another worker's. Returns an empty function when everything is idle.
-  std::function<void()> TakeTask(size_t worker_index);
-
-  std::vector<std::unique_ptr<Worker>> workers_;
-  std::vector<std::thread> threads_;
-
-  Mutex state_mutex_;
-  CondVar work_cv_;  // signalled on Submit and shutdown
-  CondVar idle_cv_;  // signalled when outstanding_ hits 0
-  // Round-robin submission cursor.
-  size_t next_submit_ CEDAR_GUARDED_BY(state_mutex_) = 0;
-  // Submitted but not yet finished.
-  long long outstanding_ CEDAR_GUARDED_BY(state_mutex_) = 0;
-  std::atomic<long long> pending_{0};  // submitted but not yet taken
-  bool stopping_ CEDAR_GUARDED_BY(state_mutex_) = false;
-
-  std::atomic<long long> stat_submitted_{0};
-  std::atomic<long long> stat_executed_local_{0};
-  std::atomic<long long> stat_stolen_{0};
-  std::atomic<long long> stat_idle_waits_{0};
+  const int num_threads_;
+  Mutex mutex_;
+  CondVar work_cv_;  // signalled on Post and shutdown
+  std::vector<std::function<void()>> tasks_ CEDAR_GUARDED_BY(mutex_);  // back = newest
+  bool stopping_ CEDAR_GUARDED_BY(mutex_) = false;
+  std::vector<std::thread> threads_;  // last: the workers use every member above
 };
 
-// Resolves a thread-count request: n >= 1 means exactly n workers; n <= 0
-// means "one per hardware thread". Shared by every --threads style flag.
+// Resolves a --threads style request: n >= 1 means n workers, n <= 0 one
+// per hardware thread; either is capped at ThreadPool::kMaxThreads.
 int ResolveThreadCount(int requested);
 
-// Splits [0, |total|) into |chunks| near-equal contiguous ranges and runs
-// body(begin, end, chunk_index) for each across |pool|. Blocks until every
-// chunk is done. Chunks are independent; the caller must make their side
-// effects disjoint.
-void ParallelForChunks(ThreadPool& pool, long long total, int chunks,
-                       const std::function<void(long long, long long, int)>& body);
-
-// Like ParallelForChunks, but safe to call from *inside* a pool task: the
-// calling thread claims and runs chunks itself (so progress never depends on
-// a free worker) while idle pool workers help, and completion is tracked
-// with a chunk counter instead of ThreadPool::Wait() — which would deadlock
-// when invoked from a worker. Chunk boundaries are identical to
-// ParallelForChunks, so any chunk-indexed output is the same either way.
-// |pool| may be null (or single-threaded): the body then runs inline,
-// serially, in chunk order. Used by the wait-table store to parallelize
-// single-flight table builds on the experiment's own worker pool.
-void ParallelForChunksShared(ThreadPool* pool, long long total, int chunks,
-                             const std::function<void(long long, long long, int)>& body);
+// Splits [0, |total|) into m = min(|chunks|, |total|) near-equal contiguous
+// ranges, the first total % m one longer, and runs body(begin, end, chunk)
+// once for each, claiming chunks in index order. Returns when every chunk
+// is done. Chunks are independent; the caller must make their side effects
+// disjoint. With n = pool->num_threads(), who runs the chunks:
+//  - |pool| null: the caller, inline, in chunk order.
+//  - a worker of |pool| (a nested loop, as in the wait-table store's
+//    single-flight build): the caller, alongside at most min(n - 1, m - 1)
+//    helpers, so progress never waits for a free worker and the nested loop
+//    cannot deadlock.
+//  - any other thread: min(n, m) workers, while the caller only waits. A
+//    caller that ran chunks would be one more thread than the pool has,
+//    with its own thread-local allocations (DESIGN.md §8).
+void ParallelFor(ThreadPool* pool, long long total, int chunks,
+                 const std::function<void(long long, long long, int)>& body);
 
 }  // namespace cedar
 

@@ -64,7 +64,7 @@ WaitTable::WaitTable(WaitTableSpec spec, int fanout, const PiecewiseLinear& uppe
     }
   };
   const int chunks = build_pool != nullptr ? build_pool->num_threads() * 4 : 1;
-  ParallelForChunksShared(build_pool, static_cast<long long>(total), chunks, fill);
+  ParallelFor(build_pool, static_cast<long long>(total), chunks, fill);
 }
 
 double WaitTable::Lookup(double location, double scale) const {

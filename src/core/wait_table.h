@@ -52,8 +52,8 @@ class WaitTable {
   // grid point is an independent scan of one shared, read-only WaitScan,
   // written to its own slot, so the table is bit-identical to the serial
   // build for any thread count.
-  // The fill uses ParallelForChunksShared, so building from inside a pool
-  // task (the wait-table store's single-flight path) cannot deadlock.
+  // The fill uses ParallelFor, so building from inside a pool worker (the
+  // wait-table store's single-flight path) cannot deadlock.
   WaitTable(WaitTableSpec spec, int fanout, const PiecewiseLinear& upper_quality,
             double deadline, double epsilon, ThreadPool* build_pool = nullptr);
 

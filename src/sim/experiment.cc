@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "src/common/logging.h"
-#include "src/obs/metrics.h"
 #include "src/sim/experiment_engine.h"
 #include "src/sim/realization.h"
 
@@ -93,32 +92,7 @@ ExperimentResult RunExperiment(const Workload& workload,
     }
   }
 
-  // Metrics are folded here, after the deterministic merge, never from the
-  // worker threads — the registry observes runs, it does not participate.
-  if (MetricsEnabled()) {
-    // Per-deadline labeled series ride alongside the unlabeled totals, so a
-    // sweep over deadlines can be sliced after the fact (ROADMAP: metric
-    // labels). The label value is the config deadline, %g-formatted.
-    MetricsRegistry& registry = MetricsRegistry::Global();
-    const auto labeled = [&](const char* name) {
-      return LabeledMetricName(name, "deadline_ms", config.deadline);
-    };
-    registry.GetCounter("sim.experiments").Increment();
-    registry.GetCounter("sim.queries").Increment(config.num_queries);
-    registry.GetCounter(labeled("sim.queries")).Increment(config.num_queries);
-    Histogram& quality = registry.GetHistogram("sim.query_quality");
-    Histogram& quality_labeled = registry.GetHistogram(labeled("sim.query_quality"));
-    Counter& late = registry.GetCounter("sim.root_arrivals_late");
-    Counter& late_labeled = registry.GetCounter(labeled("sim.root_arrivals_late"));
-    for (const PolicyOutcome& outcome : result.outcomes) {
-      for (double value : outcome.quality.values()) {
-        quality.Observe(value);
-        quality_labeled.Observe(value);
-      }
-      late.Increment(outcome.root_arrivals_late);
-      late_labeled.Increment(outcome.root_arrivals_late);
-    }
-  }
+  RecordDriverMetrics("sim", config, result.outcomes);
   return result;
 }
 

@@ -2,7 +2,7 @@
 // several competing policies, on identical realizations, and collects
 // per-query qualities. Every figure harness is a thin loop over this.
 //
-// Queries are sharded across a work-stealing thread pool with per-query
+// Queries are sharded in chunks across a thread pool with per-query
 // deterministic seeding (see experiment_engine.h), so results are
 // bit-identical for any thread count.
 

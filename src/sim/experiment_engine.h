@@ -29,6 +29,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -49,11 +50,10 @@ inline uint64_t DriverQuerySequence(uint64_t seed, long long q) {
   return (seed << 20) + 1 + static_cast<uint64_t>(q);
 }
 
-// Validates the prototype list and stamps |result_outcomes| (any container
-// of PolicyOutcome-shaped entries with a policy_name) with unique names.
-template <typename Outcomes>
-void AssignOutcomeNames(const std::vector<const WaitPolicy*>& policies,
-                        Outcomes& result_outcomes) {
+// Validates the prototype list and stamps |result_outcomes| with unique
+// policy names.
+inline void AssignOutcomeNames(const std::vector<const WaitPolicy*>& policies,
+                               std::vector<PolicyOutcome>& result_outcomes) {
   std::set<std::string> names;
   for (size_t p = 0; p < policies.size(); ++p) {
     CEDAR_CHECK(policies[p] != nullptr);
@@ -107,42 +107,52 @@ std::vector<Row> RunExperimentGrid(const Workload& workload, const TreeSpec& off
     run_chunk(0, num_queries, 0);
     return grid;
   }
-  auto run_on_pool = [&](ThreadPool& pool) {
-    // Lend the run's pool to the experiment-scoped wait-table store so
-    // single-flight builds parallelize their grid fill. Only an explicitly
-    // configured store is lent to — its lifetime (and exclusivity) is the
-    // caller's to guarantee — never the process Global(), which concurrent
-    // runs could otherwise point at a pool about to be destroyed.
-    WaitTableStore* store = config.wait_table_store;
-    if (store != nullptr) {
-      store->SetBuildPool(&pool);
-    }
-    // Borrowed pools accumulate counters across calls, so export the delta
-    // of this run only; post-barrier, never on the workers' hot path.
-    const ThreadPool::Stats before = pool.GetStats();
-    // A few chunks per worker gives the stealing deques something to balance
-    // when query costs are skewed (e.g. Oracle planning on heavy-tail draws).
-    ParallelForChunks(pool, num_queries, threads * 4, run_chunk);
-    if (store != nullptr) {
-      store->SetBuildPool(nullptr);
-    }
-    if (MetricsEnabled()) {
-      const ThreadPool::Stats after = pool.GetStats();
-      MetricsRegistry& registry = MetricsRegistry::Global();
-      registry.GetCounter("pool.tasks_submitted").Increment(after.submitted - before.submitted);
-      registry.GetCounter("pool.tasks_executed_local")
-          .Increment(after.executed_local - before.executed_local);
-      registry.GetCounter("pool.tasks_stolen").Increment(after.stolen - before.stolen);
-      registry.GetCounter("pool.idle_waits").Increment(after.idle_waits - before.idle_waits);
-    }
-  };
-  if (config.pool != nullptr) {
-    run_on_pool(*config.pool);
-  } else {
-    ThreadPool pool(threads);
-    run_on_pool(pool);
+  std::optional<ThreadPool> owned_pool;
+  ThreadPool* pool = config.pool != nullptr ? config.pool : &owned_pool.emplace(threads);
+  // Lend the run's pool to the experiment-scoped wait-table store so
+  // single-flight builds parallelize their grid fill. Never to the process
+  // Global(), which concurrent runs could point at a pool about to be
+  // destroyed; a configured store's lifetime is the caller's to guarantee.
+  WaitTableStore* store = config.wait_table_store;
+  if (store != nullptr) {
+    store->SetBuildPool(pool);
+  }
+  // A few chunks per worker, claimed in order, balance skewed query costs
+  // (e.g. Oracle planning on heavy-tail draws).
+  ParallelFor(pool, num_queries, threads * 4, run_chunk);
+  if (store != nullptr) {
+    store->SetBuildPool(nullptr);
   }
   return grid;
+}
+
+// Folds one driver run into the metrics registry under |prefix| ("sim" or
+// "cluster"): the run count, then the query count, per-query qualities and
+// late root arrivals, each unlabelled and labelled by the run's deadline
+// (%g), so a sweep can be sliced after the fact. Called after the
+// deterministic merge, never from workers: the registry only observes.
+inline void RecordDriverMetrics(const std::string& prefix, const ExperimentDriverConfig& config,
+                                const std::vector<PolicyOutcome>& outcomes) {
+  if (!MetricsEnabled()) {
+    return;
+  }
+  MetricsRegistry& registry = MetricsRegistry::Global();
+  registry.GetCounter(prefix + ".experiments").Increment();
+  for (bool labeled : {false, true}) {
+    const auto name = [&](const char* suffix) {
+      return labeled ? LabeledMetricName(prefix + suffix, "deadline_ms", config.deadline)
+                     : prefix + suffix;
+    };
+    registry.GetCounter(name(".queries")).Increment(config.num_queries);
+    Histogram& quality = registry.GetHistogram(name(".query_quality"));
+    Counter& late = registry.GetCounter(name(".root_arrivals_late"));
+    for (const PolicyOutcome& outcome : outcomes) {
+      for (double value : outcome.quality.values()) {
+        quality.Observe(value);
+      }
+      late.Increment(outcome.root_arrivals_late);
+    }
+  }
 }
 
 }  // namespace cedar

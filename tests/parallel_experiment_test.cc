@@ -41,14 +41,23 @@ void ExpectSameSamples(const SampleSet& a, const SampleSet& b) {
 
 TEST(ParallelExperimentTest, SimResultsIdenticalForAnyThreadCount) {
   auto workload = MakeFacebookWorkload(8, 8);
-  ProportionalSplitPolicy baseline;
-  CedarPolicy cedar;    // online learner state per node
-  OraclePolicy ideal;   // one plan per query, in the query's memo
-  std::vector<const WaitPolicy*> policies = {&baseline, &cedar, &ideal};
-
-  ExperimentResult serial = RunExperiment(workload, policies, SimConfig(1));
-  for (int threads : {2, 8}) {
-    ExperimentResult parallel = RunExperiment(workload, policies, SimConfig(threads));
+  // Fresh prototypes for every run, and the 8-thread run many times: forks
+  // that share mutable state race only where queries overlap, and corrupt a
+  // shared buffer most readily while it still grows. With such a buffer
+  // seeded into CedarPolicy (DESIGN.md §12 row 18), one 8-thread run on
+  // shared prototypes failed a minority of runs; these runs fail 10 of 10.
+  constexpr int kEightThreadRuns = 200;
+  const auto run = [&workload](int threads) {
+    ProportionalSplitPolicy baseline;
+    CedarPolicy cedar;    // online learner state per node
+    OraclePolicy ideal;   // one plan per query, in the query's memo
+    return RunExperiment(workload, {&baseline, &cedar, &ideal}, SimConfig(threads));
+  };
+  const ExperimentResult serial = run(1);
+  std::vector<int> thread_counts = {2};
+  thread_counts.insert(thread_counts.end(), kEightThreadRuns, 8);
+  for (int threads : thread_counts) {
+    ExperimentResult parallel = run(threads);
     ASSERT_EQ(parallel.outcomes.size(), serial.outcomes.size());
     for (size_t p = 0; p < serial.outcomes.size(); ++p) {
       EXPECT_EQ(parallel.outcomes[p].policy_name, serial.outcomes[p].policy_name);
@@ -81,18 +90,19 @@ TEST(ParallelExperimentTest, ReusedSweepPoolIsBitIdenticalToPerCallPools) {
 
     ExperimentConfig reused = SimConfig(1, 24, deadline);
     reused.pool = &shared_pool;  // pool takes precedence over threads
-    ExperimentResult pooled = RunExperiment(workload, policies, reused);
-
-    ASSERT_EQ(pooled.outcomes.size(), per_call.outcomes.size());
-    for (size_t p = 0; p < per_call.outcomes.size(); ++p) {
-      ExpectSameSamples(pooled.outcomes[p].quality, per_call.outcomes[p].quality);
-      ExpectSameSamples(pooled.outcomes[p].tier0_send_time,
-                        per_call.outcomes[p].tier0_send_time);
+    // Twice per deadline: the borrowed pool stays usable after the driver
+    // returns, and a second run on it repeats the first.
+    for (int run = 0; run < 2; ++run) {
+      ExperimentResult pooled = RunExperiment(workload, policies, reused);
+      ASSERT_EQ(pooled.outcomes.size(), per_call.outcomes.size());
+      for (size_t p = 0; p < per_call.outcomes.size(); ++p) {
+        ExpectSameSamples(pooled.outcomes[p].quality, per_call.outcomes[p].quality);
+        ExpectSameSamples(pooled.outcomes[p].tier0_send_time,
+                          per_call.outcomes[p].tier0_send_time);
+      }
     }
   }
-  // The borrowed pool stays usable after the driver returns.
   EXPECT_EQ(shared_pool.num_threads(), 4);
-  EXPECT_GT(shared_pool.GetStats().submitted, 0);
 }
 
 TEST(ParallelExperimentTest, WaitTableForksAreDetachedAcrossWorkers) {

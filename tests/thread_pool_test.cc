@@ -6,7 +6,7 @@
 #include <atomic>
 #include <chrono>
 #include <thread>
-#include <utility>
+#include <tuple>
 #include <vector>
 
 namespace cedar {
@@ -19,69 +19,28 @@ TEST(ThreadPoolTest, HardwareThreadsIsPositive) {
 TEST(ThreadPoolTest, ResolveThreadCount) {
   EXPECT_EQ(ResolveThreadCount(1), 1);
   EXPECT_EQ(ResolveThreadCount(7), 7);
-  EXPECT_EQ(ResolveThreadCount(0), ThreadPool::HardwareThreads());
-  EXPECT_EQ(ResolveThreadCount(-3), ThreadPool::HardwareThreads());
+  EXPECT_EQ(ResolveThreadCount(0),
+            std::min(ThreadPool::HardwareThreads(), ThreadPool::kMaxThreads));
+  EXPECT_EQ(ResolveThreadCount(-3), ResolveThreadCount(0));
+  EXPECT_EQ(ResolveThreadCount(ThreadPool::kMaxThreads), ThreadPool::kMaxThreads);
+  EXPECT_EQ(ResolveThreadCount(100000), ThreadPool::kMaxThreads);
 }
 
-TEST(ThreadPoolTest, RunsEveryTaskExactlyOnce) {
-  ThreadPool pool(4);
-  constexpr int kTasks = 500;
-  std::atomic<int> count{0};
-  for (int i = 0; i < kTasks; ++i) {
-    pool.Submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
-  }
-  pool.Wait();
-  EXPECT_EQ(count.load(), kTasks);
+// "threadsafe" style re-execs the death-test child, so the fork is safe
+// even if an earlier test left a thread behind.
+TEST(ThreadPoolDeathTest, ConstructorRejectsASizeOutsideTheCap) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  // The check runs before any worker starts, so neither asks the OS for a
+  // thread.
+  EXPECT_DEATH(ThreadPool pool(ThreadPool::kMaxThreads + 1), "thread pool size 257");
+  EXPECT_DEATH(ThreadPool pool(0), "thread pool size 0");
 }
 
-TEST(ThreadPoolTest, WaitThenReuse) {
-  ThreadPool pool(3);
-  std::atomic<int> count{0};
-  for (int batch = 0; batch < 3; ++batch) {
-    for (int i = 0; i < 50; ++i) {
-      pool.Submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
-    }
-    pool.Wait();
-    EXPECT_EQ(count.load(), (batch + 1) * 50);
-  }
-}
-
-TEST(ThreadPoolTest, WaitWithNothingSubmittedReturns) {
-  ThreadPool pool(2);
-  pool.Wait();  // must not hang
-}
-
-TEST(ThreadPoolTest, TasksMaySubmitFollowUpWork) {
-  ThreadPool pool(2);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 8; ++i) {
-    pool.Submit([&pool, &count] {
-      count.fetch_add(1, std::memory_order_relaxed);
-      pool.Submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
-    });
-  }
-  pool.Wait();
-  EXPECT_EQ(count.load(), 16);
-}
-
-TEST(ThreadPoolTest, StealingBalancesSkewedTasks) {
-  // One long task plus many short ones: with stealing, the short tasks all
-  // finish while the long one runs, regardless of which deque they landed in.
-  ThreadPool pool(4);
-  std::atomic<int> short_done{0};
-  pool.Submit([] { std::this_thread::sleep_for(std::chrono::milliseconds(100)); });
-  for (int i = 0; i < 64; ++i) {
-    pool.Submit([&short_done] { short_done.fetch_add(1, std::memory_order_relaxed); });
-  }
-  pool.Wait();
-  EXPECT_EQ(short_done.load(), 64);
-}
-
-TEST(ParallelForChunksTest, CoversEveryIndexExactlyOnce) {
+TEST(ParallelForTest, CoversEveryIndexExactlyOnce) {
   ThreadPool pool(4);
   constexpr long long kTotal = 1000;
   std::vector<std::atomic<int>> hits(kTotal);
-  ParallelForChunks(pool, kTotal, 16, [&hits](long long begin, long long end, int /*chunk*/) {
+  ParallelFor(&pool, kTotal, 16, [&hits](long long begin, long long end, int /*chunk*/) {
     for (long long i = begin; i < end; ++i) {
       hits[static_cast<size_t>(i)].fetch_add(1, std::memory_order_relaxed);
     }
@@ -91,35 +50,102 @@ TEST(ParallelForChunksTest, CoversEveryIndexExactlyOnce) {
   }
 }
 
-TEST(ParallelForChunksTest, MoreChunksThanItems) {
+TEST(ParallelForTest, MoreChunksThanItems) {
   ThreadPool pool(2);
   std::atomic<int> count{0};
-  ParallelForChunks(pool, 3, 16, [&count](long long begin, long long end, int /*chunk*/) {
+  ParallelFor(&pool, 3, 16, [&count](long long begin, long long end, int /*chunk*/) {
     count.fetch_add(static_cast<int>(end - begin), std::memory_order_relaxed);
   });
   EXPECT_EQ(count.load(), 3);
 }
 
-TEST(ParallelForChunksTest, ZeroItemsIsANoOp) {
+TEST(ParallelForTest, ZeroItemsIsANoOp) {
   ThreadPool pool(2);
-  ParallelForChunks(pool, 0, 4, [](long long, long long, int) { FAIL() << "no chunks expected"; });
+  ParallelFor(&pool, 0, 4, [](long long, long long, int) { FAIL() << "no chunks expected"; });
+  ParallelFor(nullptr, 0, 4, [](long long, long long, int) { FAIL() << "no chunks expected"; });
 }
 
-TEST(ParallelForChunksTest, ChunkRangesTileTheIndexSpace) {
+TEST(ParallelForTest, ChunkRangesTileTheIndexSpace) {
+  // The first total % chunks ranges are one longer, whoever runs them.
+  const std::vector<std::tuple<long long, long long, int>> want = {
+      {0, 4, 0}, {4, 7, 1}, {7, 10, 2}};
   ThreadPool pool(1);  // single worker: no data race on |ranges|
-  std::vector<std::pair<long long, long long>> ranges;
-  ParallelForChunks(pool, 10, 3, [&ranges](long long begin, long long end, int /*chunk*/) {
-    ranges.emplace_back(begin, end);
-  });
-  ASSERT_EQ(ranges.size(), 3u);
-  // Execution order is a scheduling detail (own-deque pops are LIFO); the
-  // contract is that the ranges tile [0, total) without gaps or overlaps.
-  std::sort(ranges.begin(), ranges.end());
-  EXPECT_EQ(ranges[0].first, 0);
-  for (size_t i = 1; i < ranges.size(); ++i) {
-    EXPECT_EQ(ranges[i].first, ranges[i - 1].second);
+  for (ThreadPool* p : {&pool, static_cast<ThreadPool*>(nullptr)}) {
+    std::vector<std::tuple<long long, long long, int>> ranges;
+    ParallelFor(p, 10, 3, [&ranges](long long begin, long long end, int chunk) {
+      ranges.emplace_back(begin, end, chunk);
+    });
+    // Chunks are claimed in index order; with one thread they also finish
+    // in it, and a null pool runs them inline in the same order.
+    EXPECT_EQ(ranges, want) << (p == nullptr ? "null pool" : "one-thread pool");
   }
-  EXPECT_EQ(ranges.back().second, 10);
+}
+
+TEST(ParallelForTest, PoolIsReusableAcrossLoops) {
+  ThreadPool pool(3);
+  std::atomic<long long> count{0};
+  for (int loop = 0; loop < 5; ++loop) {
+    ParallelFor(&pool, 50, 12, [&count](long long begin, long long end, int /*chunk*/) {
+      count.fetch_add(end - begin, std::memory_order_relaxed);
+    });
+    EXPECT_EQ(count.load(), (loop + 1) * 50);
+  }
+}
+
+TEST(ParallelForTest, NestedLoopsOnASaturatedPoolFinish) {
+  // The outer loop keeps both workers busy, and every outer chunk runs an
+  // inner loop on the same pool, as a wait-table build inside an experiment
+  // chunk does. A worker caller claims inner chunks itself, so no inner loop
+  // waits for a free worker, and the run cannot deadlock.
+  ThreadPool pool(2);
+  constexpr int kOuter = 8;
+  constexpr long long kInner = 100;
+  std::vector<std::vector<std::atomic<int>>> hits(kOuter);
+  for (auto& row : hits) {
+    row = std::vector<std::atomic<int>>(kInner);
+  }
+  ParallelFor(&pool, kOuter, kOuter, [&](long long begin, long long end, int /*chunk*/) {
+    for (long long o = begin; o < end; ++o) {
+      auto& row = hits[static_cast<size_t>(o)];
+      ParallelFor(&pool, kInner, 8, [&row](long long inner_begin, long long inner_end, int) {
+        for (long long i = inner_begin; i < inner_end; ++i) {
+          row[static_cast<size_t>(i)].fetch_add(1, std::memory_order_relaxed);
+        }
+      });
+    }
+  });
+  for (int o = 0; o < kOuter; ++o) {
+    for (long long i = 0; i < kInner; ++i) {
+      EXPECT_EQ(hits[o][static_cast<size_t>(i)].load(), 1) << "outer " << o << ", inner " << i;
+    }
+  }
+}
+
+TEST(ParallelForTest, ExternalCallerRunsNoChunkAndCapsInFlight) {
+  // A caller that is not a worker only waits: the loop never runs on more
+  // threads than the pool has.
+  ThreadPool pool(3);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> on_caller{0};
+  std::atomic<int> in_flight{0};
+  std::atomic<int> max_in_flight{0};
+  std::atomic<int> chunks_run{0};
+  ParallelFor(&pool, 64, 64, [&](long long, long long, int) {
+    if (std::this_thread::get_id() == caller) {
+      on_caller.fetch_add(1, std::memory_order_relaxed);
+    }
+    const int now = in_flight.fetch_add(1) + 1;
+    int seen = max_in_flight.load();
+    while (now > seen && !max_in_flight.compare_exchange_weak(seen, now)) {
+    }
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+    in_flight.fetch_sub(1);
+    chunks_run.fetch_add(1, std::memory_order_relaxed);
+  });
+  EXPECT_EQ(chunks_run.load(), 64);
+  EXPECT_EQ(on_caller.load(), 0);
+  EXPECT_GE(max_in_flight.load(), 1);
+  EXPECT_LE(max_in_flight.load(), pool.num_threads());
 }
 
 }  // namespace

@@ -21,6 +21,7 @@
 #include "src/common/logging.h"
 #include "src/common/parse.h"
 #include "src/common/table.h"
+#include "src/common/thread_pool.h"
 #include "src/core/policy_registry.h"
 #include "src/obs/obs_flags.h"
 #include "src/sim/experiment.h"
@@ -71,8 +72,9 @@ int main(int argc, char** argv) {
   double* interarrival =
       flags.AddDouble("interarrival", 100.0, "mean query inter-arrival time (loaded engine)");
   int64_t* seed = flags.AddInt("seed", 42, "rng seed");
-  int64_t* threads = flags.AddInt(
-      "threads", 0, "experiment worker threads (0 = one per hardware thread)", 0, kIntMax);
+  int64_t* threads =
+      flags.AddInt("threads", 0, "experiment worker threads (0 = one per hardware thread)", 0,
+                   ThreadPool::kMaxThreads);
   std::string* csv_path = flags.AddString("csv", "", "also write results to this CSV file");
   ObservabilityFlags obs = AddObservabilityFlags(flags);
   flags.Parse(argc, argv);
