@@ -2,8 +2,7 @@
 //  * grid step epsilon — discretization error of CalculateWait and of the
 //    quality curves (epsilon is both the scan step and the curve spacing);
 //  * minimum samples before trusting the online fit;
-//  * re-optimization frequency (every arrival vs every n-th);
-//  * exact integrated order-statistic scores vs Blom's approximation.
+//  * re-optimization frequency (every arrival vs every n-th).
 // All on the Facebook workload at D = 1000 s against Proportional-split.
 
 #include <iostream>
@@ -78,19 +77,6 @@ int main(int argc, char** argv) {
       table.AddNumericRow({static_cast<double>(every),
                            CedarQuality(workload, options, *deadline, n, s, 400)},
                           4);
-    }
-    table.Print(std::cout);
-  }
-
-  {
-    PrintBanner(std::cout, "Ablation: exact order-statistic scores vs Blom's approximation");
-    TablePrinter table({"score_method", "q(cedar)"});
-    for (auto method : {OrderScoreMethod::kExact, OrderScoreMethod::kBlom}) {
-      CedarPolicyOptions options;
-      options.learner.score_method = method;
-      table.AddRow({method == OrderScoreMethod::kExact ? "exact" : "blom",
-                    TablePrinter::FormatDouble(
-                        CedarQuality(workload, options, *deadline, n, s, 400), 4)});
     }
     table.Print(std::cout);
   }

@@ -60,15 +60,15 @@ int main(int argc, char** argv) {
     std::sort(samples.begin(), samples.end());
     for (size_t c = 0; c < checkpoints.size(); ++c) {
       std::vector<double> prefix(samples.begin(), samples.begin() + checkpoints[c]);
-      auto cedar = EstimateLogNormalOrderStats(prefix, k);
-      auto empirical = EstimateLogNormalEmpirical(prefix);
+      auto cedar = FitSpecFromOrderStats(DistributionFamily::kLogNormal, prefix, k);
+      auto empirical = FitSpecEmpirical(DistributionFamily::kLogNormal, prefix);
       if (cedar.has_value()) {
-        cedar_mu_err[c] += std::fabs(cedar->location - mu) / mu;
-        cedar_sigma_err[c] += std::fabs(cedar->scale - sigma) / sigma;
+        cedar_mu_err[c] += std::fabs(cedar->p1 - mu) / mu;
+        cedar_sigma_err[c] += std::fabs(cedar->p2 - sigma) / sigma;
       }
       if (empirical.has_value()) {
-        emp_mu_err[c] += std::fabs(empirical->location - mu) / mu;
-        emp_sigma_err[c] += std::fabs(empirical->scale - sigma) / sigma;
+        emp_mu_err[c] += std::fabs(empirical->p1 - mu) / mu;
+        emp_sigma_err[c] += std::fabs(empirical->p2 - sigma) / sigma;
       }
     }
   }

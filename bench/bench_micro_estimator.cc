@@ -1,5 +1,5 @@
-// Microbenchmarks for the learning machinery: order-statistic score tables
-// (exact integration vs Blom), the pairwise estimator, and the end-to-end
+// Microbenchmarks for the learning machinery: the exact order-statistic
+// score table, the pairwise estimator, and the end-to-end
 // per-arrival cost of an online learner update — the inner loop of every
 // aggregator in a deployment.
 
@@ -30,23 +30,12 @@ void BM_ExactScoreTable(benchmark::State& state) {
   int k = static_cast<int>(state.range(0));
   for (auto _ : state) {
     NormalOrderScoreTable::ClearCacheForTesting();
-    const auto& table = NormalOrderScoreTable::Get(k, OrderScoreMethod::kExact);
+    const auto& table = NormalOrderScoreTable::Get(k);
     benchmark::DoNotOptimize(table.data());
   }
   state.SetLabel("k=" + std::to_string(k) + " (cold)");
 }
 BENCHMARK(BM_ExactScoreTable)->Arg(20)->Arg(50)->Arg(100);
-
-void BM_BlomScoreTable(benchmark::State& state) {
-  int k = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    NormalOrderScoreTable::ClearCacheForTesting();
-    const auto& table = NormalOrderScoreTable::Get(k, OrderScoreMethod::kBlom);
-    benchmark::DoNotOptimize(table.data());
-  }
-  state.SetLabel("k=" + std::to_string(k) + " (cold)");
-}
-BENCHMARK(BM_BlomScoreTable)->Arg(20)->Arg(50)->Arg(100);
 
 void BM_PairwiseEstimate(benchmark::State& state) {
   const int k = 50;
@@ -55,7 +44,7 @@ void BM_PairwiseEstimate(benchmark::State& state) {
   samples.resize(static_cast<size_t>(r));
   NormalOrderScoreTable::Get(k);  // warm the cache
   for (auto _ : state) {
-    auto estimate = EstimateLogNormalOrderStats(samples, k);
+    auto estimate = FitSpecFromOrderStats(DistributionFamily::kLogNormal, samples, k);
     benchmark::DoNotOptimize(estimate);
   }
   state.SetLabel("r=" + std::to_string(r) + " of 50");

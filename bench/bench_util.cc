@@ -11,11 +11,12 @@
 namespace cedar {
 namespace {
 
-// One worker pool for the whole sweep: constructing (and joining) a pool per
-// RunExperiment call wasted a thread spawn/teardown per deadline. Returns
-// null when the sweep would run serially anyway.
-std::unique_ptr<ThreadPool> MakeSweepPool(int requested_threads, int num_queries) {
-  const int threads = std::min(ResolveThreadCount(requested_threads), std::max(num_queries, 1));
+// One worker pool for the whole sweep, one worker per hardware thread:
+// constructing (and joining) a pool per RunExperiment call wasted a thread
+// spawn/teardown per deadline. Returns null when the sweep would run
+// serially anyway.
+std::unique_ptr<ThreadPool> MakeSweepPool(int num_queries) {
+  const int threads = std::min(ResolveThreadCount(0), std::max(num_queries, 1));
   if (threads <= 1) {
     return nullptr;
   }
@@ -74,16 +75,14 @@ void RunDeadlineSweep(std::ostream& out, const std::string& title, const Workloa
   out << "workload=" << workload.name() << " unit=" << workload.time_unit()
       << " queries=" << options.num_queries << " seed=" << options.seed << "\n";
 
-  std::unique_ptr<ThreadPool> pool = MakeSweepPool(options.threads, options.num_queries);
+  std::unique_ptr<ThreadPool> pool = MakeSweepPool(options.num_queries);
   TablePrinter table(SweepColumns(policies, baseline, workload.time_unit()));
   for (double deadline : deadlines) {
     ExperimentConfig config;
     config.deadline = deadline;
     config.num_queries = options.num_queries;
     config.seed = options.seed;
-    config.threads = options.threads;
     config.pool = pool.get();
-    config.sim = options.sim;
     ExperimentResult result = RunExperiment(workload, policies, config);
     table.AddRow(SweepRow(deadline, policies, baseline, [&](const std::string& name) {
       return result.Outcome(name).MeanQuality();
@@ -105,7 +104,7 @@ void RunClusterDeadlineSweep(std::ostream& out, const std::string& title,
       << " cluster=" << options.cluster.machines << "x" << options.cluster.slots_per_machine
       << " slots, queries=" << options.num_queries << " seed=" << options.seed << "\n";
 
-  std::unique_ptr<ThreadPool> pool = MakeSweepPool(options.threads, options.num_queries);
+  std::unique_ptr<ThreadPool> pool = MakeSweepPool(options.num_queries);
   TablePrinter table(SweepColumns(policies, baseline, workload.time_unit()));
   for (double deadline : deadlines) {
     ClusterExperimentConfig config;
@@ -113,9 +112,7 @@ void RunClusterDeadlineSweep(std::ostream& out, const std::string& title,
     config.deadline = deadline;
     config.num_queries = options.num_queries;
     config.seed = options.seed;
-    config.threads = options.threads;
     config.pool = pool.get();
-    config.run = options.run;
     ClusterExperimentResult result = RunClusterExperiment(workload, policies, config);
     table.AddRow(SweepRow(deadline, policies, baseline, [&](const std::string& name) {
       return result.Outcome(name).MeanQuality();

@@ -46,15 +46,13 @@ class BenchObservability {
   ObservabilityScope scope_;
 };
 
+// Sweeps run one worker per hardware thread (capped at num_queries);
+// results are thread-count independent.
 struct SweepOptions {
   int num_queries = 100;
   uint64_t seed = 42;
-  // Worker threads per experiment (<= 0: one per hardware thread). Results
-  // are thread-count independent; this only changes wall-clock time.
-  int threads = 0;
   // Name of the policy used as the improvement baseline ("" = first).
   std::string baseline;
-  TreeSimulationOptions sim;
 };
 
 // Runs |workload| under |policies| for every deadline and prints one row per
@@ -69,10 +67,7 @@ struct ClusterSweepOptions {
   ClusterSpec cluster;
   int num_queries = 100;
   uint64_t seed = 42;
-  // Same contract as SweepOptions::threads.
-  int threads = 0;
   std::string baseline;
-  ClusterRunOptions run;
 };
 
 // Same, on the slot-scheduled cluster engine (the deployment substitute).

@@ -296,7 +296,9 @@ LoadedRunResult RunLoadedCluster(const Workload& workload, const WaitPolicy& pol
                                  const LoadedRunConfig& config) {
   CEDAR_CHECK(std::isfinite(config.deadline) && config.deadline > 0.0)
       << "deadline " << config.deadline << " must be finite and > 0";
-  CEDAR_CHECK_GT(config.mean_interarrival, 0.0);
+  CEDAR_CHECK(std::isfinite(config.mean_interarrival) && config.mean_interarrival > 0.0)
+      << "LoadedRunConfig::mean_interarrival " << config.mean_interarrival
+      << " must be finite and > 0";
   CEDAR_CHECK_GT(config.num_queries, 0);
 
   const QueryTreeModel model(workload.OfflineTree(), config.deadline, config);

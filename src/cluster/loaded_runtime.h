@@ -32,7 +32,8 @@ struct LoadedRunConfig : QueryTreeOptions {
   ClusterSpec cluster;
   // Per-query relative deadline D.
   double deadline = 0.0;
-  // Mean query inter-arrival time (exponential); smaller = heavier load.
+  // Mean query inter-arrival time (exponential), finite and > 0; smaller =
+  // heavier load.
   double mean_interarrival = 0.0;
   int num_queries = 50;
   uint64_t seed = 42;

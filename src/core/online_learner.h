@@ -5,7 +5,7 @@
 // src/stats/fitting.h); this class learns its *parameters* online. As each
 // of the k child outputs arrives, the arrival time is recorded; the current
 // fit treats the i-th arrival as a draw from the i-th order statistic of k
-// samples and applies the pairwise estimator from src/stats/estimators.h.
+// samples and applies FitSpecFromOrderStats (src/stats/estimators.h).
 // Setting |use_empirical_estimates| switches to the biased sample-moments
 // baseline (the ablation of Figure 10).
 
@@ -16,12 +16,12 @@
 #include <vector>
 
 #include "src/stats/distribution.h"
-#include "src/stats/estimators.h"
 
 namespace cedar {
 
 struct OnlineLearnerOptions {
-  // Distribution family to fit (the offline type decision).
+  // Distribution family to fit (the offline type decision): log-normal,
+  // normal or exponential.
   DistributionFamily family = DistributionFamily::kLogNormal;
 
   // Minimum number of arrivals before a fit is produced. Two suffice
@@ -30,9 +30,6 @@ struct OnlineLearnerOptions {
   // (Figure 9) show estimates stabilize around 10 arrivals, which is the
   // default here. Tests and the estimation-error bench set it lower.
   int min_samples = 10;
-
-  // Use exact integrated order-statistic scores (default) or Blom.
-  OrderScoreMethod score_method = OrderScoreMethod::kExact;
 
   // Figure-10 ablation: ignore order statistics and fit plain sample
   // moments of the (biased) early arrivals.
@@ -53,8 +50,7 @@ class OnlineLearner {
   int num_observations() const { return static_cast<int>(arrivals_.size()); }
 
   // Current parameter fit, or nullopt if fewer than min_samples arrivals
-  // (or the estimator degenerated). Recomputed lazily per call after new
-  // observations.
+  // (or the estimator degenerated). Each call refits all arrivals so far.
   std::optional<DistributionSpec> CurrentFit() const;
 
   const std::vector<double>& arrivals() const { return arrivals_; }
@@ -67,10 +63,11 @@ class OnlineLearner {
   int fanout_;
   OnlineLearnerOptions options_;
   std::vector<double> arrivals_;
-
-  mutable bool fit_valid_ = false;
-  mutable std::optional<DistributionSpec> cached_fit_;
 };
+
+// Dies, naming |family|, unless the learner can fit it: log-normal, normal
+// or exponential. The OnlineLearner and CedarPolicy constructors call it.
+void CheckLearnerFamily(DistributionFamily family);
 
 }  // namespace cedar
 

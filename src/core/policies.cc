@@ -134,6 +134,7 @@ double OfflineOptimalPolicy::InitialWait(const AggregatorContext& ctx) {
 
 CedarPolicy::CedarPolicy(CedarPolicyOptions options) : options_(options) {
   CEDAR_CHECK_GE(options_.reoptimize_every, 1);
+  CheckLearnerFamily(options_.learner.family);
   if (options_.use_wait_table) {
     CEDAR_CHECK(options_.table_spec.family == options_.learner.family)
         << "wait-table family must match the learner family";

@@ -1,20 +1,63 @@
 #include "src/stats/estimators.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "src/common/logging.h"
+#include "src/stats/order_statistics.h"
 
 namespace cedar {
 namespace {
 
-// Shared pairwise location-scale fit against precomputed scores m_{i,k}.
-// |values| are the (possibly log-transformed) observations.
-std::optional<LocationScaleEstimate> PairwiseFit(const std::vector<double>& values,
-                                                 const std::vector<double>& scores) {
-  if (values.size() < 2) {
+constexpr double kMinScale = 1e-9;
+
+// A fitted location/scale pair. For log-normal these are (mu, sigma) of the
+// log; for normal, (mean, sd); for exponential, (1/lambda, 1/lambda).
+struct LocationScaleEstimate {
+  double location = 0.0;
+  double scale = 0.0;
+};
+
+bool IsSortedAscending(const std::vector<double>& v) {
+  for (size_t i = 1; i < v.size(); ++i) {
+    if (v[i] < v[i - 1]) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// ln t for each of |times|, or nullopt if some t <= 0 (log-normal support is
+// (0, inf)).
+std::optional<std::vector<double>> LogsOf(const std::vector<double>& times) {
+  std::vector<double> logs;
+  logs.reserve(times.size());
+  for (double t : times) {
+    if (t <= 0.0) {
+      return std::nullopt;
+    }
+    logs.push_back(std::log(t));
+  }
+  return logs;
+}
+
+// Cedar's pairwise location-scale fit (§4.2.2) of the ascending |times|
+// (their logs if |take_logs|) against the exact scores m_{i,k}.
+std::optional<LocationScaleEstimate> PairwiseOrderStatsFit(const std::vector<double>& times,
+                                                           int k, bool take_logs) {
+  if (times.size() < 2 || static_cast<int>(times.size()) > k) {
     return std::nullopt;
   }
-  CEDAR_CHECK_LE(values.size(), scores.size());
+  CEDAR_CHECK(IsSortedAscending(times)) << "arrival times must be ascending";
+  std::optional<std::vector<double>> logs;
+  if (take_logs) {
+    logs = LogsOf(times);
+    if (!logs.has_value()) {
+      return std::nullopt;
+    }
+  }
+  const std::vector<double>& values = take_logs ? *logs : times;
+  const std::vector<double>& scores = NormalOrderScoreTable::Get(k);
 
   double location_sum = 0.0;
   double scale_sum = 0.0;
@@ -40,49 +83,12 @@ std::optional<LocationScaleEstimate> PairwiseFit(const std::vector<double>& valu
   // Ties in arrival times can drive individual sigma_i to 0; the average can
   // still be 0 if all observations are identical. Clamp to nonnegative.
   estimate.scale = std::max(0.0, scale_sum / pairs);
-  estimate.pairs_used = pairs;
   return estimate;
 }
 
-bool IsSortedAscending(const std::vector<double>& v) {
-  for (size_t i = 1; i < v.size(); ++i) {
-    if (v[i] < v[i - 1]) {
-      return false;
-    }
-  }
-  return true;
-}
-
-}  // namespace
-
-std::optional<LocationScaleEstimate> EstimateLogNormalOrderStats(const std::vector<double>& times,
-                                                                 int k, OrderScoreMethod method) {
-  if (times.size() < 2 || static_cast<int>(times.size()) > k) {
-    return std::nullopt;
-  }
-  CEDAR_CHECK(IsSortedAscending(times)) << "arrival times must be ascending";
-  std::vector<double> logs;
-  logs.reserve(times.size());
-  for (double t : times) {
-    if (t <= 0.0) {
-      return std::nullopt;  // log-normal support is (0, inf)
-    }
-    logs.push_back(std::log(t));
-  }
-  return PairwiseFit(logs, NormalOrderScoreTable::Get(k, method));
-}
-
-std::optional<LocationScaleEstimate> EstimateNormalOrderStats(const std::vector<double>& times,
-                                                              int k, OrderScoreMethod method) {
-  if (times.size() < 2 || static_cast<int>(times.size()) > k) {
-    return std::nullopt;
-  }
-  CEDAR_CHECK(IsSortedAscending(times)) << "arrival times must be ascending";
-  return PairwiseFit(times, NormalOrderScoreTable::Get(k, method));
-}
-
-std::optional<LocationScaleEstimate> EstimateExponentialOrderStats(
-    const std::vector<double>& times, int k) {
+// Exponential fit from the first r of k order statistics by normalized
+// spacings (see FitSpecFromOrderStats).
+std::optional<LocationScaleEstimate> SpacingsFit(const std::vector<double>& times, int k) {
   if (times.empty() || static_cast<int>(times.size()) > k) {
     return std::nullopt;
   }
@@ -104,15 +110,10 @@ std::optional<LocationScaleEstimate> EstimateExponentialOrderStats(
     return std::nullopt;
   }
   double mean = total / static_cast<double>(r);
-  LocationScaleEstimate estimate;
-  estimate.location = mean;  // 1/lambda
-  estimate.scale = mean;
-  estimate.pairs_used = r;
-  return estimate;
+  return LocationScaleEstimate{mean, mean};  // (1/lambda, 1/lambda)
 }
 
-namespace {
-
+// Sample mean and sd (n-1 denominator) of |values|.
 std::optional<LocationScaleEstimate> MomentsFit(const std::vector<double>& values) {
   if (values.size() < 2) {
     return std::nullopt;
@@ -129,31 +130,8 @@ std::optional<LocationScaleEstimate> MomentsFit(const std::vector<double>& value
   LocationScaleEstimate estimate;
   estimate.location = mean;
   estimate.scale = std::sqrt(ss / static_cast<double>(values.size() - 1));
-  estimate.pairs_used = static_cast<int>(values.size());
   return estimate;
 }
-
-}  // namespace
-
-std::optional<LocationScaleEstimate> EstimateLogNormalEmpirical(const std::vector<double>& times) {
-  std::vector<double> logs;
-  logs.reserve(times.size());
-  for (double t : times) {
-    if (t <= 0.0) {
-      return std::nullopt;
-    }
-    logs.push_back(std::log(t));
-  }
-  return MomentsFit(logs);
-}
-
-std::optional<LocationScaleEstimate> EstimateNormalEmpirical(const std::vector<double>& times) {
-  return MomentsFit(times);
-}
-
-namespace {
-
-constexpr double kMinScale = 1e-9;
 
 std::optional<DistributionSpec> ToSpec(DistributionFamily family,
                                        const std::optional<LocationScaleEstimate>& est) {
@@ -164,55 +142,55 @@ std::optional<DistributionSpec> ToSpec(DistributionFamily family,
   }
   DistributionSpec spec;
   spec.family = family;
-  switch (family) {
-    case DistributionFamily::kExponential:
-      if (est->location <= 0.0) {
-        return std::nullopt;
-      }
-      spec.p1 = 1.0 / est->location;
-      spec.p2 = 0.0;
-      break;
-    default:
-      spec.p1 = est->location;
-      // A zero scale (identical observations) would make the distribution a
-      // point mass the CDF machinery cannot represent; keep a tiny floor.
-      spec.p2 = std::max(est->scale, kMinScale);
-      break;
+  if (family == DistributionFamily::kExponential) {
+    if (est->location <= 0.0) {
+      return std::nullopt;
+    }
+    spec.p1 = 1.0 / est->location;
+    spec.p2 = 0.0;
+  } else {
+    spec.p1 = est->location;
+    // A zero scale (identical observations) would make the distribution a
+    // point mass the CDF machinery cannot represent; keep a tiny floor.
+    spec.p2 = std::max(est->scale, kMinScale);
   }
   return spec;
+}
+
+[[noreturn]] void DieUnfittable(DistributionFamily family) {
+  CEDAR_LOG(FATAL) << "no fit for distribution family " << DistributionFamilyName(family)
+                   << " (want lognormal, normal or exponential)";
+  __builtin_unreachable();
 }
 
 }  // namespace
 
 std::optional<DistributionSpec> FitSpecFromOrderStats(DistributionFamily family,
-                                                      const std::vector<double>& times, int k,
-                                                      OrderScoreMethod method) {
+                                                      const std::vector<double>& times, int k) {
   switch (family) {
-    case DistributionFamily::kNormal:
-      return ToSpec(family, EstimateNormalOrderStats(times, k, method));
-    case DistributionFamily::kExponential:
-      return ToSpec(family, EstimateExponentialOrderStats(times, k));
     case DistributionFamily::kLogNormal:
+    case DistributionFamily::kNormal:
+      return ToSpec(family,
+                    PairwiseOrderStatsFit(times, k, family == DistributionFamily::kLogNormal));
+    case DistributionFamily::kExponential:
+      return ToSpec(family, SpacingsFit(times, k));
     default:
-      // The paper's traces all fit log-normal best (§4.2.1); unknown families
-      // fall back to it.
-      return ToSpec(DistributionFamily::kLogNormal,
-                    EstimateLogNormalOrderStats(times, k, method));
+      DieUnfittable(family);
   }
 }
 
 std::optional<DistributionSpec> FitSpecEmpirical(DistributionFamily family,
                                                  const std::vector<double>& times) {
   switch (family) {
-    case DistributionFamily::kNormal:
-      return ToSpec(family, EstimateNormalEmpirical(times));
-    case DistributionFamily::kExponential: {
-      auto est = EstimateNormalEmpirical(times);
-      return ToSpec(DistributionFamily::kExponential, est);
+    case DistributionFamily::kLogNormal: {
+      auto logs = LogsOf(times);
+      return logs.has_value() ? ToSpec(family, MomentsFit(*logs)) : std::nullopt;
     }
-    case DistributionFamily::kLogNormal:
+    case DistributionFamily::kNormal:
+    case DistributionFamily::kExponential:
+      return ToSpec(family, MomentsFit(times));
     default:
-      return ToSpec(DistributionFamily::kLogNormal, EstimateLogNormalEmpirical(times));
+      DieUnfittable(family);
   }
 }
 

@@ -4,7 +4,9 @@
 #include <cmath>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <mutex>
+#include <vector>
 
 #include "src/common/logging.h"
 #include "src/common/math_util.h"
@@ -12,13 +14,25 @@
 #include "src/stats/rng.h"
 
 namespace cedar {
+namespace {
 
+// Blom's approximation Phi^{-1}((i - 0.375) / (k + 0.25)) of the expected
+// i-th standard-normal order statistic out of k (within ~1% of exact):
+// ExactNormalScore centres its integration window on it.
 double BlomNormalScore(int i, int k) {
-  CEDAR_CHECK(i >= 1 && i <= k) << "order statistic index " << i << " out of range for k=" << k;
   constexpr double kAlpha = 0.375;
   double p = (static_cast<double>(i) - kAlpha) / (static_cast<double>(k) + 1.0 - 2.0 * kAlpha);
   return NormalQuantile(p);
 }
+
+std::mutex g_table_mutex;
+std::map<int, std::unique_ptr<std::vector<double>>>& TableCache() {
+  // Intentionally leaked process-lifetime cache (see g_table_mutex).
+  static auto* cache = new std::map<int, std::unique_ptr<std::vector<double>>>();
+  return *cache;
+}
+
+}  // namespace
 
 double ExactNormalScore(int i, int k) {
   CEDAR_CHECK(i >= 1 && i <= k) << "order statistic index " << i << " out of range for k=" << k;
@@ -61,32 +75,11 @@ double ExactNormalScore(int i, int k) {
   return sum * h / 3.0;
 }
 
-double ExponentialScore(int i, int k) {
-  CEDAR_CHECK(i >= 1 && i <= k);
-  double sum = 0.0;
-  for (int j = 0; j < i; ++j) {
-    sum += 1.0 / static_cast<double>(k - j);
-  }
-  return sum;
-}
-
-namespace {
-
-std::mutex g_table_mutex;
-std::map<std::pair<int, int>, std::unique_ptr<std::vector<double>>>& TableCache() {
-  // Intentionally leaked process-lifetime cache (see g_table_mutex).
-  static auto* cache = new std::map<std::pair<int, int>, std::unique_ptr<std::vector<double>>>();
-  return *cache;
-}
-
-}  // namespace
-
-const std::vector<double>& NormalOrderScoreTable::Get(int k, OrderScoreMethod method) {
+const std::vector<double>& NormalOrderScoreTable::Get(int k) {
   CEDAR_CHECK_GE(k, 1);
-  auto key = std::make_pair(k, static_cast<int>(method));
   {
     std::lock_guard<std::mutex> lock(g_table_mutex);
-    auto it = TableCache().find(key);
+    auto it = TableCache().find(k);
     if (it != TableCache().end()) {
       return *it->second;
     }
@@ -96,11 +89,10 @@ const std::vector<double>& NormalOrderScoreTable::Get(int k, OrderScoreMethod me
   auto table = std::make_unique<std::vector<double>>();
   table->reserve(static_cast<size_t>(k));
   for (int i = 1; i <= k; ++i) {
-    table->push_back(method == OrderScoreMethod::kExact ? ExactNormalScore(i, k)
-                                                        : BlomNormalScore(i, k));
+    table->push_back(ExactNormalScore(i, k));
   }
   std::lock_guard<std::mutex> lock(g_table_mutex);
-  auto [it, inserted] = TableCache().emplace(key, std::move(table));
+  auto [it, inserted] = TableCache().emplace(k, std::move(table));
   return *it->second;
 }
 

@@ -9,51 +9,34 @@
 // For location-scale families (normal; log-normal after taking logs) the
 // expected i-th order statistic is mu + sigma * m_{i,k}, where m_{i,k} is the
 // expected i-th order statistic of the *standard* distribution. This module
-// computes the standard-normal scores m_{i,k} two ways:
+// computes the standard-normal scores m_{i,k} by numerical integration of
 //
-//   * kExact — numerical integration of
-//       E[Z_(i)] = k * C(k-1, i-1) * Integral z phi(z) Phi(z)^{i-1}
-//                  (1 - Phi(z))^{k-i} dz
-//     (adaptive Simpson on [-9, 9]); accurate to ~1e-9.
-//   * kBlom — Blom's classical approximation
-//       Phi^{-1}((i - 0.375) / (k + 0.25)),
-//     within ~1% of exact, O(1) per score.
+//   E[Z_(i)] = k * C(k-1, i-1) * Integral z phi(z) Phi(z)^{i-1} (1 - Phi(z))^{k-i} dz
 //
-// Scores are cached per (k, method) behind a mutex; lookups after the first
-// are lock-then-pointer-read.
+// (composite Simpson over the density's peak; accurate to ~1e-9), and
+// cross-checks them by Monte-Carlo simulation.
+//
+// Scores are cached per k behind a mutex; lookups after the first are
+// lock-then-pointer-read.
 
 #ifndef CEDAR_SRC_STATS_ORDER_STATISTICS_H_
 #define CEDAR_SRC_STATS_ORDER_STATISTICS_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 namespace cedar {
 
-enum class OrderScoreMethod {
-  kExact,  // numerical integration (default)
-  kBlom,   // Blom's approximation
-};
-
-// Blom's approximate expected i-th (1-based) standard-normal order statistic
-// out of k.
-double BlomNormalScore(int i, int k);
-
 // Exact (numerically integrated) expected i-th standard-normal order
 // statistic out of k. 1 <= i <= k.
 double ExactNormalScore(int i, int k);
-
-// Expected i-th order statistic of Exponential(1): sum_{j=0}^{i-1} 1/(k-j).
-// Closed form; used by the exponential estimator.
-double ExponentialScore(int i, int k);
 
 // Cached table of all k standard-normal scores for a sample size.
 class NormalOrderScoreTable {
  public:
   // Returns the shared table for |k| (computing and caching on first use).
   // The returned reference lives for the program duration.
-  static const std::vector<double>& Get(int k, OrderScoreMethod method = OrderScoreMethod::kExact);
+  static const std::vector<double>& Get(int k);
 
   // Drops all cached tables (test hook).
   static void ClearCacheForTesting();

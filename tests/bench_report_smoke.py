@@ -5,10 +5,13 @@
 
 Runs all 17 benches with --quick, so each exits 0 on a few queries, and
 checks the report's keys. Then compares a second quick run of two benches
-against the first, which must find both outputs byte-identical, and
-checks that a quick report is not compared with a full one.
+against the first, which must find both outputs byte-identical; checks
+that a changed output prints its unified diff, and that an old report
+without the stdout text still compares by hash; and checks that a quick
+report is not compared with a full one.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -16,7 +19,36 @@ import sys
 import tempfile
 
 RERUN = "fig04_bing_rtt,fig12_fanout"
-BENCH_KEYS = {"wall_s", "cpu_s", "stdout_sha256", "exit_code"}
+BENCH_KEYS = {"wall_s", "cpu_s", "stdout_sha256", "stdout", "exit_code"}
+
+
+def check_diff_output(base, first, tmp):
+    """A changed output prints a unified diff; a report without text does not."""
+    with open(first) as f:
+        report = json.load(f)
+    fig04 = report["benches"]["fig04_bing_rtt"]
+    lines = fig04["stdout"].splitlines(keepends=True)
+    changed = "a line only the old report has\n"
+    fig04["stdout"] = "".join(lines[:1] + [changed] + lines[1:])
+    fig04["stdout_sha256"] = hashlib.sha256(fig04["stdout"].encode("utf-8")).hexdigest()
+    doctored = os.path.join(tmp, "doctored.json")
+    with open(doctored, "w") as f:
+        json.dump(report, f)
+    fig04_only = base + ["--quick", "--only", "fig04_bing_rtt", "--out",
+                         os.path.join(tmp, "rerun.json"), "--against", doctored]
+    differs = subprocess.run(fig04_only, stdout=subprocess.PIPE, text=True)
+    assert differs.returncode == 1, differs.returncode
+    assert "DIFFERS" in differs.stdout, differs.stdout
+    assert "--- old/fig04_bing_rtt\n+++ new/fig04_bing_rtt\n" in differs.stdout, differs.stdout
+    assert "\n-" + changed in differs.stdout, differs.stdout
+    # An old report carries only the hash: still DIFFERS, no diff to print.
+    del fig04["stdout"]
+    with open(doctored, "w") as f:
+        json.dump(report, f)
+    hash_only = subprocess.run(fig04_only, stdout=subprocess.PIPE, text=True)
+    assert hash_only.returncode == 1, hash_only.returncode
+    assert "DIFFERS" in hash_only.stdout, hash_only.stdout
+    assert "+++" not in hash_only.stdout, hash_only.stdout
 
 
 def main():
@@ -38,10 +70,13 @@ def main():
             assert set(bench) == BENCH_KEYS, (name, bench.keys())
             assert bench["exit_code"] == 0, (name, bench)
             assert len(bench["stdout_sha256"]) == 64, (name, bench)
+            digest = hashlib.sha256(bench["stdout"].encode("utf-8")).hexdigest()
+            assert digest == bench["stdout_sha256"], name
         assert set(report["total"]) == {"wall_s", "cpu_s"}, report["total"]
         rerun = base + ["--quick", "--only", RERUN]
         subprocess.run(rerun + ["--out", first], check=True)
         subprocess.run(rerun + ["--out", second, "--against", first], check=True)
+        check_diff_output(base, first, tmp)
         # fig04 takes no --queries, so its quick and full outputs match; the
         # comparison must still refuse to mix the two kinds of report.
         subprocess.run(base + ["--only", "fig04_bing_rtt", "--out", full], check=True)

@@ -279,8 +279,13 @@ TEST(LoadedRuntimeDeathTest, RejectsBadConfig) {
   auto workload = MakeFacebookWorkload(4, 4);
   CedarPolicy cedar;
   LoadedRunConfig config = BaseConfig();
-  config.mean_interarrival = 0.0;
-  EXPECT_DEATH(RunLoadedCluster(workload, cedar, config), "interarrival");
+  for (double interarrival : {0.0, std::numeric_limits<double>::infinity(),
+                              std::numeric_limits<double>::quiet_NaN()}) {
+    config.mean_interarrival = interarrival;
+    EXPECT_DEATH(RunLoadedCluster(workload, cedar, config),
+                 "LoadedRunConfig::mean_interarrival .* must be finite and > 0")
+        << interarrival;
+  }
   for (double deadline : {std::numeric_limits<double>::infinity(),
                           std::numeric_limits<double>::quiet_NaN(), 0.0}) {
     config = BaseConfig();

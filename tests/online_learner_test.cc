@@ -48,7 +48,7 @@ TEST(OnlineLearnerTest, FitConvergesToTruth) {
   EXPECT_NEAR(mu_sum / kTrials, 2.77, 0.08);
 }
 
-TEST(OnlineLearnerTest, FitIsCachedUntilNewObservation) {
+TEST(OnlineLearnerTest, RepeatedFitsAgreeUntilNewObservation) {
   OnlineLearner learner(10, TestOptions());
   learner.Observe(1.0);
   learner.Observe(2.0);
@@ -127,6 +127,12 @@ TEST(OnlineLearnerDeathTest, RejectsMoreThanFanout) {
 
 TEST(OnlineLearnerDeathTest, MinSamplesBelowTwoRejected) {
   EXPECT_DEATH(OnlineLearner(10, TestOptions(1)), "pairwise");
+}
+
+TEST(OnlineLearnerDeathTest, UnfittableFamilyDiesAtConstruction) {
+  OnlineLearnerOptions options = TestOptions();
+  options.family = DistributionFamily::kWeibull;
+  EXPECT_DEATH(OnlineLearner(10, options), "cannot fit family weibull");
 }
 
 }  // namespace

@@ -4,21 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include "src/stats/normal_math.h"
+
 namespace cedar {
 namespace {
-
-TEST(BlomScoreTest, MedianOfOddSampleIsZero) {
-  EXPECT_NEAR(BlomNormalScore(3, 5), 0.0, 1e-12);
-  EXPECT_NEAR(BlomNormalScore(26, 51), 0.0, 1e-12);
-}
-
-TEST(BlomScoreTest, Symmetry) {
-  for (int k : {5, 10, 50}) {
-    for (int i = 1; i <= k; ++i) {
-      EXPECT_NEAR(BlomNormalScore(i, k), -BlomNormalScore(k + 1 - i, k), 1e-12);
-    }
-  }
-}
 
 TEST(ExactScoreTest, SingleSampleHasZeroMean) {
   EXPECT_NEAR(ExactNormalScore(1, 1), 0.0, 1e-9);
@@ -60,10 +49,11 @@ TEST(ExactScoreTest, SumOfScoresIsZero) {
 }
 
 TEST(ExactScoreTest, BlomIsCloseForModerateK) {
+  // Blom's approximation Phi^{-1}((i - 0.375) / (k + 0.25)) is within ~1%.
   for (int k : {10, 50, 100}) {
     for (int i = 1; i <= k; ++i) {
-      EXPECT_NEAR(ExactNormalScore(i, k), BlomNormalScore(i, k), 0.02)
-          << "i=" << i << " k=" << k;
+      double blom = NormalQuantile((i - 0.375) / (k + 0.25));
+      EXPECT_NEAR(ExactNormalScore(i, k), blom, 0.02) << "i=" << i << " k=" << k;
     }
   }
 }
@@ -77,43 +67,21 @@ TEST(ExactScoreTest, MatchesMonteCarlo) {
   }
 }
 
-TEST(ExponentialScoreTest, ClosedForm) {
-  // E[min of k] = 1/k; E[max of k] = H_k.
-  EXPECT_DOUBLE_EQ(ExponentialScore(1, 4), 0.25);
-  double harmonic4 = 1.0 + 0.5 + 1.0 / 3.0 + 0.25;
-  EXPECT_NEAR(ExponentialScore(4, 4), harmonic4, 1e-12);
-}
-
-TEST(ExponentialScoreTest, StrictlyIncreasing) {
-  for (int i = 1; i < 20; ++i) {
-    EXPECT_LT(ExponentialScore(i, 20), ExponentialScore(i + 1, 20));
-  }
-}
-
 TEST(ScoreTableTest, CachedTableMatchesDirectComputation) {
   NormalOrderScoreTable::ClearCacheForTesting();
-  const auto& table = NormalOrderScoreTable::Get(25, OrderScoreMethod::kExact);
+  const auto& table = NormalOrderScoreTable::Get(25);
   ASSERT_EQ(table.size(), 25u);
   for (int i = 1; i <= 25; ++i) {
     EXPECT_DOUBLE_EQ(table[static_cast<size_t>(i - 1)], ExactNormalScore(i, 25));
   }
   // Second lookup returns the same object.
-  const auto& again = NormalOrderScoreTable::Get(25, OrderScoreMethod::kExact);
+  const auto& again = NormalOrderScoreTable::Get(25);
   EXPECT_EQ(&table, &again);
-}
-
-TEST(ScoreTableTest, BlomAndExactAreSeparateCaches) {
-  NormalOrderScoreTable::ClearCacheForTesting();
-  const auto& exact = NormalOrderScoreTable::Get(10, OrderScoreMethod::kExact);
-  const auto& blom = NormalOrderScoreTable::Get(10, OrderScoreMethod::kBlom);
-  EXPECT_NE(&exact, &blom);
-  EXPECT_DOUBLE_EQ(blom[0], BlomNormalScore(1, 10));
 }
 
 TEST(ScoreDeathTest, IndexOutOfRange) {
   EXPECT_DEATH(ExactNormalScore(0, 5), "out of range");
   EXPECT_DEATH(ExactNormalScore(6, 5), "out of range");
-  EXPECT_DEATH(BlomNormalScore(0, 5), "out of range");
 }
 
 }  // namespace

@@ -262,5 +262,13 @@ TEST_F(PolicyTest, OverlayRejectsWrongStageCount) {
   EXPECT_DEATH(truth.OverlayOn(tree_), "mismatch");
 }
 
+TEST(CedarPolicyDeathTest, UnfittableLearnerFamilyDiesAtConstruction) {
+  // The learner fits log-normal, normal and exponential only; any other
+  // family must fail here, naming it, not fit log-normal in its place.
+  CedarPolicyOptions options;
+  options.learner.family = DistributionFamily::kWeibull;
+  EXPECT_DEATH(CedarPolicy{options}, "cannot fit family weibull");
+}
+
 }  // namespace
 }  // namespace cedar

@@ -6,8 +6,8 @@
 
 Runs each bench (build/bench/bench_<name>) with its defaults, one after
 another, and records per bench: wall time, user + system CPU of the child
-(the RUSAGE_CHILDREN delta) and the SHA-256 of its stdout. The JSON report
-goes to --out, or to stdout without it.
+(the RUSAGE_CHILDREN delta), its stdout text and the SHA-256 of that text.
+The JSON report goes to --out, or to stdout without it.
 
 --quick passes --queries=4 to every bench that takes it (all but fig04 and
 fig09, which run at their defaults): each bench binary runs end to end in a
@@ -17,10 +17,14 @@ refuses to compare a quick report with a full one.
 With --against, prints each bench's wall and CPU change against an earlier
 report and exits 1 if any bench's stdout hash differs from it or is missing
 there: a refactor that must keep the printed figures byte-identical can be
-checked by running this before and after. Exits 1 as well if a bench fails.
+checked by running this before and after. For each bench whose hash
+differs, a unified diff of the two outputs follows the table when both
+reports carry the text (reports written before the text was stored compare
+by hash only). Exits 1 as well if a bench fails.
 """
 
 import argparse
+import difflib
 import hashlib
 import json
 import os
@@ -71,13 +75,16 @@ def run_bench(build_dir, name, quick):
         "wall_s": round(wall_s, 3),
         "cpu_s": round(child_cpu_s() - cpu_before, 3),
         "stdout_sha256": hashlib.sha256(result.stdout).hexdigest(),
+        "stdout": result.stdout.decode("utf-8", errors="replace"),
         "exit_code": result.returncode,
     }
 
 
 def compare(report, old, out):
-    """Prints per-bench deltas against |old| to |out|; False on a hash mismatch."""
+    """Prints per-bench deltas against |old| to |out|, then a unified diff of
+    each differing output both reports carry; False on a hash mismatch."""
     identical = True
+    diffs = []
     print(f"{'bench':<24} {'wall_s old -> new':>22} {'cpu_s old -> new':>22}  stdout", file=out)
     for name, new in report["benches"].items():
         before = old["benches"].get(name)
@@ -91,6 +98,14 @@ def compare(report, old, out):
         cpu = f"{before['cpu_s']:.2f} -> {new['cpu_s']:.2f}"
         print(f"{name:<24} {wall:>22} {cpu:>22}  {'identical' if same else 'DIFFERS'}",
               file=out)
+        if not same and "stdout" in before and "stdout" in new:
+            diffs.append(difflib.unified_diff(
+                before["stdout"].splitlines(keepends=True),
+                new["stdout"].splitlines(keepends=True),
+                fromfile=f"old/{name}", tofile=f"new/{name}"))
+    for diff in diffs:
+        print(file=out)
+        out.writelines(diff)
     return identical
 
 

@@ -69,8 +69,8 @@ int main(int argc, char** argv) {
   double* slow_factor = flags.AddDouble(
       "slow_factor", 1.0, "slowdown of slow machines, finite and > 0 (cluster/loaded engines)");
   bool* speculation = flags.AddBool("speculation", false, "enable task speculation (cluster)");
-  double* interarrival =
-      flags.AddDouble("interarrival", 100.0, "mean query inter-arrival time (loaded engine)");
+  double* interarrival = flags.AddPositiveDouble("interarrival", 100.0,
+                                                 "mean query inter-arrival time (loaded engine)");
   int64_t* seed = flags.AddInt("seed", 42, "rng seed");
   int64_t* threads =
       flags.AddInt("threads", 0, "experiment worker threads (0 = one per hardware thread)", 0,
