@@ -2,7 +2,7 @@
 //
 // The paper plots the CDF with median 330us, p90 1.1ms, p99 14ms. We
 // reproduce the figure from the published log-normal fit (5.9, 1.25): the
-// percentile table and CDF series below, plus the DistributionFitter run on
+// percentile table and CDF series below, plus the FitPercentiles run on
 // the three published percentiles (the §4.2.1 offline type-fitting step).
 
 #include <iostream>
@@ -43,8 +43,7 @@ int main(int argc, char** argv) {
                            "substitute)");
     std::vector<PercentilePoint> points = {
         {0.50, kBingMedianUs}, {0.90, kBingP90Us}, {0.99, kBingP99Us}};
-    DistributionFitter fitter;
-    auto fits = fitter.FitPercentiles(points);
+    auto fits = FitPercentiles(points);
     TablePrinter table({"family", "fit", "relative_rms_error"});
     for (const auto& fit : fits) {
       table.AddRow({DistributionFamilyName(fit.spec.family), fit.spec.ToString(),

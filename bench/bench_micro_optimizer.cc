@@ -123,15 +123,15 @@ void BM_WaitScanOptimizeInteractive(benchmark::State& state) {
 }
 BENCHMARK(BM_WaitScanOptimizeInteractive);
 
-void BM_BuildQualityCurve(benchmark::State& state) {
+void BM_BuildQualityCurveStack(benchmark::State& state) {
   TreeSpec tree = BenchTree(static_cast<int>(state.range(0)));
   for (auto _ : state) {
-    auto curve = BuildQualityCurve(tree, 0, 1000.0);
-    benchmark::DoNotOptimize(curve);
+    auto stack = BuildQualityCurveStack(tree, 1000.0);
+    benchmark::DoNotOptimize(stack);
   }
   state.SetLabel("levels=" + std::to_string(state.range(0)));
 }
-BENCHMARK(BM_BuildQualityCurve)->Arg(2)->Arg(3)->Arg(4);
+BENCHMARK(BM_BuildQualityCurveStack)->Arg(2)->Arg(3)->Arg(4);
 
 void BM_PlanTree(benchmark::State& state) {
   TreeSpec tree = BenchTree(static_cast<int>(state.range(0)));

@@ -1,5 +1,5 @@
-// Shared numerical primitives: interpolation, adaptive quadrature, root
-// finding, and combinatorial helpers. Everything here is deterministic and
+// Shared numerical primitives: interpolation, root finding, and
+// combinatorial helpers. Everything here is deterministic and
 // header-declared so tests can exercise it directly.
 
 #ifndef CEDAR_SRC_COMMON_MATH_UTIL_H_
@@ -21,43 +21,34 @@ double Clamp(double v, double lo, double hi);
 // for the order-statistic densities (n up to a few thousand). Thread-safe.
 double LogBinomial(int n, int k);
 
-// Adaptive Simpson quadrature of |f| over [a, b] to absolute tolerance |tol|.
-// |max_depth| bounds recursion; the result error is typically far below tol.
-double IntegrateAdaptiveSimpson(const std::function<double(double)>& f, double a, double b,
-                                double tol = 1e-10, int max_depth = 24);
-
 // Finds a root of |f| in [lo, hi] by bisection, assuming f(lo) and f(hi)
 // bracket one (fatal otherwise). Stops when the interval is below |tol|.
 double FindRootBisect(const std::function<double(double)>& f, double lo, double hi,
                       double tol = 1e-12, int max_iters = 200);
 
-// A tabulated function y(x) on an ascending grid with linear interpolation
-// and flat extrapolation beyond the ends. Used for the quality curves q_n.
+// A function y(x) tabulated on the uniform grid x0 + step * i, with linear
+// interpolation and flat extrapolation beyond the ends. Used for the quality
+// curves q_n, which all live on one grid of step eps (§4.3), so ys() alone
+// with the grid's ends describes the curve exactly. Default-constructed
+// curves are empty, and evaluating one is fatal.
 class PiecewiseLinear {
  public:
   PiecewiseLinear() = default;
-  // |xs| must be strictly ascending and the same length as |ys|.
-  PiecewiseLinear(std::vector<double> xs, std::vector<double> ys);
 
-  // Builds from a uniform grid [x0, x0 + step*(n-1)].
+  // Builds from samples |ys| (non-empty) at x0, x0 + step, ...,
+  // x0 + step * (n - 1); |step| > 0.
   static PiecewiseLinear FromUniform(double x0, double step, std::vector<double> ys);
 
   double operator()(double x) const;
 
-  bool empty() const { return ys_.empty(); }
-  size_t size() const { return ys_.size(); }
   double min_x() const;
   double max_x() const;
 
   const std::vector<double>& ys() const { return ys_; }
 
  private:
-  // Uniform-grid representation (used when built via FromUniform).
-  bool uniform_ = false;
   double x0_ = 0.0;
   double step_ = 0.0;
-
-  std::vector<double> xs_;  // empty when uniform_
   std::vector<double> ys_;
 };
 

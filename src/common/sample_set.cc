@@ -15,11 +15,6 @@ void SampleSet::Add(double value) {
   sorted_valid_ = false;
 }
 
-void SampleSet::AddAll(const std::vector<double>& values) {
-  values_.insert(values_.end(), values.begin(), values.end());
-  sorted_valid_ = false;
-}
-
 void SampleSet::EnsureSorted() const {
   if (!sorted_valid_) {
     sorted_ = values_;

@@ -17,7 +17,6 @@ class SampleSet {
   explicit SampleSet(std::vector<double> values);
 
   void Add(double value);
-  void AddAll(const std::vector<double>& values);
 
   size_t size() const { return values_.size(); }
   bool empty() const { return values_.empty(); }

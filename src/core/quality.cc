@@ -114,13 +114,6 @@ std::vector<PiecewiseLinear> BuildStackFrom(const TreeSpec& tree, int first_stag
 
 }  // namespace
 
-PiecewiseLinear BuildQualityCurve(const TreeSpec& tree, int first_stage, double max_d,
-                                  const QualityGridOptions& options) {
-  CEDAR_CHECK(first_stage >= 0 && first_stage < tree.num_stages());
-  return std::move(BuildStackFrom(tree, first_stage, max_d, options)[static_cast<size_t>(
-      first_stage)]);
-}
-
 std::vector<PiecewiseLinear> BuildQualityCurveStack(const TreeSpec& tree, double max_d,
                                                     const QualityGridOptions& options) {
   return BuildStackFrom(tree, 0, max_d, options);

@@ -145,16 +145,12 @@ class FanoutPower {
 // the base-case curve q_1 (steps + 1 grid points).
 PiecewiseLinear TabulateCdf(const Distribution& dist, double max_d, int grid_points);
 
-// Builds q for the subtree formed by stages [first_stage, n) of |tree| under
-// deadline budget |max_d|. The returned curve maps a remaining deadline
-// d in [0, max_d] to the maximum expected quality of that subtree.
-PiecewiseLinear BuildQualityCurve(const TreeSpec& tree, int first_stage, double max_d,
-                                  const QualityGridOptions& options = {});
-
-// Builds the whole stack: result[i] is the curve for stages [i, n). Index 0
-// is the full tree; index n-1 is the topmost stage's CDF. All curves share
-// the grid [0, max_d]. Only callers that read every curve need this; the
-// engines and policies read [1, n) and use BuildUpperQualityCurves.
+// Builds the whole stack: result[i] is the curve for stages [i, n), mapping
+// a remaining deadline d in [0, max_d] to the maximum expected quality of
+// that subtree. Index 0 is the full tree; index n-1 is the topmost stage's
+// CDF. All curves share the grid [0, max_d]. Only callers that read every
+// curve need this; the engines and policies read [1, n) and use
+// BuildUpperQualityCurves.
 std::vector<PiecewiseLinear> BuildQualityCurveStack(const TreeSpec& tree, double max_d,
                                                     const QualityGridOptions& options = {});
 

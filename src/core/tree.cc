@@ -35,28 +35,12 @@ long long TreeSpec::TotalProcesses() const {
   return total;
 }
 
-long long TreeSpec::AggregatorsAtTier(int tier) const {
-  CEDAR_CHECK(tier >= 0 && tier < num_aggregator_tiers()) << "tier " << tier << " out of range";
-  long long total = 1;
-  for (int i = tier + 1; i < num_stages(); ++i) {
-    total *= stages_[static_cast<size_t>(i)].fanout;
-  }
-  return total;
-}
-
 double TreeSpec::SumOfStageMeans() const {
   double sum = 0.0;
   for (const auto& stage : stages_) {
     sum += stage.duration->Mean();
   }
   return sum;
-}
-
-TreeSpec TreeSpec::WithStage(int i, StageSpec stage) const {
-  CEDAR_CHECK(i >= 0 && i < num_stages());
-  std::vector<StageSpec> stages = stages_;
-  stages[static_cast<size_t>(i)] = std::move(stage);
-  return TreeSpec(std::move(stages));
 }
 
 std::string TreeSpec::ToString() const {

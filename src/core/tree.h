@@ -51,15 +51,8 @@ class TreeSpec {
   // Total number of leaf processes: product of all fanouts.
   long long TotalProcesses() const;
 
-  // Number of aggregators at tier |tier| (tier 0 aggregates stage-0
-  // outputs): product of fanouts of stages above it.
-  long long AggregatorsAtTier(int tier) const;
-
   // Sum of stage means (used by the Proportional-split baseline).
   double SumOfStageMeans() const;
-
-  // Returns a copy with stage |i| replaced (used by per-query truth overlays).
-  TreeSpec WithStage(int i, StageSpec stage) const;
 
   std::string ToString() const;
 

@@ -378,7 +378,6 @@ TreePlan PlanTree(const TreeSpec& tree, double deadline, const QualityGridOption
       << "deadline " << deadline << " must be finite and > 0";
   TreePlan plan;
   auto stack = BuildUpperQualityCurves(tree, deadline, options);
-  plan.expected_quality = FullTreeQualityAt(tree, stack, deadline, deadline, options);
 
   double eps = options.Epsilon(deadline);
   double offset = 0.0;

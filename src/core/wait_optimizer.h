@@ -81,14 +81,13 @@ struct TreePlan {
   // absolute_waits[i] is the absolute time at which tier-i aggregators send
   // their partial result upstream; size = num_aggregator_tiers().
   std::vector<double> absolute_waits;
-  // q_n(D): the expected quality of the plan.
-  double expected_quality = 0.0;
 };
 
 // Plans every tier of |tree| under end-to-end deadline |deadline| (fatal
-// unless finite and > 0), building the upper quality curves once and
-// reading q_n(D) pointwise. This is the "Ideal"/offline computation; the
-// online policies re-run the bottom tier's WaitScan as arrivals come in.
+// unless finite and > 0), building the upper quality curves once. Its
+// expected quality q_n(D) is MaxExpectedQuality(tree, deadline, options).
+// This is the "Ideal"/offline computation; the online policies re-run the
+// bottom tier's WaitScan as arrivals come in.
 TreePlan PlanTree(const TreeSpec& tree, double deadline, const QualityGridOptions& options = {});
 
 }  // namespace cedar

@@ -50,11 +50,6 @@ TraceArg TraceArg::Str(std::string key, std::string value) {
   return {std::move(key), std::move(value), false};
 }
 
-void TraceCollector::Emit(TraceEvent event) {
-  MutexLock lock(mutex_);
-  events_.push_back(std::move(event));
-}
-
 void TraceCollector::EmitBatch(std::vector<TraceEvent> events) {
   if (events.empty()) {
     return;
@@ -83,11 +78,6 @@ std::vector<TraceEvent> TraceCollector::Snapshot() const {
 size_t TraceCollector::size() const {
   MutexLock lock(mutex_);
   return events_.size();
-}
-
-void TraceCollector::Clear() {
-  MutexLock lock(mutex_);
-  events_.clear();
 }
 
 void TraceCollector::WriteChromeJson(std::ostream& out) const {

@@ -59,8 +59,7 @@ class TraceCollector {
   TraceCollector(const TraceCollector&) = delete;
   TraceCollector& operator=(const TraceCollector&) = delete;
 
-  void Emit(TraceEvent event);
-  // Appends a whole batch under one lock (the per-query path).
+  // Appends a whole batch under one lock (the engines emit one per query).
   void EmitBatch(std::vector<TraceEvent> events);
 
   // All events so far, stably sorted by (track, ts) so intra-query emission
@@ -68,7 +67,6 @@ class TraceCollector {
   std::vector<TraceEvent> Snapshot() const;
 
   size_t size() const;
-  void Clear();
 
   // Chrome trace-event JSON: {"traceEvents": [...], ...}.
   void WriteChromeJson(std::ostream& out) const;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "src/common/logging.h"
 #include "src/obs/query_trace.h"
 #include "src/sim/event_queue.h"
 
@@ -12,11 +11,6 @@ namespace cedar {
 TreeSimulation::TreeSimulation(TreeSpec offline_tree, double deadline,
                                TreeSimulationOptions options)
     : model_(std::move(offline_tree), deadline, options) {}
-
-const PiecewiseLinear& TreeSimulation::UpperQualityCurve(int tier) const {
-  CEDAR_CHECK(tier >= 0 && tier < offline_tree().num_aggregator_tiers());
-  return model_.curve_stack()[static_cast<size_t>(tier + 1)];
-}
 
 QueryResult TreeSimulation::RunQuery(const WaitPolicy& policy_prototype,
                                      const QueryRealization& realization) const {

@@ -42,9 +42,6 @@ class TreeSimulation {
   const TreeSpec& offline_tree() const { return model_.offline_tree(); }
   double deadline() const { return model_.deadline(); }
 
-  // Offline q-curve of stages [tier+1, n) — what ctx.upper_quality points at.
-  const PiecewiseLinear& UpperQualityCurve(int tier) const;
-
  private:
   QueryTreeModel model_;
 };

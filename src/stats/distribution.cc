@@ -27,6 +27,8 @@ std::string DistributionFamilyName(DistributionFamily family) {
       return "uniform";
     case DistributionFamily::kEmpirical:
       return "empirical";
+    case DistributionFamily::kMixture:
+      return "mixture";
   }
   return "unknown";
 }
@@ -36,7 +38,7 @@ DistributionFamily DistributionFamilyFromName(const std::string& name) {
        {DistributionFamily::kLogNormal, DistributionFamily::kNormal,
         DistributionFamily::kExponential, DistributionFamily::kPareto,
         DistributionFamily::kWeibull, DistributionFamily::kUniform,
-        DistributionFamily::kEmpirical}) {
+        DistributionFamily::kEmpirical, DistributionFamily::kMixture}) {
     if (DistributionFamilyName(family) == name) {
       return family;
     }
@@ -73,14 +75,6 @@ double LogNormalDistribution::CdfWithLog(double x, double log_x) const {
   return NormalCdf((log_x - mu_) / sigma_);
 }
 
-double LogNormalDistribution::Pdf(double x) const {
-  if (x <= 0.0) {
-    return 0.0;
-  }
-  double z = (std::log(x) - mu_) / sigma_;
-  return NormalPdf(z) / (x * sigma_);
-}
-
 double LogNormalDistribution::Quantile(double p) const {
   return std::exp(mu_ + sigma_ * NormalQuantile(p));
 }
@@ -99,10 +93,6 @@ std::string LogNormalDistribution::ToString() const {
   return FormatParams("lognormal", mu_, sigma_, "mu", "sigma");
 }
 
-std::unique_ptr<Distribution> LogNormalDistribution::Clone() const {
-  return std::make_unique<LogNormalDistribution>(*this);
-}
-
 // ------------------------------------------------------------------- Normal
 
 NormalDistribution::NormalDistribution(double mean, double stddev)
@@ -111,10 +101,6 @@ NormalDistribution::NormalDistribution(double mean, double stddev)
 }
 
 double NormalDistribution::Cdf(double x) const { return NormalCdf((x - mean_) / stddev_); }
-
-double NormalDistribution::Pdf(double x) const {
-  return NormalPdf((x - mean_) / stddev_) / stddev_;
-}
 
 double NormalDistribution::Quantile(double p) const {
   return mean_ + stddev_ * NormalQuantile(p);
@@ -129,10 +115,6 @@ std::string NormalDistribution::ToString() const {
   return FormatParams("normal", mean_, stddev_, "mean", "sd");
 }
 
-std::unique_ptr<Distribution> NormalDistribution::Clone() const {
-  return std::make_unique<NormalDistribution>(*this);
-}
-
 // -------------------------------------------------------------- Exponential
 
 ExponentialDistribution::ExponentialDistribution(double lambda) : lambda_(lambda) {
@@ -144,13 +126,6 @@ double ExponentialDistribution::Cdf(double x) const {
     return 0.0;
   }
   return -std::expm1(-lambda_ * x);
-}
-
-double ExponentialDistribution::Pdf(double x) const {
-  if (x < 0.0) {
-    return 0.0;
-  }
-  return lambda_ * std::exp(-lambda_ * x);
 }
 
 double ExponentialDistribution::Quantile(double p) const {
@@ -168,10 +143,6 @@ std::string ExponentialDistribution::ToString() const {
   return s.str();
 }
 
-std::unique_ptr<Distribution> ExponentialDistribution::Clone() const {
-  return std::make_unique<ExponentialDistribution>(*this);
-}
-
 // ------------------------------------------------------------------- Pareto
 
 ParetoDistribution::ParetoDistribution(double xm, double alpha) : xm_(xm), alpha_(alpha) {
@@ -184,13 +155,6 @@ double ParetoDistribution::Cdf(double x) const {
     return 0.0;
   }
   return 1.0 - std::pow(xm_ / x, alpha_);
-}
-
-double ParetoDistribution::Pdf(double x) const {
-  if (x < xm_) {
-    return 0.0;
-  }
-  return alpha_ * std::pow(xm_, alpha_) / std::pow(x, alpha_ + 1.0);
 }
 
 double ParetoDistribution::Quantile(double p) const {
@@ -220,10 +184,6 @@ std::string ParetoDistribution::ToString() const {
   return FormatParams("pareto", xm_, alpha_, "xm", "alpha");
 }
 
-std::unique_ptr<Distribution> ParetoDistribution::Clone() const {
-  return std::make_unique<ParetoDistribution>(*this);
-}
-
 // ------------------------------------------------------------------ Weibull
 
 WeibullDistribution::WeibullDistribution(double shape, double scale)
@@ -237,14 +197,6 @@ double WeibullDistribution::Cdf(double x) const {
     return 0.0;
   }
   return -std::expm1(-std::pow(x / scale_, shape_));
-}
-
-double WeibullDistribution::Pdf(double x) const {
-  if (x <= 0.0) {
-    return 0.0;
-  }
-  double z = x / scale_;
-  return shape_ / scale_ * std::pow(z, shape_ - 1.0) * std::exp(-std::pow(z, shape_));
 }
 
 double WeibullDistribution::Quantile(double p) const {
@@ -270,10 +222,6 @@ std::string WeibullDistribution::ToString() const {
   return FormatParams("weibull", shape_, scale_, "shape", "scale");
 }
 
-std::unique_ptr<Distribution> WeibullDistribution::Clone() const {
-  return std::make_unique<WeibullDistribution>(*this);
-}
-
 // ------------------------------------------------------------------ Uniform
 
 UniformDistribution::UniformDistribution(double a, double b) : a_(a), b_(b) {
@@ -284,10 +232,6 @@ double UniformDistribution::Cdf(double x) const {
   return Clamp((x - a_) / (b_ - a_), 0.0, 1.0);
 }
 
-double UniformDistribution::Pdf(double x) const {
-  return (x >= a_ && x <= b_) ? 1.0 / (b_ - a_) : 0.0;
-}
-
 double UniformDistribution::Quantile(double p) const { return a_ + p * (b_ - a_); }
 
 double UniformDistribution::Sample(Rng& rng) const { return a_ + rng.NextDouble() * (b_ - a_); }
@@ -296,10 +240,6 @@ double UniformDistribution::StdDev() const { return (b_ - a_) / std::sqrt(12.0);
 
 std::string UniformDistribution::ToString() const {
   return FormatParams("uniform", a_, b_, "a", "b");
-}
-
-std::unique_ptr<Distribution> UniformDistribution::Clone() const {
-  return std::make_unique<UniformDistribution>(*this);
 }
 
 // ---------------------------------------------------------------- Empirical
@@ -325,12 +265,6 @@ double EmpiricalDistribution::Cdf(double x) const {
   return static_cast<double>(it - sorted_.begin()) / static_cast<double>(sorted_.size());
 }
 
-double EmpiricalDistribution::Pdf(double x) const {
-  // Central finite difference of the ECDF over a data-scaled window.
-  double h = std::max(1e-12, 0.01 * (sorted_.back() - sorted_.front()));
-  return (Cdf(x + h) - Cdf(x - h)) / (2.0 * h);
-}
-
 double EmpiricalDistribution::Quantile(double p) const { return QuantileOfSorted(sorted_, p); }
 
 double EmpiricalDistribution::Sample(Rng& rng) const {
@@ -345,10 +279,6 @@ std::string EmpiricalDistribution::ToString() const {
   std::ostringstream s;
   s << "empirical(n=" << sorted_.size() << ", mean=" << mean_ << ", sd=" << stddev_ << ")";
   return s.str();
-}
-
-std::unique_ptr<Distribution> EmpiricalDistribution::Clone() const {
-  return std::make_unique<EmpiricalDistribution>(*this);
 }
 
 // --------------------------------------------------------------------- Spec
@@ -374,7 +304,9 @@ std::unique_ptr<Distribution> MakeDistribution(const DistributionSpec& spec) {
     case DistributionFamily::kUniform:
       return std::make_unique<UniformDistribution>(spec.p1, spec.p2);
     case DistributionFamily::kEmpirical:
-      CEDAR_LOG(FATAL) << "DistributionSpec cannot describe an empirical distribution";
+    case DistributionFamily::kMixture:
+      CEDAR_LOG(FATAL) << "DistributionSpec cannot describe family "
+                       << DistributionFamilyName(spec.family);
   }
   return nullptr;
 }

@@ -8,7 +8,9 @@
 // Families implemented: log-normal (the best fit for all four production
 // traces, §4.2.1), normal (Figure 17), exponential, Pareto (tail model
 // discussed in §4.2.1), Weibull and uniform (fitting candidates), and an
-// empirical distribution backed by trace samples.
+// empirical distribution over a sample set (a step-CDF adversary for the
+// wait search's tests). Trace replay carries stages as DistributionSpec;
+// finite mixtures live in mixture.h.
 
 #ifndef CEDAR_SRC_STATS_DISTRIBUTION_H_
 #define CEDAR_SRC_STATS_DISTRIBUTION_H_
@@ -29,6 +31,7 @@ enum class DistributionFamily {
   kWeibull,
   kUniform,
   kEmpirical,
+  kMixture,
 };
 
 // Human-readable family name ("lognormal", "normal", ...).
@@ -54,9 +57,6 @@ class Distribution {
   // goes through log x override it to skip the log.
   virtual double CdfWithLog(double x, double /*log_x*/) const { return Cdf(x); }
 
-  // Density at x (finite-difference approximation for empirical).
-  virtual double Pdf(double x) const = 0;
-
   // Inverse CDF; p must be in (0, 1).
   virtual double Quantile(double p) const = 0;
 
@@ -65,12 +65,9 @@ class Distribution {
 
   virtual double Mean() const = 0;
   virtual double StdDev() const = 0;
-  double Median() const { return Quantile(0.5); }
 
   // "lognormal(mu=2.77, sigma=0.84)" — used in logs and fitting reports.
   virtual std::string ToString() const = 0;
-
-  virtual std::unique_ptr<Distribution> Clone() const = 0;
 };
 
 // Log-normal: ln X ~ N(mu, sigma^2).
@@ -81,13 +78,11 @@ class LogNormalDistribution final : public Distribution {
   DistributionFamily family() const override { return DistributionFamily::kLogNormal; }
   double Cdf(double x) const override;
   double CdfWithLog(double x, double log_x) const override;
-  double Pdf(double x) const override;
   double Quantile(double p) const override;
   double Sample(Rng& rng) const override;
   double Mean() const override;
   double StdDev() const override;
   std::string ToString() const override;
-  std::unique_ptr<Distribution> Clone() const override;
 
   double mu() const { return mu_; }
   double sigma() const { return sigma_; }
@@ -106,13 +101,11 @@ class NormalDistribution final : public Distribution {
 
   DistributionFamily family() const override { return DistributionFamily::kNormal; }
   double Cdf(double x) const override;
-  double Pdf(double x) const override;
   double Quantile(double p) const override;
   double Sample(Rng& rng) const override;
   double Mean() const override { return mean_; }
   double StdDev() const override { return stddev_; }
   std::string ToString() const override;
-  std::unique_ptr<Distribution> Clone() const override;
 
  private:
   double mean_;
@@ -126,15 +119,11 @@ class ExponentialDistribution final : public Distribution {
 
   DistributionFamily family() const override { return DistributionFamily::kExponential; }
   double Cdf(double x) const override;
-  double Pdf(double x) const override;
   double Quantile(double p) const override;
   double Sample(Rng& rng) const override;
   double Mean() const override { return 1.0 / lambda_; }
   double StdDev() const override { return 1.0 / lambda_; }
   std::string ToString() const override;
-  std::unique_ptr<Distribution> Clone() const override;
-
-  double lambda() const { return lambda_; }
 
  private:
   double lambda_;
@@ -148,13 +137,11 @@ class ParetoDistribution final : public Distribution {
 
   DistributionFamily family() const override { return DistributionFamily::kPareto; }
   double Cdf(double x) const override;
-  double Pdf(double x) const override;
   double Quantile(double p) const override;
   double Sample(Rng& rng) const override;
   double Mean() const override;    // infinite for alpha <= 1
   double StdDev() const override;  // infinite for alpha <= 2
   std::string ToString() const override;
-  std::unique_ptr<Distribution> Clone() const override;
 
  private:
   double xm_;
@@ -168,13 +155,11 @@ class WeibullDistribution final : public Distribution {
 
   DistributionFamily family() const override { return DistributionFamily::kWeibull; }
   double Cdf(double x) const override;
-  double Pdf(double x) const override;
   double Quantile(double p) const override;
   double Sample(Rng& rng) const override;
   double Mean() const override;
   double StdDev() const override;
   std::string ToString() const override;
-  std::unique_ptr<Distribution> Clone() const override;
 
  private:
   double shape_;
@@ -188,20 +173,18 @@ class UniformDistribution final : public Distribution {
 
   DistributionFamily family() const override { return DistributionFamily::kUniform; }
   double Cdf(double x) const override;
-  double Pdf(double x) const override;
   double Quantile(double p) const override;
   double Sample(Rng& rng) const override;
   double Mean() const override { return 0.5 * (a_ + b_); }
   double StdDev() const override;
   std::string ToString() const override;
-  std::unique_ptr<Distribution> Clone() const override;
 
  private:
   double a_;
   double b_;
 };
 
-// Distribution backed by observed samples (trace replay). CDF is the ECDF,
+// Distribution backed by observed samples. CDF is the ECDF,
 // quantiles interpolate between closest ranks, and Sample() draws by smooth
 // inverse-transform so repeated values do not create atoms.
 class EmpiricalDistribution final : public Distribution {
@@ -210,15 +193,11 @@ class EmpiricalDistribution final : public Distribution {
 
   DistributionFamily family() const override { return DistributionFamily::kEmpirical; }
   double Cdf(double x) const override;
-  double Pdf(double x) const override;
   double Quantile(double p) const override;
   double Sample(Rng& rng) const override;
   double Mean() const override;
   double StdDev() const override;
   std::string ToString() const override;
-  std::unique_ptr<Distribution> Clone() const override;
-
-  const std::vector<double>& sorted_samples() const { return sorted_; }
 
  private:
   std::vector<double> sorted_;
@@ -233,14 +212,16 @@ struct DistributionSpec {
   DistributionFamily family = DistributionFamily::kLogNormal;
   // Meaning per family: lognormal (mu, sigma) | normal (mean, sd) |
   // exponential (lambda, unused) | pareto (xm, alpha) | weibull (shape,
-  // scale) | uniform (a, b). kEmpirical is not representable here.
+  // scale) | uniform (a, b). kEmpirical and kMixture are not representable
+  // here.
   double p1 = 0.0;
   double p2 = 1.0;
 
   std::string ToString() const;
 };
 
-// Instantiates the distribution described by |spec| (fatal for kEmpirical).
+// Instantiates the distribution described by |spec| (fatal for kEmpirical
+// and kMixture).
 std::unique_ptr<Distribution> MakeDistribution(const DistributionSpec& spec);
 
 }  // namespace cedar

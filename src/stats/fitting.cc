@@ -169,13 +169,13 @@ std::optional<DistributionSpec> FitFamily(DistributionFamily family,
       return spec;
     }
     case DistributionFamily::kEmpirical:
+    case DistributionFamily::kMixture:
       return std::nullopt;
   }
   return std::nullopt;
 }
 
-}  // namespace
-
+// How well |spec| reproduces the percentile points.
 DistributionFit EvaluateFit(const DistributionSpec& spec,
                             const std::vector<PercentilePoint>& points) {
   auto dist = MakeDistribution(spec);
@@ -195,24 +195,18 @@ DistributionFit EvaluateFit(const DistributionSpec& spec,
   return fit;
 }
 
-DistributionFitter::DistributionFitter()
-    : candidates_({DistributionFamily::kLogNormal, DistributionFamily::kNormal,
-                   DistributionFamily::kExponential, DistributionFamily::kPareto,
-                   DistributionFamily::kWeibull, DistributionFamily::kUniform}) {}
+}  // namespace
 
-void DistributionFitter::SetCandidates(std::vector<DistributionFamily> families) {
-  CEDAR_CHECK(!families.empty());
-  candidates_ = std::move(families);
-}
-
-std::vector<DistributionFit> DistributionFitter::FitPercentiles(
-    const std::vector<PercentilePoint>& points) const {
+std::vector<DistributionFit> FitPercentiles(const std::vector<PercentilePoint>& points) {
   CEDAR_CHECK_GE(points.size(), 2u) << "need at least two percentile points";
   for (const auto& pt : points) {
     CEDAR_CHECK(pt.p > 0.0 && pt.p < 1.0) << "percentile out of (0,1): " << pt.p;
   }
   std::vector<DistributionFit> fits;
-  for (DistributionFamily family : candidates_) {
+  for (DistributionFamily family :
+       {DistributionFamily::kLogNormal, DistributionFamily::kNormal,
+        DistributionFamily::kExponential, DistributionFamily::kPareto,
+        DistributionFamily::kWeibull, DistributionFamily::kUniform}) {
     auto spec = FitFamily(family, points);
     if (spec.has_value()) {
       fits.push_back(EvaluateFit(*spec, points));
@@ -224,22 +218,12 @@ std::vector<DistributionFit> DistributionFitter::FitPercentiles(
   return fits;
 }
 
-std::vector<DistributionFit> DistributionFitter::FitSamples(
-    const std::vector<double>& samples, const std::vector<double>& grid) const {
+std::vector<DistributionFit> FitSamples(std::vector<double> samples) {
   CEDAR_CHECK_GE(samples.size(), 2u);
-  std::vector<double> percentiles = grid;
-  if (percentiles.empty()) {
-    percentiles = {0.01, 0.05, 0.10, 0.25, 0.50, 0.75, 0.90, 0.95, 0.99};
-  }
-  std::vector<double> sorted = samples;
-  std::sort(sorted.begin(), sorted.end());
+  std::sort(samples.begin(), samples.end());
   std::vector<PercentilePoint> points;
-  points.reserve(percentiles.size());
-  for (double p : percentiles) {
-    PercentilePoint pt;
-    pt.p = p;
-    pt.value = QuantileOfSorted(sorted, p);
-    points.push_back(pt);
+  for (double p : {0.01, 0.05, 0.10, 0.25, 0.50, 0.75, 0.90, 0.95, 0.99}) {
+    points.push_back({p, QuantileOfSorted(samples, p)});
   }
   return FitPercentiles(points);
 }
@@ -256,12 +240,6 @@ double KolmogorovSmirnovStatistic(std::vector<double> samples, const Distributio
     ks = std::max({ks, std::fabs(ecdf_above - cdf), std::fabs(cdf - ecdf_below)});
   }
   return ks;
-}
-
-DistributionFit DistributionFitter::BestFit(const std::vector<PercentilePoint>& points) const {
-  auto fits = FitPercentiles(points);
-  CEDAR_CHECK(!fits.empty()) << "no candidate family fits the percentile data";
-  return fits.front();
 }
 
 }  // namespace cedar

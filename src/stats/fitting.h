@@ -33,36 +33,16 @@ struct DistributionFit {
   double max_relative_error = 0.0;
 };
 
-class DistributionFitter {
- public:
-  DistributionFitter();
+// Fits every candidate family (log-normal, normal, exponential, Pareto,
+// Weibull, uniform) to the percentile points and returns the fits sorted by
+// ascending relative RMS error. Families whose constraints are violated by
+// the data (e.g. nonpositive values for log-normal) are omitted. Requires
+// >= 2 points with p in (0,1) and distinct values.
+std::vector<DistributionFit> FitPercentiles(const std::vector<PercentilePoint>& points);
 
-  // Restricts candidates (default: lognormal, normal, exponential, pareto,
-  // weibull, uniform).
-  void SetCandidates(std::vector<DistributionFamily> families);
-
-  // Fits every candidate family to the percentile points and returns fits
-  // sorted by ascending relative RMS error. Families whose constraints are
-  // violated by the data (e.g. nonpositive values for log-normal) are
-  // omitted. Requires >= 2 points with p in (0,1) and distinct values.
-  std::vector<DistributionFit> FitPercentiles(const std::vector<PercentilePoint>& points) const;
-
-  // Convenience: extracts a standard percentile grid from raw samples and
-  // fits it. |grid| defaults to {1,5,10,25,50,75,90,95,99}th percentiles.
-  std::vector<DistributionFit> FitSamples(const std::vector<double>& samples,
-                                          const std::vector<double>& grid = {}) const;
-
-  // Best fit or fatal if nothing fits.
-  DistributionFit BestFit(const std::vector<PercentilePoint>& points) const;
-
- private:
-  std::vector<DistributionFamily> candidates_;
-};
-
-// Evaluates how well |spec| reproduces the percentile points (same error
-// metrics as DistributionFit). Exposed for tests and EXPERIMENTS.md tables.
-DistributionFit EvaluateFit(const DistributionSpec& spec,
-                            const std::vector<PercentilePoint>& points);
+// Fits the {1,5,10,25,50,75,90,95,99}th percentiles of raw |samples|
+// (>= 2 of them) with FitPercentiles.
+std::vector<DistributionFit> FitSamples(std::vector<double> samples);
 
 // Kolmogorov-Smirnov statistic of |samples| against |dist|:
 // sup_x |ECDF(x) - CDF(x)|. Used as the fit-quality check of the offline

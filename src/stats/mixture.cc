@@ -41,14 +41,6 @@ double MixtureDistribution::Cdf(double x) const {
   return cdf;
 }
 
-double MixtureDistribution::Pdf(double x) const {
-  double pdf = 0.0;
-  for (const auto& component : components_) {
-    pdf += component.weight * component.distribution->Pdf(x);
-  }
-  return pdf;
-}
-
 double MixtureDistribution::Quantile(double p) const {
   CEDAR_CHECK(p > 0.0 && p < 1.0);
   // Bracket using the extreme component quantiles, then bisect the CDF.
@@ -114,10 +106,6 @@ std::string MixtureDistribution::ToString() const {
   }
   out << ")";
   return out.str();
-}
-
-std::unique_ptr<Distribution> MixtureDistribution::Clone() const {
-  return std::make_unique<MixtureDistribution>(*this);
 }
 
 }  // namespace cedar

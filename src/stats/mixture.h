@@ -1,4 +1,4 @@
-// Finite mixture distribution: weighted components with exact CDF/PDF,
+// Finite mixture distribution: weighted components with exact CDF,
 // quantile by bisection, and component-then-value sampling.
 //
 // Motivation: real per-job task-duration distributions are often bimodal —
@@ -35,17 +35,13 @@ class MixtureDistribution final : public Distribution {
                                                std::shared_ptr<const Distribution> straggler,
                                                double straggler_fraction);
 
-  DistributionFamily family() const override { return DistributionFamily::kEmpirical; }
+  DistributionFamily family() const override { return DistributionFamily::kMixture; }
   double Cdf(double x) const override;
-  double Pdf(double x) const override;
   double Quantile(double p) const override;
   double Sample(Rng& rng) const override;
   double Mean() const override;
   double StdDev() const override;
   std::string ToString() const override;
-  std::unique_ptr<Distribution> Clone() const override;
-
-  const std::vector<Component>& components() const { return components_; }
 
  private:
   std::vector<Component> components_;

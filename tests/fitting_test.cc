@@ -1,5 +1,6 @@
 #include "src/stats/fitting.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include <gtest/gtest.h>
@@ -19,8 +20,7 @@ std::vector<PercentilePoint> PercentilesOf(const Distribution& dist) {
 
 TEST(FitterTest, RecoversLogNormalExactly) {
   LogNormalDistribution truth(2.77, 0.84);
-  DistributionFitter fitter;
-  DistributionFit best = fitter.BestFit(PercentilesOf(truth));
+  DistributionFit best = FitPercentiles(PercentilesOf(truth)).front();
   EXPECT_EQ(best.spec.family, DistributionFamily::kLogNormal);
   EXPECT_NEAR(best.spec.p1, 2.77, 1e-6);
   EXPECT_NEAR(best.spec.p2, 0.84, 1e-6);
@@ -29,8 +29,7 @@ TEST(FitterTest, RecoversLogNormalExactly) {
 
 TEST(FitterTest, RecoversNormalExactly) {
   NormalDistribution truth(40.0, 10.0);
-  DistributionFitter fitter;
-  DistributionFit best = fitter.BestFit(PercentilesOf(truth));
+  DistributionFit best = FitPercentiles(PercentilesOf(truth)).front();
   EXPECT_EQ(best.spec.family, DistributionFamily::kNormal);
   EXPECT_NEAR(best.spec.p1, 40.0, 1e-6);
   EXPECT_NEAR(best.spec.p2, 10.0, 1e-6);
@@ -38,16 +37,14 @@ TEST(FitterTest, RecoversNormalExactly) {
 
 TEST(FitterTest, RecoversExponentialExactly) {
   ExponentialDistribution truth(0.25);
-  DistributionFitter fitter;
-  DistributionFit best = fitter.BestFit(PercentilesOf(truth));
+  DistributionFit best = FitPercentiles(PercentilesOf(truth)).front();
   EXPECT_EQ(best.spec.family, DistributionFamily::kExponential);
   EXPECT_NEAR(best.spec.p1, 0.25, 1e-6);
 }
 
 TEST(FitterTest, RecoversParetoExactly) {
   ParetoDistribution truth(2.0, 3.0);
-  DistributionFitter fitter;
-  DistributionFit best = fitter.BestFit(PercentilesOf(truth));
+  DistributionFit best = FitPercentiles(PercentilesOf(truth)).front();
   EXPECT_EQ(best.spec.family, DistributionFamily::kPareto);
   EXPECT_NEAR(best.spec.p1, 2.0, 1e-6);
   EXPECT_NEAR(best.spec.p2, 3.0, 1e-6);
@@ -55,8 +52,7 @@ TEST(FitterTest, RecoversParetoExactly) {
 
 TEST(FitterTest, RecoversWeibullExactly) {
   WeibullDistribution truth(1.5, 10.0);
-  DistributionFitter fitter;
-  DistributionFit best = fitter.BestFit(PercentilesOf(truth));
+  DistributionFit best = FitPercentiles(PercentilesOf(truth)).front();
   EXPECT_EQ(best.spec.family, DistributionFamily::kWeibull);
   EXPECT_NEAR(best.spec.p1, 1.5, 1e-6);
   EXPECT_NEAR(best.spec.p2, 10.0, 1e-6);
@@ -64,8 +60,7 @@ TEST(FitterTest, RecoversWeibullExactly) {
 
 TEST(FitterTest, RecoversUniformExactly) {
   UniformDistribution truth(3.0, 9.0);
-  DistributionFitter fitter;
-  DistributionFit best = fitter.BestFit(PercentilesOf(truth));
+  DistributionFit best = FitPercentiles(PercentilesOf(truth)).front();
   EXPECT_EQ(best.spec.family, DistributionFamily::kUniform);
   EXPECT_NEAR(best.spec.p1, 3.0, 1e-6);
   EXPECT_NEAR(best.spec.p2, 9.0, 1e-6);
@@ -80,8 +75,7 @@ TEST(FitterTest, LogNormalWinsOnSampledLogNormalData) {
   for (auto& s : samples) {
     s = truth.Sample(rng);
   }
-  DistributionFitter fitter;
-  auto fits = fitter.FitSamples(samples);
+  auto fits = FitSamples(samples);
   ASSERT_FALSE(fits.empty());
   EXPECT_EQ(fits.front().spec.family, DistributionFamily::kLogNormal);
   EXPECT_NEAR(fits.front().spec.p1, 2.94, 0.05);
@@ -92,27 +86,16 @@ TEST(FitterTest, LogNormalWinsOnSampledLogNormalData) {
 
 TEST(FitterTest, RanksByError) {
   LogNormalDistribution truth(1.0, 1.2);
-  DistributionFitter fitter;
-  auto fits = fitter.FitPercentiles(PercentilesOf(truth));
+  auto fits = FitPercentiles(PercentilesOf(truth));
   for (size_t i = 1; i < fits.size(); ++i) {
     EXPECT_LE(fits[i - 1].relative_rms_error, fits[i].relative_rms_error);
   }
 }
 
-TEST(FitterTest, CandidateRestriction) {
-  DistributionFitter fitter;
-  fitter.SetCandidates({DistributionFamily::kNormal});
-  LogNormalDistribution truth(1.0, 0.8);
-  auto fits = fitter.FitPercentiles(PercentilesOf(truth));
-  ASSERT_EQ(fits.size(), 1u);
-  EXPECT_EQ(fits.front().spec.family, DistributionFamily::kNormal);
-}
-
 TEST(FitterTest, NegativeDataExcludesPositiveFamilies) {
   // Percentiles with negative values: lognormal/pareto/weibull must drop out.
   NormalDistribution truth(0.0, 5.0);
-  DistributionFitter fitter;
-  auto fits = fitter.FitPercentiles(PercentilesOf(truth));
+  auto fits = FitPercentiles(PercentilesOf(truth));
   for (const auto& fit : fits) {
     EXPECT_NE(fit.spec.family, DistributionFamily::kLogNormal);
     EXPECT_NE(fit.spec.family, DistributionFamily::kPareto);
@@ -124,34 +107,32 @@ TEST(FitterTest, NegativeDataExcludesPositiveFamilies) {
 
 TEST(FitterTest, BingPublishedPercentilesFitLogNormal) {
   // Figure 4's published percentiles (330us median, 1.1ms p90, 14ms p99).
-  // Three points under-determine the family choice, so fit log-normal
-  // directly (the paper's chosen type) and check the parameters land in the
-  // neighbourhood of its quoted (5.9, 1.25) fit.
+  // Three points under-determine the family choice, so read the log-normal
+  // fit (the paper's chosen type) off the ranking and check the parameters
+  // land in the neighbourhood of its quoted (5.9, 1.25) fit.
   std::vector<PercentilePoint> points = {{0.50, 330.0}, {0.90, 1100.0}, {0.99, 14000.0}};
-  DistributionFitter fitter;
-  fitter.SetCandidates({DistributionFamily::kLogNormal});
-  DistributionFit best = fitter.BestFit(points);
-  EXPECT_EQ(best.spec.family, DistributionFamily::kLogNormal);
-  EXPECT_NEAR(best.spec.p1, 5.9, 0.4);
-  EXPECT_GT(best.spec.p2, 1.0);
-  EXPECT_LT(best.spec.p2, 2.0);
+  auto fits = FitPercentiles(points);
+  auto lognormal = std::find_if(fits.begin(), fits.end(), [](const DistributionFit& fit) {
+    return fit.spec.family == DistributionFamily::kLogNormal;
+  });
+  ASSERT_NE(lognormal, fits.end());
+  EXPECT_NEAR(lognormal->spec.p1, 5.9, 0.4);
+  EXPECT_GT(lognormal->spec.p2, 1.0);
+  EXPECT_LT(lognormal->spec.p2, 2.0);
 }
 
 TEST(EvaluateFitTest, ZeroErrorOnOwnQuantiles) {
-  DistributionSpec spec;
-  spec.family = DistributionFamily::kLogNormal;
-  spec.p1 = 2.0;
-  spec.p2 = 0.7;
-  auto dist = MakeDistribution(spec);
-  auto fit = EvaluateFit(spec, PercentilesOf(*dist));
-  EXPECT_LT(fit.relative_rms_error, 1e-12);
-  EXPECT_LT(fit.max_relative_error, 1e-12);
+  // A family fitted to its own quantiles reproduces them to rounding.
+  LogNormalDistribution truth(2.0, 0.7);
+  DistributionFit best = FitPercentiles(PercentilesOf(truth)).front();
+  EXPECT_EQ(best.spec.family, DistributionFamily::kLogNormal);
+  EXPECT_LT(best.relative_rms_error, 1e-12);
+  EXPECT_LT(best.max_relative_error, 1e-12);
 }
 
 TEST(FitterDeathTest, RejectsBadPercentiles) {
-  DistributionFitter fitter;
-  EXPECT_DEATH(fitter.FitPercentiles({{0.0, 1.0}, {0.5, 2.0}}), "percentile");
-  EXPECT_DEATH(fitter.FitPercentiles({{0.5, 1.0}}), "at least two");
+  EXPECT_DEATH(FitPercentiles({{0.0, 1.0}, {0.5, 2.0}}), "percentile");
+  EXPECT_DEATH(FitPercentiles({{0.5, 1.0}}), "at least two");
 }
 
 }  // namespace

@@ -79,29 +79,6 @@ TEST(LogBinomialTest, ConcurrentCallsAgreeWithSerial) {
   }
 }
 
-TEST(IntegrateTest, Polynomial) {
-  // Integral of x^2 over [0, 3] = 9.
-  double v = IntegrateAdaptiveSimpson([](double x) { return x * x; }, 0.0, 3.0);
-  EXPECT_NEAR(v, 9.0, 1e-9);
-}
-
-TEST(IntegrateTest, ReversedIntervalIsNegative) {
-  double fwd = IntegrateAdaptiveSimpson([](double x) { return x; }, 0.0, 2.0);
-  double rev = IntegrateAdaptiveSimpson([](double x) { return x; }, 2.0, 0.0);
-  EXPECT_NEAR(fwd, 2.0, 1e-10);
-  EXPECT_NEAR(rev, -2.0, 1e-10);
-}
-
-TEST(IntegrateTest, EmptyInterval) {
-  EXPECT_DOUBLE_EQ(IntegrateAdaptiveSimpson([](double x) { return x; }, 1.0, 1.0), 0.0);
-}
-
-TEST(IntegrateTest, SmoothGaussianBody) {
-  // Integral of e^{-x^2} over [-6, 6] = sqrt(pi) (tails negligible).
-  double v = IntegrateAdaptiveSimpson([](double x) { return std::exp(-x * x); }, -6.0, 6.0);
-  EXPECT_NEAR(v, std::sqrt(M_PI), 1e-8);
-}
-
 TEST(FindRootTest, FindsSqrtTwo) {
   double root = FindRootBisect([](double x) { return x * x - 2.0; }, 0.0, 2.0);
   EXPECT_NEAR(root, std::sqrt(2.0), 1e-9);
@@ -127,23 +104,8 @@ TEST(PiecewiseLinearTest, FlatExtrapolation) {
   EXPECT_DOUBLE_EQ(f(-100.0), 3.0);
   EXPECT_DOUBLE_EQ(f(2.5), 7.0);
   EXPECT_DOUBLE_EQ(f(100.0), 7.0);
-}
-
-TEST(PiecewiseLinearTest, NonUniformGrid) {
-  PiecewiseLinear f({0.0, 1.0, 10.0}, {0.0, 1.0, 10.0});
-  EXPECT_DOUBLE_EQ(f(0.5), 0.5);
-  EXPECT_DOUBLE_EQ(f(5.5), 5.5);
-  EXPECT_DOUBLE_EQ(f.min_x(), 0.0);
-  EXPECT_DOUBLE_EQ(f.max_x(), 10.0);
-}
-
-TEST(PiecewiseLinearTest, UniformMatchesNonUniform) {
-  std::vector<double> ys = {1.0, 4.0, 9.0, 16.0, 25.0};
-  auto uniform = PiecewiseLinear::FromUniform(2.0, 0.5, ys);
-  PiecewiseLinear general({2.0, 2.5, 3.0, 3.5, 4.0}, ys);
-  for (double x = 1.5; x <= 4.5; x += 0.05) {
-    EXPECT_NEAR(uniform(x), general(x), 1e-12) << "x=" << x;
-  }
+  EXPECT_DOUBLE_EQ(f.min_x(), 1.0);
+  EXPECT_DOUBLE_EQ(f.max_x(), 2.0);
 }
 
 TEST(QuantileOfSortedTest, Endpoints) {

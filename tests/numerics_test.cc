@@ -41,7 +41,7 @@ TEST_P(CornerCaseTest, QualityCurveBounded) {
       TreeSpec::TwoLevel(std::make_shared<LogNormalDistribution>(corner.mu1, corner.sigma1),
                          corner.k1,
                          std::make_shared<LogNormalDistribution>(corner.mu2, corner.sigma2), 8);
-  auto curve = BuildQualityCurve(tree, 0, corner.deadline);
+  auto curve = BuildQualityCurveStack(tree, corner.deadline)[0];
   for (double f : {0.1, 0.5, 1.0}) {
     double q = curve(f * corner.deadline);
     EXPECT_TRUE(std::isfinite(q));

@@ -327,18 +327,13 @@ TEST(TraceCollectorTest, SnapshotSortsByTrackThenTime) {
   c.name = "first_track";
   c.track = 1;
   c.ts = 9.0;
-  collector.Emit(a);
-  collector.Emit(b);
-  collector.Emit(c);
+  collector.EmitBatch({a, b, c});
 
   auto events = collector.Snapshot();
   ASSERT_EQ(events.size(), 3u);
   EXPECT_EQ(events[0].name, "first_track");
   EXPECT_EQ(events[1].name, "early");
   EXPECT_EQ(events[2].name, "late");
-
-  collector.Clear();
-  EXPECT_EQ(collector.size(), 0u);
 }
 
 TEST(TraceCollectorTest, ChromeJsonValidatesStrictly) {
@@ -357,8 +352,7 @@ TEST(TraceCollectorTest, ChromeJsonValidatesStrictly) {
   instant.phase = 'i';
   instant.ts = 3.25;
   instant.track = 7;
-  collector.Emit(span);
-  collector.Emit(instant);
+  collector.EmitBatch({span, instant});
 
   JsonValue events = ValidatedTraceEvents(collector);
   ASSERT_EQ(events.array.size(), 2u);
@@ -378,7 +372,7 @@ TEST(TraceCollectorTest, JsonEscapingRoundTrips) {
   event.phase = 'i';
   event.track = 1;
   event.args = {TraceArg::Str("key \"quoted\"", "value\\with\tescapes")};
-  collector.Emit(event);
+  collector.EmitBatch({event});
 
   JsonValue events = ValidatedTraceEvents(collector);
   ASSERT_EQ(events.array.size(), 1u);
@@ -401,8 +395,7 @@ TEST(TraceCollectorTest, CsvExportListsEveryEvent) {
   instant.category = "lifecycle";
   instant.ts = 2.0;
   instant.track = 3;
-  collector.Emit(instant);
-  collector.Emit(span);
+  collector.EmitBatch({instant, span});
 
   std::string path = ::testing::TempDir() + "/cedar_trace.csv";
   collector.WriteCsv(path);

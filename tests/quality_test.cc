@@ -107,7 +107,7 @@ TEST(TabulateCdfTest, MatchesDistribution) {
 
 TEST(QualityCurveTest, BaseCaseIsTopStageCdf) {
   TreeSpec tree = GoogleTwoLevel();
-  auto curve = BuildQualityCurve(tree, /*first_stage=*/1, 200.0);
+  auto curve = BuildQualityCurveStack(tree, 200.0)[1];
   for (double d : {10.0, 50.0, 150.0}) {
     EXPECT_NEAR(curve(d), tree.stage(1).duration->Cdf(d), 2e-3);
   }
@@ -115,7 +115,7 @@ TEST(QualityCurveTest, BaseCaseIsTopStageCdf) {
 
 TEST(QualityCurveTest, BoundedAndMonotone) {
   TreeSpec tree = GoogleTwoLevel();
-  auto curve = BuildQualityCurve(tree, 0, 300.0);
+  auto curve = BuildQualityCurveStack(tree, 300.0)[0];
   double prev = 0.0;
   for (double d = 0.0; d <= 300.0; d += 3.0) {
     double q = curve(d);
@@ -135,7 +135,10 @@ TEST(QualityCurveTest, StackMatchesRecursiveBuild) {
   auto stack = BuildQualityCurveStack(tree, 200.0);
   ASSERT_EQ(stack.size(), 3u);
   for (int first = 0; first < 3; ++first) {
-    auto direct = BuildQualityCurve(tree, first, 200.0);
+    // The stack's curve for stages [first, n) is the full-tree curve of the
+    // subtree made of those stages.
+    TreeSpec subtree(std::vector<StageSpec>(tree.stages().begin() + first, tree.stages().end()));
+    auto direct = BuildQualityCurveStack(subtree, 200.0)[0];
     for (double d = 5.0; d <= 200.0; d += 13.0) {
       EXPECT_NEAR(stack[static_cast<size_t>(first)](d), direct(d), 1e-9)
           << "first=" << first << " d=" << d;
@@ -182,7 +185,7 @@ TEST(QualityCurveTest, StackBitIdenticalToReferenceScan) {
 
 TEST(QualityCurveTest, ZeroDeadlineGivesZeroQuality) {
   TreeSpec tree = GoogleTwoLevel();
-  auto curve = BuildQualityCurve(tree, 0, 100.0);
+  auto curve = BuildQualityCurveStack(tree, 100.0)[0];
   EXPECT_DOUBLE_EQ(curve(0.0), 0.0);
 }
 
@@ -302,7 +305,7 @@ TEST(QualityCurveTest, ExponentialTwoLevelMatchesMonteCarloOptimum) {
 TEST(QualityCurveTest, WeibullStagesSupported) {
   TreeSpec tree = TreeSpec::TwoLevel(std::make_shared<WeibullDistribution>(1.5, 10.0), 15,
                                      std::make_shared<WeibullDistribution>(0.9, 8.0), 15);
-  auto curve = BuildQualityCurve(tree, 0, 100.0);
+  auto curve = BuildQualityCurveStack(tree, 100.0)[0];
   EXPECT_GT(curve(100.0), 0.5);
   EXPECT_LE(curve(100.0), 1.0);
   // Monotone in d.
@@ -317,8 +320,8 @@ TEST(QualityCurveTest, GridResolutionConverges) {
   QualityGridOptions fine;
   fine.steps = 800;
   for (double d : {20.0, 40.0, 60.0}) {
-    double q_coarse = BuildQualityCurve(tree, 0, 60.0, coarse)(d);
-    double q_fine = BuildQualityCurve(tree, 0, 60.0, fine)(d);
+    double q_coarse = BuildQualityCurveStack(tree, 60.0, coarse)[0](d);
+    double q_fine = BuildQualityCurveStack(tree, 60.0, fine)[0](d);
     EXPECT_NEAR(q_coarse, q_fine, 0.03) << "d=" << d;
   }
 }

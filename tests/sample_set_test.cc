@@ -20,8 +20,7 @@ TEST(SampleSetTest, StdDevOfSingletonIsZero) {
 }
 
 TEST(SampleSetTest, MinMaxSum) {
-  SampleSet s;
-  s.AddAll({3.0, -1.0, 10.0});
+  SampleSet s({3.0, -1.0, 10.0});
   EXPECT_DOUBLE_EQ(s.Min(), -1.0);
   EXPECT_DOUBLE_EQ(s.Max(), 10.0);
   EXPECT_DOUBLE_EQ(s.Sum(), 12.0);

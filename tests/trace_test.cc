@@ -210,6 +210,13 @@ TEST(ReplayWorkloadTest, OfflineTreeIsGlobalFitOverRecords) {
   EXPECT_GT(global->sigma(), typical_sigma);
 }
 
+TEST(TraceIoDeathTest, MixtureStageNamesItsFamily) {
+  // DistributionSpec has no mixture form, so a straggler trace cannot be
+  // materialized; the error names the stage's real family.
+  StragglerWorkload workload;
+  EXPECT_DEATH(MaterializeTrace(workload, 1, 1), "unsupported stage family mixture");
+}
+
 TEST(TraceIoDeathTest, MalformedCsvRejected) {
   std::string path = ::testing::TempDir() + "/cedar_bad_trace.csv";
   {

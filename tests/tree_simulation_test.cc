@@ -150,14 +150,6 @@ TEST(TreeSimulationTest, PerQueryKnowledgeFlagChangesDecisions) {
   EXPECT_LT(a.mean_tier0_send_time, b.mean_tier0_send_time);
 }
 
-TEST(TreeSimulationTest, UpperQualityCurveAccessor) {
-  TreeSpec tree = SmallTree();
-  TreeSimulation sim(tree, 60.0);
-  const PiecewiseLinear& curve = sim.UpperQualityCurve(0);
-  EXPECT_NEAR(curve(30.0), tree.stage(1).duration->Cdf(30.0), 2e-3);
-  EXPECT_DEATH(sim.UpperQualityCurve(1), "");
-}
-
 TEST(TreeSimulationDeathTest, MismatchedRealizationDies) {
   TreeSpec tree = SmallTree();
   TreeSimulation sim(tree, 60.0);

@@ -17,7 +17,6 @@ TEST(TreeSpecTest, TwoLevelShape) {
   EXPECT_EQ(tree.stage(0).fanout, 50);
   EXPECT_EQ(tree.stage(1).fanout, 40);
   EXPECT_EQ(tree.TotalProcesses(), 2000);
-  EXPECT_EQ(tree.AggregatorsAtTier(0), 40);
 }
 
 TEST(TreeSpecTest, ThreeLevelCounts) {
@@ -28,25 +27,12 @@ TEST(TreeSpecTest, ThreeLevelCounts) {
   TreeSpec tree(std::move(stages));
   EXPECT_EQ(tree.num_aggregator_tiers(), 2);
   EXPECT_EQ(tree.TotalProcesses(), 200);
-  EXPECT_EQ(tree.AggregatorsAtTier(0), 20);
-  EXPECT_EQ(tree.AggregatorsAtTier(1), 4);
 }
 
 TEST(TreeSpecTest, SumOfStageMeans) {
   TreeSpec tree = TreeSpec::TwoLevel(std::make_shared<ExponentialDistribution>(0.5), 2,
                                      std::make_shared<ExponentialDistribution>(0.25), 2);
   EXPECT_DOUBLE_EQ(tree.SumOfStageMeans(), 6.0);
-}
-
-TEST(TreeSpecTest, WithStageReplaces) {
-  TreeSpec tree = MakeTree();
-  TreeSpec other =
-      tree.WithStage(0, StageSpec(std::make_shared<ExponentialDistribution>(1.0), 7));
-  EXPECT_EQ(other.stage(0).fanout, 7);
-  EXPECT_EQ(other.stage(0).duration->family(), DistributionFamily::kExponential);
-  // Original untouched.
-  EXPECT_EQ(tree.stage(0).fanout, 50);
-  EXPECT_EQ(other.stage(1).fanout, tree.stage(1).fanout);
 }
 
 TEST(TreeSpecTest, ToStringMentionsStages) {
@@ -65,7 +51,6 @@ TEST(TreeSpecDeathTest, RejectsEmptyAndBadFanout) {
 TEST(TreeSpecDeathTest, StageIndexOutOfRange) {
   TreeSpec tree = MakeTree();
   EXPECT_DEATH(tree.stage(2), "out of range");
-  EXPECT_DEATH(tree.AggregatorsAtTier(1), "out of range");
 }
 
 }  // namespace

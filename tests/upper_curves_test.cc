@@ -58,7 +58,7 @@ TEST(UpperCurvesTest, MatchFullStackBitwise) {
         auto upper = BuildUpperQualityCurves(tree, deadline, options);
         auto full = BuildQualityCurveStack(tree, deadline, options);
         ASSERT_EQ(upper.size(), full.size());
-        EXPECT_TRUE(upper[0].empty());
+        EXPECT_TRUE(upper[0].ys().empty());
         for (size_t i = 1; i < upper.size(); ++i) {
           ASSERT_EQ(upper[i].ys().size(), full[i].ys().size());
           for (size_t g = 0; g < upper[i].ys().size(); ++g) {
@@ -76,7 +76,7 @@ TEST(UpperCurvesTest, SingleStageTreeHasNoUpperCurves) {
   TreeSpec tree({StageSpec(std::make_shared<ExponentialDistribution>(0.1), 4)});
   auto upper = BuildUpperQualityCurves(tree, 100.0);
   ASSERT_EQ(upper.size(), 1u);
-  EXPECT_TRUE(upper[0].empty());
+  EXPECT_TRUE(upper[0].ys().empty());
   EXPECT_EQ(Bits(MaxExpectedQuality(tree, 100.0)),
             Bits(BuildQualityCurveStack(tree, 100.0)[0](100.0)));
 }
@@ -127,8 +127,6 @@ TEST(FullTreeQualityAtTest, MatchesFullCurveBitwise) {
                 << " x " << x;
           }
           ASSERT_EQ(Bits(MaxExpectedQuality(tree, deadline, options)),
-                    Bits(full[0](deadline)));
-          ASSERT_EQ(Bits(PlanTree(tree, deadline, options).expected_quality),
                     Bits(full[0](deadline)));
         }
       }

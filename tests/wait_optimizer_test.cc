@@ -330,7 +330,9 @@ TEST(OneGridTest, PrunedFoldExactOnNonMonotoneCurves) {
   for (const NonMonotoneFold& fold : NonMonotoneFolds()) {
     for (const auto& bottom : OneOfEachFamily(rng, fold.deadline)) {
       for (int fanout : {1, 50}) {
-        const TreeSpec tree = fold.tree.WithStage(0, StageSpec(bottom, fanout));
+        std::vector<StageSpec> stages = fold.tree.stages();
+        stages[0] = StageSpec(bottom, fanout);
+        const TreeSpec tree(std::move(stages));
         ExpectSameCurves(BuildQualityCurveStack(tree, fold.deadline),
                          ReferenceStack(tree, fold.deadline),
                          fold.name + " " + bottom->ToString() + " fanout " +
@@ -360,7 +362,7 @@ TEST(WaitScanTest, PrunedScanCountsTheCurvesRises) {
   // and 2, then +0.10 and +0.17 after steps 3 and 4. Without the rise term
   // Walk's bound would stop after step 1 and answer wait 0, and the
   // search's block bounds would miss the climb inside (0, 4].
-  const PiecewiseLinear bump({0.0, 1.0, 2.0, 3.0, 4.0}, {1.0, 1.0, 0.0, 0.5, 1.0});
+  const auto bump = PiecewiseLinear::FromUniform(0.0, 1.0, {1.0, 1.0, 0.0, 0.5, 1.0});
   const NormalDistribution bottom(0.0, 4.0);
   const WaitScan scan(bump, 4.0, 1.0);
   const ReferenceDecision want = ReferenceOptimizeWait(bottom, 2, bump, 4.0, 1.0);
@@ -380,13 +382,11 @@ TEST(WaitScanTest, SearchExactOnBumpyCurves) {
   long long calls = 0;
   for (int trial = 0; trial < 200; ++trial) {
     const int knots = 4 + static_cast<int>(8.0 * rng.NextDouble());
-    std::vector<double> xs;
     std::vector<double> ys;
     for (int i = 0; i <= knots; ++i) {
-      xs.push_back(400.0 * i / knots);
       ys.push_back(rng.NextDouble());
     }
-    const PiecewiseLinear upper(xs, ys);
+    const auto upper = PiecewiseLinear::FromUniform(0.0, 400.0 / knots, ys);
     const WaitScan scan(upper, 400.0, 1.0);
     for (const auto& bottom : OneOfEachFamily(rng, 400.0)) {
       for (int fanout : {1, 2, 50, 1000}) {
@@ -433,7 +433,7 @@ TEST(WaitScanTest, PrunedScanStopsWhenTheBoundProvesTheBest) {
   size_t best = 99;
   EXPECT_EQ(WalkHandGrid(bottom, 2, {1.0, 0.5, 0.0, 0.0, 0.0}, &best), 1u);
   EXPECT_EQ(best, 0u);
-  const PiecewiseLinear cliff({0.0, 1.0, 2.0, 3.0, 4.0}, {0.0, 0.0, 0.0, 0.5, 1.0});
+  const auto cliff = PiecewiseLinear::FromUniform(0.0, 1.0, {0.0, 0.0, 0.0, 0.5, 1.0});
   const WaitScan scan(cliff, 4.0, 1.0);
   ExpectSameBits(scan.Optimize(bottom, 2), ReferenceOptimizeWait(bottom, 2, cliff, 4.0, 1.0),
                  "cliff");
@@ -493,7 +493,7 @@ TEST(WaitScanTest, NearTieFallsBackToWalk) {
   // 0.3 - 1e-15 at c = 0, 1, 2, so q_1 = 0.175 and q_2 falls short of it by
   // ~4.4e-16, far inside the search's rounding margin. Only the dense scan
   // can order the two, and it picks wait 1.
-  const PiecewiseLinear near_tie({0.0, 1.0, 2.0}, {0.3 - 1e-15, 0.7, 1.0});
+  const auto near_tie = PiecewiseLinear::FromUniform(0.0, 1.0, {0.3 - 1e-15, 0.7, 1.0});
   const UniformDistribution bottom(0.0, 4.0);
   const WaitScan scan(near_tie, 2.0, 1.0);
   const ReferenceDecision want = ReferenceOptimizeWait(bottom, 2, near_tie, 2.0, 1.0);
@@ -565,9 +565,9 @@ TEST(WaitScanTest, DefaultGridHasFourHundredSteps) {
 
 TEST(WaitScanDeathTest, RejectsCurvesOutsideTheUnitInterval) {
   // The early exit's bound assumes 0 <= q_{n-1} <= 1, as every q-curve is.
-  const PiecewiseLinear above({0.0, 10.0}, {0.0, 1.5});
+  const auto above = PiecewiseLinear::FromUniform(0.0, 10.0, {0.0, 1.5});
   EXPECT_DEATH(WaitScan(above, 10.0, 1.0), "outside \\[0, 1\\]");
-  const PiecewiseLinear below({0.0, 10.0}, {-0.5, 1.0});
+  const auto below = PiecewiseLinear::FromUniform(0.0, 10.0, {-0.5, 1.0});
   EXPECT_DEATH(WaitScan(below, 10.0, 1.0), "outside \\[0, 1\\]");
 }
 
@@ -647,7 +647,7 @@ TEST(PlanTreeTest, TwoLevelPlanMatchesDirectOptimization) {
               OptimizeWait(*f.tree.stage(0).duration, 30, f.upper, f.deadline, f.epsilon),
               f.epsilon + 1e-9);
   // q_2(D) against the plain scan's running max on the same grid.
-  EXPECT_NEAR(plan.expected_quality,
+  EXPECT_NEAR(MaxExpectedQuality(f.tree, f.deadline),
               ReferenceOptimizeWait(*f.tree.stage(0).duration, 30, f.upper, f.deadline, f.epsilon)
                   .best_q,
               0.02);
@@ -664,16 +664,16 @@ TEST(PlanTreeTest, ThreeLevelWaitsAscend) {
   EXPECT_GE(plan.absolute_waits[0], 0.0);
   EXPECT_GE(plan.absolute_waits[1], plan.absolute_waits[0]);
   EXPECT_LE(plan.absolute_waits[1], 150.0);
-  EXPECT_GT(plan.expected_quality, 0.0);
+  EXPECT_GT(MaxExpectedQuality(tree, 150.0), 0.0);
 }
 
 TEST(PlanTreeTest, ExpectedQualityMonotoneInDeadline) {
   TwoLevelFixture f(2.0, 0.9, 2.0, 0.6, 30, 30, 40.0);
   double prev = 0.0;
   for (double deadline : {10.0, 20.0, 40.0, 80.0, 160.0}) {
-    TreePlan plan = PlanTree(f.tree, deadline);
-    EXPECT_GE(plan.expected_quality, prev - 1e-6) << "deadline=" << deadline;
-    prev = plan.expected_quality;
+    double quality = MaxExpectedQuality(f.tree, deadline);
+    EXPECT_GE(quality, prev - 1e-6) << "deadline=" << deadline;
+    prev = quality;
   }
 }
 

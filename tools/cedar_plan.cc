@@ -79,12 +79,12 @@ int main(int argc, char** argv) {
                   TablePrinter::FormatDouble(100.0 * plan.absolute_waits[tier] / *deadline, 1)});
   }
   waits.Print(std::cout);
+  auto stack = BuildQualityCurveStack(tree, *deadline);
   std::cout << "expected quality q_n(" << *deadline
-            << ") = " << TablePrinter::FormatDouble(plan.expected_quality, 4) << "\n";
+            << ") = " << TablePrinter::FormatDouble(stack[0](*deadline), 4) << "\n";
 
   PrintBanner(std::cout, "maximum expected quality vs deadline");
   TablePrinter curve({"deadline", "q_n"});
-  auto stack = BuildQualityCurveStack(tree, *deadline);
   for (int i = 1; i <= *curve_points; ++i) {
     double d = *deadline * static_cast<double>(i) / static_cast<double>(*curve_points);
     curve.AddNumericRow({d, stack[0](d)}, 4);

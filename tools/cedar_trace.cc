@@ -71,8 +71,7 @@ void Fit(const std::string& workload_name, int k1, int k2, int samples, uint64_t
       durations.push_back(truth.stage_durations[0]->Sample(rng));
     }
   }
-  DistributionFitter fitter;
-  auto fits = fitter.FitSamples(durations);
+  auto fits = FitSamples(std::move(durations));
   PrintBanner(std::cout, "offline distribution-type fit of " + std::to_string(samples) +
                              " bottom-stage samples from '" + workload->name() + "'");
   TablePrinter table({"rank", "family", "fit", "relative_rms_error", "max_rel_error"});
