@@ -28,10 +28,12 @@ std::vector<double> SortedSamples(int k, uint64_t seed) {
 
 void BM_ExactScoreTable(benchmark::State& state) {
   int k = static_cast<int>(state.range(0));
+  // The cost of filling one table, i.e. of the first Get(k); cached tables
+  // are never freed, so this times the scores directly.
   for (auto _ : state) {
-    NormalOrderScoreTable::ClearCacheForTesting();
-    const auto& table = NormalOrderScoreTable::Get(k);
-    benchmark::DoNotOptimize(table.data());
+    for (int i = 1; i <= k; ++i) {
+      benchmark::DoNotOptimize(ExactNormalScore(i, k));
+    }
   }
   state.SetLabel("k=" + std::to_string(k) + " (cold)");
 }

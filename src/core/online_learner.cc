@@ -13,19 +13,31 @@ void CheckLearnerFamily(DistributionFamily family) {
       << " (want lognormal, normal or exponential)";
 }
 
-OnlineLearner::OnlineLearner(int fanout, OnlineLearnerOptions options)
-    : fanout_(fanout), options_(options) {
+namespace {
+
+// The learner's own checks run before its accumulator is built, so a bad
+// family dies with the learner's message.
+OrderStatsAccumulator CheckedAccumulator(int fanout, const OnlineLearnerOptions& options) {
   CEDAR_CHECK_GE(fanout, 1);
-  CEDAR_CHECK_GE(options_.min_samples, 2) << "pairwise estimation needs >= 2 samples";
-  CheckLearnerFamily(options_.family);
+  CEDAR_CHECK_GE(options.min_samples, 2) << "pairwise estimation needs >= 2 samples";
+  CheckLearnerFamily(options.family);
+  return OrderStatsAccumulator(options.family, fanout);
 }
+
+}  // namespace
+
+OnlineLearner::OnlineLearner(int fanout, OnlineLearnerOptions options)
+    : fanout_(fanout), options_(options), fit_(CheckedAccumulator(fanout, options)) {}
 
 void OnlineLearner::Observe(double arrival_time) {
   CEDAR_CHECK_LT(num_observations(), fanout_) << "more arrivals than fanout";
-  if (!arrivals_.empty()) {
-    CEDAR_CHECK_GE(arrival_time, arrivals_.back()) << "arrival times must be non-decreasing";
+  if (num_observations() > 0) {
+    CEDAR_CHECK_GE(arrival_time, fit_.last()) << "arrival times must be non-decreasing";
   }
-  arrivals_.push_back(arrival_time);
+  fit_.Add(arrival_time);
+  if (options_.use_empirical_estimates) {
+    arrivals_.push_back(arrival_time);
+  }
 }
 
 std::optional<DistributionSpec> OnlineLearner::CurrentFit() const {
@@ -36,9 +48,7 @@ std::optional<DistributionSpec> OnlineLearner::CurrentFit() const {
   if (options_.use_empirical_estimates) {
     return FitSpecEmpirical(options_.family, arrivals_);
   }
-  return FitSpecFromOrderStats(options_.family, arrivals_, fanout_);
+  return fit_.Fit();
 }
-
-void OnlineLearner::Reset() { arrivals_.clear(); }
 
 }  // namespace cedar

@@ -5,7 +5,9 @@
 // src/stats/fitting.h); this class learns its *parameters* online. As each
 // of the k child outputs arrives, the arrival time is recorded; the current
 // fit treats the i-th arrival as a draw from the i-th order statistic of k
-// samples and applies FitSpecFromOrderStats (src/stats/estimators.h).
+// samples: it is FitSpecFromOrderStats (src/stats/estimators.h) of the
+// arrivals so far, kept as running sums by an OrderStatsAccumulator, so an
+// arrival and a fit each cost O(1).
 // Setting |use_empirical_estimates| switches to the biased sample-moments
 // baseline (the ablation of Figure 10).
 
@@ -16,6 +18,7 @@
 #include <vector>
 
 #include "src/stats/distribution.h"
+#include "src/stats/estimators.h"
 
 namespace cedar {
 
@@ -47,22 +50,17 @@ class OnlineLearner {
   void Observe(double arrival_time);
 
   // Number of arrivals observed so far.
-  int num_observations() const { return static_cast<int>(arrivals_.size()); }
+  int num_observations() const { return fit_.count(); }
 
   // Current parameter fit, or nullopt if fewer than min_samples arrivals
-  // (or the estimator degenerated). Each call refits all arrivals so far.
+  // (or the estimator degenerated).
   std::optional<DistributionSpec> CurrentFit() const;
-
-  const std::vector<double>& arrivals() const { return arrivals_; }
-  int fanout() const { return fanout_; }
-
-  // Clears all observations (reused across queries).
-  void Reset();
 
  private:
   int fanout_;
   OnlineLearnerOptions options_;
-  std::vector<double> arrivals_;
+  OrderStatsAccumulator fit_;
+  std::vector<double> arrivals_;  // kept only for use_empirical_estimates
 };
 
 // Dies, naming |family|, unless the learner can fit it: log-normal, normal

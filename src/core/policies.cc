@@ -156,7 +156,7 @@ void CedarPolicy::BeginQuery(const AggregatorContext& ctx, const QueryTruth* tru
     learner_options.min_samples =
         std::max(2, std::min(learner_options.min_samples, (2 * ctx.fanout) / 3));
     effective_min_samples_ = learner_options.min_samples;
-    learner_ = std::make_unique<OnlineLearner>(ctx.fanout, learner_options);
+    learner_.emplace(ctx.fanout, learner_options);
   } else {
     learner_.reset();
   }
@@ -171,7 +171,7 @@ double CedarPolicy::InitialWait(const AggregatorContext& ctx) {
 double CedarPolicy::OnArrival(const AggregatorContext& ctx, double arrival_time,
                               const std::vector<double>& arrivals) {
   (void)arrivals;
-  if (learner_ == nullptr) {
+  if (!learner_.has_value()) {
     return current_wait_;
   }
   // The learner models stage durations relative to this tier's dispatch

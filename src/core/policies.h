@@ -21,6 +21,7 @@
 #define CEDAR_SRC_CORE_POLICIES_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -118,7 +119,7 @@ class CedarPolicy final : public WaitPolicy {
   void BeginQuery(const AggregatorContext& ctx, const QueryTruth* truth) override;
 
   // Exposes the learner's current fit (tests and diagnostics).
-  const OnlineLearner* learner() const { return learner_ ? learner_.get() : nullptr; }
+  const OnlineLearner* learner() const { return learner_ ? &*learner_ : nullptr; }
 
  protected:
   double InitialWait(const AggregatorContext& ctx) override;
@@ -132,7 +133,7 @@ class CedarPolicy final : public WaitPolicy {
   static constexpr int kLearningTier = 0;
 
   CedarPolicyOptions options_;
-  std::unique_ptr<OnlineLearner> learner_;
+  std::optional<OnlineLearner> learner_;  // set on the learning tier only
   int effective_min_samples_ = 2;
   int arrivals_since_reopt_ = 0;
 };

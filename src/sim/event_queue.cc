@@ -1,6 +1,7 @@
 #include "src/sim/event_queue.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "src/common/logging.h"
 
@@ -9,10 +10,21 @@ namespace cedar {
 uint64_t EventQueue::Schedule(SimTime time, EventCallback callback) {
   CEDAR_CHECK(time >= now_) << "scheduling into the past: " << time << " < " << now_;
   CEDAR_CHECK(IsFiniteTime(time)) << "scheduling at non-finite time";
+  uint32_t slot;
+  if (free_slots_.empty()) {
+    CEDAR_CHECK_LT(callbacks_.size(), size_t{std::numeric_limits<uint32_t>::max()})
+        << "too many queued events";
+    slot = static_cast<uint32_t>(callbacks_.size());
+    callbacks_.push_back(std::move(callback));
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    callbacks_[slot] = std::move(callback);
+  }
   const uint64_t seq = state_.size();
   state_.push_back(State::kQueued);
-  heap_.push_back(Entry{time, seq, std::move(callback)});
-  std::push_heap(heap_.begin(), heap_.end(), EntryLater());
+  heap_.push_back(Key{time, seq, slot});
+  std::push_heap(heap_.begin(), heap_.end(), KeyLater());
   return seq + 1;
 }
 
@@ -26,17 +38,21 @@ void EventQueue::Cancel(uint64_t handle) {
 
 bool EventQueue::RunOne() {
   while (!heap_.empty()) {
-    std::pop_heap(heap_.begin(), heap_.end(), EntryLater());
-    Entry entry = std::move(heap_.back());
+    std::pop_heap(heap_.begin(), heap_.end(), KeyLater());
+    const Key key = heap_.back();
     heap_.pop_back();
-    const bool cancelled = state_[entry.seq] == State::kCancelled;
-    state_[entry.seq] = State::kDone;
+    // Free the slot before the callback runs: the callback may schedule, and
+    // a Schedule that grows callbacks_ would move a callback still in place.
+    EventCallback callback = std::move(callbacks_[key.slot]);
+    free_slots_.push_back(key.slot);
+    const bool cancelled = state_[key.seq] == State::kCancelled;
+    state_[key.seq] = State::kDone;
     if (cancelled) {
       --cancelled_queued_;
       continue;
     }
-    now_ = entry.time;
-    entry.callback();
+    now_ = key.time;
+    callback();
     return true;
   }
   return false;

@@ -2,10 +2,13 @@
 // FIFO ordering for simultaneous events. Shared by the aggregation-tree
 // simulator and the cluster runtime.
 //
-// The heap is a vector under push_heap/pop_heap, and RunOne moves each
-// callback out of it, so a callback is never copied. A handle indexes one
-// state byte per scheduled event (queued, cancelled or done): Cancel is O(1),
-// and a cancelled event is dropped when it reaches the top of the heap.
+// The heap orders small {time, seq, slot} keys under push_heap/pop_heap; the
+// callbacks live in a side vector of slots that a fired or dropped event
+// frees for the next Schedule, so the slots never outnumber the peak count of
+// queued events. RunOne moves each callback out of its slot, so a callback
+// is never copied. A handle indexes one state byte per scheduled event
+// (queued, cancelled or done): Cancel is O(1), and a cancelled event is
+// dropped when it reaches the top of the heap.
 
 #ifndef CEDAR_SRC_SIM_EVENT_QUEUE_H_
 #define CEDAR_SRC_SIM_EVENT_QUEUE_H_
@@ -52,15 +55,19 @@ class EventQueue {
   // Number of events ever scheduled, fired or cancelled.
   uint64_t scheduled() const { return state_.size(); }
 
+  // Number of callback slots ever allocated: the peak number of queued
+  // events, cancelled ones included until they are dropped.
+  size_t slots() const { return callbacks_.size(); }
+
  private:
   enum class State : uint8_t { kQueued, kCancelled, kDone };
-  struct Entry {
+  struct Key {
     SimTime time;
-    uint64_t seq;  // the event's handle is seq + 1
-    EventCallback callback;
+    uint64_t seq;   // the event's handle is seq + 1
+    uint32_t slot;  // index into callbacks_
   };
-  struct EntryLater {
-    bool operator()(const Entry& a, const Entry& b) const {
+  struct KeyLater {
+    bool operator()(const Key& a, const Key& b) const {
       if (a.time != b.time) {
         return a.time > b.time;
       }
@@ -68,8 +75,10 @@ class EventQueue {
     }
   };
 
-  std::vector<Entry> heap_;
-  std::vector<State> state_;  // indexed by seq
+  std::vector<Key> heap_;
+  std::vector<EventCallback> callbacks_;  // indexed by slot
+  std::vector<uint32_t> free_slots_;      // a stack: the last slot freed is reused first
+  std::vector<State> state_;              // indexed by seq
   size_t cancelled_queued_ = 0;
   SimTime now_ = 0.0;
 };

@@ -18,15 +18,6 @@ struct LocationScaleEstimate {
   double scale = 0.0;
 };
 
-bool IsSortedAscending(const std::vector<double>& v) {
-  for (size_t i = 1; i < v.size(); ++i) {
-    if (v[i] < v[i - 1]) {
-      return false;
-    }
-  }
-  return true;
-}
-
 // ln t for each of |times|, or nullopt if some t <= 0 (log-normal support is
 // (0, inf)).
 std::optional<std::vector<double>> LogsOf(const std::vector<double>& times) {
@@ -39,78 +30,6 @@ std::optional<std::vector<double>> LogsOf(const std::vector<double>& times) {
     logs.push_back(std::log(t));
   }
   return logs;
-}
-
-// Cedar's pairwise location-scale fit (§4.2.2) of the ascending |times|
-// (their logs if |take_logs|) against the exact scores m_{i,k}.
-std::optional<LocationScaleEstimate> PairwiseOrderStatsFit(const std::vector<double>& times,
-                                                           int k, bool take_logs) {
-  if (times.size() < 2 || static_cast<int>(times.size()) > k) {
-    return std::nullopt;
-  }
-  CEDAR_CHECK(IsSortedAscending(times)) << "arrival times must be ascending";
-  std::optional<std::vector<double>> logs;
-  if (take_logs) {
-    logs = LogsOf(times);
-    if (!logs.has_value()) {
-      return std::nullopt;
-    }
-  }
-  const std::vector<double>& values = take_logs ? *logs : times;
-  const std::vector<double>& scores = NormalOrderScoreTable::Get(k);
-
-  double location_sum = 0.0;
-  double scale_sum = 0.0;
-  int pairs = 0;
-  for (size_t i = 0; i + 1 < values.size(); ++i) {
-    double dm = scores[i + 1] - scores[i];
-    if (dm <= 0.0) {
-      // Adjacent scores can coincide only through numeric degeneracy;
-      // skip such pairs rather than dividing by ~0.
-      continue;
-    }
-    double sigma_i = (values[i + 1] - values[i]) / dm;
-    double mu_i = values[i] - sigma_i * scores[i];
-    scale_sum += sigma_i;
-    location_sum += mu_i;
-    ++pairs;
-  }
-  if (pairs == 0) {
-    return std::nullopt;
-  }
-  LocationScaleEstimate estimate;
-  estimate.location = location_sum / pairs;
-  // Ties in arrival times can drive individual sigma_i to 0; the average can
-  // still be 0 if all observations are identical. Clamp to nonnegative.
-  estimate.scale = std::max(0.0, scale_sum / pairs);
-  return estimate;
-}
-
-// Exponential fit from the first r of k order statistics by normalized
-// spacings (see FitSpecFromOrderStats).
-std::optional<LocationScaleEstimate> SpacingsFit(const std::vector<double>& times, int k) {
-  if (times.empty() || static_cast<int>(times.size()) > k) {
-    return std::nullopt;
-  }
-  CEDAR_CHECK(IsSortedAscending(times)) << "arrival times must be ascending";
-  // Normalized spacings D_i = (k - i + 1)(t_(i) - t_(i-1)), t_(0) = 0, are
-  // i.i.d. Exponential(lambda); the MLE from r of them is r / sum D_i.
-  double total = 0.0;
-  double prev = 0.0;
-  int r = static_cast<int>(times.size());
-  for (int i = 1; i <= r; ++i) {
-    double spacing = times[static_cast<size_t>(i - 1)] - prev;
-    if (spacing < 0.0) {
-      return std::nullopt;
-    }
-    total += static_cast<double>(k - i + 1) * spacing;
-    prev = times[static_cast<size_t>(i - 1)];
-  }
-  if (total <= 0.0) {
-    return std::nullopt;
-  }
-  double mean = total / static_cast<double>(r);
-  return LocationScaleEstimate{mean, mean};  // (1/lambda, 1/lambda)
 }
 
 // Sample mean and sd (n-1 denominator) of |values|.
@@ -165,18 +84,91 @@ std::optional<DistributionSpec> ToSpec(DistributionFamily family,
 
 }  // namespace
 
-std::optional<DistributionSpec> FitSpecFromOrderStats(DistributionFamily family,
-                                                      const std::vector<double>& times, int k) {
+OrderStatsAccumulator::OrderStatsAccumulator(DistributionFamily family, int k)
+    : family_(family), k_(k) {
   switch (family) {
     case DistributionFamily::kLogNormal:
     case DistributionFamily::kNormal:
-      return ToSpec(family,
-                    PairwiseOrderStatsFit(times, k, family == DistributionFamily::kLogNormal));
+      scores_ = &NormalOrderScoreTable::Get(k);  // checks k >= 1
+      break;
     case DistributionFamily::kExponential:
-      return ToSpec(family, SpacingsFit(times, k));
+      CEDAR_CHECK_GE(k, 1);
+      break;
     default:
       DieUnfittable(family);
   }
+}
+
+void OrderStatsAccumulator::Add(double t) {
+  CEDAR_CHECK_LT(count_, k_) << "more than k arrivals";
+  CEDAR_CHECK(count_ == 0 || !(t < last_time_)) << "arrival times must be ascending";
+  const int i = ++count_;  // t is t_(i), 1-based
+  const double prev_time = last_time_;
+  last_time_ = t;
+  if (family_ == DistributionFamily::kExponential) {
+    // Normalized spacings D_i = (k - i + 1)(t_(i) - t_(i-1)), t_(0) = 0, are
+    // i.i.d. Exponential(lambda); the MLE from r of them is r / sum D_i.
+    const double spacing = t - prev_time;
+    invalid_ = invalid_ || spacing < 0.0;
+    spacing_total_ += static_cast<double>(k_ - i + 1) * spacing;
+    return;
+  }
+  // Log-normal support is (0, inf).
+  invalid_ = invalid_ || (family_ == DistributionFamily::kLogNormal && t <= 0.0);
+  if (invalid_) {
+    return;
+  }
+  // Cedar's pairwise location-scale fit (§4.2.2): solve
+  // v = mu + sigma * m_{j,k} at j = i - 1 and j = i for the newest pair.
+  const double value = family_ == DistributionFamily::kLogNormal ? std::log(t) : t;
+  if (i >= 2) {
+    const std::vector<double>& scores = *scores_;
+    const double dm = scores[static_cast<size_t>(i - 1)] - scores[static_cast<size_t>(i - 2)];
+    // Adjacent scores can coincide only through numeric degeneracy; skip
+    // such pairs rather than dividing by ~0.
+    if (dm > 0.0) {
+      const double sigma_i = (value - last_value_) / dm;
+      const double mu_i = last_value_ - sigma_i * scores[static_cast<size_t>(i - 2)];
+      scale_sum_ += sigma_i;
+      location_sum_ += mu_i;
+      ++pairs_;
+    }
+  }
+  last_value_ = value;
+}
+
+std::optional<DistributionSpec> OrderStatsAccumulator::Fit() const {
+  if (invalid_) {
+    return std::nullopt;
+  }
+  if (family_ == DistributionFamily::kExponential) {
+    if (spacing_total_ <= 0.0) {
+      return std::nullopt;
+    }
+    const double mean = spacing_total_ / static_cast<double>(count_);
+    return ToSpec(family_, LocationScaleEstimate{mean, mean});  // (1/lambda, 1/lambda)
+  }
+  if (pairs_ == 0) {
+    return std::nullopt;
+  }
+  LocationScaleEstimate estimate;
+  estimate.location = location_sum_ / pairs_;
+  // Ties in arrival times can drive individual sigma_i to 0; the average can
+  // still be 0 if all observations are identical. Clamp to nonnegative.
+  estimate.scale = std::max(0.0, scale_sum_ / pairs_);
+  return ToSpec(family_, estimate);
+}
+
+std::optional<DistributionSpec> FitSpecFromOrderStats(DistributionFamily family,
+                                                      const std::vector<double>& times, int k) {
+  OrderStatsAccumulator fit(family, k);
+  if (times.size() > static_cast<size_t>(k)) {
+    return std::nullopt;
+  }
+  for (double t : times) {
+    fit.Add(t);
+  }
+  return fit.Fit();
 }
 
 std::optional<DistributionSpec> FitSpecEmpirical(DistributionFamily family,

@@ -96,11 +96,6 @@ const std::vector<double>& NormalOrderScoreTable::Get(int k) {
   return *it->second;
 }
 
-void NormalOrderScoreTable::ClearCacheForTesting() {
-  std::lock_guard<std::mutex> lock(g_table_mutex);
-  TableCache().clear();
-}
-
 std::vector<double> MonteCarloNormalScores(int k, int trials, uint64_t seed) {
   CEDAR_CHECK_GE(k, 1);
   CEDAR_CHECK_GE(trials, 1);

@@ -16,8 +16,9 @@
 // (composite Simpson over the density's peak; accurate to ~1e-9), and
 // cross-checks them by Monte-Carlo simulation.
 //
-// Scores are cached per k behind a mutex; lookups after the first are
-// lock-then-pointer-read.
+// Tables are cached per k behind a mutex and never freed, so a caller may
+// fetch a table once (the online learner does, at construction) and read it
+// without a lock for the rest of the program.
 
 #ifndef CEDAR_SRC_STATS_ORDER_STATISTICS_H_
 #define CEDAR_SRC_STATS_ORDER_STATISTICS_H_
@@ -36,10 +37,8 @@ class NormalOrderScoreTable {
  public:
   // Returns the shared table for |k| (computing and caching on first use).
   // The returned reference lives for the program duration.
+  // Concurrent first calls for one k all return the same table.
   static const std::vector<double>& Get(int k);
-
-  // Drops all cached tables (test hook).
-  static void ClearCacheForTesting();
 };
 
 // Monte-Carlo estimate of the expected i-th order statistic of |k| standard

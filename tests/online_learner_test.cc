@@ -1,10 +1,16 @@
 #include "src/core/online_learner.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/stats/estimators.h"
 #include "src/stats/rng.h"
 
 namespace cedar {
@@ -87,18 +93,62 @@ TEST(OnlineLearnerTest, EmpiricalModeIsBiasedLow) {
   EXPECT_LT(emp_fit->p1, os_fit->p1);
 }
 
-TEST(OnlineLearnerTest, ResetClearsState) {
-  OnlineLearner learner(10, TestOptions());
-  learner.Observe(1.0);
-  learner.Observe(2.0);
-  ASSERT_TRUE(learner.CurrentFit().has_value());
-  learner.Reset();
-  EXPECT_EQ(learner.num_observations(), 0);
-  EXPECT_FALSE(learner.CurrentFit().has_value());
-  // Still usable after reset.
-  learner.Observe(3.0);
-  learner.Observe(4.0);
-  EXPECT_TRUE(learner.CurrentFit().has_value());
+// "<p1 bits> <p2 bits>" of a fit, or "none": equal strings are equal fits
+// to the last ulp.
+std::string FitBits(const std::optional<DistributionSpec>& spec) {
+  if (!spec.has_value()) {
+    return "none";
+  }
+  return std::to_string(std::bit_cast<uint64_t>(spec->p1)) + " " +
+         std::to_string(std::bit_cast<uint64_t>(spec->p2));
+}
+
+// The learner keeps running sums, and its fit after every arrival must be,
+// bitwise, the batch fit of the arrivals so far: with ties, and, for
+// log-normal, with an arrival <= 0 that leaves no fit from then on.
+TEST(OnlineLearnerTest, EveryFitIsBitwiseTheBatchFitOfThePrefix) {
+  Rng rng(3);
+  std::vector<double> arrivals;
+  double t = 0.5;
+  for (int i = 0; i < 40; ++i) {
+    if (i % 7 != 3) {  // every seventh arrival ties the one before it
+      t += rng.NextDouble();
+    }
+    arrivals.push_back(t);
+  }
+  // Log-normal after an arrival <= 0: the fit is gone for good.
+  std::vector<double> nonpositive;
+  for (double a : arrivals) {
+    nonpositive.push_back(a - arrivals[5]);  // arrival 6 is exactly 0
+  }
+  struct Case {
+    DistributionFamily family;
+    const std::vector<double>* times;
+  };
+  for (const Case& c : {Case{DistributionFamily::kLogNormal, &arrivals},
+                        Case{DistributionFamily::kNormal, &arrivals},
+                        Case{DistributionFamily::kExponential, &arrivals},
+                        Case{DistributionFamily::kLogNormal, &nonpositive},
+                        Case{DistributionFamily::kNormal, &nonpositive},
+                        Case{DistributionFamily::kExponential, &nonpositive}}) {
+    const int k = 50;
+    OnlineLearnerOptions options = TestOptions();
+    options.family = c.family;
+    OnlineLearner learner(k, options);
+    std::vector<double> prefix;
+    for (double a : *c.times) {
+      learner.Observe(a);
+      prefix.push_back(a);
+      const std::string batch = FitBits(FitSpecFromOrderStats(c.family, prefix, k));
+      EXPECT_EQ(FitBits(learner.CurrentFit()), prefix.size() < 2 ? "none" : batch)
+          << DistributionFamilyName(c.family) << " after " << prefix.size() << " arrivals";
+    }
+    if (c.times == &nonpositive && c.family != DistributionFamily::kNormal) {
+      EXPECT_FALSE(learner.CurrentFit().has_value()) << DistributionFamilyName(c.family);
+    } else {
+      EXPECT_TRUE(learner.CurrentFit().has_value()) << DistributionFamilyName(c.family);
+    }
+  }
 }
 
 TEST(OnlineLearnerTest, NormalFamilySupported) {

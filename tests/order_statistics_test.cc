@@ -1,6 +1,9 @@
 #include "src/stats/order_statistics.h"
 
+#include <atomic>
 #include <cmath>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -68,15 +71,57 @@ TEST(ExactScoreTest, MatchesMonteCarlo) {
 }
 
 TEST(ScoreTableTest, CachedTableMatchesDirectComputation) {
-  NormalOrderScoreTable::ClearCacheForTesting();
-  const auto& table = NormalOrderScoreTable::Get(25);
-  ASSERT_EQ(table.size(), 25u);
+  std::vector<double> direct;
   for (int i = 1; i <= 25; ++i) {
-    EXPECT_DOUBLE_EQ(table[static_cast<size_t>(i - 1)], ExactNormalScore(i, 25));
+    direct.push_back(ExactNormalScore(i, 25));
   }
+  const auto& table = NormalOrderScoreTable::Get(25);
+  EXPECT_EQ(table, direct);
   // Second lookup returns the same object.
   const auto& again = NormalOrderScoreTable::Get(25);
   EXPECT_EQ(&table, &again);
+}
+
+// Eight threads race on the first Get of one shared k and of a k of their
+// own; every thread asking for one k must get the same table. Runs under
+// TSan (tier1_tsan). The k values are used by no other test in this binary,
+// so every Get here is a first use.
+TEST(ScoreTableTest, ConcurrentFirstUseYieldsOneTablePerK) {
+  constexpr int kThreads = 8;
+  constexpr int kShared = 301;
+  std::atomic<int> ready{0};
+  std::vector<const std::vector<double>*> shared(kThreads, nullptr);
+  std::vector<const std::vector<double>*> own(kThreads, nullptr);
+  std::vector<const std::vector<double>*> own_again(kThreads, nullptr);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) {
+      }
+      // Odd threads start on their own k, so the shared k's first calls
+      // overlap with other k's inserts.
+      const int own_k = 302 + t / 2;  // two threads per own k
+      if (t % 2 == 1) {
+        own[static_cast<size_t>(t)] = &NormalOrderScoreTable::Get(own_k);
+      }
+      shared[static_cast<size_t>(t)] = &NormalOrderScoreTable::Get(kShared);
+      own_again[static_cast<size_t>(t)] = &NormalOrderScoreTable::Get(own_k);
+    });
+  }
+  for (auto& thread : threads) {
+    thread.join();
+  }
+  for (int t = 0; t < kThreads; ++t) {
+    const auto i = static_cast<size_t>(t);
+    EXPECT_EQ(shared[i], &NormalOrderScoreTable::Get(kShared)) << "thread " << t;
+    EXPECT_EQ(own_again[i], &NormalOrderScoreTable::Get(302 + t / 2)) << "thread " << t;
+    if (t % 2 == 1) {
+      EXPECT_EQ(own[i], own_again[i]) << "thread " << t;
+    }
+  }
+  EXPECT_EQ(NormalOrderScoreTable::Get(kShared).size(), static_cast<size_t>(kShared));
+  EXPECT_EQ(NormalOrderScoreTable::Get(kShared)[0], ExactNormalScore(1, kShared));
 }
 
 TEST(ScoreDeathTest, IndexOutOfRange) {
