@@ -1,16 +1,13 @@
 // A fixed-size thread pool and the one chunked parallel loop that runs on
 // it, ParallelFor: the concurrency substrate of the experiment engine
-// (src/sim/experiment_engine.h) and of lent wait-table builds
-// (src/core/wait_table.cc).
+// (src/sim/experiment_engine.h). Its claim-and-latch core, ChunkedLoop,
+// also runs without a pool: the threads that request a wait table fill it
+// together (src/core/wait_table_store.h).
 //
 // ParallelFor posts runner tasks that claim chunks from a shared counter,
-// so skewed chunks balance without per-worker deques or stealing. The
-// pool's one queue hands out the newest task first (LIFO): a wait-table
-// build inside an experiment chunk posts its helpers after the
-// experiment's runners, and a free worker joins the build before it starts
-// another runner (DESIGN.md §8). One mutex, no lock-free cleverness:
-// chunks are milliseconds long and the pool must stay obviously correct
-// under ThreadSanitizer.
+// so skewed chunks balance without per-worker deques or stealing. One
+// mutex, no lock-free cleverness: chunks are milliseconds long and the pool
+// must stay obviously correct under ThreadSanitizer.
 //
 // Determinism contract: the pool never introduces randomness. Callers that
 // want thread-count-independent results make their chunks independent
@@ -19,14 +16,50 @@
 #ifndef CEDAR_SRC_COMMON_THREAD_POOL_H_
 #define CEDAR_SRC_COMMON_THREAD_POOL_H_
 
+#include <algorithm>
+#include <atomic>
 #include <functional>
+#include <latch>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/common/mutex.h"
 #include "src/common/thread_annotations.h"
 
 namespace cedar {
+
+// One chunked loop's claims: [0, |total|) split into m = min(|chunks|,
+// |total|) near-equal contiguous ranges (both >= 1), the first total % m
+// one longer. Any number of threads may call RunChunks at once: each claims
+// chunks in index order and runs body(begin, end, chunk) until none is
+// left, so a late thread never calls |body|. |done| opens once every chunk
+// has finished.
+struct ChunkedLoop {
+  using Body = std::function<void(long long, long long, int)>;
+
+  ChunkedLoop(Body body, long long total, int chunks)
+      : body(std::move(body)),
+        n_chunks(std::min<long long>(chunks, total)),
+        base(total / n_chunks),
+        remainder(total % n_chunks),
+        done(n_chunks) {}
+
+  void RunChunks() {
+    for (long long c = next.fetch_add(1); c < n_chunks; c = next.fetch_add(1)) {
+      const long long begin = c * base + std::min(c, remainder);
+      body(begin, begin + base + (c < remainder ? 1 : 0), static_cast<int>(c));
+      done.count_down();
+    }
+  }
+
+  const Body body;
+  const long long n_chunks;
+  const long long base;
+  const long long remainder;
+  std::atomic<long long> next{0};
+  std::latch done;  // counts chunks not yet finished
+};
 
 class ThreadPool {
  public:
@@ -51,7 +84,7 @@ class ThreadPool {
 
  private:
   friend void ParallelFor(ThreadPool* pool, long long total, int chunks,
-                          const std::function<void(long long, long long, int)>& body);
+                          const ChunkedLoop::Body& body);
 
   // Queues |copies| copies of |task| and wakes the workers.
   void Post(long long copies, const std::function<void()>& task);
@@ -60,7 +93,7 @@ class ThreadPool {
   const int num_threads_;
   Mutex mutex_;
   CondVar work_cv_;  // signalled on Post and shutdown
-  std::vector<std::function<void()>> tasks_ CEDAR_GUARDED_BY(mutex_);  // back = newest
+  std::vector<std::function<void()>> tasks_ CEDAR_GUARDED_BY(mutex_);
   bool stopping_ CEDAR_GUARDED_BY(mutex_) = false;
   std::vector<std::thread> threads_;  // last: the workers use every member above
 };
@@ -69,21 +102,15 @@ class ThreadPool {
 // per hardware thread; either is capped at ThreadPool::kMaxThreads.
 int ResolveThreadCount(int requested);
 
-// Splits [0, |total|) into m = min(|chunks|, |total|) near-equal contiguous
-// ranges, the first total % m one longer, and runs body(begin, end, chunk)
-// once for each, claiming chunks in index order. Returns when every chunk
-// is done. Chunks are independent; the caller must make their side effects
-// disjoint. With n = pool->num_threads(), who runs the chunks:
-//  - |pool| null: the caller, inline, in chunk order.
-//  - a worker of |pool| (a nested loop, as in the wait-table store's
-//    single-flight build): the caller, alongside at most min(n - 1, m - 1)
-//    helpers, so progress never waits for a free worker and the nested loop
-//    cannot deadlock.
-//  - any other thread: min(n, m) workers, while the caller only waits. A
-//    caller that ran chunks would be one more thread than the pool has,
-//    with its own thread-local allocations (DESIGN.md §8).
-void ParallelFor(ThreadPool* pool, long long total, int chunks,
-                 const std::function<void(long long, long long, int)>& body);
+// Runs body(begin, end, chunk) once for each of the m chunks of a
+// ChunkedLoop over [0, |total|) and returns when every chunk is done. Chunks
+// are independent; the caller must make their side effects disjoint. With
+// |pool| null the caller runs them inline, in chunk order; otherwise
+// min(pool->num_threads(), m) workers run them while the caller only waits,
+// so the loop never has more threads than the pool (DESIGN.md §8). A call
+// from a worker of |pool| is fatal: once every worker waits in one, no
+// worker is left to run the chunks.
+void ParallelFor(ThreadPool* pool, long long total, int chunks, const ChunkedLoop::Body& body);
 
 }  // namespace cedar
 

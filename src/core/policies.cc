@@ -138,6 +138,7 @@ CedarPolicy::CedarPolicy(CedarPolicyOptions options) : options_(options) {
   if (options_.use_wait_table) {
     CEDAR_CHECK(options_.table_spec.family == options_.learner.family)
         << "wait-table family must match the learner family";
+    CheckWaitTableSpec(options_.table_spec);
   }
 }
 

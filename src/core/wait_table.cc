@@ -4,9 +4,7 @@
 
 #include "src/common/logging.h"
 #include "src/common/math_util.h"
-#include "src/common/thread_pool.h"
 #include "src/obs/metrics.h"
-#include "src/obs/profiler.h"
 
 namespace cedar {
 namespace {
@@ -22,49 +20,47 @@ std::unique_ptr<Distribution> MakeParameterized(DistributionFamily family, doubl
 
 }  // namespace
 
-WaitTable::WaitTable(WaitTableSpec spec, int fanout, const PiecewiseLinear& upper_quality,
-                     double deadline, double epsilon, ThreadPool* build_pool)
-    : spec_(spec), deadline_(deadline) {
-  CEDAR_PROFILE_SCOPE("wait_table.build");
-  CEDAR_CHECK_GE(spec_.location_points, 2);
-  CEDAR_CHECK_GE(spec_.scale_points, 2);
-  CEDAR_CHECK_LT(spec_.location_min, spec_.location_max);
-  CEDAR_CHECK_LT(spec_.scale_min, spec_.scale_max);
-  CEDAR_CHECK_GT(spec_.scale_min, 0.0);
-  CEDAR_CHECK(spec_.family == DistributionFamily::kLogNormal ||
-              spec_.family == DistributionFamily::kNormal)
-      << "wait tables support the location-scale families the learner fits";
+void CheckWaitTableSpec(const WaitTableSpec& spec) {
+  CEDAR_CHECK(spec.family == DistributionFamily::kLogNormal ||
+              spec.family == DistributionFamily::kNormal)
+      << "wait tables support the location-scale families the learner fits, not "
+      << DistributionFamilyName(spec.family);
+  CEDAR_CHECK_GE(spec.location_points, 2);
+  CEDAR_CHECK_GE(spec.scale_points, 2);
+  CEDAR_CHECK_LT(spec.location_min, spec.location_max);
+  CEDAR_CHECK_LT(spec.scale_min, spec.scale_max);
+  CEDAR_CHECK_GT(spec.scale_min, 0.0);
+}
 
+WaitTable::WaitTable(WaitTableSpec spec) : spec_(spec) {
+  CheckWaitTableSpec(spec_);
   const size_t total =
       static_cast<size_t>(spec_.location_points) * static_cast<size_t>(spec_.scale_points);
   waits_.resize(total);
   if (MetricsEnabled()) {
-    // Every build counts here, store-resolved or private: "wait_table.builds"
-    // is the total-table-build-work measure the store microbench compares.
     MetricsRegistry& registry = MetricsRegistry::Global();
     registry.GetCounter("wait_table.builds").Increment();
     registry.GetCounter("wait_table.grid_points").Increment(static_cast<long long>(total));
   }
+}
 
-  // Each grid point is an independent CalculateWait scan over one shared,
-  // read-only WaitScan grid, writing its own slot, so filling chunks
-  // concurrently is bit-identical to the serial double loop for any thread
-  // count (and with no pool at all).
-  const WaitScan scan(upper_quality, deadline, epsilon);
-  auto fill = [&](long long begin, long long end, int /*chunk*/) {
-    for (long long cell = begin; cell < end; ++cell) {
-      const int li = static_cast<int>(cell / spec_.scale_points);
-      const int si = static_cast<int>(cell % spec_.scale_points);
-      double location = Lerp(spec_.location_min, spec_.location_max,
-                             static_cast<double>(li) / (spec_.location_points - 1));
-      double scale = Lerp(spec_.scale_min, spec_.scale_max,
-                          static_cast<double>(si) / (spec_.scale_points - 1));
-      auto dist = MakeParameterized(spec_.family, location, scale);
-      At(li, si) = scan.Optimize(*dist, fanout);
-    }
-  };
-  const int chunks = build_pool != nullptr ? build_pool->num_threads() * 4 : 1;
-  ParallelFor(build_pool, static_cast<long long>(total), chunks, fill);
+WaitTable::WaitTable(WaitTableSpec spec, int fanout, const PiecewiseLinear& upper_quality,
+                     double deadline, double epsilon)
+    : WaitTable(spec) {
+  FillCells(WaitScan(upper_quality, deadline, epsilon), fanout, 0, num_cells());
+}
+
+void WaitTable::FillCells(const WaitScan& scan, int fanout, long long begin, long long end) {
+  for (long long cell = begin; cell < end; ++cell) {
+    const int li = static_cast<int>(cell / spec_.scale_points);
+    const int si = static_cast<int>(cell % spec_.scale_points);
+    double location = Lerp(spec_.location_min, spec_.location_max,
+                           static_cast<double>(li) / (spec_.location_points - 1));
+    double scale =
+        Lerp(spec_.scale_min, spec_.scale_max, static_cast<double>(si) / (spec_.scale_points - 1));
+    auto dist = MakeParameterized(spec_.family, location, scale);
+    waits_[static_cast<size_t>(cell)] = scan.Optimize(*dist, fanout);
+  }
 }
 
 double WaitTable::Lookup(double location, double scale) const {

@@ -11,6 +11,11 @@
 // Grids are in the *fitted parameter* space: (mu, sigma) for log-normal,
 // (mean, sd) for normal. Lookups outside the grid are clamped to the edge
 // (with a counter so callers can detect a mis-sized grid).
+//
+// A build allocates the grid, then fills its cells: independent scans of
+// one read-only WaitScan, each written to its own slot, so any split of the
+// cells among threads gives the same bits (the store's cooperative fill,
+// src/core/wait_table_store.h).
 
 #ifndef CEDAR_SRC_CORE_WAIT_TABLE_H_
 #define CEDAR_SRC_CORE_WAIT_TABLE_H_
@@ -24,8 +29,6 @@
 #include "src/stats/distribution.h"
 
 namespace cedar {
-
-class ThreadPool;
 
 struct WaitTableSpec {
   DistributionFamily family = DistributionFamily::kLogNormal;
@@ -41,21 +44,19 @@ struct WaitTableSpec {
   friend bool operator==(const WaitTableSpec&, const WaitTableSpec&) = default;
 };
 
+// Fatal unless a WaitTable can fill |spec|'s grid: a location-scale family
+// the learner fits (log-normal or normal), at least 2 points and min < max
+// on each axis, and scale_min > 0.
+void CheckWaitTableSpec(const WaitTableSpec& spec);
+
 class WaitTable {
  public:
   // Precomputes optimal waits for every grid point: |fanout| children with
   // the parameterized bottom distribution, |upper_quality| above, remaining
   // deadline |deadline|, scan step |epsilon|. Cost: location_points *
-  // scale_points CalculateWait scans, run once offline.
-  //
-  // |build_pool| (borrowed, may be null) parallelizes the grid fill: every
-  // grid point is an independent scan of one shared, read-only WaitScan,
-  // written to its own slot, so the table is bit-identical to the serial
-  // build for any thread count.
-  // The fill uses ParallelFor, so building from inside a pool worker (the
-  // wait-table store's single-flight path) cannot deadlock.
+  // scale_points CalculateWait scans, run once offline on this thread.
   WaitTable(WaitTableSpec spec, int fanout, const PiecewiseLinear& upper_quality,
-            double deadline, double epsilon, ThreadPool* build_pool = nullptr);
+            double deadline, double epsilon);
 
   // Bilinear interpolation of the precomputed wait at the fitted
   // parameters. Out-of-grid values clamp to the edge.
@@ -70,20 +71,27 @@ class WaitTable {
   long long clamped_lookups() const { return clamped_lookups_.load(std::memory_order_relaxed); }
 
   const WaitTableSpec& spec() const { return spec_; }
-  double deadline() const { return deadline_; }
+  long long num_cells() const { return static_cast<long long>(waits_.size()); }
 
  private:
+  friend class WaitTableStore;
+
+  // Checks |spec| and allocates its grid; every cell reads 0 until filled.
+  explicit WaitTable(WaitTableSpec spec);
+
+  // Fills cells [begin, end) of the location-major grid: cell c is grid
+  // point (c / scale_points, c % scale_points).
+  void FillCells(const WaitScan& scan, int fanout, long long begin, long long end);
+
   // Index arithmetic in size_t: int * int would overflow (UB) before the
   // widening cast on grids past ~2^31 cells.
   size_t CellIndex(int li, int si) const {
     return static_cast<size_t>(li) * static_cast<size_t>(spec_.scale_points) +
            static_cast<size_t>(si);
   }
-  double& At(int li, int si) { return waits_[CellIndex(li, si)]; }
   double At(int li, int si) const { return waits_[CellIndex(li, si)]; }
 
   WaitTableSpec spec_;
-  double deadline_;
   std::vector<double> waits_;
   mutable std::atomic<long long> clamped_lookups_{0};
 };

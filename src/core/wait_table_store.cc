@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "src/common/thread_pool.h"
 #include "src/obs/metrics.h"
 #include "src/obs/profiler.h"
 
@@ -29,10 +30,9 @@ WaitTableStore::TablePtr WaitTableStore::GetOrBuild(const WaitTableSpec& spec, i
   CEDAR_PROFILE_SCOPE("wait_table_store.get");
   const double min_x = upper_quality.min_x();
   const double max_x = upper_quality.max_x();
-  std::shared_future<TablePtr> table;
-  std::promise<TablePtr> promise;
-  Entry* building = nullptr;
-  bool waited = false;
+  TablePtr table;
+  std::shared_ptr<ChunkedLoop> fill;
+  Entry* started = nullptr;
   {
     MutexLock lock(mutex_);
     for (const auto& entry : entries_) {
@@ -41,14 +41,22 @@ WaitTableStore::TablePtr WaitTableStore::GetOrBuild(const WaitTableSpec& spec, i
           entry->epsilon == epsilon && entry->curve_min_x == min_x &&
           entry->curve_max_x == max_x && entry->curve_ys == upper_quality.ys()) {
         table = entry->table;
-        waited = !entry->ready;
-        ++(waited ? stats_.build_waits : stats_.hits);
+        fill = entry->fill;
+        ++(fill != nullptr ? stats_.build_waits : stats_.hits);
         break;
       }
     }
-    if (!table.valid()) {
+    if (table == nullptr) {
       ++stats_.misses;
-      table = promise.get_future().share();
+      // Allocation and the scan grid take microseconds; cells fill unlocked.
+      std::shared_ptr<WaitTable> unfilled(new WaitTable(spec));
+      auto scan = std::make_shared<const WaitScan>(upper_quality, deadline, epsilon);
+      fill = std::make_shared<ChunkedLoop>(
+          [unfilled, scan, fanout](long long begin, long long end, int /*chunk*/) {
+            unfilled->FillCells(*scan, fanout, begin, end);
+          },
+          unfilled->num_cells(), spec.location_points);
+      table = unfilled;
       entries_.push_back(std::make_unique<Entry>(Entry{.spec = spec,
                                                        .fanout = fanout,
                                                        .deadline = deadline,
@@ -56,33 +64,37 @@ WaitTableStore::TablePtr WaitTableStore::GetOrBuild(const WaitTableSpec& spec, i
                                                        .curve_min_x = min_x,
                                                        .curve_max_x = max_x,
                                                        .curve_ys = upper_quality.ys(),
-                                                       .table = table}));
-      building = entries_.back().get();
+                                                       .table = table,
+                                                       .fill = fill}));
+      started = entries_.back().get();
     }
   }
 
-  if (building == nullptr) {
-    BumpMetric(waited ? "wait_table_store.build_waits" : "wait_table_store.hits");
-    return table.get();
+  if (started == nullptr) {
+    if (fill != nullptr) {  // join the fill in flight
+      fill->RunChunks();
+      fill->done.wait();
+    }
+    BumpMetric(fill != nullptr ? "wait_table_store.build_waits" : "wait_table_store.hits");
+    return table;
   }
-
-  // Build outside the lock: gets of other keys proceed meanwhile, and gets
-  // of this key block on the future (single-flight). The build reads the
-  // caller's live curve, so the table is bit-for-bit what a store-less
-  // WaitTable build from the same inputs produces.
-  auto built = std::make_shared<const WaitTable>(spec, fanout, upper_quality, deadline, epsilon,
-                                                 build_pool_.load(std::memory_order_acquire));
-  promise.set_value(built);
+  {
+    // The first requester times the whole fill, its own chunks and the wait
+    // for everyone else's: one profile record per table.
+    CEDAR_PROFILE_SCOPE("wait_table.build");
+    fill->RunChunks();
+    fill->done.wait();
+  }
   long long evicted = 0;
   {
     MutexLock lock(mutex_);
-    building->ready = true;
-    // In-flight entries are pinned (their waiters hold the future); the one
-    // just marked ready guarantees a victim exists.
+    started->fill = nullptr;
+    // In-flight entries are pinned (their requesters are filling them); the
+    // one just finished guarantees a victim exists.
     while (entries_.size() > kCapacity) {
       auto oldest = std::find_if(entries_.begin(), entries_.end(),
-                                 [](const auto& entry) { return entry->ready; });
-      stats_.clamped_lookups += (*oldest)->table.get()->clamped_lookups();
+                                 [](const auto& entry) { return entry->fill == nullptr; });
+      stats_.clamped_lookups += (*oldest)->table->clamped_lookups();
       entries_.erase(oldest);
       ++evicted;
     }
@@ -90,16 +102,14 @@ WaitTableStore::TablePtr WaitTableStore::GetOrBuild(const WaitTableSpec& spec, i
   }
   BumpMetric("wait_table_store.misses");
   BumpMetric("wait_table_store.evictions", evicted);
-  return built;
+  return table;
 }
 
 WaitTableStoreStats WaitTableStore::GetStats() const {
   MutexLock lock(mutex_);
   WaitTableStoreStats stats = stats_;
   for (const auto& entry : entries_) {
-    if (entry->ready) {
-      stats.clamped_lookups += entry->table.get()->clamped_lookups();
-    }
+    stats.clamped_lookups += entry->table->clamped_lookups();
   }
   return stats;
 }

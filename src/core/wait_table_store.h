@@ -9,27 +9,27 @@
 //    upper-quality curve's extent and ys. Never addresses: per-query curve
 //    stacks are freed between queries, so a recycled allocation could alias
 //    a stale table.
-//  * Construction is **single-flight**: when K callers miss on the same key,
-//    exactly one builds while the rest block on that entry's shared_future.
-//    The builder may parallelize the grid fill over a lent ThreadPool (see
-//    WaitTable's build_pool parameter) — bit-identical to a serial build.
-//  * At most kCapacity tables stay resident; past that, the oldest ready
-//    entry is evicted and its clamped-lookup count is retired into the stats,
-//    so the mis-sized-grid signal survives eviction.
+//  * Construction is **single-flight and cooperative**: the first get of a
+//    key allocates the table and a ChunkedLoop over its location rows.
+//    Every get that finds the build in flight, the first included, fills
+//    rows until none is left to claim, then waits for the rest. A get after
+//    the build is a hit and claims nothing. The requesters are the builders.
+//  * At most kCapacity tables stay resident; past that, the oldest finished
+//    entry is evicted and its clamped-lookup count is retired into the
+//    stats, so the mis-sized-grid signal survives eviction.
 //
 // Stats are also exported through the obs MetricsRegistry (when enabled) as
 // wait_table_store.{hits,misses,build_waits,evictions}.
 //
-// Determinism: a returned table depends only on its key (WaitTable's build is
-// thread-count-invariant), so experiment results are byte-identical whatever
-// store serves them, for any worker count. See DESIGN.md §11.
+// Determinism: a returned table depends only on its key, whichever threads
+// filled it (WaitTable's cells are independent), so experiment results are
+// byte-identical whatever store serves them, for any worker count. See
+// DESIGN.md §11.
 
 #ifndef CEDAR_SRC_CORE_WAIT_TABLE_STORE_H_
 #define CEDAR_SRC_CORE_WAIT_TABLE_STORE_H_
 
-#include <atomic>
 #include <cstddef>
-#include <future>
 #include <memory>
 #include <vector>
 
@@ -40,13 +40,13 @@
 
 namespace cedar {
 
-class ThreadPool;
+struct ChunkedLoop;
 
 // Point-in-time counters (monotone since construction).
 struct WaitTableStoreStats {
-  long long hits = 0;         // lookup found a ready table
-  long long misses = 0;       // lookup built the table itself
-  long long build_waits = 0;  // lookup blocked on another thread's build
+  long long hits = 0;         // lookup found a finished table
+  long long misses = 0;       // lookup started the build itself
+  long long build_waits = 0;  // lookup found the build in flight and joined it
   long long evictions = 0;    // tables dropped by the capacity bound
   // Clamped Lookup calls summed over evicted tables plus tables still
   // resident — the store-wide mis-sized-grid signal.
@@ -63,9 +63,9 @@ class WaitTableStore {
  public:
   using TablePtr = std::shared_ptr<const WaitTable>;
 
-  // Resident tables before the oldest ready one is evicted. A fig08-style
-  // sweep needs one table per distinct (deadline, curve), so this covers
-  // whole sweeps.
+  // Resident tables before the oldest finished one is evicted. A
+  // fig08-style sweep needs one table per distinct (deadline, curve), so
+  // this covers whole sweeps.
   static constexpr size_t kCapacity = 128;
 
   WaitTableStore() = default;
@@ -75,21 +75,17 @@ class WaitTableStore {
   // The process-wide store CedarPolicy resolves to by default.
   static WaitTableStore& Global();
 
-  // Returns the table built from exactly these inputs, building it
-  // (single-flight) on a miss. A miss builds from the live |upper_quality|,
-  // never from a copy, so the table is bit-identical to a direct WaitTable
-  // build. Blocks until the table is ready; never returns null.
+  // Returns the table built from exactly these inputs, filling it together
+  // with every concurrent requester on a miss. The build scans the first
+  // requester's live |upper_quality|, never a copy, so the table is
+  // bit-identical to a direct WaitTable build. Blocks until the table is
+  // filled; never returns null.
   TablePtr GetOrBuild(const WaitTableSpec& spec, int fanout,
                       const PiecewiseLinear& upper_quality, double deadline, double epsilon);
 
-  // Lends (or revokes, with null) a pool for parallel builds. Safe to call
-  // concurrently with lookups; in-flight builds keep the pool they started
-  // with. The caller must revoke before destroying the pool.
-  void SetBuildPool(ThreadPool* pool) { build_pool_.store(pool, std::memory_order_release); }
-
   WaitTableStoreStats GetStats() const;
 
-  // Resident tables (ready or building).
+  // Resident tables (finished or in flight).
   size_t size() const;
 
  private:
@@ -102,17 +98,18 @@ class WaitTableStore {
     double curve_min_x = 0.0;
     double curve_max_x = 0.0;
     std::vector<double> curve_ys;
-    std::shared_future<TablePtr> table;
-    bool ready = false;  // |table| holds a value; safe to evict
+    TablePtr table;
+    // The claims on |table|'s rows (the body holds its WaitScan) while in
+    // flight; null once every cell is filled, and only then evictable.
+    std::shared_ptr<ChunkedLoop> fill;
   };
 
   mutable Mutex mutex_;
-  // Insertion order, so the first ready entry is the oldest.
+  // Insertion order, so the first finished entry is the oldest.
   std::vector<std::unique_ptr<Entry>> entries_ CEDAR_GUARDED_BY(mutex_);
   // clamped_lookups here counts evicted tables only; GetStats adds the
   // resident ones.
   WaitTableStoreStats stats_ CEDAR_GUARDED_BY(mutex_);
-  std::atomic<ThreadPool*> build_pool_{nullptr};
 };
 
 }  // namespace cedar

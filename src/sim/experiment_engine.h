@@ -36,7 +36,6 @@
 
 #include "src/common/logging.h"
 #include "src/common/thread_pool.h"
-#include "src/core/wait_table_store.h"
 #include "src/obs/metrics.h"
 #include "src/sim/experiment.h"
 #include "src/sim/realization.h"
@@ -109,20 +108,9 @@ std::vector<Row> RunExperimentGrid(const Workload& workload, const TreeSpec& off
   }
   std::optional<ThreadPool> owned_pool;
   ThreadPool* pool = config.pool != nullptr ? config.pool : &owned_pool.emplace(threads);
-  // Lend the run's pool to the experiment-scoped wait-table store so
-  // single-flight builds parallelize their grid fill. Never to the process
-  // Global(), which concurrent runs could point at a pool about to be
-  // destroyed; a configured store's lifetime is the caller's to guarantee.
-  WaitTableStore* store = config.wait_table_store;
-  if (store != nullptr) {
-    store->SetBuildPool(pool);
-  }
   // A few chunks per worker, claimed in order, balance skewed query costs
   // (e.g. Oracle planning on heavy-tail draws).
   ParallelFor(pool, num_queries, threads * 4, run_chunk);
-  if (store != nullptr) {
-    store->SetBuildPool(nullptr);
-  }
   return grid;
 }
 

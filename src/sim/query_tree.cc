@@ -132,6 +132,11 @@ void QueryTree::OnSend(EventQueue& queue, AggregatorNode& node, double weight) {
 }
 
 QueryResult QueryTree::Result() const {
+  // Every aggregator sends exactly once: each tier-0 node, and each top-tier
+  // node either in time or late.
+  CEDAR_CHECK_EQ(tier0_sends_, static_cast<long long>(nodes_.front().size()));
+  CEDAR_CHECK_EQ(static_cast<long long>(root_senders_.size()) + root_late_,
+                 static_cast<long long>(nodes_.back().size()));
   QueryResult result;
   result.total_weight = realization_.TotalWeight();
   result.included_weight = included_weight_;

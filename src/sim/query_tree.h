@@ -126,6 +126,7 @@ class QueryTree {
   // open, i.e. whether the output is part of its send.
   bool DeliverLeaf(EventQueue& queue, long long leaf);
 
+  // Once the queue has run. Dies unless every aggregator sent exactly once.
   QueryResult Result() const;
   double origin() const { return origin_; }
 

@@ -270,5 +270,21 @@ TEST(CedarPolicyDeathTest, UnfittableLearnerFamilyDiesAtConstruction) {
   EXPECT_DEATH(CedarPolicy{options}, "cannot fit family weibull");
 }
 
+TEST(CedarPolicyDeathTest, UnbuildableWaitTableDiesAtConstruction) {
+  // The learner fits exponentials and the families match, but no table can
+  // be built for them: the policy must die here, not at its first table
+  // build inside an experiment worker.
+  CedarPolicyOptions options;
+  options.use_wait_table = true;
+  options.learner.family = DistributionFamily::kExponential;
+  options.table_spec.family = DistributionFamily::kExponential;
+  EXPECT_DEATH(CedarPolicy{options}, "location-scale families");
+
+  options = CedarPolicyOptions{};
+  options.use_wait_table = true;
+  options.table_spec.scale_points = 1;
+  EXPECT_DEATH(CedarPolicy{options}, "scale_points");
+}
+
 }  // namespace
 }  // namespace cedar

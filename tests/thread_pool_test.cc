@@ -92,33 +92,19 @@ TEST(ParallelForTest, PoolIsReusableAcrossLoops) {
   }
 }
 
-TEST(ParallelForTest, NestedLoopsOnASaturatedPoolFinish) {
-  // The outer loop keeps both workers busy, and every outer chunk runs an
-  // inner loop on the same pool, as a wait-table build inside an experiment
-  // chunk does. A worker caller claims inner chunks itself, so no inner loop
-  // waits for a free worker, and the run cannot deadlock.
-  ThreadPool pool(2);
-  constexpr int kOuter = 8;
-  constexpr long long kInner = 100;
-  std::vector<std::vector<std::atomic<int>>> hits(kOuter);
-  for (auto& row : hits) {
-    row = std::vector<std::atomic<int>>(kInner);
-  }
-  ParallelFor(&pool, kOuter, kOuter, [&](long long begin, long long end, int /*chunk*/) {
-    for (long long o = begin; o < end; ++o) {
-      auto& row = hits[static_cast<size_t>(o)];
-      ParallelFor(&pool, kInner, 8, [&row](long long inner_begin, long long inner_end, int) {
-        for (long long i = inner_begin; i < inner_end; ++i) {
-          row[static_cast<size_t>(i)].fetch_add(1, std::memory_order_relaxed);
-        }
-      });
-    }
-  });
-  for (int o = 0; o < kOuter; ++o) {
-    for (long long i = 0; i < kInner; ++i) {
-      EXPECT_EQ(hits[o][static_cast<size_t>(i)].load(), 1) << "outer " << o << ", inner " << i;
-    }
-  }
+TEST(ParallelForDeathTest, CallFromAWorkerOfTheSamePoolDies) {
+  // A chunk that loops on its own pool would wait for runners that need a
+  // free worker; once every worker waits so, the run deadlocks. The call
+  // dies instead, naming the problem.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        ThreadPool pool(2);
+        ParallelFor(&pool, 2, 2, [&pool](long long, long long, int) {
+          ParallelFor(&pool, 4, 4, [](long long, long long, int) {});
+        });
+      },
+      "ParallelFor called from a worker of its own pool");
 }
 
 TEST(ParallelForTest, ExternalCallerRunsNoChunkAndCapsInFlight) {

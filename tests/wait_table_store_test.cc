@@ -1,8 +1,8 @@
 // WaitTableStore contract: content keying (every build input is part of the
-// key, and equal content hits whatever object carries it), single-flight
-// construction, the oldest-ready eviction at kCapacity with clamped-lookup
-// retirement, and bit-identical pool-lent builds. Carries the tier1_tsan
-// label: the single-flight, shared-build and evict-under-metrics paths are
+// key, and equal content hits whatever object carries it), one cooperative
+// build per key that is bit-identical to a serial one, the oldest-finished
+// eviction at kCapacity with clamped-lookup retirement. Carries the
+// tier1_tsan label: the racing-requester and evict-under-metrics paths are
 // meant to run under -DCEDAR_SANITIZE=thread.
 
 #include "src/core/wait_table_store.h"
@@ -10,12 +10,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
+#include <cstdint>
 #include <functional>
 #include <thread>
 #include <vector>
 
 #include "src/common/math_util.h"
-#include "src/common/thread_pool.h"
 #include "src/core/quality.h"
 #include "src/obs/metrics.h"
 #include "src/stats/distribution.h"
@@ -127,8 +128,12 @@ TEST(WaitTableStoreTest, EqualContentFromAnotherCurveObjectHits) {
   EXPECT_EQ(store.size(), 2u);
 }
 
-TEST(WaitTableStoreTest, SingleFlightBuildsExactlyOnce) {
+TEST(WaitTableStoreTest, RacingRequestersFillOneTableBitIdenticalToSerial) {
+  // Eight requesters race into one key: one starts the build, the others
+  // fill rows of it alongside or find it done. Whatever the split of rows,
+  // the one table they all get is the serial build, bit for bit.
   StoreFixture fixture;
+  fixture.spec.location_points = 40;  // 40 one-row chunks to share
   WaitTableStore store;
 
   constexpr int kThreads = 8;
@@ -153,10 +158,33 @@ TEST(WaitTableStoreTest, SingleFlightBuildsExactlyOnce) {
     EXPECT_EQ(tables[static_cast<size_t>(t)], tables[0]) << "thread " << t;
   }
   const WaitTableStoreStats stats = store.GetStats();
-  EXPECT_EQ(stats.misses, 1) << "exactly one thread builds";
+  EXPECT_EQ(stats.misses, 1) << "exactly one requester starts the build";
   EXPECT_EQ(stats.hits + stats.build_waits, kThreads - 1)
-      << "the rest hit or block on the in-flight build";
+      << "the rest join the build in flight or find it done";
   EXPECT_EQ(store.size(), 1u);
+
+  const WaitTable serial(fixture.spec, StoreFixture::kFanout, fixture.upper, 400.0,
+                         fixture.epsilon);
+  const WaitTableSpec& spec = fixture.spec;
+  for (int li = 0; li < spec.location_points; ++li) {
+    const double location = Lerp(spec.location_min, spec.location_max,
+                                 static_cast<double>(li) / (spec.location_points - 1));
+    for (int si = 0; si < spec.scale_points; ++si) {
+      const double scale = Lerp(spec.scale_min, spec.scale_max,
+                                static_cast<double>(si) / (spec.scale_points - 1));
+      // At a grid node the bilinear weights are 0: Lookup returns the cell.
+      ASSERT_EQ(std::bit_cast<uint64_t>(tables[0]->Lookup(location, scale)),
+                std::bit_cast<uint64_t>(serial.Lookup(location, scale)))
+          << "grid point (" << li << ", " << si << ")";
+    }
+  }
+
+  // After the build, a requester claims no chunk: it is a plain hit.
+  EXPECT_EQ(fixture.Get(store, 400.0), tables[0]);
+  const WaitTableStoreStats after = store.GetStats();
+  EXPECT_EQ(after.hits, stats.hits + 1);
+  EXPECT_EQ(after.build_waits, stats.build_waits);
+  EXPECT_EQ(after.misses, 1);
 }
 
 TEST(WaitTableStoreTest, EvictsOldestReadyEntryAtCapacity) {
@@ -232,28 +260,6 @@ TEST(WaitTableStoreTest, ConcurrentEvictionsCountedInMetrics) {
       << "every built table is either resident or evicted";
   EXPECT_EQ(evictions.Value() - evictions_before, stats.evictions);
   EXPECT_EQ(misses.Value() - misses_before, stats.misses);
-}
-
-TEST(WaitTableStoreTest, ParallelBuildIsBitIdenticalToSerial) {
-  StoreFixture fixture;
-  ThreadPool pool(4);
-  WaitTableStore store;
-  store.SetBuildPool(&pool);
-
-  auto parallel = fixture.Get(store, 400.0);
-  store.SetBuildPool(nullptr);
-  WaitTable serial(fixture.spec, StoreFixture::kFanout, fixture.upper, 400.0, fixture.epsilon);
-
-  for (int li = 0; li < fixture.spec.location_points; ++li) {
-    double location = Lerp(fixture.spec.location_min, fixture.spec.location_max,
-                           static_cast<double>(li) / (fixture.spec.location_points - 1));
-    for (int si = 0; si < fixture.spec.scale_points; ++si) {
-      double scale = Lerp(fixture.spec.scale_min, fixture.spec.scale_max,
-                          static_cast<double>(si) / (fixture.spec.scale_points - 1));
-      EXPECT_EQ(parallel->Lookup(location, scale), serial.Lookup(location, scale))
-          << "grid point (" << li << ", " << si << ")";
-    }
-  }
 }
 
 TEST(WaitTableStoreTest, GlobalIsAProcessSingleton) {

@@ -1,14 +1,10 @@
 #include "src/core/wait_table.h"
 
-#include <bit>
 #include <cmath>
-#include <cstdint>
 #include <limits>
 
 #include <gtest/gtest.h>
 
-#include "src/common/math_util.h"
-#include "src/common/thread_pool.h"
 #include "src/core/policies.h"
 #include "src/core/quality.h"
 #include "src/sim/experiment.h"
@@ -46,28 +42,6 @@ TEST(WaitTableTest, GridPointsMatchDirectOptimization) {
       LogNormalDistribution dist(mu, sigma);
       double direct = OptimizeWait(dist, 50, fixture.upper, 1000.0, fixture.epsilon);
       EXPECT_NEAR(table.Lookup(mu, sigma), direct, 1e-9) << "mu=" << mu << " sigma=" << sigma;
-    }
-  }
-}
-
-TEST(WaitTableTest, PooledBuildBitIdenticalToSerial) {
-  // Every cell reads one shared, read-only WaitScan; filling the grid on
-  // four pool threads must reproduce the serial build exactly. (Lookups at
-  // grid nodes return the stored cell: the bilinear weights are zero.)
-  TableFixture fixture;
-  WaitTableSpec spec = fixture.DefaultSpec();
-  WaitTable serial(spec, 50, fixture.upper, 1000.0, fixture.epsilon);
-  ThreadPool pool(4);
-  WaitTable pooled(spec, 50, fixture.upper, 1000.0, fixture.epsilon, &pool);
-  for (int li = 0; li < spec.location_points; ++li) {
-    double location = Lerp(spec.location_min, spec.location_max,
-                           static_cast<double>(li) / (spec.location_points - 1));
-    for (int si = 0; si < spec.scale_points; ++si) {
-      double scale = Lerp(spec.scale_min, spec.scale_max,
-                          static_cast<double>(si) / (spec.scale_points - 1));
-      ASSERT_EQ(std::bit_cast<uint64_t>(pooled.Lookup(location, scale)),
-                std::bit_cast<uint64_t>(serial.Lookup(location, scale)))
-          << "cell (" << li << ", " << si << ")";
     }
   }
 }

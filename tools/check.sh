@@ -6,8 +6,8 @@
 #   build    default build, warnings-as-errors (-DCEDAR_WERROR=ON)
 #   test     the full ctest suite in build/
 #   lint     ctest -L tier1_lint (cedar_lint tree scan + rule fixture suite)
-#   store    ctest -L tier1_store (content-keyed store contract suite + serial vs
-#            pool-parallel table build smoke run)
+#   store    ctest -L tier1_store (content-keyed store contract suite + smoke run
+#            of 1-8 requesters filling one table build, checked against serial)
 #   asan     AddressSanitizer build in build-asan/, ctest -L tier1_asan
 #   ubsan    UndefinedBehaviorSanitizer build in build-ubsan/, ctest -L tier1_ubsan
 #   tsan     ThreadSanitizer build in build-tsan/, ctest -L tier1_tsan
