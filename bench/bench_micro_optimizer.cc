@@ -19,6 +19,7 @@
 #include "src/core/quality.h"
 #include "src/core/wait_optimizer.h"
 #include "src/core/wait_table.h"
+#include "src/core/wait_table_store.h"
 #include "src/obs/metrics.h"
 #include "src/sim/event_queue.h"
 #include "src/sim/query_tree.h"
@@ -291,8 +292,11 @@ void BM_ClusterRunQuery(benchmark::State& state) {
   // One replay per iteration on perfbench's table-hotspot shape: 20 x 16
   // fanout, 100 x 4 slots with the first 10% of machines 4x slow,
   // speculation up to 32 clones, offline upper curves, D = 1000 s.
-  // Prop-split keeps policy decisions negligible, so this times the slot
-  // scheduler and the event queue.
+  // Prop-split (range(0) == 0) keeps policy decisions negligible, so it
+  // times the slot scheduler and the event queue. Cedar on perfbench's wait
+  // table (range(0) == 1) adds the tier's offline-optimal initial wait, a
+  // store get per query and a table lookup per arrival; the table is built
+  // before timing starts.
   MetaLogNormalWorkload workload = MakeFacebookWorkload(20, 16);
   ClusterSpec cluster;
   cluster.machines = 100;
@@ -303,6 +307,8 @@ void BM_ClusterRunQuery(benchmark::State& state) {
   options.per_query_upper_knowledge = false;
   options.speculation.enabled = true;
   options.speculation.max_clones = 32;
+  WaitTableStore store;
+  options.table_store = &store;
   const ClusterRuntime runtime(cluster, workload.OfflineTree(), 1000.0, options);
   Rng rng(1);
   std::vector<QueryRealization> realizations;
@@ -311,7 +317,19 @@ void BM_ClusterRunQuery(benchmark::State& state) {
     truth.sequence = static_cast<uint64_t>(q + 1);
     realizations.push_back(SampleRealization(runtime.offline_tree(), truth, rng));
   }
-  ProportionalSplitPolicy policy;
+  ProportionalSplitPolicy prop_split;
+  CedarPolicyOptions cedar_options;
+  cedar_options.use_wait_table = true;
+  cedar_options.table_spec.location_min = 2.0;
+  cedar_options.table_spec.location_max = 12.0;
+  cedar_options.table_spec.location_points = 81;
+  cedar_options.table_spec.scale_min = 0.1;
+  cedar_options.table_spec.scale_max = 2.5;
+  cedar_options.table_spec.scale_points = 25;
+  CedarPolicy cedar(cedar_options);
+  const WaitPolicy& policy =
+      state.range(0) == 0 ? static_cast<const WaitPolicy&>(prop_split) : cedar;
+  runtime.RunQuery(policy, realizations.back());  // builds Cedar's table
   long long events = 0;
   size_t next = 0;
   for (auto _ : state) {
@@ -323,9 +341,10 @@ void BM_ClusterRunQuery(benchmark::State& state) {
       static_cast<double>(events) / static_cast<double>(state.iterations());
   state.counters["events/s"] =
       benchmark::Counter(static_cast<double>(events), benchmark::Counter::kIsRate);
-  state.SetLabel("table-hotspot shape, prop-split");
+  state.SetLabel("table-hotspot shape, " + policy.name() +
+                 (state.range(0) == 0 ? "" : " with wait table"));
 }
-BENCHMARK(BM_ClusterRunQuery);
+BENCHMARK(BM_ClusterRunQuery)->Arg(0)->Arg(1);
 
 }  // namespace
 }  // namespace cedar

@@ -87,6 +87,7 @@ AnalyticsOutcome AnalyticsService::RunQuery(const WaitPolicy& policy,
 
   QueryTree tree(model_, policy, realization, "analytics");
   EventQueue queue;
+  queue.Reserve(realization.stage_durations[0].size() + static_cast<size_t>(tree.aggregators()));
   tree.Start(queue);
 
   // Partition p (owned by aggregator p / k1) delivers its partial at its
@@ -97,7 +98,7 @@ AnalyticsOutcome AnalyticsService::RunQuery(const WaitPolicy& policy,
   std::vector<GroupPartial> collected(static_cast<size_t>(partitions / k1), empty);
   for (int p = 0; p < partitions; ++p) {
     queue.Schedule(realization.stage_durations[0][static_cast<size_t>(p)], [&, p] {
-      if (tree.DeliverLeaf(queue, p)) {
+      if (tree.DeliverLeaf(p)) {
         collected[static_cast<size_t>(p / k1)].Accumulate(table_->PartitionPartial(p));
       }
     });

@@ -33,6 +33,7 @@ SearchQueryOutcome SearchService::RunQuery(const WaitPolicy& policy,
 
   QueryTree tree(model_, policy, realization, "search");
   EventQueue queue;
+  queue.Reserve(realization.stage_durations[0].size() + static_cast<size_t>(tree.aggregators()));
   tree.Start(queue);
 
   // Shard completions: shard s (owned by aggregator s / k1) delivers its
@@ -42,7 +43,7 @@ SearchQueryOutcome SearchService::RunQuery(const WaitPolicy& policy,
       static_cast<size_t>(shards / k1));
   for (int s = 0; s < shards; ++s) {
     queue.Schedule(realization.stage_durations[0][static_cast<size_t>(s)], [&, s] {
-      if (tree.DeliverLeaf(queue, s)) {
+      if (tree.DeliverLeaf(s)) {
         collected[static_cast<size_t>(s / k1)].push_back(
             index_->shard(s).TopK(query, config_.top_k, *index_));
       }

@@ -181,7 +181,7 @@ class SlotScheduler {
       }
       task.copies_in_flight = 0;
     }
-    job.tree.DeliverLeaf(queue_, task_index);
+    job.tree.DeliverLeaf(task_index);
     stats_.makespan = queue_.now();
     Fill();
   }
@@ -265,6 +265,10 @@ ClusterQueryResult ClusterRuntime::RunQuery(const WaitPolicy& policy_prototype,
   const uint64_t seed =
       options_.runtime_seed ^ (realization.truth.sequence * 0x9E3779B97F4A7C15ull);
   SlotScheduler scheduler(cluster_, seed ^ 0xBEEF, options_.speculation);
+  // A query queues at most its leaf tasks' completions and its aggregators'
+  // timers at once, clones aside.
+  scheduler.queue().Reserve(realization.stage_durations[0].size() +
+                            static_cast<size_t>(tree.aggregators()));
   scheduler.Submit(tree, realization, Rng(seed ^ 0xC0FFEE));
   scheduler.queue().Run();
 
@@ -307,6 +311,9 @@ LoadedRunResult RunLoadedCluster(const Workload& workload, const WaitPolicy& pol
   SlotScheduler scheduler(config.cluster, DeriveStreamSeed(config.seed, 0xBEEF),
                           SpeculationOptions{});
   EventQueue& queue = scheduler.queue();
+  // Every slot's task completion and the next arrival; the queries' timers
+  // come and go with their jobs.
+  queue.Reserve(static_cast<size_t>(config.cluster.TotalSlots()) + 1);
   Rng rng(config.seed);
   long long arrivals = 0;
   // Deques keep each query's realization and tree at a stable address.

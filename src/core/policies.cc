@@ -17,28 +17,14 @@ QueryMemo& MemoOf(const AggregatorContext& ctx) {
 
 QueryMemo::Tier& TierMemo(const AggregatorContext& ctx) { return MemoOf(ctx).tier(ctx.tier); }
 
-// The tier's scan grid, built on first use from ctx, whose upper curve,
-// deadline and epsilon every aggregator of the tier shares.
-const WaitScan& ScanOf(const AggregatorContext& ctx) {
-  std::optional<WaitScan>& scan = TierMemo(ctx).scan;
-  if (!scan.has_value()) {
-    CEDAR_CHECK(ctx.upper_quality != nullptr);
-    scan.emplace(*ctx.upper_quality, std::max(0.0, ctx.deadline - ctx.start_offset),
-                 ctx.epsilon);
-  }
-  return *scan;
-}
+// The tier's scan grid: every aggregator of the tier shares its upper curve,
+// deadline and epsilon.
+const WaitScan& ScanOf(const AggregatorContext& ctx) { return MemoOf(ctx).ScanOf(ctx).Scan(ctx); }
 
 // The tier's offline-optimal absolute send time: CalculateWait on the
 // offline bottom distribution, computed by the first aggregator that asks.
 double OfflineOptimalSendTime(const AggregatorContext& ctx) {
-  std::optional<double>& send_time = TierMemo(ctx).offline_send_time;
-  if (!send_time.has_value()) {
-    CEDAR_CHECK(ctx.offline_tree != nullptr);
-    send_time = ctx.start_offset +
-                ScanOf(ctx).Optimize(*ctx.offline_tree->stage(ctx.tier).duration, ctx.fanout);
-  }
-  return *send_time;
+  return MemoOf(ctx).ScanOf(ctx).OfflineSendTime(ctx);
 }
 
 // The tier's wait table, resolved from the store on first use.

@@ -1,5 +1,8 @@
 #include "src/core/policy.h"
 
+#include <algorithm>
+#include <cmath>
+
 #include "src/common/logging.h"
 
 namespace cedar {
@@ -16,12 +19,49 @@ TreeSpec QueryTruth::OverlayOn(const TreeSpec& base) const {
   return TreeSpec(std::move(stages));
 }
 
+const WaitScan& TierScan::Scan(const AggregatorContext& ctx) {
+  std::call_once(scan_once_, [&] {
+    CEDAR_CHECK(ctx.upper_quality != nullptr);
+    scan_.emplace(*ctx.upper_quality, std::max(0.0, ctx.deadline - ctx.start_offset),
+                  ctx.epsilon);
+  });
+  return *scan_;
+}
+
+double TierScan::OfflineSendTime(const AggregatorContext& ctx) {
+  std::call_once(send_time_once_, [&] {
+    CEDAR_CHECK(ctx.offline_tree != nullptr);
+    send_time_ = ctx.start_offset +
+                 Scan(ctx).Optimize(*ctx.offline_tree->stage(ctx.tier).duration, ctx.fanout);
+  });
+  return send_time_;
+}
+
+TierScan& ModelTierScans::Get(int tier, double start_offset) {
+  CEDAR_CHECK(std::isfinite(start_offset)) << "tier " << tier << " start offset " << start_offset;
+  MutexLock lock(mutex_);
+  std::unique_ptr<TierScan>& scan = scans_[{tier, start_offset}];
+  if (scan == nullptr) {
+    scan = std::make_unique<TierScan>();
+  }
+  return *scan;
+}
+
 QueryMemo::Tier& QueryMemo::tier(int index) {
   CEDAR_CHECK_GE(index, 0);
-  if (static_cast<size_t>(index) >= tiers_.size()) {
-    tiers_.resize(static_cast<size_t>(index) + 1);
+  while (static_cast<size_t>(index) >= tiers_.size()) {
+    tiers_.emplace_back();  // a Tier cannot move, so the deque grows in place
   }
   return tiers_[static_cast<size_t>(index)];
+}
+
+TierScan& QueryMemo::ScanOf(const AggregatorContext& ctx) {
+  Tier& entry = tier(ctx.tier);
+  if (entry.scan == nullptr) {
+    entry.scan = model_scans_ != nullptr ? &model_scans_->Get(ctx.tier, ctx.start_offset)
+                                         : &entry.own_scan;
+  }
+  return *entry.scan;
 }
 
 void WaitPolicy::BeginQuery(const AggregatorContext& ctx, const QueryTruth* truth) {

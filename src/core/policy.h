@@ -14,12 +14,17 @@
 
 #include <cstdint>
 #include <deque>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/math_util.h"
+#include "src/common/mutex.h"
+#include "src/common/thread_annotations.h"
 #include "src/core/tree.h"
 #include "src/core/wait_optimizer.h"
 
@@ -43,14 +48,54 @@ struct QueryTruth {
   TreeSpec OverlayOn(const TreeSpec& base) const;
 };
 
+struct AggregatorContext;
+
+// A tier's scan grid and offline-optimal send time: the parts of Pseudocode
+// 2 that depend only on the tier's upper curve, its budget (deadline minus
+// start offset), epsilon, its fanout and the offline bottom stage, never on
+// an arrival. Each is built on first use, from the asking context, by
+// whichever caller asks first; once built it never changes, so callers on
+// any thread may read it.
+class TierScan {
+ public:
+  // The tier's WaitScan grid.
+  const WaitScan& Scan(const AggregatorContext& ctx);
+
+  // CalculateWait on the offline bottom distribution, as an absolute send
+  // time.
+  double OfflineSendTime(const AggregatorContext& ctx);
+
+ private:
+  std::once_flag scan_once_;
+  std::optional<WaitScan> scan_;
+  std::once_flag send_time_once_;
+  double send_time_ = 0.0;
+};
+
+// The TierScans of a query tree model whose upper knowledge is offline
+// (QueryTreeModel). Every query of such a model hands a tier the same upper
+// curve, deadline, epsilon, fanout and offline bottom stage, so one TierScan
+// is exact for every query whose tier starts at the same offset. Entries
+// are keyed by (tier, start offset), added by the first query that asks and
+// kept for the model's life: a policy that plans its offsets from the model
+// alone, as the optimizing policies do, adds one per tier. Thread-safe.
+class ModelTierScans {
+ public:
+  TierScan& Get(int tier, double start_offset);
+
+ private:
+  Mutex mutex_;
+  std::map<std::pair<int, double>, std::unique_ptr<TierScan>> scans_ CEDAR_GUARDED_BY(mutex_);
+};
+
 // The state one query's aggregators share. Pseudocode 2 reads the upper
 // curve q_{n-1}, the remaining budget and epsilon, which are the same for
 // every aggregator of a tier; only the learned X1 differs. So, per tier, the
-// first aggregator that needs one of these fills it and the rest read it:
-//  * scan: the tier's WaitScan grid (one grid build per tier, not one per
-//    aggregator);
-//  * offline_send_time: CalculateWait on the offline bottom distribution
-//    (one offline scan per tier);
+// first aggregator that needs one of these resolves it and the rest read it:
+//  * scan: the tier's TierScan, i.e. its WaitScan grid and offline-optimal
+//    send time. With a ModelTierScans it is the model's entry, shared with
+//    every query of the model; without, the memo's own, built once per
+//    query.
 //  * table: the tier's WaitTable (one store get per tier; a get compares
 //    the whole upper curve under the store's lock).
 // For the whole query it holds the Ideal policy's TreePlan (one PlanTree
@@ -63,18 +108,26 @@ struct QueryTruth {
 class QueryMemo {
  public:
   struct Tier {
-    std::optional<WaitScan> scan;
-    std::optional<double> offline_send_time;
+    TierScan* scan = nullptr;  // resolved by ScanOf
+    TierScan own_scan;         // used when the memo has no ModelTierScans
     std::shared_ptr<const WaitTable> table;
   };
+
+  // |model_scans|, when set, serves every tier's TierScan; it is borrowed
+  // and must outlive the memo.
+  explicit QueryMemo(ModelTierScans* model_scans = nullptr) : model_scans_(model_scans) {}
 
   // The entry of aggregator tier |index|, added empty on first use. Adding
   // an entry leaves references to the others valid.
   Tier& tier(int index);
 
+  // The TierScan of |ctx|'s tier, resolved on first use.
+  TierScan& ScanOf(const AggregatorContext& ctx);
+
   std::optional<TreePlan>& plan() { return plan_; }
 
  private:
+  ModelTierScans* model_scans_;
   std::deque<Tier> tiers_;
   std::optional<TreePlan> plan_;
 };

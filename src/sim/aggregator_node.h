@@ -38,6 +38,7 @@ class AggregatorNode {
     ctx_ = ctx;
     origin_ = origin;
     trace_ = trace;
+    arrivals_.reserve(static_cast<size_t>(ctx->fanout));
   }
 
   WaitPolicy* policy() { return policy_.get(); }
@@ -48,25 +49,27 @@ class AggregatorNode {
   double included_weight() const { return included_weight_; }
   int arrivals_count() const { return static_cast<int>(arrivals_.size()); }
 
-  // Arms the initial timer (InitialWait). |send_fn| is invoked exactly once,
+  // Arms the initial timer (InitialWait) on |queue|, which the node keeps
+  // for its timers and must outlive it. |send_fn| is invoked exactly once,
   // at the send, with (*this, accumulated weight).
   void Start(EventQueue& queue, std::function<void(AggregatorNode&, double)> send_fn) {
+    queue_ = &queue;
     send_fn_ = std::move(send_fn);
     double wait = policy_->DecideInitialWait(*ctx_);
     if (trace_ != nullptr) {
       trace_->RecordInitialWait(tier_, index_, wait);
     }
-    ArmTimer(queue, wait);
+    ArmTimer(wait);
   }
 
-  // Handles one child output of |weight| arriving now. Late outputs (after
-  // the send) are dropped, matching the model: once the partial result went
-  // upstream, stragglers are ignored.
-  void OnChildOutput(EventQueue& queue, double weight) {
+  // Handles one child output of |weight| arriving now, at the queue's
+  // current time. Late outputs (after the send) are dropped, matching the
+  // model: once the partial result went upstream, stragglers are ignored.
+  void OnChildOutput(double weight) {
     if (closed_) {
       return;
     }
-    double relative_now = queue.now() - origin_;
+    double relative_now = queue_->now() - origin_;
     arrivals_.push_back(relative_now);
     included_weight_ += weight;
     if (trace_ != nullptr) {
@@ -74,7 +77,7 @@ class AggregatorNode {
                             static_cast<int>(arrivals_.size()));
     }
     if (static_cast<int>(arrivals_.size()) == ctx_->fanout) {
-      Send(queue);  // all children reported: SetTimer(0) in Pseudocode 1
+      Send();  // all children reported: SetTimer(0) in Pseudocode 1
       return;
     }
     double wait = policy_->DecideOnArrival(*ctx_, relative_now, arrivals_);
@@ -82,33 +85,33 @@ class AggregatorNode {
       if (trace_ != nullptr) {
         trace_->RecordWaitUpdate(tier_, index_, relative_now, wait);
       }
-      ArmTimer(queue, wait);
+      ArmTimer(wait);
     }
   }
 
  private:
-  void ArmTimer(EventQueue& queue, double wait) {
+  void ArmTimer(double wait) {
     if (timer_handle_ != 0) {
-      queue.Cancel(timer_handle_);
+      queue_->Cancel(timer_handle_);
     }
     armed_wait_ = wait;
-    double fire_at = std::max(origin_ + wait, queue.now());
-    timer_handle_ = queue.Schedule(fire_at, [this, &queue] {
+    double fire_at = std::max(origin_ + wait, queue_->now());
+    timer_handle_ = queue_->Schedule(fire_at, [this] {
       timer_handle_ = 0;
-      Send(queue);
+      Send();
     });
   }
 
-  void Send(EventQueue& queue) {
+  void Send() {
     if (closed_) {
       return;
     }
     closed_ = true;
     if (timer_handle_ != 0) {
-      queue.Cancel(timer_handle_);
+      queue_->Cancel(timer_handle_);
       timer_handle_ = 0;
     }
-    send_time_ = queue.now();
+    send_time_ = queue_->now();
     if (trace_ != nullptr) {
       trace_->RecordSend(tier_, index_, send_time_ - origin_,
                          static_cast<int>(arrivals_.size()), ctx_->fanout,
@@ -123,6 +126,7 @@ class AggregatorNode {
   std::unique_ptr<WaitPolicy> policy_;
   const AggregatorContext* ctx_ = nullptr;
   QueryTraceBuilder* trace_ = nullptr;
+  EventQueue* queue_ = nullptr;
   std::function<void(AggregatorNode&, double)> send_fn_;
 
   std::vector<double> arrivals_;

@@ -28,6 +28,13 @@ uint64_t EventQueue::Schedule(SimTime time, EventCallback callback) {
   return seq + 1;
 }
 
+void EventQueue::Reserve(size_t n) {
+  heap_.reserve(n);
+  callbacks_.reserve(n);
+  free_slots_.reserve(n);
+  state_.reserve(n);
+}
+
 void EventQueue::Cancel(uint64_t handle) {
   if (handle == 0 || handle > state_.size() || state_[handle - 1] != State::kQueued) {
     return;

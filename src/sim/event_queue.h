@@ -38,6 +38,11 @@ class EventQueue {
   // or unknown handle is a no-op (timers race with completions by design).
   void Cancel(uint64_t handle);
 
+  // Makes room for |n| events queued at once, and for the first |n|
+  // scheduled, so a run that stays within that schedules without growing
+  // storage. Changes no handle and no order.
+  void Reserve(size_t n);
+
   // Runs events until the queue is empty.
   void Run();
 

@@ -1,5 +1,7 @@
 #include "src/sim/query_tree.h"
 
+#include <cfloat>
+#include <cmath>
 #include <memory>
 #include <utility>
 
@@ -23,7 +25,8 @@ QueryTree::QueryTree(const QueryTreeModel& model, const WaitPolicy& policy_proto
       realization_(realization),
       origin_(origin),
       trace_(ActiveTraceCollector(), realization.truth.sequence, policy_prototype.name(), engine,
-             origin) {
+             origin),
+      memo_(model.tier_scans()) {
   const TreeSpec& tree = model_.offline_tree();
   const int tiers = tree.num_aggregator_tiers();
   CEDAR_CHECK_EQ(static_cast<int>(realization_.stage_durations.size()), tree.num_stages());
@@ -70,6 +73,7 @@ QueryTree::QueryTree(const QueryTreeModel& model, const WaitPolicy& policy_proto
     const AggregatorContext& ctx = contexts_[static_cast<size_t>(tier)];
     auto& row = nodes_[static_cast<size_t>(tier)];
     row = std::vector<AggregatorNode>(static_cast<size_t>(StageEdgeCount(tree, tier + 1)));
+    aggregators_ += static_cast<long long>(row.size());
     for (size_t i = 0; i < row.size(); ++i) {
       auto policy = policy_prototype.Clone();
       policy->BeginQuery(ctx, &realization_.truth);
@@ -79,16 +83,15 @@ QueryTree::QueryTree(const QueryTreeModel& model, const WaitPolicy& policy_proto
 }
 
 void QueryTree::Start(EventQueue& queue) {
+  queue_ = &queue;
   for (auto& row : nodes_) {
     for (auto& node : row) {
-      node.Start(queue, [this, &queue](AggregatorNode& sender, double weight) {
-        OnSend(queue, sender, weight);
-      });
+      node.Start(queue, [this](AggregatorNode& sender, double weight) { OnSend(sender, weight); });
     }
   }
 }
 
-bool QueryTree::DeliverLeaf(EventQueue& queue, long long leaf) {
+bool QueryTree::DeliverLeaf(long long leaf) {
   double weight = realization_.leaf_weights.empty()
                       ? 1.0
                       : realization_.leaf_weights[static_cast<size_t>(leaf)];
@@ -97,18 +100,18 @@ bool QueryTree::DeliverLeaf(EventQueue& queue, long long leaf) {
   if (node.closed()) {
     return false;
   }
-  node.OnChildOutput(queue, weight);
+  node.OnChildOutput(weight);
   return true;
 }
 
-void QueryTree::OnSend(EventQueue& queue, AggregatorNode& node, double weight) {
+void QueryTree::OnSend(AggregatorNode& node, double weight) {
   int tier = node.tier();
   long long index = node.index();
   double ship =
       realization_.stage_durations[static_cast<size_t>(tier + 1)][static_cast<size_t>(index)];
-  double arrive_at = queue.now() + ship;
+  double arrive_at = queue_->now() + ship;
   if (tier == 0) {
-    tier0_send_sum_ += queue.now() - origin_;
+    tier0_send_sum_ += queue_->now() - origin_;
     ++tier0_sends_;
   }
   if (tier + 1 == static_cast<int>(nodes_.size())) {
@@ -127,8 +130,8 @@ void QueryTree::OnSend(EventQueue& queue, AggregatorNode& node, double weight) {
   }
   long long parent = index / model_.offline_tree().stage(tier + 1).fanout;
   AggregatorNode& parent_node = nodes_[static_cast<size_t>(tier + 1)][static_cast<size_t>(parent)];
-  queue.Schedule(arrive_at,
-                 [&queue, &parent_node, weight] { parent_node.OnChildOutput(queue, weight); });
+  // Two words of capture: std::function keeps the closure inline.
+  queue_->Schedule(arrive_at, [&parent_node, weight] { parent_node.OnChildOutput(weight); });
 }
 
 QueryResult QueryTree::Result() const {
@@ -141,6 +144,17 @@ QueryResult QueryTree::Result() const {
   result.total_weight = realization_.TotalWeight();
   result.included_weight = included_weight_;
   result.quality = result.total_weight > 0.0 ? included_weight_ / result.total_weight : 0.0;
+  // The included weight sums the leaf weights that reached the root in
+  // arrival order, through the tiers; the total sums all of them in index
+  // order. Any two orders of n non-negative terms agree within
+  // 2 * gamma_{n-1} ~ (n - 1) * DBL_EPSILON of the total, so n * DBL_EPSILON
+  // of it is the allowance. Unit weights sum exactly.
+  const auto leaves = static_cast<double>(realization_.stage_durations[0].size());
+  CEDAR_CHECK(std::isfinite(result.quality)) << "quality " << result.quality;
+  CEDAR_CHECK(included_weight_ >= 0.0 &&
+              included_weight_ <= result.total_weight * (1.0 + leaves * DBL_EPSILON))
+      << "included weight " << included_weight_ << " outside [0, total weight "
+      << result.total_weight << "]";
   result.root_arrivals_in_time = static_cast<long long>(root_senders_.size());
   result.root_arrivals_late = root_late_;
   result.mean_tier0_send_time =

@@ -12,15 +12,16 @@
 //    a scratch policy clone as tier i-1's initial wait;
 //  * the QueryMemo every context points at, so each tier's scan grid,
 //    offline-optimal send time and wait table, and the Ideal plan, are
-//    computed once per query, not once per aggregator;
+//    computed once per query, not once per aggregator (the scan grid and
+//    send time once per model when upper knowledge is offline);
 //  * one AggregatorNode per aggregator, each with its own policy clone;
 //  * the upward send chain: a tier-t node's result ships with the sampled
 //    stage-(t+1) duration of its own edge to parent index / fanout;
 //  * root accounting against origin + deadline: the top-tier senders that
 //    reached the root in time, in send order, and the tier-0 send mean.
-// The engine supplies only the leaves: it calls Start() once, then
-// DeliverLeaf() at each leaf output's completion time, runs the queue, and
-// reads Result(). All times on the queue are absolute; |origin| is the
+// The engine supplies only the leaves: it calls Start() once with its queue,
+// then DeliverLeaf() at each leaf output's completion time, runs the queue,
+// and reads Result(). All times on the queue are absolute; |origin| is the
 // query's time zero (its arrival, in a loaded run). An app also carries
 // each leaf's payload: it keeps the outputs DeliverLeaf() accepted per
 // tier-0 aggregator and merges those of root_senders() at the end.
@@ -84,8 +85,9 @@ struct QueryResult {
 };
 
 // The per-(offline tree, deadline) state every query tree of one engine
-// shares: the offline quality curves, the scan step and the options.
-// Construct once, run many queries.
+// shares: the offline quality curves, the scan step and the options, and,
+// when upper knowledge is offline, each tier's scan grid and offline-optimal
+// send time. Construct once, run many queries, from any number of threads.
 class QueryTreeModel {
  public:
   QueryTreeModel(TreeSpec offline_tree, double deadline, const QueryTreeOptions& options);
@@ -98,12 +100,20 @@ class QueryTreeModel {
   // [i, n) for i >= 1; [0] is empty.
   const std::vector<PiecewiseLinear>& curve_stack() const { return curve_stack_; }
 
+  // The tier scans every query's memo shares when upper knowledge is
+  // offline (each query's tiers then read curve_stack()); null under
+  // per-query upper knowledge, where each query builds its own.
+  ModelTierScans* tier_scans() const {
+    return options_.per_query_upper_knowledge ? nullptr : &tier_scans_;
+  }
+
  private:
   TreeSpec offline_tree_;
   double deadline_;
   QueryTreeOptions options_;
   double epsilon_;
   std::vector<PiecewiseLinear> curve_stack_;
+  mutable ModelTierScans tier_scans_;
 };
 
 class QueryTree {
@@ -118,15 +128,23 @@ class QueryTree {
   QueryTree(const QueryTree&) = delete;
   QueryTree& operator=(const QueryTree&) = delete;
 
-  // Arms every aggregator's initial timer, bottom tier first.
+  // Arms every aggregator's initial timer on |queue|, bottom tier first.
+  // The tree and its aggregators keep |queue| for every later event, so it
+  // must outlive the tree's run.
   void Start(EventQueue& queue);
 
   // Hands leaf |leaf|'s output, with its weight, to its tier-0 aggregator
   // at the queue's current time. Returns whether that aggregator was still
   // open, i.e. whether the output is part of its send.
-  bool DeliverLeaf(EventQueue& queue, long long leaf);
+  bool DeliverLeaf(long long leaf);
 
-  // Once the queue has run. Dies unless every aggregator sent exactly once.
+  // Number of aggregators: one timer each, so with the leaves they bound the
+  // events an engine has queued at once.
+  long long aggregators() const { return aggregators_; }
+
+  // Once the queue has run. Dies unless every aggregator sent exactly once,
+  // the quality is finite and the included weight lies in [0, total weight]
+  // up to the rounding of summing the same leaf weights in another order.
   QueryResult Result() const;
   double origin() const { return origin_; }
 
@@ -139,7 +157,7 @@ class QueryTree {
   QueryTraceBuilder* trace() { return trace_.active() ? &trace_ : nullptr; }
 
  private:
-  void OnSend(EventQueue& queue, AggregatorNode& node, double weight);
+  void OnSend(AggregatorNode& node, double weight);
 
   const QueryTreeModel& model_;
   const QueryRealization& realization_;
@@ -149,6 +167,8 @@ class QueryTree {
   QueryMemo memo_;  // every contexts_[i].memo
   std::vector<AggregatorContext> contexts_;
   std::vector<std::vector<AggregatorNode>> nodes_;
+  long long aggregators_ = 0;
+  EventQueue* queue_ = nullptr;  // from Start
 
   double included_weight_ = 0.0;
   std::vector<long long> root_senders_;

@@ -27,7 +27,7 @@ struct QueryRealization {
   std::vector<std::vector<double>> stage_durations;
 
   // Optional per-leaf output weights (weighted-quality extension,
-  // Appendix A). Empty means every process output weighs 1.
+  // Appendix A), each >= 0. Empty means every process output weighs 1.
   std::vector<double> leaf_weights;
 
   // Sum of leaf weights (or the leaf count when unweighted).

@@ -15,16 +15,17 @@ TreeSimulation::TreeSimulation(TreeSpec offline_tree, double deadline,
 QueryResult TreeSimulation::RunQuery(const WaitPolicy& policy_prototype,
                                      const QueryRealization& realization) const {
   QueryTree tree(model_, policy_prototype, realization, "sim");
+  const auto& leaf_durations = realization.stage_durations[0];
+  // Every leaf completion and every aggregator's timer are queued at once.
   EventQueue queue;
+  queue.Reserve(leaf_durations.size() + static_cast<size_t>(tree.aggregators()));
   tree.Start(queue);
 
   // Every leaf process is dispatched at time 0 and completes at its sampled
-  // duration.
-  const auto& leaf_durations = realization.stage_durations[0];
+  // duration. Two words of capture: std::function keeps the closure inline.
   for (size_t leaf = 0; leaf < leaf_durations.size(); ++leaf) {
-    queue.Schedule(leaf_durations[leaf], [&queue, &tree, leaf] {
-      tree.DeliverLeaf(queue, static_cast<long long>(leaf));
-    });
+    queue.Schedule(leaf_durations[leaf],
+                   [&tree, leaf] { tree.DeliverLeaf(static_cast<long long>(leaf)); });
   }
 
   queue.Run();

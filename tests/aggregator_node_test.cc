@@ -84,8 +84,8 @@ TEST(AggregatorNodeTest, SendsEarlyWhenAllChildrenReport) {
     sent_at = queue.now();
     sent_weight = weight;
   });
-  queue.Schedule(3.0, [&] { node.OnChildOutput(queue, 1.0); });
-  queue.Schedule(7.0, [&] { node.OnChildOutput(queue, 1.0); });
+  queue.Schedule(3.0, [&] { node.OnChildOutput(1.0); });
+  queue.Schedule(7.0, [&] { node.OnChildOutput(1.0); });
   queue.Run();
   EXPECT_DOUBLE_EQ(sent_at, 7.0) << "all children reported: SetTimer(0)";
   EXPECT_DOUBLE_EQ(sent_weight, 2.0);
@@ -102,8 +102,8 @@ TEST(AggregatorNodeTest, RearmExtendsAndShortensTimer) {
 
   double sent_at = -1.0;
   node.Start(queue, [&](AggregatorNode&, double) { sent_at = queue.now(); });
-  queue.Schedule(5.0, [&] { node.OnChildOutput(queue, 1.0); });
-  queue.Schedule(10.0, [&] { node.OnChildOutput(queue, 1.0); });
+  queue.Schedule(5.0, [&] { node.OnChildOutput(1.0); });
+  queue.Schedule(10.0, [&] { node.OnChildOutput(1.0); });
   queue.Run();
   EXPECT_DOUBLE_EQ(sent_at, 12.0);
 }
@@ -119,7 +119,7 @@ TEST(AggregatorNodeTest, ShorteningBelowNowFiresImmediately) {
 
   double sent_at = -1.0;
   node.Start(queue, [&](AggregatorNode&, double) { sent_at = queue.now(); });
-  queue.Schedule(8.0, [&] { node.OnChildOutput(queue, 1.0); });
+  queue.Schedule(8.0, [&] { node.OnChildOutput(1.0); });
   queue.Run();
   EXPECT_DOUBLE_EQ(sent_at, 8.0);
 }
@@ -138,8 +138,8 @@ TEST(AggregatorNodeTest, LateArrivalsAreDropped) {
     sent_weight = weight;
     ++sends;
   });
-  queue.Schedule(4.0, [&] { node.OnChildOutput(queue, 1.0); });
-  queue.Schedule(25.0, [&] { node.OnChildOutput(queue, 1.0); });  // after the send
+  queue.Schedule(4.0, [&] { node.OnChildOutput(1.0); });
+  queue.Schedule(25.0, [&] { node.OnChildOutput(1.0); });  // after the send
   queue.Run();
   EXPECT_EQ(sends, 1);
   EXPECT_DOUBLE_EQ(sent_weight, 1.0);
@@ -178,8 +178,8 @@ TEST(AggregatorNodeTest, SendDeliversAccumulatedWeights) {
     sent_weight = weight;
     EXPECT_EQ(self.arrivals_count(), 2);
   });
-  queue.Schedule(1.0, [&] { node.OnChildOutput(queue, 2.5); });
-  queue.Schedule(2.0, [&] { node.OnChildOutput(queue, 0.5); });
+  queue.Schedule(1.0, [&] { node.OnChildOutput(2.5); });
+  queue.Schedule(2.0, [&] { node.OnChildOutput(0.5); });
   queue.Run();
   EXPECT_DOUBLE_EQ(sent_weight, 3.0);
   EXPECT_DOUBLE_EQ(node.send_time(), 30.0);

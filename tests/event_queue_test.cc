@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -198,79 +199,89 @@ TEST(EventQueueTest, CancellingAFiredHandleLeavesTheSlotsNewEventAlone) {
 // callback slots as the reference's peak size. Times are multiples of 0.25 so ties
 // are common, and some callbacks schedule at now() from inside the queue.
 TEST(EventQueueTest, MatchesAMapReferenceOnRandomOperations) {
-  struct Ref {
-    uint64_t id = 0;
-    bool cancelled = false;
-  };
-  EventQueue queue;
-  Rng rng(26);
-  std::map<std::pair<double, uint64_t>, Ref> reference;  // (time, handle)
-  std::map<uint64_t, double> time_of;                    // every handle issued
-  std::vector<uint64_t> expected;
-  std::vector<uint64_t> fired;
-  size_t peak = 0;
-  uint64_t next_id = 0;
-  std::function<void(double)> schedule = [&](double time) {
-    const uint64_t id = next_id++;
-    const bool spawns = id % 5 == 0;
-    const uint64_t handle = queue.Schedule(time, [&, id, spawns] {
-      fired.push_back(id);
-      if (spawns) {
-        schedule(queue.now());
+  // A queue reserved below and above the run's peak count of queued events
+  // behaves as an unreserved one.
+  for (size_t reserved : {size_t{0}, size_t{16}, size_t{4096}}) {
+    SCOPED_TRACE("reserved " + std::to_string(reserved));
+    struct Ref {
+      uint64_t id = 0;
+      bool cancelled = false;
+    };
+    EventQueue queue;
+    if (reserved > 0) {
+      queue.Reserve(reserved);
+    }
+    Rng rng(26);
+    std::map<std::pair<double, uint64_t>, Ref> reference;  // (time, handle)
+    std::map<uint64_t, double> time_of;                    // every handle issued
+    std::vector<uint64_t> expected;
+    std::vector<uint64_t> fired;
+    size_t peak = 0;
+    uint64_t next_id = 0;
+    std::function<void(double)> schedule = [&](double time) {
+      const uint64_t id = next_id++;
+      const bool spawns = id % 5 == 0;
+      const uint64_t handle = queue.Schedule(time, [&, id, spawns] {
+        fired.push_back(id);
+        if (spawns) {
+          schedule(queue.now());
+        }
+      });
+      ASSERT_EQ(time_of.count(handle), 0u);
+      time_of[handle] = time;
+      reference[{time, handle}] = Ref{id, false};
+      peak = std::max(peak, reference.size());
+    };
+    // Fires the reference's first live event, dropping the cancelled ones
+    // ahead of it as the queue does, and runs the queue once; false if the
+    // two disagree on whether an event was left to run.
+    auto run_one = [&] {
+      while (!reference.empty() && reference.begin()->second.cancelled) {
+        reference.erase(reference.begin());
       }
-    });
-    ASSERT_EQ(time_of.count(handle), 0u);
-    time_of[handle] = time;
-    reference[{time, handle}] = Ref{id, false};
-    peak = std::max(peak, reference.size());
-  };
-  // Fires the reference's first live event, dropping the cancelled ones
-  // ahead of it as the queue does, and runs the queue once; false if the
-  // two disagree on whether an event was left to run.
-  auto run_one = [&] {
-    while (!reference.empty() && reference.begin()->second.cancelled) {
-      reference.erase(reference.begin());
-    }
-    const bool any = !reference.empty();
-    if (any) {
-      expected.push_back(reference.begin()->second.id);
-      reference.erase(reference.begin());
-    }
-    return queue.RunOne() == any;
-  };
-  for (int op = 0; op < 10000; ++op) {
-    const uint64_t kind = rng.NextBounded(10);
-    if (kind < 4) {
-      schedule(queue.now() + 0.25 * static_cast<double>(rng.NextBounded(8)));
-    } else if (kind < 6) {
-      if (time_of.empty()) {
-        continue;
+      const bool any = !reference.empty();
+      if (any) {
+        expected.push_back(reference.begin()->second.id);
+        reference.erase(reference.begin());
       }
-      // Any handle ever issued: queued, cancelled or fired.
-      const uint64_t handle = 1 + rng.NextBounded(time_of.size());
-      queue.Cancel(handle);
-      auto it = reference.find({time_of[handle], handle});
-      if (it != reference.end()) {
-        it->second.cancelled = true;
+      return queue.RunOne() == any;
+    };
+    for (int op = 0; op < 10000; ++op) {
+      const uint64_t kind = rng.NextBounded(10);
+      if (kind < 4) {
+        schedule(queue.now() + 0.25 * static_cast<double>(rng.NextBounded(8)));
+      } else if (kind < 6) {
+        if (time_of.empty()) {
+          continue;
+        }
+        // Any handle ever issued: queued, cancelled or fired.
+        const uint64_t handle = 1 + rng.NextBounded(time_of.size());
+        queue.Cancel(handle);
+        auto it = reference.find({time_of[handle], handle});
+        if (it != reference.end()) {
+          it->second.cancelled = true;
+        }
+      } else {
+        ASSERT_TRUE(run_one()) << "op " << op;
       }
-    } else {
-      ASSERT_TRUE(run_one()) << "op " << op;
+      size_t live = 0;
+      for (const auto& [key, ref] : reference) {
+        live += ref.cancelled ? 0 : 1;
+      }
+      ASSERT_EQ(queue.pending(), live) << "op " << op;
     }
-    size_t live = 0;
-    for (const auto& [key, ref] : reference) {
-      live += ref.cancelled ? 0 : 1;
+    // Slots grow only when every one holds a queued event.
+    EXPECT_EQ(queue.slots(), peak);
+    EXPECT_GT(peak, 16u);
+    EXPECT_LT(peak, 4096u);
+    while (!queue.empty()) {
+      ASSERT_TRUE(run_one());
     }
-    ASSERT_EQ(queue.pending(), live) << "op " << op;
+    EXPECT_TRUE(run_one());  // both are empty
+    EXPECT_EQ(fired, expected);
+    EXPECT_EQ(queue.scheduled(), next_id);
+    EXPECT_GT(fired.size(), 1000u);
   }
-  // Slots grow only when every one holds a queued event.
-  EXPECT_EQ(queue.slots(), peak);
-  while (!queue.empty()) {
-    ASSERT_TRUE(run_one());
-  }
-  EXPECT_TRUE(run_one());  // both are empty
-  EXPECT_EQ(fired, expected);
-  EXPECT_EQ(queue.scheduled(), next_id);
-  EXPECT_GT(fired.size(), 1000u);
 }
 
 TEST(EventQueueDeathTest, SchedulingIntoThePastDies) {

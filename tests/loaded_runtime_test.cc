@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
-#include <optional>
 #include <set>
 #include <utility>
 #include <vector>
@@ -264,13 +263,17 @@ TEST(LoadedRuntimeTest, FreshMemoGivesTheDirectOfflineWait) {
       EXPECT_EQ(std::bit_cast<uint64_t>(first->DecideInitialWait(ctx)),
                 std::bit_cast<uint64_t>(today))
           << prototype->name();
-      std::optional<double>& memo_wait = memo.tier(0).offline_send_time;
-      ASSERT_TRUE(memo_wait.has_value());
-      EXPECT_EQ(std::bit_cast<uint64_t>(*memo_wait), std::bit_cast<uint64_t>(today));
-      memo_wait = 123.0;
+      ASSERT_NE(memo.tier(0).scan, nullptr);
+      EXPECT_EQ(memo.tier(0).scan, &memo.tier(0).own_scan);
+      // A later decision reads the memo: without an offline tree, a new
+      // offline scan would die.
+      AggregatorContext later = ctx;
+      later.offline_tree = nullptr;
       auto second = prototype->Clone();
-      second->BeginQuery(ctx, nullptr);
-      EXPECT_EQ(second->DecideInitialWait(ctx), 123.0) << prototype->name();
+      second->BeginQuery(later, nullptr);
+      EXPECT_EQ(std::bit_cast<uint64_t>(second->DecideInitialWait(later)),
+                std::bit_cast<uint64_t>(today))
+          << prototype->name();
     }
   }
 }

@@ -173,19 +173,25 @@ TEST(ParallelExperimentTest, ClusterResultsIdenticalForAnyThreadCount) {
   config.seed = 11;
   config.run.speculation.enabled = true;  // exercises runtime-internal RNG
 
-  config.threads = 1;
-  ClusterExperimentResult serial = RunClusterExperiment(workload, policies, config);
-  for (int threads : {2, 8}) {
-    config.threads = threads;
-    ClusterExperimentResult parallel = RunClusterExperiment(workload, policies, config);
-    for (size_t p = 0; p < serial.outcomes.size(); ++p) {
-      ExpectSameSamples(parallel.outcomes[p].quality, serial.outcomes[p].quality);
+  // Under offline upper knowledge the workers share the engine model's tier
+  // scans, each built by whichever worker asks first.
+  for (bool per_query : {true, false}) {
+    SCOPED_TRACE(per_query ? "per-query upper knowledge" : "offline upper knowledge");
+    config.run.per_query_upper_knowledge = per_query;
+    config.threads = 1;
+    ClusterExperimentResult serial = RunClusterExperiment(workload, policies, config);
+    for (int threads : {2, 8}) {
+      config.threads = threads;
+      ClusterExperimentResult parallel = RunClusterExperiment(workload, policies, config);
+      for (size_t p = 0; p < serial.outcomes.size(); ++p) {
+        ExpectSameSamples(parallel.outcomes[p].quality, serial.outcomes[p].quality);
+      }
+      EXPECT_EQ(parallel.total_clones_launched, serial.total_clones_launched);
+      EXPECT_EQ(parallel.total_clones_won, serial.total_clones_won);
+      EXPECT_EQ(parallel.waves, serial.waves);
+      EXPECT_EQ(parallel.ImprovementPercent("prop-split", "cedar"),
+                serial.ImprovementPercent("prop-split", "cedar"));
     }
-    EXPECT_EQ(parallel.total_clones_launched, serial.total_clones_launched);
-    EXPECT_EQ(parallel.total_clones_won, serial.total_clones_won);
-    EXPECT_EQ(parallel.waves, serial.waves);
-    EXPECT_EQ(parallel.ImprovementPercent("prop-split", "cedar"),
-              serial.ImprovementPercent("prop-split", "cedar"));
   }
 }
 

@@ -1,6 +1,7 @@
 // QueryTree's per-query work: which curves a query folds, and what its
 // QueryMemo computes once — one scan grid, offline scan and wait-table get
-// per tier, one Ideal plan per query — without changing any wait.
+// per tier, one Ideal plan per query; the scan grid and offline scan once
+// per model under offline upper knowledge — without changing any wait.
 
 #include "src/sim/query_tree.h"
 
@@ -8,11 +9,14 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/cluster/cluster_runtime.h"
 #include "src/core/policies.h"
+#include "src/core/policy_registry.h"
 #include "src/core/wait_table_store.h"
 #include "src/obs/profiler.h"
 #include "src/sim/realization.h"
@@ -44,6 +48,49 @@ QueryRealization DrawRealization(const Workload& workload, uint64_t sequence) {
   truth.sequence = sequence;
   return SampleRealization(workload.OfflineTree(), truth, rng);
 }
+
+// TreeSimulation and ClusterRuntime (two waves on 4x slow machines, with
+// speculation) over one offline tree. Under offline upper knowledge every
+// query's tiers share the engine model's tier scans.
+class Engines {
+ public:
+  Engines(const TreeSpec& tree, bool per_query_upper_knowledge)
+      : sim_(tree, kDeadline, Options<TreeSimulationOptions>(per_query_upper_knowledge)),
+        cluster_(Cluster(tree), tree, kDeadline,
+                 Options<ClusterRunOptions>(per_query_upper_knowledge)) {}
+
+  static constexpr const char* kNames[] = {"sim", "cluster"};
+
+  void RunQuery(int engine, const WaitPolicy& policy, const QueryRealization& realization) const {
+    if (engine == 0) {
+      sim_.RunQuery(policy, realization);
+    } else {
+      cluster_.RunQuery(policy, realization);
+    }
+  }
+
+ private:
+  template <typename T>
+  static T Options(bool per_query_upper_knowledge) {
+    T options;
+    options.per_query_upper_knowledge = per_query_upper_knowledge;
+    if constexpr (std::is_same_v<T, ClusterRunOptions>) {
+      options.speculation.enabled = true;
+    }
+    return options;
+  }
+  static ClusterSpec Cluster(const TreeSpec& tree) {
+    ClusterSpec cluster;
+    cluster.slots_per_machine = 1;
+    cluster.machines = static_cast<int>((StageEdgeCount(tree, 0) + 1) / 2);
+    cluster.slow_machine_fraction = 0.25;
+    cluster.slow_machine_factor = 4.0;
+    return cluster;
+  }
+
+  TreeSimulation sim_;
+  ClusterRuntime cluster_;
+};
 
 // Profiling is process-global: every test starts and ends with it off and
 // zeroed.
@@ -160,6 +207,9 @@ TEST_F(QueryTreeTest, IdealPlansOncePerQueryWhateverItsSequence) {
 }
 
 TEST_F(QueryTreeTest, EveryNodeInitialWaitMatchesFreshMemoInstance) {
+  // Under offline upper knowledge the waits come from the model's tier
+  // scans, built by whichever query asked first; the fresh instance builds
+  // its own on its own memo.
   for (int levels : {2, 3}) {
     auto workload = WorkloadWithLevels(levels);
     const TreeSpec& tree = workload.OfflineTree();
@@ -168,29 +218,44 @@ TEST_F(QueryTreeTest, EveryNodeInitialWaitMatchesFreshMemoInstance) {
       nodes += StageEdgeCount(tree, tier + 1);
     }
     for (bool per_query : {true, false}) {
-      TreeSimulationOptions options;
-      options.per_query_upper_knowledge = per_query;
-      TreeSimulation sim(tree, kDeadline, options);
-      for (int which = 0; which < 2; ++which) {
-        auto log = std::make_shared<std::vector<MemoCheck>>();
-        std::unique_ptr<WaitPolicy> inner;
-        if (which == 0) {
-          inner = std::make_unique<CedarPolicy>();
-        } else {
-          inner = std::make_unique<OfflineOptimalPolicy>();
-        }
-        MemoCheckingPolicy policy(std::move(inner), log);
-        for (uint64_t q = 1; q <= 3; ++q) {
-          sim.RunQuery(policy, DrawRealization(workload, 100 + q));
-        }
-        // Every node, plus the scratch plan of each tier below the top.
-        ASSERT_EQ(log->size(), 3u * static_cast<size_t>(nodes + levels - 2));
-        for (const MemoCheck& check : *log) {
-          ASSERT_NE(check.memo, nullptr);
-          ASSERT_EQ(std::bit_cast<uint64_t>(check.got), std::bit_cast<uint64_t>(check.want))
-              << policy.name() << " tier " << check.tier << " levels " << levels;
+      for (int engine = 0; engine < 2; ++engine) {
+        for (const char* name : {"cedar", "cedar-offline"}) {
+          const Engines engines(tree, per_query);
+          auto log = std::make_shared<std::vector<MemoCheck>>();
+          MemoCheckingPolicy policy(MakePolicyByName(name), log);
+          for (uint64_t q = 1; q <= 3; ++q) {
+            engines.RunQuery(engine, policy, DrawRealization(workload, 100 + q));
+          }
+          // Every node, plus the scratch plan of each tier below the top.
+          ASSERT_EQ(log->size(), 3u * static_cast<size_t>(nodes + levels - 2));
+          for (const MemoCheck& check : *log) {
+            ASSERT_NE(check.memo, nullptr);
+            ASSERT_EQ(std::bit_cast<uint64_t>(check.got), std::bit_cast<uint64_t>(check.want))
+                << name << " on " << Engines::kNames[engine] << ", per-query knowledge "
+                << per_query << ", tier " << check.tier << ", levels " << levels;
+          }
         }
       }
+    }
+  }
+}
+
+TEST_F(QueryTreeTest, OfflineKnowledgeBuildsEachTierScanOncePerModel) {
+  // Cedar's tiers each start at a fixed offset under offline knowledge, so
+  // 20 queries build one scan grid per tier between them, not one per query.
+  for (int levels : {2, 3}) {
+    auto workload = WorkloadWithLevels(levels);
+    for (int engine = 0; engine < 2; ++engine) {
+      const Engines engines(workload.OfflineTree(), /*per_query_upper_knowledge=*/false);
+      CedarPolicy cedar;
+      SetProfilingEnabled(true);
+      for (uint64_t q = 1; q <= 20; ++q) {
+        engines.RunQuery(engine, cedar, DrawRealization(workload, 300 + q));
+      }
+      EXPECT_EQ(ProfileCalls("wait_optimizer.scan_build"), levels - 1)
+          << Engines::kNames[engine] << ", levels " << levels;
+      SetProfilingEnabled(false);
+      ResetProfile();
     }
   }
 }

@@ -1,5 +1,11 @@
 #include "src/sim/tree_simulation.h"
 
+#include <cmath>
+#include <cstdint>
+#include <memory>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "src/core/policies.h"
@@ -107,6 +113,42 @@ TEST(TreeSimulationTest, WeightedQualityUsesWeights) {
   QueryResult result = sim.RunQuery(wait25, realization);
   EXPECT_DOUBLE_EQ(result.quality, 0.9);
   EXPECT_DOUBLE_EQ(result.total_weight, 10.0);
+}
+
+TEST(TreeSimulationTest, WeightsSummedInArrivalOrderPassTheWeightCheck) {
+  // Every leaf reaches the root, so the included weight is the total summed
+  // in arrival order through the tiers instead of in index order. With
+  // weights over 16 decades the two sums differ by rounding on some seeds;
+  // Result() must allow that and nothing more.
+  std::vector<StageSpec> stages;
+  stages.emplace_back(std::make_shared<LogNormalDistribution>(1.5, 0.6), 8);
+  stages.emplace_back(std::make_shared<LogNormalDistribution>(1.8, 0.5), 8);
+  stages.emplace_back(std::make_shared<LogNormalDistribution>(1.6, 0.4), 4);
+  TreeSpec tree(std::move(stages));
+  TreeSimulation sim(tree, 1e6);
+  FixedWaitPolicy wait(5e5);  // every aggregator sends once all children report
+  int rounded = 0;
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    auto realization = SampleRealization(tree, TruthOf(tree), rng);
+    for (size_t leaf = 0; leaf < realization.stage_durations[0].size(); ++leaf) {
+      realization.leaf_weights.push_back(std::pow(10.0, 16.0 * rng.NextDouble() - 8.0));
+    }
+    QueryResult result = sim.RunQuery(wait, realization);
+    EXPECT_NEAR(result.quality, 1.0, 1e-13) << "seed " << seed;
+    rounded += result.included_weight != result.total_weight ? 1 : 0;
+  }
+  EXPECT_GT(rounded, 0);
+}
+
+TEST(TreeSimulationDeathTest, IncludedWeightOutsideTheTotalDies) {
+  TreeSpec tree = TreeSpec::TwoLevel(std::make_shared<LogNormalDistribution>(2.0, 0.8), 2,
+                                     std::make_shared<LogNormalDistribution>(2.0, 0.5), 1);
+  TreeSimulation sim(tree, 100.0);
+  auto realization = HandRealization(tree, {5.0, 50.0}, {10.0});
+  realization.leaf_weights = {-1.0, 2.0};  // weights must be >= 0
+  FixedWaitPolicy wait25(25.0);
+  EXPECT_DEATH(sim.RunQuery(wait25, realization), "included weight -1 outside");
 }
 
 TEST(TreeSimulationTest, ThreeLevelTreeRuns) {
