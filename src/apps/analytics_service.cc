@@ -96,12 +96,23 @@ AnalyticsOutcome AnalyticsService::RunQuery(const WaitPolicy& policy,
   empty.sums.assign(static_cast<size_t>(table_->num_groups()), 0.0);
   empty.counts.assign(static_cast<size_t>(table_->num_groups()), 0);
   std::vector<GroupPartial> collected(static_cast<size_t>(partitions / k1), empty);
+  // What every partition's completion reads, so each closure captures one
+  // pointer and its index and std::function keeps it inline.
+  struct Partitions {
+    QueryTree& tree;
+    std::vector<GroupPartial>& collected;
+    const FactTable& table;
+    int k1;
+  } shared{tree, collected, *table_, k1};
   for (int p = 0; p < partitions; ++p) {
-    queue.Schedule(realization.stage_durations[0][static_cast<size_t>(p)], [&, p] {
-      if (tree.DeliverLeaf(p)) {
-        collected[static_cast<size_t>(p / k1)].Accumulate(table_->PartitionPartial(p));
+    auto complete = [leaves = &shared, p] {
+      if (leaves->tree.DeliverLeaf(p)) {
+        leaves->collected[static_cast<size_t>(p / leaves->k1)].Accumulate(
+            leaves->table.PartitionPartial(p));
       }
-    });
+    };
+    static_assert(sizeof(complete) <= 16);
+    queue.Schedule(realization.stage_durations[0][static_cast<size_t>(p)], complete);
   }
 
   queue.Run();

@@ -41,13 +41,25 @@ SearchQueryOutcome SearchService::RunQuery(const WaitPolicy& policy,
   // wastes it. collected[a] holds aggregator a's included lists.
   std::vector<std::vector<std::vector<SearchHit>>> collected(
       static_cast<size_t>(shards / k1));
+  // What every shard's completion reads, so each closure captures one
+  // pointer and its index and std::function keeps it inline.
+  struct Shards {
+    QueryTree& tree;
+    std::vector<std::vector<std::vector<SearchHit>>>& collected;
+    const SearchIndex& index;
+    const std::vector<int>& query;
+    int top_k;
+    int k1;
+  } shared{tree, collected, *index_, query, config_.top_k, k1};
   for (int s = 0; s < shards; ++s) {
-    queue.Schedule(realization.stage_durations[0][static_cast<size_t>(s)], [&, s] {
-      if (tree.DeliverLeaf(s)) {
-        collected[static_cast<size_t>(s / k1)].push_back(
-            index_->shard(s).TopK(query, config_.top_k, *index_));
+    auto complete = [leaves = &shared, s] {
+      if (leaves->tree.DeliverLeaf(s)) {
+        leaves->collected[static_cast<size_t>(s / leaves->k1)].push_back(
+            leaves->index.shard(s).TopK(leaves->query, leaves->top_k, leaves->index));
       }
-    });
+    };
+    static_assert(sizeof(complete) <= 16);
+    queue.Schedule(realization.stage_durations[0][static_cast<size_t>(s)], complete);
   }
 
   queue.Run();

@@ -5,10 +5,10 @@
 #include <deque>
 #include <functional>
 #include <limits>
-#include <numeric>
 #include <utility>
 
 #include "src/cluster/loaded_runtime.h"
+#include "src/cluster/slot_stack.h"
 #include "src/common/logging.h"
 #include "src/obs/query_trace.h"
 #include "src/sim/event_queue.h"
@@ -35,8 +35,25 @@ struct TaskState {
   int slots[2] = {};
 };
 
+// The cluster's slot count. Both engines build their cluster through
+// SlotScheduler, so this is where a spec from outside input is checked. NaN
+// fails every comparison.
+int CheckedTotalSlots(const ClusterSpec& cluster) {
+  CEDAR_CHECK(cluster.machines >= 1 && cluster.slots_per_machine >= 1 &&
+              cluster.machines <= std::numeric_limits<int>::max() / cluster.slots_per_machine)
+      << "ClusterSpec::machines and ::slots_per_machine must be >= 1 and their product "
+      << "must fit an int, got " << cluster.machines << " x " << cluster.slots_per_machine;
+  CEDAR_CHECK(cluster.slow_machine_fraction >= 0.0 && cluster.slow_machine_fraction <= 1.0)
+      << "ClusterSpec::slow_machine_fraction must be in [0, 1], got "
+      << cluster.slow_machine_fraction;
+  CEDAR_CHECK(std::isfinite(cluster.slow_machine_factor) && cluster.slow_machine_factor > 0.0)
+      << "ClusterSpec::slow_machine_factor must be finite and > 0, got "
+      << cluster.slow_machine_factor;
+  return cluster.TotalSlots();
+}
+
 // The cluster's one leaf scheduler. Slots have identities and are handed
-// out from a stack shuffled once at construction: the scheduler does not
+// out from a shuffled stack (ShuffledSlotStack): the scheduler does not
 // know which machines are slow, so hot spots are hit in proportion to
 // their share of the cluster. Each submitted job is one query's leaf
 // stage; its tasks start in index order, after every earlier job's tasks
@@ -56,27 +73,9 @@ class SlotScheduler {
 
   SlotScheduler(const ClusterSpec& cluster, uint64_t placement_seed,
                 SpeculationOptions speculation)
-      : cluster_(cluster), speculation_(speculation) {
-    // Both engines build their cluster here, so this is where a spec from
-    // outside input is checked. NaN fails every comparison.
-    CEDAR_CHECK(cluster.machines >= 1 && cluster.slots_per_machine >= 1 &&
-                cluster.machines <= std::numeric_limits<int>::max() / cluster.slots_per_machine)
-        << "ClusterSpec::machines and ::slots_per_machine must be >= 1 and their product "
-        << "must fit an int, got " << cluster.machines << " x " << cluster.slots_per_machine;
-    CEDAR_CHECK(cluster.slow_machine_fraction >= 0.0 && cluster.slow_machine_fraction <= 1.0)
-        << "ClusterSpec::slow_machine_fraction must be in [0, 1], got "
-        << cluster.slow_machine_fraction;
-    CEDAR_CHECK(std::isfinite(cluster.slow_machine_factor) && cluster.slow_machine_factor > 0.0)
-        << "ClusterSpec::slow_machine_factor must be finite and > 0, got "
-        << cluster.slow_machine_factor;
-    idle_slots_.resize(static_cast<size_t>(cluster.TotalSlots()));
-    std::iota(idle_slots_.begin(), idle_slots_.end(), 0);
-    Rng placement_rng(placement_seed);
-    for (size_t i = idle_slots_.size(); i > 1; --i) {
-      size_t j = static_cast<size_t>(placement_rng.NextBounded(i));
-      std::swap(idle_slots_[i - 1], idle_slots_[j]);
-    }
-  }
+      : cluster_(cluster),
+        speculation_(speculation),
+        idle_slots_(CheckedTotalSlots(cluster), placement_seed) {}
   SlotScheduler(const SlotScheduler&) = delete;
   SlotScheduler& operator=(const SlotScheduler&) = delete;
 
@@ -141,8 +140,7 @@ class SlotScheduler {
   }
 
   void Launch(Job& job, int task_index, double service_duration) {
-    const int slot = idle_slots_.back();
-    idle_slots_.pop_back();
+    const int slot = idle_slots_.Pop();
     const double duration = service_duration * cluster_.SlotSpeedFactor(slot);
     ++stats_.tasks_launched;
     stats_.busy_time += duration;
@@ -164,7 +162,7 @@ class SlotScheduler {
 
   // The first copy of a task to finish wins, and the other one is killed.
   void Complete(Job& job, int task_index, int slot) {
-    idle_slots_.push_back(slot);
+    idle_slots_.Push(slot);
     if (speculation_.enabled) {
       TaskState& task = job.task_states[static_cast<size_t>(task_index)];
       CEDAR_CHECK(!task.completed);  // a killed copy's completion never fires
@@ -177,7 +175,7 @@ class SlotScheduler {
                     task.durations[copy]);
       if (task.copies_in_flight == 2) {
         queue_.Cancel(task.handles[1 - copy]);
-        idle_slots_.push_back(task.slots[1 - copy]);
+        idle_slots_.Push(task.slots[1 - copy]);
       }
       task.copies_in_flight = 0;
     }
@@ -235,7 +233,7 @@ class SlotScheduler {
   const ClusterSpec cluster_;
   const SpeculationOptions speculation_;
   EventQueue queue_;
-  std::vector<int> idle_slots_;  // a stack: the back is used next
+  ShuffledSlotStack idle_slots_;
   std::deque<Job> jobs_;
   std::deque<Job*> waiting_;  // jobs with unlaunched tasks, in submission order
   Stats stats_;

@@ -136,6 +136,7 @@ std::unique_ptr<WaitPolicy> CedarPolicy::Clone() const {
 void CedarPolicy::BeginQuery(const AggregatorContext& ctx, const QueryTruth* truth) {
   WaitPolicy::BeginQuery(ctx, truth);
   arrivals_since_reopt_ = 0;
+  deferred_fit_.reset();
   if (ctx.tier == kLearningTier) {
     // Small fanouts cannot supply the default number of warm-up samples;
     // keep at least two-thirds of the children as usable signal.
@@ -158,8 +159,21 @@ double CedarPolicy::InitialWait(const AggregatorContext& ctx) {
 double CedarPolicy::OnArrival(const AggregatorContext& ctx, double arrival_time,
                               const std::vector<double>& arrivals) {
   (void)arrivals;
+  return Decide(ctx, arrival_time, false).send_time;
+}
+
+WaitPolicy::ArrivalDecision CedarPolicy::OnArrivalDeferrable(const AggregatorContext& ctx,
+                                                             double arrival_time,
+                                                             const std::vector<double>& arrivals) {
+  (void)arrivals;
+  return Decide(ctx, arrival_time, true);
+}
+
+WaitPolicy::ArrivalDecision CedarPolicy::Decide(const AggregatorContext& ctx,
+                                                double arrival_time, bool may_defer) {
+  const ArrivalDecision kept{current_wait_, deferred_, true};
   if (!learner_.has_value()) {
-    return current_wait_;
+    return kept;
   }
   // The learner models stage durations relative to this tier's dispatch
   // time. Tier 0 dispatches at 0, so arrivals are durations directly;
@@ -168,21 +182,35 @@ double CedarPolicy::OnArrival(const AggregatorContext& ctx, double arrival_time,
   learner_->Observe(stage_duration);
 
   if (learner_->num_observations() < effective_min_samples_) {
-    return current_wait_;
+    return kept;
   }
   if (++arrivals_since_reopt_ < options_.reoptimize_every) {
-    return current_wait_;
+    return kept;
   }
   arrivals_since_reopt_ = 0;
 
   auto fit = learner_->CurrentFit();
   if (!fit.has_value()) {
-    return current_wait_;
+    return kept;
   }
   if (options_.use_wait_table) {
-    return ctx.start_offset + TableOf(ctx, options_.table_spec).LookupSpec(*fit);
+    return {ctx.start_offset + TableOf(ctx, options_.table_spec).LookupSpec(*fit), false, false};
   }
-  auto fitted = MakeDistribution(*fit);
+  std::unique_ptr<Distribution> fitted = MakeDistribution(*fit);
+  if (!may_defer) {
+    return {ctx.start_offset + ScanOf(ctx).Optimize(*fitted, ctx.fanout), false, false};
+  }
+  const WaitScan::Bound bound =
+      ScanOf(ctx).OptimizeOrBound(*fitted, ctx.fanout, arrival_time - ctx.start_offset);
+  if (!bound.exact) {
+    deferred_fit_ = std::move(fitted);
+  }
+  return {ctx.start_offset + bound.wait, !bound.exact, false};
+}
+
+double CedarPolicy::Resolve(const AggregatorContext& ctx) {
+  CEDAR_CHECK(deferred_fit_ != nullptr);
+  const std::unique_ptr<Distribution> fitted = std::move(deferred_fit_);
   return ctx.start_offset + ScanOf(ctx).Optimize(*fitted, ctx.fanout);
 }
 

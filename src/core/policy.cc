@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "src/common/logging.h"
+#include "src/obs/metrics.h"
 
 namespace cedar {
 
@@ -68,6 +69,7 @@ void WaitPolicy::BeginQuery(const AggregatorContext& ctx, const QueryTruth* trut
   (void)ctx;
   (void)truth;
   current_wait_ = 0.0;
+  deferred_ = false;
 }
 
 double WaitPolicy::DecideInitialWait(const AggregatorContext& ctx) {
@@ -81,11 +83,49 @@ double WaitPolicy::DecideOnArrival(const AggregatorContext& ctx, double arrival_
   return current_wait_;
 }
 
+WaitPolicy::ArrivalDecision WaitPolicy::DecideOnArrivalDeferrable(
+    const AggregatorContext& ctx, double arrival_time, const std::vector<double>& arrivals) {
+  const ArrivalDecision decision = OnArrivalDeferrable(ctx, arrival_time, arrivals);
+  current_wait_ = decision.send_time;
+  deferred_ = decision.deferred;
+  if (decision.deferred && !decision.kept && MetricsEnabled()) {
+    static Counter& deferred = MetricsRegistry::Global().GetCounter("policy.decisions_deferred");
+    deferred.Increment();
+  }
+  return decision;
+}
+
+double WaitPolicy::ResolveWait(const AggregatorContext& ctx) {
+  if (deferred_) {
+    const double bound = current_wait_;
+    current_wait_ = Resolve(ctx);
+    deferred_ = false;
+    CEDAR_CHECK_GE(current_wait_, bound) << "a deferred send time resolved below its bound";
+    if (MetricsEnabled()) {
+      static Counter& resolved = MetricsRegistry::Global().GetCounter("policy.decisions_resolved");
+      resolved.Increment();
+    }
+  }
+  return current_wait_;
+}
+
 double WaitPolicy::OnArrival(const AggregatorContext& ctx, double arrival_time,
                              const std::vector<double>& arrivals) {
   (void)ctx;
   (void)arrival_time;
   (void)arrivals;
+  return current_wait_;
+}
+
+WaitPolicy::ArrivalDecision WaitPolicy::OnArrivalDeferrable(const AggregatorContext& ctx,
+                                                            double arrival_time,
+                                                            const std::vector<double>& arrivals) {
+  return {OnArrival(ctx, arrival_time, arrivals), false, false};
+}
+
+double WaitPolicy::Resolve(const AggregatorContext& ctx) {
+  (void)ctx;
+  CEDAR_LOG(FATAL) << name() << " deferred a decision it cannot resolve";
   return current_wait_;
 }
 

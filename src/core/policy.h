@@ -200,6 +200,32 @@ class WaitPolicy {
   double DecideOnArrival(const AggregatorContext& ctx, double arrival_time,
                          const std::vector<double>& arrivals);
 
+  // DecideOnArrivalDeferrable's answer.
+  struct ArrivalDecision {
+    // The absolute send time; while |deferred|, only a lower bound on it.
+    double send_time = 0.0;
+    // ResolveWait() gives the exact send time.
+    bool deferred = false;
+    // The policy kept its previous decision, deferred or not.
+    bool kept = false;
+  };
+
+  // DecideOnArrival for a caller that needs the exact send time only once
+  // the clock reaches it (AggregatorNode, whose timer fires there). A policy
+  // that opts in (CedarPolicy) may return just a lower bound, deferred; the
+  // caller calls ResolveWait() when the bound is reached, and a later
+  // decision replaces the deferred one. By default, and whenever the policy
+  // does not defer, this is DecideOnArrival. A caller uses one of the two
+  // arrival entry points for a whole query.
+  ArrivalDecision DecideOnArrivalDeferrable(const AggregatorContext& ctx, double arrival_time,
+                                            const std::vector<double>& arrivals);
+
+  // The exact absolute send time of the current decision, bitwise what
+  // DecideOnArrival would have returned. Resolves a deferred decision once;
+  // fatal if the result is below the bound it was deferred at.
+  double ResolveWait(const AggregatorContext& ctx);
+
+  // The current decision's send time: a lower bound while it is deferred.
   double current_wait() const { return current_wait_; }
 
  protected:
@@ -209,7 +235,17 @@ class WaitPolicy {
   virtual double OnArrival(const AggregatorContext& ctx, double arrival_time,
                            const std::vector<double>& arrivals);
 
+  // Default: OnArrival's send time, exact. A policy that defers returns a
+  // lower bound with |deferred| set and implements Resolve().
+  virtual ArrivalDecision OnArrivalDeferrable(const AggregatorContext& ctx, double arrival_time,
+                                              const std::vector<double>& arrivals);
+
+  // The exact send time of the deferred current decision. Only a policy
+  // whose OnArrivalDeferrable defers is asked; the default is fatal.
+  virtual double Resolve(const AggregatorContext& ctx);
+
   double current_wait_ = 0.0;
+  bool deferred_ = false;  // current_wait_ is a lower bound
 };
 
 }  // namespace cedar

@@ -82,8 +82,18 @@ class WaitScan::BracketedSearch {
     pk_slack_ = k * kPhiSlack + 2.0 * ku / (1.0 - ku) + 0x1p-56;
   }
 
-  // The proven best grid point, or nullopt where only Walk can decide.
-  std::optional<size_t> Run() {
+  // What Run proved: the best grid point, or (|exact| false) a grid point
+  // no later than the best one.
+  struct Result {
+    uint32_t j = 0;
+    bool exact = false;
+  };
+
+  // The proven best grid point, or nullopt where only Walk can decide. Stops
+  // at the first round after which the earliest grid point not yet proven
+  // below the best lies later than |stop_after|, and returns that point as
+  // a bound.
+  std::optional<Result> Run(double stop_after) {
     static thread_local std::vector<Node> pool_buffer;
     static thread_local std::vector<uint32_t> split_buffer;
     std::vector<Node>& pool = pool_buffer;
@@ -200,17 +210,21 @@ class WaitScan::BracketedSearch {
         if (left != right) {
           return std::nullopt;  // a tie within the margin
         }
-        return pool[r].j;
+        return Result{pool[r].j, true};
       }
       if (pool.size() + to_split.size() > max_nodes) {
         return std::nullopt;
       }
       // Halve, and narrow the window to the best node, the span and the
-      // halved blocks.
+      // halved blocks. Every grid point before |open|, the span's first
+      // node or a halved block's first interior point, is now proven below
+      // a node by more than the margin.
       first = best;
       last = best;
+      uint32_t open = left;
       for (uint32_t i : to_split) {
         const uint32_t a = pool[i].prev;
+        open = std::min(open, pool[a].j + 1);
         Node mid;
         if (!Evaluate((pool[a].j + pool[i].j) / 2, &mid) || !Bracket(pool[a], &mid) ||
             !Bracket(mid, &pool[i])) {
@@ -234,6 +248,9 @@ class WaitScan::BracketedSearch {
       }
       while (pool[last].j < right) {
         last = pool[last].next;
+      }
+      if (points_[open].c > stop_after) {
+        return Result{open, false};
       }
       r = best;
     }
@@ -335,16 +352,21 @@ class WaitScan::BracketedSearch {
 };
 
 double WaitScan::Optimize(const Distribution& bottom, int fanout) const {
+  return OptimizeOrBound(bottom, fanout, std::numeric_limits<double>::infinity()).wait;
+}
+
+WaitScan::Bound WaitScan::OptimizeOrBound(const Distribution& bottom, int fanout,
+                                          double elapsed) const {
   CEDAR_PROFILE_SCOPE("wait_optimizer.optimize_wait");
   CEDAR_CHECK_GE(fanout, 1);
   if (points_.empty()) {
-    return 0.0;
+    return {0.0, true};
   }
   const FanoutPower power(fanout);
   BracketedSearch search(*this, bottom, power, fanout);
-  std::optional<size_t> best = search.Run();
+  std::optional<BracketedSearch::Result> result = search.Run(elapsed);
   long long cdf_evals = search.cdf_evals();
-  const bool fallback = !best.has_value();
+  const bool fallback = !result.has_value();
   if (fallback) {
     GainLossScan scan;
     cdf_evals += 1 + static_cast<long long>(scan.Walk(
@@ -353,7 +375,7 @@ double WaitScan::Optimize(const Distribution& bottom, int fanout) const {
                          [&](size_t, double phi) { return power(phi); },
                          [this](size_t j) { return points_[j].upper; },
                          [this](size_t j) { return points_[j].rises; }));
-    best = scan.best_point;
+    result = BracketedSearch::Result{static_cast<uint32_t>(scan.best_point), true};
   }
   if (MetricsEnabled()) {
     static Counter& total = MetricsRegistry::Global().GetCounter("wait_optimizer.scan_steps");
@@ -364,7 +386,7 @@ double WaitScan::Optimize(const Distribution& bottom, int fanout) const {
     evals.Increment(cdf_evals);
     fallbacks.Increment(fallback ? 1 : 0);
   }
-  return points_[*best].c;
+  return {points_[result->j].c, result->exact};
 }
 
 double OptimizeWait(const Distribution& bottom, int fanout, const PiecewiseLinear& upper_quality,

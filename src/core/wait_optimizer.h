@@ -50,6 +50,21 @@ class WaitScan {
   // wait_optimizer.dense_fallbacks.
   double Optimize(const Distribution& bottom, int fanout) const;
 
+  // Optimize's wait, or a lower bound on it (OptimizeOrBound).
+  struct Bound {
+    double wait = 0.0;
+    bool exact = false;  // wait is Optimize's, bitwise
+  };
+
+  // Optimize, stopped as soon as the search proves the wait is later than
+  // |elapsed| (relative to the aggregator's start): every grid point before
+  // the earliest one the search has not excluded is then proven below
+  // another by more than the margin that covers Walk, so that point, later
+  // than |elapsed|, is returned as a lower bound (DESIGN.md §4, "Stopping at
+  // a bound"). Otherwise returns Optimize's wait, exact. Counted as an
+  // Optimize call by the profile site and the counters.
+  Bound OptimizeOrBound(const Distribution& bottom, int fanout, double elapsed) const;
+
   // Number of scan steps (grid points minus one; 0 for an empty grid).
   size_t steps() const { return points_.empty() ? 0 : points_.size() - 1; }
 

@@ -2,6 +2,12 @@
 // EventQueue — arrival handler, timer re-arming, early send when all
 // children have reported, and the upstream send callback. QueryTree
 // allocates and wires one per aggregator for all three engines.
+//
+// Arrivals go through WaitPolicy::DecideOnArrivalDeferrable: a deferred
+// decision arms the timer at its lower bound, and only a timer that fires
+// there resolves the exact send time, re-queueing itself under its own seq
+// when that is later. Every send time is the eager decisions' (DESIGN.md
+// §4, "Aggregator loop").
 
 #ifndef CEDAR_SRC_SIM_AGGREGATOR_NODE_H_
 #define CEDAR_SRC_SIM_AGGREGATOR_NODE_H_
@@ -58,8 +64,9 @@ class AggregatorNode {
     double wait = policy_->DecideInitialWait(*ctx_);
     if (trace_ != nullptr) {
       trace_->RecordInitialWait(tier_, index_, wait);
+      traced_wait_ = wait;
     }
-    ArmTimer(wait);
+    ArmTimer(wait, false);
   }
 
   // Handles one child output of |weight| arriving now, at the queue's
@@ -80,26 +87,52 @@ class AggregatorNode {
       Send();  // all children reported: SetTimer(0) in Pseudocode 1
       return;
     }
-    double wait = policy_->DecideOnArrival(*ctx_, relative_now, arrivals_);
-    if (wait != armed_wait_) {
-      if (trace_ != nullptr) {
+    const WaitPolicy::ArrivalDecision decision =
+        policy_->DecideOnArrivalDeferrable(*ctx_, relative_now, arrivals_);
+    if (decision.kept) {
+      return;
+    }
+    if (trace_ != nullptr) {
+      // The record needs the exact wait; the timer is armed as untraced.
+      const double wait = decision.deferred ? policy_->ResolveWait(*ctx_) : decision.send_time;
+      if (wait != traced_wait_) {
         trace_->RecordWaitUpdate(tier_, index_, relative_now, wait);
+        traced_wait_ = wait;
       }
-      ArmTimer(wait);
+    }
+    // An exact wait equal to the armed one keeps the timer; a deferred
+    // decision, or one replacing a deferred timer, always re-arms.
+    if (decision.deferred || armed_deferred_ || decision.send_time != armed_wait_) {
+      ArmTimer(decision.send_time, decision.deferred);
     }
   }
 
  private:
-  void ArmTimer(double wait) {
+  void ArmTimer(double wait, bool deferred) {
     if (timer_handle_ != 0) {
       queue_->Cancel(timer_handle_);
     }
     armed_wait_ = wait;
+    armed_deferred_ = deferred;
     double fire_at = std::max(origin_ + wait, queue_->now());
-    timer_handle_ = queue_->Schedule(fire_at, [this] {
-      timer_handle_ = 0;
-      Send();
-    });
+    timer_handle_ = queue_->Schedule(fire_at, [this] { OnTimer(); });
+  }
+
+  // A deferred timer fires at its bound: the exact wait is at least the
+  // bound, so the timer re-queues itself there, under the seq it was armed
+  // with, or sends if that is now.
+  void OnTimer() {
+    timer_handle_ = 0;
+    if (armed_deferred_) {
+      armed_deferred_ = false;
+      armed_wait_ = policy_->ResolveWait(*ctx_);
+      const double fire_at = origin_ + armed_wait_;
+      if (fire_at > queue_->now()) {
+        timer_handle_ = queue_->Requeue(fire_at, [this] { OnTimer(); });
+        return;
+      }
+    }
+    Send();
   }
 
   void Send() {
@@ -135,6 +168,8 @@ class AggregatorNode {
   double send_time_ = 0.0;
   uint64_t timer_handle_ = 0;
   double armed_wait_ = -1.0;
+  bool armed_deferred_ = false;  // armed_wait_ is a deferred decision's bound
+  double traced_wait_ = -1.0;    // the last exact wait the trace recorded
 };
 
 }  // namespace cedar

@@ -8,6 +8,21 @@
 namespace cedar {
 
 uint64_t EventQueue::Schedule(SimTime time, EventCallback callback) {
+  const uint64_t seq = state_.size();
+  Push(time, seq, std::move(callback));
+  state_.push_back(State::kQueued);
+  return seq + 1;
+}
+
+uint64_t EventQueue::Requeue(SimTime time, EventCallback callback) {
+  CEDAR_CHECK(running_seq_ != kNotRunning) << "Requeue outside a running callback";
+  CEDAR_CHECK(state_[running_seq_] == State::kDone) << "the running event is already queued";
+  Push(time, running_seq_, std::move(callback));
+  state_[running_seq_] = State::kQueued;
+  return running_seq_ + 1;
+}
+
+void EventQueue::Push(SimTime time, uint64_t seq, EventCallback callback) {
   CEDAR_CHECK(time >= now_) << "scheduling into the past: " << time << " < " << now_;
   CEDAR_CHECK(IsFiniteTime(time)) << "scheduling at non-finite time";
   uint32_t slot;
@@ -21,11 +36,8 @@ uint64_t EventQueue::Schedule(SimTime time, EventCallback callback) {
     free_slots_.pop_back();
     callbacks_[slot] = std::move(callback);
   }
-  const uint64_t seq = state_.size();
-  state_.push_back(State::kQueued);
   heap_.push_back(Key{time, seq, slot});
   std::push_heap(heap_.begin(), heap_.end(), KeyLater());
-  return seq + 1;
 }
 
 void EventQueue::Reserve(size_t n) {
@@ -59,7 +71,9 @@ bool EventQueue::RunOne() {
       continue;
     }
     now_ = key.time;
+    running_seq_ = key.seq;
     callback();
+    running_seq_ = kNotRunning;
     return true;
   }
   return false;

@@ -8,7 +8,8 @@
 // queued events. RunOne moves each callback out of its slot, so a callback
 // is never copied. A handle indexes one state byte per scheduled event
 // (queued, cancelled or done): Cancel is O(1), and a cancelled event is
-// dropped when it reaches the top of the heap.
+// dropped when it reaches the top of the heap. A running callback may
+// re-queue its own event at a later time under the same seq (Requeue).
 
 #ifndef CEDAR_SRC_SIM_EVENT_QUEUE_H_
 #define CEDAR_SRC_SIM_EVENT_QUEUE_H_
@@ -33,6 +34,14 @@ class EventQueue {
   // Returns a handle usable with Cancel(). Events at equal times run in
   // scheduling order.
   uint64_t Schedule(SimTime time, EventCallback callback);
+
+  // From inside a running callback: queues |callback| at |time| (>= now)
+  // under the running event's own seq, so it runs exactly where an event of
+  // that seq, scheduled for |time|, would: among events at |time| it keeps
+  // its first scheduling's place. Returns the running event's handle, which
+  // is queued again (Cancel works on it). Fatal outside a callback or when
+  // the running event was already re-queued.
+  uint64_t Requeue(SimTime time, EventCallback callback);
 
   // Cancels a pending event. Cancelling an already-fired, already-cancelled
   // or unknown handle is a no-op (timers race with completions by design).
@@ -80,11 +89,17 @@ class EventQueue {
     }
   };
 
+  // Queues |callback| at |time| under |seq|; the caller marks it kQueued.
+  void Push(SimTime time, uint64_t seq, EventCallback callback);
+
+  static constexpr uint64_t kNotRunning = UINT64_MAX;
+
   std::vector<Key> heap_;
   std::vector<EventCallback> callbacks_;  // indexed by slot
   std::vector<uint32_t> free_slots_;      // a stack: the last slot freed is reused first
   std::vector<State> state_;              // indexed by seq
   size_t cancelled_queued_ = 0;
+  uint64_t running_seq_ = kNotRunning;  // the seq whose callback is running
   SimTime now_ = 0.0;
 };
 

@@ -1,5 +1,10 @@
 #include "src/sim/aggregator_node.h"
 
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "src/core/policies.h"
@@ -33,6 +38,41 @@ class ScriptedPolicy final : public WaitPolicy {
  private:
   double initial_;
   std::vector<double> script_;
+};
+
+// Defers every arrival's decision: on the r-th arrival the send time is
+// only bounded below by bounds[r-1], and resolves to waits[r-1]. Counts the
+// resolves.
+class DeferringPolicy final : public WaitPolicy {
+ public:
+  DeferringPolicy(double initial, std::vector<double> bounds, std::vector<double> waits,
+                  int* resolves)
+      : initial_(initial), bounds_(std::move(bounds)), waits_(std::move(waits)),
+        resolves_(resolves) {}
+
+  std::string name() const override { return "deferring"; }
+  std::unique_ptr<WaitPolicy> Clone() const override {
+    return std::make_unique<DeferringPolicy>(*this);
+  }
+
+ protected:
+  double InitialWait(const AggregatorContext&) override { return initial_; }
+  ArrivalDecision OnArrivalDeferrable(const AggregatorContext&, double,
+                                      const std::vector<double>& arrivals) override {
+    index_ = arrivals.size() - 1;
+    return {bounds_[index_], true, false};
+  }
+  double Resolve(const AggregatorContext&) override {
+    ++*resolves_;
+    return waits_[index_];
+  }
+
+ private:
+  double initial_;
+  std::vector<double> bounds_;
+  std::vector<double> waits_;
+  int* resolves_;
+  size_t index_ = 0;
 };
 
 struct NodeFixture {
@@ -183,6 +223,52 @@ TEST(AggregatorNodeTest, SendDeliversAccumulatedWeights) {
   queue.Run();
   EXPECT_DOUBLE_EQ(sent_weight, 3.0);
   EXPECT_DOUBLE_EQ(node.send_time(), 30.0);
+}
+
+// A deferred timer fires at its bound, resolves once and fires again at the
+// exact wait, or sends at once when the wait is the bound; a deferred
+// decision replaced before its bound is never resolved.
+TEST(AggregatorNodeTest, DeferredTimerResolvesOnlyWhenItsBoundIsReached) {
+  struct Case {
+    std::vector<double> bounds;
+    std::vector<double> waits;
+    double want_sent_at;
+    int want_resolves;
+  };
+  // Arrivals at 5 and 10 of 5 children.
+  for (const Case& c : {Case{{30.0, 40.0}, {35.0, 45.0}, 45.0, 1},
+                        Case{{8.0, 40.0}, {35.0, 45.0}, 45.0, 2},   // first bound fires at 8
+                        Case{{12.0, 40.0}, {35.0, 40.0}, 40.0, 1},  // the wait is the bound
+                        Case{{6.0, 7.0}, {9.0, 50.0}, 9.0, 1}}) {   // sent before arrival 2
+    NodeFixture fixture(5);
+    EventQueue queue;
+    AggregatorNode node;
+    int resolves = 0;
+    auto policy = std::make_unique<DeferringPolicy>(20.0, c.bounds, c.waits, &resolves);
+    policy->BeginQuery(fixture.ctx, nullptr);
+    node.Init(0, 0, std::move(policy), &fixture.ctx);
+    double sent_at = -1.0;
+    node.Start(queue, [&](AggregatorNode&, double) { sent_at = queue.now(); });
+    queue.Schedule(5.0, [&] { node.OnChildOutput(1.0); });
+    queue.Schedule(10.0, [&] { node.OnChildOutput(1.0); });
+    queue.Run();
+    EXPECT_DOUBLE_EQ(sent_at, c.want_sent_at) << "bounds " << c.bounds[0] << ", " << c.bounds[1];
+    EXPECT_EQ(resolves, c.want_resolves) << "bounds " << c.bounds[0] << ", " << c.bounds[1];
+  }
+}
+
+TEST(AggregatorNodeDeathTest, ResolvingBelowTheBoundDies) {
+  NodeFixture fixture(5);
+  EventQueue queue;
+  AggregatorNode node;
+  int resolves = 0;
+  auto policy = std::make_unique<DeferringPolicy>(20.0, std::vector<double>{30.0},
+                                                  std::vector<double>{29.0}, &resolves);
+  policy->BeginQuery(fixture.ctx, nullptr);
+  node.Init(0, 0, std::move(policy), &fixture.ctx);
+  node.Start(queue, [](AggregatorNode&, double) {});
+  queue.Schedule(5.0, [&] { node.OnChildOutput(1.0); });
+  EXPECT_DEATH(queue.Run(), "resolved below its bound");
 }
 
 }  // namespace

@@ -1,10 +1,15 @@
 #include "src/cluster/cluster_runtime.h"
 
+#include <algorithm>
 #include <limits>
+#include <numeric>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/cluster/experiment.h"
+#include "src/cluster/slot_stack.h"
 #include "src/core/policies.h"
 #include "src/trace/workloads.h"
 
@@ -251,6 +256,46 @@ TEST(ClusterRuntimeDeathTest, RejectsBadClusterSpec) {
        {TinyCluster(0, 3), TinyCluster(4, -1), TinyCluster(std::numeric_limits<int>::max(), 2)}) {
     EXPECT_DEATH(ClusterRuntime(cluster, tree, 60.0).RunQuery(policy, realization),
                  "slots_per_machine must be >= 1 and their product must fit an int");
+  }
+}
+
+// The lazily drawn stack pops exactly what a stack shuffled in full up front
+// pops, under random interleavings of pops and pushes of popped ids.
+TEST(ShuffledSlotStackTest, PopsAsTheEagerShuffle) {
+  for (uint64_t seed : {1u, 7u, 0xBEEFu, 12345u}) {
+    for (int slots : {1, 2, 3, 16, 400}) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + ", slots " + std::to_string(slots));
+      std::vector<int> eager(static_cast<size_t>(slots));
+      std::iota(eager.begin(), eager.end(), 0);
+      Rng placement_rng(seed);
+      for (size_t i = eager.size(); i > 1; --i) {
+        std::swap(eager[i - 1], eager[placement_rng.NextBounded(i)]);
+      }
+      ShuffledSlotStack lazy(slots, seed);
+      std::vector<int> taken;
+      Rng ops(seed + static_cast<uint64_t>(slots));
+      for (int op = 0; op < 4 * slots + 8; ++op) {
+        if (!eager.empty() && (taken.empty() || ops.NextBounded(3) != 0)) {
+          ASSERT_FALSE(lazy.empty());
+          const int id = lazy.Pop();
+          ASSERT_EQ(id, eager.back()) << "op " << op;
+          eager.pop_back();
+          taken.push_back(id);
+        } else if (!taken.empty()) {
+          const size_t pick = static_cast<size_t>(ops.NextBounded(taken.size()));
+          const int id = taken[pick];
+          taken.erase(taken.begin() + static_cast<std::ptrdiff_t>(pick));
+          lazy.Push(id);
+          eager.push_back(id);
+        }
+        ASSERT_EQ(lazy.empty(), eager.empty());
+      }
+      while (!eager.empty()) {
+        ASSERT_EQ(lazy.Pop(), eager.back());
+        eager.pop_back();
+      }
+      EXPECT_TRUE(lazy.empty());
+    }
   }
 }
 

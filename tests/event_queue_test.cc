@@ -192,12 +192,53 @@ TEST(EventQueueTest, CancellingAFiredHandleLeavesTheSlotsNewEventAlone) {
   EXPECT_NE(fired, reuser);
 }
 
+TEST(EventQueueTest, RequeueKeepsTheEventsPlaceAmongEqualTimes) {
+  EventQueue queue;
+  std::vector<int> order;
+  uint64_t first = 0;
+  first = queue.Schedule(1.0, [&] {
+    order.push_back(0);
+    // Seq 0 runs again at 2.0, ahead of the two events scheduled there.
+    EXPECT_EQ(queue.Requeue(2.0, [&] { order.push_back(3); }), first);
+  });
+  queue.Schedule(2.0, [&] { order.push_back(1); });
+  queue.Schedule(2.0, [&] { order.push_back(2); });
+  queue.Run();
+  EXPECT_EQ(order, (std::vector<int>{0, 3, 1, 2}));
+  EXPECT_EQ(queue.scheduled(), 3u);
+}
+
+TEST(EventQueueTest, RequeuedEventCanBeCancelled) {
+  EventQueue queue;
+  int runs = 0;
+  uint64_t handle = 0;
+  handle = queue.Schedule(1.0, [&] {
+    ++runs;
+    queue.Requeue(3.0, [&] { ++runs; });
+  });
+  queue.Schedule(2.0, [&] { queue.Cancel(handle); });
+  queue.Run();
+  EXPECT_EQ(runs, 1);
+  EXPECT_TRUE(queue.empty());
+}
+
+TEST(EventQueueDeathTest, RequeueOnlyOnceFromInsideACallback) {
+  EventQueue queue;
+  EXPECT_DEATH(queue.Requeue(1.0, [] {}), "outside a running callback");
+  queue.Schedule(1.0, [&] {
+    queue.Requeue(2.0, [] {});
+    queue.Requeue(3.0, [] {});
+  });
+  EXPECT_DEATH(queue.Run(), "already queued");
+}
+
 // A seeded mix of 10k schedule, cancel and run operations against a
 // reference that keeps every queued event, cancelled ones included, in a
 // std::map ordered by (time, seq): the queue must fire exactly the
 // reference's events in exactly its order, and hold exactly as many
 // callback slots as the reference's peak size. Times are multiples of 0.25 so ties
-// are common, and some callbacks schedule at now() from inside the queue.
+// are common, some callbacks schedule at now() from inside the queue, and
+// some re-queue themselves once under their own seq.
 TEST(EventQueueTest, MatchesAMapReferenceOnRandomOperations) {
   // A queue reserved below and above the run's peak count of queued events
   // behaves as an unreserved one.
@@ -221,10 +262,19 @@ TEST(EventQueueTest, MatchesAMapReferenceOnRandomOperations) {
     std::function<void(double)> schedule = [&](double time) {
       const uint64_t id = next_id++;
       const bool spawns = id % 5 == 0;
-      const uint64_t handle = queue.Schedule(time, [&, id, spawns] {
+      const bool requeues = id % 7 == 3;
+      const uint64_t handle = queue.Schedule(time, [&, id, spawns, requeues] {
         fired.push_back(id);
         if (spawns) {
           schedule(queue.now());
+        }
+        if (requeues) {
+          // Once more, now or later, under the same seq and handle.
+          const double later = queue.now() + 0.25 * static_cast<double>(id / 7 % 4);
+          const uint64_t again = queue.Requeue(later, [&, id] { fired.push_back(id); });
+          time_of[again] = later;
+          reference[{later, again}] = Ref{id, false};
+          peak = std::max(peak, reference.size());
         }
       });
       ASSERT_EQ(time_of.count(handle), 0u);

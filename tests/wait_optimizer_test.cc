@@ -546,6 +546,62 @@ TEST(WaitScanTest, SearchProvesTheInteractiveShapeFromFewCdfEvaluations) {
   }
 }
 
+// OptimizeOrBound is Optimize stopped early: over random grids (1-step
+// ones with deadline < epsilon among them), curves that reach 0, random fits
+// of every family, the interactive fits, saturating Phi, Phi == 0 and NaN
+// fits, an exact answer is Optimize's bitwise, and a bound is later than
+// |elapsed| and never later than Optimize's wait.
+TEST(WaitScanTest, BoundNeverPassesTheWait) {
+  std::vector<ScanFixture> fixtures = RandomGrids();
+  for (ScanFixture& f : CurvesThatReachZero()) {
+    fixtures.push_back(std::move(f));
+  }
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  fixtures.push_back({"saturation, zero cdf and nan fits",
+                      TabulateCdf(UniformDistribution(0.0, 10.0), 100.0, 401), 100.0, 0.25,
+                      {std::make_shared<UniformDistribution>(0.0, 50.0),
+                       std::make_shared<UniformDistribution>(200.0, 300.0),
+                       std::make_shared<LogNormalDistribution>(nan, 0.5),
+                       std::make_shared<NormalDistribution>(nan, 1.0)}});
+  ScanFixture interactive{"interactive fits",
+                          TabulateCdf(LogNormalDistribution(kGoogleMu, kGoogleSigma), 155.0, 401),
+                          155.0, 155.0 / 400.0, {}};
+  for (int i = 0; i < 16; ++i) {
+    interactive.bottoms.push_back(std::make_shared<LogNormalDistribution>(
+        kFacebookMapMu + 0.02 * i, kFacebookMapSigma * (1.0 + 0.01 * i)));
+  }
+  fixtures.push_back(std::move(interactive));
+  Rng rng(29);
+  int bounds = 0;
+  int exact = 0;
+  for (const ScanFixture& f : fixtures) {
+    const WaitScan scan(f.upper, f.deadline, f.epsilon);
+    for (const auto& bottom : f.bottoms) {
+      for (int fanout : {1, 2, 50, 1000}) {
+        const double wait = scan.Optimize(*bottom, fanout);
+        for (double fraction : {0.0, 0.01, 0.05, 0.2, 0.5, 0.9, 1.0, rng.NextDouble()}) {
+          const double elapsed = fraction * f.deadline;
+          const std::string where = f.name + ", " + bottom->ToString() + ", fanout " +
+                                    std::to_string(fanout) + ", elapsed " +
+                                    std::to_string(elapsed);
+          const WaitScan::Bound bound = scan.OptimizeOrBound(*bottom, fanout, elapsed);
+          if (bound.exact) {
+            ++exact;
+            EXPECT_EQ(std::bit_cast<uint64_t>(bound.wait), std::bit_cast<uint64_t>(wait))
+                << where;
+          } else {
+            ++bounds;
+            EXPECT_LE(bound.wait, wait) << where;
+            EXPECT_GT(bound.wait, elapsed) << where;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(bounds, 1000);
+  EXPECT_GT(exact, 1000);
+}
+
 TEST(WaitScanTest, EmptyGridWithoutBudget) {
   TwoLevelFixture f(2.0, 0.9, 2.0, 0.6, 30, 30, 40.0);
   for (double deadline : {0.0, -5.0, std::numeric_limits<double>::quiet_NaN()}) {
