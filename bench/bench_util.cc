@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 #include <ostream>
+#include <string>
 
 #include "src/common/logging.h"
 #include "src/common/table.h"
@@ -57,6 +58,36 @@ std::vector<std::string> SweepRow(double deadline,
   return row;
 }
 
+// The one deadline sweep: prints the banner and the run header (with
+// |setup| naming what the engine adds, if anything), then runs |driver| on
+// |config| once per deadline, on one pool, and prints a row per deadline.
+template <typename Config, typename Driver>
+void SweepDeadlines(std::ostream& out, const std::string& title, const std::string& setup,
+                    const Workload& workload, const std::vector<const WaitPolicy*>& policies,
+                    const std::vector<double>& deadlines, const SweepOptions& options,
+                    Config config, Driver driver) {
+  CEDAR_CHECK(!policies.empty());
+  std::string baseline = options.baseline.empty() ? policies.front()->name() : options.baseline;
+
+  PrintBanner(out, title);
+  out << "workload=" << workload.name() << " unit=" << workload.time_unit() << setup
+      << " queries=" << options.num_queries << " seed=" << options.seed << "\n";
+
+  std::unique_ptr<ThreadPool> pool = MakeSweepPool(options.num_queries);
+  config.num_queries = options.num_queries;
+  config.seed = options.seed;
+  config.pool = pool.get();
+  TablePrinter table(SweepColumns(policies, baseline, workload.time_unit()));
+  for (double deadline : deadlines) {
+    config.deadline = deadline;
+    const auto result = driver(workload, policies, config);
+    table.AddRow(SweepRow(deadline, policies, baseline, [&](const std::string& name) {
+      return result.Outcome(name).MeanQuality();
+    }));
+  }
+  table.Print(out);
+}
+
 }  // namespace
 
 BenchObservability::BenchObservability(FlagSet& flags) : flags_(AddObservabilityFlags(flags)) {}
@@ -68,27 +99,8 @@ void BenchObservability::Finish(std::ostream& out) { FinishObservability(flags_,
 void RunDeadlineSweep(std::ostream& out, const std::string& title, const Workload& workload,
                       const std::vector<const WaitPolicy*>& policies,
                       const std::vector<double>& deadlines, const SweepOptions& options) {
-  CEDAR_CHECK(!policies.empty());
-  std::string baseline = options.baseline.empty() ? policies.front()->name() : options.baseline;
-
-  PrintBanner(out, title);
-  out << "workload=" << workload.name() << " unit=" << workload.time_unit()
-      << " queries=" << options.num_queries << " seed=" << options.seed << "\n";
-
-  std::unique_ptr<ThreadPool> pool = MakeSweepPool(options.num_queries);
-  TablePrinter table(SweepColumns(policies, baseline, workload.time_unit()));
-  for (double deadline : deadlines) {
-    ExperimentConfig config;
-    config.deadline = deadline;
-    config.num_queries = options.num_queries;
-    config.seed = options.seed;
-    config.pool = pool.get();
-    ExperimentResult result = RunExperiment(workload, policies, config);
-    table.AddRow(SweepRow(deadline, policies, baseline, [&](const std::string& name) {
-      return result.Outcome(name).MeanQuality();
-    }));
-  }
-  table.Print(out);
+  SweepDeadlines(out, title, "", workload, policies, deadlines, options, ExperimentConfig{},
+                 RunExperiment);
 }
 
 void RunClusterDeadlineSweep(std::ostream& out, const std::string& title,
@@ -96,29 +108,12 @@ void RunClusterDeadlineSweep(std::ostream& out, const std::string& title,
                              const std::vector<const WaitPolicy*>& policies,
                              const std::vector<double>& deadlines,
                              const ClusterSweepOptions& options) {
-  CEDAR_CHECK(!policies.empty());
-  std::string baseline = options.baseline.empty() ? policies.front()->name() : options.baseline;
-
-  PrintBanner(out, title);
-  out << "workload=" << workload.name() << " unit=" << workload.time_unit()
-      << " cluster=" << options.cluster.machines << "x" << options.cluster.slots_per_machine
-      << " slots, queries=" << options.num_queries << " seed=" << options.seed << "\n";
-
-  std::unique_ptr<ThreadPool> pool = MakeSweepPool(options.num_queries);
-  TablePrinter table(SweepColumns(policies, baseline, workload.time_unit()));
-  for (double deadline : deadlines) {
-    ClusterExperimentConfig config;
-    config.cluster = options.cluster;
-    config.deadline = deadline;
-    config.num_queries = options.num_queries;
-    config.seed = options.seed;
-    config.pool = pool.get();
-    ClusterExperimentResult result = RunClusterExperiment(workload, policies, config);
-    table.AddRow(SweepRow(deadline, policies, baseline, [&](const std::string& name) {
-      return result.Outcome(name).MeanQuality();
-    }));
-  }
-  table.Print(out);
+  ClusterExperimentConfig config;
+  config.cluster = options.cluster;
+  const std::string setup = " cluster=" + std::to_string(options.cluster.machines) + "x" +
+                            std::to_string(options.cluster.slots_per_machine) + " slots,";
+  SweepDeadlines(out, title, setup, workload, policies, deadlines, options, config,
+                 RunClusterExperiment);
 }
 
 }  // namespace cedar

@@ -63,11 +63,8 @@ void RunDeadlineSweep(std::ostream& out, const std::string& title, const Workloa
                       const std::vector<const WaitPolicy*>& policies,
                       const std::vector<double>& deadlines, const SweepOptions& options);
 
-struct ClusterSweepOptions {
+struct ClusterSweepOptions : SweepOptions {
   ClusterSpec cluster;
-  int num_queries = 100;
-  uint64_t seed = 42;
-  std::string baseline;
 };
 
 // Same, on the slot-scheduled cluster engine (the deployment substitute).

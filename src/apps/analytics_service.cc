@@ -7,7 +7,6 @@
 #include "src/common/logging.h"
 #include "src/obs/metrics.h"
 #include "src/obs/query_trace.h"
-#include "src/sim/event_queue.h"
 #include "src/stats/distribution.h"
 
 namespace cedar {
@@ -85,38 +84,19 @@ AnalyticsOutcome AnalyticsService::RunQuery(const WaitPolicy& policy,
   CEDAR_CHECK_EQ(static_cast<int>(realization.stage_durations[0].size()), partitions);
   CEDAR_CHECK(realization.leaf_weights.empty()) << "analytics counts partitions, not weights";
 
-  QueryTree tree(model_, policy, realization, "analytics");
-  EventQueue queue;
-  queue.Reserve(realization.stage_durations[0].size() + static_cast<size_t>(tree.aggregators()));
-  tree.Start(queue);
-
   // Partition p (owned by aggregator p / k1) delivers its partial at its
   // sampled latency; collected[a] sums aggregator a's included partials.
+  QueryTree tree(model_, policy, realization, "analytics");
   GroupPartial empty;
   empty.sums.assign(static_cast<size_t>(table_->num_groups()), 0.0);
   empty.counts.assign(static_cast<size_t>(table_->num_groups()), 0);
   std::vector<GroupPartial> collected(static_cast<size_t>(partitions / k1), empty);
-  // What every partition's completion reads, so each closure captures one
-  // pointer and its index and std::function keeps it inline.
-  struct Partitions {
-    QueryTree& tree;
-    std::vector<GroupPartial>& collected;
-    const FactTable& table;
-    int k1;
-  } shared{tree, collected, *table_, k1};
-  for (int p = 0; p < partitions; ++p) {
-    auto complete = [leaves = &shared, p] {
-      if (leaves->tree.DeliverLeaf(p)) {
-        leaves->collected[static_cast<size_t>(p / leaves->k1)].Accumulate(
-            leaves->table.PartitionPartial(p));
-      }
-    };
-    static_assert(sizeof(complete) <= 16);
-    queue.Schedule(realization.stage_durations[0][static_cast<size_t>(p)], complete);
-  }
-
-  queue.Run();
-  QueryResult result = tree.Result();
+  const FixedTimeRun run = RunFixedTimeLeaves(tree, [&](long long p) {
+    const int partition = static_cast<int>(p);
+    collected[static_cast<size_t>(partition / k1)].Accumulate(
+        table_->PartitionPartial(partition));
+  });
+  const QueryResult& result = run.result;
 
   GroupPartial root = empty;
   for (long long agg : tree.root_senders()) {
@@ -141,7 +121,7 @@ AnalyticsOutcome AnalyticsService::RunQuery(const WaitPolicy& policy,
       static_cast<double>(outcome.partitions_included) / static_cast<double>(partitions);
 
   if (QueryTraceBuilder* trace = tree.trace()) {
-    trace->Finish(std::max(queue.now(), model_.deadline()), result.quality,
+    trace->Finish(std::max(run.end_time, model_.deadline()), result.quality,
                   {TraceArg::Num("mean_relative_error", outcome.mean_relative_error)});
   }
   if (MetricsEnabled()) {

@@ -6,7 +6,6 @@
 #include "src/common/logging.h"
 #include "src/obs/metrics.h"
 #include "src/obs/query_trace.h"
-#include "src/sim/event_queue.h"
 
 namespace cedar {
 
@@ -31,39 +30,18 @@ SearchQueryOutcome SearchService::RunQuery(const WaitPolicy& policy,
   CEDAR_CHECK_EQ(static_cast<int>(realization.stage_durations[0].size()), shards);
   CEDAR_CHECK(realization.leaf_weights.empty()) << "search counts shards, not weights";
 
+  // Shard s (owned by aggregator s / k1) delivers its local top-K at its
+  // sampled latency; an aggregator that already sent wastes it.
+  // collected[a] holds aggregator a's included lists.
   QueryTree tree(model_, policy, realization, "search");
-  EventQueue queue;
-  queue.Reserve(realization.stage_durations[0].size() + static_cast<size_t>(tree.aggregators()));
-  tree.Start(queue);
-
-  // Shard completions: shard s (owned by aggregator s / k1) delivers its
-  // local top-K at its sampled latency; an aggregator that already sent
-  // wastes it. collected[a] holds aggregator a's included lists.
   std::vector<std::vector<std::vector<SearchHit>>> collected(
       static_cast<size_t>(shards / k1));
-  // What every shard's completion reads, so each closure captures one
-  // pointer and its index and std::function keeps it inline.
-  struct Shards {
-    QueryTree& tree;
-    std::vector<std::vector<std::vector<SearchHit>>>& collected;
-    const SearchIndex& index;
-    const std::vector<int>& query;
-    int top_k;
-    int k1;
-  } shared{tree, collected, *index_, query, config_.top_k, k1};
-  for (int s = 0; s < shards; ++s) {
-    auto complete = [leaves = &shared, s] {
-      if (leaves->tree.DeliverLeaf(s)) {
-        leaves->collected[static_cast<size_t>(s / leaves->k1)].push_back(
-            leaves->index.shard(s).TopK(leaves->query, leaves->top_k, leaves->index));
-      }
-    };
-    static_assert(sizeof(complete) <= 16);
-    queue.Schedule(realization.stage_durations[0][static_cast<size_t>(s)], complete);
-  }
-
-  queue.Run();
-  QueryResult result = tree.Result();
+  const FixedTimeRun run = RunFixedTimeLeaves(tree, [&](long long s) {
+    const int shard = static_cast<int>(s);
+    collected[static_cast<size_t>(shard / k1)].push_back(
+        index_->shard(shard).TopK(query, config_.top_k, *index_));
+  });
+  const QueryResult& result = run.result;
 
   // Each aggregator that reached the root in time forwarded its merged
   // top-K (Figure 2: "sends the top few of them upstream").
@@ -82,7 +60,7 @@ SearchQueryOutcome SearchService::RunQuery(const WaitPolicy& policy,
       static_cast<double>(outcome.shards_included) / static_cast<double>(outcome.total_shards);
 
   if (QueryTraceBuilder* trace = tree.trace()) {
-    trace->Finish(std::max(queue.now(), model_.deadline()), result.quality,
+    trace->Finish(std::max(run.end_time, model_.deadline()), result.quality,
                   {TraceArg::Num("recall", outcome.recall)});
   }
   if (MetricsEnabled()) {

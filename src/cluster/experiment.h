@@ -22,10 +22,12 @@ struct ClusterExperimentConfig : ExperimentDriverConfig {
 // Shares Outcome() / ImprovementPercent() / PerQueryImprovementPercent()
 // with the analytic driver's result via the ExperimentResult base.
 struct ClusterExperimentResult : ExperimentResult {
-  // Engine aggregates over all queries of the last policy run (identical
-  // scheduling across policies except timer-driven aggregation).
+  // Speculative clones launched and won, summed over every (query, policy)
+  // run of the experiment.
   long long total_clones_launched = 0;
   long long total_clones_won = 0;
+  // Scheduling waves of the last run merged: the last query under the last
+  // policy.
   int waves = 0;
 };
 

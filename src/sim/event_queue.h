@@ -52,7 +52,8 @@ class EventQueue {
   // storage. Changes no handle and no order.
   void Reserve(size_t n);
 
-  // Runs events until the queue is empty.
+  // Runs events until the queue is empty. With profiling on, the whole run
+  // is one call of the "event_queue.run" site.
   void Run();
 
   // Runs the single earliest pending event; returns false if none remain.

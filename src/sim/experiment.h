@@ -58,7 +58,6 @@ struct PolicyOutcome {
   // parallel engine merges per-worker shards back in query order, so entry i
   // is query i for every policy and every thread count.
   SampleSet quality;
-  SampleSet tier0_send_time;
   long long root_arrivals_late = 0;
 
   double MeanQuality() const { return quality.empty() ? 0.0 : quality.Mean(); }

@@ -1,5 +1,7 @@
 // The shared parallel experiment engine used by both drivers
-// (sim::RunExperiment, cluster::RunClusterExperiment).
+// (sim::RunExperiment, cluster::RunClusterExperiment): they are one body,
+// RunExperimentDriver, and differ only in the engine they build and the
+// extras they fold.
 //
 // Queries are embarrassingly parallel once three rules hold, and this header
 // is the one place that enforces them:
@@ -14,7 +16,7 @@
 //     with the source. What one query's aggregators share lives in that
 //     query's QueryMemo, owned by its QueryTree on the worker running it.
 //  3. Merge in query order. Every (query, policy) cell is written to its own
-//     pre-sized slot of the result grid; the caller folds the grid back in
+//     pre-sized slot of the result grid; the driver folds the grid back in
 //     ascending query order, keeping paired samples aligned across policies
 //     and the accumulation order — hence floating-point sums — fixed.
 //
@@ -27,11 +29,13 @@
 #define CEDAR_SRC_SIM_EXPERIMENT_ENGINE_H_
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <optional>
 #include <set>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "src/common/logging.h"
@@ -49,19 +53,6 @@ inline uint64_t DriverQuerySequence(uint64_t seed, long long q) {
   return (seed << 20) + 1 + static_cast<uint64_t>(q);
 }
 
-// Validates the prototype list and stamps |result_outcomes| with unique
-// policy names.
-inline void AssignOutcomeNames(const std::vector<const WaitPolicy*>& policies,
-                               std::vector<PolicyOutcome>& result_outcomes) {
-  std::set<std::string> names;
-  for (size_t p = 0; p < policies.size(); ++p) {
-    CEDAR_CHECK(policies[p] != nullptr);
-    result_outcomes[p].policy_name = policies[p]->name();
-    CEDAR_CHECK(names.insert(policies[p]->name()).second)
-        << "duplicate policy name '" << policies[p]->name() << "' in experiment";
-  }
-}
-
 // Runs every (query, policy) pair of the experiment through |run_query| and
 // returns the results as a row-major grid: cell [q * policies.size() + p]
 // holds query q under policy p. |run_query| must be safe to call from
@@ -69,7 +60,9 @@ inline void AssignOutcomeNames(const std::vector<const WaitPolicy*>& policies,
 // methods are).
 //
 // RunQueryFn signature: Row(const WaitPolicy& policy, const QueryRealization&).
-template <typename Row, typename RunQueryFn>
+template <typename RunQueryFn,
+          typename Row = std::invoke_result_t<RunQueryFn&, const WaitPolicy&,
+                                              const QueryRealization&>>
 std::vector<Row> RunExperimentGrid(const Workload& workload, const TreeSpec& offline_tree,
                                    const std::vector<const WaitPolicy*>& policies,
                                    const ExperimentDriverConfig& config,
@@ -114,33 +107,88 @@ std::vector<Row> RunExperimentGrid(const Workload& workload, const TreeSpec& off
   return grid;
 }
 
-// Folds one driver run into the metrics registry under |prefix| ("sim" or
-// "cluster"): the run count, then the query count, per-query qualities and
-// late root arrivals, each unlabelled and labelled by the run's deadline
-// (%g), so a sweep can be sliced after the fact. Called after the
-// deterministic merge, never from workers: the registry only observes.
-inline void RecordDriverMetrics(const std::string& prefix, const ExperimentDriverConfig& config,
-                                const std::vector<PolicyOutcome>& outcomes) {
-  if (!MetricsEnabled()) {
-    return;
+// The one experiment-driver body (RunExperiment, RunClusterExperiment):
+//  1. checks the run (policies, query count, a finite deadline > 0) and
+//     names each outcome after its policy, names unique;
+//  2. builds the engine as make_engine(offline_tree, options), with
+//     |options| pointed at config.wait_table_store when that is set;
+//  3. runs the (query, policy) grid on it (RunExperimentGrid);
+//  4. merges the grid in query order: paired samples stay aligned and the
+//     accumulation order is fixed, independent of which worker ran which
+//     query. Each cell adds its quality and late root arrivals to its
+//     policy's outcome, then fold_extras(result, cell) adds what only that
+//     engine reports;
+//  5. folds the run into the metrics registry under |prefix| ("sim" or
+//     "cluster"): the run count, then the query count, per-query qualities
+//     and late root arrivals, each unlabelled and labelled by the run's
+//     deadline (%g), so a sweep can be sliced after the fact. This happens
+//     after the deterministic merge, never on workers: the registry only
+//     observes.
+//
+// MakeEngine signature: Engine(const TreeSpec&, const EngineOptions&), where
+// Engine has a const RunQuery(policy, realization).
+// FoldExtras signature: void(Result&, const Row&).
+template <typename Result, typename EngineOptions, typename MakeEngine, typename FoldExtras>
+Result RunExperimentDriver(const std::string& prefix, const Workload& workload,
+                           const std::vector<const WaitPolicy*>& policies,
+                           const ExperimentDriverConfig& config, EngineOptions options,
+                           MakeEngine&& make_engine, FoldExtras&& fold_extras) {
+  CEDAR_CHECK(!policies.empty());
+  CEDAR_CHECK_GT(config.num_queries, 0);
+  CEDAR_CHECK(std::isfinite(config.deadline) && config.deadline > 0.0)
+      << "deadline " << config.deadline << " must be finite and > 0";
+
+  Result result;
+  result.outcomes.resize(policies.size());
+  std::set<std::string> names;
+  for (size_t p = 0; p < policies.size(); ++p) {
+    CEDAR_CHECK(policies[p] != nullptr);
+    result.outcomes[p].policy_name = policies[p]->name();
+    CEDAR_CHECK(names.insert(policies[p]->name()).second)
+        << "duplicate policy name '" << policies[p]->name() << "' in experiment";
   }
-  MetricsRegistry& registry = MetricsRegistry::Global();
-  registry.GetCounter(prefix + ".experiments").Increment();
-  for (bool labeled : {false, true}) {
-    const auto name = [&](const char* suffix) {
-      return labeled ? LabeledMetricName(prefix + suffix, "deadline_ms", config.deadline)
-                     : prefix + suffix;
-    };
-    registry.GetCounter(name(".queries")).Increment(config.num_queries);
-    Histogram& quality = registry.GetHistogram(name(".query_quality"));
-    Counter& late = registry.GetCounter(name(".root_arrivals_late"));
-    for (const PolicyOutcome& outcome : outcomes) {
-      for (double value : outcome.quality.values()) {
-        quality.Observe(value);
-      }
-      late.Increment(outcome.root_arrivals_late);
+
+  const TreeSpec offline_tree = workload.OfflineTree();
+  if (config.wait_table_store != nullptr) {
+    options.table_store = config.wait_table_store;
+  }
+  const auto engine = make_engine(offline_tree, options);
+  const auto grid = RunExperimentGrid(
+      workload, offline_tree, policies, config,
+      [&engine](const WaitPolicy& policy, const QueryRealization& realization) {
+        return engine.RunQuery(policy, realization);
+      });
+
+  const size_t num_policies = policies.size();
+  for (int q = 0; q < config.num_queries; ++q) {
+    for (size_t p = 0; p < num_policies; ++p) {
+      const auto& cell = grid[static_cast<size_t>(q) * num_policies + p];
+      result.outcomes[p].quality.Add(cell.quality);
+      result.outcomes[p].root_arrivals_late += cell.root_arrivals_late;
+      fold_extras(result, cell);
     }
   }
+
+  if (MetricsEnabled()) {
+    MetricsRegistry& registry = MetricsRegistry::Global();
+    registry.GetCounter(prefix + ".experiments").Increment();
+    for (bool labeled : {false, true}) {
+      const auto name = [&](const char* suffix) {
+        return labeled ? LabeledMetricName(prefix + suffix, "deadline_ms", config.deadline)
+                       : prefix + suffix;
+      };
+      registry.GetCounter(name(".queries")).Increment(config.num_queries);
+      Histogram& quality = registry.GetHistogram(name(".query_quality"));
+      Counter& late = registry.GetCounter(name(".root_arrivals_late"));
+      for (const PolicyOutcome& outcome : result.outcomes) {
+        for (double value : outcome.quality.values()) {
+          quality.Observe(value);
+        }
+        late.Increment(outcome.root_arrivals_late);
+      }
+    }
+  }
+  return result;
 }
 
 }  // namespace cedar

@@ -22,9 +22,12 @@
 // The engine supplies only the leaves: it calls Start() once with its queue,
 // then DeliverLeaf() at each leaf output's completion time, runs the queue,
 // and reads Result(). All times on the queue are absolute; |origin| is the
-// query's time zero (its arrival, in a loaded run). An app also carries
-// each leaf's payload: it keeps the outputs DeliverLeaf() accepted per
-// tier-0 aggregator and merges those of root_senders() at the end.
+// query's time zero (its arrival, in a loaded run). RunFixedTimeLeaves()
+// below is that whole loop for leaves that complete at their sampled
+// durations (TreeSimulation and the apps); the slot scheduler in
+// cluster_runtime.cc is the other leaf scheduler. An app also carries each
+// leaf's payload: it keeps the outputs DeliverLeaf() accepted per tier-0
+// aggregator and merges those of root_senders() at the end.
 
 #ifndef CEDAR_SRC_SIM_QUERY_TREE_H_
 #define CEDAR_SRC_SIM_QUERY_TREE_H_
@@ -142,6 +145,9 @@ class QueryTree {
   // events an engine has queued at once.
   long long aggregators() const { return aggregators_; }
 
+  // The realization the tree replays.
+  const QueryRealization& realization() const { return realization_; }
+
   // Once the queue has run. Dies unless every aggregator sent exactly once,
   // the quality is finite and the included weight lies in [0, total weight]
   // up to the rounding of summing the same leaf weights in another order.
@@ -176,6 +182,47 @@ class QueryTree {
   double tier0_send_sum_ = 0.0;
   long long tier0_sends_ = 0;
 };
+
+// What RunFixedTimeLeaves reports: the tree's result, with the events the
+// run scheduled, and the time of the last event.
+struct FixedTimeRun {
+  QueryResult result;
+  double end_time = 0.0;
+};
+
+// Runs |tree| (origin 0) with fixed-time leaves: every leaf process is
+// dispatched at time 0 and completes at its sampled stage-0 duration, and
+// accepted(leaf) is called at that time whenever DeliverLeaf(leaf) accepts
+// the output. Every leaf completion and every aggregator's timer are queued
+// at once, so the queue is sized for them up front.
+template <typename Accepted>
+FixedTimeRun RunFixedTimeLeaves(QueryTree& tree, Accepted&& accepted) {
+  const std::vector<double>& durations = tree.realization().stage_durations[0];
+  EventQueue queue;
+  queue.Reserve(durations.size() + static_cast<size_t>(tree.aggregators()));
+  tree.Start(queue);
+
+  // Each completion captures one pointer and its leaf, so std::function
+  // keeps it inline and no leaf event allocates.
+  struct Leaves {
+    QueryTree& tree;
+    Accepted& accepted;
+  } leaves{tree, accepted};
+  for (size_t i = 0; i < durations.size(); ++i) {
+    auto complete = [shared = &leaves, leaf = static_cast<long long>(i)] {
+      if (shared->tree.DeliverLeaf(leaf)) {
+        shared->accepted(leaf);
+      }
+    };
+    static_assert(sizeof(complete) <= 16, "a leaf closure must fit std::function's buffer");
+    queue.Schedule(durations[i], complete);
+  }
+
+  queue.Run();
+  FixedTimeRun run{tree.Result(), queue.now()};
+  run.result.events = static_cast<long long>(queue.scheduled());
+  return run;
+}
 
 }  // namespace cedar
 

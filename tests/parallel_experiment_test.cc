@@ -10,6 +10,7 @@
 #include <set>
 #include <vector>
 
+#include "src/cluster/cluster_runtime.h"
 #include "src/cluster/experiment.h"
 #include "src/core/policies.h"
 #include "src/obs/metrics.h"
@@ -17,6 +18,8 @@
 #include "src/obs/trace.h"
 #include "src/sim/experiment.h"
 #include "src/sim/experiment_engine.h"
+#include "src/sim/realization.h"
+#include "src/sim/tree_simulation.h"
 #include "src/trace/workloads.h"
 
 namespace cedar {
@@ -62,8 +65,6 @@ TEST(ParallelExperimentTest, SimResultsIdenticalForAnyThreadCount) {
     for (size_t p = 0; p < serial.outcomes.size(); ++p) {
       EXPECT_EQ(parallel.outcomes[p].policy_name, serial.outcomes[p].policy_name);
       ExpectSameSamples(parallel.outcomes[p].quality, serial.outcomes[p].quality);
-      ExpectSameSamples(parallel.outcomes[p].tier0_send_time,
-                        serial.outcomes[p].tier0_send_time);
       EXPECT_EQ(parallel.outcomes[p].root_arrivals_late,
                 serial.outcomes[p].root_arrivals_late);
     }
@@ -97,8 +98,6 @@ TEST(ParallelExperimentTest, ReusedSweepPoolIsBitIdenticalToPerCallPools) {
       ASSERT_EQ(pooled.outcomes.size(), per_call.outcomes.size());
       for (size_t p = 0; p < per_call.outcomes.size(); ++p) {
         ExpectSameSamples(pooled.outcomes[p].quality, per_call.outcomes[p].quality);
-        ExpectSameSamples(pooled.outcomes[p].tier0_send_time,
-                          per_call.outcomes[p].tier0_send_time);
       }
     }
   }
@@ -150,8 +149,6 @@ TEST(ParallelExperimentTest, WaitTableStoreIsBitIdenticalToFreshStores) {
       config.wait_table_store = &shared;
       ExperimentResult stored = RunExperiment(workload, {&cedar}, config);
       ExpectSameSamples(stored.Outcome("cedar").quality, baseline.Outcome("cedar").quality);
-      ExpectSameSamples(stored.Outcome("cedar").tier0_send_time,
-                        baseline.Outcome("cedar").tier0_send_time);
     }
   }
   EXPECT_GT(shared.GetStats().hits, 0) << "the shared store was supposed to serve tables";
@@ -215,8 +212,6 @@ TEST(ParallelExperimentTest, SimResultsIdenticalWithInstrumentationEnabled) {
     SetActiveTraceCollector(nullptr);
     for (size_t p = 0; p < plain.outcomes.size(); ++p) {
       ExpectSameSamples(instrumented.outcomes[p].quality, plain.outcomes[p].quality);
-      ExpectSameSamples(instrumented.outcomes[p].tier0_send_time,
-                        plain.outcomes[p].tier0_send_time);
       EXPECT_EQ(instrumented.outcomes[p].root_arrivals_late,
                 plain.outcomes[p].root_arrivals_late);
     }
@@ -275,6 +270,62 @@ TEST(ParallelExperimentTest, PairedSamplesStayAlignedAcrossPolicies) {
     EXPECT_EQ(outcome.quality.size(), 24u);
   }
   ExpectSameSamples(together.Outcome("fixed").quality, alone.Outcome("fixed").quality);
+}
+
+// Query q's realization, drawn as the driver draws it.
+QueryRealization DriverRealization(const Workload& workload, uint64_t seed, int q) {
+  Rng query_rng(DeriveStreamSeed(seed, static_cast<uint64_t>(q)));
+  QueryTruth truth = workload.DrawQueryAt(static_cast<uint64_t>(q), query_rng);
+  truth.sequence = DriverQuerySequence(seed, q);
+  Rng realization_rng = query_rng.Fork();
+  return SampleRealization(workload.OfflineTree(), truth, realization_rng);
+}
+
+TEST(ParallelExperimentTest, BothDriversMergeOneQualityPerQueryInQueryOrder) {
+  // The one driver body serves both engines: at 1 and 8 threads, every
+  // outcome holds exactly num_queries qualities, and entry q is query q's
+  // quality from the engine run directly on the driver's draw.
+  auto workload = MakeFacebookWorkload(6, 6);
+  ProportionalSplitPolicy baseline;
+  CedarPolicy cedar;
+  const std::vector<const WaitPolicy*> policies = {&baseline, &cedar};
+  constexpr int kQueries = 10;
+
+  ExperimentConfig sim_config = SimConfig(1, kQueries);
+  ClusterExperimentConfig cluster_config;
+  cluster_config.cluster.machines = 6;
+  cluster_config.cluster.slots_per_machine = 3;
+  cluster_config.deadline = sim_config.deadline;
+  cluster_config.num_queries = kQueries;
+  cluster_config.seed = sim_config.seed;
+  const TreeSimulation sim(workload.OfflineTree(), sim_config.deadline);
+  const ClusterRuntime cluster(cluster_config.cluster, workload.OfflineTree(),
+                               cluster_config.deadline);
+
+  for (int threads : {1, 8}) {
+    SCOPED_TRACE(threads);
+    sim_config.threads = threads;
+    cluster_config.threads = threads;
+    const ExperimentResult sim_result = RunExperiment(workload, policies, sim_config);
+    const ClusterExperimentResult cluster_result =
+        RunClusterExperiment(workload, policies, cluster_config);
+    for (size_t p = 0; p < policies.size(); ++p) {
+      const SampleSet& sim_quality = sim_result.outcomes[p].quality;
+      const SampleSet& cluster_quality = cluster_result.outcomes[p].quality;
+      ASSERT_EQ(sim_quality.size(), static_cast<size_t>(kQueries));
+      ASSERT_EQ(cluster_quality.size(), static_cast<size_t>(kQueries));
+      for (int q = 0; q < kQueries; ++q) {
+        const QueryRealization realization = DriverRealization(workload, sim_config.seed, q);
+        const auto forked = policies[p]->ForkForWorker();
+        EXPECT_EQ(sim_quality.values()[static_cast<size_t>(q)],
+                  sim.RunQuery(*forked, realization).quality)
+            << policies[p]->name() << " sim query " << q;
+        EXPECT_EQ(cluster_quality.values()[static_cast<size_t>(q)],
+                  cluster.RunQuery(*forked, realization).quality)
+            << policies[p]->name() << " cluster query " << q;
+      }
+    }
+  }
 }
 
 TEST(ParallelExperimentTest, SequenceIdsAreMonotoneAndNeverZero) {

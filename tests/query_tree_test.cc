@@ -128,6 +128,25 @@ TEST_F(QueryTreeTest, FoldsOnlyTheStagesAboveTierZero) {
   }
 }
 
+TEST_F(QueryTreeTest, EachTreeSimulationQueryIsOneEventQueueRun) {
+  // The DES profile site times a whole queue run, policy decisions inside
+  // it included: N queries record exactly N calls.
+  constexpr int kQueries = 5;
+  for (int levels : {2, 3}) {
+    auto workload = WorkloadWithLevels(levels);
+    TreeSimulation sim(workload.OfflineTree(), kDeadline);
+    CedarPolicy cedar;
+    SetProfilingEnabled(true);
+    for (int q = 0; q < kQueries; ++q) {
+      sim.RunQuery(cedar, DrawRealization(workload, 20 + static_cast<uint64_t>(q)));
+    }
+    EXPECT_EQ(ProfileCalls("event_queue.run"), kQueries) << "levels " << levels;
+    EXPECT_GT(ProfileCalls("wait_optimizer.optimize_wait"), 0) << "levels " << levels;
+    SetProfilingEnabled(false);
+    ResetProfile();
+  }
+}
+
 TEST_F(QueryTreeTest, OneOfflineScanPerTierBeforeAnyLeaf) {
   for (int levels : {2, 3}) {
     auto workload = WorkloadWithLevels(levels);

@@ -78,6 +78,8 @@ int main(int argc, char** argv) {
   std::string* csv_path = flags.AddString("csv", "", "also write results to this CSV file");
   ObservabilityFlags obs = AddObservabilityFlags(flags);
   flags.Parse(argc, argv);
+  CEDAR_CHECK(*engine == "sim" || *engine == "cluster" || *engine == "loaded")
+      << "unknown engine '" << *engine << "' (want sim, cluster or loaded)";
   CEDAR_CHECK_LE(*machines * *slots, kIntMax)
       << "bad --machines x --slots: " << *machines << " x " << *slots
       << " (the slot count must fit an int)";
@@ -134,7 +136,7 @@ int main(int argc, char** argv) {
       for (const auto* policy : policy_ptrs) {
         row.push_back(TablePrinter::FormatDouble(result.Outcome(policy->name()).MeanQuality(), 4));
       }
-    } else if (*engine == "loaded") {
+    } else {  // loaded
       LoadedRunConfig config;
       config.cluster.machines = static_cast<int>(*machines);
       config.cluster.slots_per_machine = static_cast<int>(*slots);
@@ -154,8 +156,6 @@ int main(int argc, char** argv) {
       }
       row.push_back(TablePrinter::FormatDouble(utilization, 3));
       row.push_back(TablePrinter::FormatDouble(queue_delay, 2));
-    } else {
-      CEDAR_LOG(FATAL) << "unknown engine '" << *engine << "' (sim | cluster | loaded)";
     }
     if (csv != nullptr) {
       csv->Row(row);
