@@ -2,7 +2,8 @@
 // algorithm completes "within tens of milliseconds even without
 // parallelization"): one-shot OptimizeWait at several scan resolutions, the
 // WaitScan grid build and a re-optimization on a built grid (also on the
-// Figure 14 shape, with the CDF evaluations the search makes), quality-curve
+// Figure 14 shape, with the CDF evaluations the search makes, exact and
+// stopped at a bound as online Cedar's arrivals stop it), quality-curve
 // construction, full tree planning, and one query tree's per-query set-up.
 // Three DES microbenches time the engines around the algorithm: an
 // event-queue schedule/cancel/run mix, one online-interactive-shaped
@@ -86,20 +87,32 @@ void BM_WaitScanOptimize(benchmark::State& state) {
 }
 BENCHMARK(BM_WaitScanOptimize)->Arg(100)->Arg(400)->Arg(1000)->Arg(4000);
 
-void BM_WaitScanOptimizeInteractive(benchmark::State& state) {
-  // The same re-optimization on the Figure 14 shape: a Facebook-ms bottom
-  // (and fits around it) under a Google top, k = 50, D = 155 ms. The
-  // bracketed search proves the best wait from Phi at a few dozen of the
-  // grid's points; cdf_evals and fallbacks count the CDF evaluations and
-  // dense-Walk fallbacks per call, and steps the grid's steps, measured
-  // once outside the timed loop.
-  const double deadline = 155.0;
-  auto upper = TabulateCdf(LogNormalDistribution(kGoogleMu, kGoogleSigma), deadline, 401);
-  const WaitScan scan(upper, deadline, deadline / 400.0);
+// The Figure 14 shape: a Facebook-ms bottom (and fits around it) under a
+// Google top, k = 50, D = 155 ms.
+constexpr double kInteractiveDeadline = 155.0;
+
+WaitScan InteractiveScan() {
+  return WaitScan(TabulateCdf(LogNormalDistribution(kGoogleMu, kGoogleSigma),
+                              kInteractiveDeadline, 401),
+                  kInteractiveDeadline, kInteractiveDeadline / 400.0);
+}
+
+std::vector<LogNormalDistribution> InteractiveFits() {
   std::vector<LogNormalDistribution> fits;
   for (int i = 0; i < 16; ++i) {
     fits.emplace_back(kFacebookMapMu + 0.02 * i, kFacebookMapSigma * (1.0 + 0.01 * i));
   }
+  return fits;
+}
+
+void BM_WaitScanOptimizeInteractive(benchmark::State& state) {
+  // The same re-optimization on the Figure 14 shape. The bracketed search
+  // proves the best wait from Phi at a few dozen of the grid's points;
+  // cdf_evals and fallbacks count the CDF evaluations and dense-Walk
+  // fallbacks per call, and steps the grid's steps, measured once outside
+  // the timed loop.
+  const WaitScan scan = InteractiveScan();
+  const std::vector<LogNormalDistribution> fits = InteractiveFits();
   Counter& evals = MetricsRegistry::Global().GetCounter("wait_optimizer.cdf_evals");
   Counter& fallbacks = MetricsRegistry::Global().GetCounter("wait_optimizer.dense_fallbacks");
   const long long evals_before = evals.Value();
@@ -123,6 +136,35 @@ void BM_WaitScanOptimizeInteractive(benchmark::State& state) {
   state.SetLabel("k=50, D=155");
 }
 BENCHMARK(BM_WaitScanOptimizeInteractive);
+
+void BM_WaitScanBoundInteractive(benchmark::State& state) {
+  // Online Cedar's per-arrival search on the Figure 14 shape: the same fits
+  // and grid, each call stopped at a lower bound once the wait is proven
+  // later than the elapsed time, state.range(0) percent of D. cdf_evals is
+  // the CDF evaluations per call and exact the share of calls that finished
+  // the search, measured once outside the timed loop.
+  const double elapsed = kInteractiveDeadline * static_cast<double>(state.range(0)) / 100.0;
+  const WaitScan scan = InteractiveScan();
+  const std::vector<LogNormalDistribution> fits = InteractiveFits();
+  Counter& evals = MetricsRegistry::Global().GetCounter("wait_optimizer.cdf_evals");
+  const long long evals_before = evals.Value();
+  int exact = 0;
+  SetMetricsEnabled(true);
+  for (const auto& fit : fits) {
+    exact += scan.OptimizeOrBound(fit, 50, elapsed).exact ? 1 : 0;
+  }
+  SetMetricsEnabled(false);
+  const double calls = static_cast<double>(fits.size());
+  size_t next = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(scan.OptimizeOrBound(fits[next], 50, elapsed));
+    next = (next + 1) % fits.size();
+  }
+  state.counters["cdf_evals"] = static_cast<double>(evals.Value() - evals_before) / calls;
+  state.counters["exact"] = static_cast<double>(exact) / calls;
+  state.SetLabel("k=50, D=155, elapsed=" + std::to_string(state.range(0)) + "% of D");
+}
+BENCHMARK(BM_WaitScanBoundInteractive)->Arg(5)->Arg(20);
 
 void BM_BuildQualityCurveStack(benchmark::State& state) {
   TreeSpec tree = BenchTree(static_cast<int>(state.range(0)));

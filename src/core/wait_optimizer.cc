@@ -90,9 +90,9 @@ class WaitScan::BracketedSearch {
   };
 
   // The proven best grid point, or nullopt where only Walk can decide. Stops
-  // at the first round after which the earliest grid point not yet proven
-  // below the best lies later than |stop_after|, and returns that point as
-  // a bound.
+  // at the first round in which the earliest grid point not yet proven below
+  // the best lies later than |stop_after|, before that round's halving, and
+  // returns that point as a bound.
   std::optional<Result> Run(double stop_after) {
     static thread_local std::vector<Node> pool_buffer;
     static thread_local std::vector<uint32_t> split_buffer;
@@ -212,19 +212,26 @@ class WaitScan::BracketedSearch {
         }
         return Result{pool[r].j, true};
       }
+      // Every grid point before |open|, the span's first node or a
+      // to-be-halved block's first interior point, is now proven below a
+      // node by more than the margin. That holds before any midpoint is
+      // evaluated, so a bound past |stop_after| is returned here.
+      uint32_t open = left;
+      for (uint32_t i : to_split) {
+        open = std::min(open, pool[pool[i].prev].j + 1);
+      }
+      if (points_[open].c > stop_after) {
+        return Result{open, false};
+      }
       if (pool.size() + to_split.size() > max_nodes) {
         return std::nullopt;
       }
       // Halve, and narrow the window to the best node, the span and the
-      // halved blocks. Every grid point before |open|, the span's first
-      // node or a halved block's first interior point, is now proven below
-      // a node by more than the margin.
+      // halved blocks.
       first = best;
       last = best;
-      uint32_t open = left;
       for (uint32_t i : to_split) {
         const uint32_t a = pool[i].prev;
-        open = std::min(open, pool[a].j + 1);
         Node mid;
         if (!Evaluate((pool[a].j + pool[i].j) / 2, &mid) || !Bracket(pool[a], &mid) ||
             !Bracket(mid, &pool[i])) {
@@ -249,9 +256,6 @@ class WaitScan::BracketedSearch {
       while (pool[last].j < right) {
         last = pool[last].next;
       }
-      if (points_[open].c > stop_after) {
-        return Result{open, false};
-      }
       r = best;
     }
     return std::nullopt;
@@ -260,8 +264,10 @@ class WaitScan::BracketedSearch {
   long long cdf_evals() const { return cdf_evals_; }
 
  private:
-  // The first lattice splits the grid into this many blocks.
-  static constexpr uint32_t kLatticeBlocks = 8;
+  // The first lattice splits the grid into this many blocks. Fewer blocks
+  // make lower bounds but cheaper bound calls; 4 measured best of 3, 4, 5,
+  // 6 and 8 (DESIGN.md §4, "Lattice size").
+  static constexpr uint32_t kLatticeBlocks = 4;
   // A cap on the nodes (and the scratch memory) of one search.
   static constexpr size_t kMaxNodes = 4096;
   static constexpr int kMaxRounds = 64;
@@ -382,9 +388,17 @@ WaitScan::Bound WaitScan::OptimizeOrBound(const Distribution& bottom, int fanout
     static Counter& evals = MetricsRegistry::Global().GetCounter("wait_optimizer.cdf_evals");
     static Counter& fallbacks =
         MetricsRegistry::Global().GetCounter("wait_optimizer.dense_fallbacks");
+    static Counter& bound_calls =
+        MetricsRegistry::Global().GetCounter("wait_optimizer.bound_calls");
+    static Counter& bound_evals =
+        MetricsRegistry::Global().GetCounter("wait_optimizer.bound_cdf_evals");
     total.Increment(static_cast<long long>(steps()));
     evals.Increment(cdf_evals);
     fallbacks.Increment(fallback ? 1 : 0);
+    if (!result->exact) {
+      bound_calls.Increment(1);
+      bound_evals.Increment(cdf_evals);
+    }
   }
   return {points_[result->j].c, result->exact};
 }

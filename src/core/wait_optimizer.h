@@ -62,7 +62,9 @@ class WaitScan {
   // another by more than the margin that covers Walk, so that point, later
   // than |elapsed|, is returned as a lower bound (DESIGN.md §4, "Stopping at
   // a bound"). Otherwise returns Optimize's wait, exact. Counted as an
-  // Optimize call by the profile site and the counters.
+  // Optimize call by the profile site and the counters; a call that returns
+  // a bound also adds 1 to wait_optimizer.bound_calls and its CDF
+  // evaluations to wait_optimizer.bound_cdf_evals.
   Bound OptimizeOrBound(const Distribution& bottom, int fanout, double elapsed) const;
 
   // Number of scan steps (grid points minus one; 0 for an empty grid).

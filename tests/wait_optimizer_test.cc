@@ -153,26 +153,38 @@ TEST(WaitScanTest, WaitsMatchStdPowReference) {
   }
 }
 
-// What one WaitScan::Optimize call did, read from the wait_optimizer.*
-// counters: the grid's steps, the CDF evaluations and whether it fell back
-// to the dense Walk.
+// What one WaitScan::OptimizeOrBound call (by default Optimize's, elapsed
+// = infinity) did, read from the wait_optimizer.* counters: the grid's
+// steps, the CDF evaluations, whether it fell back to the dense Walk, and
+// what it added to the bound counters; |exact| is the call's own answer.
 struct SearchCount {
   long long steps = 0;
   long long cdf_evals = 0;
   long long fallbacks = 0;
+  long long bound_calls = 0;
+  long long bound_cdf_evals = 0;
+  bool exact = true;
 };
 
-SearchCount CountSearch(const WaitScan& scan, const Distribution& bottom, int fanout) {
+SearchCount CountSearch(const WaitScan& scan, const Distribution& bottom, int fanout,
+                        double elapsed = std::numeric_limits<double>::infinity()) {
   MetricsRegistry& registry = MetricsRegistry::Global();
   Counter& steps = registry.GetCounter("wait_optimizer.scan_steps");
   Counter& evals = registry.GetCounter("wait_optimizer.cdf_evals");
   Counter& fallbacks = registry.GetCounter("wait_optimizer.dense_fallbacks");
-  const SearchCount before{steps.Value(), evals.Value(), fallbacks.Value()};
+  Counter& bound_calls = registry.GetCounter("wait_optimizer.bound_calls");
+  Counter& bound_evals = registry.GetCounter("wait_optimizer.bound_cdf_evals");
+  const SearchCount before{steps.Value(),       evals.Value(),       fallbacks.Value(),
+                           bound_calls.Value(), bound_evals.Value(), true};
   SetMetricsEnabled(true);
-  scan.Optimize(bottom, fanout);
+  const bool exact = scan.OptimizeOrBound(bottom, fanout, elapsed).exact;
   SetMetricsEnabled(false);
-  return {steps.Value() - before.steps, evals.Value() - before.cdf_evals,
-          fallbacks.Value() - before.fallbacks};
+  return {steps.Value() - before.steps,
+          evals.Value() - before.cdf_evals,
+          fallbacks.Value() - before.fallbacks,
+          bound_calls.Value() - before.bound_calls,
+          bound_evals.Value() - before.bound_cdf_evals,
+          exact};
 }
 
 // Checks the search on |f| against the reference loop for every bottom and
@@ -546,12 +558,11 @@ TEST(WaitScanTest, SearchProvesTheInteractiveShapeFromFewCdfEvaluations) {
   }
 }
 
-// OptimizeOrBound is Optimize stopped early: over random grids (1-step
-// ones with deadline < epsilon among them), curves that reach 0, random fits
-// of every family, the interactive fits, saturating Phi, Phi == 0 and NaN
-// fits, an exact answer is Optimize's bitwise, and a bound is later than
-// |elapsed| and never later than Optimize's wait.
-TEST(WaitScanTest, BoundNeverPassesTheWait) {
+// The bound searches' grids and fits: random grids (1-step ones with
+// deadline < epsilon among them), curves that reach 0, random fits of every
+// family, saturating Phi, Phi == 0 and NaN fits, and the interactive fits
+// (the fixture named "interactive fits").
+std::vector<ScanFixture> BoundFixtures() {
   std::vector<ScanFixture> fixtures = RandomGrids();
   for (ScanFixture& f : CurvesThatReachZero()) {
     fixtures.push_back(std::move(f));
@@ -571,10 +582,17 @@ TEST(WaitScanTest, BoundNeverPassesTheWait) {
         kFacebookMapMu + 0.02 * i, kFacebookMapSigma * (1.0 + 0.01 * i)));
   }
   fixtures.push_back(std::move(interactive));
+  return fixtures;
+}
+
+// OptimizeOrBound is Optimize stopped early: over BoundFixtures, an exact
+// answer is Optimize's bitwise, and a bound is later than |elapsed| and
+// never later than Optimize's wait.
+TEST(WaitScanTest, BoundNeverPassesTheWait) {
   Rng rng(29);
   int bounds = 0;
   int exact = 0;
-  for (const ScanFixture& f : fixtures) {
+  for (const ScanFixture& f : BoundFixtures()) {
     const WaitScan scan(f.upper, f.deadline, f.epsilon);
     for (const auto& bottom : f.bottoms) {
       for (int fanout : {1, 2, 50, 1000}) {
@@ -600,6 +618,49 @@ TEST(WaitScanTest, BoundNeverPassesTheWait) {
   }
   EXPECT_GT(bounds, 1000);
   EXPECT_GT(exact, 1000);
+}
+
+// A bound call runs a prefix of Optimize's search and stops before the
+// round's halving, whose midpoints (or Walk) Optimize goes on to evaluate:
+// over BoundFixtures every bound call evaluates Phi strictly less often than
+// Optimize on the same fit and fanout. A search that halved before stopping
+// makes as many evaluations as Optimize wherever that round was the last.
+// The interactive fits early in the wait must stop at a bound. Each bound
+// call counts once in wait_optimizer.bound_calls, with all its evaluations
+// in wait_optimizer.bound_cdf_evals.
+TEST(WaitScanTest, BoundCostsNoMoreThanTheExactSearch) {
+  int bounds = 0;
+  int early = 0;
+  for (const ScanFixture& f : BoundFixtures()) {
+    const WaitScan scan(f.upper, f.deadline, f.epsilon);
+    const bool interactive = f.name == "interactive fits";
+    for (const auto& bottom : f.bottoms) {
+      for (int fanout : {1, 2, 50, 1000}) {
+        const SearchCount full = CountSearch(scan, *bottom, fanout);
+        for (double fraction : {0.0, 0.01, 0.05, 0.2, 0.5, 0.9, 1.0}) {
+          const double elapsed = fraction * f.deadline;
+          const std::string where = f.name + ", " + bottom->ToString() + ", fanout " +
+                                    std::to_string(fanout) + ", elapsed " +
+                                    std::to_string(elapsed);
+          const SearchCount count = CountSearch(scan, *bottom, fanout, elapsed);
+          if (count.exact) {
+            EXPECT_EQ(count.bound_calls, 0) << where;
+            EXPECT_EQ(count.bound_cdf_evals, 0) << where;
+            continue;
+          }
+          ++bounds;
+          EXPECT_EQ(count.bound_calls, 1) << where;
+          EXPECT_EQ(count.bound_cdf_evals, count.cdf_evals) << where;
+          EXPECT_LT(count.cdf_evals, full.cdf_evals) << where;
+          if (interactive && fraction <= 0.05) {
+            ++early;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(bounds, 1000);
+  EXPECT_EQ(early, 16 * 4 * 3);  // fits x fanouts x fractions <= 0.05
 }
 
 TEST(WaitScanTest, EmptyGridWithoutBudget) {
