@@ -156,21 +156,10 @@ double CedarPolicy::InitialWait(const AggregatorContext& ctx) {
   return OfflineOptimalSendTime(ctx);
 }
 
-double CedarPolicy::OnArrival(const AggregatorContext& ctx, double arrival_time,
-                              const std::vector<double>& arrivals) {
-  (void)arrivals;
-  return Decide(ctx, arrival_time, false).send_time;
-}
-
 WaitPolicy::ArrivalDecision CedarPolicy::OnArrivalDeferrable(const AggregatorContext& ctx,
                                                              double arrival_time,
                                                              const std::vector<double>& arrivals) {
   (void)arrivals;
-  return Decide(ctx, arrival_time, true);
-}
-
-WaitPolicy::ArrivalDecision CedarPolicy::Decide(const AggregatorContext& ctx,
-                                                double arrival_time, bool may_defer) {
   const ArrivalDecision kept{current_wait_, deferred_, true};
   if (!learner_.has_value()) {
     return kept;
@@ -197,9 +186,6 @@ WaitPolicy::ArrivalDecision CedarPolicy::Decide(const AggregatorContext& ctx,
     return {ctx.start_offset + TableOf(ctx, options_.table_spec).LookupSpec(*fit), false, false};
   }
   std::unique_ptr<Distribution> fitted = MakeDistribution(*fit);
-  if (!may_defer) {
-    return {ctx.start_offset + ScanOf(ctx).Optimize(*fitted, ctx.fanout), false, false};
-  }
   const WaitScan::Bound bound =
       ScanOf(ctx).OptimizeOrBound(*fitted, ctx.fanout, arrival_time - ctx.start_offset);
   if (!bound.exact) {

@@ -107,11 +107,11 @@ struct CedarPolicyOptions {
 };
 
 // Per-query state is the learner's; the shared scan grid, offline send time
-// and wait table live in ctx.memo, so a fork is detached. Through
-// DecideOnArrivalDeferrable, a scan decision stops at a lower bound once the
-// search proves the wait is later than the arrival (WaitScan::
-// OptimizeOrBound), and keeps the fit to finish the search in ResolveWait;
-// table lookups are exact at once and never defer.
+// and wait table live in ctx.memo, so a fork is detached. A scan decision
+// stops at a lower bound once the search proves the wait is later than the
+// arrival (WaitScan::OptimizeOrBound), and keeps the fit to finish the
+// search in ResolveWait; table lookups are exact at once and never defer.
+// An eager DecideOnArrival is that bound search, then the resolve.
 class CedarPolicy final : public WaitPolicy {
  public:
   explicit CedarPolicy(CedarPolicyOptions options = {});
@@ -127,18 +127,14 @@ class CedarPolicy final : public WaitPolicy {
 
  protected:
   double InitialWait(const AggregatorContext& ctx) override;
-  double OnArrival(const AggregatorContext& ctx, double arrival_time,
-                   const std::vector<double>& arrivals) override;
+  // Pseudocode 1 on one arrival: the learner observes it, and the decision
+  // is re-made (table lookup or wait scan) or kept. A scan may stop at a
+  // lower bound, keeping its fit in deferred_fit_ for Resolve.
   ArrivalDecision OnArrivalDeferrable(const AggregatorContext& ctx, double arrival_time,
                                       const std::vector<double>& arrivals) override;
   double Resolve(const AggregatorContext& ctx) override;
 
  private:
-  // Pseudocode 1 on one arrival: the learner observes it, and the decision
-  // is re-made (table lookup or wait scan) or kept. With |may_defer| a scan
-  // may stop at a lower bound, keeping its fit in deferred_fit_.
-  ArrivalDecision Decide(const AggregatorContext& ctx, double arrival_time, bool may_defer);
-
   // Only this tier learns online; upper tiers use the offline optimum. The
   // paper learns the bottom stage per query and fits upper stages offline
   // (§4.1).

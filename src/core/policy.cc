@@ -77,12 +77,6 @@ double WaitPolicy::DecideInitialWait(const AggregatorContext& ctx) {
   return current_wait_;
 }
 
-double WaitPolicy::DecideOnArrival(const AggregatorContext& ctx, double arrival_time,
-                                   const std::vector<double>& arrivals) {
-  current_wait_ = OnArrival(ctx, arrival_time, arrivals);
-  return current_wait_;
-}
-
 WaitPolicy::ArrivalDecision WaitPolicy::DecideOnArrivalDeferrable(
     const AggregatorContext& ctx, double arrival_time, const std::vector<double>& arrivals) {
   const ArrivalDecision decision = OnArrivalDeferrable(ctx, arrival_time, arrivals);
@@ -107,6 +101,12 @@ double WaitPolicy::ResolveWait(const AggregatorContext& ctx) {
     }
   }
   return current_wait_;
+}
+
+double WaitPolicy::DecideOnArrival(const AggregatorContext& ctx, double arrival_time,
+                                   const std::vector<double>& arrivals) {
+  DecideOnArrivalDeferrable(ctx, arrival_time, arrivals);
+  return ResolveWait(ctx);
 }
 
 double WaitPolicy::OnArrival(const AggregatorContext& ctx, double arrival_time,

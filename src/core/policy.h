@@ -187,18 +187,13 @@ class WaitPolicy {
   // policy oracle knowledge.
   virtual void BeginQuery(const AggregatorContext& ctx, const QueryTruth* truth);
 
-  // Non-virtual entry points used by the simulators; they keep the last
-  // decision cached so subclasses that never reconsider only implement
-  // InitialWait().
+  // Non-virtual entry points; they keep the last decision cached so
+  // subclasses that never reconsider only implement InitialWait(). In the
+  // library only AggregatorNode calls the deferrable pair; DecideOnArrival
+  // serves decorators and tests.
 
   // Absolute send time decided before any arrivals.
   double DecideInitialWait(const AggregatorContext& ctx);
-
-  // Notification of one child output arriving at |arrival_time| (absolute);
-  // |arrivals| holds all arrivals so far in ascending order, including this
-  // one. Returns the (possibly updated) absolute send time.
-  double DecideOnArrival(const AggregatorContext& ctx, double arrival_time,
-                         const std::vector<double>& arrivals);
 
   // DecideOnArrivalDeferrable's answer.
   struct ArrivalDecision {
@@ -210,33 +205,36 @@ class WaitPolicy {
     bool kept = false;
   };
 
-  // DecideOnArrival for a caller that needs the exact send time only once
-  // the clock reaches it (AggregatorNode, whose timer fires there). A policy
-  // that opts in (CedarPolicy) may return just a lower bound, deferred; the
-  // caller calls ResolveWait() when the bound is reached, and a later
-  // decision replaces the deferred one. By default, and whenever the policy
-  // does not defer, this is DecideOnArrival. A caller uses one of the two
-  // arrival entry points for a whole query.
+  // Notification of one child output arriving at |arrival_time| (absolute);
+  // |arrivals| holds all arrivals so far in ascending order, including this
+  // one. A policy that opts in (CedarPolicy) may return just a lower bound,
+  // deferred: the caller calls ResolveWait() when its clock reaches the
+  // bound, and a later decision replaces the deferred one.
   ArrivalDecision DecideOnArrivalDeferrable(const AggregatorContext& ctx, double arrival_time,
                                             const std::vector<double>& arrivals);
 
-  // The exact absolute send time of the current decision, bitwise what
-  // DecideOnArrival would have returned. Resolves a deferred decision once;
-  // fatal if the result is below the bound it was deferred at.
+  // The exact absolute send time of the current decision. Resolves a
+  // deferred decision once; fatal if the result is below the bound it was
+  // deferred at.
   double ResolveWait(const AggregatorContext& ctx);
 
-  // The current decision's send time: a lower bound while it is deferred.
-  double current_wait() const { return current_wait_; }
+  // The eager decision: DecideOnArrivalDeferrable, then ResolveWait.
+  double DecideOnArrival(const AggregatorContext& ctx, double arrival_time,
+                         const std::vector<double>& arrivals);
 
  protected:
   virtual double InitialWait(const AggregatorContext& ctx) = 0;
 
-  // Default: keep the previous decision.
+  // Default: keep the previous decision. This hook and its |arrivals|
+  // parameter stay only for perfbench's TimedPolicy decorator, which
+  // forwards it to its inner policy's DecideOnArrival; they go when that
+  // decorator forwards the deferrable pair, with the next change to
+  // perfbench.
   virtual double OnArrival(const AggregatorContext& ctx, double arrival_time,
                            const std::vector<double>& arrivals);
 
-  // Default: OnArrival's send time, exact. A policy that defers returns a
-  // lower bound with |deferred| set and implements Resolve().
+  // The arrival hook. Default: OnArrival's send time, exact. A policy that
+  // defers returns a lower bound with |deferred| set and implements Resolve().
   virtual ArrivalDecision OnArrivalDeferrable(const AggregatorContext& ctx, double arrival_time,
                                               const std::vector<double>& arrivals);
 

@@ -1,7 +1,5 @@
 #include "src/core/wait_table_store.h"
 
-#include <algorithm>
-
 #include "src/common/thread_pool.h"
 #include "src/obs/metrics.h"
 #include "src/obs/profiler.h"
@@ -11,9 +9,9 @@ namespace {
 
 // Called with no store lock held, so the registry's mutex never nests inside
 // the store's.
-void BumpMetric(const char* name, long long by = 1) {
-  if (by > 0 && MetricsEnabled()) {
-    MetricsRegistry::Global().GetCounter(name).Increment(by);
+void BumpMetric(const char* name) {
+  if (MetricsEnabled()) {
+    MetricsRegistry::Global().GetCounter(name).Increment();
   }
 }
 
@@ -85,23 +83,11 @@ WaitTableStore::TablePtr WaitTableStore::GetOrBuild(const WaitTableSpec& spec, i
     fill->RunChunks();
     fill->done.wait();
   }
-  long long evicted = 0;
   {
     MutexLock lock(mutex_);
     started->fill = nullptr;
-    // In-flight entries are pinned (their requesters are filling them); the
-    // one just finished guarantees a victim exists.
-    while (entries_.size() > kCapacity) {
-      auto oldest = std::find_if(entries_.begin(), entries_.end(),
-                                 [](const auto& entry) { return entry->fill == nullptr; });
-      stats_.clamped_lookups += (*oldest)->table->clamped_lookups();
-      entries_.erase(oldest);
-      ++evicted;
-    }
-    stats_.evictions += evicted;
   }
   BumpMetric("wait_table_store.misses");
-  BumpMetric("wait_table_store.evictions", evicted);
   return table;
 }
 

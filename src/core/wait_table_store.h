@@ -14,12 +14,12 @@
 //    Every get that finds the build in flight, the first included, fills
 //    rows until none is left to claim, then waits for the rest. A get after
 //    the build is a hit and claims nothing. The requesters are the builders.
-//  * At most kCapacity tables stay resident; past that, the oldest finished
-//    entry is evicted and its clamped-lookup count is retired into the
-//    stats, so the mis-sized-grid signal survives eviction.
+//  * Every table stays resident for the store's life. Its traffic is a few
+//    tables per process (one per distinct curve, deadline and grid), so
+//    nothing is ever evicted.
 //
 // Stats are also exported through the obs MetricsRegistry (when enabled) as
-// wait_table_store.{hits,misses,build_waits,evictions}.
+// wait_table_store.{hits,misses,build_waits}.
 //
 // Determinism: a returned table depends only on its key, whichever threads
 // filled it (WaitTable's cells are independent), so experiment results are
@@ -47,9 +47,8 @@ struct WaitTableStoreStats {
   long long hits = 0;         // lookup found a finished table
   long long misses = 0;       // lookup started the build itself
   long long build_waits = 0;  // lookup found the build in flight and joined it
-  long long evictions = 0;    // tables dropped by the capacity bound
-  // Clamped Lookup calls summed over evicted tables plus tables still
-  // resident — the store-wide mis-sized-grid signal.
+  // Clamped Lookup calls summed over the resident tables — the store-wide
+  // mis-sized-grid signal.
   long long clamped_lookups = 0;
 
   long long Gets() const { return hits + misses + build_waits; }
@@ -62,11 +61,6 @@ struct WaitTableStoreStats {
 class WaitTableStore {
  public:
   using TablePtr = std::shared_ptr<const WaitTable>;
-
-  // Resident tables before the oldest finished one is evicted. A
-  // fig08-style sweep needs one table per distinct (deadline, curve), so
-  // this covers whole sweeps.
-  static constexpr size_t kCapacity = 128;
 
   WaitTableStore() = default;
   WaitTableStore(const WaitTableStore&) = delete;
@@ -85,7 +79,7 @@ class WaitTableStore {
 
   WaitTableStoreStats GetStats() const;
 
-  // Resident tables (finished or in flight).
+  // Tables built or in flight.
   size_t size() const;
 
  private:
@@ -100,15 +94,13 @@ class WaitTableStore {
     std::vector<double> curve_ys;
     TablePtr table;
     // The claims on |table|'s rows (the body holds its WaitScan) while in
-    // flight; null once every cell is filled, and only then evictable.
+    // flight; null once every cell is filled.
     std::shared_ptr<ChunkedLoop> fill;
   };
 
   mutable Mutex mutex_;
-  // Insertion order, so the first finished entry is the oldest.
   std::vector<std::unique_ptr<Entry>> entries_ CEDAR_GUARDED_BY(mutex_);
-  // clamped_lookups here counts evicted tables only; GetStats adds the
-  // resident ones.
+  // clamped_lookups stays 0 here; GetStats sums the tables'.
   WaitTableStoreStats stats_ CEDAR_GUARDED_BY(mutex_);
 };
 

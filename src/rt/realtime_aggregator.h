@@ -1,19 +1,20 @@
-// RealtimeAggregator: a wall-clock implementation of Pseudocode 1 for real
-// services — the endhost deployment path the paper emphasizes ("Cedar can
-// be implemented entirely at the endhosts", §1).
+// RealtimeAggregator: Pseudocode 1 on the wall clock for real services — the
+// endhost deployment path the paper emphasizes ("Cedar can be implemented
+// entirely at the endhosts", §1).
 //
-// Worker threads deliver outputs with Offer() from any thread; an internal
-// timer thread enforces the policy's (continuously re-optimized) wait; the
-// completion callback fires exactly once — when the wait expires, when all
-// fanout outputs have arrived, or when Flush() is called. All time is in
-// seconds on std::chrono::steady_clock, measured from Start().
+// It drives one AggregatorNode, the loop the simulators run, over its own
+// EventQueue in seconds on std::chrono::steady_clock since Start(). Offer()
+// queues the arrival now and runs the queue up to now, so a timer already
+// due fires first, as in a simulation; a timer thread sleeps until the next
+// event. Deferral, resolve at expiry and the single send are the node's.
+// The callback fires exactly once: at the node's send, or at Flush().
 //
 // Threading contract: Offer/Flush/Join are thread-safe; the callback runs
-// on the timer thread with no locks held; the WaitPolicy is only ever
-// invoked under the internal mutex (policies are not thread-safe
-// themselves). The referenced AggregatorContext pointers (offline tree,
-// upper curve) must outlive the aggregator. The aggregator runs one query and
-// owns that query's QueryMemo: its context copy points there.
+// on the timer thread with no locks held; the node, its policy and the
+// queue are only touched under the internal mutex. The referenced
+// AggregatorContext pointers (offline tree, upper curve) must outlive the
+// aggregator. The aggregator runs one query and owns that query's
+// QueryMemo: its context copy points there.
 
 #ifndef CEDAR_SRC_RT_REALTIME_AGGREGATOR_H_
 #define CEDAR_SRC_RT_REALTIME_AGGREGATOR_H_
@@ -29,6 +30,8 @@
 
 #include "src/common/logging.h"
 #include "src/core/policy.h"
+#include "src/sim/aggregator_node.h"
+#include "src/sim/event_queue.h"
 
 namespace cedar {
 
@@ -50,11 +53,12 @@ class RealtimeAggregator {
   // invoked exactly once, on the timer thread.
   RealtimeAggregator(std::unique_ptr<WaitPolicy> policy, const AggregatorContext& ctx,
                      std::function<void(Result)> on_send)
-      : policy_(std::move(policy)), ctx_(ctx), on_send_(std::move(on_send)) {
-    CEDAR_CHECK(policy_ != nullptr);
+      : ctx_(ctx), on_send_(std::move(on_send)) {
+    CEDAR_CHECK(policy != nullptr);
     CEDAR_CHECK(on_send_ != nullptr);
     CEDAR_CHECK_GE(ctx_.fanout, 1);
     ctx_.memo = &memo_;
+    node_.Init(ctx_.tier, 0, std::move(policy), &ctx_);
   }
 
   ~RealtimeAggregator() { Join(); }
@@ -62,37 +66,43 @@ class RealtimeAggregator {
   RealtimeAggregator(const RealtimeAggregator&) = delete;
   RealtimeAggregator& operator=(const RealtimeAggregator&) = delete;
 
-  // Begins the query: consults the policy for the initial wait and starts
-  // the timer thread. Must be called exactly once.
+  // Begins the query: the node arms the policy's initial wait, and the
+  // timer thread starts. Must be called exactly once.
   void Start() {
     std::lock_guard<std::mutex> lock(mutex_);
     CEDAR_CHECK(!started_) << "Start() called twice";
     started_ = true;
     start_time_ = Clock::now();
-    policy_->BeginQuery(ctx_, nullptr);
-    current_wait_ = policy_->DecideInitialWait(ctx_);
+    node_.policy()->BeginQuery(ctx_, nullptr);
+    node_.Start(queue_, [this](AggregatorNode&, double) { sent_ = true; });
     timer_ = std::thread([this] { TimerLoop(); });
   }
 
   // Delivers one worker output. Returns false (and drops the output) if the
-  // result was already sent. Thread-safe.
+  // result was already sent, which includes a wait that expired before this
+  // call even if the timer thread has not woken yet. Thread-safe.
   bool Offer(Output output) {
     std::unique_lock<std::mutex> lock(mutex_);
     CEDAR_CHECK(started_) << "Offer() before Start()";
     if (sent_) {
       return false;
     }
-    double now = Elapsed();
-    outputs_.push_back(std::move(output));
-    arrivals_.push_back(now);
-    if (static_cast<int>(arrivals_.size()) >= ctx_.fanout) {
-      all_arrived_ = true;
-    } else {
-      current_wait_ = policy_->DecideOnArrival(ctx_, now, arrivals_);
-    }
+    const double now = Elapsed();
+    bool accepted = false;
+    // The arrival runs in the RunUntil below, after every event due by now.
+    queue_.Schedule(now, [&] {
+      if (node_.closed()) {
+        return;
+      }
+      accepted = true;
+      outputs_.push_back(std::move(output));
+      arrival_times_.push_back(now);
+      node_.OnChildOutput(1.0);
+    });
+    queue_.RunUntil(now);
     lock.unlock();
-    cv_.notify_all();
-    return true;
+    cv_.notify_all();  // the node's next timer, or its send, may have changed
+    return accepted;
   }
 
   // Forces an immediate send (e.g. external cancellation). Safe to call
@@ -112,7 +122,8 @@ class RealtimeAggregator {
     }
   }
 
-  // True once the callback has fired.
+  // True once the result is sent: later offers are dropped, and the
+  // callback fires, or has fired, on the timer thread.
   bool sent() const {
     std::lock_guard<std::mutex> lock(mutex_);
     return sent_;
@@ -125,49 +136,47 @@ class RealtimeAggregator {
     return std::chrono::duration<double>(Clock::now() - start_time_).count();
   }
 
+  // Runs the queue's due events and sleeps until the next one, or until an
+  // Offer or Flush wakes it, then delivers the result once.
   void TimerLoop() {
     std::unique_lock<std::mutex> lock(mutex_);
     for (;;) {
-      if (all_arrived_ || flush_requested_) {
+      const double next = queue_.RunUntil(Elapsed());
+      if (sent_ || flush_requested_) {
         break;
       }
-      double wait = current_wait_;
-      if (Elapsed() >= wait) {
-        break;  // timer expired (possibly re-armed into the past)
+      if (IsFiniteTime(next)) {
+        cv_.wait_until(lock, start_time_ + std::chrono::ceil<Clock::duration>(
+                                               std::chrono::duration<double>(next)));
+      } else {
+        cv_.wait(lock);
       }
-      auto fire_at = start_time_ + std::chrono::duration_cast<Clock::duration>(
-                                       std::chrono::duration<double>(wait));
-      // Wake early if an arrival re-armed the timer or finished the fanout.
-      cv_.wait_until(lock, fire_at, [&] {
-        return all_arrived_ || flush_requested_ || current_wait_ != wait;
-      });
     }
     sent_ = true;
     Result result;
     result.outputs = std::move(outputs_);
-    result.arrival_times = arrivals_;
+    result.arrival_times = arrival_times_;
     result.send_time = Elapsed();
-    result.sent_early = all_arrived_;
+    result.sent_early = node_.arrivals_count() == ctx_.fanout;
     lock.unlock();
     on_send_(std::move(result));
   }
 
-  std::unique_ptr<WaitPolicy> policy_;
   QueryMemo memo_;
   AggregatorContext ctx_;
   std::function<void(Result)> on_send_;
 
   mutable std::mutex mutex_;
   std::condition_variable cv_;
-  std::thread timer_;
   Clock::time_point start_time_;
+  EventQueue queue_;
+  AggregatorNode node_;  // declared after queue_: its timers live there
   bool started_ = false;
-  bool sent_ = false;
-  bool all_arrived_ = false;
+  bool sent_ = false;  // the node sent, or a flush ended the query
   bool flush_requested_ = false;
-  double current_wait_ = 0.0;
   std::vector<Output> outputs_;
-  std::vector<double> arrivals_;
+  std::vector<double> arrival_times_;
+  std::thread timer_;  // last: it uses every member above
 };
 
 }  // namespace cedar

@@ -1,7 +1,8 @@
 // AggregatorNode: one aggregator instance executing Pseudocode 1 against an
 // EventQueue — arrival handler, timer re-arming, early send when all
-// children have reported, and the upstream send callback. QueryTree
-// allocates and wires one per aggregator for all three engines.
+// children have reported, and the upstream send callback. QueryTree wires
+// one per aggregator for all three engines; RealtimeAggregator drives one
+// on the wall clock. It is the library's only Pseudocode 1 loop.
 //
 // Arrivals go through WaitPolicy::DecideOnArrivalDeferrable: a deferred
 // decision arms the timer at its lower bound, and only a timer that fires

@@ -80,6 +80,27 @@ bool EventQueue::RunOne() {
   return false;
 }
 
+SimTime EventQueue::RunUntil(SimTime t) {
+  while (!heap_.empty()) {
+    const Key top = heap_.front();
+    if (state_[top.seq] == State::kQueued) {
+      if (top.time > t) {
+        return top.time;
+      }
+      RunOne();  // the top is queued, so this runs exactly it
+      continue;
+    }
+    // A cancelled top: drop it, as RunOne would, without running the next.
+    std::pop_heap(heap_.begin(), heap_.end(), KeyLater());
+    heap_.pop_back();
+    callbacks_[top.slot] = nullptr;
+    free_slots_.push_back(top.slot);
+    state_[top.seq] = State::kDone;
+    --cancelled_queued_;
+  }
+  return kSimTimeInfinity;
+}
+
 void EventQueue::Run() {
   // One record per run; it includes the profile sites its callbacks enter.
   CEDAR_PROFILE_SCOPE("event_queue.run");

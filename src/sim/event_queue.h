@@ -59,6 +59,12 @@ class EventQueue {
   // Runs the single earliest pending event; returns false if none remain.
   bool RunOne();
 
+  // Runs every event at time <= |t|, in (time, seq) order, including events
+  // those callbacks queue at <= |t|. Returns the earliest pending event's
+  // time, or kSimTimeInfinity when none remains. A wall-clock loop calls
+  // it with the current time and sleeps until the returned one.
+  SimTime RunUntil(SimTime t);
+
   // Current simulated time (the time of the last event fired).
   SimTime now() const { return now_; }
 

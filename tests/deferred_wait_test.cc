@@ -73,6 +73,17 @@ struct Config {
   int grid_steps = 400;
 };
 
+// Leaf durations with sigma -> 0: every leaf of a query reports at the same
+// time, so sibling aggregators decide alike and their timers share grid
+// points, and the learner's fit is the floored scale of a point mass.
+MetaLogNormalWorkload TiedLeavesWorkload() {
+  std::vector<MetaLogNormalStage> stages = MakeFacebookWorkload(8, 4).stages();
+  stages[0].sigma = 1e-300;
+  stages[0].sigma_spread = 0.0;
+  stages[0].min_sigma = 1e-300;
+  return MetaLogNormalWorkload("tied-leaves", "s", std::move(stages));
+}
+
 std::vector<Config> Configs() {
   auto with = [](DistributionFamily family, bool empirical, int reoptimize_every) {
     CedarPolicyOptions options;
@@ -97,7 +108,14 @@ std::vector<Config> Configs() {
       {"interactive", MakeInteractiveWorkload(16, 4), 155.0, log_normal},
       // Every arrival comes after the whole grid.
       {"deadline below the children", MakeFacebookWorkload(8, 4), 2.0, log_normal},
+      {"tied leaves", TiedLeavesWorkload(), 700.0, log_normal},
   };
+  // More warm-up samples asked for than a tier-0 aggregator has children:
+  // BeginQuery lowers the count to two-thirds of the fanout.
+  CedarPolicyOptions above_fanout = log_normal;
+  above_fanout.learner.min_samples = 9;
+  configs.push_back({"min_samples above the fanout", MakeFacebookWorkload(8, 4), 700.0,
+                     above_fanout});
   // The coarsest grid an engine builds: epsilon is the deadline, so every
   // upper tier's budget is below epsilon.
   configs.push_back({"one-step grid", MakeFacebookWorkload(8, 4), 700.0, log_normal, 1});

@@ -8,6 +8,7 @@
 
 #include "src/core/policies.h"
 #include "src/core/quality.h"
+#include "src/obs/metrics.h"
 
 namespace cedar {
 namespace {
@@ -146,6 +147,46 @@ TEST(RealtimeAggregatorTest, CedarPolicyDrivesRealClockWaits) {
   }
   aggregator.Join();
   EXPECT_EQ(result.outputs.size(), 4u);
+  EXPECT_LT(result.send_time, 1.0);
+}
+
+TEST(RealtimeAggregatorTest, CedarDefersOnTheWallClockAndSendsOnce) {
+  // Three of the fixture's four children report, a few milliseconds apart,
+  // so the node decides on arrivals and its timer sends. Cedar's arrival
+  // searches stop at a bound there, as they do in the simulators.
+  RtFixture fixture;
+  MetricsRegistry& registry = MetricsRegistry::Global();
+  const bool metrics_were_enabled = MetricsEnabled();
+  SetMetricsEnabled(true);
+  const long long deferred_before = registry.GetCounter("policy.decisions_deferred").Value();
+  const long long resolved_before = registry.GetCounter("policy.decisions_resolved").Value();
+  const long long bounds_before = registry.GetCounter("wait_optimizer.bound_calls").Value();
+  std::atomic<int> sends{0};
+  RealtimeAggregator<int>::Result result;
+  RealtimeAggregator<int> aggregator(std::make_unique<CedarPolicy>(), fixture.ctx, [&](auto r) {
+    result = std::move(r);
+    ++sends;
+  });
+  aggregator.Start();
+  for (int i = 0; i < 3; ++i) {
+    SleepMs(5.0);
+    aggregator.Offer(i);
+  }
+  aggregator.Join();
+  SetMetricsEnabled(metrics_were_enabled);
+  const long long deferred = registry.GetCounter("policy.decisions_deferred").Value();
+  EXPECT_GT(deferred, deferred_before);
+  // The third child's decision replaced the second's before its timer
+  // fired, so not every deferred decision was resolved: none is at once.
+  EXPECT_LT(registry.GetCounter("policy.decisions_resolved").Value() - resolved_before,
+            deferred - deferred_before);
+  EXPECT_GT(registry.GetCounter("wait_optimizer.bound_calls").Value(), bounds_before);
+  EXPECT_FALSE(aggregator.Offer(3)) << "the send is final";
+  EXPECT_EQ(sends.load(), 1);
+  EXPECT_FALSE(result.sent_early);
+  EXPECT_EQ(result.outputs.size(), 3u);
+  ASSERT_EQ(result.arrival_times.size(), 3u);
+  EXPECT_GE(result.send_time, result.arrival_times.back());
   EXPECT_LT(result.send_time, 1.0);
 }
 

@@ -1,9 +1,9 @@
 // WaitTableStore contract: content keying (every build input is part of the
 // key, and equal content hits whatever object carries it), one cooperative
-// build per key that is bit-identical to a serial one, the oldest-finished
-// eviction at kCapacity with clamped-lookup retirement. Carries the
-// tier1_tsan label: the racing-requester and evict-under-metrics paths are
-// meant to run under -DCEDAR_SANITIZE=thread.
+// build per key that is bit-identical to a serial one, and the store's
+// counters under concurrent gets. Carries the tier1_tsan label: the
+// racing-requester and gets-under-metrics paths are meant to run under
+// -DCEDAR_SANITIZE=thread.
 
 #include "src/core/wait_table_store.h"
 
@@ -48,7 +48,7 @@ struct StoreFixture {
   double epsilon;
 };
 
-// The smallest grid: capacity tests build well over kCapacity tables.
+// The smallest grid: the metrics test builds a table per key.
 WaitTableSpec TinySpec() {
   WaitTableSpec spec;
   spec.location_min = 1.0;
@@ -187,64 +187,43 @@ TEST(WaitTableStoreTest, RacingRequestersFillOneTableBitIdenticalToSerial) {
   EXPECT_EQ(after.misses, 1);
 }
 
-TEST(WaitTableStoreTest, EvictsOldestReadyEntryAtCapacity) {
+TEST(WaitTableStoreTest, ClampedLookupsSumOverTables) {
   StoreFixture fixture;
   fixture.spec = TinySpec();
   WaitTableStore store;
-  constexpr int kCapacity = static_cast<int>(WaitTableStore::kCapacity);
-  auto deadline_of = [](int i) { return 100.0 + i; };
-
-  std::vector<WaitTableStore::TablePtr> tables;
-  for (int i = 0; i < kCapacity; ++i) {
-    tables.push_back(fixture.Get(store, deadline_of(i)));
-  }
-  EXPECT_EQ(store.size(), WaitTableStore::kCapacity);
-  EXPECT_EQ(store.GetStats().evictions, 0);
-
-  tables[0]->Lookup(fixture.spec.location_max + 10.0, fixture.spec.scale_max + 10.0);  // clamps
-  tables[0]->Lookup(fixture.spec.location_min, fixture.spec.scale_min);  // in grid
-  EXPECT_EQ(store.GetStats().clamped_lookups, 1) << "a resident table's counter is visible";
-  // A hit does not refresh an entry: eviction follows insertion order.
-  EXPECT_EQ(fixture.Get(store, deadline_of(0)), tables[0]);
-
-  fixture.Get(store, deadline_of(kCapacity));  // evicts table 0, the oldest
-  EXPECT_EQ(store.size(), WaitTableStore::kCapacity);
-  EXPECT_EQ(store.GetStats().evictions, 1);
-  EXPECT_EQ(store.GetStats().clamped_lookups, 1)
-      << "the evicted table's clamp count is retired into the store stats";
-
-  const long long misses = store.GetStats().misses;
-  EXPECT_EQ(fixture.Get(store, deadline_of(2)), tables[2]) << "table 2 is still resident";
-  EXPECT_EQ(store.GetStats().misses, misses);
-  EXPECT_NE(fixture.Get(store, deadline_of(0)), tables[0]) << "table 0 was rebuilt";
-  EXPECT_EQ(store.GetStats().misses, misses + 1);
-  EXPECT_EQ(store.GetStats().evictions, 2) << "the rebuild evicted table 1";
-  EXPECT_NE(fixture.Get(store, deadline_of(1)), tables[1]);
-  EXPECT_EQ(store.GetStats().misses, misses + 2);
+  const auto first = fixture.Get(store, 100.0);
+  const auto second = fixture.Get(store, 101.0);
+  first->Lookup(fixture.spec.location_max + 10.0, fixture.spec.scale_max + 10.0);  // clamps
+  second->Lookup(fixture.spec.location_min - 1.0, fixture.spec.scale_min);         // clamps
+  second->Lookup(fixture.spec.location_min, fixture.spec.scale_min);               // in grid
+  EXPECT_EQ(store.GetStats().clamped_lookups, 2);
 }
 
 // With metrics on, every get bumps a registry counter. The store bumps them
-// only after releasing its own mutex, so threads that keep evicting give the
-// tier1_tsan run a chance to flag any nesting of the two locks.
-TEST(WaitTableStoreTest, ConcurrentEvictionsCountedInMetrics) {
+// only after releasing its own mutex, so four threads getting the same keys
+// give the tier1_tsan run a chance to flag any nesting of the two locks.
+TEST(WaitTableStoreTest, ConcurrentGetsCountedInMetrics) {
   StoreFixture fixture;
   fixture.spec = TinySpec();
   WaitTableStore store;
-  Counter& evictions = MetricsRegistry::Global().GetCounter("wait_table_store.evictions");
-  Counter& misses = MetricsRegistry::Global().GetCounter("wait_table_store.misses");
-  const long long evictions_before = evictions.Value();
-  const long long misses_before = misses.Value();
+  MetricsRegistry& registry = MetricsRegistry::Global();
+  const char* const kNames[] = {"wait_table_store.hits", "wait_table_store.misses",
+                                "wait_table_store.build_waits"};
+  std::vector<long long> before;
+  for (const char* name : kNames) {
+    before.push_back(registry.GetCounter(name).Value());
+  }
   const bool metrics_were_enabled = MetricsEnabled();
   SetMetricsEnabled(true);
 
   constexpr int kThreads = 4;
-  constexpr int kLookupsPerThread = 40;  // 160 distinct keys, past kCapacity
+  constexpr int kKeys = 10;
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
-      for (int i = 0; i < kLookupsPerThread; ++i) {
-        fixture.Get(store, 100.0 + t * kLookupsPerThread + i);
+      for (int i = 0; i < kKeys; ++i) {
+        fixture.Get(store, 100.0 + (i + 3 * t) % kKeys);  // each thread in its own order
       }
     });
   }
@@ -254,12 +233,13 @@ TEST(WaitTableStoreTest, ConcurrentEvictionsCountedInMetrics) {
   SetMetricsEnabled(metrics_were_enabled);
 
   const WaitTableStoreStats stats = store.GetStats();
-  EXPECT_EQ(stats.misses, kThreads * kLookupsPerThread);
-  EXPECT_EQ(store.size(), WaitTableStore::kCapacity);
-  EXPECT_EQ(stats.evictions, stats.misses - static_cast<long long>(WaitTableStore::kCapacity))
-      << "every built table is either resident or evicted";
-  EXPECT_EQ(evictions.Value() - evictions_before, stats.evictions);
-  EXPECT_EQ(misses.Value() - misses_before, stats.misses);
+  EXPECT_EQ(stats.misses, kKeys) << "one build per key";
+  EXPECT_EQ(stats.Gets(), kThreads * kKeys);
+  EXPECT_EQ(store.size(), static_cast<size_t>(kKeys));
+  const long long counted[] = {stats.hits, stats.misses, stats.build_waits};
+  for (size_t i = 0; i < before.size(); ++i) {
+    EXPECT_EQ(registry.GetCounter(kNames[i]).Value() - before[i], counted[i]) << kNames[i];
+  }
 }
 
 TEST(WaitTableStoreTest, GlobalIsAProcessSingleton) {
