@@ -300,8 +300,10 @@ BENCHMARK(BM_EventQueueChurn)->Arg(16)->Arg(320);
 void BM_TreeSimulationRunQuery(benchmark::State& state) {
   // One replay per iteration on perfbench's online-interactive shape: 50 x
   // 50 fanout, D = 155 ms, per-query upper knowledge. Prop-split
-  // (range(0) == 0) times the analytic engine and its event queue; online
-  // Cedar (range(0) == 1) adds a wait search on every arrival.
+  // (range(0) == 0) times the analytic engine: the query tree's set-up and
+  // its queue-free fixed-time run; online Cedar (range(0) == 1) adds a wait
+  // search on every arrival. events/replay counts the events the queued run
+  // would schedule.
   MetaLogNormalWorkload workload = MakeInteractiveWorkload(50, 50);
   const TreeSimulation simulation(workload.OfflineTree(), 155.0);
   Rng rng(1);

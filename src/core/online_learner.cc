@@ -13,6 +13,18 @@ void CheckLearnerFamily(DistributionFamily family) {
       << " (want lognormal, normal or exponential)";
 }
 
+LearnedDistribution MakeLearnedDistribution(const DistributionSpec& spec) {
+  CheckLearnerFamily(spec.family);
+  switch (spec.family) {
+    case DistributionFamily::kNormal:
+      return NormalDistribution(spec.p1, spec.p2);
+    case DistributionFamily::kExponential:
+      return ExponentialDistribution(spec.p1);
+    default:  // kLogNormal, the one family left after the check
+      return LogNormalDistribution(spec.p1, spec.p2);
+  }
+}
+
 namespace {
 
 // The learner's own checks run before its accumulator is built, so a bad

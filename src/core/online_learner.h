@@ -15,6 +15,7 @@
 #define CEDAR_SRC_CORE_ONLINE_LEARNER_H_
 
 #include <optional>
+#include <variant>
 #include <vector>
 
 #include "src/stats/distribution.h"
@@ -66,6 +67,19 @@ class OnlineLearner {
 // Dies, naming |family|, unless the learner can fit it: log-normal, normal
 // or exponential. The OnlineLearner and CedarPolicy constructors call it.
 void CheckLearnerFamily(DistributionFamily family);
+
+// A fit of one of the learner's families, held by value, so a policy that
+// keeps a fit between calls allocates nothing.
+using LearnedDistribution =
+    std::variant<LogNormalDistribution, NormalDistribution, ExponentialDistribution>;
+
+// The distribution |spec| describes; dies unless CheckLearnerFamily accepts
+// its family.
+LearnedDistribution MakeLearnedDistribution(const DistributionSpec& spec);
+
+inline const Distribution& AsDistribution(const LearnedDistribution& fit) {
+  return std::visit([](const auto& dist) -> const Distribution& { return dist; }, fit);
+}
 
 }  // namespace cedar
 

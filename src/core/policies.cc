@@ -185,19 +185,20 @@ WaitPolicy::ArrivalDecision CedarPolicy::OnArrivalDeferrable(const AggregatorCon
   if (options_.use_wait_table) {
     return {ctx.start_offset + TableOf(ctx, options_.table_spec).LookupSpec(*fit), false, false};
   }
-  std::unique_ptr<Distribution> fitted = MakeDistribution(*fit);
-  const WaitScan::Bound bound =
-      ScanOf(ctx).OptimizeOrBound(*fitted, ctx.fanout, arrival_time - ctx.start_offset);
+  const LearnedDistribution fitted = MakeLearnedDistribution(*fit);
+  const WaitScan::Bound bound = ScanOf(ctx).OptimizeOrBound(AsDistribution(fitted), ctx.fanout,
+                                                            arrival_time - ctx.start_offset);
   if (!bound.exact) {
-    deferred_fit_ = std::move(fitted);
+    deferred_fit_ = fitted;
   }
   return {ctx.start_offset + bound.wait, !bound.exact, false};
 }
 
 double CedarPolicy::Resolve(const AggregatorContext& ctx) {
-  CEDAR_CHECK(deferred_fit_ != nullptr);
-  const std::unique_ptr<Distribution> fitted = std::move(deferred_fit_);
-  return ctx.start_offset + ScanOf(ctx).Optimize(*fitted, ctx.fanout);
+  CEDAR_CHECK(deferred_fit_.has_value());
+  const double wait = ScanOf(ctx).Optimize(AsDistribution(*deferred_fit_), ctx.fanout);
+  deferred_fit_.reset();
+  return ctx.start_offset + wait;
 }
 
 // ------------------------------------------------------------------- Oracle

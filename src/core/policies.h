@@ -144,7 +144,7 @@ class CedarPolicy final : public WaitPolicy {
   std::optional<OnlineLearner> learner_;  // set on the learning tier only
   int effective_min_samples_ = 2;
   int arrivals_since_reopt_ = 0;
-  std::unique_ptr<Distribution> deferred_fit_;  // the fit of a deferred decision
+  std::optional<LearnedDistribution> deferred_fit_;  // the fit of a deferred decision
 };
 
 // The Ideal scheme. The plan for the query's truth is computed once per

@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "src/common/logging.h"
+
 namespace cedar {
 namespace {
 
@@ -102,6 +104,19 @@ void QueryTraceBuilder::RecordRootArrival(double time, bool in_time) {
   event.ts = time;
   event.args = {TraceArg::Num("in_time", in_time ? 1 : 0)};
   Push(std::move(event));
+}
+
+void QueryTraceBuilder::PermuteRecords(const std::vector<size_t>& order) {
+  CEDAR_CHECK_EQ(order.size(), events_.size());
+  std::vector<bool> seen(order.size(), false);
+  std::vector<TraceEvent> permuted;
+  permuted.reserve(order.size());
+  for (size_t from : order) {
+    CEDAR_CHECK(from < events_.size() && !seen[from]) << "not a permutation at " << from;
+    seen[from] = true;
+    permuted.push_back(std::move(events_[from]));
+  }
+  events_ = std::move(permuted);
 }
 
 void QueryTraceBuilder::Finish(double end_time, double inclusion_fraction,

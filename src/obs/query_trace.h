@@ -14,6 +14,7 @@
 #ifndef CEDAR_SRC_OBS_QUERY_TRACE_H_
 #define CEDAR_SRC_OBS_QUERY_TRACE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -63,6 +64,15 @@ class QueryTraceBuilder {
   // invalid.
   void Finish(double end_time, double inclusion_fraction,
               std::vector<TraceArg> extra_args = {});
+
+  // Number of events recorded so far (Finish's span aside).
+  size_t records() const { return events_.size(); }
+
+  // Puts the recorded events in |order|: the new i-th is the old
+  // |order|[i]-th, and |order| must be a permutation of [0, records()).
+  // For an engine that runs events out of their queued order: the export's
+  // stable sort keeps equal-time events in recording order.
+  void PermuteRecords(const std::vector<size_t>& order);
 
   int holds() const { return holds_; }
   int folds() const { return folds_; }

@@ -2,11 +2,12 @@
 // endhost deployment path the paper emphasizes ("Cedar can be implemented
 // entirely at the endhosts", §1).
 //
-// It drives one AggregatorNode, the loop the simulators run, over its own
-// EventQueue in seconds on std::chrono::steady_clock since Start(). Offer()
-// queues the arrival now and runs the queue up to now, so a timer already
-// due fires first, as in a simulation; a timer thread sleeps until the next
-// event. Deferral, resolve at expiry and the single send are the node's.
+// It drives one AggregatorNode, the loop the simulators run, through a
+// QueuedNode over its own EventQueue in seconds on std::chrono::steady_clock
+// since Start(). Offer() queues the arrival now and runs the queue up to
+// now, so a timer already due fires first, as in a simulation; a timer
+// thread sleeps until the next event. Deferral, resolve at expiry and the
+// single send are the node's.
 // The callback fires exactly once: at the node's send, or at Flush().
 //
 // Threading contract: Offer/Flush/Join are thread-safe; the callback runs
@@ -74,7 +75,7 @@ class RealtimeAggregator {
     started_ = true;
     start_time_ = Clock::now();
     node_.policy()->BeginQuery(ctx_, nullptr);
-    node_.Start(queue_, [this](AggregatorNode&, double) { sent_ = true; });
+    queued_.Start(queue_, node_, [this] { sent_ = true; });
     timer_ = std::thread([this] { TimerLoop(); });
   }
 
@@ -97,7 +98,7 @@ class RealtimeAggregator {
       accepted = true;
       outputs_.push_back(std::move(output));
       arrival_times_.push_back(now);
-      node_.OnChildOutput(1.0);
+      queued_.OnChildOutput(1.0);
     });
     queue_.RunUntil(now);
     lock.unlock();
@@ -170,7 +171,8 @@ class RealtimeAggregator {
   std::condition_variable cv_;
   Clock::time_point start_time_;
   EventQueue queue_;
-  AggregatorNode node_;  // declared after queue_: its timers live there
+  AggregatorNode node_;
+  QueuedNode queued_;  // drives node_ on queue_, where its timer events live
   bool started_ = false;
   bool sent_ = false;  // the node sent, or a flush ended the query
   bool flush_requested_ = false;

@@ -1,14 +1,21 @@
-// AggregatorNode: one aggregator instance executing Pseudocode 1 against an
-// EventQueue — arrival handler, timer re-arming, early send when all
-// children have reported, and the upstream send callback. QueryTree wires
-// one per aggregator for all three engines; RealtimeAggregator drives one
-// on the wall clock. It is the library's only Pseudocode 1 loop.
+// AggregatorNode: one aggregator instance executing Pseudocode 1 — arrival
+// handler, timer re-arming, early send when all children have reported.
+// QueryTree wires one per aggregator for all three engines; RealtimeAggregator
+// drives one on the wall clock. It is the library's only Pseudocode 1 loop.
+//
+// The node owns no clock and no queue. Its one timer is a value,
+// timer_at(); each handler takes the driver's current time and returns a
+// Step saying what it did to that timer. Two drivers use that interface:
+// QueuedNode below keeps the timer as one event on an EventQueue (the slot
+// scheduler's engines and RealtimeAggregator), and the fixed-time runner
+// (QueryTree::RunFixedTimeLeaves) merges it into each node's sorted child
+// arrivals, so a re-arm is an assignment.
 //
 // Arrivals go through WaitPolicy::DecideOnArrivalDeferrable: a deferred
 // decision arms the timer at its lower bound, and only a timer that fires
-// there resolves the exact send time, re-queueing itself under its own seq
-// when that is later. Every send time is the eager decisions' (DESIGN.md
-// §4, "Aggregator loop").
+// there resolves the exact send time, moving itself there when that is
+// later (kMoved: a queue re-queues it under its own seq). Every send time
+// is the eager decisions' (DESIGN.md §4, "Aggregator loop").
 
 #ifndef CEDAR_SRC_SIM_AGGREGATOR_NODE_H_
 #define CEDAR_SRC_SIM_AGGREGATOR_NODE_H_
@@ -20,6 +27,8 @@
 #include <utility>
 #include <vector>
 
+#include "src/common/logging.h"
+#include "src/common/time_types.h"
 #include "src/core/policy.h"
 #include "src/obs/query_trace.h"
 #include "src/sim/event_queue.h"
@@ -28,6 +37,15 @@ namespace cedar {
 
 class AggregatorNode {
  public:
+  // What a handler did to the node's timer.
+  enum class Step : uint8_t {
+    kKept,   // nothing: a kept decision, or an output that came after the send
+    kArmed,  // a new timer at timer_at() replaced the old one (a new event)
+    kMoved,  // OnTimer only: the fired deferred timer resolved later and
+             // now fires at timer_at() (the same event, re-queued)
+    kSent,   // the node sent at the handler's time; no timer is left
+  };
+
   AggregatorNode() = default;
 
   // |origin| is this aggregator's time zero: policies reason in times
@@ -56,28 +74,28 @@ class AggregatorNode {
   double included_weight() const { return included_weight_; }
   int arrivals_count() const { return static_cast<int>(arrivals_.size()); }
 
-  // Arms the initial timer (InitialWait) on |queue|, which the node keeps
-  // for its timers and must outlive it. |send_fn| is invoked exactly once,
-  // at the send, with (*this, accumulated weight).
-  void Start(EventQueue& queue, std::function<void(AggregatorNode&, double)> send_fn) {
-    queue_ = &queue;
-    send_fn_ = std::move(send_fn);
+  // The absolute time the armed timer fires; kSimTimeInfinity once sent.
+  double timer_at() const { return timer_at_; }
+
+  // Arms the initial timer (InitialWait) at |now|. Returns kArmed.
+  Step Start(double now) {
     double wait = policy_->DecideInitialWait(*ctx_);
     if (trace_ != nullptr) {
       trace_->RecordInitialWait(tier_, index_, wait);
       traced_wait_ = wait;
     }
-    ArmTimer(wait, false);
+    ArmTimer(now, wait, false);
+    return Step::kArmed;
   }
 
-  // Handles one child output of |weight| arriving now, at the queue's
-  // current time. Late outputs (after the send) are dropped, matching the
-  // model: once the partial result went upstream, stragglers are ignored.
-  void OnChildOutput(double weight) {
+  // Handles one child output of |weight| arriving at |now|. Late outputs
+  // (after the send) are dropped, matching the model: once the partial
+  // result went upstream, stragglers are ignored.
+  Step OnChildOutput(double now, double weight) {
     if (closed_) {
-      return;
+      return Step::kKept;
     }
-    double relative_now = queue_->now() - origin_;
+    double relative_now = now - origin_;
     arrivals_.push_back(relative_now);
     included_weight_ += weight;
     if (trace_ != nullptr) {
@@ -85,13 +103,13 @@ class AggregatorNode {
                             static_cast<int>(arrivals_.size()));
     }
     if (static_cast<int>(arrivals_.size()) == ctx_->fanout) {
-      Send();  // all children reported: SetTimer(0) in Pseudocode 1
-      return;
+      Send(now);  // all children reported: SetTimer(0) in Pseudocode 1
+      return Step::kSent;
     }
     const WaitPolicy::ArrivalDecision decision =
         policy_->DecideOnArrivalDeferrable(*ctx_, relative_now, arrivals_);
     if (decision.kept) {
-      return;
+      return Step::kKept;
     }
     if (trace_ != nullptr) {
       // The record needs the exact wait; the timer is armed as untraced.
@@ -104,54 +122,51 @@ class AggregatorNode {
     // An exact wait equal to the armed one keeps the timer; a deferred
     // decision, or one replacing a deferred timer, always re-arms.
     if (decision.deferred || armed_deferred_ || decision.send_time != armed_wait_) {
-      ArmTimer(decision.send_time, decision.deferred);
+      ArmTimer(now, decision.send_time, decision.deferred);
+      return Step::kArmed;
     }
+    return Step::kKept;
   }
 
- private:
-  void ArmTimer(double wait, bool deferred) {
-    if (timer_handle_ != 0) {
-      queue_->Cancel(timer_handle_);
-    }
-    armed_wait_ = wait;
-    armed_deferred_ = deferred;
-    double fire_at = std::max(origin_ + wait, queue_->now());
-    timer_handle_ = queue_->Schedule(fire_at, [this] { OnTimer(); });
-  }
-
-  // A deferred timer fires at its bound: the exact wait is at least the
-  // bound, so the timer re-queues itself there, under the seq it was armed
-  // with, or sends if that is now.
-  void OnTimer() {
-    timer_handle_ = 0;
+  // The armed timer fires at |now| == timer_at(). A deferred timer fires at
+  // its bound: the exact wait is at least the bound, so the timer moves
+  // there, or the node sends if that is now.
+  Step OnTimer(double now) {
     if (armed_deferred_) {
       armed_deferred_ = false;
       armed_wait_ = policy_->ResolveWait(*ctx_);
       const double fire_at = origin_ + armed_wait_;
-      if (fire_at > queue_->now()) {
-        timer_handle_ = queue_->Requeue(fire_at, [this] { OnTimer(); });
-        return;
+      if (fire_at > now) {
+        SetTimer(fire_at);
+        return Step::kMoved;
       }
     }
-    Send();
+    Send(now);
+    return Step::kSent;
   }
 
-  void Send() {
-    if (closed_) {
-      return;
-    }
+ private:
+  void ArmTimer(double now, double wait, bool deferred) {
+    armed_wait_ = wait;
+    armed_deferred_ = deferred;
+    SetTimer(std::max(origin_ + wait, now));
+  }
+
+  // The check a queue makes on every event, made here for every driver.
+  void SetTimer(double at) {
+    CEDAR_CHECK(IsFiniteTime(at)) << "timer at non-finite time " << at;
+    timer_at_ = at;
+  }
+
+  void Send(double now) {
     closed_ = true;
-    if (timer_handle_ != 0) {
-      queue_->Cancel(timer_handle_);
-      timer_handle_ = 0;
-    }
-    send_time_ = queue_->now();
+    timer_at_ = kSimTimeInfinity;
+    send_time_ = now;
     if (trace_ != nullptr) {
       trace_->RecordSend(tier_, index_, send_time_ - origin_,
                          static_cast<int>(arrivals_.size()), ctx_->fanout,
                          included_weight_);
     }
-    send_fn_(*this, included_weight_);
   }
 
   int tier_ = 0;
@@ -160,17 +175,70 @@ class AggregatorNode {
   std::unique_ptr<WaitPolicy> policy_;
   const AggregatorContext* ctx_ = nullptr;
   QueryTraceBuilder* trace_ = nullptr;
-  EventQueue* queue_ = nullptr;
-  std::function<void(AggregatorNode&, double)> send_fn_;
 
   std::vector<double> arrivals_;
   double included_weight_ = 0.0;
   bool closed_ = false;
   double send_time_ = 0.0;
-  uint64_t timer_handle_ = 0;
+  double timer_at_ = kSimTimeInfinity;
   double armed_wait_ = -1.0;
   bool armed_deferred_ = false;  // armed_wait_ is a deferred decision's bound
   double traced_wait_ = -1.0;    // the last exact wait the trace recorded
+};
+
+// Drives an AggregatorNode on an EventQueue, its timer one queued event: a
+// re-arm cancels that event and schedules a new one, and a moved timer
+// re-queues its own event (EventQueue::Requeue), keeping its place among
+// equal times. QueryTree under the slot scheduler (ClusterRuntime,
+// RunLoadedCluster) and RealtimeAggregator run their nodes this way. It
+// captures its own address in its events, so it must not move once started.
+class QueuedNode {
+ public:
+  QueuedNode() = default;
+  QueuedNode(const QueuedNode&) = delete;
+  QueuedNode& operator=(const QueuedNode&) = delete;
+
+  // Starts |node| at the queue's current time. |on_send| runs once, right
+  // after the node's send. |queue| and |node| must outlive this driver.
+  void Start(EventQueue& queue, AggregatorNode& node, std::function<void()> on_send) {
+    queue_ = &queue;
+    node_ = &node;
+    on_send_ = std::move(on_send);
+    Apply(node.Start(queue.now()));
+  }
+
+  // Hands the node one child output of |weight| at the queue's current time.
+  void OnChildOutput(double weight) { Apply(node_->OnChildOutput(queue_->now(), weight)); }
+
+ private:
+  void Apply(AggregatorNode::Step step) {
+    switch (step) {
+      case AggregatorNode::Step::kKept:
+        return;
+      case AggregatorNode::Step::kArmed:
+        queue_->Cancel(timer_handle_);
+        timer_handle_ = queue_->Schedule(node_->timer_at(), [this] { OnTimer(); });
+        return;
+      case AggregatorNode::Step::kMoved:
+        timer_handle_ = queue_->Requeue(node_->timer_at(), [this] { OnTimer(); });
+        return;
+      case AggregatorNode::Step::kSent:
+        queue_->Cancel(timer_handle_);
+        timer_handle_ = 0;
+        on_send_();
+        return;
+    }
+  }
+
+  void OnTimer() {
+    timer_handle_ = 0;
+    Apply(node_->OnTimer(queue_->now()));
+  }
+
+  EventQueue* queue_ = nullptr;
+  AggregatorNode* node_ = nullptr;
+  std::function<void()> on_send_;
+  uint64_t timer_handle_ = 0;
 };
 
 }  // namespace cedar

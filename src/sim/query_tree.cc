@@ -1,11 +1,15 @@
 #include "src/sim/query_tree.h"
 
+#include <algorithm>
 #include <cfloat>
 #include <cmath>
+#include <cstddef>
 #include <memory>
+#include <numeric>
 #include <utility>
 
 #include "src/common/logging.h"
+#include "src/obs/profiler.h"
 #include "src/obs/trace.h"
 
 namespace cedar {
@@ -84,54 +88,271 @@ QueryTree::QueryTree(const QueryTreeModel& model, const WaitPolicy& policy_proto
 
 void QueryTree::Start(EventQueue& queue) {
   queue_ = &queue;
-  for (auto& row : nodes_) {
-    for (auto& node : row) {
-      node.Start(queue, [this](AggregatorNode& sender, double weight) { OnSend(sender, weight); });
+  queued_.resize(nodes_.size());
+  for (size_t tier = 0; tier < nodes_.size(); ++tier) {
+    queued_[tier] = std::vector<QueuedNode>(nodes_[tier].size());
+    for (size_t i = 0; i < nodes_[tier].size(); ++i) {
+      AggregatorNode& node = nodes_[tier][i];
+      queued_[tier][i].Start(queue, node, [this, &node] { OnSend(node); });
     }
   }
+}
+
+double QueryTree::LeafWeight(size_t leaf) const {
+  return realization_.leaf_weights.empty() ? 1.0 : realization_.leaf_weights[leaf];
 }
 
 bool QueryTree::DeliverLeaf(long long leaf) {
-  double weight = realization_.leaf_weights.empty()
-                      ? 1.0
-                      : realization_.leaf_weights[static_cast<size_t>(leaf)];
-  long long agg = leaf / model_.offline_tree().stage(0).fanout;
-  AggregatorNode& node = nodes_[0][static_cast<size_t>(agg)];
-  if (node.closed()) {
+  const auto agg = static_cast<size_t>(leaf / model_.offline_tree().stage(0).fanout);
+  if (nodes_[0][agg].closed()) {
     return false;
   }
-  node.OnChildOutput(weight);
+  queued_[0][agg].OnChildOutput(LeafWeight(static_cast<size_t>(leaf)));
   return true;
 }
 
-void QueryTree::OnSend(AggregatorNode& node, double weight) {
-  int tier = node.tier();
-  long long index = node.index();
-  double ship =
-      realization_.stage_durations[static_cast<size_t>(tier + 1)][static_cast<size_t>(index)];
-  double arrive_at = queue_->now() + ship;
-  if (tier == 0) {
-    tier0_send_sum_ += queue_->now() - origin_;
+double QueryTree::ArrivalAbove(const AggregatorNode& node) const {
+  return node.send_time() + realization_.stage_durations[static_cast<size_t>(node.tier() + 1)]
+                                                        [static_cast<size_t>(node.index())];
+}
+
+void QueryTree::AccountSend(const AggregatorNode& node) {
+  if (node.tier() == 0) {
+    tier0_send_sum_ += node.send_time() - origin_;
     ++tier0_sends_;
   }
-  if (tier + 1 == static_cast<int>(nodes_.size())) {
-    // Top tier: deliver to the root, subject to the deadline.
-    bool in_time = arrive_at <= origin_ + model_.deadline();
-    if (in_time) {
-      included_weight_ += weight;
-      root_senders_.push_back(index);
+  if (node.tier() + 1 == static_cast<int>(nodes_.size())) {
+    // Top tier: delivered to the root, subject to the deadline.
+    if (InTime(ArrivalAbove(node))) {
+      included_weight_ += node.included_weight();
+      root_senders_.push_back(node.index());
     } else {
       ++root_late_;
     }
-    if (trace_.active()) {
-      trace_.RecordRootArrival(arrive_at - origin_, in_time);
-    }
+  }
+}
+
+void QueryTree::TraceRootArrival(double arrive_at) {
+  if (trace_.active()) {
+    trace_.RecordRootArrival(arrive_at - origin_, InTime(arrive_at));
+  }
+}
+
+void QueryTree::OnSend(const AggregatorNode& node) {
+  AccountSend(node);
+  const double arrive_at = ArrivalAbove(node);
+  const int tier = node.tier();
+  if (tier + 1 == static_cast<int>(nodes_.size())) {
+    TraceRootArrival(arrive_at);
     return;
   }
-  long long parent = index / model_.offline_tree().stage(tier + 1).fanout;
-  AggregatorNode& parent_node = nodes_[static_cast<size_t>(tier + 1)][static_cast<size_t>(parent)];
+  const long long parent = node.index() / model_.offline_tree().stage(tier + 1).fanout;
+  QueuedNode& parent_node = queued_[static_cast<size_t>(tier + 1)][static_cast<size_t>(parent)];
   // Two words of capture: std::function keeps the closure inline.
-  queue_->Schedule(arrive_at, [&parent_node, weight] { parent_node.OnChildOutput(weight); });
+  queue_->Schedule(arrive_at, [&parent_node, weight = node.included_weight()] {
+    parent_node.OnChildOutput(weight);
+  });
+}
+
+namespace {
+
+// An event's key on the queued run's EventQueue (DESIGN.md §4, "Aggregator
+// loop"). An event queued before the run is Pre(n), n its place in the
+// scheduling order: every aggregator's initial timer in Start order, then
+// the leaves in index order. An event queued during the run (a re-armed
+// timer, or a send's arrival at the parent) is Fresh(k), k the key of the
+// event that queued it; a moved timer keeps its origin.
+struct EventKey {
+  double time = 0.0;
+  const EventKey* cause = nullptr;  // Fresh(*cause); null for Pre(pre)
+  long long pre = 0;
+};
+
+// Keys compare by time, then Pre before Fresh, Pre by n and Fresh by k.
+// That is the queue's (time, seq) order: events run in key order, each
+// queues at most one other, and a seq counts up in scheduling order.
+bool Before(const EventKey& first, const EventKey& second) {
+  const EventKey* a = &first;
+  const EventKey* b = &second;
+  for (;;) {
+    if (a->time != b->time) {
+      return a->time < b->time;
+    }
+    if (a->cause == nullptr || b->cause == nullptr) {
+      return a->cause == nullptr && (b->cause != nullptr || a->pre < b->pre);
+    }
+    a = a->cause;
+    b = b->cause;
+  }
+}
+
+// One aggregator's keys. They live for the whole run: the parent's arrival
+// keys point at |send|, and a re-armed |timer| at |armed_by|, which no
+// arrival overwrites once the node has sent.
+struct NodeKeys {
+  EventKey timer;     // the armed timer's event
+  EventKey armed_by;  // the arrival that armed it, unless it is the initial one
+  EventKey send;      // the event the node sent at
+};
+
+struct ChildArrival {
+  double time = 0.0;
+  size_t child = 0;  // the leaf (tier 0) or child aggregator
+};
+
+// The trace records one event made, [begin, end) in recording order.
+struct TraceSpan {
+  EventKey key;
+  size_t begin = 0;
+  size_t end = 0;
+};
+
+}  // namespace
+
+FixedTimeRun QueryTree::RunFixedTimeLeaves(const std::function<void(long long)>& accepted) {
+  CEDAR_PROFILE_SCOPE("sim.fixed_time_run");
+  CEDAR_CHECK_EQ(origin_, 0.0) << "a fixed-time run starts its leaves at time 0";
+  const std::vector<double>& durations = realization_.stage_durations[0];
+  const size_t tiers = nodes_.size();
+  QueryTraceBuilder* trace = this->trace();
+
+  // The initial timers, in Start's order, then the leaves are the Pre
+  // events.
+  std::vector<std::vector<NodeKeys>> keys(tiers);
+  long long pre = 0;
+  for (size_t tier = 0; tier < tiers; ++tier) {
+    keys[tier].resize(nodes_[tier].size());
+    for (size_t i = 0; i < nodes_[tier].size(); ++i) {
+      nodes_[tier][i].Start(0.0);
+      keys[tier][i].timer = {nodes_[tier][i].timer_at(), nullptr, pre++};
+    }
+  }
+  const long long first_leaf = pre;
+  long long events = pre + static_cast<long long>(durations.size());
+  double end_time = 0.0;
+  std::vector<TraceSpan> spans;
+  const size_t first_run_record = trace != nullptr ? trace->records() : 0;
+
+  // Bottom tier first, each node runs its child arrivals in key order,
+  // merged with its one timer, up to its send. Outputs after the send fire
+  // on the queue but change nothing, so only their times are read.
+  std::vector<ChildArrival> arrivals;
+  for (size_t tier = 0; tier < tiers; ++tier) {
+    const bool top = tier + 1 == tiers;
+    const auto fanout = static_cast<size_t>(contexts_[tier].fanout);
+    // A child output's arrival key: a leaf's is Pre, a child aggregator's
+    // is Fresh of its send.
+    const auto key_of = [&](const ChildArrival& arrival) {
+      return tier == 0 ? EventKey{arrival.time, nullptr,
+                                  first_leaf + static_cast<long long>(arrival.child)}
+                       : EventKey{arrival.time, &keys[tier - 1][arrival.child].send, 0};
+    };
+    for (size_t i = 0; i < nodes_[tier].size(); ++i) {
+      arrivals.resize(fanout);
+      for (size_t j = 0; j < fanout; ++j) {
+        const size_t child = i * fanout + j;
+        const double time = tier == 0 ? durations[child] : ArrivalAbove(nodes_[tier - 1][child]);
+        arrivals[j] = {time, child};
+        end_time = std::max(end_time, time);
+      }
+      // Arrivals are sorted only as far as the timer reaches: [next, ready)
+      // is sorted and holds every arrival at or before |bound|, and the
+      // later ones stay unsorted behind it, so a node that sends early
+      // sorts only what it takes.
+      size_t next = 0;
+      size_t ready = 0;
+      double bound = -kSimTimeInfinity;
+      const auto sort_through = [&](double t) {
+        if (t <= bound) {
+          return;
+        }
+        const auto first = arrivals.begin() + static_cast<std::ptrdiff_t>(ready);
+        const auto last = std::partition(first, arrivals.end(),
+                                         [t](const ChildArrival& a) { return a.time <= t; });
+        std::sort(first, last, [&](const ChildArrival& a, const ChildArrival& b) {
+          return a.time != b.time ? a.time < b.time : Before(key_of(a), key_of(b));
+        });
+        ready = static_cast<size_t>(last - arrivals.begin());
+        bound = t;
+      };
+
+      AggregatorNode& node = nodes_[tier][i];
+      NodeKeys& node_keys = keys[tier][i];
+      while (!node.closed()) {
+        sort_through(node_keys.timer.time);
+        const size_t first_record = trace != nullptr ? trace->records() : 0;
+        const ChildArrival* arrival = nullptr;
+        EventKey event;  // the running event's key
+        AggregatorNode::Step step;
+        if (next < ready && Before(event = key_of(arrivals[next]), node_keys.timer)) {
+          arrival = &arrivals[next++];
+          const double weight = tier == 0 ? LeafWeight(arrival->child)
+                                          : nodes_[tier - 1][arrival->child].included_weight();
+          step = node.OnChildOutput(arrival->time, weight);
+          if (step == AggregatorNode::Step::kArmed) {
+            node_keys.armed_by = event;
+            node_keys.timer = {node.timer_at(), &node_keys.armed_by, 0};
+            ++events;
+          }
+        } else {
+          event = node_keys.timer;
+          end_time = std::max(end_time, event.time);
+          step = node.OnTimer(event.time);
+          if (step == AggregatorNode::Step::kMoved) {
+            node_keys.timer.time = node.timer_at();
+          }
+        }
+        if (step == AggregatorNode::Step::kSent) {
+          node_keys.send = event;
+          if (top) {
+            TraceRootArrival(ArrivalAbove(node));
+          } else {
+            ++events;  // the arrival at the parent
+          }
+        }
+        // Only arrivals and sends record, so a span's key is final.
+        if (trace != nullptr && trace->records() > first_record) {
+          spans.push_back({event, first_record, trace->records()});
+        }
+        if (arrival != nullptr && tier == 0 && accepted) {
+          accepted(static_cast<long long>(arrival->child));
+        }
+      }
+    }
+  }
+
+  // The accounting and the trace records in the queued run's order.
+  std::vector<size_t> order;
+  const auto account_in_send_order = [&](size_t tier) {
+    order.resize(nodes_[tier].size());
+    std::iota(order.begin(), order.end(), size_t{0});
+    std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+      return Before(keys[tier][a].send, keys[tier][b].send);
+    });
+    for (size_t i : order) {
+      AccountSend(nodes_[tier][i]);
+    }
+  };
+  account_in_send_order(0);
+  if (tiers > 1) {
+    account_in_send_order(tiers - 1);
+  }
+  if (trace != nullptr) {
+    std::sort(spans.begin(), spans.end(),
+              [](const TraceSpan& a, const TraceSpan& b) { return Before(a.key, b.key); });
+    order.resize(first_run_record);
+    std::iota(order.begin(), order.end(), size_t{0});
+    for (const TraceSpan& span : spans) {
+      for (size_t r = span.begin; r < span.end; ++r) {
+        order.push_back(r);
+      }
+    }
+    trace->PermuteRecords(order);
+  }
+
+  FixedTimeRun run{Result(), end_time};
+  run.result.events = events;
+  return run;
 }
 
 QueryResult QueryTree::Result() const {

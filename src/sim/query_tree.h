@@ -19,19 +19,22 @@
 //    stage-(t+1) duration of its own edge to parent index / fanout;
 //  * root accounting against origin + deadline: the top-tier senders that
 //    reached the root in time, in send order, and the tier-0 send mean.
-// The engine supplies only the leaves: it calls Start() once with its queue,
-// then DeliverLeaf() at each leaf output's completion time, runs the queue,
-// and reads Result(). All times on the queue are absolute; |origin| is the
-// query's time zero (its arrival, in a loaded run). RunFixedTimeLeaves()
-// below is that whole loop for leaves that complete at their sampled
-// durations (TreeSimulation and the apps); the slot scheduler in
-// cluster_runtime.cc is the other leaf scheduler. An app also carries each
-// leaf's payload: it keeps the outputs DeliverLeaf() accepted per tier-0
-// aggregator and merges those of root_senders() at the end.
+// A queued engine supplies only the leaves: it calls Start() once with its
+// queue, then DeliverLeaf() at each leaf output's completion time, runs the
+// queue, and reads Result(). All times on the queue are absolute; |origin|
+// is the query's time zero (its arrival, in a loaded run); the slot
+// scheduler in cluster_runtime.cc is that leaf scheduler. Leaves that
+// complete at their sampled durations (TreeSimulation and the apps) need no
+// queue: RunFixedTimeLeaves() runs each aggregator's Pseudocode 1 from its
+// sorted child arrivals, tier by tier, in the order the queued run would
+// (DESIGN.md §4, "Aggregator loop"). An app also carries each leaf's
+// payload: it keeps the outputs the run accepted per tier-0 aggregator and
+// merges those of root_senders() at the end.
 
 #ifndef CEDAR_SRC_SIM_QUERY_TREE_H_
 #define CEDAR_SRC_SIM_QUERY_TREE_H_
 
+#include <functional>
 #include <vector>
 
 #include "src/core/policy.h"
@@ -83,8 +86,16 @@ struct QueryResult {
   // (diagnostic: what wait the policy effectively chose).
   double mean_tier0_send_time = 0.0;
 
-  // DES events the engine scheduled, fired or cancelled for this query.
+  // DES events the engine scheduled, fired or cancelled for this query. The
+  // fixed-time run counts the events the queued run would schedule.
   long long events = 0;
+};
+
+// What RunFixedTimeLeaves reports: the tree's result, with its events, and
+// the time of the last event the queued run would fire.
+struct FixedTimeRun {
+  QueryResult result;
+  double end_time = 0.0;
 };
 
 // The per-(offline tree, deadline) state every query tree of one engine
@@ -141,12 +152,17 @@ class QueryTree {
   // open, i.e. whether the output is part of its send.
   bool DeliverLeaf(long long leaf);
 
+  // Runs the whole query (origin 0) with fixed-time leaves, instead of
+  // Start(): every leaf process is dispatched at time 0 and completes at its
+  // sampled stage-0 duration, and |accepted|, when set, is called with each
+  // leaf whose output its aggregator took, in that aggregator's arrival
+  // order. Builds no queue; every result, the trace included, is the
+  // queued run's bit for bit.
+  FixedTimeRun RunFixedTimeLeaves(const std::function<void(long long)>& accepted = nullptr);
+
   // Number of aggregators: one timer each, so with the leaves they bound the
   // events an engine has queued at once.
   long long aggregators() const { return aggregators_; }
-
-  // The realization the tree replays.
-  const QueryRealization& realization() const { return realization_; }
 
   // Once the queue has run. Dies unless every aggregator sent exactly once,
   // the quality is finite and the included weight lies in [0, total weight]
@@ -163,7 +179,16 @@ class QueryTree {
   QueryTraceBuilder* trace() { return trace_.active() ? &trace_ : nullptr; }
 
  private:
-  void OnSend(AggregatorNode& node, double weight);
+  double LeafWeight(size_t leaf) const;
+  // A queued send: its accounting, and its arrival at the parent or root.
+  void OnSend(const AggregatorNode& node);
+  // When |node|'s send reaches its parent or the root.
+  double ArrivalAbove(const AggregatorNode& node) const;
+  bool InTime(double arrive_at) const { return arrive_at <= origin_ + model_.deadline(); }
+  // The send's accounting, made in send order: the tier-0 send-time sum
+  // and, for the top tier, the root's deadline check.
+  void AccountSend(const AggregatorNode& node);
+  void TraceRootArrival(double arrive_at);
 
   const QueryTreeModel& model_;
   const QueryRealization& realization_;
@@ -175,6 +200,7 @@ class QueryTree {
   std::vector<std::vector<AggregatorNode>> nodes_;
   long long aggregators_ = 0;
   EventQueue* queue_ = nullptr;  // from Start
+  std::vector<std::vector<QueuedNode>> queued_;  // nodes_'s drivers, from Start
 
   double included_weight_ = 0.0;
   std::vector<long long> root_senders_;
@@ -182,47 +208,6 @@ class QueryTree {
   double tier0_send_sum_ = 0.0;
   long long tier0_sends_ = 0;
 };
-
-// What RunFixedTimeLeaves reports: the tree's result, with the events the
-// run scheduled, and the time of the last event.
-struct FixedTimeRun {
-  QueryResult result;
-  double end_time = 0.0;
-};
-
-// Runs |tree| (origin 0) with fixed-time leaves: every leaf process is
-// dispatched at time 0 and completes at its sampled stage-0 duration, and
-// accepted(leaf) is called at that time whenever DeliverLeaf(leaf) accepts
-// the output. Every leaf completion and every aggregator's timer are queued
-// at once, so the queue is sized for them up front.
-template <typename Accepted>
-FixedTimeRun RunFixedTimeLeaves(QueryTree& tree, Accepted&& accepted) {
-  const std::vector<double>& durations = tree.realization().stage_durations[0];
-  EventQueue queue;
-  queue.Reserve(durations.size() + static_cast<size_t>(tree.aggregators()));
-  tree.Start(queue);
-
-  // Each completion captures one pointer and its leaf, so std::function
-  // keeps it inline and no leaf event allocates.
-  struct Leaves {
-    QueryTree& tree;
-    Accepted& accepted;
-  } leaves{tree, accepted};
-  for (size_t i = 0; i < durations.size(); ++i) {
-    auto complete = [shared = &leaves, leaf = static_cast<long long>(i)] {
-      if (shared->tree.DeliverLeaf(leaf)) {
-        shared->accepted(leaf);
-      }
-    };
-    static_assert(sizeof(complete) <= 16, "a leaf closure must fit std::function's buffer");
-    queue.Schedule(durations[i], complete);
-  }
-
-  queue.Run();
-  FixedTimeRun run{tree.Result(), queue.now()};
-  run.result.events = static_cast<long long>(queue.scheduled());
-  return run;
-}
 
 }  // namespace cedar
 

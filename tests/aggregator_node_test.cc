@@ -100,9 +100,10 @@ TEST(AggregatorNodeTest, FiresAtInitialWaitWithoutArrivals) {
 
   double sent_at = -1.0;
   double sent_weight = -1.0;
-  node.Start(queue, [&](AggregatorNode&, double weight) {
+  QueuedNode driver;
+  driver.Start(queue, node, [&] {
     sent_at = queue.now();
-    sent_weight = weight;
+    sent_weight = node.included_weight();
   });
   queue.Run();
   EXPECT_DOUBLE_EQ(sent_at, 10.0);
@@ -120,12 +121,13 @@ TEST(AggregatorNodeTest, SendsEarlyWhenAllChildrenReport) {
 
   double sent_at = -1.0;
   double sent_weight = -1.0;
-  node.Start(queue, [&](AggregatorNode&, double weight) {
+  QueuedNode driver;
+  driver.Start(queue, node, [&] {
     sent_at = queue.now();
-    sent_weight = weight;
+    sent_weight = node.included_weight();
   });
-  queue.Schedule(3.0, [&] { node.OnChildOutput(1.0); });
-  queue.Schedule(7.0, [&] { node.OnChildOutput(1.0); });
+  queue.Schedule(3.0, [&] { driver.OnChildOutput(1.0); });
+  queue.Schedule(7.0, [&] { driver.OnChildOutput(1.0); });
   queue.Run();
   EXPECT_DOUBLE_EQ(sent_at, 7.0) << "all children reported: SetTimer(0)";
   EXPECT_DOUBLE_EQ(sent_weight, 2.0);
@@ -141,9 +143,10 @@ TEST(AggregatorNodeTest, RearmExtendsAndShortensTimer) {
   node.Init(0, 0, std::move(policy), &fixture.ctx);
 
   double sent_at = -1.0;
-  node.Start(queue, [&](AggregatorNode&, double) { sent_at = queue.now(); });
-  queue.Schedule(5.0, [&] { node.OnChildOutput(1.0); });
-  queue.Schedule(10.0, [&] { node.OnChildOutput(1.0); });
+  QueuedNode driver;
+  driver.Start(queue, node, [&] { sent_at = queue.now(); });
+  queue.Schedule(5.0, [&] { driver.OnChildOutput(1.0); });
+  queue.Schedule(10.0, [&] { driver.OnChildOutput(1.0); });
   queue.Run();
   EXPECT_DOUBLE_EQ(sent_at, 12.0);
 }
@@ -158,8 +161,9 @@ TEST(AggregatorNodeTest, ShorteningBelowNowFiresImmediately) {
   node.Init(0, 0, std::move(policy), &fixture.ctx);
 
   double sent_at = -1.0;
-  node.Start(queue, [&](AggregatorNode&, double) { sent_at = queue.now(); });
-  queue.Schedule(8.0, [&] { node.OnChildOutput(1.0); });
+  QueuedNode driver;
+  driver.Start(queue, node, [&] { sent_at = queue.now(); });
+  queue.Schedule(8.0, [&] { driver.OnChildOutput(1.0); });
   queue.Run();
   EXPECT_DOUBLE_EQ(sent_at, 8.0);
 }
@@ -174,12 +178,13 @@ TEST(AggregatorNodeTest, LateArrivalsAreDropped) {
 
   double sent_weight = -1.0;
   int sends = 0;
-  node.Start(queue, [&](AggregatorNode&, double weight) {
-    sent_weight = weight;
+  QueuedNode driver;
+  driver.Start(queue, node, [&] {
+    sent_weight = node.included_weight();
     ++sends;
   });
-  queue.Schedule(4.0, [&] { node.OnChildOutput(1.0); });
-  queue.Schedule(25.0, [&] { node.OnChildOutput(1.0); });  // after the send
+  queue.Schedule(4.0, [&] { driver.OnChildOutput(1.0); });
+  queue.Schedule(25.0, [&] { driver.OnChildOutput(1.0); });  // after the send
   queue.Run();
   EXPECT_EQ(sends, 1);
   EXPECT_DOUBLE_EQ(sent_weight, 1.0);
@@ -198,7 +203,8 @@ TEST(AggregatorNodeTest, OriginShiftsTimerAndRelativeArrivals) {
   // Advance the queue to the origin before starting the node, as the loaded
   // runtime does on job arrival.
   queue.Schedule(100.0, [&] {
-    node.Start(queue, [&](AggregatorNode&, double) { sent_at = queue.now(); });
+    QueuedNode driver;
+  driver.Start(queue, node, [&] { sent_at = queue.now(); });
   });
   queue.Run();
   EXPECT_DOUBLE_EQ(sent_at, 110.0) << "wait 10 is relative to the origin";
@@ -214,12 +220,13 @@ TEST(AggregatorNodeTest, SendDeliversAccumulatedWeights) {
   EXPECT_EQ(node.index(), 7);
 
   double sent_weight = -1.0;
-  node.Start(queue, [&](AggregatorNode& self, double weight) {
-    sent_weight = weight;
-    EXPECT_EQ(self.arrivals_count(), 2);
+  QueuedNode driver;
+  driver.Start(queue, node, [&] {
+    sent_weight = node.included_weight();
+    EXPECT_EQ(node.arrivals_count(), 2);
   });
-  queue.Schedule(1.0, [&] { node.OnChildOutput(2.5); });
-  queue.Schedule(2.0, [&] { node.OnChildOutput(0.5); });
+  queue.Schedule(1.0, [&] { driver.OnChildOutput(2.5); });
+  queue.Schedule(2.0, [&] { driver.OnChildOutput(0.5); });
   queue.Run();
   EXPECT_DOUBLE_EQ(sent_weight, 3.0);
   EXPECT_DOUBLE_EQ(node.send_time(), 30.0);
@@ -248,13 +255,54 @@ TEST(AggregatorNodeTest, DeferredTimerResolvesOnlyWhenItsBoundIsReached) {
     policy->BeginQuery(fixture.ctx, nullptr);
     node.Init(0, 0, std::move(policy), &fixture.ctx);
     double sent_at = -1.0;
-    node.Start(queue, [&](AggregatorNode&, double) { sent_at = queue.now(); });
-    queue.Schedule(5.0, [&] { node.OnChildOutput(1.0); });
-    queue.Schedule(10.0, [&] { node.OnChildOutput(1.0); });
+    QueuedNode driver;
+  driver.Start(queue, node, [&] { sent_at = queue.now(); });
+    queue.Schedule(5.0, [&] { driver.OnChildOutput(1.0); });
+    queue.Schedule(10.0, [&] { driver.OnChildOutput(1.0); });
     queue.Run();
     EXPECT_DOUBLE_EQ(sent_at, c.want_sent_at) << "bounds " << c.bounds[0] << ", " << c.bounds[1];
     EXPECT_EQ(resolves, c.want_resolves) << "bounds " << c.bounds[0] << ", " << c.bounds[1];
   }
+}
+
+// The queue-free interface: each handler takes the driver's time and
+// reports what it did to the node's one timer.
+TEST(AggregatorNodeTest, HandlersReportTheirTimerSteps) {
+  using Step = AggregatorNode::Step;
+  NodeFixture fixture(3);
+  {
+    AggregatorNode node;
+    auto policy = std::make_unique<ScriptedPolicy>(20.0, std::vector<double>{20.0});
+    policy->BeginQuery(fixture.ctx, nullptr);
+    node.Init(0, 0, std::move(policy), &fixture.ctx);
+    EXPECT_EQ(node.Start(0.0), Step::kArmed);
+    EXPECT_EQ(node.timer_at(), 20.0);
+    EXPECT_EQ(node.OnChildOutput(4.0, 1.0), Step::kKept) << "the same wait keeps the timer";
+    EXPECT_EQ(node.OnChildOutput(5.0, 1.0), Step::kKept) << "past the script";
+    EXPECT_EQ(node.OnChildOutput(6.0, 1.0), Step::kSent) << "all children reported";
+    EXPECT_TRUE(node.closed());
+    EXPECT_EQ(node.send_time(), 6.0);
+    EXPECT_EQ(node.timer_at(), kSimTimeInfinity);
+  }
+  AggregatorNode node;
+  int resolves = 0;
+  auto policy = std::make_unique<DeferringPolicy>(20.0, std::vector<double>{30.0, 8.0},
+                                                  std::vector<double>{35.0, 8.0}, &resolves);
+  policy->BeginQuery(fixture.ctx, nullptr);
+  node.Init(0, 0, std::move(policy), &fixture.ctx);
+  EXPECT_EQ(node.Start(0.0), Step::kArmed);
+  EXPECT_EQ(node.OnChildOutput(5.0, 1.0), Step::kArmed);
+  EXPECT_EQ(node.timer_at(), 30.0) << "armed at the bound";
+  EXPECT_EQ(node.OnTimer(30.0), Step::kMoved);
+  EXPECT_EQ(node.timer_at(), 35.0) << "moved to the resolved wait";
+  EXPECT_EQ(node.OnChildOutput(31.0, 1.0), Step::kArmed);
+  EXPECT_EQ(node.timer_at(), 31.0) << "a bound already past arms at the arrival";
+  EXPECT_EQ(node.OnTimer(31.0), Step::kSent) << "the resolved wait is past too";
+  EXPECT_EQ(resolves, 2);
+  EXPECT_EQ(node.send_time(), 31.0);
+  EXPECT_EQ(node.included_weight(), 2.0);
+  EXPECT_EQ(node.OnChildOutput(40.0, 1.0), Step::kKept) << "late outputs are dropped";
+  EXPECT_EQ(node.included_weight(), 2.0);
 }
 
 TEST(AggregatorNodeDeathTest, ResolvingBelowTheBoundDies) {
@@ -266,8 +314,9 @@ TEST(AggregatorNodeDeathTest, ResolvingBelowTheBoundDies) {
                                                   std::vector<double>{29.0}, &resolves);
   policy->BeginQuery(fixture.ctx, nullptr);
   node.Init(0, 0, std::move(policy), &fixture.ctx);
-  node.Start(queue, [](AggregatorNode&, double) {});
-  queue.Schedule(5.0, [&] { node.OnChildOutput(1.0); });
+  QueuedNode driver;
+  driver.Start(queue, node, [] {});
+  queue.Schedule(5.0, [&] { driver.OnChildOutput(1.0); });
   EXPECT_DEATH(queue.Run(), "resolved below its bound");
 }
 

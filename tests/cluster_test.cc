@@ -1,16 +1,25 @@
 #include "src/cluster/cluster_runtime.h"
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <limits>
+#include <memory>
 #include <numeric>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/cluster/experiment.h"
+#include "src/cluster/loaded_runtime.h"
 #include "src/cluster/slot_stack.h"
 #include "src/core/policies.h"
+#include "src/obs/trace.h"
+#include "src/sim/experiment_engine.h"
+#include "src/sim/tree_simulation.h"
 #include "src/trace/workloads.h"
 
 namespace cedar {
@@ -37,24 +46,107 @@ ClusterSpec TinyCluster(int machines, int slots) {
   return cluster;
 }
 
-TEST(ClusterRuntimeTest, SingleWaveMatchesTreeSimulation) {
-  // With at least as many slots as tasks there is no queueing, so the
-  // cluster engine must agree exactly with the analytic simulator.
-  TreeSpec tree = SmallTree();
-  Rng rng(3);
-  auto realization = SampleRealization(tree, TruthOf(tree), rng);
-
-  TreeSimulation sim(tree, 60.0);
-  ClusterRuntime cluster(TinyCluster(4, 3), tree, 60.0);  // 12 slots for 12 tasks
-
-  for (const WaitPolicy* policy : std::initializer_list<const WaitPolicy*>{
-           new FixedWaitPolicy(20.0), new ProportionalSplitPolicy(), new CedarPolicy()}) {
-    QueryResult expected = sim.RunQuery(*policy, realization);
-    ClusterQueryResult actual = cluster.RunQuery(*policy, realization);
-    EXPECT_DOUBLE_EQ(actual.quality, expected.quality) << policy->name();
-    EXPECT_EQ(actual.root_arrivals_in_time, expected.root_arrivals_in_time) << policy->name();
-    delete policy;
+// A run's trace records, the query span aside, one string each: name, the
+// bits of the time less |origin|, and the args.
+std::vector<std::string> TraceRecords(const TraceCollector& collector, double origin) {
+  std::vector<std::string> records;
+  for (const TraceEvent& event : collector.Snapshot()) {
+    if (event.phase == 'X') {
+      continue;  // the engine's query span carries its own diagnostics
+    }
+    std::ostringstream record;
+    record << event.name << " ts-bits=" << std::bit_cast<uint64_t>(event.ts - origin);
+    for (const TraceArg& arg : event.args) {
+      record << ' ' << arg.key << '=' << arg.value;
+    }
+    records.push_back(record.str());
   }
+  return records;
+}
+
+TEST(ClusterRuntimeTest, SingleWaveMatchesTreeSimulation) {
+  // A differential test of the three engines. With a slot per task, no
+  // slow machine and no speculation nothing queues: every engine completes
+  // leaf i at its sampled duration and queues the same events in the same
+  // order, so ClusterRuntime and a one-query RunLoadedCluster must match
+  // TreeSimulation's queue-free run bit for bit, its trace included, and
+  // ClusterRuntime's queue must hold the events TreeSimulation counts. The
+  // loaded query arrives at ~1e-300, which vanishes in every time it
+  // shifts, so its times are the others' too.
+  struct Shape {
+    const char* name;
+    MetaLogNormalWorkload workload;
+    double deadline;
+  };
+  const Shape shapes[] = {{"2-level", MakeFacebookWorkload(6, 5), 700.0},
+                          {"3-level", MakeFacebookThreeLevelWorkload(4, 3, 3), 900.0}};
+  std::vector<std::unique_ptr<WaitPolicy>> policies;
+  policies.push_back(std::make_unique<ProportionalSplitPolicy>());
+  policies.push_back(std::make_unique<CedarPolicy>());
+  policies.push_back(std::make_unique<OraclePolicy>());
+  policies.push_back(std::make_unique<OfflineOptimalPolicy>());
+  constexpr uint64_t kSeeds = 20;
+  long long late = 0;
+  long long partial = 0;  // queries whose quality is below 1
+  for (const Shape& shape : shapes) {
+    const TreeSpec tree = shape.workload.OfflineTree();
+    const ClusterSpec one_slot_per_task = TinyCluster(static_cast<int>(StageEdgeCount(tree, 0)), 1);
+    const TreeSimulation sim(tree, shape.deadline);
+    const ClusterRuntime cluster(one_slot_per_task, tree, shape.deadline);
+    LoadedRunConfig loaded;
+    loaded.cluster = one_slot_per_task;
+    loaded.deadline = shape.deadline;
+    loaded.mean_interarrival = 1e-300;
+    loaded.num_queries = 1;
+    for (const auto& policy : policies) {
+      for (uint64_t seed = 1; seed <= kSeeds; ++seed) {
+        SCOPED_TRACE(std::string(shape.name) + ", " + policy->name() + ", seed " +
+                     std::to_string(seed));
+        // The loaded run's one query: its arrival gap, then its draws.
+        loaded.seed = seed;
+        Rng rng(seed);
+        const double origin = -std::log(rng.NextOpenDouble()) * loaded.mean_interarrival;
+        QueryTruth truth = shape.workload.DrawQuery(rng);
+        truth.sequence = DriverQuerySequence(seed, 0);
+        Rng realization_rng = rng.Fork();
+        const QueryRealization realization = SampleRealization(tree, truth, realization_rng);
+
+        TraceCollector sim_trace;
+        TraceCollector cluster_trace;
+        TraceCollector loaded_trace;
+        SetActiveTraceCollector(&sim_trace);
+        const QueryResult expected = sim.RunQuery(*policy, realization);
+        SetActiveTraceCollector(&cluster_trace);
+        const ClusterQueryResult actual = cluster.RunQuery(*policy, realization);
+        SetActiveTraceCollector(&loaded_trace);
+        const LoadedRunResult one_query = RunLoadedCluster(shape.workload, *policy, loaded);
+        SetActiveTraceCollector(nullptr);
+
+        const auto bits = [](double x) { return std::bit_cast<uint64_t>(x); };
+        EXPECT_EQ(bits(actual.quality), bits(expected.quality));
+        EXPECT_EQ(bits(actual.included_weight), bits(expected.included_weight));
+        EXPECT_EQ(bits(actual.total_weight), bits(expected.total_weight));
+        EXPECT_EQ(actual.root_arrivals_in_time, expected.root_arrivals_in_time);
+        EXPECT_EQ(actual.root_arrivals_late, expected.root_arrivals_late);
+        EXPECT_EQ(bits(actual.mean_tier0_send_time), bits(expected.mean_tier0_send_time));
+        EXPECT_EQ(actual.events, expected.events);
+        ASSERT_EQ(one_query.per_query_quality.size(), 1u);
+        EXPECT_EQ(bits(one_query.per_query_quality.values()[0]), bits(expected.quality));
+        EXPECT_EQ(one_query.root_arrivals_in_time, expected.root_arrivals_in_time);
+        EXPECT_EQ(one_query.root_arrivals_late, expected.root_arrivals_late);
+
+        const std::vector<std::string> records = TraceRecords(sim_trace, 0.0);
+        EXPECT_FALSE(records.empty());
+        EXPECT_EQ(TraceRecords(cluster_trace, 0.0), records);
+        EXPECT_EQ(TraceRecords(loaded_trace, origin), records);
+        late += expected.root_arrivals_late;
+        partial += expected.quality < 1.0 ? 1 : 0;
+      }
+    }
+  }
+  // The deadlines leave both outcomes common.
+  EXPECT_GT(late, 0);
+  EXPECT_GT(partial, 0);
 }
 
 TEST(ClusterRuntimeTest, WaveCountReported) {

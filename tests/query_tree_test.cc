@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/apps/analytics_service.h"
 #include "src/cluster/cluster_runtime.h"
 #include "src/core/policies.h"
 #include "src/core/policy_registry.h"
@@ -128,9 +129,10 @@ TEST_F(QueryTreeTest, FoldsOnlyTheStagesAboveTierZero) {
   }
 }
 
-TEST_F(QueryTreeTest, EachTreeSimulationQueryIsOneEventQueueRun) {
-  // The DES profile site times a whole queue run, policy decisions inside
-  // it included: N queries record exactly N calls.
+TEST_F(QueryTreeTest, EachTreeSimulationQueryIsOneFixedTimeRun) {
+  // The DES profile site times a whole fixed-time run, policy decisions
+  // inside it included: N queries record exactly N calls, and no query
+  // runs an event queue.
   constexpr int kQueries = 5;
   for (int levels : {2, 3}) {
     auto workload = WorkloadWithLevels(levels);
@@ -140,11 +142,38 @@ TEST_F(QueryTreeTest, EachTreeSimulationQueryIsOneEventQueueRun) {
     for (int q = 0; q < kQueries; ++q) {
       sim.RunQuery(cedar, DrawRealization(workload, 20 + static_cast<uint64_t>(q)));
     }
-    EXPECT_EQ(ProfileCalls("event_queue.run"), kQueries) << "levels " << levels;
+    EXPECT_EQ(ProfileCalls("sim.fixed_time_run"), kQueries) << "levels " << levels;
+    EXPECT_EQ(ProfileCalls("event_queue.run"), 0) << "levels " << levels;
     EXPECT_GT(ProfileCalls("wait_optimizer.optimize_wait"), 0) << "levels " << levels;
     SetProfilingEnabled(false);
     ResetProfile();
   }
+}
+
+TEST_F(QueryTreeTest, AnAppQueryIsOneFixedTimeRunToo) {
+  // The apps replay their leaves through the same queue-free runner.
+  FactTableSpec spec;
+  spec.rows = 4000;
+  spec.num_groups = 4;
+  spec.num_partitions = 20;
+  spec.seed = 5;
+  const FactTable table(spec);
+  const TreeSpec tree =
+      TreeSpec::TwoLevel(std::make_shared<LogNormalDistribution>(2.5, 0.8), 10,
+                         std::make_shared<LogNormalDistribution>(2.0, 0.6), 2);
+  AnalyticsServiceConfig config;
+  config.deadline = 40.0;
+  const AnalyticsService service(&table, tree, config);
+  QueryTruth truth;
+  truth.sequence = 1;
+  truth.stage_durations = {tree.stage(0).duration, tree.stage(1).duration};
+  Rng rng(3);
+  const QueryRealization realization = SampleRealization(tree, truth, rng);
+  CedarPolicy cedar;
+  SetProfilingEnabled(true);
+  service.RunQuery(cedar, realization);
+  EXPECT_EQ(ProfileCalls("sim.fixed_time_run"), 1);
+  EXPECT_EQ(ProfileCalls("event_queue.run"), 0);
 }
 
 TEST_F(QueryTreeTest, OneOfflineScanPerTierBeforeAnyLeaf) {

@@ -3,8 +3,9 @@
 #
 # Runs, in order, stopping at the first failure:
 #   format   clang-format --dry-run -Werror against the checked-in .clang-format
-#   build    default build, warnings-as-errors (-DCEDAR_WERROR=ON)
-#   test     the full ctest suite in build/
+#   build    default build, warnings-as-errors (-DCEDAR_WERROR=ON), in
+#            build-werror/ so the developer's build/ keeps its own cache
+#   test     the full ctest suite in build-werror/
 #   lint     ctest -L tier1_lint (cedar_lint tree scan + rule fixture suite)
 #   store    ctest -L tier1_store (content-keyed store contract suite + smoke run
 #            of 1-8 requesters filling one table build, checked against serial)
@@ -117,19 +118,22 @@ else
 fi
 
 # --- default build + tests + lint tier -------------------------------------
+# A directory of its own: configuring build/ with -DCEDAR_WERROR=ON would
+# stick the flag in that cache and force a full rebuild of it.
+WERROR_DIR="$ROOT/build-werror"
 build_stage() {
-  cmake -B "$ROOT/build" -S "$ROOT" -DCEDAR_WERROR=ON \
-    && cmake --build "$ROOT/build" -j "$JOBS"
+  cmake -B "$WERROR_DIR" -S "$ROOT" -DCEDAR_WERROR=ON \
+    && cmake --build "$WERROR_DIR" -j "$JOBS"
 }
 run_stage build build_stage
 
-test_stage() { ctest --test-dir "$ROOT/build" --output-on-failure -j "$JOBS"; }
+test_stage() { ctest --test-dir "$WERROR_DIR" --output-on-failure -j "$JOBS"; }
 run_stage test test_stage
 
-lint_stage() { ctest --test-dir "$ROOT/build" -L tier1_lint --output-on-failure; }
+lint_stage() { ctest --test-dir "$WERROR_DIR" -L tier1_lint --output-on-failure; }
 run_stage lint lint_stage
 
-store_stage() { ctest --test-dir "$ROOT/build" -L tier1_store --output-on-failure; }
+store_stage() { ctest --test-dir "$WERROR_DIR" -L tier1_store --output-on-failure; }
 run_stage store store_stage
 
 # --- sanitizer matrix -------------------------------------------------------
