@@ -297,6 +297,33 @@ void BM_EventQueueChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueChurn)->Arg(16)->Arg(320);
 
+// Times |replay| on 16 realizations of |workload| over |tree| (seed 1), one
+// per iteration in turn. events/replay is their mean event count, from one
+// untimed replay of each, so it does not depend on the iteration count.
+template <typename Replay>
+void ReplayInTurn(benchmark::State& state, const Workload& workload, const TreeSpec& tree,
+                  Replay replay) {
+  Rng rng(1);
+  std::vector<QueryRealization> realizations;
+  long long events = 0;
+  for (int q = 0; q < 16; ++q) {
+    QueryTruth truth = workload.DrawQuery(rng);
+    truth.sequence = static_cast<uint64_t>(q + 1);
+    realizations.push_back(SampleRealization(tree, truth, rng));
+    events += replay(realizations.back()).events;
+  }
+  const double per_replay = static_cast<double>(events) / static_cast<double>(realizations.size());
+  size_t next = 0;
+  for (auto _ : state) {
+    auto result = replay(realizations[next]);
+    benchmark::DoNotOptimize(result);
+    next = (next + 1) % realizations.size();
+  }
+  state.counters["events/replay"] = per_replay;
+  state.counters["events/s"] = benchmark::Counter(
+      per_replay * static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
+}
+
 void BM_TreeSimulationRunQuery(benchmark::State& state) {
   // One replay per iteration on perfbench's online-interactive shape: 50 x
   // 50 fanout, D = 155 ms, per-query upper knowledge. Prop-split
@@ -306,28 +333,13 @@ void BM_TreeSimulationRunQuery(benchmark::State& state) {
   // would schedule.
   MetaLogNormalWorkload workload = MakeInteractiveWorkload(50, 50);
   const TreeSimulation simulation(workload.OfflineTree(), 155.0);
-  Rng rng(1);
-  std::vector<QueryRealization> realizations;
-  for (int q = 0; q < 16; ++q) {
-    QueryTruth truth = workload.DrawQuery(rng);
-    truth.sequence = static_cast<uint64_t>(q + 1);
-    realizations.push_back(SampleRealization(simulation.offline_tree(), truth, rng));
-  }
   ProportionalSplitPolicy prop_split;
   CedarPolicy cedar;
   const WaitPolicy& policy =
       state.range(0) == 0 ? static_cast<const WaitPolicy&>(prop_split) : cedar;
-  long long events = 0;
-  size_t next = 0;
-  for (auto _ : state) {
-    QueryResult result = simulation.RunQuery(policy, realizations[next]);
-    events += result.events;
-    next = (next + 1) % realizations.size();
-  }
-  state.counters["events/replay"] =
-      static_cast<double>(events) / static_cast<double>(state.iterations());
-  state.counters["events/s"] =
-      benchmark::Counter(static_cast<double>(events), benchmark::Counter::kIsRate);
+  ReplayInTurn(state, workload, simulation.offline_tree(), [&](const QueryRealization& r) {
+    return simulation.RunQuery(policy, r);
+  });
   state.SetLabel("online-interactive shape, " + policy.name());
 }
 BENCHMARK(BM_TreeSimulationRunQuery)->Arg(0)->Arg(1);
@@ -354,13 +366,6 @@ void BM_ClusterRunQuery(benchmark::State& state) {
   WaitTableStore store;
   options.table_store = &store;
   const ClusterRuntime runtime(cluster, workload.OfflineTree(), 1000.0, options);
-  Rng rng(1);
-  std::vector<QueryRealization> realizations;
-  for (int q = 0; q < 16; ++q) {
-    QueryTruth truth = workload.DrawQuery(rng);
-    truth.sequence = static_cast<uint64_t>(q + 1);
-    realizations.push_back(SampleRealization(runtime.offline_tree(), truth, rng));
-  }
   ProportionalSplitPolicy prop_split;
   CedarPolicyOptions cedar_options;
   cedar_options.use_wait_table = true;
@@ -373,18 +378,10 @@ void BM_ClusterRunQuery(benchmark::State& state) {
   CedarPolicy cedar(cedar_options);
   const WaitPolicy& policy =
       state.range(0) == 0 ? static_cast<const WaitPolicy&>(prop_split) : cedar;
-  runtime.RunQuery(policy, realizations.back());  // builds Cedar's table
-  long long events = 0;
-  size_t next = 0;
-  for (auto _ : state) {
-    ClusterQueryResult result = runtime.RunQuery(policy, realizations[next]);
-    events += result.events;
-    next = (next + 1) % realizations.size();
-  }
-  state.counters["events/replay"] =
-      static_cast<double>(events) / static_cast<double>(state.iterations());
-  state.counters["events/s"] =
-      benchmark::Counter(static_cast<double>(events), benchmark::Counter::kIsRate);
+  // The untimed replays that count events build Cedar's table.
+  ReplayInTurn(state, workload, runtime.offline_tree(), [&](const QueryRealization& r) {
+    return runtime.RunQuery(policy, r);
+  });
   state.SetLabel("table-hotspot shape, " + policy.name() +
                  (state.range(0) == 0 ? "" : " with wait table"));
 }

@@ -5,87 +5,64 @@
 #include <ostream>
 #include <string>
 
+#include "src/cluster/experiment.h"
 #include "src/common/logging.h"
 #include "src/common/table.h"
 #include "src/common/thread_pool.h"
+#include "src/sim/experiment.h"
 
 namespace cedar {
 namespace {
 
-// One worker pool for the whole sweep, one worker per hardware thread:
-// constructing (and joining) a pool per RunExperiment call wasted a thread
-// spawn/teardown per deadline. Returns null when the sweep would run
-// serially anyway.
-std::unique_ptr<ThreadPool> MakeSweepPool(int num_queries) {
-  const int threads = std::min(ResolveThreadCount(0), std::max(num_queries, 1));
-  if (threads <= 1) {
-    return nullptr;
+void RunPanel(std::ostream& out, const Panel& panel, ExperimentDriverConfig driver) {
+  CEDAR_CHECK(!panel.policies.empty() && !panel.rows.empty()) << panel.title;
+  PrintBanner(out, panel.title);
+  const Workload& first = *panel.rows.front().workload;
+  const bool one_workload = std::all_of(panel.rows.begin(), panel.rows.end(), [&](const auto& row) {
+    return row.workload.get() == &first;
+  });
+  if (one_workload) {
+    out << "workload=" << first.name() << " unit=" << first.time_unit();
+    if (panel.cluster) {
+      out << " cluster=" << panel.cluster->machines << "x" << panel.cluster->slots_per_machine
+          << " slots,";
+    }
+    out << " queries=" << driver.num_queries << " seed=" << driver.seed << "\n";
   }
-  return std::make_unique<ThreadPool>(threads);
-}
 
-std::vector<std::string> SweepColumns(const std::vector<const WaitPolicy*>& policies,
-                                      const std::string& baseline, const std::string& unit) {
-  std::vector<std::string> columns = {"deadline_" + unit};
-  for (const auto* policy : policies) {
+  std::vector<const WaitPolicy*> policies;
+  std::vector<std::string> columns = panel.label_columns;
+  for (const auto& policy : panel.policies) {
+    policies.push_back(policy.get());
     columns.push_back("q(" + policy->name() + ")");
   }
-  for (const auto* policy : policies) {
-    if (policy->name() != baseline) {
-      columns.push_back("impr(" + policy->name() + ")_%");
+  for (size_t p = 1; p < policies.size(); ++p) {
+    columns.push_back("impr(" + policies[p]->name() + ")_%");
+  }
+  TablePrinter table(columns);
+  for (const PanelRow& row : panel.rows) {
+    driver.deadline = row.deadline;
+    const ExperimentResult result =
+        panel.cluster
+            ? RunClusterExperiment(*row.workload, policies, {driver, *panel.cluster, {}})
+            : RunExperiment(*row.workload, policies, {driver, {}});
+    std::vector<std::string> cells = row.labels;
+    std::vector<double> quality;
+    for (const PolicyOutcome& outcome : result.outcomes) {
+      quality.push_back(outcome.MeanQuality());
+      cells.push_back(TablePrinter::FormatDouble(quality.back(), 3));
     }
-  }
-  return columns;
-}
-
-std::vector<std::string> SweepRow(double deadline,
-                                  const std::vector<const WaitPolicy*>& policies,
-                                  const std::string& baseline,
-                                  const std::function<double(const std::string&)>& quality_of) {
-  std::vector<std::string> row = {TablePrinter::FormatDouble(deadline, 0)};
-  for (const auto* policy : policies) {
-    row.push_back(TablePrinter::FormatDouble(quality_of(policy->name()), 3));
-  }
-  double base_quality = quality_of(baseline);
-  for (const auto* policy : policies) {
-    if (policy->name() != baseline) {
-      double improvement = base_quality > 0.0
-                               ? 100.0 * (quality_of(policy->name()) - base_quality) / base_quality
-                               : 0.0;
-      row.push_back(TablePrinter::FormatDouble(improvement, 1));
+    for (size_t p = 1; p < quality.size(); ++p) {
+      const double improvement =
+          quality[0] > 0.0 ? 100.0 * (quality[p] - quality[0]) / quality[0] : 0.0;
+      cells.push_back(TablePrinter::FormatDouble(improvement, 1));
     }
-  }
-  return row;
-}
-
-// The one deadline sweep: prints the banner and the run header (with
-// |setup| naming what the engine adds, if anything), then runs |driver| on
-// |config| once per deadline, on one pool, and prints a row per deadline.
-template <typename Config, typename Driver>
-void SweepDeadlines(std::ostream& out, const std::string& title, const std::string& setup,
-                    const Workload& workload, const std::vector<const WaitPolicy*>& policies,
-                    const std::vector<double>& deadlines, const SweepOptions& options,
-                    Config config, Driver driver) {
-  CEDAR_CHECK(!policies.empty());
-  std::string baseline = options.baseline.empty() ? policies.front()->name() : options.baseline;
-
-  PrintBanner(out, title);
-  out << "workload=" << workload.name() << " unit=" << workload.time_unit() << setup
-      << " queries=" << options.num_queries << " seed=" << options.seed << "\n";
-
-  std::unique_ptr<ThreadPool> pool = MakeSweepPool(options.num_queries);
-  config.num_queries = options.num_queries;
-  config.seed = options.seed;
-  config.pool = pool.get();
-  TablePrinter table(SweepColumns(policies, baseline, workload.time_unit()));
-  for (double deadline : deadlines) {
-    config.deadline = deadline;
-    const auto result = driver(workload, policies, config);
-    table.AddRow(SweepRow(deadline, policies, baseline, [&](const std::string& name) {
-      return result.Outcome(name).MeanQuality();
-    }));
+    table.AddRow(std::move(cells));
   }
   table.Print(out);
+  if (!panel.note.empty()) {
+    out << "\n" << panel.note << "\n";
+  }
 }
 
 }  // namespace
@@ -96,24 +73,28 @@ void BenchObservability::Init() { scope_ = InitObservability(flags_); }
 
 void BenchObservability::Finish(std::ostream& out) { FinishObservability(flags_, scope_, out); }
 
-void RunDeadlineSweep(std::ostream& out, const std::string& title, const Workload& workload,
-                      const std::vector<const WaitPolicy*>& policies,
-                      const std::vector<double>& deadlines, const SweepOptions& options) {
-  SweepDeadlines(out, title, "", workload, policies, deadlines, options, ExperimentConfig{},
-                 RunExperiment);
+std::vector<PanelRow> DeadlineRows(const std::shared_ptr<const Workload>& workload,
+                                   const std::vector<double>& deadlines) {
+  std::vector<PanelRow> rows;
+  for (double deadline : deadlines) {
+    rows.push_back({{TablePrinter::FormatDouble(deadline, 0)}, workload, deadline});
+  }
+  return rows;
 }
 
-void RunClusterDeadlineSweep(std::ostream& out, const std::string& title,
-                             const Workload& workload,
-                             const std::vector<const WaitPolicy*>& policies,
-                             const std::vector<double>& deadlines,
-                             const ClusterSweepOptions& options) {
-  ClusterExperimentConfig config;
-  config.cluster = options.cluster;
-  const std::string setup = " cluster=" + std::to_string(options.cluster.machines) + "x" +
-                            std::to_string(options.cluster.slots_per_machine) + " slots,";
-  SweepDeadlines(out, title, setup, workload, policies, deadlines, options, config,
-                 RunClusterExperiment);
+void RunPanels(std::ostream& out, const std::vector<Panel>& panels, int num_queries,
+               uint64_t seed) {
+  // One pool for every row, one worker per hardware thread; none when the
+  // rows would run serially anyway.
+  const int threads = std::min(ResolveThreadCount(0), std::max(num_queries, 1));
+  std::unique_ptr<ThreadPool> pool = threads > 1 ? std::make_unique<ThreadPool>(threads) : nullptr;
+  ExperimentDriverConfig driver;
+  driver.num_queries = num_queries;
+  driver.seed = seed;
+  driver.pool = pool.get();
+  for (const Panel& panel : panels) {
+    RunPanel(out, panel, driver);
+  }
 }
 
 }  // namespace cedar

@@ -11,9 +11,11 @@ without the stdout text still compares by hash; and checks that a quick
 report is not compared with a full one.
 """
 
+import glob
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -51,6 +53,37 @@ def check_diff_output(base, first, tmp):
     assert "+++" not in hash_only.stdout, hash_only.stdout
 
 
+def check_sync_doc(root, tool, quick_report, tmp):
+    """--sync-doc --check catches one edited cell of a synced block."""
+    reports = glob.glob(os.path.join(root, "BENCH_*.json"))
+    newest = max(reports, key=lambda path: int(re.search(r"BENCH_(\d+)", path).group(1)))
+    doc = os.path.join(tmp, "EXPERIMENTS.md")
+    with open(os.path.join(root, "EXPERIMENTS.md")) as f:
+        text = f.read()
+    sync = [sys.executable, tool, "--sync-doc", doc, "--from", newest]
+    with open(doc, "w") as f:
+        f.write(text)
+    subprocess.run(sync + ["--check"], check=True)
+    # Edit the last digit of q(prop-split) at 500 s in Figure 6's block.
+    start = text.index("<!-- bench:fig06_ideal_gap -->")
+    cell = re.compile(r"(\n\s+500\s+)(\d\.\d{3})")
+    match = cell.search(text, start)
+    assert match is not None, "no 500 s row in the fig06 block"
+    edited = match.group(2)[:-1] + ("1" if match.group(2)[-1] != "1" else "2")
+    with open(doc, "w") as f:
+        f.write(text[:match.start(2)] + edited + text[match.end(2):])
+    stale = subprocess.run(sync + ["--check"], stdout=subprocess.PIPE, text=True)
+    assert stale.returncode == 1, stale.returncode
+    assert "-" + match.group(1).lstrip("\n") + edited in stale.stdout, stale.stdout
+    subprocess.run(sync, check=True)
+    with open(doc) as f:
+        assert f.read() == text, "sync did not restore the edited cell"
+    refused = subprocess.run([sys.executable, tool, "--sync-doc", doc, "--from", quick_report,
+                              "--check"], stderr=subprocess.PIPE, text=True)
+    assert refused.returncode == 2, refused.returncode
+    assert "--quick report" in refused.stderr, refused.stderr
+
+
 def main():
     root, build_dir = sys.argv[1], sys.argv[2]
     tool = os.path.join(root, "tools", "bench_report.py")
@@ -84,6 +117,7 @@ def main():
                                        "--against", full], stderr=subprocess.PIPE, text=True)
         assert mixed.returncode == 1, mixed.returncode
         assert "quick report with a full one" in mixed.stderr, mixed.stderr
+        check_sync_doc(root, tool, everything, tmp)
     print("bench_report smoke test passed")
     return 0
 

@@ -76,9 +76,9 @@ TEST(ParallelExperimentTest, SimResultsIdenticalForAnyThreadCount) {
 }
 
 TEST(ParallelExperimentTest, ReusedSweepPoolIsBitIdenticalToPerCallPools) {
-  // RunDeadlineSweep shares one ThreadPool across all deadlines of a sweep
-  // via ExperimentDriverConfig::pool; reuse must change nothing but
-  // wall-clock, including back-to-back runs on the same (dirty) pool.
+  // RunPanels shares one ThreadPool across all rows of a figure via
+  // ExperimentDriverConfig::pool; reuse must change nothing but wall-clock,
+  // including back-to-back runs on the same (dirty) pool.
   auto workload = MakeFacebookWorkload(8, 8);
   ProportionalSplitPolicy baseline;
   CedarPolicy cedar;

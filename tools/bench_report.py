@@ -3,6 +3,7 @@
 
     python3 tools/bench_report.py --build-dir build [--only fig04_bing_rtt,...]
                                   [--quick] [--out report.json] [--against old.json]
+    python3 tools/bench_report.py --sync-doc EXPERIMENTS.md --from report.json [--check]
 
 Runs each bench (build/bench/bench_<name>) with its defaults, one after
 another, and records per bench: wall time, user + system CPU of the child
@@ -21,6 +22,14 @@ checked by running this before and after. For each bench whose hash
 differs, a unified diff of the two outputs follows the table when both
 reports carry the text (reports written before the text was stored compare
 by hash only). Exits 1 as well if a bench fails.
+
+With --sync-doc, runs no bench: rewrites every block of the document that
+starts with a `<!-- bench:NAME -->` line and ends with `<!-- /bench -->`
+into a fenced copy of bench NAME's stdout in the --from report, without
+its leading and trailing blank lines. It refuses (exit 2) a --quick report,
+a block whose bench the report lacks or stores without its stdout, and a
+document with no block. With --check it writes nothing, and exits 1 with a
+unified diff when a block differs from the report.
 """
 
 import argparse
@@ -28,6 +37,7 @@ import difflib
 import hashlib
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -56,6 +66,8 @@ BENCHES = [
 # Benches without a --queries flag; --quick runs them at their defaults.
 NO_QUERIES_FLAG = {"fig04_bing_rtt", "fig09_estimation_error"}
 QUICK_QUERIES = 4
+
+DOC_BLOCK = re.compile(r"^(<!-- bench:(\w+) -->\n).*?^(<!-- /bench -->)$", re.M | re.S)
 
 
 def child_cpu_s():
@@ -109,15 +121,67 @@ def compare(report, old, out):
     return identical
 
 
+def sync_doc(doc_path, report_path, check):
+    """Rewrites (or with |check|, compares) the bench blocks of |doc_path|
+    from the stdout stored in the report at |report_path|; the exit code."""
+    with open(report_path) as f:
+        report = json.load(f)
+    if report.get("quick", False):
+        print(f"bench_report: {report_path} is a --quick report", file=sys.stderr)
+        return 2
+    with open(doc_path) as f:
+        text = f.read()
+    refused = []
+
+    def fill(block):
+        name = block.group(2)
+        stdout = report["benches"].get(name, {}).get("stdout")
+        if stdout is None:
+            refused.append(name)
+            return block.group(0)
+        return block.group(1) + "```\n" + stdout.strip("\n") + "\n```\n" + block.group(3)
+
+    synced, blocks = DOC_BLOCK.subn(fill, text)
+    if refused:
+        print(f"bench_report: {report_path} stores no stdout for " + ", ".join(refused),
+              file=sys.stderr)
+        return 2
+    if blocks == 0:
+        print(f"bench_report: {doc_path} has no <!-- bench:NAME --> block", file=sys.stderr)
+        return 2
+    if synced == text:
+        return 0
+    if check:
+        sys.stdout.writelines(difflib.unified_diff(
+            text.splitlines(keepends=True), synced.splitlines(keepends=True),
+            fromfile=doc_path, tofile=f"{doc_path} synced from {report_path}"))
+        return 1
+    with open(doc_path, "w") as f:
+        f.write(synced)
+    return 0
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--build-dir", required=True, help="CMake build tree holding bench/")
+    parser.add_argument("--build-dir", help="CMake build tree holding bench/")
     parser.add_argument("--only", help="comma-separated bench names (default: all 17)")
     parser.add_argument("--quick", action="store_true",
                         help=f"run with --queries={QUICK_QUERIES} where a bench takes it")
     parser.add_argument("--out", help="write the JSON report here (default: stdout)")
     parser.add_argument("--against", help="earlier report to compare against")
+    parser.add_argument("--sync-doc", help="document whose bench blocks to sync; runs no bench")
+    parser.add_argument("--from", dest="report", help="report --sync-doc copies from")
+    parser.add_argument("--check", action="store_true",
+                        help="with --sync-doc: write nothing, exit 1 if a block differs")
     args = parser.parse_args()
+    if args.sync_doc:
+        if not args.report:
+            parser.error("--sync-doc needs --from")
+        return sync_doc(args.sync_doc, args.report, args.check)
+    if args.report or args.check:
+        parser.error("--from and --check go with --sync-doc")
+    if not args.build_dir:
+        parser.error("--build-dir is required")
 
     names = BENCHES
     if args.only:
