@@ -203,9 +203,8 @@ void BM_QueryTreeSetUp(benchmark::State& state) {
       state.range(0) == 0 ? static_cast<const WaitPolicy&>(prop_split) : cedar;
   for (auto _ : state) {
     QueryTree tree(model, policy, realization, "bench");
-    EventQueue queue;
-    tree.Start(queue);
-    benchmark::DoNotOptimize(queue);
+    tree.Start();
+    benchmark::DoNotOptimize(tree);
   }
   state.SetLabel(policy.name());
 }

@@ -91,7 +91,7 @@ AnalyticsOutcome AnalyticsService::RunQuery(const WaitPolicy& policy,
   empty.sums.assign(static_cast<size_t>(table_->num_groups()), 0.0);
   empty.counts.assign(static_cast<size_t>(table_->num_groups()), 0);
   std::vector<GroupPartial> collected(static_cast<size_t>(partitions / k1), empty);
-  const FixedTimeRun run = tree.RunFixedTimeLeaves([&](long long p) {
+  const FixedTimeRun run = tree.RunFixedTimeLeaves(realization.stage_durations[0], [&](long long p) {
     const int partition = static_cast<int>(p);
     collected[static_cast<size_t>(partition / k1)].Accumulate(
         table_->PartitionPartial(partition));

@@ -36,7 +36,7 @@ SearchQueryOutcome SearchService::RunQuery(const WaitPolicy& policy,
   QueryTree tree(model_, policy, realization, "search");
   std::vector<std::vector<std::vector<SearchHit>>> collected(
       static_cast<size_t>(shards / k1));
-  const FixedTimeRun run = tree.RunFixedTimeLeaves([&](long long s) {
+  const FixedTimeRun run = tree.RunFixedTimeLeaves(realization.stage_durations[0], [&](long long s) {
     const int shard = static_cast<int>(s);
     collected[static_cast<size_t>(shard / k1)].push_back(
         index_->shard(shard).TopK(query, config_.top_k, *index_));

@@ -6,6 +6,7 @@
 #include <functional>
 #include <limits>
 #include <utility>
+#include <vector>
 
 #include "src/cluster/loaded_runtime.h"
 #include "src/cluster/slot_stack.h"
@@ -58,8 +59,11 @@ int CheckedTotalSlots(const ClusterSpec& cluster) {
 // their share of the cluster. Each submitted job is one query's leaf
 // stage; its tasks start in index order, after every earlier job's tasks
 // have started. With speculation on, slots left idle then clone each job's
-// longest-running straggler, and the first copy to finish wins. Events
-// capture pointers to the scheduler and its jobs.
+// longest-running straggler, and the first copy to finish wins. The
+// scheduler knows no query tree: aggregators hold no slots, so it only
+// records when each task's winning copy completes, and the engine runs the
+// query's tree from those times once the queue has run. Events capture
+// pointers to the scheduler and its jobs.
 class SlotScheduler {
  public:
   struct Stats {
@@ -82,31 +86,34 @@ class SlotScheduler {
   EventQueue& queue() { return queue_; }
   const Stats& stats() const { return stats_; }
 
-  // Starts |tree| at the queue's current time and queues its leaf tasks,
-  // stage 0 of |realization|, behind every earlier job's. Both are borrowed
-  // and must outlive the queue's run. Clone durations draw from |clone_rng|.
-  void Submit(QueryTree& tree, const QueryRealization& realization, Rng clone_rng) {
+  // Queues the leaf tasks of |realization|, its stage 0, at the queue's
+  // current time behind every earlier job's. |realization| is borrowed and
+  // must outlive the queue's run. Clone durations draw from |clone_rng|.
+  // Returns each task's completion time, absolute: the time its first copy
+  // finished. Every entry is set once the queue has run.
+  const std::vector<double>& Submit(const QueryRealization& realization, Rng clone_rng) {
     const size_t tasks = realization.stage_durations[0].size();
     CEDAR_CHECK(tasks >= 1 && tasks <= static_cast<size_t>(std::numeric_limits<int>::max()));
-    Job& job = jobs_.emplace_back(this, tree, realization, queue_.now(), clone_rng,
-                                  static_cast<int>(tasks));
+    Job& job =
+        jobs_.emplace_back(this, realization, queue_.now(), clone_rng, static_cast<int>(tasks));
+    job.completion_times.resize(tasks);
     if (speculation_.enabled) {
       job.task_states.resize(tasks);
       job.completed_durations.reserve(tasks);
     }
-    tree.Start(queue_);
     waiting_.push_back(&job);
     Fill();
+    return job.completion_times;
   }
 
  private:
   struct Job {
     SlotScheduler* scheduler;
-    QueryTree& tree;
     const QueryRealization& realization;
     double submit_time;
     Rng clone_rng;
     int tasks;
+    std::vector<double> completion_times;  // by task, from Complete
     int next_pending = 0;  // lowest task not yet launched
     // Speculation state, kept only with speculation on: a loaded run holds
     // every job until it ends, so per-task records would add up.
@@ -179,7 +186,7 @@ class SlotScheduler {
       }
       task.copies_in_flight = 0;
     }
-    job.tree.DeliverLeaf(task_index);
+    job.completion_times[static_cast<size_t>(task_index)] = queue_.now();
     stats_.makespan = queue_.now();
     Fill();
   }
@@ -263,16 +270,17 @@ ClusterQueryResult ClusterRuntime::RunQuery(const WaitPolicy& policy_prototype,
   const uint64_t seed =
       options_.runtime_seed ^ (realization.truth.sequence * 0x9E3779B97F4A7C15ull);
   SlotScheduler scheduler(cluster_, seed ^ 0xBEEF, options_.speculation);
-  // A query queues at most its leaf tasks' completions and its aggregators'
-  // timers at once, clones aside.
-  scheduler.queue().Reserve(realization.stage_durations[0].size() +
-                            static_cast<size_t>(tree.aggregators()));
-  scheduler.Submit(tree, realization, Rng(seed ^ 0xC0FFEE));
+  // A query queues at most its leaf tasks' completions at once, clones
+  // aside.
+  const size_t leaves = realization.stage_durations[0].size();
+  scheduler.queue().Reserve(leaves);
+  const std::vector<double>& leaf_times = scheduler.Submit(realization, Rng(seed ^ 0xC0FFEE));
   scheduler.queue().Run();
+  const FixedTimeRun run = tree.RunFixedTimeLeaves(leaf_times);
 
   ClusterQueryResult result;
-  static_cast<QueryResult&>(result) = tree.Result();
-  const auto total_tasks = static_cast<long long>(realization.stage_durations[0].size());
+  static_cast<QueryResult&>(result) = run.result;
+  const auto total_tasks = static_cast<long long>(leaves);
   const int slots = cluster_.TotalSlots();
   result.waves = static_cast<int>((total_tasks + slots - 1) / slots);
   const SlotScheduler::Stats& stats = scheduler.stats();
@@ -280,7 +288,10 @@ ClusterQueryResult ClusterRuntime::RunQuery(const WaitPolicy& policy_prototype,
   result.tasks_launched = stats.tasks_launched;
   result.clones_launched = stats.clones_launched;
   result.clones_won = stats.clones_won;
-  result.events = static_cast<long long>(scheduler.queue().scheduled());
+  // The slot queue's events hold the leaf completions the tree run counts
+  // as its leaves too.
+  result.events = static_cast<long long>(scheduler.queue().scheduled()) + run.result.events -
+                  total_tasks;
 
   if (QueryTraceBuilder* trace = tree.trace()) {
     trace->Finish(
@@ -309,14 +320,14 @@ LoadedRunResult RunLoadedCluster(const Workload& workload, const WaitPolicy& pol
   SlotScheduler scheduler(config.cluster, DeriveStreamSeed(config.seed, 0xBEEF),
                           SpeculationOptions{});
   EventQueue& queue = scheduler.queue();
-  // Every slot's task completion and the next arrival; the queries' timers
-  // come and go with their jobs.
+  // Every slot's task completion and the next arrival.
   queue.Reserve(static_cast<size_t>(config.cluster.TotalSlots()) + 1);
   Rng rng(config.seed);
   long long arrivals = 0;
   // Deques keep each query's realization and tree at a stable address.
   std::deque<QueryRealization> realizations;
   std::deque<QueryTree> trees;
+  std::vector<const std::vector<double>*> leaf_times;  // per query, from Submit
 
   // Poisson arrivals.
   std::function<void(int)> schedule_arrival = [&](int remaining) {
@@ -330,23 +341,30 @@ LoadedRunResult RunLoadedCluster(const Workload& workload, const WaitPolicy& pol
       Rng realization_rng = rng.Fork();
       const QueryRealization& realization = realizations.emplace_back(
           SampleRealization(model.offline_tree(), truth, realization_rng));
-      QueryTree& tree = trees.emplace_back(model, policy, realization, "loaded", queue.now());
-      scheduler.Submit(tree, realization, realization_rng);
+      trees.emplace_back(model, policy, realization, "loaded", queue.now());
+      leaf_times.push_back(&scheduler.Submit(realization, realization_rng));
       schedule_arrival(remaining - 1);
     });
   };
   schedule_arrival(config.num_queries);
   queue.Run();
 
+  // Aggregators hold no slots, so each query's tree runs from its leaves'
+  // completion times once every task has run, in arrival order. A tree and
+  // its realization are released once it has run; the scheduler reads
+  // neither again.
   LoadedRunResult result;
-  for (QueryTree& tree : trees) {
-    QueryResult query = tree.Result();
+  for (const std::vector<double>* times : leaf_times) {
+    QueryTree& tree = trees.front();
+    const QueryResult query = tree.RunFixedTimeLeaves(*times).result;
     result.per_query_quality.Add(query.quality);
     result.root_arrivals_in_time += query.root_arrivals_in_time;
     result.root_arrivals_late += query.root_arrivals_late;
     if (QueryTraceBuilder* trace = tree.trace()) {
       trace->Finish(config.deadline, query.quality, {TraceArg::Num("arrival", tree.origin())});
     }
+    trees.pop_front();
+    realizations.pop_front();
   }
   const SlotScheduler::Stats& stats = scheduler.stats();
   const auto originals = static_cast<double>(stats.tasks_launched);  // speculation is off

@@ -16,10 +16,12 @@
 // RunQuery and RunLoadedCluster (loaded_runtime.h) run their leaves on one
 // slot scheduler, private to cluster_runtime.cc.
 //
-// Aggregators run the same WaitPolicy machinery (Pseudocode 1 via
-// AggregatorNode); they are modelled as long-running reducers that do not
-// consume process slots, matching the paper's 320-slots-for-320-processes
-// setup (fanout 20 x 16).
+// Aggregators are modelled as long-running reducers that do not consume
+// process slots, matching the paper's 320-slots-for-320-processes setup
+// (fanout 20 x 16), so no wait decision changes what the slot scheduler
+// does. Each query's leaf tasks therefore run first, and its QueryTree
+// then runs Pseudocode 1 from their completion times, through the same
+// queue-free runner as TreeSimulation (QueryTree::RunFixedTimeLeaves).
 
 #ifndef CEDAR_SRC_CLUSTER_CLUSTER_RUNTIME_H_
 #define CEDAR_SRC_CLUSTER_CLUSTER_RUNTIME_H_

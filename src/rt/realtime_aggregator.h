@@ -2,20 +2,21 @@
 // endhost deployment path the paper emphasizes ("Cedar can be implemented
 // entirely at the endhosts", §1).
 //
-// It drives one AggregatorNode, the loop the simulators run, through a
-// QueuedNode over its own EventQueue in seconds on std::chrono::steady_clock
-// since Start(). Offer() queues the arrival now and runs the queue up to
-// now, so a timer already due fires first, as in a simulation; a timer
-// thread sleeps until the next event. Deferral, resolve at expiry and the
-// single send are the node's.
-// The callback fires exactly once: at the node's send, or at Flush().
+// It drives one AggregatorNode, the loop the simulators run, directly, in
+// seconds on std::chrono::steady_clock since Start(). Offer() first fires
+// the node's timer while it is due (each firing at timer_at(), so a timer
+// already due fires first, as in a simulation), then delivers the arrival
+// now and fires a timer that it re-armed at now; a timer thread does the
+// same firing and sleeps until timer_at(). Deferral, resolve at expiry and
+// the single send are the node's. The callback fires exactly once: at the
+// node's send, or at Flush().
 //
 // Threading contract: Offer/Flush/Join are thread-safe; the callback runs
-// on the timer thread with no locks held; the node, its policy and the
-// queue are only touched under the internal mutex. The referenced
-// AggregatorContext pointers (offline tree, upper curve) must outlive the
-// aggregator. The aggregator runs one query and owns that query's
-// QueryMemo: its context copy points there.
+// on the timer thread with no locks held; the node and its policy are only
+// touched under the internal mutex. The referenced AggregatorContext
+// pointers (offline tree, upper curve) must outlive the aggregator. The
+// aggregator runs one query and owns that query's QueryMemo: its context
+// copy points there.
 
 #ifndef CEDAR_SRC_RT_REALTIME_AGGREGATOR_H_
 #define CEDAR_SRC_RT_REALTIME_AGGREGATOR_H_
@@ -30,9 +31,9 @@
 #include <vector>
 
 #include "src/common/logging.h"
+#include "src/common/time_types.h"
 #include "src/core/policy.h"
 #include "src/sim/aggregator_node.h"
-#include "src/sim/event_queue.h"
 
 namespace cedar {
 
@@ -75,7 +76,7 @@ class RealtimeAggregator {
     started_ = true;
     start_time_ = Clock::now();
     node_.policy()->BeginQuery(ctx_, nullptr);
-    queued_.Start(queue_, node_, [this] { sent_ = true; });
+    node_.Start(0.0);
     timer_ = std::thread([this] { TimerLoop(); });
   }
 
@@ -89,18 +90,14 @@ class RealtimeAggregator {
       return false;
     }
     const double now = Elapsed();
-    bool accepted = false;
-    // The arrival runs in the RunUntil below, after every event due by now.
-    queue_.Schedule(now, [&] {
-      if (node_.closed()) {
-        return;
-      }
-      accepted = true;
+    FireDueTimer(now);
+    const bool accepted = !sent_;
+    if (accepted) {
       outputs_.push_back(std::move(output));
       arrival_times_.push_back(now);
-      queued_.OnChildOutput(1.0);
-    });
-    queue_.RunUntil(now);
+      node_.OnChildOutput(now, 1.0);
+      FireDueTimer(now);  // a wait already past re-arms the timer at now
+    }
     lock.unlock();
     cv_.notify_all();  // the node's next timer, or its send, may have changed
     return accepted;
@@ -137,15 +134,26 @@ class RealtimeAggregator {
     return std::chrono::duration<double>(Clock::now() - start_time_).count();
   }
 
-  // Runs the queue's due events and sleeps until the next one, or until an
+  // Fires the node's timer while it is due at |now|, each time at
+  // timer_at(): a deferred timer may move to a time already due. Under
+  // mutex_.
+  void FireDueTimer(double now) {
+    while (node_.timer_at() <= now) {
+      node_.OnTimer(node_.timer_at());
+    }
+    sent_ = sent_ || node_.closed();
+  }
+
+  // Fires the node's due timer and sleeps until its next one, or until an
   // Offer or Flush wakes it, then delivers the result once.
   void TimerLoop() {
     std::unique_lock<std::mutex> lock(mutex_);
     for (;;) {
-      const double next = queue_.RunUntil(Elapsed());
+      FireDueTimer(Elapsed());
       if (sent_ || flush_requested_) {
         break;
       }
+      const double next = node_.timer_at();
       if (IsFiniteTime(next)) {
         cv_.wait_until(lock, start_time_ + std::chrono::ceil<Clock::duration>(
                                                std::chrono::duration<double>(next)));
@@ -170,9 +178,7 @@ class RealtimeAggregator {
   mutable std::mutex mutex_;
   std::condition_variable cv_;
   Clock::time_point start_time_;
-  EventQueue queue_;
   AggregatorNode node_;
-  QueuedNode queued_;  // drives node_ on queue_, where its timer events live
   bool started_ = false;
   bool sent_ = false;  // the node sent, or a flush ended the query
   bool flush_requested_ = false;

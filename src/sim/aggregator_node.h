@@ -5,24 +5,22 @@
 //
 // The node owns no clock and no queue. Its one timer is a value,
 // timer_at(); each handler takes the driver's current time and returns a
-// Step saying what it did to that timer. Two drivers use that interface:
-// QueuedNode below keeps the timer as one event on an EventQueue (the slot
-// scheduler's engines and RealtimeAggregator), and the fixed-time runner
-// (QueryTree::RunFixedTimeLeaves) merges it into each node's sorted child
-// arrivals, so a re-arm is an assignment.
+// Step saying what it did to that timer. QueryTree::RunFixedTimeLeaves
+// merges the timer into each node's sorted child arrivals, so a re-arm is
+// an assignment; RealtimeAggregator fires it whenever the wall clock has
+// passed timer_at().
 //
 // Arrivals go through WaitPolicy::DecideOnArrivalDeferrable: a deferred
 // decision arms the timer at its lower bound, and only a timer that fires
 // there resolves the exact send time, moving itself there when that is
-// later (kMoved: a queue re-queues it under its own seq). Every send time
-// is the eager decisions' (DESIGN.md §4, "Aggregator loop").
+// later (kMoved: the same timer, keeping its place among equal times).
+// Every send time is the eager decisions' (DESIGN.md §4, "Aggregator loop").
 
 #ifndef CEDAR_SRC_SIM_AGGREGATOR_NODE_H_
 #define CEDAR_SRC_SIM_AGGREGATOR_NODE_H_
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -31,7 +29,6 @@
 #include "src/common/time_types.h"
 #include "src/core/policy.h"
 #include "src/obs/query_trace.h"
-#include "src/sim/event_queue.h"
 
 namespace cedar {
 
@@ -42,7 +39,7 @@ class AggregatorNode {
     kKept,   // nothing: a kept decision, or an output that came after the send
     kArmed,  // a new timer at timer_at() replaced the old one (a new event)
     kMoved,  // OnTimer only: the fired deferred timer resolved later and
-             // now fires at timer_at() (the same event, re-queued)
+             // now fires at timer_at() (the same event, keeping its key)
     kSent,   // the node sent at the handler's time; no timer is left
   };
 
@@ -152,7 +149,7 @@ class AggregatorNode {
     SetTimer(std::max(origin_ + wait, now));
   }
 
-  // The check a queue makes on every event, made here for every driver.
+  // Every driver's timer fires at a finite time.
   void SetTimer(double at) {
     CEDAR_CHECK(IsFiniteTime(at)) << "timer at non-finite time " << at;
     timer_at_ = at;
@@ -184,61 +181,6 @@ class AggregatorNode {
   double armed_wait_ = -1.0;
   bool armed_deferred_ = false;  // armed_wait_ is a deferred decision's bound
   double traced_wait_ = -1.0;    // the last exact wait the trace recorded
-};
-
-// Drives an AggregatorNode on an EventQueue, its timer one queued event: a
-// re-arm cancels that event and schedules a new one, and a moved timer
-// re-queues its own event (EventQueue::Requeue), keeping its place among
-// equal times. QueryTree under the slot scheduler (ClusterRuntime,
-// RunLoadedCluster) and RealtimeAggregator run their nodes this way. It
-// captures its own address in its events, so it must not move once started.
-class QueuedNode {
- public:
-  QueuedNode() = default;
-  QueuedNode(const QueuedNode&) = delete;
-  QueuedNode& operator=(const QueuedNode&) = delete;
-
-  // Starts |node| at the queue's current time. |on_send| runs once, right
-  // after the node's send. |queue| and |node| must outlive this driver.
-  void Start(EventQueue& queue, AggregatorNode& node, std::function<void()> on_send) {
-    queue_ = &queue;
-    node_ = &node;
-    on_send_ = std::move(on_send);
-    Apply(node.Start(queue.now()));
-  }
-
-  // Hands the node one child output of |weight| at the queue's current time.
-  void OnChildOutput(double weight) { Apply(node_->OnChildOutput(queue_->now(), weight)); }
-
- private:
-  void Apply(AggregatorNode::Step step) {
-    switch (step) {
-      case AggregatorNode::Step::kKept:
-        return;
-      case AggregatorNode::Step::kArmed:
-        queue_->Cancel(timer_handle_);
-        timer_handle_ = queue_->Schedule(node_->timer_at(), [this] { OnTimer(); });
-        return;
-      case AggregatorNode::Step::kMoved:
-        timer_handle_ = queue_->Requeue(node_->timer_at(), [this] { OnTimer(); });
-        return;
-      case AggregatorNode::Step::kSent:
-        queue_->Cancel(timer_handle_);
-        timer_handle_ = 0;
-        on_send_();
-        return;
-    }
-  }
-
-  void OnTimer() {
-    timer_handle_ = 0;
-    Apply(node_->OnTimer(queue_->now()));
-  }
-
-  EventQueue* queue_ = nullptr;
-  AggregatorNode* node_ = nullptr;
-  std::function<void()> on_send_;
-  uint64_t timer_handle_ = 0;
 };
 
 }  // namespace cedar

@@ -9,23 +9,9 @@
 namespace cedar {
 
 uint64_t EventQueue::Schedule(SimTime time, EventCallback callback) {
-  const uint64_t seq = state_.size();
-  Push(time, seq, std::move(callback));
-  state_.push_back(State::kQueued);
-  return seq + 1;
-}
-
-uint64_t EventQueue::Requeue(SimTime time, EventCallback callback) {
-  CEDAR_CHECK(running_seq_ != kNotRunning) << "Requeue outside a running callback";
-  CEDAR_CHECK(state_[running_seq_] == State::kDone) << "the running event is already queued";
-  Push(time, running_seq_, std::move(callback));
-  state_[running_seq_] = State::kQueued;
-  return running_seq_ + 1;
-}
-
-void EventQueue::Push(SimTime time, uint64_t seq, EventCallback callback) {
   CEDAR_CHECK(time >= now_) << "scheduling into the past: " << time << " < " << now_;
   CEDAR_CHECK(IsFiniteTime(time)) << "scheduling at non-finite time";
+  const uint64_t seq = state_.size();
   uint32_t slot;
   if (free_slots_.empty()) {
     CEDAR_CHECK_LT(callbacks_.size(), size_t{std::numeric_limits<uint32_t>::max()})
@@ -39,6 +25,8 @@ void EventQueue::Push(SimTime time, uint64_t seq, EventCallback callback) {
   }
   heap_.push_back(Key{time, seq, slot});
   std::push_heap(heap_.begin(), heap_.end(), KeyLater());
+  state_.push_back(State::kQueued);
+  return seq + 1;
 }
 
 void EventQueue::Reserve(size_t n) {
@@ -72,33 +60,10 @@ bool EventQueue::RunOne() {
       continue;
     }
     now_ = key.time;
-    running_seq_ = key.seq;
     callback();
-    running_seq_ = kNotRunning;
     return true;
   }
   return false;
-}
-
-SimTime EventQueue::RunUntil(SimTime t) {
-  while (!heap_.empty()) {
-    const Key top = heap_.front();
-    if (state_[top.seq] == State::kQueued) {
-      if (top.time > t) {
-        return top.time;
-      }
-      RunOne();  // the top is queued, so this runs exactly it
-      continue;
-    }
-    // A cancelled top: drop it, as RunOne would, without running the next.
-    std::pop_heap(heap_.begin(), heap_.end(), KeyLater());
-    heap_.pop_back();
-    callbacks_[top.slot] = nullptr;
-    free_slots_.push_back(top.slot);
-    state_[top.seq] = State::kDone;
-    --cancelled_queued_;
-  }
-  return kSimTimeInfinity;
 }
 
 void EventQueue::Run() {

@@ -1,6 +1,7 @@
 // Discrete-event simulation core: a time-ordered event queue with stable
-// FIFO ordering for simultaneous events. Shared by the aggregation-tree
-// simulator and the cluster runtime.
+// FIFO ordering for simultaneous events. The cluster engines' slot
+// scheduler (cluster_runtime.cc) runs its leaf tasks on it; query trees run
+// without one (QueryTree::RunFixedTimeLeaves).
 //
 // The heap orders small {time, seq, slot} keys under push_heap/pop_heap; the
 // callbacks live in a side vector of slots that a fired or dropped event
@@ -8,8 +9,7 @@
 // queued events. RunOne moves each callback out of its slot, so a callback
 // is never copied. A handle indexes one state byte per scheduled event
 // (queued, cancelled or done): Cancel is O(1), and a cancelled event is
-// dropped when it reaches the top of the heap. A running callback may
-// re-queue its own event at a later time under the same seq (Requeue).
+// dropped when it reaches the top of the heap.
 
 #ifndef CEDAR_SRC_SIM_EVENT_QUEUE_H_
 #define CEDAR_SRC_SIM_EVENT_QUEUE_H_
@@ -35,16 +35,8 @@ class EventQueue {
   // scheduling order.
   uint64_t Schedule(SimTime time, EventCallback callback);
 
-  // From inside a running callback: queues |callback| at |time| (>= now)
-  // under the running event's own seq, so it runs exactly where an event of
-  // that seq, scheduled for |time|, would: among events at |time| it keeps
-  // its first scheduling's place. Returns the running event's handle, which
-  // is queued again (Cancel works on it). Fatal outside a callback or when
-  // the running event was already re-queued.
-  uint64_t Requeue(SimTime time, EventCallback callback);
-
   // Cancels a pending event. Cancelling an already-fired, already-cancelled
-  // or unknown handle is a no-op (timers race with completions by design).
+  // or unknown handle is a no-op (a task's two copies race by design).
   void Cancel(uint64_t handle);
 
   // Makes room for |n| events queued at once, and for the first |n|
@@ -58,12 +50,6 @@ class EventQueue {
 
   // Runs the single earliest pending event; returns false if none remain.
   bool RunOne();
-
-  // Runs every event at time <= |t|, in (time, seq) order, including events
-  // those callbacks queue at <= |t|. Returns the earliest pending event's
-  // time, or kSimTimeInfinity when none remains. A wall-clock loop calls
-  // it with the current time and sleeps until the returned one.
-  SimTime RunUntil(SimTime t);
 
   // Current simulated time (the time of the last event fired).
   SimTime now() const { return now_; }
@@ -96,17 +82,11 @@ class EventQueue {
     }
   };
 
-  // Queues |callback| at |time| under |seq|; the caller marks it kQueued.
-  void Push(SimTime time, uint64_t seq, EventCallback callback);
-
-  static constexpr uint64_t kNotRunning = UINT64_MAX;
-
   std::vector<Key> heap_;
   std::vector<EventCallback> callbacks_;  // indexed by slot
   std::vector<uint32_t> free_slots_;      // a stack: the last slot freed is reused first
   std::vector<State> state_;              // indexed by seq
   size_t cancelled_queued_ = 0;
-  uint64_t running_seq_ = kNotRunning;  // the seq whose callback is running
   SimTime now_ = 0.0;
 };
 

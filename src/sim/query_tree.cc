@@ -77,7 +77,6 @@ QueryTree::QueryTree(const QueryTreeModel& model, const WaitPolicy& policy_proto
     const AggregatorContext& ctx = contexts_[static_cast<size_t>(tier)];
     auto& row = nodes_[static_cast<size_t>(tier)];
     row = std::vector<AggregatorNode>(static_cast<size_t>(StageEdgeCount(tree, tier + 1)));
-    aggregators_ += static_cast<long long>(row.size());
     for (size_t i = 0; i < row.size(); ++i) {
       auto policy = policy_prototype.Clone();
       policy->BeginQuery(ctx, &realization_.truth);
@@ -86,29 +85,18 @@ QueryTree::QueryTree(const QueryTreeModel& model, const WaitPolicy& policy_proto
   }
 }
 
-void QueryTree::Start(EventQueue& queue) {
-  queue_ = &queue;
-  queued_.resize(nodes_.size());
-  for (size_t tier = 0; tier < nodes_.size(); ++tier) {
-    queued_[tier] = std::vector<QueuedNode>(nodes_[tier].size());
-    for (size_t i = 0; i < nodes_[tier].size(); ++i) {
-      AggregatorNode& node = nodes_[tier][i];
-      queued_[tier][i].Start(queue, node, [this, &node] { OnSend(node); });
+void QueryTree::Start() {
+  CEDAR_CHECK(!started_) << "a query tree starts once";
+  started_ = true;
+  for (std::vector<AggregatorNode>& row : nodes_) {
+    for (AggregatorNode& node : row) {
+      node.Start(origin_);
     }
   }
 }
 
 double QueryTree::LeafWeight(size_t leaf) const {
   return realization_.leaf_weights.empty() ? 1.0 : realization_.leaf_weights[leaf];
-}
-
-bool QueryTree::DeliverLeaf(long long leaf) {
-  const auto agg = static_cast<size_t>(leaf / model_.offline_tree().stage(0).fanout);
-  if (nodes_[0][agg].closed()) {
-    return false;
-  }
-  queued_[0][agg].OnChildOutput(LeafWeight(static_cast<size_t>(leaf)));
-  return true;
 }
 
 double QueryTree::ArrivalAbove(const AggregatorNode& node) const {
@@ -138,30 +126,15 @@ void QueryTree::TraceRootArrival(double arrive_at) {
   }
 }
 
-void QueryTree::OnSend(const AggregatorNode& node) {
-  AccountSend(node);
-  const double arrive_at = ArrivalAbove(node);
-  const int tier = node.tier();
-  if (tier + 1 == static_cast<int>(nodes_.size())) {
-    TraceRootArrival(arrive_at);
-    return;
-  }
-  const long long parent = node.index() / model_.offline_tree().stage(tier + 1).fanout;
-  QueuedNode& parent_node = queued_[static_cast<size_t>(tier + 1)][static_cast<size_t>(parent)];
-  // Two words of capture: std::function keeps the closure inline.
-  queue_->Schedule(arrive_at, [&parent_node, weight = node.included_weight()] {
-    parent_node.OnChildOutput(weight);
-  });
-}
-
 namespace {
 
-// An event's key on the queued run's EventQueue (DESIGN.md §4, "Aggregator
-// loop"). An event queued before the run is Pre(n), n its place in the
-// scheduling order: every aggregator's initial timer in Start order, then
-// the leaves in index order. An event queued during the run (a re-armed
-// timer, or a send's arrival at the parent) is Fresh(k), k the key of the
-// event that queued it; a moved timer keeps its origin.
+// An event's key: its place on a queued run, one EventQueue holding the
+// whole query (DESIGN.md §4, "Aggregator loop"). An event queued before the
+// run is Pre(n), n its place in the scheduling order: every aggregator's
+// initial timer in Start order, then the leaves in index order. An event
+// queued during the run (a re-armed timer, or a send's arrival at the
+// parent) is Fresh(k), k the key of the event that queued it; a moved timer
+// keeps its origin.
 struct EventKey {
   double time = 0.0;
   const EventKey* cause = nullptr;  // Fresh(*cause); null for Pre(pre)
@@ -209,27 +182,27 @@ struct TraceSpan {
 
 }  // namespace
 
-FixedTimeRun QueryTree::RunFixedTimeLeaves(const std::function<void(long long)>& accepted) {
+FixedTimeRun QueryTree::RunFixedTimeLeaves(const std::vector<double>& leaf_times,
+                                           const std::function<void(long long)>& accepted) {
   CEDAR_PROFILE_SCOPE("sim.fixed_time_run");
-  CEDAR_CHECK_EQ(origin_, 0.0) << "a fixed-time run starts its leaves at time 0";
-  const std::vector<double>& durations = realization_.stage_durations[0];
+  CEDAR_CHECK_EQ(leaf_times.size(), realization_.stage_durations[0].size());
   const size_t tiers = nodes_.size();
   QueryTraceBuilder* trace = this->trace();
 
   // The initial timers, in Start's order, then the leaves are the Pre
   // events.
+  Start();
   std::vector<std::vector<NodeKeys>> keys(tiers);
   long long pre = 0;
   for (size_t tier = 0; tier < tiers; ++tier) {
     keys[tier].resize(nodes_[tier].size());
     for (size_t i = 0; i < nodes_[tier].size(); ++i) {
-      nodes_[tier][i].Start(0.0);
       keys[tier][i].timer = {nodes_[tier][i].timer_at(), nullptr, pre++};
     }
   }
   const long long first_leaf = pre;
-  long long events = pre + static_cast<long long>(durations.size());
-  double end_time = 0.0;
+  long long events = pre + static_cast<long long>(leaf_times.size());
+  double end_time = origin_;
   std::vector<TraceSpan> spans;
   const size_t first_run_record = trace != nullptr ? trace->records() : 0;
 
@@ -251,7 +224,7 @@ FixedTimeRun QueryTree::RunFixedTimeLeaves(const std::function<void(long long)>&
       arrivals.resize(fanout);
       for (size_t j = 0; j < fanout; ++j) {
         const size_t child = i * fanout + j;
-        const double time = tier == 0 ? durations[child] : ArrivalAbove(nodes_[tier - 1][child]);
+        const double time = tier == 0 ? leaf_times[child] : ArrivalAbove(nodes_[tier - 1][child]);
         arrivals[j] = {time, child};
         end_time = std::max(end_time, time);
       }

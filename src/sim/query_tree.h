@@ -19,15 +19,15 @@
 //    stage-(t+1) duration of its own edge to parent index / fanout;
 //  * root accounting against origin + deadline: the top-tier senders that
 //    reached the root in time, in send order, and the tier-0 send mean.
-// A queued engine supplies only the leaves: it calls Start() once with its
-// queue, then DeliverLeaf() at each leaf output's completion time, runs the
-// queue, and reads Result(). All times on the queue are absolute; |origin|
-// is the query's time zero (its arrival, in a loaded run); the slot
-// scheduler in cluster_runtime.cc is that leaf scheduler. Leaves that
-// complete at their sampled durations (TreeSimulation and the apps) need no
-// queue: RunFixedTimeLeaves() runs each aggregator's Pseudocode 1 from its
-// sorted child arrivals, tier by tier, in the order the queued run would
-// (DESIGN.md §4, "Aggregator loop"). An app also carries each leaf's
+// An engine supplies only the leaves' output times. RunFixedTimeLeaves()
+// runs each aggregator's Pseudocode 1 from its sorted child arrivals, tier
+// by tier, without an event queue, in the order one queue holding every
+// timer, leaf and send would run them (DESIGN.md §4, "Aggregator loop").
+// TreeSimulation and the apps pass each leaf's sampled duration (origin 0);
+// the cluster engines first run every leaf task on their slot scheduler
+// (cluster_runtime.cc) and pass the winning completion times, absolute, with
+// the query's arrival as |origin|. Aggregators hold no slots, so no wait
+// decision feeds back into that scheduler. An app also carries each leaf's
 // payload: it keeps the outputs the run accepted per tier-0 aggregator and
 // merges those of root_senders() at the end.
 
@@ -42,7 +42,6 @@
 #include "src/core/tree.h"
 #include "src/obs/query_trace.h"
 #include "src/sim/aggregator_node.h"
-#include "src/sim/event_queue.h"
 #include "src/sim/realization.h"
 
 namespace cedar {
@@ -69,7 +68,7 @@ struct QueryTreeOptions {
   WaitTableStore* table_store = nullptr;
 };
 
-// What a query tree reports once its queue has run.
+// What a query tree reports once it has run.
 struct QueryResult {
   // Fraction of (weighted) process outputs included at the root.
   double quality = 0.0;
@@ -86,13 +85,15 @@ struct QueryResult {
   // (diagnostic: what wait the policy effectively chose).
   double mean_tier0_send_time = 0.0;
 
-  // DES events the engine scheduled, fired or cancelled for this query. The
-  // fixed-time run counts the events the queued run would schedule.
+  // Events a discrete-event run of this query would schedule: its
+  // aggregators' timers and re-arms, its leaves, and its sends' arrivals at
+  // their parents, plus the cluster engines' slot-scheduler events (clones
+  // and speculation polls).
   long long events = 0;
 };
 
 // What RunFixedTimeLeaves reports: the tree's result, with its events, and
-// the time of the last event the queued run would fire.
+// the time of the last event a queued run would fire.
 struct FixedTimeRun {
   QueryResult result;
   double end_time = 0.0;
@@ -142,32 +143,21 @@ class QueryTree {
   QueryTree(const QueryTree&) = delete;
   QueryTree& operator=(const QueryTree&) = delete;
 
-  // Arms every aggregator's initial timer on |queue|, bottom tier first.
-  // The tree and its aggregators keep |queue| for every later event, so it
-  // must outlive the tree's run.
-  void Start(EventQueue& queue);
+  // Arms every aggregator's initial timer at the origin, bottom tier first:
+  // what every engine pays per query before its first leaf. Runs once;
+  // RunFixedTimeLeaves calls it.
+  void Start();
 
-  // Hands leaf |leaf|'s output, with its weight, to its tier-0 aggregator
-  // at the queue's current time. Returns whether that aggregator was still
-  // open, i.e. whether the output is part of its send.
-  bool DeliverLeaf(long long leaf);
+  // Runs the whole query: Start(), then leaf i's output reaches its tier-0
+  // aggregator at |leaf_times|[i], an absolute time no earlier than the
+  // origin. |accepted|, when set, is called with each leaf whose output its
+  // aggregator took, in that aggregator's arrival order. Builds no queue.
+  // Dies unless every aggregator sent exactly once, the quality is finite
+  // and the included weight lies in [0, total weight] up to the rounding of
+  // summing the same leaf weights in another order.
+  FixedTimeRun RunFixedTimeLeaves(const std::vector<double>& leaf_times,
+                                  const std::function<void(long long)>& accepted = nullptr);
 
-  // Runs the whole query (origin 0) with fixed-time leaves, instead of
-  // Start(): every leaf process is dispatched at time 0 and completes at its
-  // sampled stage-0 duration, and |accepted|, when set, is called with each
-  // leaf whose output its aggregator took, in that aggregator's arrival
-  // order. Builds no queue; every result, the trace included, is the
-  // queued run's bit for bit.
-  FixedTimeRun RunFixedTimeLeaves(const std::function<void(long long)>& accepted = nullptr);
-
-  // Number of aggregators: one timer each, so with the leaves they bound the
-  // events an engine has queued at once.
-  long long aggregators() const { return aggregators_; }
-
-  // Once the queue has run. Dies unless every aggregator sent exactly once,
-  // the quality is finite and the included weight lies in [0, total weight]
-  // up to the rounding of summing the same leaf weights in another order.
-  QueryResult Result() const;
   double origin() const { return origin_; }
 
   // Indices of the top-tier aggregators whose results reached the root in
@@ -180,8 +170,6 @@ class QueryTree {
 
  private:
   double LeafWeight(size_t leaf) const;
-  // A queued send: its accounting, and its arrival at the parent or root.
-  void OnSend(const AggregatorNode& node);
   // When |node|'s send reaches its parent or the root.
   double ArrivalAbove(const AggregatorNode& node) const;
   bool InTime(double arrive_at) const { return arrive_at <= origin_ + model_.deadline(); }
@@ -189,6 +177,8 @@ class QueryTree {
   // and, for the top tier, the root's deadline check.
   void AccountSend(const AggregatorNode& node);
   void TraceRootArrival(double arrive_at);
+  // Once every aggregator has sent.
+  QueryResult Result() const;
 
   const QueryTreeModel& model_;
   const QueryRealization& realization_;
@@ -198,9 +188,7 @@ class QueryTree {
   QueryMemo memo_;  // every contexts_[i].memo
   std::vector<AggregatorContext> contexts_;
   std::vector<std::vector<AggregatorNode>> nodes_;
-  long long aggregators_ = 0;
-  EventQueue* queue_ = nullptr;  // from Start
-  std::vector<std::vector<QueuedNode>> queued_;  // nodes_'s drivers, from Start
+  bool started_ = false;
 
   double included_weight_ = 0.0;
   std::vector<long long> root_senders_;

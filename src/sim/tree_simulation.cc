@@ -15,7 +15,7 @@ QueryResult TreeSimulation::RunQuery(const WaitPolicy& policy_prototype,
                                      const QueryRealization& realization) const {
   QueryTree tree(model_, policy_prototype, realization, "sim");
   // No payload: only the tree's own accounting.
-  const FixedTimeRun run = tree.RunFixedTimeLeaves();
+  const FixedTimeRun run = tree.RunFixedTimeLeaves(realization.stage_durations[0]);
   const QueryResult& result = run.result;
   if (QueryTraceBuilder* trace = tree.trace()) {
     trace->Finish(

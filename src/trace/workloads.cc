@@ -128,8 +128,9 @@ StationaryWorkload MakeCosmosWorkload(int k1, int k2) {
 
 namespace {
 
-MetaLogNormalWorkload MakeSigmaSweepWorkload(const std::string& name, double mu, double sigma2,
-                                             double sigma1, int k1, int k2) {
+MetaLogNormalWorkload MakeSigmaSweepWorkload(const std::string& name, const std::string& unit,
+                                             double mu, double sigma2, double sigma1, int k1,
+                                             int k2) {
   // X1 shares the trace's mu but uses the swept sigma1; X2 is the trace's
   // published fit. Mild per-query mu jitter keeps online learning relevant
   // without dominating the sweep. [chosen]
@@ -147,22 +148,22 @@ MetaLogNormalWorkload MakeSigmaSweepWorkload(const std::string& name, double mu,
   top.sigma_spread = 0.02;
   top.fanout = k2;
 
-  return MetaLogNormalWorkload(name, "trace-units", {bottom, top});
+  return MetaLogNormalWorkload(name, unit, {bottom, top});
 }
 
 }  // namespace
 
 MetaLogNormalWorkload MakeBingSigmaWorkload(double sigma1, int k1, int k2) {
-  return MakeSigmaSweepWorkload("bing-bing", kBingMu, kBingSigma, sigma1, k1, k2);
+  return MakeSigmaSweepWorkload("bing-bing", "us", kBingMu, kBingSigma, sigma1, k1, k2);
 }
 
 MetaLogNormalWorkload MakeGoogleSigmaWorkload(double sigma1, int k1, int k2) {
-  return MakeSigmaSweepWorkload("google-google", kGoogleMu, kGoogleSigma, sigma1, k1, k2);
+  return MakeSigmaSweepWorkload("google-google", "ms", kGoogleMu, kGoogleSigma, sigma1, k1, k2);
 }
 
 MetaLogNormalWorkload MakeFacebookSigmaWorkload(double sigma1, int k1, int k2) {
-  return MakeSigmaSweepWorkload("facebook-facebook", kFacebookMapMu, kFacebookMapSigma, sigma1,
-                                k1, k2);
+  return MakeSigmaSweepWorkload("facebook-facebook", "s", kFacebookMapMu, kFacebookMapSigma,
+                                sigma1, k1, k2);
 }
 
 GaussianWorkload::GaussianWorkload(int k1, int k2, double mean_spread)

@@ -1,6 +1,7 @@
 #include "src/sim/aggregator_node.h"
 
 #include <memory>
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -90,9 +91,33 @@ struct NodeFixture {
   AggregatorContext ctx;
 };
 
+// Drives |node| as RealtimeAggregator does, without a queue: starts it at
+// |start|; before each arrival (time, weight) fires its timer while it is
+// due at that time, each firing at timer_at(); after the last arrival fires
+// it until the node sends. |on_send| runs once, right after the send. No
+// case below ties a timer with an arrival.
+void Drive(AggregatorNode& node, double start,
+           const std::vector<std::pair<double, double>>& arrivals,
+           const std::function<void()>& on_send = [] {}) {
+  const auto apply = [&](AggregatorNode::Step step) {
+    if (step == AggregatorNode::Step::kSent) {
+      on_send();
+    }
+  };
+  apply(node.Start(start));
+  for (const auto& [time, weight] : arrivals) {
+    while (node.timer_at() <= time) {
+      apply(node.OnTimer(node.timer_at()));
+    }
+    apply(node.OnChildOutput(time, weight));
+  }
+  while (!node.closed()) {
+    apply(node.OnTimer(node.timer_at()));
+  }
+}
+
 TEST(AggregatorNodeTest, FiresAtInitialWaitWithoutArrivals) {
   NodeFixture fixture(3);
-  EventQueue queue;
   AggregatorNode node;
   auto policy = std::make_unique<ScriptedPolicy>(10.0, std::vector<double>{});
   policy->BeginQuery(fixture.ctx, nullptr);
@@ -100,12 +125,10 @@ TEST(AggregatorNodeTest, FiresAtInitialWaitWithoutArrivals) {
 
   double sent_at = -1.0;
   double sent_weight = -1.0;
-  QueuedNode driver;
-  driver.Start(queue, node, [&] {
-    sent_at = queue.now();
+  Drive(node, 0.0, {}, [&] {
+    sent_at = node.send_time();
     sent_weight = node.included_weight();
   });
-  queue.Run();
   EXPECT_DOUBLE_EQ(sent_at, 10.0);
   EXPECT_DOUBLE_EQ(sent_weight, 0.0);
   EXPECT_TRUE(node.closed());
@@ -113,7 +136,6 @@ TEST(AggregatorNodeTest, FiresAtInitialWaitWithoutArrivals) {
 
 TEST(AggregatorNodeTest, SendsEarlyWhenAllChildrenReport) {
   NodeFixture fixture(2);
-  EventQueue queue;
   AggregatorNode node;
   auto policy = std::make_unique<ScriptedPolicy>(50.0, std::vector<double>{});
   policy->BeginQuery(fixture.ctx, nullptr);
@@ -121,21 +143,16 @@ TEST(AggregatorNodeTest, SendsEarlyWhenAllChildrenReport) {
 
   double sent_at = -1.0;
   double sent_weight = -1.0;
-  QueuedNode driver;
-  driver.Start(queue, node, [&] {
-    sent_at = queue.now();
+  Drive(node, 0.0, {{3.0, 1.0}, {7.0, 1.0}}, [&] {
+    sent_at = node.send_time();
     sent_weight = node.included_weight();
   });
-  queue.Schedule(3.0, [&] { driver.OnChildOutput(1.0); });
-  queue.Schedule(7.0, [&] { driver.OnChildOutput(1.0); });
-  queue.Run();
   EXPECT_DOUBLE_EQ(sent_at, 7.0) << "all children reported: SetTimer(0)";
   EXPECT_DOUBLE_EQ(sent_weight, 2.0);
 }
 
 TEST(AggregatorNodeTest, RearmExtendsAndShortensTimer) {
   NodeFixture fixture(5);
-  EventQueue queue;
   AggregatorNode node;
   // After the 1st arrival extend to 40; after the 2nd shorten to 12.
   auto policy = std::make_unique<ScriptedPolicy>(20.0, std::vector<double>{40.0, 12.0});
@@ -143,17 +160,12 @@ TEST(AggregatorNodeTest, RearmExtendsAndShortensTimer) {
   node.Init(0, 0, std::move(policy), &fixture.ctx);
 
   double sent_at = -1.0;
-  QueuedNode driver;
-  driver.Start(queue, node, [&] { sent_at = queue.now(); });
-  queue.Schedule(5.0, [&] { driver.OnChildOutput(1.0); });
-  queue.Schedule(10.0, [&] { driver.OnChildOutput(1.0); });
-  queue.Run();
+  Drive(node, 0.0, {{5.0, 1.0}, {10.0, 1.0}}, [&] { sent_at = node.send_time(); });
   EXPECT_DOUBLE_EQ(sent_at, 12.0);
 }
 
 TEST(AggregatorNodeTest, ShorteningBelowNowFiresImmediately) {
   NodeFixture fixture(5);
-  EventQueue queue;
   AggregatorNode node;
   // After the arrival at t=8 the policy wants wait=2 (already past).
   auto policy = std::make_unique<ScriptedPolicy>(20.0, std::vector<double>{2.0});
@@ -161,16 +173,12 @@ TEST(AggregatorNodeTest, ShorteningBelowNowFiresImmediately) {
   node.Init(0, 0, std::move(policy), &fixture.ctx);
 
   double sent_at = -1.0;
-  QueuedNode driver;
-  driver.Start(queue, node, [&] { sent_at = queue.now(); });
-  queue.Schedule(8.0, [&] { driver.OnChildOutput(1.0); });
-  queue.Run();
+  Drive(node, 0.0, {{8.0, 1.0}}, [&] { sent_at = node.send_time(); });
   EXPECT_DOUBLE_EQ(sent_at, 8.0);
 }
 
 TEST(AggregatorNodeTest, LateArrivalsAreDropped) {
   NodeFixture fixture(5);
-  EventQueue queue;
   AggregatorNode node;
   auto policy = std::make_unique<ScriptedPolicy>(10.0, std::vector<double>{10.0, 10.0});
   policy->BeginQuery(fixture.ctx, nullptr);
@@ -178,14 +186,11 @@ TEST(AggregatorNodeTest, LateArrivalsAreDropped) {
 
   double sent_weight = -1.0;
   int sends = 0;
-  QueuedNode driver;
-  driver.Start(queue, node, [&] {
-    sent_weight = node.included_weight();
-    ++sends;
-  });
-  queue.Schedule(4.0, [&] { driver.OnChildOutput(1.0); });
-  queue.Schedule(25.0, [&] { driver.OnChildOutput(1.0); });  // after the send
-  queue.Run();
+  Drive(node, 0.0, {{4.0, 1.0}, {25.0, 1.0}},  // the second after the send
+        [&] {
+          sent_weight = node.included_weight();
+          ++sends;
+        });
   EXPECT_EQ(sends, 1);
   EXPECT_DOUBLE_EQ(sent_weight, 1.0);
   EXPECT_DOUBLE_EQ(node.included_weight(), 1.0);
@@ -193,26 +198,19 @@ TEST(AggregatorNodeTest, LateArrivalsAreDropped) {
 
 TEST(AggregatorNodeTest, OriginShiftsTimerAndRelativeArrivals) {
   NodeFixture fixture(5);
-  EventQueue queue;
   AggregatorNode node;
   auto policy = std::make_unique<ScriptedPolicy>(10.0, std::vector<double>{});
   policy->BeginQuery(fixture.ctx, nullptr);
   node.Init(0, 0, std::move(policy), &fixture.ctx, /*origin=*/100.0);
 
   double sent_at = -1.0;
-  // Advance the queue to the origin before starting the node, as the loaded
-  // runtime does on job arrival.
-  queue.Schedule(100.0, [&] {
-    QueuedNode driver;
-  driver.Start(queue, node, [&] { sent_at = queue.now(); });
-  });
-  queue.Run();
+  // Start the node at the origin, as the loaded runtime does for a job.
+  Drive(node, 100.0, {}, [&] { sent_at = node.send_time(); });
   EXPECT_DOUBLE_EQ(sent_at, 110.0) << "wait 10 is relative to the origin";
 }
 
 TEST(AggregatorNodeTest, SendDeliversAccumulatedWeights) {
   NodeFixture fixture(3);
-  EventQueue queue;
   AggregatorNode node;
   auto policy = std::make_unique<ScriptedPolicy>(30.0, std::vector<double>{});
   policy->BeginQuery(fixture.ctx, nullptr);
@@ -220,14 +218,10 @@ TEST(AggregatorNodeTest, SendDeliversAccumulatedWeights) {
   EXPECT_EQ(node.index(), 7);
 
   double sent_weight = -1.0;
-  QueuedNode driver;
-  driver.Start(queue, node, [&] {
+  Drive(node, 0.0, {{1.0, 2.5}, {2.0, 0.5}}, [&] {
     sent_weight = node.included_weight();
     EXPECT_EQ(node.arrivals_count(), 2);
   });
-  queue.Schedule(1.0, [&] { driver.OnChildOutput(2.5); });
-  queue.Schedule(2.0, [&] { driver.OnChildOutput(0.5); });
-  queue.Run();
   EXPECT_DOUBLE_EQ(sent_weight, 3.0);
   EXPECT_DOUBLE_EQ(node.send_time(), 30.0);
 }
@@ -248,25 +242,20 @@ TEST(AggregatorNodeTest, DeferredTimerResolvesOnlyWhenItsBoundIsReached) {
                         Case{{12.0, 40.0}, {35.0, 40.0}, 40.0, 1},  // the wait is the bound
                         Case{{6.0, 7.0}, {9.0, 50.0}, 9.0, 1}}) {   // sent before arrival 2
     NodeFixture fixture(5);
-    EventQueue queue;
-    AggregatorNode node;
+      AggregatorNode node;
     int resolves = 0;
     auto policy = std::make_unique<DeferringPolicy>(20.0, c.bounds, c.waits, &resolves);
     policy->BeginQuery(fixture.ctx, nullptr);
     node.Init(0, 0, std::move(policy), &fixture.ctx);
     double sent_at = -1.0;
-    QueuedNode driver;
-  driver.Start(queue, node, [&] { sent_at = queue.now(); });
-    queue.Schedule(5.0, [&] { driver.OnChildOutput(1.0); });
-    queue.Schedule(10.0, [&] { driver.OnChildOutput(1.0); });
-    queue.Run();
+    Drive(node, 0.0, {{5.0, 1.0}, {10.0, 1.0}}, [&] { sent_at = node.send_time(); });
     EXPECT_DOUBLE_EQ(sent_at, c.want_sent_at) << "bounds " << c.bounds[0] << ", " << c.bounds[1];
     EXPECT_EQ(resolves, c.want_resolves) << "bounds " << c.bounds[0] << ", " << c.bounds[1];
   }
 }
 
-// The queue-free interface: each handler takes the driver's time and
-// reports what it did to the node's one timer.
+// Each handler takes the driver's time and reports what it did to the
+// node's one timer.
 TEST(AggregatorNodeTest, HandlersReportTheirTimerSteps) {
   using Step = AggregatorNode::Step;
   NodeFixture fixture(3);
@@ -307,17 +296,13 @@ TEST(AggregatorNodeTest, HandlersReportTheirTimerSteps) {
 
 TEST(AggregatorNodeDeathTest, ResolvingBelowTheBoundDies) {
   NodeFixture fixture(5);
-  EventQueue queue;
   AggregatorNode node;
   int resolves = 0;
   auto policy = std::make_unique<DeferringPolicy>(20.0, std::vector<double>{30.0},
                                                   std::vector<double>{29.0}, &resolves);
   policy->BeginQuery(fixture.ctx, nullptr);
   node.Init(0, 0, std::move(policy), &fixture.ctx);
-  QueuedNode driver;
-  driver.Start(queue, node, [] {});
-  queue.Schedule(5.0, [&] { driver.OnChildOutput(1.0); });
-  EXPECT_DEATH(queue.Run(), "resolved below its bound");
+  EXPECT_DEATH(Drive(node, 0.0, {{5.0, 1.0}}), "resolved below its bound");
 }
 
 }  // namespace

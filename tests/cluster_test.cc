@@ -17,6 +17,7 @@
 #include "src/cluster/loaded_runtime.h"
 #include "src/cluster/slot_stack.h"
 #include "src/core/policies.h"
+#include "src/obs/profiler.h"
 #include "src/obs/trace.h"
 #include "src/sim/experiment_engine.h"
 #include "src/sim/tree_simulation.h"
@@ -67,10 +68,10 @@ std::vector<std::string> TraceRecords(const TraceCollector& collector, double or
 TEST(ClusterRuntimeTest, SingleWaveMatchesTreeSimulation) {
   // A differential test of the three engines. With a slot per task, no
   // slow machine and no speculation nothing queues: every engine completes
-  // leaf i at its sampled duration and queues the same events in the same
-  // order, so ClusterRuntime and a one-query RunLoadedCluster must match
-  // TreeSimulation's queue-free run bit for bit, its trace included, and
-  // ClusterRuntime's queue must hold the events TreeSimulation counts. The
+  // leaf i at its sampled duration and runs the same tree from those times,
+  // so ClusterRuntime and a one-query RunLoadedCluster must match
+  // TreeSimulation's run bit for bit, its trace included, and
+  // ClusterRuntime must count the events TreeSimulation counts. The
   // loaded query arrives at ~1e-300, which vanishes in every time it
   // shifts, so its times are the others' too.
   struct Shape {
@@ -147,6 +148,85 @@ TEST(ClusterRuntimeTest, SingleWaveMatchesTreeSimulation) {
   // The deadlines leave both outcomes common.
   EXPECT_GT(late, 0);
   EXPECT_GT(partial, 0);
+}
+
+// On its first arrival, re-arms the timer at |wait|; every later decision
+// keeps it.
+class ReArmOncePolicy final : public WaitPolicy {
+ public:
+  ReArmOncePolicy(double initial, double wait) : initial_(initial), wait_(wait) {}
+
+  std::string name() const override { return "re-arm-once"; }
+  std::unique_ptr<WaitPolicy> Clone() const override {
+    return std::make_unique<ReArmOncePolicy>(*this);
+  }
+
+ protected:
+  double InitialWait(const AggregatorContext&) override { return initial_; }
+  double OnArrival(const AggregatorContext&, double, const std::vector<double>& arrivals) override {
+    return arrivals.size() == 1 ? wait_ : current_wait_;
+  }
+
+ private:
+  double initial_;
+  double wait_;
+};
+
+TEST(ClusterRuntimeTest, ASecondWaveLeafRunsBeforeATimerTiedWithIt) {
+  // One slot, 2 x 1 leaves: leaf 1 launches when leaf 0 completes at 1.25
+  // and completes at 3.75, exactly when the timer that leaf 0's arrival
+  // re-armed fires. A leaf is Pre(index) on every engine and a re-armed
+  // timer Fresh (DESIGN.md §4, "Aggregator loop"), so the leaf runs first
+  // and the aggregator sends both outputs, as TreeSimulation's rule gives.
+  const TreeSpec tree = TreeSpec::TwoLevel(std::make_shared<ExponentialDistribution>(1.0), 2,
+                                           std::make_shared<ExponentialDistribution>(1.0), 1);
+  QueryRealization realization;
+  realization.truth = TruthOf(tree);
+  realization.stage_durations = {{1.25, 2.5}, {1.0}};
+  const ClusterRuntime cluster(TinyCluster(1, 1), tree, 100.0);
+  const ReArmOncePolicy policy(50.0, 1.25 + 2.5);
+  const ClusterQueryResult result = cluster.RunQuery(policy, realization);
+  EXPECT_EQ(result.waves, 2);
+  EXPECT_EQ(result.quality, 1.0);
+  EXPECT_EQ(result.mean_tier0_send_time, 3.75);
+  EXPECT_EQ(result.events, 4) << "two leaves, the initial timer and one re-arm";
+}
+
+int64_t ProfileCalls(const std::string& name) {
+  for (const ProfileSample& sample : CollectProfileSamples()) {
+    if (sample.name == name) {
+      return sample.calls;
+    }
+  }
+  return 0;
+}
+
+TEST(ClusterRuntimeTest, SlotDispatchAndPseudocode1ProfileApart) {
+  // A query's slot queue runs once, and its tree once after it: one
+  // event_queue.run record and one sim.fixed_time_run record per query; a
+  // loaded run drains one queue for all its queries.
+  auto workload = MakeFacebookWorkload(10, 8);
+  const TreeSpec tree = workload.OfflineTree();
+  const ClusterRuntime cluster(TinyCluster(4, 5), tree, 1000.0);  // 4 waves
+  Rng rng(3);
+  const QueryRealization realization = SampleRealization(tree, TruthOf(tree), rng);
+  CedarPolicy cedar;
+  ResetProfile();
+  SetProfilingEnabled(true);
+  cluster.RunQuery(cedar, realization);
+  EXPECT_EQ(ProfileCalls("event_queue.run"), 1);
+  EXPECT_EQ(ProfileCalls("sim.fixed_time_run"), 1);
+  ResetProfile();
+  LoadedRunConfig config;
+  config.cluster = TinyCluster(10, 4);
+  config.deadline = 1000.0;
+  config.mean_interarrival = 100.0;
+  config.num_queries = 7;
+  RunLoadedCluster(workload, cedar, config);
+  EXPECT_EQ(ProfileCalls("event_queue.run"), 1);
+  EXPECT_EQ(ProfileCalls("sim.fixed_time_run"), config.num_queries);
+  SetProfilingEnabled(false);
+  ResetProfile();
 }
 
 TEST(ClusterRuntimeTest, WaveCountReported) {

@@ -192,105 +192,13 @@ TEST(EventQueueTest, CancellingAFiredHandleLeavesTheSlotsNewEventAlone) {
   EXPECT_NE(fired, reuser);
 }
 
-TEST(EventQueueTest, RequeueKeepsTheEventsPlaceAmongEqualTimes) {
-  EventQueue queue;
-  std::vector<int> order;
-  uint64_t first = 0;
-  first = queue.Schedule(1.0, [&] {
-    order.push_back(0);
-    // Seq 0 runs again at 2.0, ahead of the two events scheduled there.
-    EXPECT_EQ(queue.Requeue(2.0, [&] { order.push_back(3); }), first);
-  });
-  queue.Schedule(2.0, [&] { order.push_back(1); });
-  queue.Schedule(2.0, [&] { order.push_back(2); });
-  queue.Run();
-  EXPECT_EQ(order, (std::vector<int>{0, 3, 1, 2}));
-  EXPECT_EQ(queue.scheduled(), 3u);
-}
-
-TEST(EventQueueTest, RequeuedEventCanBeCancelled) {
-  EventQueue queue;
-  int runs = 0;
-  uint64_t handle = 0;
-  handle = queue.Schedule(1.0, [&] {
-    ++runs;
-    queue.Requeue(3.0, [&] { ++runs; });
-  });
-  queue.Schedule(2.0, [&] { queue.Cancel(handle); });
-  queue.Run();
-  EXPECT_EQ(runs, 1);
-  EXPECT_TRUE(queue.empty());
-}
-
-TEST(EventQueueTest, RunUntilRunsExactlyTheDueEventsInOrder) {
-  EventQueue queue;
-  std::vector<int> order;
-  queue.Schedule(2.0, [&] { order.push_back(1); });
-  queue.Schedule(1.0, [&] { order.push_back(0); });
-  queue.Schedule(2.0, [&] { order.push_back(2); });
-  queue.Schedule(3.0, [&] { order.push_back(3); });
-  EXPECT_EQ(queue.RunUntil(0.5), 1.0);
-  EXPECT_TRUE(order.empty());
-  EXPECT_EQ(queue.RunUntil(2.0), 3.0);
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
-  EXPECT_EQ(queue.now(), 2.0);
-  EXPECT_EQ(queue.RunUntil(10.0), kSimTimeInfinity);
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
-  EXPECT_EQ(queue.RunUntil(20.0), kSimTimeInfinity) << "an empty queue";
-}
-
-TEST(EventQueueTest, RunUntilDropsCancelledEventsAtTheTop) {
-  EventQueue queue;
-  int runs = 0;
-  const uint64_t first = queue.Schedule(1.0, [&] { ++runs; });
-  const uint64_t second = queue.Schedule(2.0, [&] { ++runs; });
-  queue.Schedule(5.0, [&] { ++runs; });
-  queue.Cancel(first);
-  queue.Cancel(second);
-  // Both cancelled events are dropped, though neither is due, and the next
-  // pending time is the live event's.
-  EXPECT_EQ(queue.RunUntil(0.5), 5.0);
-  EXPECT_EQ(runs, 0);
-  EXPECT_EQ(queue.pending(), 1u);
-  queue.Schedule(6.0, [&] { ++runs; });
-  EXPECT_EQ(queue.slots(), 3u) << "the dropped events' slots are free again";
-  EXPECT_EQ(queue.RunUntil(5.0), 6.0);
-  EXPECT_EQ(runs, 1);
-}
-
-TEST(EventQueueTest, RunUntilRunsARequeueDueInTheSameCall) {
-  EventQueue queue;
-  std::vector<double> ran_at;
-  queue.Schedule(1.0, [&] {
-    ran_at.push_back(queue.now());
-    queue.Requeue(1.5, [&] {
-      ran_at.push_back(queue.now());
-      queue.Requeue(3.0, [&] { ran_at.push_back(queue.now()); });
-    });
-  });
-  EXPECT_EQ(queue.RunUntil(2.0), 3.0) << "the second requeue is not due";
-  EXPECT_EQ(ran_at, (std::vector<double>{1.0, 1.5}));
-  EXPECT_EQ(queue.RunUntil(3.0), kSimTimeInfinity);
-  EXPECT_EQ(ran_at, (std::vector<double>{1.0, 1.5, 3.0}));
-}
-
-TEST(EventQueueDeathTest, RequeueOnlyOnceFromInsideACallback) {
-  EventQueue queue;
-  EXPECT_DEATH(queue.Requeue(1.0, [] {}), "outside a running callback");
-  queue.Schedule(1.0, [&] {
-    queue.Requeue(2.0, [] {});
-    queue.Requeue(3.0, [] {});
-  });
-  EXPECT_DEATH(queue.Run(), "already queued");
-}
-
-// A seeded mix of 10k schedule, cancel, RunOne and RunUntil operations
-// against a reference that keeps every queued event, cancelled ones
-// included, in a std::map ordered by (time, seq): the queue must fire
-// exactly the reference's events in exactly its order, and hold exactly as
-// many callback slots as the reference's peak size. Times are multiples of
-// 0.25 so ties are common, some callbacks schedule at now() from inside the
-// queue, and some re-queue themselves once under their own seq.
+// A seeded mix of 10k schedule, cancel and RunOne operations against a
+// reference that keeps every queued event, cancelled ones included, in a
+// std::map ordered by (time, seq): the queue must fire exactly the
+// reference's events in exactly its order, and hold exactly as many
+// callback slots as the reference's peak size. Times are multiples of 0.25
+// so ties are common, and some callbacks schedule at now() from inside the
+// queue.
 TEST(EventQueueTest, MatchesAMapReferenceOnRandomOperations) {
   // A queue reserved below and above the run's peak count of queued events
   // behaves as an unreserved one.
@@ -311,45 +219,13 @@ TEST(EventQueueTest, MatchesAMapReferenceOnRandomOperations) {
     std::vector<uint64_t> fired;
     size_t peak = 0;
     uint64_t next_id = 0;
-    // Drops the reference's cancelled events ahead of its first live one, as
-    // the queue does, and fires that one; false if none is left.
-    auto fire_reference = [&] {
-      while (!reference.empty() && reference.begin()->second.cancelled) {
-        reference.erase(reference.begin());
-      }
-      if (reference.empty()) {
-        return false;
-      }
-      expected.push_back(reference.begin()->second.id);
-      reference.erase(reference.begin());
-      return true;
-    };
-    // Inside RunUntil(until) every event the queue fires fires the
-    // reference's too, so callbacks see the reference in step.
-    double until = -1.0;
-    auto on_fire = [&](uint64_t id) {
-      if (until >= 0.0) {
-        EXPECT_LE(queue.now(), until);
-        EXPECT_TRUE(fire_reference());
-      }
-      fired.push_back(id);
-    };
     std::function<void(double)> schedule = [&](double time) {
       const uint64_t id = next_id++;
       const bool spawns = id % 5 == 0;
-      const bool requeues = id % 7 == 3;
-      const uint64_t handle = queue.Schedule(time, [&, id, spawns, requeues] {
-        on_fire(id);
+      const uint64_t handle = queue.Schedule(time, [&, id, spawns] {
+        fired.push_back(id);
         if (spawns) {
           schedule(queue.now());
-        }
-        if (requeues) {
-          // Once more, now or later, under the same seq and handle.
-          const double later = queue.now() + 0.25 * static_cast<double>(id / 7 % 4);
-          const uint64_t again = queue.Requeue(later, [&, id] { on_fire(id); });
-          time_of[again] = later;
-          reference[{later, again}] = Ref{id, false};
-          peak = std::max(peak, reference.size());
         }
       });
       ASSERT_EQ(time_of.count(handle), 0u);
@@ -357,23 +233,19 @@ TEST(EventQueueTest, MatchesAMapReferenceOnRandomOperations) {
       reference[{time, handle}] = Ref{id, false};
       peak = std::max(peak, reference.size());
     };
-    // Fires the reference's first live event and runs the queue once; false
-    // if the two disagree on whether an event was left to run.
+    // Drops the reference's cancelled events ahead of its first live one, as
+    // the queue does, fires that one and runs the queue once; false if the
+    // two disagree on whether an event was left to run.
     auto run_one = [&] {
-      const bool any = fire_reference();
-      return queue.RunOne() == any;
-    };
-    // Runs the queue up to |t|; false unless the reference's first live
-    // event is then the one RunUntil reports, and later than |t|.
-    auto run_until = [&](double t) {
-      until = t;
-      const double next = queue.RunUntil(t);
-      until = -1.0;
       while (!reference.empty() && reference.begin()->second.cancelled) {
         reference.erase(reference.begin());
       }
-      const double want = reference.empty() ? kSimTimeInfinity : reference.begin()->first.first;
-      return next == want && want > t;
+      const bool any = !reference.empty();
+      if (any) {
+        expected.push_back(reference.begin()->second.id);
+        reference.erase(reference.begin());
+      }
+      return queue.RunOne() == any;
     };
     for (int op = 0; op < 10000; ++op) {
       const uint64_t kind = rng.NextBounded(10);
@@ -390,19 +262,18 @@ TEST(EventQueueTest, MatchesAMapReferenceOnRandomOperations) {
         if (it != reference.end()) {
           it->second.cancelled = true;
         }
-      } else if (kind < 9) {
-        ASSERT_TRUE(run_one()) << "op " << op;
       } else {
-        // Half the time the first live event is cancelled first, so that
-        // RunUntil meets a cancelled event at the top of the heap.
-        auto live = std::find_if(reference.begin(), reference.end(),
-                                 [](const auto& entry) { return !entry.second.cancelled; });
-        if (live != reference.end() && rng.NextBounded(2) == 0) {
-          queue.Cancel(live->first.second);
-          live->second.cancelled = true;
+        // Half the time kind 9 cancels the first live event first, so that
+        // RunOne meets a cancelled event at the top of the heap.
+        if (kind == 9 && rng.NextBounded(2) == 0) {
+          auto live = std::find_if(reference.begin(), reference.end(),
+                                   [](const auto& entry) { return !entry.second.cancelled; });
+          if (live != reference.end()) {
+            queue.Cancel(live->first.second);
+            live->second.cancelled = true;
+          }
         }
-        ASSERT_TRUE(run_until(queue.now() + 0.25 * static_cast<double>(rng.NextBounded(4))))
-            << "op " << op;
+        ASSERT_TRUE(run_one()) << "op " << op;
       }
       size_t live = 0;
       for (const auto& [key, ref] : reference) {

@@ -1,11 +1,10 @@
 // The fixed-time runner's equal-time order (DESIGN.md §4, "Aggregator
-// loop"): hand-built realizations full of ties, each run without a queue
-// (QueryTree::RunFixedTimeLeaves) and through a queued reference that
-// schedules every leaf completion on one EventQueue, as QueryTree's queued
-// engines do. The two must agree bit for bit, and both must give the values
-// pinned below. The pins were produced by the queued fixed-time runner this
-// one replaced (every leaf and timer on one EventQueue), from these exact
-// scenarios, before the queue-free runner existed.
+// loop"): hand-built realizations full of ties, each run through
+// QueryTree::RunFixedTimeLeaves, must give the values pinned below. The
+// pins were produced by queued runs of these exact scenarios, every leaf
+// and timer on one EventQueue: first by the queued fixed-time runner the
+// queue-free one replaced, then (the accepted leaves) by the queued tree
+// driver the cluster engines used until they too ran the queue-free one.
 
 #include <algorithm>
 #include <bit>
@@ -20,7 +19,6 @@
 
 #include "src/core/policies.h"
 #include "src/obs/trace.h"
-#include "src/sim/event_queue.h"
 #include "src/sim/query_tree.h"
 #include "src/sim/realization.h"
 
@@ -102,18 +100,17 @@ uint64_t Fnv1a(const std::string& text) {
   return hash;
 }
 
-// Runs |realization| under |policy| with a fresh trace collector; |run|
-// runs the tree and returns its result.
-template <typename Run>
-Outcome RunTraced(const TreeSpec& tree, double deadline, const WaitPolicy& policy,
-                  const QueryRealization& realization, Run run) {
+// Runs |realization| under |policy| with a fresh trace collector.
+Outcome Run(const TreeSpec& tree, double deadline, const WaitPolicy& policy,
+            const QueryRealization& realization) {
   TraceCollector collector;
   SetActiveTraceCollector(&collector);
   const QueryTreeModel model(tree, deadline, QueryTreeOptions{});
   Outcome outcome;
   {
     QueryTree query(model, policy, realization, "sim");
-    const FixedTimeRun fixed = run(query, outcome.accepted);
+    const FixedTimeRun fixed = query.RunFixedTimeLeaves(
+        realization.stage_durations[0], [&](long long leaf) { outcome.accepted.push_back(leaf); });
     query.trace()->Finish(fixed.end_time, fixed.result.quality);
     outcome.root_senders = query.root_senders();
     outcome.included_weight_bits = std::bit_cast<uint64_t>(fixed.result.included_weight);
@@ -132,64 +129,17 @@ Outcome RunTraced(const TreeSpec& tree, double deadline, const WaitPolicy& polic
   return outcome;
 }
 
-Outcome RunQueueFree(const TreeSpec& tree, double deadline, const WaitPolicy& policy,
-                     const QueryRealization& realization) {
-  return RunTraced(tree, deadline, policy, realization,
-                   [](QueryTree& query, std::vector<long long>& accepted) {
-                     return query.RunFixedTimeLeaves(
-                         [&](long long leaf) { accepted.push_back(leaf); });
-                   });
-}
-
-// The queued run: the aggregators' timers, then every leaf completion in
-// index order, on one EventQueue.
-Outcome RunQueued(const TreeSpec& tree, double deadline, const WaitPolicy& policy,
-                  const QueryRealization& realization) {
-  return RunTraced(tree, deadline, policy, realization,
-                   [&](QueryTree& query, std::vector<long long>& accepted) {
-                     EventQueue queue;
-                     query.Start(queue);
-                     const std::vector<double>& durations = realization.stage_durations[0];
-                     for (size_t i = 0; i < durations.size(); ++i) {
-                       queue.Schedule(durations[i], [&, leaf = static_cast<long long>(i)] {
-                         if (query.DeliverLeaf(leaf)) {
-                           accepted.push_back(leaf);
-                         }
-                       });
-                     }
-                     queue.Run();
-                     FixedTimeRun run{query.Result(), queue.now()};
-                     run.result.events = static_cast<long long>(queue.scheduled());
-                     return run;
-                   });
-}
-
-struct Pinned {
-  std::vector<long long> root_senders;
-  uint64_t included_weight_bits;
-  uint64_t mean_tier0_send_time_bits;
-  long long events;
-  uint64_t trace_digest;
-};
-
 void ExpectOrder(const char* scenario, const TreeSpec& tree, double deadline,
                  const WaitPolicy& policy, const QueryRealization& realization,
-                 const Pinned& pinned) {
+                 const Outcome& pinned) {
   SCOPED_TRACE(scenario);
-  const Outcome queue_free = RunQueueFree(tree, deadline, policy, realization);
-  const Outcome queued = RunQueued(tree, deadline, policy, realization);
-  EXPECT_EQ(queue_free.root_senders, queued.root_senders);
-  EXPECT_EQ(queue_free.included_weight_bits, queued.included_weight_bits);
-  EXPECT_EQ(queue_free.mean_tier0_send_time_bits, queued.mean_tier0_send_time_bits);
-  EXPECT_EQ(queue_free.events, queued.events);
-  EXPECT_EQ(queue_free.accepted, queued.accepted);
-  EXPECT_EQ(queue_free.trace_digest, queued.trace_digest);
-
-  EXPECT_EQ(queue_free.root_senders, pinned.root_senders);
-  EXPECT_EQ(queue_free.included_weight_bits, pinned.included_weight_bits);
-  EXPECT_EQ(queue_free.mean_tier0_send_time_bits, pinned.mean_tier0_send_time_bits);
-  EXPECT_EQ(queue_free.events, pinned.events);
-  EXPECT_EQ(queue_free.trace_digest, pinned.trace_digest);
+  const Outcome outcome = Run(tree, deadline, policy, realization);
+  EXPECT_EQ(outcome.root_senders, pinned.root_senders);
+  EXPECT_EQ(outcome.included_weight_bits, pinned.included_weight_bits);
+  EXPECT_EQ(outcome.mean_tier0_send_time_bits, pinned.mean_tier0_send_time_bits);
+  EXPECT_EQ(outcome.events, pinned.events);
+  EXPECT_EQ(outcome.accepted, pinned.accepted);
+  EXPECT_EQ(outcome.trace_digest, pinned.trace_digest);
 }
 
 TEST(FixedTimeOrderTest, TiedLeavesAndTierZeroSendsTiedAtTheInitialWait) {
@@ -208,7 +158,7 @@ TEST(FixedTimeOrderTest, TiedLeavesAndTierZeroSendsTiedAtTheInitialWait) {
   ProportionalSplitPolicy policy;
   ExpectOrder("prop-split", tree, 40.0, policy, realization,
               {{2, 0, 1}, 0x3ffcccccccccccccull, 0x402d555555555555ull, 15,
-               0xb7dcb228c20f3cfbull});
+               {0, 1, 8, 11, 9, 10}, 0xb7dcb228c20f3cfbull});
 }
 
 TEST(FixedTimeOrderTest, ReArmedAndMovedTimersTiedWithLeaves) {
@@ -233,11 +183,11 @@ TEST(FixedTimeOrderTest, ReArmedAndMovedTimersTiedWithLeaves) {
   ScriptedPolicy exact(30.0, {10.0, 5.0, 10.0}, {10.0, 5.0, 10.0});
   ExpectOrder("exact re-arms", tree, 40.0, exact, realization,
               {{3, 2, 1, 0}, 0x4014666666666666ull, 0x4021800000000000ull, 31,
-               0xc6dc99eb5ffc2091ull});
+               {0, 1, 2, 4, 5, 6, 9, 8, 10, 11, 12, 15}, 0xc6dc99eb5ffc2091ull});
   ScriptedPolicy deferred(30.0, {6.0, 5.0, 6.0}, {10.0, 5.0, 10.0});
   ExpectOrder("deferred re-arms", tree, 40.0, deferred, realization,
               {{3, 2, 1, 0}, 0x4014666666666666ull, 0x4021800000000000ull, 31,
-               0xc6dc99eb5ffc2091ull});
+               {0, 1, 2, 4, 5, 6, 9, 8, 10, 11, 12, 15}, 0xc6dc99eb5ffc2091ull});
 }
 
 TEST(FixedTimeOrderTest, ThreeLevelsWithWeightedLeaves) {
@@ -257,7 +207,7 @@ TEST(FixedTimeOrderTest, ThreeLevelsWithWeightedLeaves) {
   // child's arrival at 20. Both tier-1 results reach the root tied at 23.
   ProportionalSplitPolicy prop_split;
   ExpectOrder("prop-split", tree, 30.0, prop_split, realization,
-              {{0, 1}, 0x3ffb333333333332ull, 0x4020800000000000ull, 18,
+              {{0, 1}, 0x3ffb333333333332ull, 0x4020800000000000ull, 18, {0, 1, 3, 4, 7},
                0x73b8b98bcdbf3120ull});
   // Initial wait 16; the first arrival defers at bound 4 and resolves to 9,
   // the second asks for 15. Tier-0 aggregators 1 and 2 send tied at 9 on
@@ -266,7 +216,7 @@ TEST(FixedTimeOrderTest, ThreeLevelsWithWeightedLeaves) {
   // arrival's timer, ordered through three levels of causes.
   ScriptedPolicy scripted(16.0, {4.0, 15.0}, {9.0, 15.0});
   ExpectOrder("scripted", tree, 30.0, scripted, realization,
-              {{0, 1}, 0x3fecccccccccccccull, 0x401e800000000000ull, 24,
+              {{0, 1}, 0x3fecccccccccccccull, 0x401e800000000000ull, 24, {0, 1, 3, 4, 7},
                0x3b7e5d0a0a7d40f1ull});
 }
 
@@ -281,7 +231,8 @@ TEST(FixedTimeOrderTest, TiedChildArrivalsRunInTheirSendOrder) {
       Realization(tree, {{3.0, 2.0, 1.0}, {4.0, 5.0, 6.0}, {2.0}}, {0.1, 0.2, 0.3});
   ProportionalSplitPolicy policy;
   ExpectOrder("prop-split", tree, 30.0, policy, realization,
-              {{0}, 0x3fe3333333333333ull, 0x4000000000000000ull, 10, 0xe57ca84fc0864cebull});
+              {{0}, 0x3fe3333333333333ull, 0x4000000000000000ull, 10, {0, 1, 2},
+               0xe57ca84fc0864cebull});
 }
 
 }  // namespace

@@ -227,8 +227,9 @@ TEST(LoadedRuntimeTest, JobsInFlightKeepSeparateQueryMemos) {
           tier0_waits.insert(check.got);
         }
       }
-      // Jobs live until the run ends, so no memo address is reused: one
-      // memo tier per (job, tier), and the jobs' waits really differ.
+      // Every job's tree is built at its arrival, before any tree runs, so
+      // no memo address is reused: one memo tier per (job, tier), and the
+      // jobs' waits really differ.
       EXPECT_EQ(memo_tiers.size(), static_cast<size_t>(config.num_queries * (levels - 1)));
       EXPECT_GT(tier0_waits.size(), 1u);
     }

@@ -187,8 +187,7 @@ TEST_F(QueryTreeTest, OneOfflineScanPerTierBeforeAnyLeaf) {
                                      static_cast<const WaitPolicy*>(&offline)}) {
       SetProfilingEnabled(true);
       QueryTree tree(model, *policy, realization, "sim");
-      EventQueue queue;
-      tree.Start(queue);
+      tree.Start();
       EXPECT_EQ(ProfileCalls("wait_optimizer.optimize_wait"), levels - 1)
           << policy->name() << ", levels " << levels;
       SetProfilingEnabled(false);

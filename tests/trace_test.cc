@@ -96,6 +96,14 @@ TEST(SigmaSweepWorkloadTest, Sigma1IsApplied) {
   EXPECT_DOUBLE_EQ(stages[1].sigma, kBingSigma);
 }
 
+TEST(SigmaSweepWorkloadTest, ReportsEachTracesUnit) {
+  // The traces' fits are in microseconds (Bing), milliseconds (Google) and
+  // seconds (Facebook), as Figure 16's panels say.
+  EXPECT_EQ(MakeBingSigmaWorkload(2.25).time_unit(), "us");
+  EXPECT_EQ(MakeGoogleSigmaWorkload(0.55).time_unit(), "ms");
+  EXPECT_EQ(MakeFacebookSigmaWorkload(1.0).time_unit(), "s");
+}
+
 TEST(GaussianWorkloadTest, MatchesFigure17Parameters) {
   GaussianWorkload workload;
   TreeSpec tree = workload.OfflineTree();
