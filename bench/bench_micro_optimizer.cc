@@ -5,9 +5,9 @@
 // Figure 14 shape, with the CDF evaluations the search makes, exact and
 // stopped at a bound as online Cedar's arrivals stop it), quality-curve
 // construction, full tree planning, and one query tree's per-query set-up.
-// Three DES microbenches time the engines around the algorithm: an
-// event-queue schedule/cancel/run mix, one online-interactive-shaped
-// TreeSimulation replay and one table-hotspot-shaped ClusterRuntime replay,
+// Two DES microbenches time the engines around the algorithm: one
+// online-interactive-shaped TreeSimulation replay and one
+// table-hotspot-shaped ClusterRuntime replay (its slot dispatch included),
 // each with an events/s counter.
 
 #include <benchmark/benchmark.h>
@@ -22,7 +22,6 @@
 #include "src/core/wait_table.h"
 #include "src/core/wait_table_store.h"
 #include "src/obs/metrics.h"
-#include "src/sim/event_queue.h"
 #include "src/sim/query_tree.h"
 #include "src/sim/realization.h"
 #include "src/sim/tree_simulation.h"
@@ -250,52 +249,6 @@ void BM_WaitTableLookup(benchmark::State& state) {
 }
 BENCHMARK(BM_WaitTableLookup);
 
-// Each fired event schedules a successor a random delay later until the
-// budget runs out, and every fourth one also arms a timeout that the next
-// event cancels (a timer racing a completion). |range(0)| chains run at once,
-// so that many events are in flight.
-struct ChurnSim {
-  EventQueue queue;
-  Rng rng{1};
-  long long budget = 0;
-  long long scheduled = 0;
-  uint64_t timeout = 0;
-
-  uint64_t ScheduleIn(double delay) {
-    ++scheduled;
-    return queue.Schedule(queue.now() + delay, [this] { Fire(); });
-  }
-  void Fire() {
-    queue.Cancel(timeout);
-    if (budget <= 0) {
-      return;
-    }
-    --budget;
-    ScheduleIn(rng.NextDouble());
-    if (budget % 4 == 0) {
-      timeout = ScheduleIn(2.0);
-    }
-  }
-};
-
-void BM_EventQueueChurn(benchmark::State& state) {
-  const auto in_flight = static_cast<int>(state.range(0));
-  long long events = 0;
-  for (auto _ : state) {
-    ChurnSim sim;
-    sim.budget = 16LL * in_flight;
-    for (int i = 0; i < in_flight; ++i) {
-      sim.ScheduleIn(sim.rng.NextDouble());
-    }
-    sim.queue.Run();
-    events += sim.scheduled;
-  }
-  state.counters["events/s"] =
-      benchmark::Counter(static_cast<double>(events), benchmark::Counter::kIsRate);
-  state.SetLabel(std::to_string(in_flight) + " in flight");
-}
-BENCHMARK(BM_EventQueueChurn)->Arg(16)->Arg(320);
-
 // Times |replay| on 16 realizations of |workload| over |tree| (seed 1), one
 // per iteration in turn. events/replay is their mean event count, from one
 // untimed replay of each, so it does not depend on the iteration count.
@@ -348,10 +301,10 @@ void BM_ClusterRunQuery(benchmark::State& state) {
   // fanout, 100 x 4 slots with the first 10% of machines 4x slow,
   // speculation up to 32 clones, offline upper curves, D = 1000 s.
   // Prop-split (range(0) == 0) keeps policy decisions negligible, so it
-  // times the slot scheduler and the event queue. Cedar on perfbench's wait
-  // table (range(0) == 1) adds the tier's offline-optimal initial wait, a
-  // store get per query and a table lookup per arrival; the table is built
-  // before timing starts.
+  // times the slot scheduler's dispatch and the tree run. Cedar on
+  // perfbench's wait table (range(0) == 1) adds the tier's offline-optimal
+  // initial wait, a store get per query and a table lookup per arrival; the
+  // table is built before timing starts.
   MetaLogNormalWorkload workload = MakeFacebookWorkload(20, 16);
   ClusterSpec cluster;
   cluster.machines = 100;

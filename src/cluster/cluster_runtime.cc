@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <deque>
-#include <functional>
 #include <limits>
 #include <utility>
 #include <vector>
@@ -11,8 +10,9 @@
 #include "src/cluster/loaded_runtime.h"
 #include "src/cluster/slot_stack.h"
 #include "src/common/logging.h"
+#include "src/common/time_types.h"
+#include "src/obs/profiler.h"
 #include "src/obs/query_trace.h"
-#include "src/sim/event_queue.h"
 #include "src/sim/experiment_engine.h"
 #include "src/sim/realization.h"
 
@@ -30,8 +30,7 @@ struct TaskState {
   double first_launch_time = 0.0;
   bool completed = false;
   int copies_in_flight = 0;
-  // Each copy's pending completion event, slot-scaled duration and slot.
-  uint64_t handles[2] = {};
+  // Each copy's slot-scaled duration and slot.
   double durations[2] = {};
   int slots[2] = {};
 };
@@ -62,8 +61,14 @@ int CheckedTotalSlots(const ClusterSpec& cluster) {
 // longest-running straggler, and the first copy to finish wins. The
 // scheduler knows no query tree: aggregators hold no slots, so it only
 // records when each task's winning copy completes, and the engine runs the
-// query's tree from those times once the queue has run. Events capture
-// pointers to the scheduler and its jobs.
+// query's tree from those times once the scheduler has run.
+//
+// Time advances over a heap of typed entries: a copy's completion, a job's
+// speculation poll, or a loaded run's next arrival, popped in (time, seq)
+// order, seq counting pushes, so entries due at the same time pop in the
+// order they were pushed. A killed copy's completion stays in the heap and
+// is dropped when it surfaces (its task has completed), without moving the
+// clock. Entries point at their jobs, which a deque keeps in place.
 class SlotScheduler {
  public:
   struct Stats {
@@ -79,23 +84,28 @@ class SlotScheduler {
                 SpeculationOptions speculation)
       : cluster_(cluster),
         speculation_(speculation),
-        idle_slots_(CheckedTotalSlots(cluster), placement_seed) {}
+        idle_slots_(CheckedTotalSlots(cluster), placement_seed) {
+    // Every slot's completion and the next arrival, clones aside.
+    heap_.reserve(static_cast<size_t>(cluster.TotalSlots()) + 1);
+  }
   SlotScheduler(const SlotScheduler&) = delete;
   SlotScheduler& operator=(const SlotScheduler&) = delete;
 
-  EventQueue& queue() { return queue_; }
+  // The time of the last entry run.
+  double now() const { return now_; }
+  // Entries ever pushed: completions, polls and arrivals.
+  uint64_t pushed() const { return pushed_; }
   const Stats& stats() const { return stats_; }
 
-  // Queues the leaf tasks of |realization|, its stage 0, at the queue's
-  // current time behind every earlier job's. |realization| is borrowed and
-  // must outlive the queue's run. Clone durations draw from |clone_rng|.
-  // Returns each task's completion time, absolute: the time its first copy
-  // finished. Every entry is set once the queue has run.
+  // Queues the leaf tasks of |realization|, its stage 0, at the current
+  // time behind every earlier job's. |realization| is borrowed and must
+  // outlive the run. Clone durations draw from |clone_rng|. Returns each
+  // task's completion time, absolute: the time its first copy finished.
+  // Every entry is set once Run has emptied the heap.
   const std::vector<double>& Submit(const QueryRealization& realization, Rng clone_rng) {
     const size_t tasks = realization.stage_durations[0].size();
     CEDAR_CHECK(tasks >= 1 && tasks <= static_cast<size_t>(std::numeric_limits<int>::max()));
-    Job& job =
-        jobs_.emplace_back(this, realization, queue_.now(), clone_rng, static_cast<int>(tasks));
+    Job& job = jobs_.emplace_back(realization, now_, clone_rng, static_cast<int>(tasks));
     job.completion_times.resize(tasks);
     if (speculation_.enabled) {
       job.task_states.resize(tasks);
@@ -106,9 +116,38 @@ class SlotScheduler {
     return job.completion_times;
   }
 
+  // Queues an arrival at |time|, at which Run hands control back.
+  void ScheduleArrival(double time) { Push(time, Kind::kArrival, nullptr, 0, 0); }
+
+  // Runs entries until the heap is empty, returning false, or until an
+  // arrival surfaces, returning true with now() at its time.
+  bool Run() {
+    while (!heap_.empty()) {
+      std::pop_heap(heap_.begin(), heap_.end(), Later());
+      const Entry entry = heap_.back();
+      heap_.pop_back();
+      if (entry.kind == Kind::kCompletion && speculation_.enabled &&
+          entry.job->task_states[static_cast<size_t>(entry.task)].completed) {
+        continue;  // a killed copy
+      }
+      now_ = entry.time;
+      switch (entry.kind) {
+        case Kind::kCompletion:
+          Complete(*entry.job, entry.task, entry.slot);
+          break;
+        case Kind::kPoll:
+          entry.job->poll_scheduled = false;
+          Fill();
+          break;
+        case Kind::kArrival:
+          return true;
+      }
+    }
+    return false;
+  }
+
  private:
   struct Job {
-    SlotScheduler* scheduler;
     const QueryRealization& realization;
     double submit_time;
     Rng clone_rng;
@@ -126,6 +165,31 @@ class SlotScheduler {
     std::vector<double> completed_durations;
   };
 
+  enum class Kind : uint8_t { kCompletion, kPoll, kArrival };
+  struct Entry {
+    double time;
+    uint64_t seq;
+    Job* job;  // null for an arrival
+    int task;
+    int slot;
+    Kind kind;
+  };
+  struct Later {
+    bool operator()(const Entry& a, const Entry& b) const {
+      if (a.time != b.time) {
+        return a.time > b.time;
+      }
+      return a.seq > b.seq;
+    }
+  };
+
+  void Push(double time, Kind kind, Job* job, int task, int slot) {
+    CEDAR_CHECK(time >= now_) << "scheduling into the past: " << time << " < " << now_;
+    CEDAR_CHECK(IsFiniteTime(time)) << "scheduling at non-finite time";
+    heap_.push_back(Entry{time, pushed_++, job, task, slot, kind});
+    std::push_heap(heap_.begin(), heap_.end(), Later());
+  }
+
   // Launches waiting tasks on idle slots in FIFO order, then clones
   // stragglers while slots stay idle.
   void Fill() {
@@ -135,7 +199,7 @@ class SlotScheduler {
       if (job.next_pending == job.tasks) {
         waiting_.pop_front();
       }
-      stats_.queue_delay_sum += queue_.now() - job.submit_time;
+      stats_.queue_delay_sum += now_ - job.submit_time;
       Launch(job, task, job.realization.stage_durations[0][static_cast<size_t>(task)]);
     }
     if (speculation_.enabled) {
@@ -151,28 +215,24 @@ class SlotScheduler {
     const double duration = service_duration * cluster_.SlotSpeedFactor(slot);
     ++stats_.tasks_launched;
     stats_.busy_time += duration;
-    const uint64_t handle =
-        queue_.Schedule(queue_.now() + duration, [job = &job, task_index, slot] {
-          job->scheduler->Complete(*job, task_index, slot);
-        });
+    Push(now_ + duration, Kind::kCompletion, &job, task_index, slot);
     if (speculation_.enabled) {
       TaskState& task = job.task_states[static_cast<size_t>(task_index)];
       if (task.copies_in_flight == 0) {
-        task.first_launch_time = queue_.now();
+        task.first_launch_time = now_;
       }
       const int copy = task.copies_in_flight++;
-      task.handles[copy] = handle;
       task.durations[copy] = duration;
       task.slots[copy] = slot;
     }
   }
 
-  // The first copy of a task to finish wins, and the other one is killed.
+  // The first copy of a task to finish wins, and the other one is killed:
+  // its slot goes idle now, and Run drops its completion.
   void Complete(Job& job, int task_index, int slot) {
     idle_slots_.Push(slot);
     if (speculation_.enabled) {
       TaskState& task = job.task_states[static_cast<size_t>(task_index)];
-      CEDAR_CHECK(!task.completed);  // a killed copy's completion never fires
       task.completed = true;
       // Two copies in flight sit on two different slots.
       const int copy = task.slots[0] == slot ? 0 : 1;
@@ -181,13 +241,12 @@ class SlotScheduler {
       sorted.insert(std::upper_bound(sorted.begin(), sorted.end(), task.durations[copy]),
                     task.durations[copy]);
       if (task.copies_in_flight == 2) {
-        queue_.Cancel(task.handles[1 - copy]);
         idle_slots_.Push(task.slots[1 - copy]);
       }
       task.copies_in_flight = 0;
     }
-    job.completion_times[static_cast<size_t>(task_index)] = queue_.now();
-    stats_.makespan = queue_.now();
+    job.completion_times[static_cast<size_t>(task_index)] = now_;
+    stats_.makespan = now_;
     Fill();
   }
 
@@ -213,21 +272,22 @@ class SlotScheduler {
       return false;
     }
     const double launched_at = job.task_states[static_cast<size_t>(job.oldest)].first_launch_time;
-    const double longest = queue_.now() - launched_at;
+    const double longest = now_ - launched_at;
     if (longest <= 0.0) {
       return false;
     }
     const double threshold = kSlowdownThreshold * median;
     if (longest < threshold) {
       // Not slow enough yet. A straggler crosses the threshold without any
-      // completion event firing, so poll again when the current
-      // longest-runner would qualify.
+      // completion firing, so poll again when the current longest-runner
+      // would qualify. launched_at + threshold may round down to a time
+      // where it still falls short, and past 2^24 so does now + 1e-9: the
+      // next representable time keeps the poll moving.
       if (!job.poll_scheduled) {
         job.poll_scheduled = true;
-        queue_.Schedule(std::max(queue_.now() + 1e-9, launched_at + threshold), [job = &job] {
-          job->poll_scheduled = false;
-          job->scheduler->Fill();
-        });
+        Push(std::max({std::nextafter(now_, std::numeric_limits<double>::infinity()),
+                       now_ + 1e-9, launched_at + threshold}),
+             Kind::kPoll, &job, 0, 0);
       }
       return false;
     }
@@ -239,7 +299,9 @@ class SlotScheduler {
 
   const ClusterSpec cluster_;
   const SpeculationOptions speculation_;
-  EventQueue queue_;
+  std::vector<Entry> heap_;
+  uint64_t pushed_ = 0;
+  double now_ = 0.0;
   ShuffledSlotStack idle_slots_;
   std::deque<Job> jobs_;
   std::deque<Job*> waiting_;  // jobs with unlaunched tasks, in submission order
@@ -270,17 +332,17 @@ ClusterQueryResult ClusterRuntime::RunQuery(const WaitPolicy& policy_prototype,
   const uint64_t seed =
       options_.runtime_seed ^ (realization.truth.sequence * 0x9E3779B97F4A7C15ull);
   SlotScheduler scheduler(cluster_, seed ^ 0xBEEF, options_.speculation);
-  // A query queues at most its leaf tasks' completions at once, clones
-  // aside.
-  const size_t leaves = realization.stage_durations[0].size();
-  scheduler.queue().Reserve(leaves);
   const std::vector<double>& leaf_times = scheduler.Submit(realization, Rng(seed ^ 0xC0FFEE));
-  scheduler.queue().Run();
+  {
+    // One record per query; no policy decision nests in it.
+    CEDAR_PROFILE_SCOPE("cluster.slot_dispatch");
+    scheduler.Run();
+  }
   const FixedTimeRun run = tree.RunFixedTimeLeaves(leaf_times);
 
   ClusterQueryResult result;
   static_cast<QueryResult&>(result) = run.result;
-  const auto total_tasks = static_cast<long long>(leaves);
+  const auto total_tasks = static_cast<long long>(leaf_times.size());
   const int slots = cluster_.TotalSlots();
   result.waves = static_cast<int>((total_tasks + slots - 1) / slots);
   const SlotScheduler::Stats& stats = scheduler.stats();
@@ -288,10 +350,9 @@ ClusterQueryResult ClusterRuntime::RunQuery(const WaitPolicy& policy_prototype,
   result.tasks_launched = stats.tasks_launched;
   result.clones_launched = stats.clones_launched;
   result.clones_won = stats.clones_won;
-  // The slot queue's events hold the leaf completions the tree run counts
+  // The scheduler's entries hold the leaf completions the tree run counts
   // as its leaves too.
-  result.events = static_cast<long long>(scheduler.queue().scheduled()) + run.result.events -
-                  total_tasks;
+  result.events = static_cast<long long>(scheduler.pushed()) + run.result.events - total_tasks;
 
   if (QueryTraceBuilder* trace = tree.trace()) {
     trace->Finish(
@@ -319,35 +380,36 @@ LoadedRunResult RunLoadedCluster(const Workload& workload, const WaitPolicy& pol
   // is the same on every cluster.
   SlotScheduler scheduler(config.cluster, DeriveStreamSeed(config.seed, 0xBEEF),
                           SpeculationOptions{});
-  EventQueue& queue = scheduler.queue();
-  // Every slot's task completion and the next arrival.
-  queue.Reserve(static_cast<size_t>(config.cluster.TotalSlots()) + 1);
   Rng rng(config.seed);
-  long long arrivals = 0;
   // Deques keep each query's realization and tree at a stable address.
   std::deque<QueryRealization> realizations;
   std::deque<QueryTree> trees;
   std::vector<const std::vector<double>*> leaf_times;  // per query, from Submit
 
-  // Poisson arrivals.
-  std::function<void(int)> schedule_arrival = [&](int remaining) {
-    if (remaining <= 0) {
-      return;
-    }
-    double gap = -std::log(rng.NextOpenDouble()) * config.mean_interarrival;
-    queue.Schedule(queue.now() + gap, [&, remaining] {
+  // Poisson arrivals. Each arrival draws its query, then the gap to the
+  // next one, so the next arrival is pushed after the query's first
+  // completions.
+  const auto schedule_arrival = [&] {
+    const double gap = -std::log(rng.NextOpenDouble()) * config.mean_interarrival;
+    scheduler.ScheduleArrival(scheduler.now() + gap);
+  };
+  {
+    // One record per run; it includes the queries' draws and tree set-up.
+    CEDAR_PROFILE_SCOPE("cluster.slot_dispatch");
+    schedule_arrival();
+    for (long long arrivals = 0; scheduler.Run(); ++arrivals) {
       QueryTruth truth = workload.DrawQuery(rng);
-      truth.sequence = DriverQuerySequence(config.seed, arrivals++);
+      truth.sequence = DriverQuerySequence(config.seed, arrivals);
       Rng realization_rng = rng.Fork();
       const QueryRealization& realization = realizations.emplace_back(
           SampleRealization(model.offline_tree(), truth, realization_rng));
-      trees.emplace_back(model, policy, realization, "loaded", queue.now());
+      trees.emplace_back(model, policy, realization, "loaded", scheduler.now());
       leaf_times.push_back(&scheduler.Submit(realization, realization_rng));
-      schedule_arrival(remaining - 1);
-    });
-  };
-  schedule_arrival(config.num_queries);
-  queue.Run();
+      if (arrivals + 1 < config.num_queries) {
+        schedule_arrival();
+      }
+    }
+  }
 
   // Aggregators hold no slots, so each query's tree runs from its leaves'
   // completion times once every task has run, in arrival order. A tree and

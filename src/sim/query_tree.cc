@@ -128,8 +128,9 @@ void QueryTree::TraceRootArrival(double arrive_at) {
 
 namespace {
 
-// An event's key: its place on a queued run, one EventQueue holding the
-// whole query (DESIGN.md §4, "Aggregator loop"). An event queued before the
+// An event's key: its place in a queued run, every event of the query on
+// one heap popped in (time, seq) order, seq counting the schedules
+// (DESIGN.md §4, "Aggregator loop"). An event queued before the
 // run is Pre(n), n its place in the scheduling order: every aggregator's
 // initial timer in Start order, then the leaves in index order. An event
 // queued during the run (a re-armed timer, or a send's arrival at the
@@ -142,7 +143,7 @@ struct EventKey {
 };
 
 // Keys compare by time, then Pre before Fresh, Pre by n and Fresh by k.
-// That is the queue's (time, seq) order: events run in key order, each
+// That is the heap's (time, seq) order: events run in key order, each
 // queues at most one other, and a seq counts up in scheduling order.
 bool Before(const EventKey& first, const EventKey& second) {
   const EventKey* a = &first;
@@ -208,7 +209,7 @@ FixedTimeRun QueryTree::RunFixedTimeLeaves(const std::vector<double>& leaf_times
 
   // Bottom tier first, each node runs its child arrivals in key order,
   // merged with its one timer, up to its send. Outputs after the send fire
-  // on the queue but change nothing, so only their times are read.
+  // in a queued run but change nothing, so only their times are read.
   std::vector<ChildArrival> arrivals;
   for (size_t tier = 0; tier < tiers; ++tier) {
     const bool top = tier + 1 == tiers;

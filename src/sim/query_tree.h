@@ -21,8 +21,9 @@
 //    reached the root in time, in send order, and the tier-0 send mean.
 // An engine supplies only the leaves' output times. RunFixedTimeLeaves()
 // runs each aggregator's Pseudocode 1 from its sorted child arrivals, tier
-// by tier, without an event queue, in the order one queue holding every
-// timer, leaf and send would run them (DESIGN.md §4, "Aggregator loop").
+// by tier, without an event heap, in the (time, seq) order one heap holding
+// every timer, leaf and send would run them (DESIGN.md §4, "Aggregator
+// loop").
 // TreeSimulation and the apps pass each leaf's sampled duration (origin 0);
 // the cluster engines first run every leaf task on their slot scheduler
 // (cluster_runtime.cc) and pass the winning completion times, absolute, with

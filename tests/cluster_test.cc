@@ -21,6 +21,7 @@
 #include "src/obs/trace.h"
 #include "src/sim/experiment_engine.h"
 #include "src/sim/tree_simulation.h"
+#include "src/stats/distribution.h"
 #include "src/trace/workloads.h"
 
 namespace cedar {
@@ -202,9 +203,10 @@ int64_t ProfileCalls(const std::string& name) {
 }
 
 TEST(ClusterRuntimeTest, SlotDispatchAndPseudocode1ProfileApart) {
-  // A query's slot queue runs once, and its tree once after it: one
-  // event_queue.run record and one sim.fixed_time_run record per query; a
-  // loaded run drains one queue for all its queries.
+  // A query's slot dispatch runs once, and its tree once after it: one
+  // cluster.slot_dispatch record and one sim.fixed_time_run record per
+  // query; a loaded run is one dispatch record for all its queries, however
+  // many times its arrivals hand control back.
   auto workload = MakeFacebookWorkload(10, 8);
   const TreeSpec tree = workload.OfflineTree();
   const ClusterRuntime cluster(TinyCluster(4, 5), tree, 1000.0);  // 4 waves
@@ -214,7 +216,7 @@ TEST(ClusterRuntimeTest, SlotDispatchAndPseudocode1ProfileApart) {
   ResetProfile();
   SetProfilingEnabled(true);
   cluster.RunQuery(cedar, realization);
-  EXPECT_EQ(ProfileCalls("event_queue.run"), 1);
+  EXPECT_EQ(ProfileCalls("cluster.slot_dispatch"), 1);
   EXPECT_EQ(ProfileCalls("sim.fixed_time_run"), 1);
   ResetProfile();
   LoadedRunConfig config;
@@ -223,7 +225,7 @@ TEST(ClusterRuntimeTest, SlotDispatchAndPseudocode1ProfileApart) {
   config.mean_interarrival = 100.0;
   config.num_queries = 7;
   RunLoadedCluster(workload, cedar, config);
-  EXPECT_EQ(ProfileCalls("event_queue.run"), 1);
+  EXPECT_EQ(ProfileCalls("cluster.slot_dispatch"), 1);
   EXPECT_EQ(ProfileCalls("sim.fixed_time_run"), config.num_queries);
   SetProfilingEnabled(false);
   ResetProfile();
@@ -291,6 +293,68 @@ TEST(ClusterRuntimeTest, SpeculationLaunchesAndAccountsClones) {
   // Each launched copy schedules its completion (the loser's is cancelled),
   // and the speculation poll and the aggregator schedule more.
   EXPECT_GT(result.events, result.tasks_launched);
+}
+
+TEST(ClusterRuntimeTest, SlotDispatchTieOrderIsPinned) {
+  // 4 one-slot machines, the first 4x slow, and 8 x 1 leaves in quarters.
+  // Three first-wave tasks tie at 1.0, and the order in which their
+  // completions pop decides which slot each of tasks 4-6 takes. Tasks 4 and
+  // 5 tie at 1.5; the second finds an idle slot with the slow task at 1.5 of
+  // a 2.0 threshold and arms a poll at 2.0. That poll clones the slow task
+  // (0.75, on a healthy slot) and arms another for task 6 at 3.0, which
+  // fires after task 6 has completed and finds nothing to clone. The clone
+  // completes at 2.75 and wins; the killed original's completion at 4.0
+  // never fires. The pins were taken from the generic event queue the
+  // scheduler's heap replaced, and hold its pop order.
+  const TreeSpec tree = SmallTree(8, 1);
+  QueryRealization realization;
+  realization.truth = TruthOf(tree);
+  realization.truth.stage_durations[0] = std::make_shared<EmpiricalDistribution>(
+      std::vector<double>{0.75, 0.75});  // every clone runs 0.75
+  realization.stage_durations = {{1.0, 1.0, 1.0, 1.0, 0.5, 0.5, 1.25, 0.25}, {1.0}};
+  ClusterSpec spec = TinyCluster(4, 1);
+  spec.slow_machine_fraction = 0.25;
+  spec.slow_machine_factor = 4.0;
+  ClusterRunOptions options;
+  options.speculation.enabled = true;
+  const ClusterRuntime cluster(spec, tree, 10.0, options);
+  const FixedWaitPolicy policy(3.0);
+  const ClusterQueryResult result = cluster.RunQuery(policy, realization);
+  const auto bits = [](double x) { return std::bit_cast<uint64_t>(x); };
+  EXPECT_EQ(result.waves, 2);
+  EXPECT_EQ(result.tasks_launched, 9);
+  EXPECT_EQ(result.clones_launched, 1);
+  EXPECT_EQ(result.clones_won, 1);
+  EXPECT_EQ(result.events, 12) << "9 copies' completions, 2 polls and the tree's timer";
+  EXPECT_EQ(bits(result.makespan), bits(2.75));
+  EXPECT_EQ(bits(result.quality), bits(1.0));
+  EXPECT_EQ(bits(result.mean_tier0_send_time), bits(2.75));
+}
+
+TEST(ClusterRuntimeTest, SpeculationPollAdvancesAtLargeTimes) {
+  // Two slots. Tasks 0 and 1 run 2^24 each; at 2^24 the straggler (task 2)
+  // takes one slot and tasks 3-5 (1, 1, m) run in turn on the other. Once
+  // task 5 completes, a slot is idle, the median completed duration is
+  // m = 2^20 + 2^-32, and the straggler has run 2^20 + 2 < 2m. The poll's
+  // due time 2^24 + 2m rounds down to R = 2^24 + 2^21, where the straggler
+  // has run exactly 2^21, still under 2m, and R + 1e-9 rounds back to R: a
+  // poll re-armed at max(now + 1e-9, launched_at + 2m) fires at R forever.
+  // The next representable time after R crosses the threshold.
+  const TreeSpec tree = SmallTree(6, 1);
+  const double big = 16777216.0;                            // 2^24
+  const double m = 1048576.0 + std::ldexp(1.0, -32);        // 2^20 + 2^-32
+  QueryRealization realization;
+  realization.truth = TruthOf(tree);
+  realization.stage_durations = {{big, big, 4.0 * big, 1.0, 1.0, m}, {1.0}};
+  ClusterRunOptions options;
+  options.speculation.enabled = true;
+  const ClusterRuntime cluster(TinyCluster(1, 2), tree, 1e9, options);
+  const FixedWaitPolicy policy(5e8);
+  const ClusterQueryResult result = cluster.RunQuery(policy, realization);
+  EXPECT_EQ(result.clones_launched, 1);
+  EXPECT_EQ(result.clones_won, 1) << "the clone beats a straggler due at 5 x 2^24";
+  EXPECT_LT(result.makespan, 5.0 * big);
+  EXPECT_DOUBLE_EQ(result.quality, 1.0);
 }
 
 TEST(ClusterRuntimeTest, SpeculationDisabledLaunchesNoClones) {

@@ -2,7 +2,8 @@
 // loop"): hand-built realizations full of ties, each run through
 // QueryTree::RunFixedTimeLeaves, must give the values pinned below. The
 // pins were produced by queued runs of these exact scenarios, every leaf
-// and timer on one EventQueue: first by the queued fixed-time runner the
+// and timer on one heap popped in (time, seq) order, seq counting the
+// schedules: first by the queued fixed-time runner the
 // queue-free one replaced, then (the accepted leaves) by the queued tree
 // driver the cluster engines used until they too ran the queue-free one.
 

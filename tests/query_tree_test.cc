@@ -132,7 +132,7 @@ TEST_F(QueryTreeTest, FoldsOnlyTheStagesAboveTierZero) {
 TEST_F(QueryTreeTest, EachTreeSimulationQueryIsOneFixedTimeRun) {
   // The DES profile site times a whole fixed-time run, policy decisions
   // inside it included: N queries record exactly N calls, and no query
-  // runs an event queue.
+  // runs the cluster engines' slot dispatch.
   constexpr int kQueries = 5;
   for (int levels : {2, 3}) {
     auto workload = WorkloadWithLevels(levels);
@@ -143,7 +143,7 @@ TEST_F(QueryTreeTest, EachTreeSimulationQueryIsOneFixedTimeRun) {
       sim.RunQuery(cedar, DrawRealization(workload, 20 + static_cast<uint64_t>(q)));
     }
     EXPECT_EQ(ProfileCalls("sim.fixed_time_run"), kQueries) << "levels " << levels;
-    EXPECT_EQ(ProfileCalls("event_queue.run"), 0) << "levels " << levels;
+    EXPECT_EQ(ProfileCalls("cluster.slot_dispatch"), 0) << "levels " << levels;
     EXPECT_GT(ProfileCalls("wait_optimizer.optimize_wait"), 0) << "levels " << levels;
     SetProfilingEnabled(false);
     ResetProfile();
@@ -173,7 +173,7 @@ TEST_F(QueryTreeTest, AnAppQueryIsOneFixedTimeRunToo) {
   SetProfilingEnabled(true);
   service.RunQuery(cedar, realization);
   EXPECT_EQ(ProfileCalls("sim.fixed_time_run"), 1);
-  EXPECT_EQ(ProfileCalls("event_queue.run"), 0);
+  EXPECT_EQ(ProfileCalls("cluster.slot_dispatch"), 0);
 }
 
 TEST_F(QueryTreeTest, OneOfflineScanPerTierBeforeAnyLeaf) {
