@@ -72,8 +72,10 @@ int main(int argc, char** argv) {
       config.mean_interarrival = interarrival;
       config.num_queries = static_cast<int>(*queries);
       config.seed = static_cast<uint64_t>(*seed);
-      LoadedRunResult baseline = RunLoadedCluster(workload, prop_split, config);
-      LoadedRunResult treated = RunLoadedCluster(workload, cedar, config);
+      const WaitPolicy* const policies[] = {&prop_split, &cedar};
+      const std::vector<LoadedRunResult> results = RunLoadedCluster(workload, policies, config);
+      const LoadedRunResult& baseline = results[0];
+      const LoadedRunResult& treated = results[1];
       table.AddRow({TablePrinter::FormatDouble(interarrival, 0),
                     TablePrinter::FormatDouble(treated.utilization, 3),
                     TablePrinter::FormatDouble(treated.mean_queue_delay, 1),

@@ -304,7 +304,10 @@ void BM_ClusterRunQuery(benchmark::State& state) {
   // times the slot scheduler's dispatch and the tree run. Cedar on
   // perfbench's wait table (range(0) == 1) adds the tier's offline-optimal
   // initial wait, a store get per query and a table lookup per arrival; the
-  // table is built before timing starts.
+  // table is built before timing starts. range(0) == 2 runs both through
+  // the list form, as the driver does: one dispatch and one tier-0 leaf
+  // order for the two trees, against the sum of /0 and /1. Its events are
+  // the two trees' summed.
   MetaLogNormalWorkload workload = MakeFacebookWorkload(20, 16);
   ClusterSpec cluster;
   cluster.machines = 100;
@@ -328,6 +331,17 @@ void BM_ClusterRunQuery(benchmark::State& state) {
   cedar_options.table_spec.scale_max = 2.5;
   cedar_options.table_spec.scale_points = 25;
   CedarPolicy cedar(cedar_options);
+  if (state.range(0) == 2) {
+    const WaitPolicy* const both[] = {&prop_split, &cedar};
+    ReplayInTurn(state, workload, runtime.offline_tree(), [&](const QueryRealization& r) {
+      ClusterQueryResult row[2];
+      runtime.RunQuery(both, r, row);
+      row[0].events += row[1].events;
+      return row[0];
+    });
+    state.SetLabel("table-hotspot shape, prop-split + cedar on one schedule");
+    return;
+  }
   const WaitPolicy& policy =
       state.range(0) == 0 ? static_cast<const WaitPolicy&>(prop_split) : cedar;
   // The untimed replays that count events build Cedar's table.
@@ -337,7 +351,7 @@ void BM_ClusterRunQuery(benchmark::State& state) {
   state.SetLabel("table-hotspot shape, " + policy.name() +
                  (state.range(0) == 0 ? "" : " with wait table"));
 }
-BENCHMARK(BM_ClusterRunQuery)->Arg(0)->Arg(1);
+BENCHMARK(BM_ClusterRunQuery)->Arg(0)->Arg(1)->Arg(2);
 
 }  // namespace
 }  // namespace cedar

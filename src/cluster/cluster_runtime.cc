@@ -324,9 +324,10 @@ ClusterRuntime::ClusterRuntime(ClusterSpec cluster, TreeSpec offline_tree, doubl
                                ClusterRunOptions options)
     : cluster_(cluster), options_(options), model_(std::move(offline_tree), deadline, options) {}
 
-ClusterQueryResult ClusterRuntime::RunQuery(const WaitPolicy& policy_prototype,
-                                            const QueryRealization& realization) const {
-  QueryTree tree(model_, policy_prototype, realization, "cluster");
+void ClusterRuntime::RunQuery(std::span<const WaitPolicy* const> policies,
+                              const QueryRealization& realization,
+                              std::span<ClusterQueryResult> results) const {
+  CEDAR_CHECK_EQ(policies.size(), results.size());
   // Slot placement and clone durations are runtime randomness, seeded per
   // query for reproducibility.
   const uint64_t seed =
@@ -334,46 +335,63 @@ ClusterQueryResult ClusterRuntime::RunQuery(const WaitPolicy& policy_prototype,
   SlotScheduler scheduler(cluster_, seed ^ 0xBEEF, options_.speculation);
   const std::vector<double>& leaf_times = scheduler.Submit(realization, Rng(seed ^ 0xC0FFEE));
   {
-    // One record per query; no policy decision nests in it.
+    // One record per query, whatever the policies; no policy decision nests
+    // in it.
     CEDAR_PROFILE_SCOPE("cluster.slot_dispatch");
     scheduler.Run();
   }
-  const FixedTimeRun run = tree.RunFixedTimeLeaves(leaf_times);
+  const LeafOrder order(leaf_times, offline_tree().stage(0).fanout);
 
-  ClusterQueryResult result;
-  static_cast<QueryResult&>(result) = run.result;
+  ClusterQueryResult slots;
   const auto total_tasks = static_cast<long long>(leaf_times.size());
-  const int slots = cluster_.TotalSlots();
-  result.waves = static_cast<int>((total_tasks + slots - 1) / slots);
+  const int total_slots = cluster_.TotalSlots();
+  slots.waves = static_cast<int>((total_tasks + total_slots - 1) / total_slots);
   const SlotScheduler::Stats& stats = scheduler.stats();
-  result.makespan = stats.makespan;
-  result.tasks_launched = stats.tasks_launched;
-  result.clones_launched = stats.clones_launched;
-  result.clones_won = stats.clones_won;
-  // The scheduler's entries hold the leaf completions the tree run counts
-  // as its leaves too.
-  result.events = static_cast<long long>(scheduler.pushed()) + run.result.events - total_tasks;
+  slots.makespan = stats.makespan;
+  slots.tasks_launched = stats.tasks_launched;
+  slots.clones_launched = stats.clones_launched;
+  slots.clones_won = stats.clones_won;
 
-  if (QueryTraceBuilder* trace = tree.trace()) {
-    trace->Finish(
-        std::max(result.makespan, deadline()), result.quality,
-        {TraceArg::Num("waves", result.waves),
-         TraceArg::Num("tasks_launched", static_cast<double>(result.tasks_launched)),
-         TraceArg::Num("clones_launched", static_cast<double>(result.clones_launched)),
-         TraceArg::Num("clones_won", static_cast<double>(result.clones_won)),
-         TraceArg::Num("root_late", static_cast<double>(result.root_arrivals_late))});
+  for (size_t p = 0; p < policies.size(); ++p) {
+    QueryTree tree(model_, *policies[p], realization, "cluster");
+    const FixedTimeRun run = tree.RunFixedTimeLeaves(order);
+    ClusterQueryResult& result = results[p];
+    result = slots;
+    static_cast<QueryResult&>(result) = run.result;
+    // The scheduler's entries hold the leaf completions the tree run counts
+    // as its leaves too.
+    result.events = static_cast<long long>(scheduler.pushed()) + run.result.events - total_tasks;
+
+    if (QueryTraceBuilder* trace = tree.trace()) {
+      trace->Finish(
+          std::max(result.makespan, deadline()), result.quality,
+          {TraceArg::Num("waves", result.waves),
+           TraceArg::Num("tasks_launched", static_cast<double>(result.tasks_launched)),
+           TraceArg::Num("clones_launched", static_cast<double>(result.clones_launched)),
+           TraceArg::Num("clones_won", static_cast<double>(result.clones_won)),
+           TraceArg::Num("root_late", static_cast<double>(result.root_arrivals_late))});
+    }
   }
+}
+
+ClusterQueryResult ClusterRuntime::RunQuery(const WaitPolicy& policy_prototype,
+                                            const QueryRealization& realization) const {
+  const WaitPolicy* const policies[] = {&policy_prototype};
+  ClusterQueryResult result;
+  RunQuery(policies, realization, std::span<ClusterQueryResult>(&result, 1));
   return result;
 }
 
-LoadedRunResult RunLoadedCluster(const Workload& workload, const WaitPolicy& policy,
-                                 const LoadedRunConfig& config) {
+std::vector<LoadedRunResult> RunLoadedCluster(const Workload& workload,
+                                              std::span<const WaitPolicy* const> policies,
+                                              const LoadedRunConfig& config) {
   CEDAR_CHECK(std::isfinite(config.deadline) && config.deadline > 0.0)
       << "deadline " << config.deadline << " must be finite and > 0";
   CEDAR_CHECK(std::isfinite(config.mean_interarrival) && config.mean_interarrival > 0.0)
       << "LoadedRunConfig::mean_interarrival " << config.mean_interarrival
       << " must be finite and > 0";
   CEDAR_CHECK_GT(config.num_queries, 0);
+  CEDAR_CHECK(!policies.empty());
 
   const QueryTreeModel model(workload.OfflineTree(), config.deadline, config);
   // Placement draws from a stream of its own, so the arrival stream below
@@ -381,9 +399,9 @@ LoadedRunResult RunLoadedCluster(const Workload& workload, const WaitPolicy& pol
   SlotScheduler scheduler(config.cluster, DeriveStreamSeed(config.seed, 0xBEEF),
                           SpeculationOptions{});
   Rng rng(config.seed);
-  // Deques keep each query's realization and tree at a stable address.
+  // A deque keeps each query's realization at a stable address.
   std::deque<QueryRealization> realizations;
-  std::deque<QueryTree> trees;
+  std::vector<double> arrival_times;
   std::vector<const std::vector<double>*> leaf_times;  // per query, from Submit
 
   // Poisson arrivals. Each arrival draws its query, then the gap to the
@@ -394,7 +412,8 @@ LoadedRunResult RunLoadedCluster(const Workload& workload, const WaitPolicy& pol
     scheduler.ScheduleArrival(scheduler.now() + gap);
   };
   {
-    // One record per run; it includes the queries' draws and tree set-up.
+    // One record per run, whatever the policies; it includes the queries'
+    // draws and no tree.
     CEDAR_PROFILE_SCOPE("cluster.slot_dispatch");
     schedule_arrival();
     for (long long arrivals = 0; scheduler.Run(); ++arrivals) {
@@ -403,40 +422,60 @@ LoadedRunResult RunLoadedCluster(const Workload& workload, const WaitPolicy& pol
       Rng realization_rng = rng.Fork();
       const QueryRealization& realization = realizations.emplace_back(
           SampleRealization(model.offline_tree(), truth, realization_rng));
-      trees.emplace_back(model, policy, realization, "loaded", scheduler.now());
+      arrival_times.push_back(scheduler.now());
       leaf_times.push_back(&scheduler.Submit(realization, realization_rng));
       if (arrivals + 1 < config.num_queries) {
         schedule_arrival();
       }
     }
   }
-
-  // Aggregators hold no slots, so each query's tree runs from its leaves'
-  // completion times once every task has run, in arrival order. A tree and
-  // its realization are released once it has run; the scheduler reads
-  // neither again.
-  LoadedRunResult result;
+  // Each query's tier-0 leaf order, sorted once for every policy.
+  std::vector<LeafOrder> orders;
+  orders.reserve(leaf_times.size());
   for (const std::vector<double>* times : leaf_times) {
-    QueryTree& tree = trees.front();
-    const QueryResult query = tree.RunFixedTimeLeaves(*times).result;
-    result.per_query_quality.Add(query.quality);
-    result.root_arrivals_in_time += query.root_arrivals_in_time;
-    result.root_arrivals_late += query.root_arrivals_late;
-    if (QueryTraceBuilder* trace = tree.trace()) {
-      trace->Finish(config.deadline, query.quality, {TraceArg::Num("arrival", tree.origin())});
-    }
-    trees.pop_front();
-    realizations.pop_front();
+    orders.emplace_back(*times, model.offline_tree().stage(0).fanout);
   }
+
+  LoadedRunResult slots;
   const SlotScheduler::Stats& stats = scheduler.stats();
   const auto originals = static_cast<double>(stats.tasks_launched);  // speculation is off
-  result.makespan = stats.makespan;
-  result.mean_queue_delay = originals > 0.0 ? stats.queue_delay_sum / originals : 0.0;
-  result.utilization =
-      result.makespan > 0.0
-          ? stats.busy_time / (result.makespan * static_cast<double>(config.cluster.TotalSlots()))
+  slots.makespan = stats.makespan;
+  slots.mean_queue_delay = originals > 0.0 ? stats.queue_delay_sum / originals : 0.0;
+  slots.utilization =
+      slots.makespan > 0.0
+          ? stats.busy_time / (slots.makespan * static_cast<double>(config.cluster.TotalSlots()))
           : 0.0;
-  return result;
+
+  // Aggregators hold no slots, so each query's tree runs from its leaves'
+  // completion times once every task has run. Policy by policy, every
+  // query's tree is built, each with its own memo, and then run, both in
+  // arrival order; a tree is released once it has run.
+  std::vector<LoadedRunResult> results(policies.size(), slots);
+  for (size_t p = 0; p < policies.size(); ++p) {
+    std::deque<QueryTree> trees;
+    for (size_t q = 0; q < realizations.size(); ++q) {
+      trees.emplace_back(model, *policies[p], realizations[q], "loaded", arrival_times[q]);
+    }
+    LoadedRunResult& result = results[p];
+    for (const LeafOrder& order : orders) {
+      QueryTree& tree = trees.front();
+      const QueryResult query = tree.RunFixedTimeLeaves(order).result;
+      result.per_query_quality.Add(query.quality);
+      result.root_arrivals_in_time += query.root_arrivals_in_time;
+      result.root_arrivals_late += query.root_arrivals_late;
+      if (QueryTraceBuilder* trace = tree.trace()) {
+        trace->Finish(config.deadline, query.quality, {TraceArg::Num("arrival", tree.origin())});
+      }
+      trees.pop_front();
+    }
+  }
+  return results;
+}
+
+LoadedRunResult RunLoadedCluster(const Workload& workload, const WaitPolicy& policy,
+                                 const LoadedRunConfig& config) {
+  const WaitPolicy* const policies[] = {&policy};
+  return std::move(RunLoadedCluster(workload, policies, config).front());
 }
 
 }  // namespace cedar

@@ -19,15 +19,17 @@
 // Aggregators are modelled as long-running reducers that do not consume
 // process slots, matching the paper's 320-slots-for-320-processes setup
 // (fanout 20 x 16), so no wait decision changes what the slot scheduler
-// does. Each query's leaf tasks therefore run first, and its QueryTree
-// then runs Pseudocode 1 from their completion times, through the same
-// queue-free runner as TreeSimulation (QueryTree::RunFixedTimeLeaves).
+// does. Each query's leaf tasks therefore run first, once for every policy
+// the query is replayed under, and each policy's QueryTree then runs
+// Pseudocode 1 from the same completion times, through the same queue-free
+// runner as TreeSimulation (QueryTree::RunFixedTimeLeaves).
 
 #ifndef CEDAR_SRC_CLUSTER_CLUSTER_RUNTIME_H_
 #define CEDAR_SRC_CLUSTER_CLUSTER_RUNTIME_H_
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "src/core/policy.h"
@@ -91,8 +93,15 @@ class ClusterRuntime {
   ClusterRuntime(ClusterSpec cluster, TreeSpec offline_tree, double deadline,
                  ClusterRunOptions options = {});
 
-  // Replays one query under |policy_prototype|. realization.stage_durations
-  // supply task *service* durations; queueing is added by the engine.
+  // Replays one query under each of |policies| into results[p].
+  // realization.stage_durations supply task *service* durations; queueing
+  // is added by the engine. The slot scheduler runs once, and every
+  // policy's tree runs over the same leaf completion times and tier-0 leaf
+  // order; each result keeps its own tree's events next to the shared slot
+  // statistics.
+  void RunQuery(std::span<const WaitPolicy* const> policies, const QueryRealization& realization,
+                std::span<ClusterQueryResult> results) const;
+  // One policy.
   ClusterQueryResult RunQuery(const WaitPolicy& policy_prototype,
                               const QueryRealization& realization) const;
 

@@ -8,12 +8,17 @@
 // deployment to the loaded regime: as utilization rises, queueing delays
 // inflate the effective bottom-stage durations, and the experiment measures
 // how each wait policy's quality degrades with load.
+//
+// Aggregators hold no slots, so the arrival stream and its slot schedule
+// depend on no policy: a run dispatches them once, then runs every query's
+// tree under each policy in turn, from the same leaf completion times.
 
 #ifndef CEDAR_SRC_CLUSTER_LOADED_RUNTIME_H_
 #define CEDAR_SRC_CLUSTER_LOADED_RUNTIME_H_
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -57,7 +62,12 @@ struct LoadedRunResult {
 };
 
 // Runs |config.num_queries| queries of |workload| through a shared cluster
-// under |policy|. Deterministic for a given seed.
+// once, then every query's tree under each of |policies|: results[p] is
+// what a run under policies[p] alone gives. Deterministic for a given seed.
+std::vector<LoadedRunResult> RunLoadedCluster(const Workload& workload,
+                                              std::span<const WaitPolicy* const> policies,
+                                              const LoadedRunConfig& config);
+// One policy.
 LoadedRunResult RunLoadedCluster(const Workload& workload, const WaitPolicy& policy,
                                  const LoadedRunConfig& config);
 

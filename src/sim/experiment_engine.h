@@ -3,7 +3,7 @@
 // RunExperimentDriver, and differ only in the engine they build and the
 // extras they fold.
 //
-// Queries are embarrassingly parallel once three rules hold, and this header
+// Queries are embarrassingly parallel once four rules hold, and this header
 // is the one place that enforces them:
 //
 //  1. Per-query deterministic seeding. Query q's generator is
@@ -15,10 +15,15 @@
 //     with WaitPolicy::ForkForWorker(), which must share no mutable state
 //     with the source. What one query's aggregators share lives in that
 //     query's QueryMemo, owned by its QueryTree on the worker running it.
-//  3. Merge in query order. Every (query, policy) cell is written to its own
-//     pre-sized slot of the result grid; the driver folds the grid back in
-//     ascending query order, keeping paired samples aligned across policies
-//     and the accumulation order — hence floating-point sums — fixed.
+//  3. One query, all policies, one row. The worker that draws query q's
+//     realization hands it to the engine once, with the worker's policy
+//     forks, and the engine fills the query's row of the result grid, cells
+//     [q * P, q * P + P) in policy order. So an engine runs a query's
+//     policy-independent work (the slot schedule, the tier-0 leaf order)
+//     once for all P policies, and no two workers write the same cell.
+//  4. Merge in query order. The driver folds the grid back in ascending
+//     query order, keeping paired samples aligned across policies and the
+//     accumulation order — hence floating-point sums — fixed.
 //
 // Query sequence ids are always assigned, monotone in the query index and
 // never 0 (the QueryTruth "unassigned" sentinel), whichever worker runs the
@@ -34,8 +39,9 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
-#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "src/common/logging.h"
@@ -53,16 +59,16 @@ inline uint64_t DriverQuerySequence(uint64_t seed, long long q) {
   return (seed << 20) + 1 + static_cast<uint64_t>(q);
 }
 
-// Runs every (query, policy) pair of the experiment through |run_query| and
-// returns the results as a row-major grid: cell [q * policies.size() + p]
-// holds query q under policy p. |run_query| must be safe to call from
-// several threads on distinct policy instances (the engines' RunQuery const
-// methods are).
+// Runs every query of the experiment under every policy through
+// |run_query| and returns the results as a row-major grid: cell
+// [q * policies.size() + p] holds query q under policy p. |run_query| must be
+// safe to call from several threads on distinct policy instances and rows
+// (the engines' RunQuery const methods are).
 //
-// RunQueryFn signature: Row(const WaitPolicy& policy, const QueryRealization&).
-template <typename RunQueryFn,
-          typename Row = std::invoke_result_t<RunQueryFn&, const WaitPolicy&,
-                                              const QueryRealization&>>
+// RunQueryFn signature: void(std::span<const WaitPolicy* const> policies,
+// const QueryRealization&, std::span<Row> row), filling row[p] with the query
+// under policies[p].
+template <typename Row, typename RunQueryFn>
 std::vector<Row> RunExperimentGrid(const Workload& workload, const TreeSpec& offline_tree,
                                    const std::vector<const WaitPolicy*>& policies,
                                    const ExperimentDriverConfig& config,
@@ -74,9 +80,11 @@ std::vector<Row> RunExperimentGrid(const Workload& workload, const TreeSpec& off
   auto run_chunk = [&](long long begin, long long end, int /*chunk*/) {
     // Detached replicas: nothing in this chunk synchronizes with any other.
     std::vector<std::unique_ptr<WaitPolicy>> local;
+    std::vector<const WaitPolicy*> forks;
     local.reserve(num_policies);
+    forks.reserve(num_policies);
     for (const WaitPolicy* prototype : policies) {
-      local.push_back(prototype->ForkForWorker());
+      forks.push_back(local.emplace_back(prototype->ForkForWorker()).get());
     }
     for (long long q = begin; q < end; ++q) {
       Rng query_rng(DeriveStreamSeed(config.seed, static_cast<uint64_t>(q)));
@@ -84,9 +92,8 @@ std::vector<Row> RunExperimentGrid(const Workload& workload, const TreeSpec& off
       truth.sequence = DriverQuerySequence(config.seed, q);
       Rng realization_rng = query_rng.Fork();
       QueryRealization realization = SampleRealization(offline_tree, truth, realization_rng);
-      for (size_t p = 0; p < num_policies; ++p) {
-        grid[static_cast<size_t>(q) * num_policies + p] = run_query(*local[p], realization);
-      }
+      run_query(std::span<const WaitPolicy* const>(forks), realization,
+                std::span<Row>(grid).subspan(static_cast<size_t>(q) * num_policies, num_policies));
     }
   };
 
@@ -112,7 +119,8 @@ std::vector<Row> RunExperimentGrid(const Workload& workload, const TreeSpec& off
 //     names each outcome after its policy, names unique;
 //  2. builds the engine as make_engine(offline_tree, options), with
 //     |options| pointed at config.wait_table_store when that is set;
-//  3. runs the (query, policy) grid on it (RunExperimentGrid);
+//  3. runs the (query, policy) grid on it (RunExperimentGrid), one engine
+//     call per query for all policies;
 //  4. merges the grid in query order: paired samples stay aligned and the
 //     accumulation order is fixed, independent of which worker ran which
 //     query. Each cell adds its quality and late root arrivals to its
@@ -126,7 +134,9 @@ std::vector<Row> RunExperimentGrid(const Workload& workload, const TreeSpec& off
 //     observes.
 //
 // MakeEngine signature: Engine(const TreeSpec&, const EngineOptions&), where
-// Engine has a const RunQuery(policy, realization).
+// Engine has a const RunQuery(policies, realization, row) filling one row,
+// and a one-policy RunQuery(policy, realization) whose result is the row's
+// cell type.
 // FoldExtras signature: void(Result&, const Row&).
 template <typename Result, typename EngineOptions, typename MakeEngine, typename FoldExtras>
 Result RunExperimentDriver(const std::string& prefix, const Workload& workload,
@@ -153,11 +163,11 @@ Result RunExperimentDriver(const std::string& prefix, const Workload& workload,
     options.table_store = config.wait_table_store;
   }
   const auto engine = make_engine(offline_tree, options);
-  const auto grid = RunExperimentGrid(
+  using Row = decltype(engine.RunQuery(*policies.front(), std::declval<const QueryRealization&>()));
+  const auto grid = RunExperimentGrid<Row>(
       workload, offline_tree, policies, config,
-      [&engine](const WaitPolicy& policy, const QueryRealization& realization) {
-        return engine.RunQuery(policy, realization);
-      });
+      [&engine](std::span<const WaitPolicy* const> forks, const QueryRealization& realization,
+                std::span<Row> row) { engine.RunQuery(forks, realization, row); });
 
   const size_t num_policies = policies.size();
   for (int q = 0; q < config.num_queries; ++q) {

@@ -23,6 +23,25 @@ QueryTreeModel::QueryTreeModel(TreeSpec offline_tree, double deadline,
   curve_stack_ = BuildUpperQualityCurves(offline_tree_, deadline_, options_.grid);
 }
 
+LeafOrder::LeafOrder(const std::vector<double>& leaf_times, int fanout)
+    : fanout_(static_cast<size_t>(fanout)),
+      leaves_(leaf_times.size()),
+      latest_(-kSimTimeInfinity) {
+  CEDAR_CHECK(fanout >= 1 && leaf_times.size() % fanout_ == 0)
+      << leaf_times.size() << " leaves do not fill tier-0 aggregators of fanout " << fanout;
+  for (size_t leaf = 0; leaf < leaf_times.size(); ++leaf) {
+    leaves_[leaf] = {leaf_times[leaf], leaf};
+    latest_ = std::max(latest_, leaf_times[leaf]);
+  }
+  for (auto first = leaves_.begin(); first != leaves_.end();
+       first += static_cast<std::ptrdiff_t>(fanout_)) {
+    std::sort(first, first + static_cast<std::ptrdiff_t>(fanout_),
+              [](const ChildArrival& a, const ChildArrival& b) {
+                return a.time != b.time ? a.time < b.time : a.child < b.child;
+              });
+  }
+}
+
 QueryTree::QueryTree(const QueryTreeModel& model, const WaitPolicy& policy_prototype,
                      const QueryRealization& realization, const char* engine, double origin)
     : model_(model),
@@ -169,11 +188,6 @@ struct NodeKeys {
   EventKey send;      // the event the node sent at
 };
 
-struct ChildArrival {
-  double time = 0.0;
-  size_t child = 0;  // the leaf (tier 0) or child aggregator
-};
-
 // The trace records one event made, [begin, end) in recording order.
 struct TraceSpan {
   EventKey key;
@@ -185,8 +199,14 @@ struct TraceSpan {
 
 FixedTimeRun QueryTree::RunFixedTimeLeaves(const std::vector<double>& leaf_times,
                                            const std::function<void(long long)>& accepted) {
+  return RunFixedTimeLeaves(LeafOrder(leaf_times, contexts_.front().fanout), accepted);
+}
+
+FixedTimeRun QueryTree::RunFixedTimeLeaves(const LeafOrder& leaves,
+                                           const std::function<void(long long)>& accepted) {
   CEDAR_PROFILE_SCOPE("sim.fixed_time_run");
-  CEDAR_CHECK_EQ(leaf_times.size(), realization_.stage_durations[0].size());
+  CEDAR_CHECK_EQ(leaves.size(), realization_.stage_durations[0].size());
+  CEDAR_CHECK_EQ(leaves.fanout(), contexts_.front().fanout);
   const size_t tiers = nodes_.size();
   QueryTraceBuilder* trace = this->trace();
 
@@ -202,8 +222,8 @@ FixedTimeRun QueryTree::RunFixedTimeLeaves(const std::vector<double>& leaf_times
     }
   }
   const long long first_leaf = pre;
-  long long events = pre + static_cast<long long>(leaf_times.size());
-  double end_time = origin_;
+  long long events = pre + static_cast<long long>(leaves.size());
+  double end_time = std::max(origin_, leaves.latest());
   std::vector<TraceSpan> spans;
   const size_t first_run_record = trace != nullptr ? trace->records() : 0;
 
@@ -222,20 +242,30 @@ FixedTimeRun QueryTree::RunFixedTimeLeaves(const std::vector<double>& leaf_times
                        : EventKey{arrival.time, &keys[tier - 1][arrival.child].send, 0};
     };
     for (size_t i = 0; i < nodes_[tier].size(); ++i) {
-      arrivals.resize(fanout);
-      for (size_t j = 0; j < fanout; ++j) {
-        const size_t child = i * fanout + j;
-        const double time = tier == 0 ? leaf_times[child] : ArrivalAbove(nodes_[tier - 1][child]);
-        arrivals[j] = {time, child};
-        end_time = std::max(end_time, time);
-      }
-      // Arrivals are sorted only as far as the timer reaches: [next, ready)
-      // is sorted and holds every arrival at or before |bound|, and the
-      // later ones stay unsorted behind it, so a node that sends early
-      // sorts only what it takes.
+      // [next, ready) of |sorted| is in key order and holds every arrival
+      // at or before |bound|. A tier-0 block comes sorted through. Above,
+      // arrivals are sorted only as far as the timer reaches, and the later
+      // ones stay unsorted behind them, so a node that sends early sorts
+      // only what it takes.
+      const ChildArrival* sorted = nullptr;
       size_t next = 0;
       size_t ready = 0;
       double bound = -kSimTimeInfinity;
+      if (tier == 0) {
+        const std::span<const ChildArrival> block = leaves.block(i);
+        sorted = block.data();
+        ready = block.size();
+        bound = kSimTimeInfinity;
+      } else {
+        arrivals.resize(fanout);
+        for (size_t j = 0; j < fanout; ++j) {
+          const size_t child = i * fanout + j;
+          const double time = ArrivalAbove(nodes_[tier - 1][child]);
+          arrivals[j] = {time, child};
+          end_time = std::max(end_time, time);
+        }
+        sorted = arrivals.data();
+      }
       const auto sort_through = [&](double t) {
         if (t <= bound) {
           return;
@@ -258,8 +288,8 @@ FixedTimeRun QueryTree::RunFixedTimeLeaves(const std::vector<double>& leaf_times
         const ChildArrival* arrival = nullptr;
         EventKey event;  // the running event's key
         AggregatorNode::Step step;
-        if (next < ready && Before(event = key_of(arrivals[next]), node_keys.timer)) {
-          arrival = &arrivals[next++];
+        if (next < ready && Before(event = key_of(sorted[next]), node_keys.timer)) {
+          arrival = &sorted[next++];
           const double weight = tier == 0 ? LeafWeight(arrival->child)
                                           : nodes_[tier - 1][arrival->child].included_weight();
           step = node.OnChildOutput(arrival->time, weight);

@@ -23,7 +23,9 @@
 // runs each aggregator's Pseudocode 1 from its sorted child arrivals, tier
 // by tier, without an event heap, in the (time, seq) order one heap holding
 // every timer, leaf and send would run them (DESIGN.md §4, "Aggregator
-// loop").
+// loop"). The tier-0 order (LeafOrder) depends on no policy: an engine that
+// runs several policies over one query sorts its leaves once and hands the
+// same order to each policy's tree.
 // TreeSimulation and the apps pass each leaf's sampled duration (origin 0);
 // the cluster engines first run every leaf task on their slot scheduler
 // (cluster_runtime.cc) and pass the winning completion times, absolute, with
@@ -35,7 +37,9 @@
 #ifndef CEDAR_SRC_SIM_QUERY_TREE_H_
 #define CEDAR_SRC_SIM_QUERY_TREE_H_
 
+#include <cstddef>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "src/core/policy.h"
@@ -100,6 +104,37 @@ struct FixedTimeRun {
   double end_time = 0.0;
 };
 
+// A child output's arrival at its aggregator: a leaf's at tier 0, a child
+// aggregator's send above.
+struct ChildArrival {
+  double time = 0.0;
+  size_t child = 0;  // the leaf (tier 0) or child aggregator
+};
+
+// Every tier-0 aggregator's leaves in the order its Pseudocode 1 run takes
+// them: block a holds leaves [a * fanout, (a + 1) * fanout) sorted by
+// (time, leaf index). A leaf's event key is Pre(first leaf + index), so that
+// is the queued run's order. Built once per leaf-time vector; any number of
+// trees may run over it.
+class LeafOrder {
+ public:
+  LeafOrder(const std::vector<double>& leaf_times, int fanout);
+
+  size_t size() const { return leaves_.size(); }
+  int fanout() const { return static_cast<int>(fanout_); }
+  // Tier-0 aggregator |aggregator|'s leaves, sorted.
+  std::span<const ChildArrival> block(size_t aggregator) const {
+    return std::span<const ChildArrival>(leaves_).subspan(aggregator * fanout_, fanout_);
+  }
+  // The latest leaf time.
+  double latest() const { return latest_; }
+
+ private:
+  size_t fanout_;
+  std::vector<ChildArrival> leaves_;
+  double latest_;
+};
+
 // The per-(offline tree, deadline) state every query tree of one engine
 // shares: the offline quality curves, the scan step and the options, and,
 // when upper knowledge is offline, each tier's scan grid and offline-optimal
@@ -150,12 +185,15 @@ class QueryTree {
   void Start();
 
   // Runs the whole query: Start(), then leaf i's output reaches its tier-0
-  // aggregator at |leaf_times|[i], an absolute time no earlier than the
-  // origin. |accepted|, when set, is called with each leaf whose output its
+  // aggregator at its time in |leaves|, an absolute time no earlier than
+  // the origin. |accepted|, when set, is called with each leaf whose output its
   // aggregator took, in that aggregator's arrival order. Builds no queue.
   // Dies unless every aggregator sent exactly once, the quality is finite
   // and the included weight lies in [0, total weight] up to the rounding of
   // summing the same leaf weights in another order.
+  FixedTimeRun RunFixedTimeLeaves(const LeafOrder& leaves,
+                                  const std::function<void(long long)>& accepted = nullptr);
+  // The same, leaf i's output at |leaf_times|[i].
   FixedTimeRun RunFixedTimeLeaves(const std::vector<double>& leaf_times,
                                   const std::function<void(long long)>& accepted = nullptr);
 

@@ -18,6 +18,8 @@
 #ifndef CEDAR_SRC_SIM_TREE_SIMULATION_H_
 #define CEDAR_SRC_SIM_TREE_SIMULATION_H_
 
+#include <span>
+
 #include "src/core/policy.h"
 #include "src/core/quality.h"
 #include "src/core/tree.h"
@@ -35,7 +37,12 @@ class TreeSimulation {
  public:
   TreeSimulation(TreeSpec offline_tree, double deadline, TreeSimulationOptions options = {});
 
-  // Replays |realization| under |policy_prototype| (cloned per aggregator).
+  // Replays |realization| under each of |policies| (each cloned per
+  // aggregator) into results[p]. The leaves' tier-0 order is sorted once
+  // and every policy's tree runs over it.
+  void RunQuery(std::span<const WaitPolicy* const> policies, const QueryRealization& realization,
+                std::span<QueryResult> results) const;
+  // One policy.
   QueryResult RunQuery(const WaitPolicy& policy_prototype,
                        const QueryRealization& realization) const;
 

@@ -203,10 +203,11 @@ int64_t ProfileCalls(const std::string& name) {
 }
 
 TEST(ClusterRuntimeTest, SlotDispatchAndPseudocode1ProfileApart) {
-  // A query's slot dispatch runs once, and its tree once after it: one
-  // cluster.slot_dispatch record and one sim.fixed_time_run record per
-  // query; a loaded run is one dispatch record for all its queries, however
-  // many times its arrivals hand control back.
+  // A query's slot dispatch runs once, and its tree once after it per
+  // policy: one cluster.slot_dispatch record per query and one
+  // sim.fixed_time_run record per (query, policy); a loaded run is one
+  // dispatch record for all its queries and policies, however many times
+  // its arrivals hand control back.
   auto workload = MakeFacebookWorkload(10, 8);
   const TreeSpec tree = workload.OfflineTree();
   const ClusterRuntime cluster(TinyCluster(4, 5), tree, 1000.0);  // 4 waves
@@ -227,6 +228,25 @@ TEST(ClusterRuntimeTest, SlotDispatchAndPseudocode1ProfileApart) {
   RunLoadedCluster(workload, cedar, config);
   EXPECT_EQ(ProfileCalls("cluster.slot_dispatch"), 1);
   EXPECT_EQ(ProfileCalls("sim.fixed_time_run"), config.num_queries);
+
+  // The schedule is shared by every policy: a query's slots are dispatched
+  // once, and each policy's tree runs over them.
+  ProportionalSplitPolicy prop_split;
+  FixedWaitPolicy fixed(500.0);
+  ResetProfile();
+  ClusterExperimentConfig experiment;
+  experiment.cluster = TinyCluster(4, 5);
+  experiment.deadline = 1000.0;
+  experiment.num_queries = 6;
+  experiment.threads = 1;
+  RunClusterExperiment(workload, {&prop_split, &cedar, &fixed}, experiment);
+  EXPECT_EQ(ProfileCalls("cluster.slot_dispatch"), experiment.num_queries);
+  EXPECT_EQ(ProfileCalls("sim.fixed_time_run"), 3 * experiment.num_queries);
+  ResetProfile();
+  const WaitPolicy* const two[] = {&prop_split, &cedar};
+  RunLoadedCluster(workload, two, config);
+  EXPECT_EQ(ProfileCalls("cluster.slot_dispatch"), 1);
+  EXPECT_EQ(ProfileCalls("sim.fixed_time_run"), 2 * config.num_queries);
   SetProfilingEnabled(false);
   ResetProfile();
 }

@@ -2,7 +2,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
+#include <memory>
 #include <thread>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -19,10 +22,14 @@ namespace {
 
 constexpr double kMs = 1e-3;
 
+// Four children under a 1 s deadline. By default both stages are
+// log-normal(-3.5, 0.6), about 30 ms each.
 struct RtFixture {
-  RtFixture()
-      : tree(TreeSpec::TwoLevel(std::make_shared<LogNormalDistribution>(-3.5, 0.6), 4,
-                                std::make_shared<LogNormalDistribution>(-3.5, 0.6), 2)),
+  explicit RtFixture(std::shared_ptr<const Distribution> bottom =
+                         std::make_shared<LogNormalDistribution>(-3.5, 0.6),
+                     std::shared_ptr<const Distribution> upper_stage =
+                         std::make_shared<LogNormalDistribution>(-3.5, 0.6))
+      : tree(TreeSpec::TwoLevel(std::move(bottom), 4, std::move(upper_stage), 2)),
         upper(TabulateCdf(*tree.stage(1).duration, 1.0, 201)) {
     ctx.tier = 0;
     ctx.deadline = 1.0;  // seconds
@@ -154,7 +161,18 @@ TEST(RealtimeAggregatorTest, CedarDefersOnTheWallClockAndSendsOnce) {
   // Three of the fixture's four children report, a few milliseconds apart,
   // so the node decides on arrivals and its timer sends. Cedar's arrival
   // searches stop at a bound there, as they do in the simulators.
-  RtFixture fixture;
+  //
+  // Every assertion below needs the wall clock to run on schedule: the
+  // offers must land before the initial timer and before the second
+  // decision's bound, and the send must fire before 1 s. A bottom stage of
+  // log-normal(-3.5, 0.3) and an upper one of log-normal(ln 0.2, 0.2) put
+  // the initial timer at the 1 s deadline, the second decision's bound at
+  // ~0.50 s and the send at ~0.74 s (arrivals 5 to 20 ms apart), so a host
+  // stall has ~0.98 s before the offers, ~0.49 s among them and ~0.26 s
+  // after them. The default stages would send at 0.92 s, 80 ms short of
+  // the bound.
+  RtFixture fixture(std::make_shared<LogNormalDistribution>(-3.5, 0.3),
+                    std::make_shared<LogNormalDistribution>(std::log(0.2), 0.2));
   MetricsRegistry& registry = MetricsRegistry::Global();
   const bool metrics_were_enabled = MetricsEnabled();
   SetMetricsEnabled(true);

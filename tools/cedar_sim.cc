@@ -146,16 +146,14 @@ int main(int argc, char** argv) {
       config.mean_interarrival = *interarrival;
       config.num_queries = static_cast<int>(*queries);
       config.seed = static_cast<uint64_t>(*seed);
-      double utilization = 0.0;
-      double queue_delay = 0.0;
-      for (const auto* policy : policy_ptrs) {
-        LoadedRunResult result = RunLoadedCluster(*workload, *policy, config);
+      const std::vector<LoadedRunResult> results =
+          RunLoadedCluster(*workload, policy_ptrs, config);
+      for (const LoadedRunResult& result : results) {
         row.push_back(TablePrinter::FormatDouble(result.MeanQuality(), 4));
-        utilization = result.utilization;
-        queue_delay = result.mean_queue_delay;
       }
-      row.push_back(TablePrinter::FormatDouble(utilization, 3));
-      row.push_back(TablePrinter::FormatDouble(queue_delay, 2));
+      // The slot schedule is the same under every policy.
+      row.push_back(TablePrinter::FormatDouble(results.front().utilization, 3));
+      row.push_back(TablePrinter::FormatDouble(results.front().mean_queue_delay, 2));
     }
     if (csv != nullptr) {
       csv->Row(row);
